@@ -1,22 +1,19 @@
-//! Fig. 10 chain-scaling experiment under both LP backends.
+//! Fig. 10 chain-scaling experiment.
 //!
 //! Runs the coupon-chain and random-walk-chain families (`cma-suite`'s
-//! `synthetic` module) at growing chain lengths, once per backend
-//! (`dense` reference simplex vs `sparse` revised simplex), solve mode, and
-//! requested pricing rule, and writes the measurements as a JSON array — the
-//! `BENCH_chains.json` artifact the CI `bench-smoke` job uploads to track the
-//! perf trajectory.  Rows carry the pricing rule and the solver's iteration
-//! count, so degeneracy regressions show up as iteration blow-up at fixed
-//! problem size.
+//! `synthetic` module) at growing chain lengths, once per solve mode, and
+//! writes the measurements as a JSON array — the `BENCH_chains.json`
+//! artifact the CI `bench-smoke` job uploads to track the perf trajectory.
+//! Rows carry the solver's iteration count, so degeneracy regressions show
+//! up as iteration blow-up at fixed problem size.
 //!
 //! ```text
 //! cargo run -p cma-bench --release --bin chains -- \
 //!     [--out BENCH_chains.json] [--max-n 10] [--step 3] [--threads N]
-//!     [--global-cap 8] [--pricing devex|dantzig|partial|all]
-//!     [--factor dense|lu|all] [--escalate]
+//!     [--global-cap 8] [--escalate]
 //! ```
 //!
-//! `--escalate` additionally measures every global-mode configuration via an
+//! `--escalate` additionally measures every global-mode row via an
 //! in-session degree 1 → 2 escalation (`Analysis::escalate_from`), with
 //! plan-reuse and escalation-pivot columns in the JSON rows.  The sweep then
 //! also visits `--global-cap` itself (even when the stride would skip it):
@@ -25,27 +22,17 @@
 //!
 //! Compositional mode (the regime Fig. 10 actually evaluates — one LP per
 //! SCC) is measured across the whole sweep.  Global mode — one monolithic LP
-//! whose degeneracy once stalled both backends past ~6 links — is capped at
-//! `--global-cap` chain links.  Since the pricing/presolve/anti-degeneracy
-//! overhaul the default cap is 8 (up from 4): devex pricing plus the Harris
-//! ratio test keep global-mode iteration counts near-linear in the chain
-//! length, and the cap now only bounds the dense reference solver's
-//! tableau-sized solve times, not a degeneracy blow-up.
+//! per program — is capped at `--global-cap` chain links (default 8).
 
 use std::io::Write as _;
 
-use central_moment_analysis::{
-    json, Analysis, FactorKind, PricingRule, SimplexBackend, SolveMode, SparseBackend,
-};
+use central_moment_analysis::{json, Analysis, SolveMode};
 use cma_suite::{synthetic, Benchmark};
 
 struct Row {
     family: &'static str,
     n: usize,
     mode: &'static str,
-    backend: &'static str,
-    pricing: &'static str,
-    factor: &'static str,
     /// Whether the degree-2 result was reached by in-session escalation
     /// from a degree-1 session (`--escalate`) instead of a direct solve.
     escalated: bool,
@@ -81,15 +68,11 @@ struct Row {
     mean_upper: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn measure(
     benchmark: &Benchmark,
     family: &'static str,
     n: usize,
     mode: SolveMode,
-    backend: &'static str,
-    pricing: PricingRule,
-    factor: FactorKind,
     threads: usize,
     escalate: bool,
 ) -> Option<Row> {
@@ -97,17 +80,11 @@ fn measure(
         .degree(2)
         .mode(mode)
         .threads(threads)
-        .pricing(pricing)
-        .factor(factor)
         .soundness(false);
     if escalate {
         analysis = analysis.escalate_from(1);
     }
-    let report = match backend {
-        "dense" => analysis.backend(SimplexBackend).run(),
-        _ => analysis.backend(SparseBackend).run(),
-    }
-    .ok()?;
+    let report = analysis.run().ok()?;
     let escalation = report.escalation;
     Some(Row {
         family,
@@ -116,9 +93,6 @@ fn measure(
             SolveMode::Global => "global",
             SolveMode::Compositional => "compositional",
         },
-        backend,
-        pricing: pricing.name(),
-        factor: factor.name(),
         escalated: escalate,
         // The full derive+solve time: for escalated runs `result.elapsed`
         // covers only the escalation step, while the analysis phase timing
@@ -151,16 +125,14 @@ fn measure(
 /// carry *finite upper bounds* (singleton `x ≤ u` rows, absorbed into column
 /// bounds by the solver).  The inference LPs are all `=`/`≥` systems, so this
 /// family is what exercises — and keeps nonzero in the committed artifact —
-/// the bound-flip counter of the long-step dual ratio test and, under `lu`,
-/// the Forrest–Tomlin compaction counters.
+/// the bound-flip counter of the long-step dual ratio test and the
+/// Forrest–Tomlin compaction counters.
 ///
 /// Shape at size `n`: `3n` boxed variables, overlapping 3-windows capping
 /// their sums, an objective pushing every column to its upper bound, then a
 /// sequence of progressively tighter global cutting rows re-minimized warm.
-fn measure_boxed(n: usize, backend: &'static str, factor: FactorKind) -> Row {
-    use central_moment_analysis::lp::{
-        Cmp, LpBackend, LpProblem, SolveStats, SolverTuning, TunedBackend,
-    };
+fn measure_boxed(n: usize) -> Row {
+    use central_moment_analysis::lp::{Cmp, LpBackend, LpProblem, SimplexBackend};
 
     let m = 3 * n;
     let mut lp = LpProblem::new();
@@ -178,54 +150,26 @@ fn measure_boxed(n: usize, backend: &'static str, factor: FactorKind) -> Row {
         .map(|(j, &v)| (v, -(1.0 + (j % 3) as f64)))
         .collect();
 
-    let tuning = SolverTuning::with_factor(factor);
     let started = std::time::Instant::now();
-    let (stats, solves) = {
-        fn drive<B: LpBackend>(
-            backend: &B,
-            lp: &LpProblem,
-            vars: &[central_moment_analysis::lp::LpVarId],
-            objective: &[(central_moment_analysis::lp::LpVarId, f64)],
-        ) -> (SolveStats, usize) {
-            let mut session = backend.open(lp);
-            let mut solution = session.minimize(objective);
-            assert!(solution.is_optimal(), "boxed LP must solve: {solution:?}");
-            let mut stats = solution.stats;
-            let mut solves = 1;
-            // Progressively tighter global cuts, each re-minimized warm.
-            for _ in 0..3 {
-                let total: f64 = vars.iter().map(|&v| solution.value(v)).sum();
-                let row: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-                session.add_constraint(&row, Cmp::Le, total * 0.85);
-                solution = session.minimize(objective);
-                assert!(solution.is_optimal(), "cut re-solve must stay optimal");
-                stats = stats.merge(&solution.stats);
-                solves += 1;
-            }
-            (stats, solves)
-        }
-        match backend {
-            "dense" => drive(
-                &TunedBackend::new(SimplexBackend, tuning),
-                &lp,
-                &vars,
-                &objective,
-            ),
-            _ => drive(
-                &TunedBackend::new(SparseBackend, tuning),
-                &lp,
-                &vars,
-                &objective,
-            ),
-        }
-    };
+    let mut session = SimplexBackend.open(&lp);
+    let mut solution = session.minimize(&objective);
+    assert!(solution.is_optimal(), "boxed LP must solve: {solution:?}");
+    let mut stats = solution.stats;
+    let mut solves = 1;
+    // Progressively tighter global cuts, each re-minimized warm.
+    for _ in 0..3 {
+        let total: f64 = vars.iter().map(|&v| solution.value(v)).sum();
+        let row: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+        session.add_constraint(&row, Cmp::Le, total * 0.85);
+        solution = session.minimize(&objective);
+        assert!(solution.is_optimal(), "cut re-solve must stay optimal");
+        stats = stats.merge(&solution.stats);
+        solves += 1;
+    }
     Row {
         family: "boxed-lp",
         n,
         mode: "warm",
-        backend,
-        pricing: PricingRule::default().name(),
-        factor: factor.name(),
         escalated: false,
         analysis_ms: started.elapsed().as_secs_f64() * 1e3,
         lp_variables: m,
@@ -258,8 +202,6 @@ fn main() {
     let mut step = 3usize;
     let mut threads = 1usize;
     let mut global_cap = 8usize;
-    let mut pricing_arg = "devex".to_string();
-    let mut factor_arg = "all".to_string();
     let mut escalate = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -279,34 +221,16 @@ fn main() {
             "--global-cap" => {
                 global_cap = value("--global-cap").parse().expect("numeric --global-cap")
             }
-            "--pricing" => pricing_arg = value("--pricing"),
-            "--factor" => factor_arg = value("--factor"),
             "--escalate" => escalate = true,
             other => {
                 eprintln!(
                     "unknown option `{other}` (expected --out/--max-n/--step/\
-                     --threads/--global-cap/--pricing/--factor/--escalate)"
+                     --threads/--global-cap/--escalate)"
                 );
                 std::process::exit(2);
             }
         }
     }
-    let pricings: Vec<PricingRule> = if pricing_arg == "all" {
-        PricingRule::ALL.to_vec()
-    } else {
-        vec![pricing_arg.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })]
-    };
-    let factors: Vec<FactorKind> = if factor_arg == "all" {
-        FactorKind::ALL.to_vec()
-    } else {
-        vec![factor_arg.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })]
-    };
 
     let mut rows: Vec<Row> = Vec::new();
     let mut sizes = synthetic::sweep(max_n, step);
@@ -321,68 +245,49 @@ fn main() {
             if mode == SolveMode::Global && n > global_cap {
                 continue;
             }
-            for backend in ["dense", "sparse"] {
-                for &pricing in &pricings {
-                    for &factor in &factors {
-                        for (family, b) in [("coupon-chain", &coupon), ("walk-chain", &walk)] {
-                            // With --escalate, global-mode configurations are
-                            // additionally measured via a degree 1 -> 2
-                            // in-session escalation (compositional sessions
-                            // would restart cold, so the sweep skips them).
-                            let mut variants = vec![false];
-                            if escalate && mode == SolveMode::Global {
-                                variants.push(true);
-                            }
-                            for escalated in variants {
-                                match measure(
-                                b, family, n, mode, backend, pricing, factor, threads, escalated,
-                            ) {
-                                Some(row) => {
-                                    eprintln!(
-                                        "{family}/{n} {} {backend} {}/{}{}: {:.1} ms ({} vars, {} rows, {} solves, {} iters, {} etas, {} plan cols reused)",
-                                        row.mode,
-                                        row.pricing,
-                                        row.factor,
-                                        if row.escalated { " escalate" } else { "" },
-                                        row.analysis_ms,
-                                        row.lp_variables,
-                                        row.lp_constraints,
-                                        row.lp_solves,
-                                        row.lp_iterations,
-                                        row.lp_etas,
-                                        row.plan_reused_columns
-                                    );
-                                    rows.push(row);
-                                }
-                                None => eprintln!(
-                                    "{family}/{n} {mode:?} {backend} {pricing} {factor}: not analyzable"
-                                ),
-                            }
-                            }
+            for (family, b) in [("coupon-chain", &coupon), ("walk-chain", &walk)] {
+                // With --escalate, global-mode rows are additionally measured
+                // via a degree 1 -> 2 in-session escalation (compositional
+                // sessions would restart cold, so the sweep skips them).
+                let mut variants = vec![false];
+                if escalate && mode == SolveMode::Global {
+                    variants.push(true);
+                }
+                for escalated in variants {
+                    match measure(b, family, n, mode, threads, escalated) {
+                        Some(row) => {
+                            eprintln!(
+                                "{family}/{n} {}{}: {:.1} ms ({} vars, {} rows, {} solves, {} iters, {} etas, {} plan cols reused)",
+                                row.mode,
+                                if row.escalated { " escalate" } else { "" },
+                                row.analysis_ms,
+                                row.lp_variables,
+                                row.lp_constraints,
+                                row.lp_solves,
+                                row.lp_iterations,
+                                row.lp_etas,
+                                row.plan_reused_columns
+                            );
+                            rows.push(row);
                         }
+                        None => eprintln!("{family}/{n} {mode:?}: not analyzable"),
                     }
                 }
             }
         }
         // The boxed-LP warm family (LP-level, no analysis pipeline): one row
-        // per backend × factorization at this size.
-        for backend in ["dense", "sparse"] {
-            for &factor in &factors {
-                let row = measure_boxed(n, backend, factor);
-                eprintln!(
-                    "boxed-lp/{n} warm {backend} {}/{}: {:.1} ms ({} iters, {} dual pivots, {} bound flips, {} compactions, peak eta {})",
-                    row.pricing,
-                    row.factor,
-                    row.analysis_ms,
-                    row.lp_iterations,
-                    row.lp_dual_pivots,
-                    row.lp_bound_flips,
-                    row.lp_eta_compactions,
-                    row.lp_eta_len,
-                );
-                rows.push(row);
-            }
-        }
+        // at this size.
+        let row = measure_boxed(n);
+        eprintln!(
+            "boxed-lp/{n} warm: {:.1} ms ({} iters, {} dual pivots, {} bound flips, {} compactions, peak eta {})",
+            row.analysis_ms,
+            row.lp_iterations,
+            row.lp_dual_pivots,
+            row.lp_bound_flips,
+            row.lp_eta_compactions,
+            row.lp_eta_len,
+        );
+        rows.push(row);
     }
 
     // Rows go through the shared report JSON writer so this encoder cannot
@@ -397,9 +302,6 @@ fn main() {
                     ("family", json::string(r.family)),
                     ("n", r.n.to_string()),
                     ("mode", json::string(r.mode)),
-                    ("backend", json::string(r.backend)),
-                    ("pricing", json::string(r.pricing)),
-                    ("factor", json::string(r.factor)),
                     ("escalated", r.escalated.to_string()),
                     (
                         "analysis_ms",
@@ -437,26 +339,4 @@ fn main() {
     file.write_all(json.as_bytes()).expect("write output");
     file.write_all(b"\n").expect("write trailing newline");
     eprintln!("wrote {} rows to {out_path}", rows.len());
-
-    // Summarize the dense-vs-sparse comparison on stdout.
-    let speedup = |family: &str, mode: &str| -> Option<f64> {
-        let total = |backend: &str| -> f64 {
-            rows.iter()
-                .filter(|r| {
-                    r.family == family && r.mode == mode && r.backend == backend && !r.escalated
-                })
-                .map(|r| r.analysis_ms)
-                .sum()
-        };
-        let dense = total("dense");
-        let sparse = total("sparse");
-        (sparse > 0.0).then(|| dense / sparse)
-    };
-    for family in ["coupon-chain", "walk-chain"] {
-        for mode in ["global", "compositional"] {
-            if let Some(s) = speedup(family, mode) {
-                println!("{family} ({mode}): dense/sparse time ratio {s:.2}x");
-            }
-        }
-    }
 }

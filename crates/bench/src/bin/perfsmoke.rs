@@ -3,7 +3,7 @@
 //! Pins the two headline outcomes of the kernel overhaul so they cannot
 //! silently regress:
 //!
-//! 1. **btran share** — on the n=8 walk-chain global LU analysis, backward
+//! 1. **btran share** — on the n=8 walk-chain global analysis, backward
 //!    solves must stay a bounded share of the pivot-level profile
 //!    (`btran_ns / (ftran+btran+pricing+ratio)`).  Before the hyper-sparse
 //!    unit-rhs btran and the sparse-loaded dual-price btran, the m seeding
@@ -15,25 +15,23 @@
 //!
 //! Exits nonzero (panics) on any violated pin, failing the CI job.
 
-use central_moment_analysis::lp::{Cmp, LpBackend, LpProblem, SolverTuning, TunedBackend};
-use central_moment_analysis::{Analysis, FactorKind, SolveMode, SparseBackend};
+use central_moment_analysis::lp::{Cmp, LpBackend, LpProblem, SimplexBackend};
+use central_moment_analysis::{Analysis, SolveMode};
 use cma_suite::synthetic;
 
-/// Maximum btran share of the pivot-level profile on the n=8 global LU
+/// Maximum btran share of the pivot-level profile on the n=8 global
 /// analysis.  Observed ~0.16 with the hyper-sparse kernels; a dense
 /// per-row seeding regression pushes it well past 0.6.  Pinned with ~3×
 /// headroom for machine noise.
 const BTRAN_SHARE_MAX: f64 = 0.5;
 
 fn main() {
-    // --- Pin 1: btran share on the n=8 walk-chain global LU analysis. ----
+    // --- Pin 1: btran share on the n=8 walk-chain global analysis. -------
     let benchmark = synthetic::random_walk_chain(8).in_suite("synthetic");
     let report = Analysis::benchmark(&benchmark)
         .degree(2)
         .mode(SolveMode::Global)
-        .factor(FactorKind::Lu)
         .soundness(false)
-        .backend(SparseBackend)
         .run()
         .expect("n=8 walk-chain must analyze");
     let lp = &report.lp;
@@ -41,7 +39,7 @@ fn main() {
     assert!(profile > 0, "pivot-level profile is empty");
     let share = lp.btran_ns as f64 / profile as f64;
     eprintln!(
-        "perfsmoke: n=8 global lu — ftran {} µs, btran {} µs ({share:.2} of profile), \
+        "perfsmoke: n=8 global — ftran {} µs, btran {} µs ({share:.2} of profile), \
          pricing {} µs, ratio {} µs; hyper {} ftran / {} btran, {} dense fallbacks",
         lp.ftran_ns / 1_000,
         lp.btran_ns / 1_000,
@@ -66,8 +64,7 @@ fn main() {
     }
     lp.add_constraint(vec![(vars[0], 1.0)], Cmp::Le, 400.0);
     let objective: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-    let backend = TunedBackend::new(SparseBackend, SolverTuning::with_factor(FactorKind::Lu));
-    let mut session = backend.open(&lp);
+    let mut session = SimplexBackend.open(&lp);
     let first = session.minimize(&objective);
     assert!(first.is_optimal(), "chain stand-in must solve: {first:?}");
     session.add_constraint(&[(vars[0], 1.0)], Cmp::Ge, first.value(vars[0]) + 5.0);

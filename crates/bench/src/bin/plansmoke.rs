@@ -4,7 +4,7 @@
 //! Fig. 2 running example (the bounded biased random walk):
 //!
 //! 1. **warm degree escalation, pinned to scratch** — a degree 1 → 2
-//!    escalation of the live sparse session must reproduce the from-scratch
+//!    escalation of the live session must reproduce the from-scratch
 //!    degree-2 bounds (Fig. 1(b): `E[tick] ≤ 2d + 4`) within solver
 //!    tolerance while replaying the plan;
 //! 2. **degree 2 → 4 escalation reuses the live session** — zero cold
@@ -14,20 +14,12 @@
 //!    degree-2 basis is what makes the fourth moment reachable at all, so
 //!    no scratch comparison here — the escalated-vs-scratch pinning lives in
 //!    `crates/inference/tests/escalation.rs` on fixtures cold can solve.)
-//! 3. **shared-template soundness extension** — the Thm 4.4 step-counting
-//!    derivation, run as a plan transformer over the main derivation's
-//!    templates, must append *strictly fewer* constraints and variables
-//!    than the PR 2 disjoint-by-construction baseline (re-measured here
-//!    with the phase-1 warm strategy, which takes the disjoint path).
 //!
 //! Exits nonzero (panics) on any violated budget, failing the CI job.
 
-use central_moment_analysis::inference::{
-    analyze_session, analyze_with, soundness_report_in_session, AnalysisOptions,
-};
-use central_moment_analysis::lp::WarmStrategy;
+use central_moment_analysis::inference::{analyze_session, analyze_with, AnalysisOptions};
 use central_moment_analysis::suite::running;
-use central_moment_analysis::{FactorKind, SolveMode, SparseBackend};
+use central_moment_analysis::{SimplexBackend, SolveMode};
 
 const TOL: f64 = 1e-4;
 
@@ -35,17 +27,16 @@ fn main() {
     let benchmark = running::rdwalk();
     let options = AnalysisOptions::degree(1)
         .with_mode(SolveMode::Global)
-        .with_valuation(benchmark.valuation.clone())
-        .with_factor(FactorKind::Lu);
+        .with_valuation(benchmark.valuation.clone());
 
     // --- Guard 1: degree 1 -> 2 escalation matches from-scratch. ----------
     let (_, mut session) =
-        analyze_session(&benchmark.program, &options, &SparseBackend).expect("rdwalk at degree 1");
+        analyze_session(&benchmark.program, &options, &SimplexBackend).expect("rdwalk at degree 1");
     let escalated = session.escalate_degree(2).expect("rdwalk escalates to 2");
     let mut scratch_options = options.clone();
     scratch_options.degree = 2;
     let scratch =
-        analyze_with(&benchmark.program, &scratch_options, &SparseBackend).expect("degree 2");
+        analyze_with(&benchmark.program, &scratch_options, &SimplexBackend).expect("degree 2");
     for k in 0..=2 {
         let e = escalated.raw_moment_at(k, &benchmark.valuation);
         let s = scratch.raw_moment_at(k, &benchmark.valuation);
@@ -71,7 +62,7 @@ fn main() {
     let (base, mut session) = {
         let mut o = options.clone();
         o.degree = 2;
-        analyze_session(&benchmark.program, &o, &SparseBackend).expect("rdwalk at degree 2")
+        analyze_session(&benchmark.program, &o, &SimplexBackend).expect("rdwalk at degree 2")
     };
     assert_eq!(base.lp_solves, 1);
     let escalated = session
@@ -93,7 +84,7 @@ fn main() {
     );
     assert!(
         stats.dual_pivots > 0,
-        "the sparse session must repair the appended rows by dual pivots"
+        "the live session must repair the appended rows by dual pivots"
     );
     let fourth = escalated.raw_moment_at(4, &benchmark.valuation);
     assert!(
@@ -108,45 +99,5 @@ fn main() {
         stats.reused_columns,
         stats.dual_pivots,
         fourth.hi()
-    );
-
-    // --- Guard 3: shared soundness extension beats the disjoint baseline. -
-    let soundness_options = {
-        let mut o = options.clone();
-        o.degree = 2;
-        o
-    };
-    let (_, mut shared_session) =
-        analyze_session(&benchmark.program, &soundness_options, &SparseBackend).expect("rdwalk");
-    let shared = soundness_report_in_session(&mut shared_session, &benchmark.program, 2);
-    assert!(shared.is_sound(), "rdwalk is sound");
-    assert!(
-        shared.shared_templates && shared.shared_template_columns > 0,
-        "dual/sparse sessions must share templates with the extension"
-    );
-
-    let disjoint_options = soundness_options.with_warm_resolve(WarmStrategy::Phase1);
-    let (_, mut disjoint_session) =
-        analyze_session(&benchmark.program, &disjoint_options, &SparseBackend).expect("rdwalk");
-    let disjoint = soundness_report_in_session(&mut disjoint_session, &benchmark.program, 2);
-    assert!(disjoint.is_sound(), "rdwalk is sound (disjoint)");
-    assert!(
-        shared.extension_constraints < disjoint.extension_constraints,
-        "shared extension rows ({}) must be strictly below the disjoint baseline ({})",
-        shared.extension_constraints,
-        disjoint.extension_constraints
-    );
-    assert!(
-        shared.extension_variables < disjoint.extension_variables,
-        "shared extension columns ({}) must be strictly below the disjoint baseline ({})",
-        shared.extension_variables,
-        disjoint.extension_variables
-    );
-    eprintln!(
-        "plansmoke: shared soundness extension ok ({} rows vs {} disjoint, \
-         {} template columns shared)",
-        shared.extension_constraints,
-        disjoint.extension_constraints,
-        shared.shared_template_columns
     );
 }

@@ -20,10 +20,7 @@
 use std::process::ExitCode;
 
 use central_moment_analysis::suite::{self, Benchmark};
-use central_moment_analysis::{
-    check, json, Analysis, AnalysisReport, CheckConfig, CmaError, DualPricing, DualRatio,
-    FactorKind, LpBackend, PricingRule, SolveMode, SparseBackend, Var,
-};
+use central_moment_analysis::{check, json, Analysis, CheckConfig, CmaError, SolveMode, Var};
 
 const USAGE: &str = "\
 cma — central moment analysis for cost accumulators in probabilistic programs
@@ -48,17 +45,12 @@ ANALYSIS OPTIONS:
     --escalate M         solve at degree M first, then escalate the live LP
                          session to --degree (warm dual re-solve, no re-derive)
     --mode MODE          global | compositional (default global)
-    --backend B          dense | sparse LP solver (default dense)
-    --pricing P          dantzig | devex | partial simplex pricing (default devex)
-    --factor F           dense | lu basis factorization (default dense)
-    --dual-pricing P     devex | steepest dual leaving-row pricing for warm
-                         re-solves (default devex)
-    --dual-ratio R       bound-flip | harris dual ratio test (default bound-flip)
     --no-presolve        skip the LP presolve pass (row/column reductions)
     --threads N          solve independent compositional groups on N threads
-    --timeout SECS       wall-clock budget for the whole analysis; when it runs
-                         out, the degradation ladder retries with cheaper
-                         settings and labels the (still sound) weaker bounds
+    --timeout SECS       wall-clock budget for the whole analysis, soundness
+                         checks included; when it runs out, the degradation
+                         ladder retries with cheaper settings and labels the
+                         (still sound) weaker bounds
     --group-timeout SECS wall-clock budget per LP group solve
     --valuation K=V,…    initial-state valuation, e.g. d=10,x=0
     --tail D1,D2,…       tail-bound thresholds (default 2x/4x/8x mean bound)
@@ -94,7 +86,9 @@ CORPUS OPTIONS:
     --journal FILE       (run) NDJSON journal; re-running against an existing
                          journal resumes, skipping recorded programs
                          (default corpus.journal.ndjson)
-    --cma PATH           (run) analyzer binary to invoke (default: this binary)
+    --cma PATH           (run) analyzer binary to invoke (default: this binary);
+                         every ANALYSIS OPTION except --timeout is forwarded
+                         to it
 
 COMMON OPTIONS:
     --json               emit the full report as JSON on stdout
@@ -155,16 +149,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// The LP solver selected with `--backend`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum BackendChoice {
-    /// The dense two-phase reference simplex.
-    #[default]
-    Dense,
-    /// The sparse revised simplex (recommended for large chain programs).
-    Sparse,
-}
-
 /// Options shared by `analyze`, `tail`, and `suite run`.
 #[derive(Debug, Clone, Default)]
 struct AnalyzeOpts {
@@ -173,11 +157,6 @@ struct AnalyzeOpts {
     max_poly_degree: Option<u32>,
     escalate: Option<usize>,
     mode: Option<SolveMode>,
-    backend: BackendChoice,
-    pricing: Option<PricingRule>,
-    factor: Option<FactorKind>,
-    dual_pricing: Option<DualPricing>,
-    dual_ratio: Option<DualRatio>,
     no_presolve: bool,
     threads: Option<usize>,
     valuation: Option<Vec<(Var, f64)>>,
@@ -209,6 +188,9 @@ struct AnalyzeOpts {
     retries: Option<u32>,
     journal: Option<String>,
     cma_binary: Option<String>,
+    /// Every `--flag [value]` as given, in order (what `corpus run`
+    /// forwards to its child analyses).
+    flags: Vec<Vec<String>>,
 }
 
 fn parse_opts(args: &[String]) -> Result<AnalyzeOpts, CmaError> {
@@ -216,6 +198,7 @@ fn parse_opts(args: &[String]) -> Result<AnalyzeOpts, CmaError> {
     let mut it = args.iter();
     let missing = |flag: &str| CmaError::Usage(format!("missing value for `{flag}`"));
     while let Some(arg) = it.next() {
+        let start = args.len() - it.len() - 1;
         match arg.as_str() {
             "--json" => opts.json = true,
             "--no-soundness" => opts.no_soundness = true,
@@ -271,34 +254,6 @@ fn parse_opts(args: &[String]) -> Result<AnalyzeOpts, CmaError> {
                         )))
                     }
                 });
-            }
-            "--backend" => {
-                let v = it.next().ok_or_else(|| missing("--backend"))?;
-                opts.backend = match v.as_str() {
-                    "dense" => BackendChoice::Dense,
-                    "sparse" => BackendChoice::Sparse,
-                    other => {
-                        return Err(CmaError::Usage(format!(
-                            "invalid --backend `{other}` (expected dense or sparse)"
-                        )))
-                    }
-                };
-            }
-            "--pricing" => {
-                let v = it.next().ok_or_else(|| missing("--pricing"))?;
-                opts.pricing = Some(v.parse().map_err(CmaError::Usage)?);
-            }
-            "--factor" => {
-                let v = it.next().ok_or_else(|| missing("--factor"))?;
-                opts.factor = Some(v.parse().map_err(CmaError::Usage)?);
-            }
-            "--dual-pricing" => {
-                let v = it.next().ok_or_else(|| missing("--dual-pricing"))?;
-                opts.dual_pricing = Some(v.parse().map_err(CmaError::Usage)?);
-            }
-            "--dual-ratio" => {
-                let v = it.next().ok_or_else(|| missing("--dual-ratio"))?;
-                opts.dual_ratio = Some(v.parse().map_err(CmaError::Usage)?);
             }
             "--no-presolve" => opts.no_presolve = true,
             "--threads" => {
@@ -357,8 +312,12 @@ fn parse_opts(args: &[String]) -> Result<AnalyzeOpts, CmaError> {
             flag if flag.starts_with("--") => {
                 return Err(CmaError::Usage(format!("unknown option `{flag}`")));
             }
-            positional => opts.positional.push(positional.to_string()),
+            positional => {
+                opts.positional.push(positional.to_string());
+                continue;
+            }
         }
+        opts.flags.push(args[start..args.len() - it.len()].to_vec());
     }
     Ok(opts)
 }
@@ -418,7 +377,7 @@ fn read_source(path: &str) -> Result<String, CmaError> {
 /// Applies every analysis knob of `opts` shared by `analyze`/`tail` and
 /// `suite run` (labels are call-site specific).  One place to wire a new
 /// flag, so the two paths cannot drift.
-fn apply_analysis_opts<B: LpBackend>(mut analysis: Analysis<B>, opts: &AnalyzeOpts) -> Analysis<B> {
+fn apply_analysis_opts(mut analysis: Analysis, opts: &AnalyzeOpts) -> Analysis {
     analysis = analysis
         .soundness(!opts.no_soundness)
         .check(!opts.no_check)
@@ -438,18 +397,6 @@ fn apply_analysis_opts<B: LpBackend>(mut analysis: Analysis<B>, opts: &AnalyzeOp
     }
     if let Some(mode) = opts.mode {
         analysis = analysis.mode(mode);
-    }
-    if let Some(pricing) = opts.pricing {
-        analysis = analysis.pricing(pricing);
-    }
-    if let Some(factor) = opts.factor {
-        analysis = analysis.factor(factor);
-    }
-    if let Some(dual_pricing) = opts.dual_pricing {
-        analysis = analysis.dual_pricing(dual_pricing);
-    }
-    if let Some(dual_ratio) = opts.dual_ratio {
-        analysis = analysis.dual_ratio(dual_ratio);
     }
     if opts.no_presolve {
         analysis = analysis.presolve(false);
@@ -477,17 +424,6 @@ fn configured_analysis(source: &str, path: &str, opts: &AnalyzeOpts) -> Result<A
         .map_err(|e| e.with_context(format!("while parsing `{path}`")))?
         .label(opts.label.clone().unwrap_or_else(|| path.to_string()));
     Ok(apply_analysis_opts(analysis, opts))
-}
-
-/// Runs a configured pipeline with the `--backend` the user picked.
-fn run_with_backend<B: LpBackend>(
-    analysis: Analysis<B>,
-    backend: BackendChoice,
-) -> Result<AnalysisReport, CmaError> {
-    match backend {
-        BackendChoice::Dense => analysis.run(),
-        BackendChoice::Sparse => analysis.backend(SparseBackend).run(),
-    }
 }
 
 /// Runs `f` with panic containment: a panic anywhere inside the analysis
@@ -539,7 +475,7 @@ fn cmd_analyze(args: &[String], tail_only: bool) -> Result<(), CmaError> {
     let source = read_source(path)?;
     let report = contain_panics(path, || {
         injected_failure(path);
-        run_with_backend(configured_analysis(&source, path, &opts)?, opts.backend)
+        configured_analysis(&source, path, &opts)?.run()
     })
     .map_err(|e| {
         print_check_diagnostics(&e);
@@ -821,7 +757,7 @@ fn cmd_suite(args: &[String]) -> Result<(), CmaError> {
                 if let Some(label) = &opts.label {
                     analysis = analysis.label(label.clone());
                 }
-                match run_with_backend(analysis, opts.backend) {
+                match analysis.run() {
                     Ok(report) => {
                         if opts.json {
                             json_rows.push(report.to_json());
@@ -883,52 +819,29 @@ fn collect_corpus(positional: &[String]) -> Result<Vec<std::path::PathBuf>, CmaE
     Ok(programs)
 }
 
-/// Analysis flags forwarded verbatim to every child `cma analyze` process
-/// of a corpus campaign.  (`--timeout` is *not* forwarded: the runner
-/// derives the child's soft budget from the hard per-program deadline.)
+/// Flags of `corpus run` itself, which its child analyses never see: the
+/// runner sets the child's `--json` output and derives its soft `--timeout`
+/// from the hard per-program deadline.
+const CORPUS_RUN_FLAGS: [&str; 6] = [
+    "--jobs",
+    "--timeout",
+    "--retries",
+    "--journal",
+    "--cma",
+    "--json",
+];
+
+/// The flags forwarded verbatim to every child `cma analyze` of a corpus
+/// campaign: every flag given to `corpus run` except its own.  Child and
+/// parent parse flags with the same [`parse_opts`], so a new analysis flag
+/// is forwarded without a line here.
 fn corpus_passthrough(opts: &AnalyzeOpts) -> Vec<String> {
-    let mut args = Vec::new();
-    let mut push_val = |flag: &str, value: String| {
-        args.push(flag.to_string());
-        args.push(value);
-    };
-    if let Some(v) = opts.degree {
-        push_val("--degree", v.to_string());
-    }
-    if let Some(v) = opts.poly_degree {
-        push_val("--poly-degree", v.to_string());
-    }
-    if let Some(v) = opts.max_poly_degree {
-        push_val("--max-poly-degree", v.to_string());
-    }
-    if let Some(mode) = opts.mode {
-        push_val(
-            "--mode",
-            match mode {
-                SolveMode::Global => "global".to_string(),
-                SolveMode::Compositional => "compositional".to_string(),
-            },
-        );
-    }
-    if opts.backend == BackendChoice::Sparse {
-        push_val("--backend", "sparse".to_string());
-    }
-    if let Some(v) = opts.group_timeout {
-        push_val("--group-timeout", v.to_string());
-    }
-    if opts.no_presolve {
-        args.push("--no-presolve".to_string());
-    }
-    if opts.no_soundness {
-        args.push("--no-soundness".to_string());
-    }
-    if opts.no_check {
-        args.push("--no-check".to_string());
-    }
-    if opts.nonneg_cost {
-        args.push("--nonneg-cost".to_string());
-    }
-    args
+    opts.flags
+        .iter()
+        .filter(|flag| !CORPUS_RUN_FLAGS.contains(&flag[0].as_str()))
+        .flatten()
+        .cloned()
+        .collect()
 }
 
 fn cmd_corpus(args: &[String]) -> Result<(), CmaError> {

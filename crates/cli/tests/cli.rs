@@ -243,8 +243,8 @@ fn suite_run_accepts_qualified_ids_and_rejects_ambiguous_bare_names() {
 }
 
 #[test]
-fn sparse_backend_and_threads_flags_are_honored() {
-    let dense = stdout(&run(&[
+fn threads_flag_is_honored_and_solver_knobs_are_gone() {
+    let sequential = stdout(&run(&[
         "analyze",
         &fig2(),
         "--valuation",
@@ -252,25 +252,23 @@ fn sparse_backend_and_threads_flags_are_honored() {
         "--no-soundness",
         "--json",
     ]));
-    let sparse = stdout(&run(&[
+    let threaded = stdout(&run(&[
         "analyze",
         &fig2(),
         "--valuation",
         "d=10,x=0",
         "--no-soundness",
-        "--backend",
-        "sparse",
         "--threads",
         "2",
         "--json",
     ]));
     assert!(
-        sparse.contains("\"backend\":\"sparse-revised-simplex\""),
-        "{sparse}"
+        threaded.contains("\"backend\":\"revised-simplex\""),
+        "{threaded}"
     );
-    assert!(sparse.contains("\"parallelism\":2"), "{sparse}");
-    // Both backends derive the same Fig. 1(b) mean bound 2d + 4 = 24.
-    for report in [&dense, &sparse] {
+    assert!(threaded.contains("\"parallelism\":2"), "{threaded}");
+    // Both runs derive the same Fig. 1(b) mean bound 2d + 4 = 24.
+    for report in [&sequential, &threaded] {
         let upper: f64 = report
             .split("\"k\":1,\"lower\":")
             .nth(1)
@@ -281,8 +279,19 @@ fn sparse_backend_and_threads_flags_are_honored() {
         assert!((upper - 24.0).abs() < 1e-3, "mean upper {upper}");
     }
 
-    let bad = run(&["analyze", &fig2(), "--backend", "frobnicate"]);
-    assert_eq!(bad.status.code(), Some(2));
+    // One solver ships: its former configuration flags are unknown options.
+    for flag in [
+        "--backend",
+        "--pricing",
+        "--factor",
+        "--dual-pricing",
+        "--dual-ratio",
+    ] {
+        let gone = run(&["analyze", &fig2(), flag, "sparse"]);
+        assert_eq!(gone.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&gone.stderr);
+        assert!(stderr.contains("unknown option"), "{flag}: {stderr}");
+    }
 }
 
 fn triangle() -> String {
@@ -301,8 +310,6 @@ fn escalate_flag_reaches_the_target_degree_in_session() {
         "2",
         "--escalate",
         "1",
-        "--backend",
-        "sparse",
         "--valuation",
         "d=10,x=0",
         "--no-soundness",

@@ -168,3 +168,85 @@ fn the_hostile_fixture_times_out_instead_of_hanging() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn campaign_forwards_every_analysis_flag_to_the_child() {
+    use std::os::unix::fs::PermissionsExt as _;
+
+    let dir = scratch("passthrough");
+    let corpus = dir.join("corpus");
+    gen_corpus(&corpus, 1);
+    // A stand-in analyzer that records its argv and reports a clean run.
+    let argv_log = dir.join("argv.txt");
+    let stub = dir.join("stub-cma.sh");
+    fs::write(
+        &stub,
+        format!(
+            "#!/bin/sh\necho \"$@\" >> {}\necho '{{\"degradation\":{{\"degraded\":false,\"steps\":[]}}}}'\n",
+            argv_log.display()
+        ),
+    )
+    .unwrap();
+    fs::set_permissions(&stub, fs::Permissions::from_mode(0o755)).unwrap();
+    let analysis_flags = [
+        "--degree",
+        "3",
+        "--poly-degree",
+        "1",
+        "--max-poly-degree",
+        "2",
+        "--escalate",
+        "1",
+        "--mode",
+        "compositional",
+        "--no-presolve",
+        "--threads",
+        "2",
+        "--group-timeout",
+        "4",
+        "--valuation",
+        "n=4,x=1",
+        "--tail",
+        "10,20",
+        "--no-soundness",
+        "--no-check",
+        "--no-check-pruning",
+        "--nonneg-cost",
+    ];
+    let journal = dir.join("journal.ndjson");
+    let mut args = vec![
+        "corpus",
+        "run",
+        corpus.to_str().unwrap(),
+        "--cma",
+        stub.to_str().unwrap(),
+        "--timeout",
+        "30",
+        "--jobs",
+        "1",
+        "--retries",
+        "0",
+        "--journal",
+        journal.to_str().unwrap(),
+        "--json",
+    ];
+    args.extend(analysis_flags);
+    let out = run(&args, &[]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(count_field(&stdout_of(&out), "ok"), 1);
+
+    let argv = fs::read_to_string(&argv_log).unwrap();
+    let argv: Vec<&str> = argv.split_whitespace().collect();
+    assert_eq!(argv[0], "analyze");
+    // The runner's own flags: one --json and the soft --timeout it derives,
+    // never the campaign's --jobs/--retries/--journal/--cma.
+    assert_eq!(argv.iter().filter(|a| **a == "--json").count(), 1);
+    assert_eq!(argv.iter().filter(|a| **a == "--timeout").count(), 1);
+    for own in ["--jobs", "--retries", "--journal", "--cma"] {
+        assert!(!argv.contains(&own), "{own} leaked into {argv:?}");
+    }
+    // Every analysis flag arrives verbatim and in order.
+    let tail = &argv[argv.len() - analysis_flags.len()..];
+    assert_eq!(tail, analysis_flags);
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -110,10 +110,8 @@ impl<'a> DeriveCtx<'a> {
 
     /// Advances the site counter past the `n` keys a skipped subtree would
     /// have consumed.  Keys of the rest of the walk thereby stay aligned
-    /// with *unpruned* walks of the same skeleton — the shadow soundness
-    /// derivation replays the recorded plan by site key against the
-    /// uninstrumented walk, and a shifted sequence would silently share
-    /// template columns across different program points.
+    /// with *unpruned* walks of the same skeleton, so a site key names the
+    /// same program point whether or not a subtree before it was pruned.
     fn skip_sites(&self, n: usize) {
         self.site.set(self.site.get() + n);
     }

@@ -7,10 +7,7 @@ use std::time::{Duration, Instant};
 
 use cma_appl::{Program, RangeFacts};
 use cma_logic::Context;
-use cma_lp::{
-    DualPricing, DualRatio, FactorKind, LpBackend, LpSession, LpSolution, LpStatus, PricingRule,
-    SolveBudget, SolveStats, SolverTuning, WarmStrategy, DEADLINE_CHECK_PERIOD,
-};
+use cma_lp::{LpBackend, LpSession, LpSolution, LpStatus, SolveStats, SolverTuning};
 use cma_semiring::poly::{Polynomial, Var};
 use cma_semiring::Interval;
 
@@ -55,21 +52,8 @@ pub struct AnalysisOptions {
     /// concurrently (1 = sequential; only [`SolveMode::Compositional`] has
     /// independent groups to parallelize).
     pub threads: usize,
-    /// Pricing rule the LP backends use to choose entering columns (devex by
-    /// default; see `cma_lp::PricingRule`).
-    pub pricing: PricingRule,
     /// Whether the LP presolve pass runs at session open (on by default).
     pub presolve: bool,
-    /// Basis factorization the LP backends solve with (dense `B⁻¹` by
-    /// default, Markowitz LU with eta updates via `lu`; see
-    /// `cma_lp::FactorKind`).
-    pub factor: FactorKind,
-    /// How warm LP sessions re-solve after incremental rows — dual-simplex
-    /// pivots by default, or the legacy phase-1 restart (see
-    /// `cma_lp::WarmStrategy`).  Also selects whether the soundness
-    /// extension rides the live main session (dual) or solves its disjoint
-    /// subsystem standalone (phase1).
-    pub warm_resolve: WarmStrategy,
     /// Upper limit for automatic base-polynomial-degree escalation: when the
     /// generated LP is *infeasible* at `poly_degree` (templates too weak to
     /// express a bound), the analysis retries `d → d+1` up to this limit,
@@ -98,12 +82,6 @@ pub struct AnalysisOptions {
     /// remains of [`timeout`](Self::timeout).  `None` (the default) gives
     /// groups no deadline of their own.
     pub group_timeout: Option<Duration>,
-    /// How dual warm re-solves price the leaving row (devex by default,
-    /// exact steepest-edge via `Steepest`; see `cma_lp::DualPricing`).
-    pub dual_pricing: DualPricing,
-    /// The dual ratio test: long-step bound-flipping by default, or the
-    /// classic Harris min-ratio (see `cma_lp::DualRatio`).
-    pub dual_ratio: DualRatio,
 }
 
 impl AnalysisOptions {
@@ -117,16 +95,11 @@ impl AnalysisOptions {
             valuation: Vec::new(),
             template_vars: None,
             threads: 1,
-            pricing: PricingRule::default(),
             presolve: true,
-            factor: FactorKind::default(),
-            warm_resolve: WarmStrategy::default(),
             max_poly_degree: None,
             range_facts: None,
             timeout: None,
             group_timeout: None,
-            dual_pricing: DualPricing::default(),
-            dual_ratio: DualRatio::default(),
         }
     }
 
@@ -160,39 +133,9 @@ impl AnalysisOptions {
         self
     }
 
-    /// Sets the LP pricing rule.
-    pub fn with_pricing(mut self, pricing: PricingRule) -> Self {
-        self.pricing = pricing;
-        self
-    }
-
     /// Enables or disables the LP presolve pass.
     pub fn with_presolve(mut self, presolve: bool) -> Self {
         self.presolve = presolve;
-        self
-    }
-
-    /// Sets the LP basis factorization.
-    pub fn with_factor(mut self, factor: FactorKind) -> Self {
-        self.factor = factor;
-        self
-    }
-
-    /// Sets the warm re-solve strategy for incremental LP rows.
-    pub fn with_warm_resolve(mut self, warm: WarmStrategy) -> Self {
-        self.warm_resolve = warm;
-        self
-    }
-
-    /// Sets the dual leaving-row pricing used by warm re-solves.
-    pub fn with_dual_pricing(mut self, pricing: DualPricing) -> Self {
-        self.dual_pricing = pricing;
-        self
-    }
-
-    /// Sets the dual ratio test used by warm re-solves.
-    pub fn with_dual_ratio(mut self, ratio: DualRatio) -> Self {
-        self.dual_ratio = ratio;
         self
     }
 
@@ -229,14 +172,8 @@ impl AnalysisOptions {
     /// deadline-carrying tunings from this plus the timeout options).
     pub fn solver_tuning(&self) -> SolverTuning {
         SolverTuning {
-            pricing: self.pricing,
             presolve: self.presolve,
-            factor: self.factor,
-            warm: self.warm_resolve,
-            budget: SolveBudget::UNLIMITED,
-            dual_pricing: self.dual_pricing,
-            dual_ratio: self.dual_ratio,
-            deadline_check_period: DEADLINE_CHECK_PERIOD,
+            ..SolverTuning::default()
         }
     }
 
@@ -327,10 +264,11 @@ impl AnalysisError {
         }
     }
 
-    /// Whether the root cause is an exhausted [`SolveBudget`] — a statement
-    /// about resources, never about feasibility: retrying with more budget
-    /// (or degrading via [`analyze_session_resilient`]) may succeed, while
-    /// escalating the poly degree will not.
+    /// Whether the root cause is an exhausted
+    /// [`SolveBudget`](cma_lp::SolveBudget) — a statement about resources,
+    /// never about feasibility: retrying with more budget (or degrading via
+    /// [`analyze_session_resilient`]) may succeed, while escalating the poly
+    /// degree will not.
     pub fn budget_exhausted(&self) -> bool {
         matches!(
             self,
@@ -434,8 +372,7 @@ pub struct GroupLpStats {
     pub presolve_rows: usize,
     /// LP columns removed by presolve (fixed or unreferenced).
     pub presolve_cols: usize,
-    /// Product-form eta updates appended by the LU factorization (0 under
-    /// the dense inverse).
+    /// Forrest–Tomlin updates of the LU factorization.
     pub etas: usize,
     /// Dual-simplex pivots spent on warm incremental-row re-solves.
     pub dual_pivots: usize,
@@ -555,7 +492,7 @@ impl PruningStats {
 
 /// One precision-for-progress rung of the graceful-degradation ladder,
 /// taken by [`analyze_session_resilient`] after an attempt exhausted its
-/// [`SolveBudget`].
+/// [`SolveBudget`](cma_lp::SolveBudget).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradationStep {
     /// Global mode was downgraded to compositional: one small LP per
@@ -706,9 +643,9 @@ pub fn analyze_with(
 /// [`ConstraintStore`](crate::store::ConstraintStore) (inside its builder)
 /// and the open solver session over it.
 ///
-/// The soundness phase extends this state — appending the step-counting
-/// side-condition system and re-minimizing in place — instead of deriving
-/// and solving a fresh problem from scratch (see
+/// The soundness phase extends this state — deriving the step-counting
+/// side-condition system into the same store — instead of re-deriving the
+/// main system from scratch (see
 /// [`soundness_report_in_session`](crate::soundness::soundness_report_in_session)).
 pub struct AnalysisSession<'a> {
     builder: ConstraintBuilder,
@@ -716,6 +653,10 @@ pub struct AnalysisSession<'a> {
     backend: &'a dyn LpBackend,
     options: AnalysisOptions,
     program: &'a Program,
+    /// The whole-analysis deadline ([`AnalysisOptions::timeout`] from the
+    /// start of the analysis), which every later solve of the session —
+    /// escalations and extensions — also runs under.
+    deadline: Option<Instant>,
     groups: Vec<GroupLpStats>,
     lp_solves: usize,
     poly_retries: usize,
@@ -724,12 +665,11 @@ pub struct AnalysisSession<'a> {
     minimizes: usize,
     extension_variables: usize,
     extension_constraints: usize,
-    extension_shared_columns: usize,
     extension_stats: SolveStats,
 }
 
 impl<'a> AnalysisSession<'a> {
-    /// Total `minimize` calls issued on the main session so far (1 after the
+    /// Total `minimize` calls issued for the session so far (1 after the
     /// main solve; +1 per soundness extension or degree escalation).
     pub fn minimizes(&self) -> usize {
         self.minimizes
@@ -756,16 +696,7 @@ impl<'a> AnalysisSession<'a> {
         self.extension_constraints
     }
 
-    /// LP template columns extensions *shared* with the main derivation
-    /// instead of minting their own (nonzero only when an extension rode the
-    /// plan in shadow mode — see [`extend_and_minimize`](Self::extend_and_minimize)).
-    pub fn extension_shared_columns(&self) -> usize {
-        self.extension_shared_columns
-    }
-
-    /// Solver-effort counters of the extension minimizes (in particular
-    /// `dual_pivots`: how many dual-simplex pivots the warm re-solves took
-    /// instead of a phase-1 restart).
+    /// Solver-effort counters of the extension solves.
     pub fn extension_stats(&self) -> SolveStats {
         self.extension_stats
     }
@@ -774,72 +705,22 @@ impl<'a> AnalysisSession<'a> {
     /// existing constraint store and minimizes the extension's own
     /// objective, without re-deriving or re-solving the main system.
     ///
-    /// Under the default dual warm-resolve strategy — and when the open
-    /// session actually repairs appended rows in place
-    /// ([`LpSession::warm_resolves_in_place`], true for the sparse core) —
-    /// the increment is flushed into the open main session and re-minimized
-    /// **in place**: the session's optimal basis stays dual feasible when
-    /// rows are appended, so the extension solves through dual-simplex
-    /// pivots (visible in [`extension_stats`](Self::extension_stats))
-    /// instead of a phase-1 restart.  Otherwise a variable-disjoint
-    /// extension is extracted and solved as a standalone subsystem of the
-    /// shared store ([`crate::ConstraintStore::subproblem`]); an extension that
-    /// references main-system variables always takes the flush path.
-    ///
-    /// For extension programs that are *skeleton-preserving rewrites* of the
-    /// analyzed program, see
-    /// [`extend_and_minimize_shared`](Self::extend_and_minimize_shared).
+    /// The derivation runs detached from the plan, so every template column
+    /// is fresh and the extension shares no variable with the main system:
+    /// it is extracted as a standalone subsystem of the shared store
+    /// ([`crate::ConstraintStore::subproblem`]) and solved as its own LP,
+    /// under whatever remains of the whole-analysis deadline.  The live main
+    /// session is left untouched.
     ///
     /// # Errors
     ///
-    /// [`AnalysisError::LpFailed`] when the extended system has no optimum,
-    /// [`AnalysisError::Derivation`] when constraint generation fails.
+    /// [`AnalysisError::LpFailed`] when the extension has no optimum (or its
+    /// solve ran out of budget), [`AnalysisError::Derivation`] when
+    /// constraint generation fails.
     pub fn extend_and_minimize(
         &mut self,
         program: &Program,
         degree: usize,
-    ) -> Result<(), AnalysisError> {
-        self.extend_with(program, degree, false)
-    }
-
-    /// [`extend_and_minimize`](Self::extend_and_minimize) for an extension
-    /// program that is a **skeleton-preserving rewrite** of the analyzed
-    /// program — same functions, same control structure, only statement
-    /// costs changed (the Thm 4.4 step-counting instrumentation is the
-    /// in-tree example).  When the extension rides the live session (global
-    /// mode, dual warm re-solves, in-place row repair), the derivation then
-    /// runs as a *plan transformer* in shadow mode: the main derivation's
-    /// component-0 template columns (the probability-mass component, which
-    /// cost rewriting cannot change) are shared outright and their
-    /// constraint rows skipped, so the extension appends strictly fewer
-    /// rows and columns than a disjoint derivation
-    /// ([`extension_shared_columns`](Self::extension_shared_columns) counts
-    /// the sharing).  Sessions that cannot ride warm fall back to the
-    /// all-fresh disjoint derivation automatically.
-    ///
-    /// **The skeleton requirement is the caller's obligation**: sharing
-    /// component-0 columns of a structurally *different* program would
-    /// silently constrain the wrong templates.  Callers with arbitrary
-    /// extension programs must use
-    /// [`extend_and_minimize`](Self::extend_and_minimize) instead.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError::LpFailed`] when the extended system has no optimum,
-    /// [`AnalysisError::Derivation`] when constraint generation fails.
-    pub fn extend_and_minimize_shared(
-        &mut self,
-        program: &Program,
-        degree: usize,
-    ) -> Result<(), AnalysisError> {
-        self.extend_with(program, degree, true)
-    }
-
-    fn extend_with(
-        &mut self,
-        program: &Program,
-        degree: usize,
-        share: bool,
     ) -> Result<(), AnalysisError> {
         if self.poisoned {
             return Err(AnalysisError::SessionPoisoned);
@@ -862,19 +743,7 @@ impl<'a> AnalysisSession<'a> {
         let rows_before = self.builder.num_constraints();
         let objective_mark = self.builder.store().objective_len();
 
-        let flush_in_place =
-            options.warm_resolve == WarmStrategy::Dual && self.session.warm_resolves_in_place();
-        // Template sharing additionally needs the main plan to cover the
-        // whole program (global mode) *and* the appended rows to land in the
-        // live session (otherwise the disjoint subproblem fast path below
-        // would be lost).
-        let share_plan = share && flush_in_place && self.options.mode == SolveMode::Global;
-        let plan_before = self.builder.plan().stats();
-        self.builder.plan_mut().set_mode(if share_plan {
-            PlanMode::Shadow
-        } else {
-            PlanMode::Detached
-        });
+        self.builder.plan_mut().set_mode(PlanMode::Detached);
         let group: Vec<String> = program.functions().map(|f| f.name().to_string()).collect();
         let built = build_group(
             &mut self.builder,
@@ -886,41 +755,21 @@ impl<'a> AnalysisSession<'a> {
         );
         self.builder.plan_mut().set_mode(PlanMode::Record);
         if let Err(e) = built {
-            // Part of the extension may already sit in the store; a later
-            // flush would silently inject the half-derived rows into the
-            // live session.
+            // Part of the extension already sits in the store; a later
+            // escalation would flush the half-derived rows into the live
+            // session.
             self.poisoned = true;
             return Err(e);
         }
-        self.extension_shared_columns += self
+        let sub = self
             .builder
-            .plan()
-            .stats()
-            .since(&plan_before)
-            .columns_reused;
-        let sub = if flush_in_place {
-            // Ride the live session: appended rows keep the optimal basis
-            // dual feasible, so the warm re-solve is a dual step.  Sessions
-            // that would re-solve from scratch (the dense reference) keep
-            // the standalone-subsystem fast path below.
-            None
-        } else {
-            self.builder
-                .store()
-                .subproblem(vars_before, rows_before, objective_mark)
-        };
-        let flushed = sub.is_none();
-        let solution = match sub {
-            Some(sub) => self
-                .backend
-                .open_with(&sub, &options.group_tuning(None))
-                .minimize(sub.objective()),
-            None => {
-                self.builder.store_mut().flush(self.session.as_mut());
-                let objective = self.builder.store().aggregated_objective(objective_mark);
-                self.session.minimize(&objective)
-            }
-        };
+            .store()
+            .subproblem(vars_before, rows_before, objective_mark)
+            .expect("a detached derivation mints every column it references");
+        let solution = self
+            .backend
+            .open_with(&sub, &options.group_tuning(self.deadline))
+            .minimize(sub.objective());
         self.minimizes += 1;
         self.extension_stats = self.extension_stats.merge(&solution.stats);
         self.extension_variables += self.builder.num_vars() - vars_before;
@@ -928,12 +777,6 @@ impl<'a> AnalysisSession<'a> {
         if solution.is_optimal() {
             Ok(())
         } else {
-            if flushed {
-                // The failed extension's rows are irreversibly part of the
-                // live session; further in-session work would ride a system
-                // without an optimum.
-                self.poisoned = true;
-            }
             Err(AnalysisError::LpFailed {
                 status: solution.status,
                 group: vec!["<extension>".to_string()],
@@ -1179,8 +1022,8 @@ pub fn analyze_session<'a>(
 }
 
 /// [`analyze_session`] with a **graceful-degradation ladder**: when an
-/// attempt fails because its [`SolveBudget`] ran out — never on
-/// infeasibility or any other verdict — the analysis retries under
+/// attempt fails because its [`SolveBudget`](cma_lp::SolveBudget) ran out —
+/// never on infeasibility or any other verdict — the analysis retries under
 /// progressively cheaper options, each retry under whatever remains of the
 /// whole-analysis deadline.  The rungs, in order:
 ///
@@ -1455,6 +1298,7 @@ fn analyze_attempt<'a>(
             backend,
             options: options.clone(),
             program,
+            deadline,
             groups: group_stats,
             lp_solves,
             poly_retries: 0,
@@ -1463,7 +1307,6 @@ fn analyze_attempt<'a>(
             minimizes: 1,
             extension_variables: 0,
             extension_constraints: 0,
-            extension_shared_columns: 0,
             extension_stats: SolveStats::default(),
         },
     ))
@@ -1591,8 +1434,8 @@ fn build_group(
         specs.insert(name, *level, spec.to_entry());
     }
     // Fresh templates for the functions of this group (plan slots, so a
-    // replay — degree escalation, poly-degree refresh, the shadow soundness
-    // derivation — reuses the recorded columns instead of minting).
+    // replay — degree escalation, poly-degree refresh — reuses the recorded
+    // skeleton instead of recording it anew).
     for name in group {
         for level in 0..=m {
             let entry = SpecEntry {
@@ -1832,7 +1675,7 @@ impl TarjanState<'_> {
 mod tests {
     use super::*;
     use cma_appl::build::*;
-    use cma_lp::SimplexBackend;
+    use cma_lp::{SimplexBackend, SolveBudget};
 
     /// A program with one refuted branch (`x < 0` right after `x := 1`), one
     /// never-entered loop, and one write-only variable, plus the facts a
@@ -1918,10 +1761,9 @@ mod tests {
             );
         }
 
-        // The shadow extension walks the *unpruned* skeleton; skipped-site
-        // accounting keeps its keys aligned with the pruned plan, so the
-        // shared replay must not collide and the system stays optimal.
-        session.extend_and_minimize_shared(&program, 2).unwrap();
+        // The extension walks the *unpruned* program into the pruned
+        // session's store and still finds its own optimum.
+        session.extend_and_minimize(&program, 2).unwrap();
         assert!(session.extension_constraints() > 0);
     }
 

@@ -24,7 +24,7 @@
 //!   never recompute them.
 //!
 //! Re-walking the program against the recorded plan then *reuses* instead of
-//! re-deriving, under one of four modes:
+//! re-deriving, under one of these modes:
 //!
 //! * [`PlanMode::Record`] — the first instantiation: mint every column, emit
 //!   every row, record the skeleton (the default; plan-unaware callers see
@@ -38,16 +38,9 @@
 //!   degree `d`: template supports change, so every column is minted fresh
 //!   and every row emitted into a fresh store, but the skeleton (slot keys,
 //!   loop-head contexts) is reused.
-//! * [`PlanMode::Shadow`] — the soundness transformer: a *different* program
-//!   with the *same* control skeleton (the Thm 4.4 step-counting
-//!   instrumentation) derives against the plan, sharing the component-0
-//!   columns of recorded slots (component 0 is the probability-mass
-//!   component, untouched by `tick`, so its constraint system is identical
-//!   in both derivations) and skipping the component-0 rows entirely.
-//!   Nothing is recorded back, so the main plan stays replayable.
 //! * [`PlanMode::Detached`] — a derivation that shares the builder but must
-//!   not touch the plan at all (the disjoint-by-construction soundness
-//!   extension used when the open session cannot warm re-solve in place).
+//!   not touch the plan at all (the disjoint-by-construction Thm 4.4
+//!   soundness extension).
 //!
 //! The plan lives inside the
 //! [`ConstraintBuilder`](crate::builder::ConstraintBuilder); the engine
@@ -74,9 +67,6 @@ pub enum PlanMode {
     /// Poly-degree re-instantiation: reuse the skeleton (keys, loop-head
     /// contexts) but mint all columns fresh and emit all rows.
     Refresh,
-    /// Instrumented shadow derivation: share component-0 columns of recorded
-    /// slots, skip component-0 rows of recorded recipes, record nothing.
-    Shadow,
     /// Plan-oblivious derivation: mint and emit everything, record nothing
     /// (loop-head contexts may still be read).
     Detached,
@@ -102,7 +92,7 @@ pub struct PlanStats {
     /// LP template columns minted across all instantiations.
     pub columns_created: usize,
     /// LP template columns contributed by the plan instead of being minted
-    /// (degree escalation) or shared across derivations (shadow mode).
+    /// (degree escalation).
     pub columns_reused: usize,
     /// Constraint recipes recorded by first instantiations.
     pub recipes_recorded: usize,
@@ -150,9 +140,6 @@ impl PlanStats {
 #[derive(Debug, Clone)]
 pub struct DerivationPlan {
     mode: PlanMode,
-    /// Components of recorded slots shared with a [`PlanMode::Shadow`] walk
-    /// (component 0, the probability-mass component).
-    shared_components: usize,
     slots: BTreeMap<String, TemplateSlot>,
     /// Recipe key → number of components already instantiated into the store.
     recipes: BTreeMap<String, usize>,
@@ -176,10 +163,6 @@ impl DerivationPlan {
     pub fn new() -> Self {
         DerivationPlan {
             mode: PlanMode::Record,
-            // Component 0 is the probability-mass component shadow walks
-            // share (deliberately part of every construction path so a
-            // `Default`-built plan behaves identically).
-            shared_components: 1,
             slots: BTreeMap::new(),
             recipes: BTreeMap::new(),
             loop_heads: BTreeMap::new(),
@@ -215,8 +198,7 @@ impl DerivationPlan {
     ///
     /// The exact split depends on the [mode](Self::mode): `Record`/`Detached`
     /// mint everything, `Extend` serves every recorded component, `Refresh`
-    /// re-mints everything (dropping the recorded columns), `Shadow` serves
-    /// only the shared components.
+    /// re-mints everything (dropping the recorded columns).
     pub fn slot_components(
         &mut self,
         key: &str,
@@ -284,23 +266,6 @@ impl DerivationPlan {
                     (vec![None; m + 1], true)
                 }
             },
-            PlanMode::Shadow => match self.slots.get(key) {
-                Some(slot) => {
-                    let shared = self.shared_components;
-                    let mut components = Vec::with_capacity(m + 1);
-                    for k in 0..=m {
-                        match slot.components.get(k) {
-                            Some(interval) if k < shared => {
-                                self.stats.columns_reused += interval_columns(interval);
-                                components.push(Some(interval.clone()));
-                            }
-                            _ => components.push(None),
-                        }
-                    }
-                    (components, false)
-                }
-                None => (vec![None; m + 1], false),
-            },
         }
     }
 
@@ -321,7 +286,7 @@ impl DerivationPlan {
 
     /// Gate for the constraint recipe `key` about to instantiate components
     /// `0..=m`: returns the first component whose rows must actually be
-    /// emitted (components below it are already in the store, or shared).
+    /// emitted (components below it are already in the store).
     pub fn recipe_gate(&mut self, key: &str, m: usize) -> usize {
         match self.mode {
             PlanMode::Record => {
@@ -349,16 +314,6 @@ impl DerivationPlan {
                     0
                 }
             },
-            PlanMode::Shadow => {
-                if self.recipes.contains_key(key) {
-                    self.stats.recipes_replayed += 1;
-                    let shared = self.shared_components.min(m + 1);
-                    self.stats.components_skipped += shared;
-                    shared
-                } else {
-                    0
-                }
-            }
         }
     }
 
@@ -367,23 +322,20 @@ impl DerivationPlan {
     ///
     /// Loop-head invariants depend only on the program and the incoming
     /// context — both identical across re-instantiations of one plan — so
-    /// the fixpoint is computed once per loop, not once per `(m, d)`.
-    /// Shadow walks may read the cache too (their caller attests the
-    /// extension program preserves the recorded control skeleton), but a
+    /// the fixpoint is computed once per loop, not once per `(m, d)`.  A
     /// *detached* walk derives an arbitrary program whose sites merely
     /// happen to share key shapes: it must never be served another
     /// program's invariant, so it always computes (and records nothing).
     pub fn loop_head(&mut self, key: &str, compute: impl FnOnce() -> Context) -> Context {
-        if self.mode != PlanMode::Detached {
-            if let Some(ctx) = self.loop_heads.get(key) {
-                self.stats.loop_heads_reused += 1;
-                return ctx.clone();
-            }
+        if self.mode == PlanMode::Detached {
+            return compute();
+        }
+        if let Some(ctx) = self.loop_heads.get(key) {
+            self.stats.loop_heads_reused += 1;
+            return ctx.clone();
         }
         let ctx = compute();
-        if !matches!(self.mode, PlanMode::Shadow | PlanMode::Detached) {
-            self.loop_heads.insert(key.to_string(), ctx.clone());
-        }
+        self.loop_heads.insert(key.to_string(), ctx.clone());
         ctx
     }
 }
@@ -427,29 +379,6 @@ mod tests {
         assert!(plan.stats().slots_reused >= 1);
         assert!(plan.stats().columns_reused > 0);
         assert_eq!(plan.stats().components_skipped, 3);
-    }
-
-    #[test]
-    fn shadow_shares_component_zero_and_records_nothing() {
-        let mut plan = DerivationPlan::new();
-        plan.slot_components("s", 0, 2);
-        for k in 0..=2 {
-            plan.record_component("s", k, &unit_interval());
-        }
-        plan.recipe_gate("r", 2);
-        let slots_before = plan.num_slots();
-
-        plan.set_mode(PlanMode::Shadow);
-        let (components, record) = plan.slot_components("s", 0, 2);
-        assert!(!record);
-        assert!(components[0].is_some(), "component 0 is shared");
-        assert!(components[1].is_none() && components[2].is_none());
-        assert_eq!(plan.recipe_gate("r", 2), 1, "component 0 rows are skipped");
-        // Unknown keys fall back to a fully fresh derivation.
-        let (fresh, record) = plan.slot_components("other", 0, 2);
-        assert!(!record && fresh.iter().all(Option::is_none));
-        assert_eq!(plan.recipe_gate("other-r", 2), 0);
-        assert_eq!(plan.num_slots(), slots_before, "shadow records nothing");
     }
 
     #[test]

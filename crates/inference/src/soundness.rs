@@ -25,8 +25,8 @@ pub struct SoundnessReport {
     pub violations: Vec<String>,
     /// Whether a finite bound on `E[T^k]` was derived (and for which `k`).
     pub termination_moment: Option<usize>,
-    /// Whether the termination check extended the main analysis's constraint
-    /// store in place (no re-derivation, no from-scratch solve) instead of
+    /// Whether the termination check was derived into the main analysis's
+    /// constraint store (no re-derivation of the main system) instead of
     /// running a standalone analysis.
     pub reused_constraint_store: bool,
     /// LP variables the in-session extension appended (0 for standalone runs).
@@ -34,23 +34,14 @@ pub struct SoundnessReport {
     /// LP constraint rows the in-session extension appended (0 for
     /// standalone runs).
     pub extension_constraints: usize,
-    /// Dual-simplex pivots the in-session warm re-solve took (0 for
-    /// standalone runs and the legacy phase-1 strategy): the observable
-    /// that the extension rode the live session instead of restarting
-    /// phase 1.
+    /// Dual-simplex pivots the extension's solve took.  The extension is
+    /// solved cold as its own LP, so this is 0 unless a backend repairs it
+    /// warm.
     pub extension_dual_pivots: usize,
-    /// Whether the termination verdict was established by an instrumented
-    /// derivation running as a plan transformer over the main derivation's
-    /// templates (component 0, the probability-mass component, shared), so
-    /// the extension appended strictly fewer rows and columns than the
-    /// disjoint-by-construction derivation.  `false` when the shared
-    /// extension failed and a standalone re-analysis rescued the verdict.
+    /// Whether the extension shared template columns with the main
+    /// derivation.  Always `false`: the extension derives with fresh
+    /// templates and solves as its own variable-disjoint LP.
     pub shared_templates: bool,
-    /// LP template columns the in-session extension shared with the main
-    /// derivation instead of minting (0 for disjoint and standalone runs).
-    /// Describes the in-session attempt even if the verdict ultimately came
-    /// from the standalone fallback.
-    pub shared_template_columns: usize,
 }
 
 impl SoundnessReport {
@@ -189,9 +180,9 @@ pub fn check_termination_moment_with(
 
 /// [`check_termination_moment`] performed *inside* an existing analysis
 /// session: the step-counting system is derived into the main pass's
-/// constraint store and layered onto its open solver session (fresh
-/// variables, appended rows, one extra `minimize`) instead of building and
-/// solving a standalone problem.
+/// constraint store (fresh variables and rows) and solved as its own
+/// variable-disjoint LP, under whatever remains of the analysis deadline
+/// (see [`AnalysisSession::extend_and_minimize`]).
 ///
 /// # Errors
 ///
@@ -201,11 +192,7 @@ pub fn check_termination_moment_in_session(
     program: &Program,
     k: usize,
 ) -> Result<(), AnalysisError> {
-    let instrumented = step_counting_instrumentation(program);
-    // The instrumentation is a skeleton-preserving rewrite (only statement
-    // costs change), so the extension may share the main derivation's
-    // component-0 templates when the session supports it.
-    session.extend_and_minimize_shared(&instrumented, k)
+    session.extend_and_minimize(&step_counting_instrumentation(program), k)
 }
 
 /// Runs both soundness checks and assembles a report.
@@ -238,57 +225,33 @@ pub fn soundness_report_with(
         extension_constraints: 0,
         extension_dual_pivots: 0,
         shared_templates: false,
-        shared_template_columns: 0,
     }
 }
 
-/// [`soundness_report`] reusing the main analysis's live session: the
-/// termination side condition extends the already-built constraint store (see
-/// [`check_termination_moment_in_session`]) rather than re-deriving it, so
-/// the report's LP statistics show no duplicated derivation solves.  When the
-/// session supports it, the instrumented derivation additionally shares the
-/// main derivation's templates ([`SoundnessReport::shared_templates`]); if
-/// that shared extension comes back without a bound, the verdict is
-/// double-checked by a standalone analysis before being reported negative,
-/// so template sharing can only ever shrink the extension, never flip a
-/// sound program to unsound.
+/// [`soundness_report`] reusing the main analysis's session: the
+/// termination side condition extends the already-built constraint store
+/// (see [`check_termination_moment_in_session`]) rather than re-deriving
+/// it, so the report's LP statistics show no duplicated derivation solves.
+/// An extension that runs out of the analysis deadline reports the finite
+/// `E[T^k]` as not established.
 pub fn soundness_report_in_session(
     session: &mut AnalysisSession<'_>,
     program: &Program,
     degree: usize,
 ) -> SoundnessReport {
     let violations = check_bounded_update(program);
-    let shared_before = session.extension_shared_columns();
-    let in_session = check_termination_moment_in_session(session, program, degree)
+    let termination_moment = check_termination_moment_in_session(session, program, degree)
         .ok()
         .map(|_| degree);
-    let shared_template_columns = session.extension_shared_columns() - shared_before;
-    let rescued = in_session.is_none() && shared_template_columns > 0;
-    let termination_moment = if rescued {
-        // The shared extension found no bound; confirm against a standalone
-        // derivation so sharing never weakens the verdict.
-        let options = session.options().clone();
-        check_termination_moment_with(program, degree, &options, session.backend())
-            .ok()
-            .map(|_| degree)
-    } else {
-        in_session
-    };
     SoundnessReport {
         bounded_updates: violations.is_empty(),
         violations,
         termination_moment,
-        // When the standalone fallback had to establish the verdict, the
-        // in-place extension did *not* produce it — report that honestly
-        // (the extension_* counters still describe the in-session attempt).
-        reused_constraint_store: !rescued,
+        reused_constraint_store: true,
         extension_variables: session.extension_variables(),
         extension_constraints: session.extension_constraints(),
         extension_dual_pivots: session.extension_stats().dual_pivots,
-        // Attribute the verdict to sharing only when the shared in-session
-        // extension itself established it.
-        shared_templates: shared_template_columns > 0 && in_session.is_some(),
-        shared_template_columns,
+        shared_templates: false,
     }
 }
 
@@ -472,7 +435,6 @@ mod tests {
     #[test]
     fn in_session_report_reuses_the_constraint_store() {
         use crate::engine::analyze_session;
-        use cma_lp::SparseBackend;
 
         let program = ProgramBuilder::new()
             .function(
@@ -483,73 +445,23 @@ mod tests {
             .build()
             .unwrap();
         let options = AnalysisOptions::degree(2);
-        for backend in [&SimplexBackend as &dyn LpBackend, &SparseBackend] {
-            let (result, mut session) = analyze_session(&program, &options, backend).unwrap();
-            let report = soundness_report_in_session(&mut session, &program, 2);
-            assert!(report.is_sound(), "geo is sound");
-            assert_eq!(report.termination_moment, Some(2));
-            assert!(report.reused_constraint_store);
-            assert!(report.extension_constraints > 0);
-            assert!(report.extension_variables > 0);
-            // One session, two minimizes — the extension did not re-solve
-            // the main pass from scratch.
-            assert_eq!(session.minimizes(), 2);
-            assert_eq!(result.lp_solves, 1);
-            // The standalone path reports the same verdict without reuse.
-            let standalone = soundness_report_with(&program, 2, &options, backend);
-            assert_eq!(standalone.termination_moment, Some(2));
-            assert!(!standalone.reused_constraint_store);
-            assert_eq!(standalone.extension_constraints, 0);
-        }
-    }
-
-    #[test]
-    fn shared_template_extension_is_strictly_smaller_than_disjoint() {
-        use crate::engine::analyze_session;
-        use cma_lp::{SparseBackend, WarmStrategy};
-
-        let program = ProgramBuilder::new()
-            .function(
-                "geo",
-                if_prob(0.5, seq([tick(1.0), call("geo")]), tick(1.0)),
-            )
-            .main(call("geo"))
-            .build()
-            .unwrap();
-
-        // Shared: the sparse core under the default dual warm strategy rides
-        // the live session, so the instrumented derivation runs in shadow
-        // mode against the main plan.
-        let options = AnalysisOptions::degree(2);
-        let (_, mut session) = analyze_session(&program, &options, &SparseBackend).unwrap();
-        let shared = soundness_report_in_session(&mut session, &program, 2);
-        assert!(shared.is_sound());
-        assert!(shared.shared_templates, "dual/sparse must share templates");
-        assert!(shared.shared_template_columns > 0);
-
-        // Disjoint baseline (the PR 2 behavior): phase-1 warm strategy takes
-        // the standalone-subproblem path with all-fresh templates.
-        let disjoint_options = AnalysisOptions::degree(2).with_warm_resolve(WarmStrategy::Phase1);
-        let (_, mut baseline) =
-            analyze_session(&program, &disjoint_options, &SparseBackend).unwrap();
-        let disjoint = soundness_report_in_session(&mut baseline, &program, 2);
-        assert!(disjoint.is_sound());
-        assert!(!disjoint.shared_templates);
-        assert_eq!(disjoint.shared_template_columns, 0);
-
-        // The whole point of the plan transformer: the extension shrinks.
-        assert!(
-            shared.extension_constraints < disjoint.extension_constraints,
-            "shared rows {} must undercut disjoint rows {}",
-            shared.extension_constraints,
-            disjoint.extension_constraints
-        );
-        assert!(
-            shared.extension_variables < disjoint.extension_variables,
-            "shared cols {} must undercut disjoint cols {}",
-            shared.extension_variables,
-            disjoint.extension_variables
-        );
+        let (result, mut session) = analyze_session(&program, &options, &SimplexBackend).unwrap();
+        let report = soundness_report_in_session(&mut session, &program, 2);
+        assert!(report.is_sound(), "geo is sound");
+        assert_eq!(report.termination_moment, Some(2));
+        assert!(report.reused_constraint_store);
+        assert!(report.extension_constraints > 0);
+        assert!(report.extension_variables > 0);
+        assert!(!report.shared_templates);
+        // One session, two minimizes — the extension did not re-solve the
+        // main pass from scratch.
+        assert_eq!(session.minimizes(), 2);
+        assert_eq!(result.lp_solves, 1);
+        // The standalone path reports the same verdict without reuse.
+        let standalone = soundness_report_with(&program, 2, &options, &SimplexBackend);
+        assert_eq!(standalone.termination_moment, Some(2));
+        assert!(!standalone.reused_constraint_store);
+        assert_eq!(standalone.extension_constraints, 0);
     }
 
     #[test]

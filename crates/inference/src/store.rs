@@ -1,12 +1,15 @@
 //! The shared constraint store.
 //!
-//! One analysis run builds one constraint system per solved group, and —
-//! crucially — the soundness side-condition check of Theorem 4.4 *extends*
-//! the main group's system instead of re-deriving a fresh one.  The
+//! One analysis run builds one constraint system per solved group, and later
+//! phases extend the main group's store instead of re-deriving it: degree
+//! escalation appends new moment components, and the soundness side
+//! condition of Theorem 4.4 derives its step-counting system alongside.  The
 //! [`ConstraintStore`] makes that sharing explicit: it owns the sparse
 //! [`LpProblem`] under construction plus the raw objective terms, tracks how
-//! much of it has already been handed to an open [`LpSession`], and can
-//! flush just the increment (new variables, new rows) into that session.
+//! much of it has already been handed to an open [`LpSession`], can flush
+//! just the increment (new variables, new rows) into that session, and can
+//! extract a variable-disjoint increment as a standalone problem
+//! ([`subproblem`](ConstraintStore::subproblem)).
 //!
 //! The store relies on the session contract of `cma-lp`: a session shares
 //! the id space of the problem it was opened on, and ids created through
@@ -93,7 +96,7 @@ impl ConstraintStore {
     }
 
     /// [`open_session`](Self::open_session) under explicit solver tuning
-    /// (pricing rule, presolve).
+    /// (presolve, budget).
     pub fn open_session_with<'a>(
         &mut self,
         backend: &'a dyn LpBackend,

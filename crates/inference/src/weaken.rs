@@ -44,16 +44,6 @@ pub fn require_poly_geq(
         );
         difference = difference.sub(&scaled);
     }
-    if std::env::var_os("CMA_LP_DEBUG").is_some() {
-        for (m, c) in difference.terms() {
-            if c.is_constant() && c.constant_part().abs() > 1e-9 {
-                eprintln!(
-                    "[cma-inference] unsatisfiable coefficient at `{tag}`, monomial {m}: {}",
-                    c.constant_part()
-                );
-            }
-        }
-    }
     builder.constrain_zero_poly(&difference);
 }
 
@@ -65,8 +55,8 @@ pub fn require_poly_geq(
 /// `tag` doubles as this containment's *recipe key* in the builder's
 /// [`DerivationPlan`](crate::plan::DerivationPlan), so it must be unique and
 /// stable across walks of the same program: when the plan replays (degree
-/// escalation, the shadow soundness derivation), components whose rows are
-/// already in the store are skipped instead of re-emitted.
+/// escalation), components whose rows are already in the store are skipped
+/// instead of re-emitted.
 pub fn require_contains(
     builder: &mut ConstraintBuilder,
     ctx: &Context,

@@ -10,9 +10,9 @@
 //! * **degree escalation** — `escalate_degree(m')` from a degree-`m` session
 //!   replays the derivation plan, appends only the new moment components to
 //!   the live warm session, and must reproduce the from-scratch degree-`m'`
-//!   bounds while reporting nonzero template/column reuse.  Pinned across
-//!   the dense/sparse × factor × warm matrix, with a proptest sweeping
-//!   fixtures, degree pairs, and valuations.
+//!   bounds while reporting nonzero template/column reuse.  Pinned with LP
+//!   presolve on and off, with a proptest sweeping fixtures, degree pairs,
+//!   and valuations.
 //! * **poly-degree retry** — an analysis that is infeasible at base degree
 //!   `d` and allowed to retry must land on the same bounds as a direct run
 //!   at the degree it settles on.
@@ -20,29 +20,17 @@
 use cma_appl::build::*;
 use cma_appl::Program;
 use cma_inference::{analyze_session, analyze_with, AnalysisError, AnalysisOptions, SolveMode};
-use cma_lp::{FactorKind, LpBackend, SimplexBackend, SparseBackend, WarmStrategy};
+use cma_lp::SimplexBackend;
 use cma_semiring::poly::Var;
 use proptest::prelude::*;
 
 const TOL: f64 = 1e-4;
 
-/// One solver configuration of the pinning matrix.
-type SolverConfig = (&'static str, Box<dyn LpBackend>, FactorKind, WarmStrategy);
-
 /// A named fixture with the valuation its bounds are compared at.
 type Fixture = (&'static str, Program, Vec<(Var, f64)>);
 
-/// The backend × factorization × warm-resolve matrix every pinning runs on.
-fn matrix() -> Vec<SolverConfig> {
-    let mut configs: Vec<SolverConfig> = Vec::new();
-    for factor in [FactorKind::Dense, FactorKind::Lu] {
-        for warm in [WarmStrategy::Dual, WarmStrategy::Phase1] {
-            configs.push(("dense", Box::new(SimplexBackend), factor, warm));
-            configs.push(("sparse", Box::new(SparseBackend), factor, warm));
-        }
-    }
-    configs
-}
+/// The solver matrix every pinning runs on: LP presolve on and off.
+const PRESOLVE: [bool; 2] = [true, false];
 
 fn geo() -> Program {
     ProgramBuilder::new()
@@ -128,19 +116,17 @@ fn escalation_matches_from_scratch_across_the_solver_matrix() {
         ("countdown", countdown(), vec![(Var::new("n"), 5.0)]),
     ];
     for (name, program, at) in &fixtures {
-        for (backend_name, backend, factor, warm) in matrix() {
-            let context = format!("{name}/{backend_name}/{}/{}", factor.name(), warm.name());
+        for presolve in PRESOLVE {
+            let context = format!("{name}/presolve={presolve}");
             let options = AnalysisOptions::degree(2)
-                .with_factor(factor)
-                .with_warm_resolve(warm)
+                .with_presolve(presolve)
                 .with_valuation(at.clone());
-            let (_, mut session) = analyze_session(program, &options, backend.as_ref()).unwrap();
+            let (_, mut session) = analyze_session(program, &options, &SimplexBackend).unwrap();
             let escalated = session.escalate_degree(4).unwrap();
             let scratch_options = AnalysisOptions::degree(4)
-                .with_factor(factor)
-                .with_warm_resolve(warm)
+                .with_presolve(presolve)
                 .with_valuation(at.clone());
-            let scratch = analyze_with(program, &scratch_options, backend.as_ref()).unwrap();
+            let scratch = analyze_with(program, &scratch_options, &SimplexBackend).unwrap();
             assert_bounds_match(&escalated, &scratch, at, &context);
 
             let stats = escalated.escalation.expect("escalation stats present");
@@ -165,7 +151,7 @@ fn escalation_matches_from_scratch_across_the_solver_matrix() {
 #[test]
 fn chained_escalation_reaches_the_same_fixpoint() {
     let program = geo();
-    let backend = SparseBackend;
+    let backend = SimplexBackend;
     let (_, mut session) =
         analyze_session(&program, &AnalysisOptions::degree(1), &backend).unwrap();
     session.escalate_degree(2).unwrap();
@@ -195,7 +181,7 @@ fn escalation_after_an_extension_is_rejected() {
     // escalated optimum.
     let program = geo();
     let (_, mut session) =
-        analyze_session(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
+        analyze_session(&program, &AnalysisOptions::degree(2), &SimplexBackend).unwrap();
     session.extend_and_minimize(&program, 2).unwrap();
     match session.escalate_degree(4) {
         Err(AnalysisError::EscalationAfterExtension) => {}
@@ -222,14 +208,13 @@ fn compositional_escalation_falls_back_to_a_cold_rederive() {
 fn auto_poly_retry_matches_the_direct_higher_degree_run() {
     let program = triangle();
     let at = vec![(Var::new("n"), 4.0)];
-    for (backend_name, backend, factor, warm) in matrix() {
-        let context = format!("triangle/{backend_name}/{}/{}", factor.name(), warm.name());
+    for presolve in PRESOLVE {
+        let context = format!("triangle/presolve={presolve}");
         let options = AnalysisOptions::degree(1)
-            .with_factor(factor)
-            .with_warm_resolve(warm)
+            .with_presolve(presolve)
             .with_valuation(at.clone())
             .with_max_poly_degree(2);
-        let retried = analyze_with(&program, &options, backend.as_ref()).unwrap();
+        let retried = analyze_with(&program, &options, &SimplexBackend).unwrap();
         assert_eq!(retried.poly_retries, 1, "{context}");
         assert_eq!(retried.poly_degree, 2, "{context}");
         assert!(
@@ -239,10 +224,9 @@ fn auto_poly_retry_matches_the_direct_higher_degree_run() {
         );
         let direct_options = AnalysisOptions::degree(1)
             .with_poly_degree(2)
-            .with_factor(factor)
-            .with_warm_resolve(warm)
+            .with_presolve(presolve)
             .with_valuation(at.clone());
-        let direct = analyze_with(&program, &direct_options, backend.as_ref()).unwrap();
+        let direct = analyze_with(&program, &direct_options, &SimplexBackend).unwrap();
         assert_bounds_match(&retried, &direct, &at, &context);
     }
 }
@@ -293,30 +277,25 @@ proptest! {
         from in 1usize..3,
         extra in 1usize..3,
         val in 0.0f64..8.0,
-        config in 0usize..4,
+        presolve in 0usize..2,
     ) {
         let (program, at): (Program, Vec<(Var, f64)>) = match fixture {
             0 => (geo(), vec![]),
             1 => (coin_pair(), vec![(Var::new("x"), val)]),
             _ => (countdown(), vec![(Var::new("n"), val.floor())]),
         };
-        let (backend, factor): (Box<dyn LpBackend>, FactorKind) = match config {
-            0 => (Box::new(SimplexBackend), FactorKind::Dense),
-            1 => (Box::new(SimplexBackend), FactorKind::Lu),
-            2 => (Box::new(SparseBackend), FactorKind::Dense),
-            _ => (Box::new(SparseBackend), FactorKind::Lu),
-        };
+        let presolve = presolve == 0;
         let to = from + extra;
         let options = AnalysisOptions::degree(from)
-            .with_factor(factor)
+            .with_presolve(presolve)
             .with_valuation(at.clone());
-        let (_, mut session) = analyze_session(&program, &options, backend.as_ref()).unwrap();
+        let (_, mut session) = analyze_session(&program, &options, &SimplexBackend).unwrap();
         let escalated = session.escalate_degree(to).unwrap();
         let scratch_options = AnalysisOptions::degree(to)
-            .with_factor(factor)
+            .with_presolve(presolve)
             .with_valuation(at.clone());
-        let scratch = analyze_with(&program, &scratch_options, backend.as_ref()).unwrap();
-        assert_bounds_match(&escalated, &scratch, &at, &format!("prop f{fixture} {from}->{to} c{config}"));
+        let scratch = analyze_with(&program, &scratch_options, &SimplexBackend).unwrap();
+        assert_bounds_match(&escalated, &scratch, &at, &format!("prop f{fixture} {from}->{to} presolve={presolve}"));
         prop_assert!(escalated.escalation.unwrap().reused_columns > 0);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The derivation system reduces bound inference to linear programming but
 //! does not care *how* the program is solved — the paper's artifact used
-//! Gurobi, this reproduction ships two configurations of one shared simplex
-//! core, and a production deployment might shell out to a parallel
-//! interior-point solver.  The [`LpBackend`] trait is that seam: everything
+//! Gurobi, this reproduction ships one sparse revised simplex
+//! ([`SimplexBackend`]), and a production deployment might shell out to a
+//! parallel interior-point solver.  The [`LpBackend`] trait is that seam: everything
 //! above `cma-lp` (the constraint builder, the analysis engine, the
 //! `Analysis` pipeline facade) takes a backend value instead of hard-wiring a
 //! solver.
@@ -27,10 +27,8 @@
 //!   [`solve_batch`](LpBackend::solve_batch) are provided methods layered on
 //!   top of `open`.
 //!
-//! Every entry point has a `_with` twin taking [`SolverTuning`] (pricing
-//! rule, presolve, basis factorization, warm-resolve strategy) — the
-//! built-in backends honor it; [`TunedBackend`] pins a tuning onto a backend
-//! value for callers generic over [`LpBackend`].
+//! Every entry point has a `_with` twin taking [`SolverTuning`] (presolve
+//! and the session's resource budget) — the built-in backend honors it.
 //!
 //! Variable ids are shared between a session and the [`LpProblem`] it was
 //! opened on: ids created through [`LpSession::add_var`] continue the same id
@@ -70,7 +68,8 @@
 //!
 //! The conformance suite in `tests/backend_conformance.rs` checks these
 //! obligations (including the session-specific ones) and should be run
-//! against every new backend.
+//! against every new backend; `tests/duality_certificate.rs` checks every
+//! optimum against an explicitly solved dual by plain arithmetic.
 //!
 //! # Implementing a backend
 //!
@@ -120,10 +119,9 @@ pub trait LpSession {
 
     /// Whether this session repairs incrementally added rows *in place*
     /// (e.g. by dual-simplex pivots from the warm basis) rather than
-    /// re-solving from scratch.  Callers with a choice — like the engine's
-    /// soundness extension, which can alternatively solve a disjoint
-    /// subsystem standalone — use this to decide whether flushing more rows
-    /// into the live session is the cheap path.  Default: `false`.
+    /// re-solving from scratch — what makes appending rows to a live
+    /// session the cheap path.  Wrapper sessions should forward it.
+    /// Default: `false`.
     fn warm_resolves_in_place(&self) -> bool {
         false
     }
@@ -141,10 +139,10 @@ pub trait LpBackend: Sync {
     /// [`LpSession::minimize`]).
     fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a>;
 
-    /// Opens a session under explicit [`SolverTuning`] (pricing rule,
-    /// presolve, factorization, warm-resolve strategy).  The default
-    /// ignores the tuning and defers to [`open`](Self::open), so
-    /// third-party backends keep compiling; the built-in backends honor it.
+    /// Opens a session under explicit [`SolverTuning`] (presolve and the
+    /// session budget).  The default ignores the tuning and defers to
+    /// [`open`](Self::open), so third-party backends keep compiling; the
+    /// built-in backend honors it.
     fn open_with<'a>(
         &'a self,
         problem: &LpProblem,
@@ -170,9 +168,9 @@ pub trait LpBackend: Sync {
     /// Solves independent problems concurrently on up to `threads` worker
     /// threads, returning one solution per problem in order.
     ///
-    /// The default fans the one-shot [`solve`](Self::solve) out over a scoped
-    /// thread pool; `threads <= 1` (or a single problem) degrades to the
-    /// sequential path.
+    /// The default fans the one-shot [`solve`](Self::solve) out over up to
+    /// `threads` scoped worker threads; `threads <= 1` (or a single
+    /// problem) degrades to the sequential path.
     fn solve_batch(&self, problems: &[LpProblem], threads: usize) -> Vec<LpSolution> {
         self.solve_batch_with(problems, threads, &SolverTuning::default())
     }
@@ -217,97 +215,22 @@ pub trait LpBackend: Sync {
     }
 }
 
-/// Applies presolve (when enabled) around an inner-session constructor.
-fn open_maybe_presolved<'a>(
-    problem: &LpProblem,
-    tuning: &SolverTuning,
-    open_inner: impl FnOnce(&LpProblem) -> Box<dyn LpSession + 'a>,
-) -> Box<dyn LpSession + 'a> {
-    if tuning.presolve {
-        let pre = presolve(problem);
-        let inner = open_inner(pre.reduced());
-        Box::new(pre.into_session(inner))
-    } else {
-        open_inner(problem)
-    }
-}
-
-/// The dense backend's session: keeps the (growable) problem and runs the
-/// shared simplex core — dense column storage, tuned factorization — from
-/// scratch on every `minimize`.  Deliberately stateless between solves:
-/// that is what makes it the trustworthy reference the stateful
-/// [`SparseBackend`] is pinned against.
-struct ReSolveSession {
-    problem: LpProblem,
-    tuning: SolverTuning,
-    /// Iterations already charged against the session budget by earlier
-    /// re-solves.  The dense session opens a fresh core per `minimize`, so
-    /// the cross-minimize budget carry-over the contract requires (item 7)
-    /// is accounted here: each solve runs under the budget *remainder*.
-    spent_iters: usize,
-    /// Refactorizations already charged against the session budget.
-    spent_refactorizations: usize,
-}
-
-impl ReSolveSession {
-    fn new(problem: LpProblem, tuning: SolverTuning) -> Self {
-        ReSolveSession {
-            problem,
-            tuning,
-            spent_iters: 0,
-            spent_refactorizations: 0,
-        }
-    }
-}
-
-impl LpSession for ReSolveSession {
-    fn add_var(&mut self, name: &str, free: bool) -> LpVarId {
-        self.problem.add_var(name, free)
-    }
-
-    fn add_constraint(&mut self, terms: &[(LpVarId, f64)], cmp: Cmp, rhs: f64) {
-        self.problem.add_constraint(terms.to_vec(), cmp, rhs);
-    }
-
-    fn minimize(&mut self, objective: &[(LpVarId, f64)]) -> LpSolution {
-        self.problem.set_objective(objective.to_vec());
-        let mut tuning = self.tuning;
-        tuning.budget.max_iters = tuning
-            .budget
-            .max_iters
-            .map(|cap| cap.saturating_sub(self.spent_iters));
-        tuning.budget.max_refactorizations = tuning
-            .budget
-            .max_refactorizations
-            .map(|cap| cap.saturating_sub(self.spent_refactorizations));
-        let solution = self.problem.solve_dense_with(&tuning);
-        self.spent_iters += solution.stats.iterations;
-        self.spent_refactorizations += solution.stats.refactorizations;
-        solution
-    }
-
-    fn num_vars(&self) -> usize {
-        self.problem.num_vars()
-    }
-
-    fn num_constraints(&self) -> usize {
-        self.problem.num_constraints()
-    }
-}
-
-/// The built-in dense two-phase primal simplex (the reference backend).
+/// The built-in LP solver: a bounded revised simplex over sparse columns
+/// with a Markowitz LU basis factorization (Forrest–Tomlin updates,
+/// hyper-sparse solves), devex pricing, and dual-simplex warm re-solves
+/// with the bound-flipping ratio test (see `crates/lp/src/core.rs`).
 ///
-/// A thin configuration of the shared `SimplexCore`: dense column storage,
-/// sessions that re-solve from scratch on every `minimize` — simple and
-/// trustworthy, which is exactly what the reference implementation should
-/// be.  The stateful, warm-started alternative is
-/// [`SparseBackend`].
+/// Sessions keep their state live: re-minimizing with a new objective
+/// restarts phase 2 from the previous optimal basis, incrementally added
+/// rows extend the basis instead of rebuilding it, and a cutting row is
+/// repaired by a handful of dual pivots rather than a phase-1 restart.
+/// Under the default tuning the system is presolved at open.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimplexBackend;
 
 impl LpBackend for SimplexBackend {
     fn name(&self) -> &str {
-        "dense-simplex"
+        "revised-simplex"
     }
 
     fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a> {
@@ -319,105 +242,13 @@ impl LpBackend for SimplexBackend {
         problem: &LpProblem,
         tuning: &SolverTuning,
     ) -> Box<dyn LpSession + 'a> {
-        let tuning = *tuning;
-        open_maybe_presolved(problem, &tuning, |reduced| {
-            Box::new(ReSolveSession::new(reduced.clone(), tuning))
-        })
-    }
-}
-
-/// The sparse revised simplex over the CSR constraint matrix.
-///
-/// The shared `SimplexCore` with sparse column storage and live session
-/// state: re-minimizing with a new objective restarts phase 2 from the
-/// previous optimal basis, incrementally added rows extend the basis instead
-/// of rebuilding it, and — under the default dual warm-resolve strategy — a
-/// cutting row is repaired by a handful of dual-simplex pivots rather than a
-/// phase-1 restart (see `crates/lp/src/core.rs`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SparseBackend;
-
-impl LpBackend for SparseBackend {
-    fn name(&self) -> &str {
-        "sparse-revised-simplex"
-    }
-
-    fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a> {
-        self.open_with(problem, &SolverTuning::default())
-    }
-
-    fn open_with<'a>(
-        &'a self,
-        problem: &LpProblem,
-        tuning: &SolverTuning,
-    ) -> Box<dyn LpSession + 'a> {
-        open_maybe_presolved(problem, tuning, |reduced| {
-            Box::new(SimplexCore::open_with(reduced, tuning, false))
-        })
-    }
-}
-
-/// A backend bound to explicit [`SolverTuning`]: every session it opens —
-/// through `open`, `open_with`, `solve`, or a batch — uses *its* tuning,
-/// regardless of what the caller passes.  This is how a caller-side pricing
-/// or factorization choice (e.g. `cma --factor lu`) rides through code
-/// generic over [`LpBackend`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TunedBackend<B> {
-    backend: B,
-    tuning: SolverTuning,
-}
-
-impl<B: LpBackend> TunedBackend<B> {
-    /// Binds `backend` to `tuning`.
-    pub fn new(backend: B, tuning: SolverTuning) -> Self {
-        TunedBackend { backend, tuning }
-    }
-
-    /// The bound tuning.
-    pub fn tuning(&self) -> SolverTuning {
-        self.tuning
-    }
-}
-
-impl<B: LpBackend> LpBackend for TunedBackend<B> {
-    fn name(&self) -> &str {
-        self.backend.name()
-    }
-
-    fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a> {
-        self.backend.open_with(problem, &self.tuning)
-    }
-
-    fn open_with<'a>(
-        &'a self,
-        problem: &LpProblem,
-        _tuning: &SolverTuning,
-    ) -> Box<dyn LpSession + 'a> {
-        self.backend.open_with(problem, &self.tuning)
-    }
-
-    fn solve(&self, problem: &LpProblem) -> LpSolution {
-        self.backend.solve_with(problem, &self.tuning)
-    }
-
-    fn solve_with(&self, problem: &LpProblem, _tuning: &SolverTuning) -> LpSolution {
-        self.backend.solve_with(problem, &self.tuning)
-    }
-
-    fn solve_batch(&self, problems: &[LpProblem], threads: usize) -> Vec<LpSolution> {
-        self.backend
-            .solve_batch_with(problems, threads, &self.tuning)
-    }
-
-    fn solve_batch_with(
-        &self,
-        problems: &[LpProblem],
-        threads: usize,
-        _tuning: &SolverTuning,
-    ) -> Vec<LpSolution> {
-        self.backend
-            .solve_batch_with(problems, threads, &self.tuning)
+        if tuning.presolve {
+            let pre = presolve(problem);
+            let inner = Box::new(SimplexCore::open_with(pre.reduced(), tuning));
+            Box::new(pre.into_session(inner))
+        } else {
+            Box::new(SimplexCore::open_with(problem, tuning))
+        }
     }
 }
 
@@ -493,12 +324,40 @@ mod tests {
         let lp = toy_problem();
         let backend = SimplexBackend;
         let by_ref: &SimplexBackend = &backend;
-        assert_eq!(by_ref.name(), "dense-simplex");
+        assert_eq!(by_ref.name(), "revised-simplex");
         assert!(by_ref.solve(&lp).is_optimal());
         let dynamic: &dyn LpBackend = &backend;
         assert!(dynamic.solve(&lp).is_optimal());
-        assert_eq!(dynamic.name(), "dense-simplex");
+        assert_eq!(dynamic.name(), "revised-simplex");
         assert!(dynamic.open(&lp).minimize(lp.objective()).is_optimal());
+        assert!(dynamic.open(&lp).warm_resolves_in_place());
+    }
+
+    /// A one-shot solver's session: keeps the growable problem and
+    /// re-solves it from scratch on every `minimize`.
+    struct OneShotSession(LpProblem);
+
+    impl LpSession for OneShotSession {
+        fn add_var(&mut self, name: &str, free: bool) -> LpVarId {
+            self.0.add_var(name, free)
+        }
+
+        fn add_constraint(&mut self, terms: &[(LpVarId, f64)], cmp: Cmp, rhs: f64) {
+            self.0.add_constraint(terms.to_vec(), cmp, rhs);
+        }
+
+        fn minimize(&mut self, objective: &[(LpVarId, f64)]) -> LpSolution {
+            self.0.set_objective(objective.to_vec());
+            self.0.solve()
+        }
+
+        fn num_vars(&self) -> usize {
+            self.0.num_vars()
+        }
+
+        fn num_constraints(&self) -> usize {
+            self.0.num_constraints()
+        }
     }
 
     /// A third-party backend that implements only the required `open`
@@ -512,10 +371,7 @@ mod tests {
         }
 
         fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a> {
-            Box::new(ReSolveSession::new(
-                problem.clone(),
-                SolverTuning::default(),
-            ))
+            Box::new(OneShotSession(problem.clone()))
         }
     }
 

@@ -29,12 +29,12 @@ pub struct KernelFixture {
 }
 
 impl KernelFixture {
-    /// Opens a sparse-representation core over `problem`, solves its own
-    /// objective to optimality, and captures the basis.  `None` when the
+    /// Opens a core over `problem`, solves its own objective to optimality,
+    /// and captures the basis.  `None` when the
     /// solve does not end `Optimal` — a fixture over a failed solve would
     /// time garbage.
     pub fn solve(problem: &LpProblem, tuning: &SolverTuning) -> Option<KernelFixture> {
-        let mut core = SimplexCore::open_with(problem, tuning, false);
+        let mut core = SimplexCore::open_with(problem, tuning);
         let solution = core.minimize(problem.objective());
         if solution.status != LpStatus::Optimal {
             return None;

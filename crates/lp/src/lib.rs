@@ -2,29 +2,23 @@
 //!
 //! The template-based inference of the central-moment analysis reduces bound
 //! derivation to linear programming (§3.4 of the paper).  The paper's artifact
-//! used Gurobi; this crate provides the substitute: two-phase primal simplex
-//! solvers over `f64` with a pluggable pricing core.
+//! handed every LP to one off-the-shelf solver (Gurobi); this crate provides
+//! the substitute, likewise one solver: [`SimplexBackend`], a bounded revised
+//! simplex over `f64`.
 //!
-//! Solvers are pluggable and session-based: the [`LpBackend`] trait (see
-//! [`backend`] and `DESIGN.md` for the contract) decouples problem
-//! construction from solving, and [`LpBackend::open`] yields an [`LpSession`]
-//! that supports repeated `minimize` calls, incremental row/column addition,
-//! and batch solving of independent problems.  Both shipped backends —
-//! [`SimplexBackend`], the dense reference, and [`SparseBackend`], whose
-//! sessions keep their state warm between solves — are configurations of
-//! **one shared simplex core** (`core`), parameterized by matrix
-//! representation and by basis factorization ([`factor`]: explicit dense
-//! `B⁻¹`, or Markowitz LU with eta-file updates via [`FactorKind::Lu`]).
-//!
-//! The pivoting core is shared machinery ([`pricing`], [`SolverTuning`]):
-//! Dantzig, **devex** (the default), and sectioned/parallel **partial**
-//! pricing behind one [`PricingRule`] knob, a presolve pass that shrinks
-//! each system before it is solved, the Harris two-pass ratio test with a
-//! bounded anti-degeneracy perturbation, Bland's rule demoted to a
-//! size-scaled last resort ([`bland_fallback_threshold`]), and a
-//! **dual-simplex warm re-solve** ([`WarmStrategy`]) that repairs a session
-//! after incremental rows with a handful of dual pivots instead of a
-//! phase-1 restart.  Every solve reports its effort in [`SolveStats`].
+//! The solver is session-based: the [`LpBackend`] trait (see [`backend`] and
+//! `DESIGN.md` for the contract) decouples problem construction from
+//! solving, and [`LpBackend::open`] yields an [`LpSession`] that supports
+//! repeated `minimize` calls, incremental row/column addition, and batch
+//! solving of independent problems.  Behind it sits one simplex core:
+//! sparse columns, a Markowitz LU basis factorization with Forrest–Tomlin
+//! updates and hyper-sparse solves, devex pricing with the Harris ratio test
+//! and a bounded anti-degeneracy perturbation, Bland's rule as a size-scaled
+//! last resort ([`bland_fallback_threshold`]), a presolve pass at session
+//! open, and a **dual-simplex warm re-solve** (devex row weights, the
+//! bound-flipping ratio test) that repairs a session after incremental rows
+//! with a handful of dual pivots instead of a phase-1 restart.  Every solve
+//! reports its effort in [`SolveStats`].
 //!
 //! Solves can be **budgeted** ([`SolveBudget`] on [`SolverTuning::budget`]):
 //! a wall-clock deadline, an iteration cap, and a refactorization cap,
@@ -60,17 +54,16 @@ pub mod backend;
 #[doc(hidden)]
 pub mod bench_support;
 mod core;
-pub mod factor;
+mod factor;
 mod presolve;
-pub mod pricing;
+mod pricing;
 pub mod simplex;
 pub mod sparse;
 
-pub use backend::{LpBackend, LpSession, SimplexBackend, SparseBackend, TunedBackend};
-pub use factor::{FactorKind, WarmStrategy};
-pub use pricing::{
-    bland_fallback_threshold, DualPricing, DualRatio, PricingRule, SolveBudget, SolverTuning,
-    DEADLINE_CHECK_PERIOD,
-};
+/// The former name of [`SimplexBackend`], kept so code that names the
+/// sparse backend keeps compiling: both names are the one solver.
+pub use backend::SimplexBackend as SparseBackend;
+pub use backend::{LpBackend, LpSession, SimplexBackend};
+pub use pricing::{bland_fallback_threshold, SolveBudget, SolverTuning, DEADLINE_CHECK_PERIOD};
 pub use simplex::{Cmp, LpProblem, LpSolution, LpStatus, LpVarId, SolveStats};
 pub use sparse::SparseMatrix;

@@ -477,7 +477,7 @@ impl LpSession for PresolvedSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{LpBackend, SimplexBackend, SparseBackend};
+    use crate::backend::{LpBackend, SimplexBackend};
     use crate::pricing::SolverTuning;
 
     fn assert_close(a: f64, b: f64) {
@@ -523,7 +523,7 @@ mod tests {
         let pre = presolve(&lp);
         assert_eq!(pre.reduced.num_vars(), 1);
         assert_eq!(pre.reduced.num_constraints(), 1);
-        let sol = SparseBackend.open(&lp).minimize(&[(z, -1.0)]);
+        let sol = SimplexBackend.open(&lp).minimize(&[(z, -1.0)]);
         assert_close(sol.value(x), 1.0);
         assert_close(sol.value(y), 2.0);
         assert_close(sol.value(z), 2.0);
@@ -565,7 +565,7 @@ mod tests {
         let y = lp.add_var("y", false);
         let z = lp.add_var("z", true);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 5.0);
-        let mut session = SparseBackend.open(&lp);
+        let mut session = SimplexBackend.open(&lp);
         let down = session.minimize(&[(x, -1.0), (y, 1.0)]);
         assert_eq!(down.status, LpStatus::Optimal);
         assert_close(down.value(x), 5.0);
@@ -582,7 +582,7 @@ mod tests {
         let x = lp.add_var("x", false);
         let y = lp.add_var("y", false);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Eq, 2.0);
-        let mut session = SparseBackend.open(&lp);
+        let mut session = SimplexBackend.open(&lp);
         assert!(session.minimize(&[(y, 1.0)]).is_optimal());
         session.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 6.0); // y >= 4
         let sol = session.minimize(&[(y, 1.0)]);
@@ -610,12 +610,16 @@ mod tests {
             presolve: false,
             ..SolverTuning::default()
         };
-        for backend in [&SimplexBackend as &dyn LpBackend, &SparseBackend] {
-            let sol = backend.open_with(&lp, &tuning).minimize(lp.objective());
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert_close(sol.value(x), 2.0);
-            assert_eq!(sol.stats.presolve_rows, 0);
-            assert_eq!(sol.stats.presolve_cols, 0);
-        }
+        let sol = SimplexBackend
+            .open_with(&lp, &tuning)
+            .minimize(lp.objective());
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_close(sol.value(x), 2.0);
+        assert_eq!(sol.stats.presolve_rows, 0);
+        assert_eq!(sol.stats.presolve_cols, 0);
+        // The default tuning presolves the singleton row away.
+        let sol = SimplexBackend.solve(&lp);
+        assert_close(sol.value(x), 2.0);
+        assert_eq!(sol.stats.presolve_rows, 1);
     }
 }

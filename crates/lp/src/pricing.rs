@@ -1,33 +1,20 @@
-//! Pluggable pricing rules for the simplex solvers.
+//! Pricing, anti-degeneracy, and the solver's tuning knobs.
 //!
 //! Pricing — choosing the *entering column* each iteration — is where the
-//! simplex method wins or loses on degenerate instances.  The long-chain
-//! global-mode LPs of the central-moment analysis stall both backends under
-//! pure Dantzig pricing (the most negative reduced cost repeatedly selects
-//! columns whose pivots make no progress), so the pivoting core is factored
-//! behind the `Pricer` abstraction with three implementations:
+//! simplex method wins or loses on degenerate instances.  Under pure
+//! Dantzig pricing (most negative reduced cost) the long-chain global-mode
+//! LPs of the central-moment analysis stall: the rule repeatedly selects
+//! columns whose pivots make no progress.  The core therefore prices with
+//! **devex** (approximate steepest edge, [`DevexPricer`]): columns are
+//! scored by `rc²/w` against reference-framework weights that are updated
+//! from the pivot row and reset when they overflow — far fewer iterations
+//! on degenerate instances for one extra `O(nnz)` sweep per pivot.  Bland's
+//! rule stays the termination-guaranteeing *last resort*, entered only
+//! after [`bland_fallback_threshold`] pivots.
 //!
-//! * `DantzigPricer` — the classic "most negative reduced cost" rule, the
-//!   pre-existing behavior of both solvers and still the cheapest per
-//!   iteration;
-//! * `DevexPricer` — approximate steepest edge (Forrest–Goldfarb devex):
-//!   columns are scored by `rc²/w` against reference-framework weights that
-//!   are updated from the pivot row and reset when they overflow.  Far fewer
-//!   iterations on degenerate instances for one extra `O(nnz)` sweep per
-//!   pivot;
-//! * `PartialPricer` — sectioned (partial) pricing: candidate columns are
-//!   scanned one chunk at a time through a rotating cursor, and — for very
-//!   wide systems — the chunks of a round are priced concurrently on the
-//!   rayon shim's scoped threads.  Cheapest per iteration on wide LPs.
-//!
-//! The rule is selected per solve through [`SolverTuning`] (see
-//! [`LpBackend::open_with`](crate::LpBackend::open_with)); both solvers keep
-//! Bland's rule as the termination-guaranteeing *last resort*, entered only
-//! after [`bland_fallback_threshold`] pivots (a named, size-scaled bound —
-//! previously two diverging magic formulas).
+//! The module also holds the per-session knobs threaded from the analysis
+//! down to the core: [`SolverTuning`] (presolve and the [`SolveBudget`]).
 
-use std::fmt;
-use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// Reduced costs below `-EPS` qualify a column for entering the basis (the
@@ -39,8 +26,8 @@ const EPS: f64 = 1e-9;
 /// to stay meaningful.
 const DEVEX_RESET: f64 = 1e7;
 
-/// Baseline number of pivots under the configured pricer before the solver
-/// falls back to Bland's rule.
+/// Baseline number of pivots under devex pricing before the solver falls
+/// back to Bland's rule.
 pub const BLAND_FALLBACK_BASE: usize = 2_000;
 
 /// Additional Bland-fallback pivots granted per row/column of the instance:
@@ -49,8 +36,8 @@ pub const BLAND_FALLBACK_BASE: usize = 2_000;
 /// must not engage on size alone.
 pub const BLAND_FALLBACK_PER_DIM: usize = 4;
 
-/// Number of pivots tolerated under the configured pricing rule before the
-/// solver switches to Bland's rule as the cycling backstop of last resort.
+/// Number of pivots tolerated under devex pricing before the solver switches
+/// to Bland's rule as the cycling backstop of last resort.
 ///
 /// Scales with problem size (`rows + cols` in standard form): the old
 /// behavior — two diverging magic formulas that both collapsed to a flat
@@ -102,175 +89,6 @@ pub(crate) const PERTURB_EPS: f64 = 1e-9;
 /// Cap on the [`degeneracy_shift`] round multiplier (keeps the total shift
 /// under the feasibility tolerance on solves that re-engage many times).
 pub(crate) const PERTURB_MAX_ROUND: usize = 64;
-
-/// The pricing rule a solver uses to choose entering columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PricingRule {
-    /// Most negative reduced cost (the classic rule; cheapest per iteration,
-    /// degenerates on long-chain global LPs).
-    Dantzig,
-    /// Approximate steepest edge with reference-framework resets (the
-    /// default: far fewer iterations on degenerate instances).
-    #[default]
-    Devex,
-    /// Sectioned pricing through a rotating cursor; chunks of very wide
-    /// systems are priced in parallel on the rayon shim.
-    Partial,
-}
-
-impl PricingRule {
-    /// The rule's canonical CLI/report name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PricingRule::Dantzig => "dantzig",
-            PricingRule::Devex => "devex",
-            PricingRule::Partial => "partial",
-        }
-    }
-
-    /// All rules, for matrix tests and sweeps.
-    pub const ALL: [PricingRule; 3] = [
-        PricingRule::Dantzig,
-        PricingRule::Devex,
-        PricingRule::Partial,
-    ];
-
-    /// Instantiates the pricer for a solve over `n_cols` standard-form
-    /// columns.
-    pub(crate) fn pricer(self, n_cols: usize) -> Box<dyn Pricer> {
-        match self {
-            PricingRule::Dantzig => Box::new(DantzigPricer),
-            PricingRule::Devex => Box::new(DevexPricer::new(n_cols)),
-            PricingRule::Partial => Box::new(PartialPricer::sized_for(n_cols)),
-        }
-    }
-}
-
-impl fmt::Display for PricingRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for PricingRule {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dantzig" => Ok(PricingRule::Dantzig),
-            "devex" => Ok(PricingRule::Devex),
-            "partial" => Ok(PricingRule::Partial),
-            other => Err(format!(
-                "unknown pricing rule `{other}` (expected dantzig, devex, or partial)"
-            )),
-        }
-    }
-}
-
-/// How the dual simplex prices *leaving rows* during warm feasibility
-/// restoration.
-///
-/// Both rules score a violated row `i` by `violation² / γᵢ` and pick the
-/// maximum; they differ in how the weights `γᵢ ≈ ‖(B⁻¹)ᵢ‖²` are maintained
-/// across pivots.  `Steepest` keeps them *exact* (m btrans seed the true row
-/// norms at restore start, then one extra ftran per pivot drives the
-/// Forrest–Goldfarb recurrence); `Devex` starts from the all-ones reference
-/// frame and uses the cheap one-sided update that only ever grows weights.
-///
-/// Devex is the default: on the hyper-degenerate chain systems this solver
-/// exists for, the exact norms buy no fewer pivots (the scan is dominated
-/// by ties the weights cannot break) while costing an extra solve per pivot
-/// — see DESIGN.md §3.1 for the measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DualPricing {
-    /// Approximate (devex-style) dual weights (the default): no extra solve
-    /// per pivot.
-    #[default]
-    Devex,
-    /// Exact dual steepest edge: reference weights seeded by true row norms
-    /// and updated by the Forrest–Goldfarb recurrence, `τ = B⁻¹ρₚ` per pivot.
-    Steepest,
-}
-
-impl DualPricing {
-    /// The rule's canonical CLI/report name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DualPricing::Devex => "devex",
-            DualPricing::Steepest => "steepest",
-        }
-    }
-
-    /// All rules, for matrix tests and sweeps.
-    pub const ALL: [DualPricing; 2] = [DualPricing::Devex, DualPricing::Steepest];
-}
-
-impl fmt::Display for DualPricing {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for DualPricing {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "devex" => Ok(DualPricing::Devex),
-            "steepest" => Ok(DualPricing::Steepest),
-            other => Err(format!(
-                "unknown dual pricing rule `{other}` (expected devex or steepest)"
-            )),
-        }
-    }
-}
-
-/// The dual-simplex ratio test used to choose the *entering column*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DualRatio {
-    /// The classic single-breakpoint test: smallest ratio wins, largest
-    /// `|α|` breaks ties (the pre-PR-9 behavior, kept as the reference).
-    Harris,
-    /// The bound-flipping (long-step) test (the default): breakpoints are
-    /// passed — flipping boxed nonbasic columns bound-to-bound — for as long
-    /// as the dual slope stays positive, so one pivot absorbs every reduced
-    /// cost that changes sign instead of burning a degenerate pivot each.
-    #[default]
-    BoundFlip,
-}
-
-impl DualRatio {
-    /// The test's canonical CLI/report name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DualRatio::Harris => "harris",
-            DualRatio::BoundFlip => "bound-flip",
-        }
-    }
-
-    /// All tests, for matrix tests and sweeps.
-    pub const ALL: [DualRatio; 2] = [DualRatio::Harris, DualRatio::BoundFlip];
-}
-
-impl fmt::Display for DualRatio {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for DualRatio {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "harris" => Ok(DualRatio::Harris),
-            "bound-flip" => Ok(DualRatio::BoundFlip),
-            other => Err(format!(
-                "unknown dual ratio test `{other}` (expected harris or bound-flip)"
-            )),
-        }
-    }
-}
 
 /// A resource budget for one solver session, covering *every* `minimize`
 /// (and warm re-solve, and in-session extension) the session performs: the
@@ -357,32 +175,17 @@ impl SolveBudget {
     }
 }
 
-/// Per-solve tuning knobs threaded from the analysis down to the solvers
+/// Per-session tuning knobs threaded from the analysis down to the solver
 /// (see [`LpBackend::open_with`](crate::LpBackend::open_with)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverTuning {
-    /// The pricing rule used to choose entering columns.
-    pub pricing: PricingRule,
     /// Whether the presolve pass runs at session open (drop empty/fixed
     /// columns, substitute singleton rows, remove duplicate rows).
     pub presolve: bool,
-    /// The basis factorization the simplex core solves with (dense `B⁻¹`
-    /// or Markowitz LU with eta updates; see [`FactorKind`](crate::factor::FactorKind)).
-    pub factor: crate::factor::FactorKind,
-    /// How warm sessions re-solve after incremental rows (dual-simplex
-    /// pivots by default, or the legacy phase-1 restart; see
-    /// [`WarmStrategy`](crate::factor::WarmStrategy)).
-    pub warm: crate::factor::WarmStrategy,
     /// Resource budget for the whole session (deadline, iteration and
     /// refactorization caps; default unlimited).  The spend carries over
     /// across every minimize/re-solve of the session.
     pub budget: SolveBudget,
-    /// How the dual simplex prices leaving rows during warm restoration
-    /// (devex by default; see [`DualPricing`]).
-    pub dual_pricing: DualPricing,
-    /// The dual-simplex ratio test (bound-flipping long step by default;
-    /// see [`DualRatio`]).
-    pub dual_ratio: DualRatio,
     /// Pivots between cooperative wall-clock deadline checks (default
     /// [`DEADLINE_CHECK_PERIOD`]).  Hostile-timeout tests tighten this to 1
     /// to bound overshoot by a single pivot; `0` is treated as 1.
@@ -392,35 +195,14 @@ pub struct SolverTuning {
 impl Default for SolverTuning {
     fn default() -> Self {
         SolverTuning {
-            pricing: PricingRule::default(),
             presolve: true,
-            factor: crate::factor::FactorKind::default(),
-            warm: crate::factor::WarmStrategy::default(),
             budget: SolveBudget::default(),
-            dual_pricing: DualPricing::default(),
-            dual_ratio: DualRatio::default(),
             deadline_check_period: DEADLINE_CHECK_PERIOD,
         }
     }
 }
 
 impl SolverTuning {
-    /// Tuning with the given pricing rule and everything else at defaults.
-    pub fn with_pricing(pricing: PricingRule) -> Self {
-        SolverTuning {
-            pricing,
-            ..SolverTuning::default()
-        }
-    }
-
-    /// Tuning with the given factorization and everything else at defaults.
-    pub fn with_factor(factor: crate::factor::FactorKind) -> Self {
-        SolverTuning {
-            factor,
-            ..SolverTuning::default()
-        }
-    }
-
     /// Tuning with the given budget and everything else at defaults.
     pub fn with_budget(budget: SolveBudget) -> Self {
         SolverTuning {
@@ -430,7 +212,7 @@ impl SolverTuning {
     }
 }
 
-/// Everything a pricer may inspect when observing a pivot: the pre-pivot
+/// Everything the pricer inspects when observing a pivot: the pre-pivot
 /// pivot-row entries `alpha(j) = (B⁻¹A)_pj` (devex weight updates need them)
 /// plus which columns entered and left.
 pub(crate) struct PivotView<'a> {
@@ -443,9 +225,9 @@ pub(crate) struct PivotView<'a> {
     /// Number of standard-form columns.
     pub n_cols: usize,
     /// Whether a column is a pricing candidate (nonbasic and not banned).
-    pub candidate: &'a (dyn Fn(usize) -> bool + Sync),
+    pub candidate: &'a dyn Fn(usize) -> bool,
     /// Pre-pivot pivot-row entry of a column.
-    pub alpha: &'a (dyn Fn(usize) -> f64 + Sync),
+    pub alpha: &'a dyn Fn(usize) -> f64,
     /// When the pivot row came off the hyper-sparse kernel path: the exact
     /// set of columns with `alpha(j) ≠ 0` (may contain duplicates — weight
     /// updates are idempotent).  Every other column's entry is an exact
@@ -454,55 +236,10 @@ pub(crate) struct PivotView<'a> {
     pub touched: Option<&'a [usize]>,
 }
 
-/// A pricing rule instance, stateful across the iterations of one solve.
-///
-/// `select` picks the entering column among candidates whose reduced cost
-/// prices below `-EPS`; `observe_pivot` lets weight-based rules update their
-/// state from the pivot row.  Implementations must be deterministic: the
-/// same sequence of views yields the same selections (a backend contract
+/// Approximate steepest edge (devex) with reference-framework resets,
+/// stateful across the iterations of one solve.  Deterministic: the same
+/// sequence of views yields the same selections (a backend contract
 /// obligation).
-pub(crate) trait Pricer {
-    /// Chooses the entering column, or `None` when no candidate improves.
-    fn select(
-        &mut self,
-        n_cols: usize,
-        candidate: &(dyn Fn(usize) -> bool + Sync),
-        reduced_cost: &(dyn Fn(usize) -> f64 + Sync),
-    ) -> Option<usize>;
-
-    /// Observes the pivot performed on the previously selected column.
-    fn observe_pivot(&mut self, view: &PivotView<'_>) {
-        let _ = view;
-    }
-}
-
-/// Most negative reduced cost.
-pub(crate) struct DantzigPricer;
-
-impl Pricer for DantzigPricer {
-    fn select(
-        &mut self,
-        n_cols: usize,
-        candidate: &(dyn Fn(usize) -> bool + Sync),
-        reduced_cost: &(dyn Fn(usize) -> f64 + Sync),
-    ) -> Option<usize> {
-        let mut best = None;
-        let mut best_rc = -EPS;
-        for j in 0..n_cols {
-            if !candidate(j) {
-                continue;
-            }
-            let rc = reduced_cost(j);
-            if rc < best_rc {
-                best_rc = rc;
-                best = Some(j);
-            }
-        }
-        best
-    }
-}
-
-/// Approximate steepest edge (devex) with reference-framework resets.
 pub(crate) struct DevexPricer {
     weights: Vec<f64>,
     /// Columns whose weight may exceed [`DEVEX_RESET`].  Only the
@@ -530,12 +267,14 @@ impl DevexPricer {
     }
 }
 
-impl Pricer for DevexPricer {
-    fn select(
+impl DevexPricer {
+    /// Chooses the entering column among candidates whose reduced cost
+    /// prices below `-EPS`, or `None` when no candidate improves.
+    pub(crate) fn select(
         &mut self,
         n_cols: usize,
-        candidate: &(dyn Fn(usize) -> bool + Sync),
-        reduced_cost: &(dyn Fn(usize) -> f64 + Sync),
+        candidate: impl Fn(usize) -> bool,
+        reduced_cost: impl Fn(usize) -> f64,
     ) -> Option<usize> {
         self.ensure(n_cols);
         let mut best = None;
@@ -556,7 +295,8 @@ impl Pricer for DevexPricer {
         best
     }
 
-    fn observe_pivot(&mut self, view: &PivotView<'_>) {
+    /// Observes the pivot performed on the previously selected column.
+    pub(crate) fn observe_pivot(&mut self, view: &PivotView<'_>) {
         self.ensure(view.n_cols);
         let aq2 = view.alpha_q * view.alpha_q;
         if aq2 < 1e-20 {
@@ -629,126 +369,6 @@ impl Pricer for DevexPricer {
     }
 }
 
-/// Sectioned (partial) pricing with an optional parallel scan for very wide
-/// systems.
-pub(crate) struct PartialPricer {
-    /// Section (chunk) size in columns.
-    section: usize,
-    /// Ring cursor: the section where the last entering column was found
-    /// (scanning resumes there).
-    cursor: usize,
-    /// Column count at or above which the sections of a round are priced
-    /// concurrently.
-    parallel_min: usize,
-    /// Sections priced concurrently per round when the parallel path is on.
-    round: usize,
-    /// Reusable per-round result slots (one per concurrent section) — the
-    /// parallel scan must not allocate per pivot.
-    slots: Vec<Option<(usize, f64)>>,
-}
-
-/// Below this width a parallel scan cannot amortize thread spawns (the rayon
-/// shim spawns OS threads per scope): sequential sectioned scanning wins.
-const PARTIAL_PARALLEL_MIN_COLS: usize = 16_384;
-
-impl PartialPricer {
-    /// A pricer with section size adapted to the instance width.
-    pub(crate) fn sized_for(n_cols: usize) -> Self {
-        PartialPricer::with_params(
-            (n_cols / 8).clamp(64, 1024),
-            PARTIAL_PARALLEL_MIN_COLS,
-            rayon::current_num_threads().clamp(2, 4),
-        )
-    }
-
-    /// Explicit parameters (tests use this to force the parallel path).
-    pub(crate) fn with_params(section: usize, parallel_min: usize, round: usize) -> Self {
-        PartialPricer {
-            section: section.max(1),
-            cursor: 0,
-            parallel_min,
-            round: round.max(1),
-            slots: Vec::new(),
-        }
-    }
-
-    fn best_in(
-        lo: usize,
-        hi: usize,
-        candidate: &(dyn Fn(usize) -> bool + Sync),
-        reduced_cost: &(dyn Fn(usize) -> f64 + Sync),
-    ) -> Option<(usize, f64)> {
-        let mut best = None;
-        let mut best_rc = -EPS;
-        for j in lo..hi {
-            if !candidate(j) {
-                continue;
-            }
-            let rc = reduced_cost(j);
-            if rc < best_rc {
-                best_rc = rc;
-                best = Some((j, rc));
-            }
-        }
-        best
-    }
-}
-
-impl Pricer for PartialPricer {
-    fn select(
-        &mut self,
-        n_cols: usize,
-        candidate: &(dyn Fn(usize) -> bool + Sync),
-        reduced_cost: &(dyn Fn(usize) -> f64 + Sync),
-    ) -> Option<usize> {
-        if n_cols == 0 {
-            return None;
-        }
-        let sections = n_cols.div_ceil(self.section);
-        if self.cursor >= sections {
-            self.cursor = 0;
-        }
-        let parallel = n_cols >= self.parallel_min && self.round > 1;
-        let stride = if parallel { self.round } else { 1 };
-        let mut scanned = 0usize;
-        while scanned < sections {
-            let in_round = stride.min(sections - scanned);
-            let found = if in_round == 1 {
-                let s = (self.cursor + scanned) % sections;
-                let lo = s * self.section;
-                Self::best_in(lo, (lo + self.section).min(n_cols), candidate, reduced_cost)
-                    .map(|(j, _)| (s, j))
-            } else {
-                // Price the round's sections concurrently; the winner is the
-                // first section *in ring order* with a candidate, so the
-                // outcome does not depend on thread timing.
-                self.slots.clear();
-                self.slots.resize(in_round, None);
-                let slots = &mut self.slots;
-                rayon::scope(|scope| {
-                    for (k, slot) in slots.iter_mut().enumerate() {
-                        let s = (self.cursor + scanned + k) % sections;
-                        let lo = s * self.section;
-                        let hi = (lo + self.section).min(n_cols);
-                        scope.spawn(move || {
-                            *slot = Self::best_in(lo, hi, candidate, reduced_cost);
-                        });
-                    }
-                });
-                slots.iter().enumerate().find_map(|(k, slot)| {
-                    slot.map(|(j, _)| ((self.cursor + scanned + k) % sections, j))
-                })
-            };
-            if let Some((s, j)) = found {
-                self.cursor = s;
-                return Some(j);
-            }
-            scanned += in_round;
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,55 +416,10 @@ mod tests {
     }
 
     #[test]
-    fn rule_names_round_trip() {
-        for rule in PricingRule::ALL {
-            assert_eq!(rule.name().parse::<PricingRule>().unwrap(), rule);
-            assert_eq!(rule.to_string(), rule.name());
-        }
-        assert!("steepest-edge".parse::<PricingRule>().is_err());
-        assert_eq!(PricingRule::default(), PricingRule::Devex);
-        assert!(SolverTuning::default().presolve);
-        assert_eq!(
-            SolverTuning::with_pricing(PricingRule::Partial).pricing,
-            PricingRule::Partial
-        );
-    }
-
-    #[test]
-    fn dual_knob_names_round_trip() {
-        for rule in DualPricing::ALL {
-            assert_eq!(rule.name().parse::<DualPricing>().unwrap(), rule);
-            assert_eq!(rule.to_string(), rule.name());
-        }
-        for test in DualRatio::ALL {
-            assert_eq!(test.name().parse::<DualRatio>().unwrap(), test);
-            assert_eq!(test.to_string(), test.name());
-        }
-        assert!("dantzig".parse::<DualPricing>().is_err());
-        assert!("bland".parse::<DualRatio>().is_err());
-        let tuning = SolverTuning::default();
-        assert_eq!(tuning.dual_pricing, DualPricing::Devex);
-        assert_eq!(tuning.dual_ratio, DualRatio::BoundFlip);
-        assert_eq!(tuning.deadline_check_period, DEADLINE_CHECK_PERIOD);
-    }
-
-    #[test]
-    fn dantzig_picks_most_negative() {
-        let rc = [0.5, -1.0, -3.0, -2.0];
-        let sel = DantzigPricer.select(4, &all, &|j| rc[j]);
-        assert_eq!(sel, Some(2));
-        // Candidates can be masked out.
-        let sel = DantzigPricer.select(4, &|j| j != 2, &|j| rc[j]);
-        assert_eq!(sel, Some(3));
-        // Nothing prices below the tolerance.
-        assert_eq!(DantzigPricer.select(4, &all, &|_| 0.0), None);
-    }
-
-    #[test]
     fn devex_prefers_low_weight_columns_and_resets() {
         let mut devex = DevexPricer::new(3);
         // Equal weights: degenerate to Dantzig (by squared cost).
-        assert_eq!(devex.select(3, &all, &|j| [-1.0, -2.0, -1.5][j]), Some(1));
+        assert_eq!(devex.select(3, all, |j| [-1.0, -2.0, -1.5][j]), Some(1));
         // A pivot whose row loads column 1 heavily raises its weight…
         devex.observe_pivot(&PivotView {
             entering: 1,
@@ -857,7 +432,7 @@ mod tests {
         });
         // …so column 2 (weight exploded) loses to column 1's replacement
         // score even at a slightly larger reduced cost.
-        assert_eq!(devex.select(3, &all, &|j| [-1.0, -0.1, -1.5][j]), Some(0));
+        assert_eq!(devex.select(3, all, |j| [-1.0, -0.1, -1.5][j]), Some(0));
         // Overflowing weights reset the reference framework.
         devex.observe_pivot(&PivotView {
             entering: 0,
@@ -922,45 +497,5 @@ mod tests {
             "{:?}",
             sparse.weights
         );
-    }
-
-    #[test]
-    fn partial_rotates_sections_and_matches_sequential_in_parallel_mode() {
-        // 1024 columns, improving candidates sprinkled around; the parallel
-        // path (forced by parallel_min = 0) must pick exactly what the
-        // sequential path picks — the ring-order-first section's best.
-        let rc = |j: usize| {
-            if j % 257 == 5 {
-                -((j % 7) as f64) - 1.0
-            } else {
-                1.0
-            }
-        };
-        let mut seq = PartialPricer::with_params(128, usize::MAX, 1);
-        let mut par = PartialPricer::with_params(128, 0, 3);
-        for _ in 0..10 {
-            let a = seq.select(1024, &all, &rc);
-            let b = par.select(1024, &all, &rc);
-            assert_eq!(a, b);
-            assert!(a.is_some());
-        }
-        // No candidates at all: both report None.
-        assert_eq!(seq.select(1024, &all, &|_| 1.0), None);
-        assert_eq!(par.select(1024, &all, &|_| 1.0), None);
-    }
-
-    #[test]
-    fn partial_cursor_resumes_where_it_found_work() {
-        let mut p = PartialPricer::with_params(4, usize::MAX, 1);
-        // Only column 9 improves → found in section 2; cursor parks there.
-        assert_eq!(
-            p.select(16, &all, &|j| if j == 9 { -1.0 } else { 1.0 }),
-            Some(9)
-        );
-        assert_eq!(p.cursor, 2);
-        // Next call starts scanning at section 2 and finds column 11 first
-        // even though column 1 also improves now.
-        let rc = |j: usize| if j == 11 || j == 1 { -1.0 } else { 1.0 };
-        assert_eq!(p.select(16, &all, &rc), Some(11));
     }
 }

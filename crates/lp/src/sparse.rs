@@ -4,12 +4,11 @@
 //! each derivation rule touches a handful of template coefficients, so a row
 //! of the LP typically has 2–10 nonzeros out of hundreds or thousands of
 //! columns.  [`SparseMatrix`] is the shared representation: [`LpProblem`]
-//! stores its constraint rows in one, the dense simplex scatters rows into
-//! its tableau from it, and the revised simplex of [`SparseBackend`] works on
-//! it (and its transpose) directly.
+//! stores its constraint rows in one, and the revised simplex of
+//! [`SimplexBackend`] reads its columns from it.
 //!
 //! [`LpProblem`]: crate::LpProblem
-//! [`SparseBackend`]: crate::SparseBackend
+//! [`SimplexBackend`]: crate::SimplexBackend
 
 /// A growable sparse matrix in CSR (compressed sparse row) form.
 ///

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cma_lp::{Cmp, FactorKind, LpBackend, LpProblem, SolverTuning, SparseBackend, TunedBackend};
+use cma_lp::{Cmp, LpBackend, LpProblem, SimplexBackend};
 
 struct CountingAlloc;
 
@@ -57,9 +57,7 @@ const STEADY_STATE_ALLOC_BUDGET: u64 = 128;
 
 #[test]
 fn steady_state_minimize_keeps_kernels_allocation_free() {
-    // The warmsmoke chain stand-in, sized below the parallel-seeding
-    // threshold so the solve stays on one thread (worker-pool job boxes
-    // would otherwise count against the budget).
+    // The warmsmoke chain stand-in.
     let mut lp = LpProblem::new();
     let vars: Vec<_> = (0..40)
         .map(|i| lp.add_var(format!("x{i}"), false))
@@ -70,8 +68,7 @@ fn steady_state_minimize_keeps_kernels_allocation_free() {
     lp.add_constraint(vec![(vars[0], 1.0)], Cmp::Le, 400.0);
     let objective: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
 
-    let backend = TunedBackend::new(SparseBackend, SolverTuning::with_factor(FactorKind::Lu));
-    let mut session = backend.open(&lp);
+    let mut session = SimplexBackend.open(&lp);
 
     // Warm-up: the first minimize sizes the kernel workspace (growth is
     // expected and counted by `kernel_allocs` only before first sizing).

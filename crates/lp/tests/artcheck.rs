@@ -1,4 +1,8 @@
-use cma_lp::{Cmp, LpBackend, LpProblem, SparseBackend};
+//! Rows appended to a solved session exactly at the current point must stay
+//! enforced: their basic slack or artificial sits at zero and must not be
+//! allowed to re-grow.
+
+use cma_lp::{Cmp, LpBackend, LpProblem, SimplexBackend};
 
 #[test]
 fn eq_row_added_at_satisfied_point_stays_enforced() {
@@ -6,7 +10,7 @@ fn eq_row_added_at_satisfied_point_stays_enforced() {
     let x = lp.add_var("x", false);
     let y = lp.add_var("y", false);
     lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
-    let mut s = SparseBackend.open(&lp);
+    let mut s = SimplexBackend.open(&lp);
     let a = s.minimize(&[(x, -1.0), (y, -2.0)]);
     assert!(a.is_optimal());
     assert!((a.value(y) - 4.0).abs() < 1e-6, "y = {}", a.value(y));
@@ -27,7 +31,7 @@ fn ge_row_added_at_satisfied_point_stays_enforced() {
     let mut lp = LpProblem::new();
     let x = lp.add_var("x", false);
     lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 5.0);
-    let mut s = SparseBackend.open(&lp);
+    let mut s = SimplexBackend.open(&lp);
     let a = s.minimize(&[(x, -1.0)]);
     assert!((a.value(x) - 5.0).abs() < 1e-6);
     // x >= 5, satisfied with equality at the current point.

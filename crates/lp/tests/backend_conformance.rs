@@ -2,14 +2,14 @@
 //!
 //! Every obligation of the backend contract (see `crates/lp/src/backend.rs`
 //! and `DESIGN.md`) is exercised by `conformance::<B>()`, instantiated here
-//! for the built-in [`SimplexBackend`] and [`SparseBackend`].  A new backend
-//! earns its place by adding one `#[test]` that calls the same function.
+//! for the built-in [`SimplexBackend`] (under its former name
+//! `SparseBackend` too) with presolve on and off.  A new backend earns its
+//! place by adding one `#[test]` that calls the same function.
 //! The suite covers both the one-shot `solve` path and the session
 //! obligations (re-minimize determinism, incremental rows and columns).
 
 use cma_lp::{
-    Cmp, FactorKind, LpBackend, LpProblem, LpStatus, PricingRule, SimplexBackend, SolverTuning,
-    SparseBackend, TunedBackend, WarmStrategy,
+    Cmp, LpBackend, LpProblem, LpSession, LpStatus, SimplexBackend, SolverTuning, SparseBackend,
 };
 
 const TOL: f64 = 1e-6;
@@ -294,46 +294,35 @@ fn simplex_backend_conforms() {
     conformance(&SimplexBackend);
 }
 
+/// The former name of the solver keeps naming a conforming backend.
 #[test]
 fn sparse_backend_conforms() {
     conformance(&SparseBackend);
 }
 
-/// The tuning matrix: dense/sparse × dantzig/devex/partial × presolve
-/// on/off × dense-inverse/LU factorization — must all satisfy every session
-/// obligation.  Pricing and factorization change the pivot *path* and the
-/// linear algebra, never the contract.
-#[test]
-fn pricing_presolve_factor_matrix_conforms() {
-    for pricing in PricingRule::ALL {
-        for presolve in [true, false] {
-            for factor in FactorKind::ALL {
-                let tuning = SolverTuning {
-                    pricing,
-                    presolve,
-                    factor,
-                    ..SolverTuning::default()
-                };
-                conformance(&TunedBackend::new(SimplexBackend, tuning));
-                conformance(&TunedBackend::new(SparseBackend, tuning));
-            }
-        }
+/// The solver with presolve off — every session then runs the simplex core
+/// on the raw system.  A test double over `open_with`.
+struct WithoutPresolve;
+
+impl LpBackend for WithoutPresolve {
+    fn name(&self) -> &str {
+        "revised-simplex/no-presolve"
+    }
+
+    fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a> {
+        let tuning = SolverTuning {
+            presolve: false,
+            ..SolverTuning::default()
+        };
+        SimplexBackend.open_with(problem, &tuning)
     }
 }
 
-/// The legacy phase-1 warm-resolve strategy keeps satisfying the session
-/// obligations (the dual strategy is the default and covered by the matrix
-/// above).
+/// Presolve rewrites the system a session solves, never the contract: the
+/// solver satisfies every obligation without it too.
 #[test]
-fn phase1_warm_strategy_conforms() {
-    for factor in FactorKind::ALL {
-        let tuning = SolverTuning {
-            warm: WarmStrategy::Phase1,
-            factor,
-            ..SolverTuning::default()
-        };
-        conformance(&TunedBackend::new(SparseBackend, tuning));
-    }
+fn presolve_off_conforms() {
+    conformance(&WithoutPresolve);
 }
 
 #[test]
@@ -343,7 +332,4 @@ fn borrowed_and_dyn_backends_conform() {
     conformance(&&backend);
     let dynamic: &dyn LpBackend = &backend;
     conformance(&dynamic);
-    let sparse = SparseBackend;
-    let dynamic_sparse: &dyn LpBackend = &sparse;
-    conformance(&dynamic_sparse);
 }

@@ -8,49 +8,20 @@
 //!   the deadline plus a bounded slack (one pivot batch of cooperative
 //!   cancellation latency), no matter the instance.
 //! * **carry-over** — the budget spans a session's whole lifetime: repeated
-//!   minimizes draw down the same iteration pool on both the stateful
-//!   sparse session and the re-solving dense session.
+//!   minimizes draw down the same iteration pool, with presolve on and off.
+
+mod common;
 
 use std::time::{Duration, Instant};
 
-use cma_lp::{
-    Cmp, LpBackend, LpProblem, LpStatus, LpVarId, SimplexBackend, SolveBudget, SolverTuning,
-    SparseBackend,
-};
+use cma_lp::{Cmp, LpBackend, LpProblem, LpStatus, SimplexBackend, SolveBudget, SolverTuning};
+use common::decode;
 use proptest::prelude::*;
 
-/// Deterministically decodes a generated seed vector into an LP (same shape
-/// as the agreement suites): free/non-negative variables, Le/Ge/Eq rows,
-/// infeasible and unbounded instances generated on purpose.
-fn decode(seed: &[(f64, f64, f64)], vars: usize) -> LpProblem {
-    let mut lp = LpProblem::new();
-    let ids: Vec<LpVarId> = (0..vars)
-        .map(|i| lp.add_var(format!("v{i}"), i % 3 == 0))
-        .collect();
-    for (i, &(a, b, c)) in seed.iter().enumerate() {
-        let terms: Vec<(LpVarId, f64)> = ids
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (v, ((a * (j as f64 + 1.0) + b).sin() * 4.0).round() / 2.0))
-            .filter(|&(_, coeff)| coeff != 0.0)
-            .collect();
-        let cmp = match i % 3 {
-            0 => Cmp::Le,
-            1 => Cmp::Ge,
-            _ => Cmp::Eq,
-        };
-        if terms.is_empty() {
-            continue;
-        }
-        lp.add_constraint(terms, cmp, (c * 10.0).round() / 2.0);
-    }
-    lp.set_objective(
-        ids.iter()
-            .enumerate()
-            .map(|(j, &v)| (v, if j % 2 == 0 { 1.0 } else { 0.5 }))
-            .collect(),
-    );
-    lp
+/// `tuning` with presolve on and off: the budget must hold whether the core
+/// solves the raw system or the presolved one.
+fn with_and_without_presolve(tuning: SolverTuning) -> [SolverTuning; 2] {
+    [true, false].map(|presolve| SolverTuning { presolve, ..tuning })
 }
 
 /// Wall-clock slack allowed past the deadline: the cooperative check runs
@@ -67,11 +38,11 @@ proptest! {
         vars in 1usize..6,
         cap in 1usize..40,
     ) {
-        let lp = decode(&seed, vars);
-        let unbudgeted = SparseBackend.solve(&lp);
-        let tuning = SolverTuning::with_budget(SolveBudget::with_max_iters(cap));
-        for backend in [&SparseBackend as &dyn LpBackend, &SimplexBackend] {
-            let budgeted = backend.solve_with(&lp, &tuning);
+        let (lp, _) = decode(&seed, vars);
+        let unbudgeted = SimplexBackend.solve(&lp);
+        let budget = SolverTuning::with_budget(SolveBudget::with_max_iters(cap));
+        for tuning in with_and_without_presolve(budget) {
+            let budgeted = SimplexBackend.solve_with(&lp, &tuning);
             prop_assert!(
                 budgeted.status == LpStatus::BudgetExhausted
                     || budgeted.status == unbudgeted.status,
@@ -101,14 +72,14 @@ proptest! {
         vars in 1usize..6,
         timeout_ms in 0u64..20,
     ) {
-        let lp = decode(&seed, vars);
+        let (lp, _) = decode(&seed, vars);
         let budget = SolveBudget::with_timeout(Duration::from_millis(timeout_ms));
         let deadline = budget.deadline.expect("with_timeout sets a deadline");
         let tuning = SolverTuning {
             deadline_check_period: 1,
             ..SolverTuning::with_budget(budget)
         };
-        let solution = SparseBackend.solve_with(&lp, &tuning);
+        let solution = SimplexBackend.solve_with(&lp, &tuning);
         let finished = Instant::now();
         prop_assert!(
             finished <= deadline + DEADLINE_SLACK,
@@ -118,7 +89,7 @@ proptest! {
         // Whatever the outcome, it is a real status — and if the deadline
         // cut the solve short, that is exactly what the status says.
         if solution.status != LpStatus::BudgetExhausted {
-            let unbudgeted = SparseBackend.solve(&lp);
+            let unbudgeted = SimplexBackend.solve(&lp);
             prop_assert_eq!(solution.status, unbudgeted.status);
         }
     }
@@ -136,8 +107,8 @@ fn expired_deadline_reports_exhaustion_not_infeasibility() {
         deadline: Some(Instant::now() - Duration::from_secs(1)),
         ..SolveBudget::UNLIMITED
     };
-    for backend in [&SparseBackend as &dyn LpBackend, &SimplexBackend] {
-        let sol = backend.solve_with(&lp, &SolverTuning::with_budget(expired));
+    for tuning in with_and_without_presolve(SolverTuning::with_budget(expired)) {
+        let sol = SimplexBackend.solve_with(&lp, &tuning);
         assert_eq!(sol.status, LpStatus::BudgetExhausted);
     }
 }
@@ -151,7 +122,7 @@ fn session_budget_carries_over_across_minimizes() {
     let y = lp.add_var("y", false);
     lp.add_constraint(vec![(x, 1.0), (y, 2.0)], Cmp::Ge, 4.0);
     lp.add_constraint(vec![(x, 3.0), (y, 1.0)], Cmp::Ge, 6.0);
-    let first_cost = SparseBackend
+    let first_cost = SimplexBackend
         .solve_with(
             &{
                 let mut p = lp.clone();
@@ -163,11 +134,11 @@ fn session_budget_carries_over_across_minimizes() {
         .stats
         .iterations;
     assert!(first_cost > 0);
-    for backend in [&SparseBackend as &dyn LpBackend, &SimplexBackend] {
-        // Enough for the first solve and a bit of warm re-minimizing, but
-        // not for an unbounded number of them.
-        let budget = SolveBudget::with_max_iters(first_cost + 4);
-        let mut session = backend.open_with(&lp, &SolverTuning::with_budget(budget));
+    // Enough for the first solve and a bit of warm re-minimizing, but not
+    // for an unbounded number of them.
+    let budget = SolverTuning::with_budget(SolveBudget::with_max_iters(first_cost + 4));
+    for tuning in with_and_without_presolve(budget) {
+        let mut session = SimplexBackend.open_with(&lp, &tuning);
         let mut statuses = Vec::new();
         for round in 0..50 {
             let objective = if round % 2 == 0 {
@@ -177,12 +148,11 @@ fn session_budget_carries_over_across_minimizes() {
             };
             statuses.push(session.minimize(&objective).status);
         }
-        assert_eq!(statuses[0], LpStatus::Optimal, "{}", backend.name());
+        assert_eq!(statuses[0], LpStatus::Optimal, "{tuning:?}");
         assert_eq!(
             *statuses.last().unwrap(),
             LpStatus::BudgetExhausted,
-            "session budget never ran dry on {}",
-            backend.name()
+            "session budget never ran dry under {tuning:?}"
         );
         // Once exhausted, the session stays exhausted (no verdict can be
         // manufactured out of an empty budget).
@@ -207,12 +177,12 @@ fn refactorization_cap_is_enforced() {
         );
     }
     lp.set_objective(vars.iter().map(|&v| (v, 1.0)).collect());
-    let unbudgeted = SparseBackend.solve(&lp);
+    let unbudgeted = SimplexBackend.solve(&lp);
     assert!(unbudgeted.is_optimal());
     // Zero refactorizations allowed: the solver cannot even complete its
     // verdict-confirming rebuilds, so it must bail out as exhausted the
     // moment it tries — and still must not claim infeasibility.
-    let strangled = SparseBackend.solve_with(
+    let strangled = SimplexBackend.solve_with(
         &lp,
         &SolverTuning::with_budget(SolveBudget {
             max_refactorizations: Some(0),

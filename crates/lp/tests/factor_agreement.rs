@@ -1,240 +1,51 @@
-//! Property tests pinning the basis-factorization seam to the reference.
+//! Properties pinning the solver's warm paths and kernels to their cold and
+//! dense-scan references on random LPs.
 //!
-//! * **factor agreement** — on random LPs, solving with the Markowitz-LU
-//!   factorization must agree with the dense-inverse factorization (and
-//!   with the raw dense reference solve) on status and optimal objective,
-//!   across the pricing × presolve matrix and both backends.  The
-//!   factorization changes the linear algebra, never the answer.
-//! * **dual-vs-primal warm resolve** — a session that receives rows
-//!   incrementally under the dual-simplex strategy must agree with the same
-//!   session under the legacy phase-1 strategy and with a from-scratch
-//!   solve of the assembled problem, for every factorization.
+//! * **warm vs cold** — a session that receives rows incrementally (repaired
+//!   by dual-simplex pivots from its warm basis) must agree with a
+//!   from-scratch solve of the assembled problem on status and optimum.
+//! * **hyper-sparse vs dense scan** — every kernel of a solved LU basis gives
+//!   the same vector on the hyper-sparse path and pinned to the dense scan.
+//!
+//! The Forrest–Tomlin-vs-refactorize property lives next to the
+//! factorization (`factor.rs`), the presolve-vs-no-presolve one in
+//! `presolve_pricing_agreement.rs`.
 
-use cma_lp::{
-    Cmp, DualPricing, DualRatio, FactorKind, LpBackend, LpProblem, LpStatus, LpVarId, PricingRule,
-    SimplexBackend, SolverTuning, SparseBackend, TunedBackend, WarmStrategy,
-};
+mod common;
+
+use cma_lp::{Cmp, LpBackend, LpProblem, LpStatus, SimplexBackend, SolverTuning};
+use common::{add_rows_from, decode, prefix};
 use proptest::prelude::*;
 
-const TOL: f64 = 1e-5;
-
-/// Deterministically decodes a generated seed vector into an LP (same shape
-/// as `dense_sparse_agreement`): a mix of free/non-negative variables,
-/// Le/Ge/Eq rows with small half-integer coefficients, and a signed
-/// objective.  Infeasible and unbounded instances are generated on purpose.
-fn decode(seed: &[(f64, f64, f64)], vars: usize) -> (LpProblem, Vec<LpVarId>) {
-    let mut lp = LpProblem::new();
-    let ids: Vec<LpVarId> = (0..vars)
-        .map(|i| lp.add_var(format!("v{i}"), i % 3 == 0))
-        .collect();
-    for (i, &(a, b, c)) in seed.iter().enumerate() {
-        let terms: Vec<(LpVarId, f64)> = ids
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (v, ((a * (j as f64 + 1.0) + b).sin() * 4.0).round() / 2.0))
-            .filter(|&(_, coeff)| coeff != 0.0)
-            .collect();
-        let cmp = match i % 3 {
-            0 => Cmp::Le,
-            1 => Cmp::Ge,
-            _ => Cmp::Eq,
-        };
-        if terms.is_empty() {
-            continue;
-        }
-        lp.add_constraint(terms, cmp, (c * 10.0).round() / 2.0);
-    }
-    lp.set_objective(
-        ids.iter()
-            .enumerate()
-            .map(|(j, &v)| (v, if j % 2 == 0 { 1.0 } else { 0.5 }))
-            .collect(),
-    );
-    (lp, ids)
-}
-
-fn statuses_agree(a: &cma_lp::LpSolution, b: &cma_lp::LpSolution) -> bool {
-    a.status == b.status
-        || a.status == LpStatus::BudgetExhausted
-        || b.status == LpStatus::BudgetExhausted
-}
+const TOL: f64 = 1e-6;
 
 proptest! {
     #[test]
-    fn lu_factorization_agrees_with_dense_inverse(
-        seed in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 1..9),
-        vars in 1usize..6,
-    ) {
-        let (lp, _ids) = decode(&seed, vars);
-        let reference = lp.solve();
-        for pricing in PricingRule::ALL {
-            for presolve in [true, false] {
-                for backend in [&SimplexBackend as &dyn LpBackend, &SparseBackend] {
-                    let solve = |factor: FactorKind| {
-                        let tuning = SolverTuning { pricing, presolve, factor,
-                            ..SolverTuning::default() };
-                        TunedBackend::new(backend, tuning).solve(&lp)
-                    };
-                    let dense = solve(FactorKind::Dense);
-                    let lu = solve(FactorKind::Lu);
-                    prop_assert!(
-                        statuses_agree(&dense, &lu) && statuses_agree(&reference, &lu),
-                        "status mismatch: reference {:?}, dense-factor {:?}, lu {:?} \
-                         ({}/{pricing}/presolve={presolve})",
-                        reference.status,
-                        dense.status,
-                        lu.status,
-                        backend.name(),
-                    );
-                    if dense.status == LpStatus::Optimal && lu.status == LpStatus::Optimal {
-                        prop_assert!(
-                            (dense.objective - lu.objective).abs()
-                                <= TOL * (1.0 + dense.objective.abs()),
-                            "objective mismatch: dense-factor {} vs lu {} \
-                             ({}/{pricing}/presolve={presolve})",
-                            dense.objective,
-                            lu.objective,
-                            backend.name(),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dual_and_phase1_warm_resolves_agree_on_incremental_rows(
+    fn warm_and_cold_resolves_agree_on_incremental_rows(
         seed in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 2..8),
         vars in 1usize..5,
         split in 1usize..4,
     ) {
         // Open a session on a prefix of the rows, feed the rest
-        // incrementally under both warm-resolve strategies and both
-        // factorizations, and compare against a dense from-scratch solve of
-        // the full system.
-        let (full, ids) = decode(&seed, vars);
+        // incrementally, and compare against a from-scratch solve of the
+        // full system, with presolve on and off.
+        let (full, _ids) = decode(&seed, vars);
         let split = split.min(full.num_constraints());
-        let mut prefix = LpProblem::new();
-        for &v in &ids {
-            prefix.add_var(full.var_name(v), full.is_free(v));
-        }
-        for i in 0..split {
-            let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
-            prefix.add_constraint(terms, full.cmp(i), full.rhs(i));
-        }
-        let reference = SimplexBackend.solve(&full);
-        for factor in FactorKind::ALL {
-            for warm in [WarmStrategy::Dual, WarmStrategy::Phase1] {
-                let tuning = SolverTuning { factor, warm, ..SolverTuning::default() };
-                let mut session = SparseBackend.open_with(&prefix, &tuning);
-                session.minimize(full.objective());
-                for i in split..full.num_constraints() {
-                    let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
-                    session.add_constraint(&terms, full.cmp(i), full.rhs(i));
-                }
-                let incremental = session.minimize(full.objective());
+        let cold = SimplexBackend.solve(&full);
+        for presolve in [true, false] {
+            let tuning = SolverTuning { presolve, ..SolverTuning::default() };
+            let mut session = SimplexBackend.open_with(&prefix(&full, split), &tuning);
+            session.minimize(full.objective());
+            add_rows_from(session.as_mut(), &full, split);
+            let warm = session.minimize(full.objective());
+            prop_assert_eq!(warm.status, cold.status, "presolve={}", presolve);
+            if cold.status == LpStatus::Optimal {
                 prop_assert!(
-                    statuses_agree(&reference, &incremental),
-                    "status mismatch after incremental rows ({factor}/{warm}): \
-                     scratch {:?} vs warm {:?}",
-                    reference.status,
-                    incremental.status
+                    (cold.objective - warm.objective).abs() <= TOL * (1.0 + cold.objective.abs()),
+                    "presolve={presolve}: warm optimum {} vs cold {}",
+                    warm.objective,
+                    cold.objective
                 );
-                if reference.status == LpStatus::Optimal
-                    && incremental.status == LpStatus::Optimal
-                {
-                    prop_assert!(
-                        (reference.objective - incremental.objective).abs()
-                            <= TOL * (1.0 + reference.objective.abs()),
-                        "objective mismatch after incremental rows ({factor}/{warm}): \
-                         scratch {} vs warm {}",
-                        reference.objective,
-                        incremental.objective
-                    );
-                }
-                if warm == WarmStrategy::Phase1 {
-                    prop_assert_eq!(incremental.stats.dual_pivots, 0);
-                }
-            }
-        }
-    }
-
-    /// The dual-knob matrix: every combination of ratio test (bound-flipping
-    /// long step vs classic Harris) and leaving-row pricing (devex vs exact
-    /// steepest edge) must reach the same verdict and the same optimum — to
-    /// 1e-6 — as a cold phase-1 restart and a from-scratch reference solve,
-    /// on both backends and both factorizations.  The knobs change the pivot
-    /// path, never the answer.
-    #[test]
-    fn dual_knobs_agree_with_cold_phase1_on_incremental_rows(
-        seed in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 2..8),
-        vars in 1usize..5,
-        split in 1usize..4,
-    ) {
-        const KNOB_TOL: f64 = 1e-6;
-        let (full, ids) = decode(&seed, vars);
-        let split = split.min(full.num_constraints());
-        let mut prefix = LpProblem::new();
-        for &v in &ids {
-            prefix.add_var(full.var_name(v), full.is_free(v));
-        }
-        for i in 0..split {
-            let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
-            prefix.add_constraint(terms, full.cmp(i), full.rhs(i));
-        }
-        let reference = SimplexBackend.solve(&full);
-        for backend in [&SimplexBackend as &dyn LpBackend, &SparseBackend] {
-            for factor in FactorKind::ALL {
-                let run = |tuning: SolverTuning| {
-                    let mut session = backend.open_with(&prefix, &tuning);
-                    session.minimize(full.objective());
-                    for i in split..full.num_constraints() {
-                        let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
-                        session.add_constraint(&terms, full.cmp(i), full.rhs(i));
-                    }
-                    session.minimize(full.objective())
-                };
-                let cold = run(SolverTuning {
-                    factor,
-                    warm: WarmStrategy::Phase1,
-                    ..SolverTuning::default()
-                });
-                prop_assert!(statuses_agree(&reference, &cold));
-                for dual_pricing in DualPricing::ALL {
-                    for dual_ratio in DualRatio::ALL {
-                        let warm = run(SolverTuning {
-                            factor,
-                            warm: WarmStrategy::Dual,
-                            dual_pricing,
-                            dual_ratio,
-                            ..SolverTuning::default()
-                        });
-                        let context = format!(
-                            "{}/{factor}/{dual_pricing}/{dual_ratio}",
-                            backend.name()
-                        );
-                        prop_assert!(
-                            statuses_agree(&reference, &warm) && statuses_agree(&cold, &warm),
-                            "{context}: verdict mismatch: scratch {:?}, phase-1 {:?}, dual {:?}",
-                            reference.status,
-                            cold.status,
-                            warm.status
-                        );
-                        for (name, other) in [("scratch", &reference), ("phase-1", &cold)] {
-                            if other.status == LpStatus::Optimal
-                                && warm.status == LpStatus::Optimal
-                            {
-                                prop_assert!(
-                                    (other.objective - warm.objective).abs()
-                                        <= KNOB_TOL * (1.0 + other.objective.abs()),
-                                    "{context}: bound diverged from {name}: {} vs {}",
-                                    other.objective,
-                                    warm.objective
-                                );
-                            }
-                        }
-                    }
-                }
             }
         }
     }
@@ -242,46 +53,32 @@ proptest! {
 
 /// The headline scenario of the dual warm re-solve: a cutting row on an
 /// optimal session is repaired by dual pivots — reported in `SolveStats` —
-/// with no phase-1 restart, and both strategies land on the same optimum.
+/// with no phase-1 restart, landing on the from-scratch optimum.
 #[test]
 fn cutting_row_resolves_via_dual_pivots() {
-    for factor in FactorKind::ALL {
-        let mut lp = LpProblem::new();
-        let x = lp.add_var("x", false);
-        let y = lp.add_var("y", false);
-        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
-        lp.add_constraint(vec![(y, 1.0)], Cmp::Le, 3.0);
-        let objective = [(x, -1.0), (y, -2.0)];
+    let mut lp = LpProblem::new();
+    let x = lp.add_var("x", false);
+    let y = lp.add_var("y", false);
+    lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+    lp.add_constraint(vec![(y, 1.0)], Cmp::Le, 3.0);
+    let objective = [(x, -1.0), (y, -2.0)];
 
-        let dual_tuning = SolverTuning {
-            factor,
-            warm: WarmStrategy::Dual,
-            ..SolverTuning::default()
-        };
-        let mut session = SparseBackend.open_with(&lp, &dual_tuning);
-        assert!(session.minimize(&objective).is_optimal());
-        session.add_constraint(&[(y, 1.0)], Cmp::Le, 1.0); // cuts the optimum
-        let dual = session.minimize(&objective);
-        assert!(dual.is_optimal());
-        assert!((dual.objective - (-5.0)).abs() < TOL);
-        assert!(
-            dual.stats.dual_pivots > 0,
-            "{factor}: cutting row resolved without dual pivots"
-        );
+    let mut session = SimplexBackend.open(&lp);
+    assert!(session.minimize(&objective).is_optimal());
+    session.add_constraint(&[(y, 1.0)], Cmp::Le, 1.0); // cuts the optimum
+    let warm = session.minimize(&objective);
+    assert!(warm.is_optimal());
+    assert!((warm.objective - (-5.0)).abs() < TOL);
+    assert!(
+        warm.stats.dual_pivots > 0,
+        "cutting row resolved without dual pivots"
+    );
 
-        let phase1_tuning = SolverTuning {
-            factor,
-            warm: WarmStrategy::Phase1,
-            ..SolverTuning::default()
-        };
-        let mut legacy = SparseBackend.open_with(&lp, &phase1_tuning);
-        assert!(legacy.minimize(&objective).is_optimal());
-        legacy.add_constraint(&[(y, 1.0)], Cmp::Le, 1.0);
-        let restart = legacy.minimize(&objective);
-        assert!(restart.is_optimal());
-        assert!((restart.objective - dual.objective).abs() < TOL);
-        assert_eq!(restart.stats.dual_pivots, 0);
-    }
+    lp.add_constraint(vec![(y, 1.0)], Cmp::Le, 1.0);
+    lp.set_objective(objective.to_vec());
+    let cold = SimplexBackend.solve(&lp);
+    assert!((cold.objective - warm.objective).abs() < TOL);
+    assert_eq!(cold.stats.dual_pivots, 0);
 }
 
 /// Per-component tolerance for hyper-sparse vs dense-scan kernels: both run
@@ -301,9 +98,10 @@ proptest! {
         vars in 1usize..6,
     ) {
         let (lp, _ids) = decode(&seed, vars);
-        let tuning = SolverTuning::with_factor(FactorKind::Lu);
         // Infeasible/unbounded decodes have no basis to probe.
-        let Some(mut fx) = cma_lp::bench_support::KernelFixture::solve(&lp, &tuning) else {
+        let Some(mut fx) =
+            cma_lp::bench_support::KernelFixture::solve(&lp, &SolverTuning::default())
+        else {
             return;
         };
         let (mut hyper, mut dense) = (Vec::new(), Vec::new());

@@ -27,8 +27,8 @@
 //! * [`check`] — the pre-analysis static checker (diagnostics CMA001–CMA007
 //!   and the range facts that prune the derivation);
 //! * [`sim`] — Monte-Carlo operational semantics;
-//! * [`lp`] — the LP solver abstraction ([`LpBackend`]) and the default
-//!   simplex implementation;
+//! * [`lp`] — the LP solver abstraction ([`LpBackend`]) and the simplex
+//!   solver behind it;
 //! * [`logic`] — logical contexts and certificates;
 //! * [`inference`] — the central-moment analysis itself;
 //! * [`suite`] — the benchmark programs of the paper's evaluation.
@@ -61,8 +61,5 @@ pub use cma_inference::{
     AnalysisOptions, CentralMoments, DegradationStats, DegradationStep, EscalationStats,
     GroupLpStats, PlanStats, PruningStats, SolveMode, SoundnessReport, TailBound,
 };
-pub use cma_lp::{
-    DualPricing, DualRatio, FactorKind, LpBackend, LpSession, PricingRule, SimplexBackend,
-    SolveStats, SolverTuning, SparseBackend, TunedBackend, WarmStrategy,
-};
+pub use cma_lp::{LpBackend, LpSession, SimplexBackend, SolveStats, SolverTuning, SparseBackend};
 pub use cma_semiring::Interval;

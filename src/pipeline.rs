@@ -181,44 +181,9 @@ impl<B: LpBackend> Analysis<B> {
         self
     }
 
-    /// Sets the LP pricing rule (devex by default; dantzig restores the
-    /// pre-devex behavior, partial prices wide systems in sections).
-    pub fn pricing(mut self, pricing: cma_lp::PricingRule) -> Self {
-        self.options.pricing = pricing;
-        self
-    }
-
     /// Enables or disables the LP presolve pass (enabled by default).
     pub fn presolve(mut self, presolve: bool) -> Self {
         self.options.presolve = presolve;
-        self
-    }
-
-    /// Sets the LP basis factorization (dense `B⁻¹` by default; `lu` solves
-    /// with a Markowitz LU plus eta-file updates).
-    pub fn factor(mut self, factor: cma_lp::FactorKind) -> Self {
-        self.options.factor = factor;
-        self
-    }
-
-    /// Sets the warm re-solve strategy for incremental LP rows (dual-simplex
-    /// pivots by default; `phase1` restores the legacy restart).
-    pub fn warm_resolve(mut self, warm: cma_lp::WarmStrategy) -> Self {
-        self.options.warm_resolve = warm;
-        self
-    }
-
-    /// Sets the dual leaving-row pricing (devex by default; `steepest` buys
-    /// exact edge norms at one extra solve per pivot).
-    pub fn dual_pricing(mut self, pricing: cma_lp::DualPricing) -> Self {
-        self.options.dual_pricing = pricing;
-        self
-    }
-
-    /// Sets the dual ratio test (long-step bound-flipping by default;
-    /// `harris` restores the classic min-ratio test).
-    pub fn dual_ratio(mut self, ratio: cma_lp::DualRatio) -> Self {
-        self.options.dual_ratio = ratio;
         self
     }
 
@@ -419,9 +384,10 @@ impl<B: LpBackend> Analysis<B> {
         let tail = tail_curve(&central, thresholds);
         let tail_elapsed = tail_start.elapsed();
 
-        // The soundness side conditions reuse the engine's live constraint
-        // store: the step-counting system is layered onto the main group's
-        // open session and re-minimized — no re-derivation, no extra solve.
+        // The soundness side conditions reuse the engine's constraint store:
+        // the step-counting system is derived into it and solved as its own
+        // LP, under what remains of the analysis deadline — no
+        // re-derivation of the main system, no extra group solve.
         let (soundness, soundness_elapsed) = if self.check_soundness {
             let start = Instant::now();
             let report =
@@ -448,8 +414,6 @@ impl<B: LpBackend> Analysis<B> {
             degree: degree_used,
             mode: mode_used,
             backend: self.backend.name().to_string(),
-            pricing: self.options.pricing.name().to_string(),
-            factor: self.options.factor.name().to_string(),
             parallelism: self.options.threads,
             poly_degree: result.poly_degree,
             poly_retries: result.poly_retries,
@@ -503,7 +467,7 @@ mod tests {
         // Fig. 1(b) at d = 10: E[tick] <= 24, V[tick] <= 248.
         assert!(report.mean().hi() <= 24.0 + 1e-3);
         assert!(report.variance_upper().unwrap() <= 248.0 + 1e-2);
-        assert_eq!(report.backend, "dense-simplex");
+        assert_eq!(report.backend, "revised-simplex");
         assert_eq!(report.degree, 2);
         assert!(report.lp.variables > 0 && report.lp.constraints > 0);
         assert_eq!(report.lp.solves, 1);
@@ -545,7 +509,7 @@ mod tests {
         assert!(report.tail[1].probability <= report.tail[0].probability);
     }
 
-    /// A third-party backend wrapping the dense reference in sessions that
+    /// A third-party backend wrapping the built-in solver in sessions that
     /// count their `minimize` calls — the pluggable seam exercised end to
     /// end, including the required-`open` contract.  Backends must be
     /// `Sync`, hence the atomic.
@@ -578,12 +542,6 @@ mod tests {
         fn num_constraints(&self) -> usize {
             self.inner.num_constraints()
         }
-
-        // Wrapper sessions must forward the capability, or they silently
-        // disable the dual-flush path for their inner session.
-        fn warm_resolves_in_place(&self) -> bool {
-            self.inner.warm_resolves_in_place()
-        }
     }
 
     impl LpBackend for CountingBackend {
@@ -607,30 +565,12 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(report.backend, "counting-simplex");
-        // Inference minimized once; the soundness extension re-minimizes —
-        // in place when the inner session warm-resolves, or through a
-        // standalone subproblem session (this dense wrapper's case) — so a
-        // counted `minimize` happens at least twice either way.
+        // Inference minimized once and the soundness extension once more,
+        // through a session of its own opened on the same backend.
         assert!(report.soundness.is_some());
         assert_eq!(report.lp.solves, 1);
         let uses = backend.0.load(std::sync::atomic::Ordering::SeqCst);
         assert!(uses >= 2, "backend used {uses} times");
-    }
-
-    #[test]
-    fn sparse_backend_matches_dense_through_the_pipeline() {
-        let dense = Analysis::benchmark(&running::rdwalk())
-            .soundness(false)
-            .run()
-            .unwrap();
-        let sparse = Analysis::benchmark(&running::rdwalk())
-            .backend(cma_lp::SparseBackend)
-            .soundness(false)
-            .run()
-            .unwrap();
-        assert_eq!(sparse.backend, "sparse-revised-simplex");
-        assert!((dense.mean().hi() - sparse.mean().hi()).abs() < 1e-4);
-        assert!((dense.variance_upper().unwrap() - sparse.variance_upper().unwrap()).abs() < 1e-2);
     }
 
     #[test]
@@ -645,15 +585,14 @@ mod tests {
             .main(call("geo"))
             .build()
             .unwrap();
-        let dense = Analysis::of(&program).run().unwrap();
-        let sparse = Analysis::of(&program)
-            .backend(cma_lp::SparseBackend)
-            .run()
-            .unwrap();
-        for report in [&dense, &sparse] {
+        let builtin = Analysis::of(&program).run().unwrap();
+        let counting = CountingBackend(std::sync::atomic::AtomicUsize::new(0));
+        let wrapped = Analysis::of(&program).backend(&counting).run().unwrap();
+        for report in [&builtin, &wrapped] {
             let s = report.soundness.as_ref().unwrap();
             assert!(s.reused_constraint_store);
             assert!(s.extension_constraints > 0);
+            assert!(!s.shared_templates);
             assert_eq!(report.is_sound(), Some(true));
             // The extension rides the main store — no extra group solve.
             assert_eq!(report.lp.solves, 1);
@@ -710,12 +649,10 @@ mod tests {
     #[test]
     fn escalated_pipeline_matches_the_direct_run_and_reports_reuse() {
         let direct = Analysis::benchmark(&running::rdwalk())
-            .backend(cma_lp::SparseBackend)
             .soundness(false)
             .run()
             .unwrap();
         let escalated = Analysis::benchmark(&running::rdwalk())
-            .backend(cma_lp::SparseBackend)
             .escalate_from(1)
             .soundness(false)
             .run()
@@ -739,7 +676,6 @@ mod tests {
         let report =
             Analysis::parse("func main() begin if prob(0.5) then tick(2) else tick(4) fi end")
                 .unwrap()
-                .backend(cma_lp::SparseBackend)
                 .escalate_from(1)
                 .run()
                 .unwrap();
@@ -886,7 +822,7 @@ mod tests {
             "\"label\":\"rdwalk\"",
             "\"degree\":2",
             "\"mode\":\"global\"",
-            "\"backend\":\"dense-simplex\"",
+            "\"backend\":\"revised-simplex\"",
             "\"parallelism\":1",
             "\"poly_degree\":1",
             "\"poly_retries\":0",
@@ -927,6 +863,29 @@ mod tests {
         assert!(err.is_analysis_failure());
         assert_eq!(err.infeasible_at(), None);
         assert!(err.to_string().contains("budget exhausted"), "{err}");
+    }
+
+    #[test]
+    fn timeout_bounds_the_soundness_phase() {
+        // Unbudgeted, the soundness LP of this chain runs for minutes; its
+        // main analysis takes a fraction of a second.  The whole-analysis
+        // deadline must stop the soundness phase too, and an exhausted
+        // soundness LP leaves the finite E[T^k] not established.
+        let timeout = Duration::from_secs(2);
+        let start = Instant::now();
+        let report = Analysis::benchmark(&cma_suite::synthetic::coupon_chain(5))
+            .timeout(timeout)
+            .run()
+            .expect("the main analysis fits the budget");
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < timeout + Duration::from_secs(1),
+            "the run took {elapsed:?} under a {timeout:?} budget"
+        );
+        assert!(!report.degradation.degraded());
+        assert_eq!(report.is_sound(), Some(false));
+        let soundness = report.soundness.expect("soundness was checked");
+        assert_eq!(soundness.termination_moment, None);
     }
 
     #[test]

@@ -115,7 +115,7 @@ pub struct LpStats {
     /// Total LP constraints generated.
     pub constraints: usize,
     /// Number of LP solves (one per solved group; the soundness phase adds
-    /// none — it extends the main group's session, see
+    /// none — it extends the main group's constraint store, see
     /// [`SoundnessReport::reused_constraint_store`]).
     pub solves: usize,
     /// Total simplex iterations across all group solves (the degeneracy
@@ -127,8 +127,7 @@ pub struct LpStats {
     pub presolve_rows: usize,
     /// Total LP columns removed by presolve (fixed or unreferenced).
     pub presolve_cols: usize,
-    /// Total product-form eta updates appended by the LU factorization
-    /// (0 under the dense inverse).
+    /// Total Forrest–Tomlin updates of the LU factorization.
     pub etas: usize,
     /// Total dual-simplex pivots spent on warm incremental-row re-solves.
     pub dual_pivots: usize,
@@ -205,10 +204,6 @@ pub struct AnalysisReport {
     pub mode: SolveMode,
     /// Name of the LP backend that solved the programs.
     pub backend: String,
-    /// Pricing rule the backend solved with (`dantzig`, `devex`, `partial`).
-    pub pricing: String,
-    /// Basis factorization the backend solved with (`dense`, `lu`).
-    pub factor: String,
     /// Worker threads used for independent group solves (1 = sequential).
     pub parallelism: usize,
     /// Base polynomial degree the successful instantiation solved with
@@ -291,8 +286,6 @@ impl AnalysisReport {
         };
         push_field(&mut out, "mode", &json::string(mode));
         push_field(&mut out, "backend", &json::string(&self.backend));
-        push_field(&mut out, "pricing", &json::string(&self.pricing));
-        push_field(&mut out, "factor", &json::string(&self.factor));
         push_field(&mut out, "parallelism", &self.parallelism.to_string());
         push_field(&mut out, "poly_degree", &self.poly_degree.to_string());
         push_field(&mut out, "poly_retries", &self.poly_retries.to_string());
@@ -365,7 +358,7 @@ impl AnalysisReport {
                     .collect::<Vec<_>>()
                     .join(",");
                 format!(
-                    "{{\"bounded_updates\":{},\"violations\":[{violations}],\"termination_moment\":{},\"is_sound\":{},\"reused_constraint_store\":{},\"extension_variables\":{},\"extension_constraints\":{},\"extension_dual_pivots\":{},\"shared_templates\":{},\"shared_template_columns\":{}}}",
+                    "{{\"bounded_updates\":{},\"violations\":[{violations}],\"termination_moment\":{},\"is_sound\":{},\"reused_constraint_store\":{},\"extension_variables\":{},\"extension_constraints\":{},\"extension_dual_pivots\":{},\"shared_templates\":{}}}",
                     s.bounded_updates,
                     s.termination_moment
                         .map(|k| k.to_string())
@@ -376,7 +369,6 @@ impl AnalysisReport {
                     s.extension_constraints,
                     s.extension_dual_pivots,
                     s.shared_templates,
-                    s.shared_template_columns,
                 )
             }
             None => "null".to_string(),
@@ -539,8 +531,8 @@ impl fmt::Display for AnalysisReport {
         };
         write!(
             f,
-            "analysis: degree {} · {mode} mode · backend {} · {} pricing · {} factorization",
-            self.degree, self.backend, self.pricing, self.factor
+            "analysis: degree {} · {mode} mode · backend {}",
+            self.degree, self.backend
         )?;
         if self.parallelism > 1 {
             write!(f, " · {} threads", self.parallelism)?;
@@ -645,22 +637,11 @@ impl fmt::Display for AnalysisReport {
                 writeln!(f, "  unbounded update: {v}")?;
             }
             if s.reused_constraint_store && s.extension_constraints > 0 {
-                write!(
+                writeln!(
                     f,
-                    "  (side conditions layered onto the main LP session: +{} rows, +{} vars",
+                    "  (side conditions derived into the main constraint store: +{} rows, +{} vars)",
                     s.extension_constraints, s.extension_variables
                 )?;
-                if s.extension_dual_pivots > 0 {
-                    write!(f, ", {} dual pivots", s.extension_dual_pivots)?;
-                }
-                if s.shared_templates {
-                    write!(
-                        f,
-                        ", {} template columns shared with the main derivation",
-                        s.shared_template_columns
-                    )?;
-                }
-                writeln!(f, ")")?;
             }
         }
 
