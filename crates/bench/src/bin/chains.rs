@@ -4,8 +4,8 @@
 //! `synthetic` module) at growing chain lengths, once per solve mode, and
 //! writes the measurements as a JSON array — the `BENCH_chains.json`
 //! artifact the CI `bench-smoke` job uploads to track the perf trajectory.
-//! Rows carry the solver's iteration count, so degeneracy regressions show
-//! up as iteration blow-up at fixed problem size.
+//! Rows carry every solver counter, under the report's names, so degeneracy
+//! regressions show up as iteration blow-up at fixed problem size.
 //!
 //! ```text
 //! cargo run -p cma-bench --release --bin chains -- \
@@ -26,7 +26,7 @@
 
 use std::io::Write as _;
 
-use central_moment_analysis::{json, Analysis, SolveMode};
+use central_moment_analysis::{json, Analysis, SolveMode, SolveStats};
 use cma_suite::{synthetic, Benchmark};
 
 struct Row {
@@ -40,27 +40,8 @@ struct Row {
     lp_variables: usize,
     lp_constraints: usize,
     lp_solves: usize,
-    lp_iterations: usize,
-    lp_etas: usize,
-    lp_dual_pivots: usize,
-    /// Nonbasic bound flips (long-step dual ratio test / primal flips on
-    /// absorbed upper bounds).
-    lp_bound_flips: usize,
-    /// Forrest–Tomlin eta-file compactions performed by the LU updates.
-    lp_eta_compactions: usize,
-    /// Peak eta-file length between refactorizations.
-    lp_eta_len: usize,
-    /// Pivot-level time profile, in nanoseconds.
-    ftran_ns: u64,
-    btran_ns: u64,
-    pricing_ns: u64,
-    ratio_ns: u64,
-    /// Kernel-path counters: solves completing hyper-sparse, dense
-    /// fallbacks, and workspace reallocations after first sizing.
-    hyper_sparse_ftrans: u64,
-    hyper_sparse_btrans: u64,
-    dense_fallbacks: u64,
-    kernel_allocs: u64,
+    /// Solver counters, merged over every solve of the row.
+    stats: SolveStats,
     /// Template columns the escalation replayed from the derivation plan.
     plan_reused_columns: usize,
     /// Dual-simplex pivots the escalated warm re-solve spent.
@@ -101,20 +82,7 @@ fn measure(
         lp_variables: report.lp.variables,
         lp_constraints: report.lp.constraints,
         lp_solves: report.lp.solves,
-        lp_iterations: report.lp.iterations,
-        lp_etas: report.lp.etas,
-        lp_dual_pivots: report.lp.dual_pivots,
-        lp_bound_flips: report.lp.bound_flips,
-        lp_eta_compactions: report.lp.eta_compactions,
-        lp_eta_len: report.lp.eta_len,
-        ftran_ns: report.lp.ftran_ns,
-        btran_ns: report.lp.btran_ns,
-        pricing_ns: report.lp.pricing_ns,
-        ratio_ns: report.lp.ratio_ns,
-        hyper_sparse_ftrans: report.lp.hyper_sparse_ftrans,
-        hyper_sparse_btrans: report.lp.hyper_sparse_btrans,
-        dense_fallbacks: report.lp.dense_fallbacks,
-        kernel_allocs: report.lp.kernel_allocs,
+        stats: report.lp.totals,
         plan_reused_columns: escalation.map_or(0, |e| e.reused_columns),
         escalation_dual_pivots: escalation.map_or(0, |e| e.dual_pivots),
         mean_upper: report.mean().hi(),
@@ -175,20 +143,7 @@ fn measure_boxed(n: usize) -> Row {
         lp_variables: m,
         lp_constraints: lp.num_constraints(),
         lp_solves: solves,
-        lp_iterations: stats.iterations,
-        lp_etas: stats.etas,
-        lp_dual_pivots: stats.dual_pivots,
-        lp_bound_flips: stats.bound_flips,
-        lp_eta_compactions: stats.eta_compactions,
-        lp_eta_len: stats.eta_len,
-        ftran_ns: stats.ftran_ns,
-        btran_ns: stats.btran_ns,
-        pricing_ns: stats.pricing_ns,
-        ratio_ns: stats.ratio_ns,
-        hyper_sparse_ftrans: stats.hyper_sparse_ftrans,
-        hyper_sparse_btrans: stats.hyper_sparse_btrans,
-        dense_fallbacks: stats.dense_fallbacks,
-        kernel_allocs: stats.kernel_allocs,
+        stats,
         plan_reused_columns: 0,
         escalation_dual_pivots: 0,
         mean_upper: 0.0,
@@ -264,8 +219,8 @@ fn main() {
                                 row.lp_variables,
                                 row.lp_constraints,
                                 row.lp_solves,
-                                row.lp_iterations,
-                                row.lp_etas,
+                                row.stats.iterations,
+                                row.stats.etas,
                                 row.plan_reused_columns
                             );
                             rows.push(row);
@@ -281,11 +236,11 @@ fn main() {
         eprintln!(
             "boxed-lp/{n} warm: {:.1} ms ({} iters, {} dual pivots, {} bound flips, {} compactions, peak eta {})",
             row.analysis_ms,
-            row.lp_iterations,
-            row.lp_dual_pivots,
-            row.lp_bound_flips,
-            row.lp_eta_compactions,
-            row.lp_eta_len,
+            row.stats.iterations,
+            row.stats.dual_pivots,
+            row.stats.bound_flips,
+            row.stats.eta_compactions,
+            row.stats.eta_len,
         );
         rows.push(row);
     }
@@ -298,39 +253,31 @@ fn main() {
         (
             "rows",
             json::array(rows.iter().map(|r| {
-                json::object([
-                    ("family", json::string(r.family)),
-                    ("n", r.n.to_string()),
-                    ("mode", json::string(r.mode)),
-                    ("escalated", r.escalated.to_string()),
-                    (
-                        "analysis_ms",
-                        json::num((r.analysis_ms * 1e3).round() / 1e3),
-                    ),
-                    ("lp_variables", r.lp_variables.to_string()),
-                    ("lp_constraints", r.lp_constraints.to_string()),
-                    ("lp_solves", r.lp_solves.to_string()),
-                    ("lp_iterations", r.lp_iterations.to_string()),
-                    ("lp_etas", r.lp_etas.to_string()),
-                    ("lp_dual_pivots", r.lp_dual_pivots.to_string()),
-                    ("lp_bound_flips", r.lp_bound_flips.to_string()),
-                    ("lp_eta_compactions", r.lp_eta_compactions.to_string()),
-                    ("lp_eta_len", r.lp_eta_len.to_string()),
-                    ("ftran_ns", r.ftran_ns.to_string()),
-                    ("btran_ns", r.btran_ns.to_string()),
-                    ("pricing_ns", r.pricing_ns.to_string()),
-                    ("ratio_ns", r.ratio_ns.to_string()),
-                    ("hyper_sparse_ftrans", r.hyper_sparse_ftrans.to_string()),
-                    ("hyper_sparse_btrans", r.hyper_sparse_btrans.to_string()),
-                    ("dense_fallbacks", r.dense_fallbacks.to_string()),
-                    ("kernel_allocs", r.kernel_allocs.to_string()),
-                    ("plan_reused_columns", r.plan_reused_columns.to_string()),
-                    (
-                        "escalation_dual_pivots",
-                        r.escalation_dual_pivots.to_string(),
-                    ),
-                    ("mean_upper", json::num((r.mean_upper * 1e6).round() / 1e6)),
-                ])
+                json::object(
+                    [
+                        ("family", json::string(r.family)),
+                        ("n", r.n.to_string()),
+                        ("mode", json::string(r.mode)),
+                        ("escalated", r.escalated.to_string()),
+                        (
+                            "analysis_ms",
+                            json::num((r.analysis_ms * 1e3).round() / 1e3),
+                        ),
+                        ("lp_variables", r.lp_variables.to_string()),
+                        ("lp_constraints", r.lp_constraints.to_string()),
+                        ("lp_solves", r.lp_solves.to_string()),
+                    ]
+                    .into_iter()
+                    .chain(json::counters(&r.stats))
+                    .chain([
+                        ("plan_reused_columns", r.plan_reused_columns.to_string()),
+                        (
+                            "escalation_dual_pivots",
+                            r.escalation_dual_pivots.to_string(),
+                        ),
+                        ("mean_upper", json::num((r.mean_upper * 1e6).round() / 1e6)),
+                    ]),
+                )
             })),
         ),
     ]);

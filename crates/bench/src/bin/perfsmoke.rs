@@ -34,7 +34,7 @@ fn main() {
         .soundness(false)
         .run()
         .expect("n=8 walk-chain must analyze");
-    let lp = &report.lp;
+    let lp = &report.lp.totals;
     let profile = lp.ftran_ns + lp.btran_ns + lp.pricing_ns + lp.ratio_ns;
     assert!(profile > 0, "pivot-level profile is empty");
     let share = lp.btran_ns as f64 / profile as f64;

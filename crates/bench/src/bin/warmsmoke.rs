@@ -79,15 +79,15 @@ fn main() {
             .run()
             .expect("escalated walk-chain analyzable");
         assert!(
-            escalated.lp.iterations < cold.lp.iterations,
+            escalated.lp.totals.iterations < cold.lp.totals.iterations,
             "escalated walk-chain n={n} took {} iterations, cold took {}: \
              the warm dual repair regressed",
-            escalated.lp.iterations,
-            cold.lp.iterations
+            escalated.lp.totals.iterations,
+            cold.lp.totals.iterations
         );
         eprintln!(
             "warmsmoke: walk-chain n={n} escalation {} iterations vs cold {}",
-            escalated.lp.iterations, cold.lp.iterations
+            escalated.lp.totals.iterations, cold.lp.totals.iterations
         );
     }
 }

@@ -17,10 +17,37 @@
 //!
 //! [`AnalysisReport`]: central_moment_analysis::AnalysisReport
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use central_moment_analysis::suite::{self, Benchmark};
 use central_moment_analysis::{check, json, Analysis, CheckConfig, CmaError, SolveMode, Var};
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => { out!("\n") };
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
+/// Writes to stdout, where all of `cma`'s output goes.  A reader that
+/// stopped reading (`cma analyze … | head -1`) ends the process quietly
+/// with exit status 0: the output it wanted has been delivered.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    let written = {
+        let mut stdout = std::io::stdout().lock();
+        stdout.write_fmt(args).and_then(|()| stdout.flush())
+    };
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
 
 const USAGE: &str = "\
 cma — central moment analysis for cost accumulators in probabilistic programs
@@ -45,7 +72,6 @@ ANALYSIS OPTIONS:
     --escalate M         solve at degree M first, then escalate the live LP
                          session to --degree (warm dual re-solve, no re-derive)
     --mode MODE          global | compositional (default global)
-    --no-presolve        skip the LP presolve pass (row/column reductions)
     --threads N          solve independent compositional groups on N threads
     --timeout SECS       wall-clock budget for the whole analysis, soundness
                          checks included; when it runs out, the degradation
@@ -98,7 +124,7 @@ COMMON OPTIONS:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "-h" || args[0] == "--help" {
-        print!("{USAGE}");
+        out!("{USAGE}");
         return if args.is_empty() {
             ExitCode::from(2)
         } else {
@@ -157,7 +183,6 @@ struct AnalyzeOpts {
     max_poly_degree: Option<u32>,
     escalate: Option<usize>,
     mode: Option<SolveMode>,
-    no_presolve: bool,
     threads: Option<usize>,
     valuation: Option<Vec<(Var, f64)>>,
     tail: Option<Vec<f64>>,
@@ -255,7 +280,6 @@ fn parse_opts(args: &[String]) -> Result<AnalyzeOpts, CmaError> {
                     }
                 });
             }
-            "--no-presolve" => opts.no_presolve = true,
             "--threads" => {
                 let v = it.next().ok_or_else(|| missing("--threads"))?;
                 opts.threads = Some(parse_num(v, "--threads")?);
@@ -306,7 +330,7 @@ fn parse_opts(args: &[String]) -> Result<AnalyzeOpts, CmaError> {
                 opts.cma_binary = Some(v.clone());
             }
             "-h" | "--help" => {
-                print!("{USAGE}");
+                out!("{USAGE}");
                 std::process::exit(0);
             }
             flag if flag.starts_with("--") => {
@@ -398,9 +422,6 @@ fn apply_analysis_opts(mut analysis: Analysis, opts: &AnalyzeOpts) -> Analysis {
     if let Some(mode) = opts.mode {
         analysis = analysis.mode(mode);
     }
-    if opts.no_presolve {
-        analysis = analysis.presolve(false);
-    }
     if let Some(threads) = opts.threads {
         analysis = analysis.threads(threads);
     }
@@ -491,14 +512,14 @@ fn cmd_analyze(args: &[String], tail_only: bool) -> Result<(), CmaError> {
         }
     }
     if opts.json {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else if tail_only {
-        println!("tail bounds for {path} (degree {}):", report.degree);
+        outln!("tail bounds for {path} (degree {}):", report.degree);
         for t in &report.tail {
-            println!("  P[C >= {:.4}] <= {:.6}", t.threshold, t.probability);
+            outln!("  P[C >= {:.4}] <= {:.6}", t.threshold, t.probability);
         }
     } else {
-        print!("{report}");
+        out!("{report}");
     }
     Ok(())
 }
@@ -545,16 +566,16 @@ fn cmd_check(args: &[String]) -> Result<(), CmaError> {
             // One object per line (label spliced into the report object), so
             // multi-file runs stream as JSON lines.
             let body = report.to_json();
-            println!(
+            outln!(
                 "{{\"label\":{},{}",
                 json::string(path),
                 body.strip_prefix('{').unwrap_or(&body)
             );
         } else {
             if many {
-                println!("{path}:");
+                outln!("{path}:");
             }
-            println!("{report}");
+            outln!("{report}");
         }
         let denied = report.has_errors() || (opts.deny_warnings && report.warning_count() > 0);
         if denied && failed.is_none() {
@@ -624,7 +645,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), CmaError> {
         }
     })?;
     if opts.json {
-        println!(
+        outln!(
             "{}",
             json::object([
                 ("label", json::string(path)),
@@ -646,13 +667,13 @@ fn cmd_simulate(args: &[String]) -> Result<(), CmaError> {
             ])
         );
     } else {
-        println!(
+        outln!(
             "simulation of {path}: {} trials, seed {}",
             stats.len(),
             config.seed
         );
         if stats.timed_out() {
-            println!(
+            outln!(
                 "  warning: wall-clock budget ran out after {} of {} trials \
                  (statistics cover the completed prefix)",
                 stats.len(),
@@ -660,24 +681,24 @@ fn cmd_simulate(args: &[String]) -> Result<(), CmaError> {
             );
         }
         if stats.cutoff_trials() > 0 {
-            println!(
+            outln!(
                 "  warning: {} trials hit the step budget",
                 stats.cutoff_trials()
             );
         }
         if stats.uninit_reads() > 0 {
-            println!(
+            outln!(
                 "  warning: {} reads of uninitialized variables (evaluated as 0; \
                  rerun with --strict-init to make them fatal)",
                 stats.uninit_reads()
             );
         }
-        println!("  E[C]      = {:.6}", stats.mean());
-        println!("  E[C^2]    = {:.6}", stats.raw_moment(2));
-        println!("  V[C]      = {:.6}", stats.variance());
-        println!("  skewness  = {:.6}", stats.skewness());
-        println!("  kurtosis  = {:.6}", stats.kurtosis());
-        println!("  range     = [{:.4}, {:.4}]", stats.min(), stats.max());
+        outln!("  E[C]      = {:.6}", stats.mean());
+        outln!("  E[C^2]    = {:.6}", stats.raw_moment(2));
+        outln!("  V[C]      = {:.6}", stats.variance());
+        outln!("  skewness  = {:.6}", stats.skewness());
+        outln!("  kurtosis  = {:.6}", stats.kurtosis());
+        outln!("  range     = [{:.4}, {:.4}]", stats.min(), stats.max());
     }
     Ok(())
 }
@@ -726,11 +747,11 @@ fn cmd_suite(args: &[String]) -> Result<(), CmaError> {
                         ("description", json::string(&b.description)),
                     ])
                 });
-                println!("{}", json::array(rows));
+                outln!("{}", json::array(rows));
             } else {
-                println!("{} benchmarks:", benchmarks.len());
+                outln!("{} benchmarks:", benchmarks.len());
                 for b in &benchmarks {
-                    println!(
+                    outln!(
                         "  {:<26} (degree {})  {}",
                         b.qualified_name(),
                         b.degree,
@@ -762,8 +783,8 @@ fn cmd_suite(args: &[String]) -> Result<(), CmaError> {
                         if opts.json {
                             json_rows.push(report.to_json());
                         } else {
-                            print!("{report}");
-                            println!();
+                            out!("{report}");
+                            outln!();
                         }
                     }
                     Err(e) => {
@@ -774,16 +795,16 @@ fn cmd_suite(args: &[String]) -> Result<(), CmaError> {
                                 ("error", json::string(&e.to_string())),
                             ]));
                         } else {
-                            println!("{}: {e}", b.qualified_name());
-                            println!();
+                            outln!("{}: {e}", b.qualified_name());
+                            outln!();
                         }
                     }
                 }
             }
             if opts.json {
-                println!("{}", json::array(json_rows));
+                outln!("{}", json::array(json_rows));
             } else if failures > 0 {
-                println!("({failures} benchmark(s) not analyzable at the requested degree)");
+                outln!("({failures} benchmark(s) not analyzable at the requested degree)");
             }
             Ok(())
         }
@@ -866,7 +887,7 @@ fn cmd_corpus(args: &[String]) -> Result<(), CmaError> {
             let paths =
                 write_corpus(dir, seed, count, opts.hostile).map_err(|e| CmaError::io(out, e))?;
             if opts.json {
-                println!(
+                outln!(
                     "{}",
                     json::object([
                         ("dir", json::string(out)),
@@ -879,7 +900,7 @@ fn cmd_corpus(args: &[String]) -> Result<(), CmaError> {
                     ])
                 );
             } else {
-                println!(
+                outln!(
                     "wrote {} programs to {out} (seeds {seed}..{}{})",
                     paths.len(),
                     seed + count as u64,
@@ -915,9 +936,9 @@ fn cmd_corpus(args: &[String]) -> Result<(), CmaError> {
             let report = run_campaign(&config)
                 .map_err(|e| CmaError::io(config.journal.display().to_string(), e))?;
             if opts.json {
-                println!("{}", report.to_json());
+                outln!("{}", report.to_json());
             } else {
-                print!("{report}");
+                out!("{report}");
             }
             // Timeouts and rejected programs are expected in the wild;
             // crashes mean containment failed somewhere and must fail CI.

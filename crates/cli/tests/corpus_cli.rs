@@ -199,7 +199,6 @@ fn campaign_forwards_every_analysis_flag_to_the_child() {
         "1",
         "--mode",
         "compositional",
-        "--no-presolve",
         "--threads",
         "2",
         "--group-timeout",
@@ -212,6 +211,8 @@ fn campaign_forwards_every_analysis_flag_to_the_child() {
         "--no-check",
         "--no-check-pruning",
         "--nonneg-cost",
+        "--label",
+        "campaign",
     ];
     let journal = dir.join("journal.ndjson");
     let mut args = vec![

@@ -91,7 +91,14 @@ fn one_bad_program_cannot_take_the_campaign_down() {
     let log = dir.join("invocations.log");
     let cma = fake_cma(&dir, &log);
     let programs = programs(&dir, &["crashy", "sleepy", "degraded", "rejected", "plain"]);
-    let report = run_campaign(&config(&dir, cma, programs)).unwrap();
+    // The deadline also bounds the instant cases, whose `sh` start-up alone
+    // can take hundreds of milliseconds on a busy host; `sleepy` sleeps 30 s,
+    // so it still ends as a timeout.
+    let config = CampaignConfig {
+        timeout: Duration::from_secs(3),
+        ..config(&dir, cma, programs)
+    };
+    let report = run_campaign(&config).unwrap();
 
     // Every program got a verdict: the crash and the hang were contained.
     assert_eq!(report.total, 5);

@@ -4,10 +4,9 @@
 //! the objective that rewards tight bounds, and mild regularization bounds on
 //! template coefficients that keep the LP bounded.  Rows are emitted sparsely
 //! into a shared [`ConstraintStore`], which the engine either snapshots into
-//! one [`cma_lp::LpProblem`] per group (batch solving, and the soundness
-//! extension's own subsystem) or flushes incrementally into an open
-//! [`cma_lp::LpSession`] (degree escalation extends the live system this
-//! way instead of re-deriving it).
+//! one [`cma_lp::LpProblem`] per group (batch solving) or flushes
+//! incrementally into an open [`cma_lp::LpSession`] (degree escalation
+//! extends the live system this way instead of re-deriving it).
 
 use cma_lp::{Cmp, LpBackend, LpSolution, LpVarId, SimplexBackend};
 use cma_semiring::poly::{Monomial, Var};

@@ -52,8 +52,6 @@ pub struct AnalysisOptions {
     /// concurrently (1 = sequential; only [`SolveMode::Compositional`] has
     /// independent groups to parallelize).
     pub threads: usize,
-    /// Whether the LP presolve pass runs at session open (on by default).
-    pub presolve: bool,
     /// Upper limit for automatic base-polynomial-degree escalation: when the
     /// generated LP is *infeasible* at `poly_degree` (templates too weak to
     /// express a bound), the analysis retries `d → d+1` up to this limit,
@@ -74,7 +72,7 @@ pub struct AnalysisOptions {
     /// start.  Exhaustion surfaces as
     /// [`LpStatus::BudgetExhausted`] inside [`AnalysisError::LpFailed`],
     /// never as infeasibility, so it cannot trigger a poly-degree retry;
-    /// [`analyze_session_resilient`] instead trades precision for an answer.
+    /// [`analyze_resilient`] instead trades precision for an answer.
     /// `None` (the default) leaves solves unbudgeted.
     pub timeout: Option<Duration>,
     /// Wall-clock budget for **each LP group solve**, measured from the
@@ -95,7 +93,6 @@ impl AnalysisOptions {
             valuation: Vec::new(),
             template_vars: None,
             threads: 1,
-            presolve: true,
             max_poly_degree: None,
             range_facts: None,
             timeout: None,
@@ -133,12 +130,6 @@ impl AnalysisOptions {
         self
     }
 
-    /// Enables or disables the LP presolve pass.
-    pub fn with_presolve(mut self, presolve: bool) -> Self {
-        self.presolve = presolve;
-        self
-    }
-
     /// Enables automatic poly-degree escalation on infeasibility, retrying
     /// `d → d+1` up to `max` while reusing the recorded derivation plan.
     pub fn with_max_poly_degree(mut self, max: u32) -> Self {
@@ -168,21 +159,11 @@ impl AnalysisOptions {
         self
     }
 
-    /// The solver tuning these options imply (unbudgeted; the engine derives
-    /// deadline-carrying tunings from this plus the timeout options).
-    pub fn solver_tuning(&self) -> SolverTuning {
-        SolverTuning {
-            presolve: self.presolve,
-            ..SolverTuning::default()
-        }
-    }
-
-    /// [`solver_tuning`](Self::solver_tuning) carrying the budget of one
-    /// group solve: the earlier of the whole-analysis deadline (if any) and
-    /// a fresh per-group deadline from
-    /// [`group_timeout`](Self::group_timeout).
+    /// The solver tuning of one group solve: the default tuning under the
+    /// earlier of the whole-analysis deadline (if any) and a fresh per-group
+    /// deadline from [`group_timeout`](Self::group_timeout).
     pub(crate) fn group_tuning(&self, overall_deadline: Option<Instant>) -> SolverTuning {
-        let mut tuning = self.solver_tuning();
+        let mut tuning = SolverTuning::default();
         let group_deadline = self.group_timeout.map(|t| Instant::now() + t);
         tuning.budget.deadline = match (overall_deadline, group_deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -236,15 +217,9 @@ pub enum AnalysisError {
         /// The requested target degree.
         to: usize,
     },
-    /// [`AnalysisSession::escalate_degree`] called after an extension (the
-    /// soundness instrumentation) was already layered onto the session: the
-    /// extension's rows and objective terms would skew the escalated
-    /// optimum.  Escalate first, then extend.
-    EscalationAfterExtension,
-    /// A previous failed escalation or extension left rows without an
-    /// optimum in the live solver session (appended rows cannot be
-    /// retracted); no further in-session operation is possible — start a
-    /// fresh [`analyze_session`].
+    /// A previous failed escalation left rows without an optimum in the
+    /// live solver session (appended rows cannot be retracted); no further
+    /// escalation is possible — start a fresh [`analyze_session`].
     SessionPoisoned,
 }
 
@@ -267,7 +242,7 @@ impl AnalysisError {
     /// Whether the root cause is an exhausted
     /// [`SolveBudget`](cma_lp::SolveBudget) — a statement about resources,
     /// never about feasibility: retrying with more budget (or degrading via
-    /// [`analyze_session_resilient`]) may succeed, while escalating the poly
+    /// [`analyze_resilient`]) may succeed, while escalating the poly
     /// degree will not.
     pub fn budget_exhausted(&self) -> bool {
         matches!(
@@ -301,15 +276,10 @@ impl std::fmt::Display for AnalysisError {
                 "cannot escalate the session from degree {from} to {to} \
                  (the target must be strictly larger)"
             ),
-            AnalysisError::EscalationAfterExtension => write!(
-                f,
-                "cannot escalate a session that already carries an extension \
-                 (run escalate_degree before the soundness phase)"
-            ),
             AnalysisError::SessionPoisoned => write!(
                 f,
                 "the session's live LP was left without an optimum by a \
-                 failed escalation or extension; start a fresh analysis"
+                 failed escalation; start a fresh analysis"
             ),
         }
     }
@@ -349,10 +319,11 @@ impl MomentBound {
 
 /// Per-group size and solver-effort statistics of one solved linear program.
 ///
-/// Equality compares the solver *path* (sizes, pivot and eta counters), not
-/// the `*_ns` wall-clock timers — two runs over the same system are equal
-/// whenever they pivoted identically, however long the clock said it took.
-#[derive(Debug, Clone)]
+/// Equality compares the solver *path* (sizes and the path counters of
+/// [`SolveStats`]), not the volatile counters — two runs over the same
+/// system are equal whenever they pivoted identically, however long the
+/// clock said it took.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupLpStats {
     /// Display name of the group (`"global"`, `"main"`, or the functions of
     /// a compositional SCC joined with `+`).
@@ -364,63 +335,9 @@ pub struct GroupLpStats {
     pub variables: usize,
     /// LP constraint rows of the group's system.
     pub constraints: usize,
-    /// Simplex iterations of the group's solve (degeneracy shows up here).
-    pub iterations: usize,
-    /// Basis refactorizations of the group's solve.
-    pub refactorizations: usize,
-    /// Constraint rows removed by LP presolve before the solve.
-    pub presolve_rows: usize,
-    /// LP columns removed by presolve (fixed or unreferenced).
-    pub presolve_cols: usize,
-    /// Forrest–Tomlin updates of the LU factorization.
-    pub etas: usize,
-    /// Dual-simplex pivots spent on warm incremental-row re-solves.
-    pub dual_pivots: usize,
-    /// Nonbasic bound flips (long-step dual ratio test, upper-bounded
-    /// columns crossing to their opposite bound without a basis change).
-    pub bound_flips: usize,
-    /// Forrest–Tomlin eta-file compactions performed by the LU updates.
-    pub eta_compactions: usize,
-    /// Peak eta-file length between refactorizations.
-    pub eta_len: usize,
-    /// Nanoseconds spent in forward solves (`ftran`).
-    pub ftran_ns: u64,
-    /// Nanoseconds spent in backward solves (`btran`).
-    pub btran_ns: u64,
-    /// Nanoseconds spent pricing entering columns / leaving rows.
-    pub pricing_ns: u64,
-    /// Nanoseconds spent in primal/dual ratio tests.
-    pub ratio_ns: u64,
-    /// Forward solves completed on the hyper-sparse kernel path.
-    pub hyper_sparse_ftrans: u64,
-    /// Backward solves completed on the hyper-sparse kernel path.
-    pub hyper_sparse_btrans: u64,
-    /// LU kernel solves that ran (or fell back to) the dense scan.
-    pub dense_fallbacks: u64,
-    /// Kernel workspace growth events after first sizing (0 in steady
-    /// state — the hot loop allocates nothing).
-    pub kernel_allocs: u64,
+    /// Solver counters of the group's solve.
+    pub stats: SolveStats,
 }
-
-impl PartialEq for GroupLpStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.functions == other.functions
-            && self.variables == other.variables
-            && self.constraints == other.constraints
-            && self.iterations == other.iterations
-            && self.refactorizations == other.refactorizations
-            && self.presolve_rows == other.presolve_rows
-            && self.presolve_cols == other.presolve_cols
-            && self.etas == other.etas
-            && self.dual_pivots == other.dual_pivots
-            && self.bound_flips == other.bound_flips
-            && self.eta_compactions == other.eta_compactions
-            && self.eta_len == other.eta_len
-    }
-}
-
-impl Eq for GroupLpStats {}
 
 /// The outcome of a successful analysis.
 #[derive(Debug, Clone)]
@@ -455,7 +372,7 @@ pub struct AnalysisResult {
     /// (all-zero when [`AnalysisOptions::range_facts`] is unset).
     pub pruning: PruningStats,
     /// Degradation-ladder rungs descended to produce this result (empty for
-    /// a full-precision run; only [`analyze_session_resilient`] ever records
+    /// a full-precision run; only [`analyze_resilient`] ever records
     /// any).
     pub degradation: DegradationStats,
     /// Wall-clock time spent in the analysis.
@@ -491,7 +408,7 @@ impl PruningStats {
 }
 
 /// One precision-for-progress rung of the graceful-degradation ladder,
-/// taken by [`analyze_session_resilient`] after an attempt exhausted its
+/// taken by [`analyze_resilient`] after an attempt exhausted its
 /// [`SolveBudget`](cma_lp::SolveBudget).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradationStep {
@@ -506,8 +423,6 @@ pub enum DegradationStep {
         /// Moment degree after the reduction.
         to: usize,
     },
-    /// LP presolve was switched on for the retry (smaller systems).
-    EnablePresolve,
 }
 
 impl std::fmt::Display for DegradationStep {
@@ -515,7 +430,6 @@ impl std::fmt::Display for DegradationStep {
         match self {
             DegradationStep::CompositionalMode => write!(f, "global->compositional"),
             DegradationStep::ReduceDegree { from, to } => write!(f, "degree:{from}->{to}"),
-            DegradationStep::EnablePresolve => write!(f, "presolve:on"),
         }
     }
 }
@@ -641,36 +555,26 @@ pub fn analyze_with(
 
 /// The engine state kept alive after [`analyze_session`]: the main group's
 /// [`ConstraintStore`](crate::store::ConstraintStore) (inside its builder)
-/// and the open solver session over it.
-///
-/// The soundness phase extends this state — deriving the step-counting
-/// side-condition system into the same store — instead of re-deriving the
-/// main system from scratch (see
-/// [`soundness_report_in_session`](crate::soundness::soundness_report_in_session)).
+/// and the open solver session over it, which
+/// [`escalate_degree`](Self::escalate_degree) extends in place instead of
+/// re-deriving the main system from scratch.
 pub struct AnalysisSession<'a> {
     builder: ConstraintBuilder,
     session: Box<dyn LpSession + 'a>,
     backend: &'a dyn LpBackend,
     options: AnalysisOptions,
     program: &'a Program,
-    /// The whole-analysis deadline ([`AnalysisOptions::timeout`] from the
-    /// start of the analysis), which every later solve of the session —
-    /// escalations and extensions — also runs under.
-    deadline: Option<Instant>,
     groups: Vec<GroupLpStats>,
     lp_solves: usize,
     poly_retries: usize,
     pruning: PruningStats,
     poisoned: bool,
     minimizes: usize,
-    extension_variables: usize,
-    extension_constraints: usize,
-    extension_stats: SolveStats,
 }
 
 impl<'a> AnalysisSession<'a> {
     /// Total `minimize` calls issued for the session so far (1 after the
-    /// main solve; +1 per soundness extension or degree escalation).
+    /// main solve; +1 per degree escalation).
     pub fn minimizes(&self) -> usize {
         self.minimizes
     }
@@ -684,106 +588,6 @@ impl<'a> AnalysisSession<'a> {
     /// The LP backend the session solves with.
     pub fn backend(&self) -> &'a dyn LpBackend {
         self.backend
-    }
-
-    /// LP variables appended by extensions (0 until an extension runs).
-    pub fn extension_variables(&self) -> usize {
-        self.extension_variables
-    }
-
-    /// LP constraint rows appended by extensions (0 until an extension runs).
-    pub fn extension_constraints(&self) -> usize {
-        self.extension_constraints
-    }
-
-    /// Solver-effort counters of the extension solves.
-    pub fn extension_stats(&self) -> SolveStats {
-        self.extension_stats
-    }
-
-    /// Derives `program` (globally, with all-fresh templates) *into* the
-    /// existing constraint store and minimizes the extension's own
-    /// objective, without re-deriving or re-solving the main system.
-    ///
-    /// The derivation runs detached from the plan, so every template column
-    /// is fresh and the extension shares no variable with the main system:
-    /// it is extracted as a standalone subsystem of the shared store
-    /// ([`crate::ConstraintStore::subproblem`]) and solved as its own LP,
-    /// under whatever remains of the whole-analysis deadline.  The live main
-    /// session is left untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError::LpFailed`] when the extension has no optimum (or its
-    /// solve ran out of budget), [`AnalysisError::Derivation`] when
-    /// constraint generation fails.
-    pub fn extend_and_minimize(
-        &mut self,
-        program: &Program,
-        degree: usize,
-    ) -> Result<(), AnalysisError> {
-        if self.poisoned {
-            return Err(AnalysisError::SessionPoisoned);
-        }
-        let mut options = self.options.clone();
-        options.degree = degree;
-        // Extensions always derive globally: all fresh templates in one
-        // block, no compositional export constraints.
-        options.mode = SolveMode::Global;
-        // The facts were proved for the *analyzed* program; an extension is
-        // a different one (the instrumented rewrite carries dummy spans, so
-        // the facts could never fire there anyway).  Dropping them keeps
-        // extension walks manifestly unpruned.
-        options.range_facts = None;
-        if options.template_vars.is_none() {
-            // Pin the template variables to the extension's own program.
-            options.template_vars = Some(program.vars());
-        }
-        let vars_before = self.builder.num_vars();
-        let rows_before = self.builder.num_constraints();
-        let objective_mark = self.builder.store().objective_len();
-
-        self.builder.plan_mut().set_mode(PlanMode::Detached);
-        let group: Vec<String> = program.functions().map(|f| f.name().to_string()).collect();
-        let built = build_group(
-            &mut self.builder,
-            program,
-            &options,
-            &group,
-            true,
-            &BTreeMap::new(),
-        );
-        self.builder.plan_mut().set_mode(PlanMode::Record);
-        if let Err(e) = built {
-            // Part of the extension already sits in the store; a later
-            // escalation would flush the half-derived rows into the live
-            // session.
-            self.poisoned = true;
-            return Err(e);
-        }
-        let sub = self
-            .builder
-            .store()
-            .subproblem(vars_before, rows_before, objective_mark)
-            .expect("a detached derivation mints every column it references");
-        let solution = self
-            .backend
-            .open_with(&sub, &options.group_tuning(self.deadline))
-            .minimize(sub.objective());
-        self.minimizes += 1;
-        self.extension_stats = self.extension_stats.merge(&solution.stats);
-        self.extension_variables += self.builder.num_vars() - vars_before;
-        self.extension_constraints += self.builder.num_constraints() - rows_before;
-        if solution.is_optimal() {
-            Ok(())
-        } else {
-            Err(AnalysisError::LpFailed {
-                status: solution.status,
-                group: vec!["<extension>".to_string()],
-                degree: options.degree,
-                poly_degree: options.poly_degree,
-            })
-        }
     }
 
     /// Escalates the session to moment degree `target` **in place**: the
@@ -824,12 +628,6 @@ impl<'a> AnalysisSession<'a> {
         if self.poisoned {
             return Err(AnalysisError::SessionPoisoned);
         }
-        // An already-layered extension (soundness rows + objective terms)
-        // would be folded into the escalated optimum; the documented order —
-        // escalate first, then extend — is enforced, not just advised.
-        if self.extension_constraints > 0 || self.extension_variables > 0 {
-            return Err(AnalysisError::EscalationAfterExtension);
-        }
         let mut options = self.options.clone();
         options.degree = target;
 
@@ -869,7 +667,7 @@ impl<'a> AnalysisSession<'a> {
         };
 
         self.builder.store_mut().flush(self.session.as_mut());
-        let objective = self.builder.store().aggregated_objective(0);
+        let objective = self.builder.store().aggregated_objective();
         let solution = self.session.minimize(&objective);
         self.minimizes += 1;
 
@@ -913,23 +711,7 @@ impl<'a> AnalysisSession<'a> {
             functions: final_group.clone(),
             variables: appended_variables,
             constraints: appended_constraints,
-            iterations: solution.stats.iterations,
-            refactorizations: solution.stats.refactorizations,
-            presolve_rows: solution.stats.presolve_rows,
-            presolve_cols: solution.stats.presolve_cols,
-            etas: solution.stats.etas,
-            dual_pivots: solution.stats.dual_pivots,
-            bound_flips: solution.stats.bound_flips,
-            eta_compactions: solution.stats.eta_compactions,
-            eta_len: solution.stats.eta_len,
-            ftran_ns: solution.stats.ftran_ns,
-            btran_ns: solution.stats.btran_ns,
-            pricing_ns: solution.stats.pricing_ns,
-            ratio_ns: solution.stats.ratio_ns,
-            hyper_sparse_ftrans: solution.stats.hyper_sparse_ftrans,
-            hyper_sparse_btrans: solution.stats.hyper_sparse_btrans,
-            dense_fallbacks: solution.stats.dense_fallbacks,
-            kernel_allocs: solution.stats.kernel_allocs,
+            stats: solution.stats,
         });
 
         let outcome = extract_outcome(build, &solution, &final_group, true, &options)?;
@@ -1021,7 +803,7 @@ pub fn analyze_session<'a>(
     analyze_session_seeded(program, options, backend, BTreeMap::new())
 }
 
-/// [`analyze_session`] with a **graceful-degradation ladder**: when an
+/// [`analyze_with`] with a **graceful-degradation ladder**: when an
 /// attempt fails because its [`SolveBudget`](cma_lp::SolveBudget) ran out —
 /// never on infeasibility or any other verdict — the analysis retries under
 /// progressively cheaper options, each retry under whatever remains of the
@@ -1029,8 +811,7 @@ pub fn analyze_session<'a>(
 ///
 /// 1. global → compositional mode (one small LP per SCC instead of one
 ///    monolithic system);
-/// 2. moment degree `m → m−1`, repeated down to degree 1;
-/// 3. LP presolve on (when it was off).
+/// 2. moment degree `m → m−1`, repeated down to degree 1.
 ///
 /// Every rung taken is recorded in [`AnalysisResult::degradation`], so a
 /// degraded bound is always labeled, never silent.  Compositional mode is
@@ -1043,20 +824,20 @@ pub fn analyze_session<'a>(
 /// Returns [`AnalysisError`] when constraint generation fails or the LP has
 /// no solution, and the original budget-exhaustion error when the ladder
 /// runs out of rungs (or of wall clock) without landing an answer.
-pub fn analyze_session_resilient<'a>(
-    program: &'a Program,
+pub fn analyze_resilient(
+    program: &Program,
     options: &AnalysisOptions,
-    backend: &'a dyn LpBackend,
-) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
+    backend: &dyn LpBackend,
+) -> Result<AnalysisResult, AnalysisError> {
     let deadline = options.timeout.map(|t| Instant::now() + t);
     let mut attempt = options.clone();
     let mut steps: Vec<DegradationStep> = Vec::new();
     let mut mode_rung_tried = attempt.mode != SolveMode::Global;
     loop {
-        match analyze_session(program, &attempt, backend) {
-            Ok((mut result, session)) => {
+        match analyze_with(program, &attempt, backend) {
+            Ok(mut result) => {
                 result.degradation = DegradationStats { steps };
-                return Ok((result, session));
+                return Ok(result);
             }
             Err(e) => {
                 if !e.budget_exhausted() {
@@ -1082,9 +863,6 @@ pub fn analyze_session_resilient<'a>(
                         to: attempt.degree - 1,
                     });
                     attempt.degree -= 1;
-                } else if !attempt.presolve {
-                    attempt.presolve = true;
-                    steps.push(DegradationStep::EnablePresolve);
                 } else {
                     return Err(e);
                 }
@@ -1228,7 +1006,7 @@ fn analyze_attempt<'a>(
 
     // The final group — everything (global mode) or just `main` over the
     // frozen specifications (compositional mode) — is solved through an open
-    // session that stays alive for the soundness extension.
+    // session that stays alive for degree escalation.
     let (final_group, name): (Vec<String>, &str) = match options.mode {
         SolveMode::Global => (
             program.functions().map(|f| f.name().to_string()).collect(),
@@ -1251,7 +1029,7 @@ fn analyze_attempt<'a>(
     lp_variables += builder.num_vars();
     lp_constraints += builder.num_constraints();
     lp_solves += 1;
-    let objective = builder.store().aggregated_objective(0);
+    let objective = builder.store().aggregated_objective();
     let mut session = builder
         .store_mut()
         .open_session_with(backend, &options.group_tuning(deadline));
@@ -1298,16 +1076,12 @@ fn analyze_attempt<'a>(
             backend,
             options: options.clone(),
             program,
-            deadline,
             groups: group_stats,
             lp_solves,
             poly_retries: 0,
             pruning,
             poisoned: false,
             minimizes: 1,
-            extension_variables: 0,
-            extension_constraints: 0,
-            extension_stats: SolveStats::default(),
         },
     ))
 }
@@ -1325,23 +1099,7 @@ fn group_lp_stats(
         functions,
         variables: builder.num_vars(),
         constraints: builder.num_constraints(),
-        iterations: stats.iterations,
-        refactorizations: stats.refactorizations,
-        presolve_rows: stats.presolve_rows,
-        presolve_cols: stats.presolve_cols,
-        etas: stats.etas,
-        dual_pivots: stats.dual_pivots,
-        bound_flips: stats.bound_flips,
-        eta_compactions: stats.eta_compactions,
-        eta_len: stats.eta_len,
-        ftran_ns: stats.ftran_ns,
-        btran_ns: stats.btran_ns,
-        pricing_ns: stats.pricing_ns,
-        ratio_ns: stats.ratio_ns,
-        hyper_sparse_ftrans: stats.hyper_sparse_ftrans,
-        hyper_sparse_btrans: stats.hyper_sparse_btrans,
-        dense_fallbacks: stats.dense_fallbacks,
-        kernel_allocs: stats.kernel_allocs,
+        stats,
     }
 }
 
@@ -1761,10 +1519,12 @@ mod tests {
             );
         }
 
-        // The extension walks the *unpruned* program into the pruned
-        // session's store and still finds its own optimum.
-        session.extend_and_minimize(&program, 2).unwrap();
-        assert!(session.extension_constraints() > 0);
+        // The soundness re-analysis drops the facts (they were proved for
+        // the analyzed program, not for its step-counting instrumentation)
+        // and still finds its own optimum.
+        let soundness = crate::soundness::soundness_report(&program, 2, &options, &backend);
+        assert_eq!(soundness.termination_moment, Some(2));
+        assert!(soundness.extension_constraints > 0);
     }
 
     #[test]
@@ -1856,32 +1616,6 @@ mod tests {
         assert_eq!(compositional.groups.last().unwrap().name, "main");
         let total: usize = compositional.groups.iter().map(|g| g.constraints).sum();
         assert_eq!(total, compositional.lp_constraints);
-    }
-
-    #[test]
-    fn session_extension_layers_onto_the_main_system() {
-        let program = ProgramBuilder::new()
-            .function(
-                "geo",
-                if_prob(0.5, seq([tick(1.0), call("geo")]), tick(1.0)),
-            )
-            .main(call("geo"))
-            .build()
-            .unwrap();
-        let options = AnalysisOptions::degree(2);
-        let backend = SimplexBackend;
-        let (result, mut session) = analyze_session(&program, &options, &backend).unwrap();
-        assert_eq!(session.minimizes(), 1);
-        assert_eq!(session.extension_constraints(), 0);
-        // Extend with the program itself (a stand-in for the instrumented
-        // program): one more minimize, fresh rows, no new solve-from-scratch.
-        session.extend_and_minimize(&program, 2).unwrap();
-        assert_eq!(session.minimizes(), 2);
-        assert!(session.extension_constraints() > 0);
-        assert!(session.extension_variables() > 0);
-        // The main result is untouched by the extension.
-        let e1 = result.raw_moment_at(1, &[]);
-        assert!(e1.lo() <= 2.0 + 1e-6 && e1.hi() >= 2.0 - 1e-6);
     }
 
     #[test]
@@ -2090,8 +1824,7 @@ mod tests {
         // Two exhausted attempts: global fails, compositional fails, the
         // degree-reduced retry lands.
         let backend = FlakyBudget::failing(2);
-        let (result, _session) =
-            analyze_session_resilient(&program, &AnalysisOptions::degree(2), &backend).unwrap();
+        let result = analyze_resilient(&program, &AnalysisOptions::degree(2), &backend).unwrap();
         assert_eq!(
             result.degradation.steps,
             vec![
@@ -2110,8 +1843,8 @@ mod tests {
     fn resilient_ladder_out_of_rungs_returns_the_exhaustion() {
         let program = coin_program();
         let backend = FlakyBudget::failing(usize::MAX);
-        // Presolve is on by default, so the ladder is mode + one degree drop.
-        match analyze_session_resilient(&program, &AnalysisOptions::degree(2), &backend) {
+        // The ladder is mode + one degree drop.
+        match analyze_resilient(&program, &AnalysisOptions::degree(2), &backend) {
             Err(err) => assert!(err.budget_exhausted(), "{err:?}"),
             Ok(_) => panic!("an always-exhausted backend cannot produce a result"),
         };
@@ -2120,9 +1853,8 @@ mod tests {
     #[test]
     fn resilient_without_exhaustion_records_no_degradation() {
         let program = coin_program();
-        let (result, _session) =
-            analyze_session_resilient(&program, &AnalysisOptions::degree(2), &SimplexBackend)
-                .unwrap();
+        let result =
+            analyze_resilient(&program, &AnalysisOptions::degree(2), &SimplexBackend).unwrap();
         assert!(!result.degradation.degraded());
         assert_eq!(result.degradation.to_string(), "");
         assert_eq!(result.degree(), 2);
@@ -2134,12 +1866,8 @@ mod tests {
             steps: vec![
                 DegradationStep::CompositionalMode,
                 DegradationStep::ReduceDegree { from: 3, to: 2 },
-                DegradationStep::EnablePresolve,
             ],
         };
-        assert_eq!(
-            stats.to_string(),
-            "global->compositional, degree:3->2, presolve:on"
-        );
+        assert_eq!(stats.to_string(), "global->compositional, degree:3->2");
     }
 }

@@ -66,16 +66,12 @@ pub mod weaken;
 
 pub use central::CentralMoments;
 pub use engine::{
-    analyze_session, analyze_session_resilient, analyze_with, AnalysisError, AnalysisOptions,
+    analyze_resilient, analyze_session, analyze_with, AnalysisError, AnalysisOptions,
     AnalysisResult, AnalysisSession, DegradationStats, DegradationStep, EscalationStats,
     GroupLpStats, MomentBound, PruningStats, SolveMode,
 };
 pub use plan::{DerivationPlan, PlanMode, PlanStats};
-pub use soundness::{
-    check_bounded_update, check_termination_moment, check_termination_moment_in_session,
-    check_termination_moment_with, soundness_report, soundness_report_in_session,
-    soundness_report_with, SoundnessReport,
-};
+pub use soundness::{check_bounded_update, soundness_report, SoundnessReport};
 pub use store::ConstraintStore;
 pub use tail::{
     best_tail_bound, cantelli_upper_tail, chebyshev_tail, markov_tail, tail_curve, TailBound,

@@ -38,9 +38,6 @@
 //!   degree `d`: template supports change, so every column is minted fresh
 //!   and every row emitted into a fresh store, but the skeleton (slot keys,
 //!   loop-head contexts) is reused.
-//! * [`PlanMode::Detached`] — a derivation that shares the builder but must
-//!   not touch the plan at all (the disjoint-by-construction Thm 4.4
-//!   soundness extension).
 //!
 //! The plan lives inside the
 //! [`ConstraintBuilder`](crate::builder::ConstraintBuilder); the engine
@@ -67,9 +64,6 @@ pub enum PlanMode {
     /// Poly-degree re-instantiation: reuse the skeleton (keys, loop-head
     /// contexts) but mint all columns fresh and emit all rows.
     Refresh,
-    /// Plan-oblivious derivation: mint and emit everything, record nothing
-    /// (loop-head contexts may still be read).
-    Detached,
 }
 
 /// One recorded template allocation point: the interval templates minted per
@@ -196,8 +190,8 @@ impl DerivationPlan {
     /// `None`.  `record` says whether the caller should report the minted
     /// components back via [`record_component`](Self::record_component).
     ///
-    /// The exact split depends on the [mode](Self::mode): `Record`/`Detached`
-    /// mint everything, `Extend` serves every recorded component, `Refresh`
+    /// The exact split depends on the [mode](Self::mode): `Record` mints
+    /// everything, `Extend` serves every recorded component, `Refresh`
     /// re-mints everything (dropping the recorded columns).
     pub fn slot_components(
         &mut self,
@@ -218,7 +212,6 @@ impl DerivationPlan {
                 );
                 (vec![None; m + 1], true)
             }
-            PlanMode::Detached => (vec![None; m + 1], false),
             PlanMode::Refresh => {
                 let replaced = self.slots.remove(key).is_some();
                 if replaced {
@@ -294,7 +287,6 @@ impl DerivationPlan {
                 self.recipes.insert(key.to_string(), m + 1);
                 0
             }
-            PlanMode::Detached => 0,
             PlanMode::Refresh => {
                 if self.recipes.insert(key.to_string(), m + 1).is_some() {
                     self.stats.recipes_replayed += 1;
@@ -322,14 +314,8 @@ impl DerivationPlan {
     ///
     /// Loop-head invariants depend only on the program and the incoming
     /// context — both identical across re-instantiations of one plan — so
-    /// the fixpoint is computed once per loop, not once per `(m, d)`.  A
-    /// *detached* walk derives an arbitrary program whose sites merely
-    /// happen to share key shapes: it must never be served another
-    /// program's invariant, so it always computes (and records nothing).
+    /// the fixpoint is computed once per loop, not once per `(m, d)`.
     pub fn loop_head(&mut self, key: &str, compute: impl FnOnce() -> Context) -> Context {
-        if self.mode == PlanMode::Detached {
-            return compute();
-        }
         if let Some(ctx) = self.loop_heads.get(key) {
             self.stats.loop_heads_reused += 1;
             return ctx.clone();
@@ -416,22 +402,5 @@ mod tests {
         assert_eq!(again, Context::top());
         assert_eq!(computed, 1);
         assert_eq!(plan.stats().loop_heads_reused, 1);
-    }
-
-    #[test]
-    fn detached_walks_never_read_the_loop_head_cache() {
-        // A detached walk derives an *arbitrary* program whose site keys may
-        // collide with the recorded ones; serving it the analyzed program's
-        // invariant would emit constraints under a wrong logical context.
-        let mut plan = DerivationPlan::new();
-        plan.loop_head("w", Context::top);
-        plan.set_mode(PlanMode::Detached);
-        let mut computed = 0;
-        plan.loop_head("w", || {
-            computed += 1;
-            Context::top()
-        });
-        assert_eq!(computed, 1, "detached lookups must recompute");
-        assert_eq!(plan.stats().loop_heads_reused, 0);
     }
 }

@@ -11,10 +11,10 @@
 //!    `∥Y_n∥∞ ∈ O((n+1)^{m·d})` (Lemma F.3).
 
 use cma_appl::ast::{Expr, Function, Program, Stmt, StmtKind};
-use cma_lp::{LpBackend, SimplexBackend};
+use cma_lp::LpBackend;
 use cma_semiring::poly::Var;
 
-use crate::engine::{analyze_with, AnalysisError, AnalysisOptions, AnalysisSession};
+use crate::engine::{analyze_with, AnalysisOptions, SolveMode};
 
 /// The outcome of the combined soundness check.
 #[derive(Debug, Clone)]
@@ -25,22 +25,17 @@ pub struct SoundnessReport {
     pub violations: Vec<String>,
     /// Whether a finite bound on `E[T^k]` was derived (and for which `k`).
     pub termination_moment: Option<usize>,
-    /// Whether the termination check was derived into the main analysis's
-    /// constraint store (no re-derivation of the main system) instead of
-    /// running a standalone analysis.
-    pub reused_constraint_store: bool,
-    /// LP variables the in-session extension appended (0 for standalone runs).
+    /// LP variables of the step-counting re-analysis (0 when it failed).
     pub extension_variables: usize,
-    /// LP constraint rows the in-session extension appended (0 for
-    /// standalone runs).
+    /// LP constraint rows of the step-counting re-analysis (0 when it
+    /// failed).
     pub extension_constraints: usize,
-    /// Dual-simplex pivots the extension's solve took.  The extension is
-    /// solved cold as its own LP, so this is 0 unless a backend repairs it
-    /// warm.
+    /// Dual-simplex pivots the re-analysis's solve took.  It is solved cold
+    /// as its own LP, so this is 0 unless a backend repairs it warm.
     pub extension_dual_pivots: usize,
-    /// Whether the extension shared template columns with the main
-    /// derivation.  Always `false`: the extension derives with fresh
-    /// templates and solves as its own variable-disjoint LP.
+    /// Whether the re-analysis shared template columns with the main
+    /// derivation.  Always `false`: it derives with fresh templates into an
+    /// LP of its own.
     pub shared_templates: bool,
 }
 
@@ -144,113 +139,39 @@ fn assignment_is_bounded(x: &Var, e: &Expr, noise_vars: &[Var]) -> bool {
     delta.vars().iter().all(|v| noise_vars.contains(v))
 }
 
-/// Checks condition (i) of Theorem 4.4: derives an upper bound on `E[T^k]`
-/// for the *step-counting* instrumentation of the program (every statement is
-/// charged one unit of cost).  Returns `Ok(())` when a finite bound exists.
+/// Runs both side conditions of Theorem 4.4 at moment degree `degree` and
+/// assembles a report.
 ///
-/// # Errors
-///
-/// Propagates the underlying [`AnalysisError`] when no bound can be derived,
-/// which means the soundness of moment bounds of degree `k` is not
-/// established for this program.
-pub fn check_termination_moment(
-    program: &Program,
-    k: usize,
-    options: &AnalysisOptions,
-) -> Result<(), AnalysisError> {
-    check_termination_moment_with(program, k, options, &SimplexBackend)
-}
-
-/// [`check_termination_moment`] with an explicit [`LpBackend`].
-///
-/// # Errors
-///
-/// Propagates the underlying [`AnalysisError`] when no bound can be derived.
-pub fn check_termination_moment_with(
-    program: &Program,
-    k: usize,
-    options: &AnalysisOptions,
-    backend: &dyn LpBackend,
-) -> Result<(), AnalysisError> {
-    let instrumented = step_counting_instrumentation(program);
-    let mut opts = options.clone();
-    opts.degree = k;
-    analyze_with(&instrumented, &opts, backend).map(|_| ())
-}
-
-/// [`check_termination_moment`] performed *inside* an existing analysis
-/// session: the step-counting system is derived into the main pass's
-/// constraint store (fresh variables and rows) and solved as its own
-/// variable-disjoint LP, under whatever remains of the analysis deadline
-/// (see [`AnalysisSession::extend_and_minimize`]).
-///
-/// # Errors
-///
-/// Propagates the underlying [`AnalysisError`] when no bound can be derived.
-pub fn check_termination_moment_in_session(
-    session: &mut AnalysisSession<'_>,
-    program: &Program,
-    k: usize,
-) -> Result<(), AnalysisError> {
-    session.extend_and_minimize(&step_counting_instrumentation(program), k)
-}
-
-/// Runs both soundness checks and assembles a report.
+/// Condition (i) re-runs the bound inference ([`analyze_with`]) on the
+/// [step-counting instrumentation](step_counting_instrumentation) of the
+/// program: a finite bound on `E[T^degree]` establishes it.  The
+/// re-analysis takes `options` with three changes — global mode, no range
+/// facts (they were proved for the program, not for its instrumentation)
+/// and no poly-degree retry — so callers pass the poly degree the main
+/// analysis landed on and whatever remains of its deadline.  A re-analysis
+/// that finds no bound, or runs out of budget, leaves the finite
+/// `E[T^degree]` not established.
 pub fn soundness_report(
     program: &Program,
     degree: usize,
     options: &AnalysisOptions,
-) -> SoundnessReport {
-    soundness_report_with(program, degree, options, &SimplexBackend)
-}
-
-/// [`soundness_report`] with an explicit [`LpBackend`] (standalone: derives
-/// and solves the instrumented program from scratch).
-pub fn soundness_report_with(
-    program: &Program,
-    degree: usize,
-    options: &AnalysisOptions,
     backend: &dyn LpBackend,
 ) -> SoundnessReport {
     let violations = check_bounded_update(program);
-    let termination_moment = check_termination_moment_with(program, degree, options, backend)
-        .ok()
-        .map(|_| degree);
+    let mut opts = options.clone();
+    opts.degree = degree;
+    opts.mode = SolveMode::Global;
+    opts.range_facts = None;
+    opts.max_poly_degree = None;
+    let reanalysis = analyze_with(&step_counting_instrumentation(program), &opts, backend).ok();
     SoundnessReport {
         bounded_updates: violations.is_empty(),
         violations,
-        termination_moment,
-        reused_constraint_store: false,
-        extension_variables: 0,
-        extension_constraints: 0,
-        extension_dual_pivots: 0,
-        shared_templates: false,
-    }
-}
-
-/// [`soundness_report`] reusing the main analysis's session: the
-/// termination side condition extends the already-built constraint store
-/// (see [`check_termination_moment_in_session`]) rather than re-deriving
-/// it, so the report's LP statistics show no duplicated derivation solves.
-/// An extension that runs out of the analysis deadline reports the finite
-/// `E[T^k]` as not established.
-pub fn soundness_report_in_session(
-    session: &mut AnalysisSession<'_>,
-    program: &Program,
-    degree: usize,
-) -> SoundnessReport {
-    let violations = check_bounded_update(program);
-    let termination_moment = check_termination_moment_in_session(session, program, degree)
-        .ok()
-        .map(|_| degree);
-    SoundnessReport {
-        bounded_updates: violations.is_empty(),
-        violations,
-        termination_moment,
-        reused_constraint_store: true,
-        extension_variables: session.extension_variables(),
-        extension_constraints: session.extension_constraints(),
-        extension_dual_pivots: session.extension_stats().dual_pivots,
+        termination_moment: reanalysis.as_ref().map(|_| degree),
+        extension_variables: reanalysis.as_ref().map_or(0, |r| r.lp_variables),
+        extension_constraints: reanalysis.as_ref().map_or(0, |r| r.lp_constraints),
+        extension_dual_pivots: reanalysis
+            .map_or(0, |r| r.groups.iter().map(|g| g.stats.dual_pivots).sum()),
         shared_templates: false,
     }
 }
@@ -317,6 +238,7 @@ fn instrument(stmt: &Stmt) -> Stmt {
 mod tests {
     use super::*;
     use cma_appl::build::*;
+    use cma_lp::SimplexBackend;
 
     #[test]
     fn bounded_update_accepts_paper_style_programs() {
@@ -415,53 +337,50 @@ mod tests {
         assert!(stats.mean() < 15.0 + 8.0);
     }
 
-    #[test]
-    fn termination_moment_check_succeeds_for_geometric() {
-        let program = ProgramBuilder::new()
+    fn geometric() -> Program {
+        ProgramBuilder::new()
             .function(
                 "geo",
                 if_prob(0.5, seq([tick(1.0), call("geo")]), tick(1.0)),
             )
             .main(call("geo"))
             .build()
-            .unwrap();
-        let options = AnalysisOptions::degree(2);
-        assert!(check_termination_moment(&program, 2, &options).is_ok());
-        let report = soundness_report(&program, 2, &options);
+            .unwrap()
+    }
+
+    #[test]
+    fn termination_moment_check_succeeds_for_geometric() {
+        let report = soundness_report(
+            &geometric(),
+            2,
+            &AnalysisOptions::degree(1),
+            &SimplexBackend,
+        );
         assert!(report.is_sound());
         assert_eq!(report.termination_moment, Some(2));
     }
 
     #[test]
-    fn in_session_report_reuses_the_constraint_store() {
-        use crate::engine::analyze_session;
-
-        let program = ProgramBuilder::new()
-            .function(
-                "geo",
-                if_prob(0.5, seq([tick(1.0), call("geo")]), tick(1.0)),
-            )
-            .main(call("geo"))
-            .build()
-            .unwrap();
-        let options = AnalysisOptions::degree(2);
-        let (result, mut session) = analyze_session(&program, &options, &SimplexBackend).unwrap();
-        let report = soundness_report_in_session(&mut session, &program, 2);
-        assert!(report.is_sound(), "geo is sound");
+    fn report_counts_the_reanalysis_lp() {
+        let program = geometric();
+        // Compositional mode and a retry budget are the main analysis's
+        // business: the re-analysis runs global, without retries.
+        let options = AnalysisOptions::degree(2)
+            .with_mode(SolveMode::Compositional)
+            .with_max_poly_degree(3);
+        let report = soundness_report(&program, 2, &options, &SimplexBackend);
         assert_eq!(report.termination_moment, Some(2));
-        assert!(report.reused_constraint_store);
-        assert!(report.extension_constraints > 0);
-        assert!(report.extension_variables > 0);
         assert!(!report.shared_templates);
-        // One session, two minimizes — the extension did not re-solve the
-        // main pass from scratch.
-        assert_eq!(session.minimizes(), 2);
-        assert_eq!(result.lp_solves, 1);
-        // The standalone path reports the same verdict without reuse.
-        let standalone = soundness_report_with(&program, 2, &options, &SimplexBackend);
-        assert_eq!(standalone.termination_moment, Some(2));
-        assert!(!standalone.reused_constraint_store);
-        assert_eq!(standalone.extension_constraints, 0);
+        let reanalysis = analyze_with(
+            &step_counting_instrumentation(&program),
+            &AnalysisOptions::degree(2),
+            &SimplexBackend,
+        )
+        .unwrap();
+        assert_eq!(reanalysis.lp_solves, 1);
+        assert_eq!(report.extension_variables, reanalysis.lp_variables);
+        assert_eq!(report.extension_constraints, reanalysis.lp_constraints);
+        assert!(report.extension_constraints > 0);
     }
 
     #[test]
@@ -470,7 +389,7 @@ mod tests {
             .main(assign("x", mul(v("x"), v("x"))))
             .build()
             .unwrap();
-        let report = soundness_report(&program, 1, &AnalysisOptions::degree(1));
+        let report = soundness_report(&program, 1, &AnalysisOptions::degree(1), &SimplexBackend);
         assert!(!report.bounded_updates);
         assert!(!report.violations.is_empty());
     }

@@ -1,15 +1,12 @@
 //! The shared constraint store.
 //!
-//! One analysis run builds one constraint system per solved group, and later
-//! phases extend the main group's store instead of re-deriving it: degree
-//! escalation appends new moment components, and the soundness side
-//! condition of Theorem 4.4 derives its step-counting system alongside.  The
-//! [`ConstraintStore`] makes that sharing explicit: it owns the sparse
-//! [`LpProblem`] under construction plus the raw objective terms, tracks how
-//! much of it has already been handed to an open [`LpSession`], can flush
-//! just the increment (new variables, new rows) into that session, and can
-//! extract a variable-disjoint increment as a standalone problem
-//! ([`subproblem`](ConstraintStore::subproblem)).
+//! One analysis run builds one constraint system per solved group, and degree
+//! escalation extends the main group's store instead of re-deriving it: it
+//! appends the new moment components.  The [`ConstraintStore`] makes that
+//! sharing explicit: it owns the sparse [`LpProblem`] under construction
+//! plus the raw objective terms, tracks how much of it has already been
+//! handed to an open [`LpSession`], and can flush just the increment (new
+//! variables, new rows) into that session.
 //!
 //! The store relies on the session contract of `cma-lp`: a session shares
 //! the id space of the problem it was opened on, and ids created through
@@ -59,17 +56,11 @@ impl ConstraintStore {
         self.problem.num_constraints()
     }
 
-    /// Number of raw objective terms recorded so far (use as a mark to later
-    /// aggregate only an extension's objective).
-    pub fn objective_len(&self) -> usize {
-        self.objective.len()
-    }
-
-    /// The objective terms from `from` onward, aggregated by variable (the
-    /// form [`LpSession::minimize`] expects).
-    pub fn aggregated_objective(&self, from: usize) -> Vec<(LpVarId, f64)> {
+    /// The objective terms aggregated by variable (the form
+    /// [`LpSession::minimize`] expects).
+    pub fn aggregated_objective(&self) -> Vec<(LpVarId, f64)> {
         let mut aggregated: std::collections::BTreeMap<LpVarId, f64> = Default::default();
-        for &(v, c) in &self.objective[from..] {
+        for &(v, c) in &self.objective {
             *aggregated.entry(v).or_insert(0.0) += c;
         }
         aggregated.into_iter().collect()
@@ -85,7 +76,7 @@ impl ConstraintStore {
     /// aggregated objective set (what `solve_batch` consumes).
     pub fn to_problem(&self) -> LpProblem {
         let mut problem = self.problem.clone();
-        problem.set_objective(self.aggregated_objective(0));
+        problem.set_objective(self.aggregated_objective());
         problem
     }
 
@@ -96,7 +87,7 @@ impl ConstraintStore {
     }
 
     /// [`open_session`](Self::open_session) under explicit solver tuning
-    /// (presolve, budget).
+    /// (the session budget).
     pub fn open_session_with<'a>(
         &mut self,
         backend: &'a dyn LpBackend,
@@ -106,46 +97,6 @@ impl ConstraintStore {
         self.flushed_vars = self.problem.num_vars();
         self.flushed_rows = self.problem.num_constraints();
         session
-    }
-
-    /// Extracts everything added after the marks as a standalone problem:
-    /// variables `var_mark..` (ids shifted down by `var_mark`), rows
-    /// `row_mark..`, and the objective terms `objective_mark..`.
-    ///
-    /// Returns `None` when some extracted row or objective term references a
-    /// pre-mark variable — then the extension is *not* independent of the
-    /// base system and must be solved against it (via [`flush`](Self::flush)
-    /// into the open session) instead.
-    pub fn subproblem(
-        &self,
-        var_mark: usize,
-        row_mark: usize,
-        objective_mark: usize,
-    ) -> Option<LpProblem> {
-        let mut sub = LpProblem::new();
-        for index in var_mark..self.problem.num_vars() {
-            let var = LpVarId::from_index(index);
-            sub.add_var(self.problem.var_name(var), self.problem.is_free(var));
-        }
-        for row in row_mark..self.problem.num_constraints() {
-            let mut terms = Vec::new();
-            for (v, c) in self.problem.constraint_terms(row) {
-                if v.index() < var_mark {
-                    return None;
-                }
-                terms.push((LpVarId::from_index(v.index() - var_mark), c));
-            }
-            sub.add_constraint(terms, self.problem.cmp(row), self.problem.rhs(row));
-        }
-        let mut objective = Vec::new();
-        for (v, c) in self.aggregated_objective(objective_mark) {
-            if v.index() < var_mark {
-                return None;
-            }
-            objective.push((LpVarId::from_index(v.index() - var_mark), c));
-        }
-        sub.set_objective(objective);
-        Some(sub)
     }
 
     /// Replays everything added since the last open/flush — new variables
@@ -184,12 +135,11 @@ mod tests {
         store.add_objective_term(y, 0.0); // duplicate entries aggregate
 
         let mut session = store.open_session(backend);
-        let first = session.minimize(&store.aggregated_objective(0));
+        let first = session.minimize(&store.aggregated_objective());
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - (-8.0)).abs() < 1e-6); // y = 4
 
-        // Extend: a new variable, a cutting row, and an extension objective.
-        let obj_mark = store.objective_len();
+        // Extend: a new variable, a cutting row, and an objective term.
         let z = store.add_var("z", false);
         store.add_constraint(vec![(y, 1.0)], Cmp::Le, 1.0);
         store.add_constraint(vec![(z, 1.0), (x, 1.0)], Cmp::Ge, 2.0);
@@ -198,13 +148,13 @@ mod tests {
         assert_eq!(session.num_vars(), 3);
         assert_eq!(session.num_constraints(), 3);
 
-        let ext = session.minimize(&store.aggregated_objective(obj_mark));
+        let ext = session.minimize(&[(z, 1.0)]);
         assert_eq!(ext.status, LpStatus::Optimal);
         // minimize z s.t. x + z >= 2, x + y <= 4, y <= 1: z can reach 0.
         assert!(ext.objective.abs() < 1e-6);
 
         // The full objective still solves over the extended system.
-        let full = session.minimize(&store.aggregated_objective(0));
+        let full = session.minimize(&store.aggregated_objective());
         assert_eq!(full.status, LpStatus::Optimal);
         assert!((full.objective - (-5.0)).abs() < 1e-6); // x = 3, y = 1, z = 0
     }
@@ -213,37 +163,6 @@ mod tests {
     fn store_flush_roundtrips_through_both_backends() {
         backend_roundtrip(&SimplexBackend);
         backend_roundtrip(&SparseBackend);
-    }
-
-    #[test]
-    fn subproblem_extracts_a_disjoint_extension() {
-        let mut store = ConstraintStore::new();
-        let x = store.add_var("x", false);
-        store.add_constraint(vec![(x, 1.0)], Cmp::Le, 4.0);
-        store.add_objective_term(x, -1.0);
-        let (vmark, rmark, omark) = (
-            store.num_vars(),
-            store.num_constraints(),
-            store.objective_len(),
-        );
-
-        let y = store.add_var("y", true);
-        let z = store.add_var("z", false);
-        store.add_constraint(vec![(y, 1.0), (z, 1.0)], Cmp::Eq, 3.0);
-        store.add_constraint(vec![(y, 1.0)], Cmp::Ge, -1.0);
-        store.add_objective_term(y, 1.0);
-
-        let sub = store.subproblem(vmark, rmark, omark).expect("disjoint");
-        assert_eq!(sub.num_vars(), 2);
-        assert_eq!(sub.num_constraints(), 2);
-        let sol = sub.solve();
-        assert_eq!(sol.status, LpStatus::Optimal);
-        assert!((sol.objective - (-1.0)).abs() < 1e-6); // y = -1, z = 4
-
-        // A row referencing a pre-mark variable makes the extension
-        // dependent: no subproblem.
-        store.add_constraint(vec![(x, 1.0), (z, 1.0)], Cmp::Le, 10.0);
-        assert!(store.subproblem(vmark, rmark, omark).is_none());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * **degree escalation** — `escalate_degree(m')` from a degree-`m` session
 //!   replays the derivation plan, appends only the new moment components to
 //!   the live warm session, and must reproduce the from-scratch degree-`m'`
-//!   bounds while reporting nonzero template/column reuse.  Pinned with LP
-//!   presolve on and off, with a proptest sweeping fixtures, degree pairs,
-//!   and valuations.
+//!   bounds while reporting nonzero template/column reuse.  Pinned on three
+//!   fixtures, with a proptest sweeping fixtures, degree pairs, and
+//!   valuations.
 //! * **poly-degree retry** — an analysis that is infeasible at base degree
 //!   `d` and allowed to retry must land on the same bounds as a direct run
 //!   at the degree it settles on.
@@ -28,9 +28,6 @@ const TOL: f64 = 1e-4;
 
 /// A named fixture with the valuation its bounds are compared at.
 type Fixture = (&'static str, Program, Vec<(Var, f64)>);
-
-/// The solver matrix every pinning runs on: LP presolve on and off.
-const PRESOLVE: [bool; 2] = [true, false];
 
 fn geo() -> Program {
     ProgramBuilder::new()
@@ -116,35 +113,29 @@ fn escalation_matches_from_scratch_across_the_solver_matrix() {
         ("countdown", countdown(), vec![(Var::new("n"), 5.0)]),
     ];
     for (name, program, at) in &fixtures {
-        for presolve in PRESOLVE {
-            let context = format!("{name}/presolve={presolve}");
-            let options = AnalysisOptions::degree(2)
-                .with_presolve(presolve)
-                .with_valuation(at.clone());
-            let (_, mut session) = analyze_session(program, &options, &SimplexBackend).unwrap();
-            let escalated = session.escalate_degree(4).unwrap();
-            let scratch_options = AnalysisOptions::degree(4)
-                .with_presolve(presolve)
-                .with_valuation(at.clone());
-            let scratch = analyze_with(program, &scratch_options, &SimplexBackend).unwrap();
-            assert_bounds_match(&escalated, &scratch, at, &context);
+        let context = name.to_string();
+        let options = AnalysisOptions::degree(2).with_valuation(at.clone());
+        let (_, mut session) = analyze_session(program, &options, &SimplexBackend).unwrap();
+        let escalated = session.escalate_degree(4).unwrap();
+        let scratch_options = AnalysisOptions::degree(4).with_valuation(at.clone());
+        let scratch = analyze_with(program, &scratch_options, &SimplexBackend).unwrap();
+        assert_bounds_match(&escalated, &scratch, at, &context);
 
-            let stats = escalated.escalation.expect("escalation stats present");
-            assert_eq!(stats.from_degree, 2, "{context}");
-            assert_eq!(stats.to_degree, 4, "{context}");
-            assert_eq!(stats.cold_restarts, 0, "{context}: warm path");
-            assert!(stats.appended_constraints > 0, "{context}: new rows");
-            assert!(stats.appended_variables > 0, "{context}: new columns");
-            assert!(
-                stats.reused_columns > 0,
-                "{context}: escalation must reuse template columns"
-            );
-            assert!(stats.reused_slots > 0, "{context}: slots replayed");
-            // No new from-scratch LP solve: the escalation re-minimized the
-            // live session (one more minimize, same solve count).
-            assert_eq!(escalated.lp_solves, 1, "{context}");
-            assert_eq!(session.minimizes(), 2, "{context}");
-        }
+        let stats = escalated.escalation.expect("escalation stats present");
+        assert_eq!(stats.from_degree, 2, "{context}");
+        assert_eq!(stats.to_degree, 4, "{context}");
+        assert_eq!(stats.cold_restarts, 0, "{context}: warm path");
+        assert!(stats.appended_constraints > 0, "{context}: new rows");
+        assert!(stats.appended_variables > 0, "{context}: new columns");
+        assert!(
+            stats.reused_columns > 0,
+            "{context}: escalation must reuse template columns"
+        );
+        assert!(stats.reused_slots > 0, "{context}: slots replayed");
+        // No new from-scratch LP solve: the escalation re-minimized the
+        // live session (one more minimize, same solve count).
+        assert_eq!(escalated.lp_solves, 1, "{context}");
+        assert_eq!(session.minimizes(), 2, "{context}");
     }
 }
 
@@ -175,21 +166,6 @@ fn escalation_to_a_non_larger_degree_is_rejected() {
 }
 
 #[test]
-fn escalation_after_an_extension_is_rejected() {
-    // The documented order — escalate first, then extend — is enforced:
-    // an extension's rows and objective terms must not be folded into the
-    // escalated optimum.
-    let program = geo();
-    let (_, mut session) =
-        analyze_session(&program, &AnalysisOptions::degree(2), &SimplexBackend).unwrap();
-    session.extend_and_minimize(&program, 2).unwrap();
-    match session.escalate_degree(4) {
-        Err(AnalysisError::EscalationAfterExtension) => {}
-        other => panic!("expected EscalationAfterExtension, got {other:?}"),
-    }
-}
-
-#[test]
 fn compositional_escalation_falls_back_to_a_cold_rederive() {
     let program = geo();
     let options = AnalysisOptions::degree(2).with_mode(SolveMode::Compositional);
@@ -200,7 +176,7 @@ fn compositional_escalation_falls_back_to_a_cold_rederive() {
     let scratch_options = AnalysisOptions::degree(4).with_mode(SolveMode::Compositional);
     let scratch = analyze_with(&program, &scratch_options, &SimplexBackend).unwrap();
     assert_bounds_match(&escalated, &scratch, &[], "geo compositional");
-    // The swapped-in session keeps working (e.g. for a later extension).
+    // The swapped-in session keeps working (e.g. for a later escalation).
     assert!(session.escalate_degree(5).is_ok());
 }
 
@@ -208,27 +184,22 @@ fn compositional_escalation_falls_back_to_a_cold_rederive() {
 fn auto_poly_retry_matches_the_direct_higher_degree_run() {
     let program = triangle();
     let at = vec![(Var::new("n"), 4.0)];
-    for presolve in PRESOLVE {
-        let context = format!("triangle/presolve={presolve}");
-        let options = AnalysisOptions::degree(1)
-            .with_presolve(presolve)
-            .with_valuation(at.clone())
-            .with_max_poly_degree(2);
-        let retried = analyze_with(&program, &options, &SimplexBackend).unwrap();
-        assert_eq!(retried.poly_retries, 1, "{context}");
-        assert_eq!(retried.poly_degree, 2, "{context}");
-        assert!(
-            retried.plan.slots_reused > 0 && retried.plan.loop_heads_reused > 0,
-            "{context}: the retry must replay the recorded plan, got {:?}",
-            retried.plan
-        );
-        let direct_options = AnalysisOptions::degree(1)
-            .with_poly_degree(2)
-            .with_presolve(presolve)
-            .with_valuation(at.clone());
-        let direct = analyze_with(&program, &direct_options, &SimplexBackend).unwrap();
-        assert_bounds_match(&retried, &direct, &at, &context);
-    }
+    let options = AnalysisOptions::degree(1)
+        .with_valuation(at.clone())
+        .with_max_poly_degree(2);
+    let retried = analyze_with(&program, &options, &SimplexBackend).unwrap();
+    assert_eq!(retried.poly_retries, 1);
+    assert_eq!(retried.poly_degree, 2);
+    assert!(
+        retried.plan.slots_reused > 0 && retried.plan.loop_heads_reused > 0,
+        "the retry must replay the recorded plan, got {:?}",
+        retried.plan
+    );
+    let direct_options = AnalysisOptions::degree(1)
+        .with_poly_degree(2)
+        .with_valuation(at.clone());
+    let direct = analyze_with(&program, &direct_options, &SimplexBackend).unwrap();
+    assert_bounds_match(&retried, &direct, &at, "triangle");
 }
 
 #[test]
@@ -269,33 +240,27 @@ fn escalation_after_poly_retry_keeps_the_settled_poly_degree() {
 }
 
 proptest! {
-    /// Randomized sweep: fixture × escalation pair × valuation × solver
-    /// configuration; escalated bounds always match from-scratch.
+    /// Randomized sweep: fixture × escalation pair × valuation; escalated
+    /// bounds always match from-scratch.
     #[test]
     fn prop_escalated_bounds_match_scratch(
         fixture in 0usize..3,
         from in 1usize..3,
         extra in 1usize..3,
         val in 0.0f64..8.0,
-        presolve in 0usize..2,
     ) {
         let (program, at): (Program, Vec<(Var, f64)>) = match fixture {
             0 => (geo(), vec![]),
             1 => (coin_pair(), vec![(Var::new("x"), val)]),
             _ => (countdown(), vec![(Var::new("n"), val.floor())]),
         };
-        let presolve = presolve == 0;
         let to = from + extra;
-        let options = AnalysisOptions::degree(from)
-            .with_presolve(presolve)
-            .with_valuation(at.clone());
+        let options = AnalysisOptions::degree(from).with_valuation(at.clone());
         let (_, mut session) = analyze_session(&program, &options, &SimplexBackend).unwrap();
         let escalated = session.escalate_degree(to).unwrap();
-        let scratch_options = AnalysisOptions::degree(to)
-            .with_presolve(presolve)
-            .with_valuation(at.clone());
+        let scratch_options = AnalysisOptions::degree(to).with_valuation(at.clone());
         let scratch = analyze_with(&program, &scratch_options, &SimplexBackend).unwrap();
-        assert_bounds_match(&escalated, &scratch, &at, &format!("prop f{fixture} {from}->{to} presolve={presolve}"));
+        assert_bounds_match(&escalated, &scratch, &at, &format!("prop f{fixture} {from}->{to}"));
         prop_assert!(escalated.escalation.unwrap().reused_columns > 0);
     }
 }

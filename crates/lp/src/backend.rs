@@ -12,10 +12,10 @@
 //! # The session model
 //!
 //! Template-based analyses solve many structurally similar programs: the
-//! engine minimizes different objectives over one constraint system, and the
-//! soundness phase layers side-condition rows on top of the system the main
-//! pass already built.  A one-shot `solve(&LpProblem)` call makes that reuse
-//! impossible, so the seam is a **session**: [`LpBackend::open`] loads a
+//! engine minimizes different objectives over one constraint system, and
+//! degree escalation appends the new moment components' rows to the system
+//! the main pass already solved.  A one-shot `solve(&LpProblem)` call makes
+//! that reuse impossible, so the seam is a **session**: [`LpBackend::open`] loads a
 //! problem's constraint set into an [`LpSession`], which then supports
 //!
 //! * [`minimize`](LpSession::minimize) — repeatedly, with different
@@ -27,8 +27,8 @@
 //!   [`solve_batch`](LpBackend::solve_batch) are provided methods layered on
 //!   top of `open`.
 //!
-//! Every entry point has a `_with` twin taking [`SolverTuning`] (presolve
-//! and the session's resource budget) — the built-in backend honors it.
+//! Every entry point has a `_with` twin taking [`SolverTuning`] (the
+//! session's resource budget) — the built-in backend honors it.
 //!
 //! Variable ids are shared between a session and the [`LpProblem`] it was
 //! opened on: ids created through [`LpSession::add_var`] continue the same id
@@ -139,8 +139,8 @@ pub trait LpBackend: Sync {
     /// [`LpSession::minimize`]).
     fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a>;
 
-    /// Opens a session under explicit [`SolverTuning`] (presolve and the
-    /// session budget).  The default ignores the tuning and defers to
+    /// Opens a session under explicit [`SolverTuning`] (the session
+    /// budget).  The default ignores the tuning and defers to
     /// [`open`](Self::open), so third-party backends keep compiling; the
     /// built-in backend honors it.
     fn open_with<'a>(
@@ -224,7 +224,7 @@ pub trait LpBackend: Sync {
 /// restarts phase 2 from the previous optimal basis, incrementally added
 /// rows extend the basis instead of rebuilding it, and a cutting row is
 /// repaired by a handful of dual pivots rather than a phase-1 restart.
-/// Under the default tuning the system is presolved at open.
+/// Every session presolves its system at open.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimplexBackend;
 
@@ -242,13 +242,9 @@ impl LpBackend for SimplexBackend {
         problem: &LpProblem,
         tuning: &SolverTuning,
     ) -> Box<dyn LpSession + 'a> {
-        if tuning.presolve {
-            let pre = presolve(problem);
-            let inner = Box::new(SimplexCore::open_with(pre.reduced(), tuning));
-            Box::new(pre.into_session(inner))
-        } else {
-            Box::new(SimplexCore::open_with(problem, tuning))
-        }
+        let pre = presolve(problem);
+        let inner = Box::new(SimplexCore::open_with(pre.reduced(), tuning));
+        Box::new(pre.into_session(inner))
     }
 }
 

@@ -214,8 +214,7 @@ pub(crate) struct SimplexCore {
 
 impl SimplexCore {
     /// Opens a core over the problem's variables and constraint rows under
-    /// the given tuning (presolve is the backend wrapper's business and
-    /// ignored here).
+    /// the given tuning (presolve is the backend wrapper's business).
     pub(crate) fn open_with(problem: &LpProblem, tuning: &SolverTuning) -> SimplexCore {
         let mut core = SimplexCore {
             var_cols: Vec::new(),
@@ -1528,16 +1527,14 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
-    /// The core with and without the presolve wrapper — the one tuning knob
-    /// that changes which system the core sees.
-    fn configurations() -> Vec<SolverTuning> {
-        [true, false]
-            .into_iter()
-            .map(|presolve| SolverTuning {
-                presolve,
-                ..SolverTuning::default()
-            })
-            .collect()
+    /// Sessions over `lp` with and without the presolve wrapper: the
+    /// backend's own, and the bare core.
+    fn sessions(lp: &LpProblem) -> [Box<dyn LpSession>; 2] {
+        let backend: &'static SimplexBackend = &SimplexBackend;
+        [
+            backend.open(lp),
+            Box::new(SimplexCore::open_with(lp, &SolverTuning::default())),
+        ]
     }
 
     #[test]
@@ -1549,9 +1546,9 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 1.0);
         lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Cmp::Eq, 5.0);
         lp.set_objective(vec![(x, 1.0)]);
-        for tuning in configurations() {
-            let sol = SimplexBackend.solve_with(&lp, &tuning);
-            assert!(sol.is_optimal(), "{tuning:?}");
+        for (i, mut session) in sessions(&lp).into_iter().enumerate() {
+            let sol = session.minimize(lp.objective());
+            assert!(sol.is_optimal(), "session {i}");
             assert_close(sol.value(x), 3.0);
             assert_close(sol.value(y), -2.0);
         }
@@ -1578,28 +1575,27 @@ mod tests {
 
     #[test]
     fn incremental_rows_tighten_the_optimum_under_every_configuration() {
-        for tuning in configurations() {
-            let mut lp = LpProblem::new();
-            let x = lp.add_var("x", false);
-            let y = lp.add_var("y", false);
-            lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
-            let mut session = SimplexBackend.open_with(&lp, &tuning);
+        let mut lp = LpProblem::new();
+        let x = lp.add_var("x", false);
+        let y = lp.add_var("y", false);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+        for (i, mut session) in sessions(&lp).into_iter().enumerate() {
             let first = session.minimize(&[(x, -1.0), (y, -2.0)]);
             assert_close(first.objective, -8.0); // y = 4
 
             // A cutting row the current point violates: y <= 1.
             session.add_constraint(&[(y, 1.0)], Cmp::Le, 1.0);
             let second = session.minimize(&[(x, -1.0), (y, -2.0)]);
-            assert!(second.is_optimal(), "{tuning:?}");
+            assert!(second.is_optimal(), "session {i}");
             assert_close(second.objective, -5.0); // x = 3, y = 1
             assert!(
                 second.stats.dual_pivots > 0,
-                "the cut was repaired without dual pivots: {tuning:?}"
+                "the cut was repaired without dual pivots: session {i}"
             );
             // And an equality row forcing x = 2.
             session.add_constraint(&[(x, 1.0)], Cmp::Eq, 2.0);
             let third = session.minimize(&[(x, -1.0), (y, -2.0)]);
-            assert!(third.is_optimal(), "{tuning:?}");
+            assert!(third.is_optimal(), "session {i}");
             assert_close(third.objective, -4.0);
             assert_eq!(session.num_constraints(), 3);
         }
@@ -1651,9 +1647,9 @@ mod tests {
         );
         lp.add_constraint(vec![(x1, 1.0)], Cmp::Le, 1.0);
         lp.set_objective(vec![(x1, -10.0), (x2, 57.0), (x3, 9.0), (x4, 24.0)]);
-        for tuning in configurations() {
-            let sol = SimplexBackend.solve_with(&lp, &tuning);
-            assert!(sol.is_optimal(), "{tuning:?}");
+        for (i, mut session) in sessions(&lp).into_iter().enumerate() {
+            let sol = session.minimize(lp.objective());
+            assert!(sol.is_optimal(), "session {i}");
             assert_close(sol.objective, -1.0);
         }
     }

@@ -65,5 +65,7 @@ pub mod sparse;
 pub use backend::SimplexBackend as SparseBackend;
 pub use backend::{LpBackend, LpSession, SimplexBackend};
 pub use pricing::{bland_fallback_threshold, SolveBudget, SolverTuning, DEADLINE_CHECK_PERIOD};
-pub use simplex::{Cmp, LpProblem, LpSolution, LpStatus, LpVarId, SolveStats};
+pub use simplex::{
+    Cmp, Counter, CounterKind, LpProblem, LpSolution, LpStatus, LpVarId, Merge, SolveStats,
+};
 pub use sparse::SparseMatrix;

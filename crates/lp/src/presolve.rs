@@ -5,8 +5,8 @@
 //! duplicate rows emitted by overlapping derivation obligations, and columns
 //! no constraint mentions.  Shrinking the system *before* the simplex runs
 //! shrinks the basis (and with it every `O(m²)` iteration and `O(m³)`
-//! refactorization), so [`presolve`] runs by default whenever a backend
-//! opens a session (see [`SolverTuning::presolve`](crate::SolverTuning)).
+//! refactorization), so [`presolve`] runs whenever the backend opens a
+//! session; only the one-shot [`LpProblem::solve`] skips it.
 //!
 //! Reductions, iterated to a fixpoint:
 //!
@@ -478,7 +478,6 @@ impl LpSession for PresolvedSession<'_> {
 mod tests {
     use super::*;
     use crate::backend::{LpBackend, SimplexBackend};
-    use crate::pricing::SolverTuning;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -598,28 +597,5 @@ mod tests {
         assert_eq!(session.minimize(&[(y, 1.0)]).status, LpStatus::Infeasible);
         assert_eq!(session.minimize(&[(y, 1.0)]).status, LpStatus::Infeasible);
         assert_eq!(session.num_constraints(), 3);
-    }
-
-    #[test]
-    fn presolve_can_be_disabled_per_tuning() {
-        let mut lp = LpProblem::new();
-        let x = lp.add_var("x", false);
-        lp.add_constraint(vec![(x, 1.0)], Cmp::Eq, 2.0);
-        lp.set_objective(vec![(x, 1.0)]);
-        let tuning = SolverTuning {
-            presolve: false,
-            ..SolverTuning::default()
-        };
-        let sol = SimplexBackend
-            .open_with(&lp, &tuning)
-            .minimize(lp.objective());
-        assert_eq!(sol.status, LpStatus::Optimal);
-        assert_close(sol.value(x), 2.0);
-        assert_eq!(sol.stats.presolve_rows, 0);
-        assert_eq!(sol.stats.presolve_cols, 0);
-        // The default tuning presolves the singleton row away.
-        let sol = SimplexBackend.solve(&lp);
-        assert_close(sol.value(x), 2.0);
-        assert_eq!(sol.stats.presolve_rows, 1);
     }
 }

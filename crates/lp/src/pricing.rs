@@ -13,7 +13,8 @@
 //! after [`bland_fallback_threshold`] pivots.
 //!
 //! The module also holds the per-session knobs threaded from the analysis
-//! down to the core: [`SolverTuning`] (presolve and the [`SolveBudget`]).
+//! down to the core: [`SolverTuning`] (the [`SolveBudget`] and how often the
+//! core polls its deadline).
 
 use std::time::{Duration, Instant};
 
@@ -179,9 +180,6 @@ impl SolveBudget {
 /// (see [`LpBackend::open_with`](crate::LpBackend::open_with)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverTuning {
-    /// Whether the presolve pass runs at session open (drop empty/fixed
-    /// columns, substitute singleton rows, remove duplicate rows).
-    pub presolve: bool,
     /// Resource budget for the whole session (deadline, iteration and
     /// refactorization caps; default unlimited).  The spend carries over
     /// across every minimize/re-solve of the session.
@@ -195,7 +193,6 @@ pub struct SolverTuning {
 impl Default for SolverTuning {
     fn default() -> Self {
         SolverTuning {
-            presolve: true,
             budget: SolveBudget::default(),
             deadline_check_period: DEADLINE_CHECK_PERIOD,
         }

@@ -11,88 +11,161 @@ use crate::core::SimplexCore;
 use crate::pricing::SolverTuning;
 use crate::sparse::SparseMatrix;
 
-/// Per-solve solver effort and presolve-reduction counters, carried on every
-/// [`LpSolution`] so degeneracy regressions are observable without a
-/// profiler (they surface in `AnalysisReport`'s per-group LP stats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Simplex iterations across all phases of the solve (dual-simplex
-    /// restoration pivots included).
-    pub iterations: usize,
-    /// Basis refactorizations (rebuilds of the factorization from the
-    /// pristine columns).
-    pub refactorizations: usize,
-    /// Constraint rows removed by presolve before the solve.
-    pub presolve_rows: usize,
-    /// Columns removed by presolve (fixed by singleton rows or empty).
-    pub presolve_cols: usize,
-    /// Successful Forrest–Tomlin updates of the LU factorization (each
-    /// appends at most one row eta).
-    pub etas: usize,
-    /// Dual-simplex pivots spent restoring primal feasibility after warm
-    /// incremental rows (0 for cold solves).
-    pub dual_pivots: usize,
-    /// Nonbasic variables moved bound-to-bound without a basis change — by
-    /// the bound-flipping dual ratio test or by a primal entering step that
-    /// hit the entering variable's own upper bound first.
-    pub bound_flips: usize,
-    /// U entries retired in place by Forrest–Tomlin column replacements —
-    /// the growth a product-form eta file would have accumulated instead.
-    pub eta_compactions: usize,
-    /// Peak length of the LU eta file observed during the solve.  Under
-    /// `merge` this takes the max, not the sum.
-    pub eta_len: usize,
-    /// Nanoseconds spent in forward solves (`B⁻¹·`: directions, basic-value
-    /// recomputation, bound-flip batches).
-    pub ftran_ns: u64,
-    /// Nanoseconds spent in backward solves (`·B⁻¹`: dual prices, pivot
-    /// rows).
-    pub btran_ns: u64,
-    /// Nanoseconds spent choosing entering columns (primal) and leaving
-    /// rows (dual).
-    pub pricing_ns: u64,
-    /// Nanoseconds spent in ratio tests (primal Harris/Bland passes and the
-    /// dual entering scan, bound-flip breakpoint walk included).
-    pub ratio_ns: u64,
-    /// Forward solves completed on the hyper-sparse (Gilbert–Peierls)
-    /// path of the LU kernels.
-    pub hyper_sparse_ftrans: u64,
-    /// Backward solves completed on the hyper-sparse path.
-    pub hyper_sparse_btrans: u64,
-    /// LU kernel calls that ran — or mid-solve fell back to — the dense
-    /// scan because the result density crossed the threshold.
-    pub dense_fallbacks: u64,
-    /// Kernel-workspace growth events after initial sizing — heap
-    /// allocations on the per-pivot hot path, 0 in steady state (CI
-    /// asserts this).
-    pub kernel_allocs: u64,
+/// How a counter combines across solves in [`SolveStats::merge`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    /// The values add up.
+    Sum,
+    /// The larger value wins (a high-water mark).
+    Peak,
 }
 
-impl SolveStats {
-    /// Component-wise sum (used to aggregate phase and group stats);
-    /// `eta_len` is a peak, so it merges by max.
-    pub fn merge(&self, other: &SolveStats) -> SolveStats {
-        SolveStats {
-            iterations: self.iterations + other.iterations,
-            refactorizations: self.refactorizations + other.refactorizations,
-            presolve_rows: self.presolve_rows + other.presolve_rows,
-            presolve_cols: self.presolve_cols + other.presolve_cols,
-            etas: self.etas + other.etas,
-            dual_pivots: self.dual_pivots + other.dual_pivots,
-            bound_flips: self.bound_flips + other.bound_flips,
-            eta_compactions: self.eta_compactions + other.eta_compactions,
-            eta_len: self.eta_len.max(other.eta_len),
-            ftran_ns: self.ftran_ns + other.ftran_ns,
-            btran_ns: self.btran_ns + other.btran_ns,
-            pricing_ns: self.pricing_ns + other.pricing_ns,
-            ratio_ns: self.ratio_ns + other.ratio_ns,
-            hyper_sparse_ftrans: self.hyper_sparse_ftrans + other.hyper_sparse_ftrans,
-            hyper_sparse_btrans: self.hyper_sparse_btrans + other.hyper_sparse_btrans,
-            dense_fallbacks: self.dense_fallbacks + other.dense_fallbacks,
-            kernel_allocs: self.kernel_allocs + other.kernel_allocs,
+impl Merge {
+    fn apply<T: Ord + std::ops::Add<Output = T>>(self, a: T, b: T) -> T {
+        match self {
+            Merge::Sum => a + b,
+            Merge::Peak => a.max(b),
         }
     }
 }
+
+/// What a counter observes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterKind {
+    /// The solver's path: the same on every run over the same system.
+    Path,
+    /// A wall-clock timer or a kernel-path counter, which vary from run to
+    /// run.  [`SolveStats`] equality ignores these.
+    Volatile,
+}
+
+/// One row of the [`SolveStats`] table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counter {
+    /// The field name, which is also the counter's key in the report JSON
+    /// and in the bench rows.
+    pub name: &'static str,
+    /// How two solves' values combine.
+    pub merge: Merge,
+    /// Path or volatile.
+    pub kind: CounterKind,
+}
+
+/// Declares [`SolveStats`] from its table: each counter once, with its type,
+/// merge rule and kind.  `merge`, [`SolveStats::COUNTERS`],
+/// [`SolveStats::counters`] and its inverse [`SolveStats::from_values`] are
+/// generated from the table, and every consumer (the report JSON, the bench
+/// rows, the golden-test normalizer) iterates them, so a new counter is its
+/// table entry plus its increment.
+macro_rules! solve_stats {
+    ($($(#[doc = $doc:literal])* $name:ident: $ty:ty, $merge:ident, $kind:ident;)*) => {
+        /// Per-solve solver effort and presolve-reduction counters, carried on
+        /// every [`LpSolution`] so degeneracy regressions are observable
+        /// without a profiler (they surface in `AnalysisReport`'s per-group LP
+        /// stats).
+        ///
+        /// Equality compares the [`CounterKind::Path`] counters only: two
+        /// solves are equal whenever they pivoted identically, however long
+        /// the clock said it took.
+        #[derive(Debug, Clone, Copy, Default)]
+        pub struct SolveStats {
+            $($(#[doc = $doc])* pub $name: $ty,)*
+        }
+
+        impl SolveStats {
+            /// The table: every counter in declaration order.
+            pub const COUNTERS: &'static [Counter] = &[$(Counter {
+                name: stringify!($name),
+                merge: Merge::$merge,
+                kind: CounterKind::$kind,
+            },)*];
+
+            /// Combines two solves' counters, each by its [`Merge`] rule (used
+            /// to aggregate phase and group stats).
+            pub fn merge(&self, other: &SolveStats) -> SolveStats {
+                SolveStats {
+                    $($name: Merge::$merge.apply(self.$name, other.$name),)*
+                }
+            }
+
+            /// Every counter with its value, in table order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static Counter, u64)> {
+                Self::COUNTERS.iter().zip([$(self.$name as u64),*])
+            }
+
+            /// The inverse of [`counters`](Self::counters): the stats whose
+            /// counters take `values`, in table order (missing values are 0).
+            pub fn from_values(values: &[u64]) -> SolveStats {
+                let mut values = values.iter().copied();
+                SolveStats {
+                    $($name: values.next().unwrap_or(0) as $ty,)*
+                }
+            }
+        }
+    };
+}
+
+solve_stats! {
+    /// Simplex iterations across all phases of the solve (dual-simplex
+    /// restoration pivots included).
+    iterations: usize, Sum, Path;
+    /// Basis refactorizations (rebuilds of the factorization from the
+    /// pristine columns).
+    refactorizations: usize, Sum, Path;
+    /// Constraint rows removed by presolve before the solve.
+    presolve_rows: usize, Sum, Path;
+    /// Columns removed by presolve (fixed by singleton rows or empty).
+    presolve_cols: usize, Sum, Path;
+    /// Successful Forrest–Tomlin updates of the LU factorization (each
+    /// appends at most one row eta).
+    etas: usize, Sum, Path;
+    /// Dual-simplex pivots spent restoring primal feasibility after warm
+    /// incremental rows (0 for cold solves).
+    dual_pivots: usize, Sum, Path;
+    /// Nonbasic variables moved bound-to-bound without a basis change — by
+    /// the bound-flipping dual ratio test or by a primal entering step that
+    /// hit the entering variable's own upper bound first.
+    bound_flips: usize, Sum, Path;
+    /// U entries retired in place by Forrest–Tomlin column replacements —
+    /// the growth a product-form eta file would have accumulated instead.
+    eta_compactions: usize, Sum, Path;
+    /// Peak length of the LU eta file observed during the solve.
+    eta_len: usize, Peak, Path;
+    /// Nanoseconds spent in forward solves (`B⁻¹·`: directions, basic-value
+    /// recomputation, bound-flip batches).
+    ftran_ns: u64, Sum, Volatile;
+    /// Nanoseconds spent in backward solves (`·B⁻¹`: dual prices, pivot
+    /// rows).
+    btran_ns: u64, Sum, Volatile;
+    /// Nanoseconds spent choosing entering columns (primal) and leaving
+    /// rows (dual).
+    pricing_ns: u64, Sum, Volatile;
+    /// Nanoseconds spent in ratio tests (primal Harris/Bland passes and the
+    /// dual entering scan, bound-flip breakpoint walk included).
+    ratio_ns: u64, Sum, Volatile;
+    /// Forward solves completed on the hyper-sparse (Gilbert–Peierls)
+    /// path of the LU kernels.
+    hyper_sparse_ftrans: u64, Sum, Volatile;
+    /// Backward solves completed on the hyper-sparse path.
+    hyper_sparse_btrans: u64, Sum, Volatile;
+    /// LU kernel calls that ran — or mid-solve fell back to — the dense
+    /// scan because the result density crossed the threshold.
+    dense_fallbacks: u64, Sum, Volatile;
+    /// Kernel-workspace growth events after initial sizing — heap
+    /// allocations on the per-pivot hot path, 0 in steady state (CI
+    /// asserts this).
+    kernel_allocs: u64, Sum, Volatile;
+}
+
+impl PartialEq for SolveStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.counters()
+            .zip(other.counters())
+            .all(|((c, a), (_, b))| c.kind == CounterKind::Volatile || a == b)
+    }
+}
+
+impl Eq for SolveStats {}
 
 /// Identifier of a variable in an [`LpProblem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -305,11 +378,7 @@ impl LpProblem {
     /// without presolve (the entailment checks of `cma-logic` solve many
     /// tiny LPs this way).
     pub fn solve(&self) -> LpSolution {
-        let tuning = SolverTuning {
-            presolve: false,
-            ..SolverTuning::default()
-        };
-        SimplexCore::solve_problem(self, &tuning)
+        SimplexCore::solve_problem(self, &SolverTuning::default())
     }
 }
 
@@ -517,49 +586,29 @@ mod tests {
         // restore dually.
         assert_eq!(sol.stats.presolve_rows, 0);
         assert_eq!(sol.stats.dual_pivots, 0);
-        let merged = SolveStats {
-            iterations: 2,
-            refactorizations: 1,
-            presolve_rows: 3,
-            presolve_cols: 4,
-            etas: 5,
-            dual_pivots: 6,
-            bound_flips: 2,
-            eta_compactions: 3,
+        // Every counter merges by its table rule: sums add, peaks keep the
+        // larger side.
+        let n = SolveStats::COUNTERS.len() as u64;
+        let a = SolveStats::from_values(&(1..=n).collect::<Vec<_>>());
+        let b = SolveStats::from_values(&(1..=n).map(|v| 2 * n - 2 * v).collect::<Vec<_>>());
+        let merged = a.merge(&b);
+        for ((c, m), ((_, x), (_, y))) in merged.counters().zip(a.counters().zip(b.counters())) {
+            let want = match c.merge {
+                Merge::Sum => x + y,
+                Merge::Peak => x.max(y),
+            };
+            assert_eq!(m, want, "{}", c.name);
+        }
+        // The longest eta file either side saw, not their sum.
+        let peak = SolveStats {
             eta_len: 10,
-            ftran_ns: 100,
-            btran_ns: 200,
-            pricing_ns: 300,
-            ratio_ns: 400,
-            hyper_sparse_ftrans: 9,
-            hyper_sparse_btrans: 8,
-            dense_fallbacks: 2,
-            kernel_allocs: 1,
+            ..SolveStats::default()
         }
         .merge(&SolveStats {
-            iterations: 5,
-            dual_pivots: 1,
-            bound_flips: 4,
             eta_len: 7,
-            ftran_ns: 11,
-            hyper_sparse_ftrans: 1,
-            dense_fallbacks: 3,
             ..SolveStats::default()
         });
-        assert_eq!(merged.iterations, 7);
-        assert_eq!(merged.presolve_cols, 4);
-        assert_eq!(merged.etas, 5);
-        assert_eq!(merged.dual_pivots, 7);
-        assert_eq!(merged.bound_flips, 6);
-        assert_eq!(merged.eta_compactions, 3);
-        // Peak, not sum: the longest eta file either side saw.
-        assert_eq!(merged.eta_len, 10);
-        assert_eq!(merged.ftran_ns, 111);
-        assert_eq!(merged.btran_ns, 200);
-        assert_eq!(merged.hyper_sparse_ftrans, 10);
-        assert_eq!(merged.hyper_sparse_btrans, 8);
-        assert_eq!(merged.dense_fallbacks, 5);
-        assert_eq!(merged.kernel_allocs, 1);
+        assert_eq!(peak.eta_len, 10);
     }
 
     #[test]

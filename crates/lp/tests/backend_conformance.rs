@@ -3,14 +3,12 @@
 //! Every obligation of the backend contract (see `crates/lp/src/backend.rs`
 //! and `DESIGN.md`) is exercised by `conformance::<B>()`, instantiated here
 //! for the built-in [`SimplexBackend`] (under its former name
-//! `SparseBackend` too) with presolve on and off.  A new backend earns its
+//! `SparseBackend` too).  A new backend earns its
 //! place by adding one `#[test]` that calls the same function.
 //! The suite covers both the one-shot `solve` path and the session
 //! obligations (re-minimize determinism, incremental rows and columns).
 
-use cma_lp::{
-    Cmp, LpBackend, LpProblem, LpSession, LpStatus, SimplexBackend, SolverTuning, SparseBackend,
-};
+use cma_lp::{Cmp, LpBackend, LpProblem, LpStatus, SimplexBackend, SparseBackend};
 
 const TOL: f64 = 1e-6;
 
@@ -298,31 +296,6 @@ fn simplex_backend_conforms() {
 #[test]
 fn sparse_backend_conforms() {
     conformance(&SparseBackend);
-}
-
-/// The solver with presolve off — every session then runs the simplex core
-/// on the raw system.  A test double over `open_with`.
-struct WithoutPresolve;
-
-impl LpBackend for WithoutPresolve {
-    fn name(&self) -> &str {
-        "revised-simplex/no-presolve"
-    }
-
-    fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a> {
-        let tuning = SolverTuning {
-            presolve: false,
-            ..SolverTuning::default()
-        };
-        SimplexBackend.open_with(problem, &tuning)
-    }
-}
-
-/// Presolve rewrites the system a session solves, never the contract: the
-/// solver satisfies every obligation without it too.
-#[test]
-fn presolve_off_conforms() {
-    conformance(&WithoutPresolve);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //!   the deadline plus a bounded slack (one pivot batch of cooperative
 //!   cancellation latency), no matter the instance.
 //! * **carry-over** — the budget spans a session's whole lifetime: repeated
-//!   minimizes draw down the same iteration pool, with presolve on and off.
+//!   minimizes draw down the same iteration pool.
 
 mod common;
 
@@ -17,12 +17,6 @@ use std::time::{Duration, Instant};
 use cma_lp::{Cmp, LpBackend, LpProblem, LpStatus, SimplexBackend, SolveBudget, SolverTuning};
 use common::decode;
 use proptest::prelude::*;
-
-/// `tuning` with presolve on and off: the budget must hold whether the core
-/// solves the raw system or the presolved one.
-fn with_and_without_presolve(tuning: SolverTuning) -> [SolverTuning; 2] {
-    [true, false].map(|presolve| SolverTuning { presolve, ..tuning })
-}
 
 /// Wall-clock slack allowed past the deadline: the cooperative check runs
 /// once per pivot batch, so overshoot is a handful of pivots on these
@@ -40,24 +34,22 @@ proptest! {
     ) {
         let (lp, _) = decode(&seed, vars);
         let unbudgeted = SimplexBackend.solve(&lp);
-        let budget = SolverTuning::with_budget(SolveBudget::with_max_iters(cap));
-        for tuning in with_and_without_presolve(budget) {
-            let budgeted = SimplexBackend.solve_with(&lp, &tuning);
+        let tuning = SolverTuning::with_budget(SolveBudget::with_max_iters(cap));
+        let budgeted = SimplexBackend.solve_with(&lp, &tuning);
+        prop_assert!(
+            budgeted.status == LpStatus::BudgetExhausted
+                || budgeted.status == unbudgeted.status,
+            "cap {cap}: budgeted {:?} vs unbudgeted {:?}",
+            budgeted.status,
+            unbudgeted.status,
+        );
+        if budgeted.status == LpStatus::Optimal {
             prop_assert!(
-                budgeted.status == LpStatus::BudgetExhausted
-                    || budgeted.status == unbudgeted.status,
-                "cap {cap}: budgeted {:?} vs unbudgeted {:?}",
-                budgeted.status,
-                unbudgeted.status,
+                (budgeted.objective - unbudgeted.objective).abs() < 1e-6,
+                "optimal under budget but objective drifted: {} vs {}",
+                budgeted.objective,
+                unbudgeted.objective,
             );
-            if budgeted.status == LpStatus::Optimal {
-                prop_assert!(
-                    (budgeted.objective - unbudgeted.objective).abs() < 1e-6,
-                    "optimal under budget but objective drifted: {} vs {}",
-                    budgeted.objective,
-                    unbudgeted.objective,
-                );
-            }
         }
     }
 
@@ -107,10 +99,8 @@ fn expired_deadline_reports_exhaustion_not_infeasibility() {
         deadline: Some(Instant::now() - Duration::from_secs(1)),
         ..SolveBudget::UNLIMITED
     };
-    for tuning in with_and_without_presolve(SolverTuning::with_budget(expired)) {
-        let sol = SimplexBackend.solve_with(&lp, &tuning);
-        assert_eq!(sol.status, LpStatus::BudgetExhausted);
-    }
+    let sol = SimplexBackend.solve_with(&lp, &SolverTuning::with_budget(expired));
+    assert_eq!(sol.status, LpStatus::BudgetExhausted);
 }
 
 #[test]
@@ -136,33 +126,31 @@ fn session_budget_carries_over_across_minimizes() {
     assert!(first_cost > 0);
     // Enough for the first solve and a bit of warm re-minimizing, but not
     // for an unbounded number of them.
-    let budget = SolverTuning::with_budget(SolveBudget::with_max_iters(first_cost + 4));
-    for tuning in with_and_without_presolve(budget) {
-        let mut session = SimplexBackend.open_with(&lp, &tuning);
-        let mut statuses = Vec::new();
-        for round in 0..50 {
-            let objective = if round % 2 == 0 {
-                vec![(x, 1.0), (y, 1.0)]
-            } else {
-                vec![(x, 5.0), (y, 1.0)]
-            };
-            statuses.push(session.minimize(&objective).status);
-        }
-        assert_eq!(statuses[0], LpStatus::Optimal, "{tuning:?}");
-        assert_eq!(
-            *statuses.last().unwrap(),
-            LpStatus::BudgetExhausted,
-            "session budget never ran dry under {tuning:?}"
-        );
-        // Once exhausted, the session stays exhausted (no verdict can be
-        // manufactured out of an empty budget).
-        let from_first_exhaustion = statuses
-            .iter()
-            .skip_while(|&&s| s != LpStatus::BudgetExhausted);
-        assert!(from_first_exhaustion
-            .clone()
-            .all(|&s| s == LpStatus::BudgetExhausted));
+    let tuning = SolverTuning::with_budget(SolveBudget::with_max_iters(first_cost + 4));
+    let mut session = SimplexBackend.open_with(&lp, &tuning);
+    let mut statuses = Vec::new();
+    for round in 0..50 {
+        let objective = if round % 2 == 0 {
+            vec![(x, 1.0), (y, 1.0)]
+        } else {
+            vec![(x, 5.0), (y, 1.0)]
+        };
+        statuses.push(session.minimize(&objective).status);
     }
+    assert_eq!(statuses[0], LpStatus::Optimal, "{tuning:?}");
+    assert_eq!(
+        *statuses.last().unwrap(),
+        LpStatus::BudgetExhausted,
+        "session budget never ran dry under {tuning:?}"
+    );
+    // Once exhausted, the session stays exhausted (no verdict can be
+    // manufactured out of an empty budget).
+    let from_first_exhaustion = statuses
+        .iter()
+        .skip_while(|&&s| s != LpStatus::BudgetExhausted);
+    assert!(from_first_exhaustion
+        .clone()
+        .all(|&s| s == LpStatus::BudgetExhausted));
 }
 
 #[test]

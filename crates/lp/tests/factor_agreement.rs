@@ -28,25 +28,22 @@ proptest! {
     ) {
         // Open a session on a prefix of the rows, feed the rest
         // incrementally, and compare against a from-scratch solve of the
-        // full system, with presolve on and off.
+        // full system.
         let (full, _ids) = decode(&seed, vars);
         let split = split.min(full.num_constraints());
         let cold = SimplexBackend.solve(&full);
-        for presolve in [true, false] {
-            let tuning = SolverTuning { presolve, ..SolverTuning::default() };
-            let mut session = SimplexBackend.open_with(&prefix(&full, split), &tuning);
-            session.minimize(full.objective());
-            add_rows_from(session.as_mut(), &full, split);
-            let warm = session.minimize(full.objective());
-            prop_assert_eq!(warm.status, cold.status, "presolve={}", presolve);
-            if cold.status == LpStatus::Optimal {
-                prop_assert!(
-                    (cold.objective - warm.objective).abs() <= TOL * (1.0 + cold.objective.abs()),
-                    "presolve={presolve}: warm optimum {} vs cold {}",
-                    warm.objective,
-                    cold.objective
-                );
-            }
+        let mut session = SimplexBackend.open(&prefix(&full, split));
+        session.minimize(full.objective());
+        add_rows_from(session.as_mut(), &full, split);
+        let warm = session.minimize(full.objective());
+        prop_assert_eq!(warm.status, cold.status);
+        if cold.status == LpStatus::Optimal {
+            prop_assert!(
+                (cold.objective - warm.objective).abs() <= TOL * (1.0 + cold.objective.abs()),
+                "warm optimum {} vs cold {}",
+                warm.objective,
+                cold.objective
+            );
         }
     }
 }

@@ -33,10 +33,10 @@ use std::time::{Duration, Instant};
 use cma_appl::{parse_program, Program};
 use cma_check::CheckConfig;
 use cma_inference::{
-    analyze_session, analyze_session_resilient, soundness_report_in_session, tail_curve,
-    AnalysisOptions, CentralMoments, DegradationStep, SolveMode,
+    analyze_resilient, analyze_session, soundness_report, tail_curve, AnalysisOptions,
+    CentralMoments, DegradationStep, SolveMode,
 };
-use cma_lp::{LpBackend, SimplexBackend};
+use cma_lp::{LpBackend, SimplexBackend, SolveStats};
 use cma_semiring::poly::Var;
 use cma_suite::Benchmark;
 
@@ -181,18 +181,13 @@ impl<B: LpBackend> Analysis<B> {
         self
     }
 
-    /// Enables or disables the LP presolve pass (enabled by default).
-    pub fn presolve(mut self, presolve: bool) -> Self {
-        self.options.presolve = presolve;
-        self
-    }
-
     /// Bounds the whole analysis by a wall-clock deadline.  When the budget
     /// runs out the pipeline does not fail outright: it descends the
-    /// graceful-degradation ladder (compositional mode, lower degree,
-    /// presolve) and labels the result in the report's `degradation`
-    /// section.  Only a ladder that runs completely dry surfaces the
-    /// budget-exhaustion error.
+    /// graceful-degradation ladder (compositional mode, lower degree) and
+    /// labels the result in the report's `degradation` section.  Only a
+    /// ladder that runs completely dry surfaces the budget-exhaustion error.
+    /// The soundness re-analysis runs under whatever the analysis left of
+    /// the budget.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.options.timeout = Some(timeout);
         self
@@ -345,19 +340,19 @@ impl<B: LpBackend> Analysis<B> {
         let analysis_start = Instant::now();
         // With escalation enabled, solve at the starting degree first, then
         // escalate the live session to the target — the warm basis absorbs
-        // the new moment components instead of a cold re-derive.  The plain
-        // path runs the resilient driver, which degrades (and labels the
-        // degradation) instead of failing when a budget runs out.
-        let (result, mut engine_session) = match self.escalate_from {
+        // the new moment components instead of a cold re-derive — and drop
+        // the session.  The plain path runs the resilient driver, which
+        // degrades (and labels the degradation) instead of failing when a
+        // budget runs out.
+        let result = match self.escalate_from {
             Some(from) => {
                 let mut start_options = options.clone();
                 start_options.degree = from;
                 let (_low, mut session) =
                     analyze_session(&self.program, &start_options, &self.backend)?;
-                let result = session.escalate_degree(options.degree)?;
-                (result, session)
+                session.escalate_degree(options.degree)?
             }
-            None => analyze_session_resilient(&self.program, &options, &self.backend)?,
+            None => analyze_resilient(&self.program, &options, &self.backend)?,
         };
         let analysis_elapsed = analysis_start.elapsed();
         // Degradation may have landed below the requested degree or switched
@@ -384,26 +379,37 @@ impl<B: LpBackend> Analysis<B> {
         let tail = tail_curve(&central, thresholds);
         let tail_elapsed = tail_start.elapsed();
 
-        // The soundness side conditions reuse the engine's constraint store:
-        // the step-counting system is derived into it and solved as its own
-        // LP, under what remains of the analysis deadline — no
-        // re-derivation of the main system, no extra group solve.
+        // The soundness side conditions re-run the analysis on the
+        // step-counting instrumentation, at the degree and poly degree this
+        // run landed on, under what remains of the analysis deadline.
         let (soundness, soundness_elapsed) = if self.check_soundness {
             let start = Instant::now();
-            let report =
-                soundness_report_in_session(&mut engine_session, &self.program, degree_used);
+            let mut soundness_options = options.clone();
+            soundness_options.poly_degree = result.poly_degree;
+            soundness_options.timeout = options
+                .timeout
+                .map(|t| t.saturating_sub(analysis_start.elapsed()));
+            let report = soundness_report(
+                &self.program,
+                degree_used,
+                &soundness_options,
+                &self.backend,
+            );
             (Some(report), Some(start.elapsed()))
         } else {
             (None, None)
         };
-        drop(engine_session);
 
-        let lp = LpStats::from_groups(
-            result.lp_variables,
-            result.lp_constraints,
-            result.lp_solves,
-            result.groups.clone(),
-        );
+        let lp = LpStats {
+            variables: result.lp_variables,
+            constraints: result.lp_constraints,
+            solves: result.lp_solves,
+            totals: result
+                .groups
+                .iter()
+                .fold(SolveStats::default(), |total, g| total.merge(&g.stats)),
+            groups: result.groups.clone(),
+        };
         let check = check_report.map(|r| CheckStats {
             diagnostics: r.diagnostics().iter().map(|d| d.to_string()).collect(),
             warnings: r.warning_count(),
@@ -565,7 +571,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(report.backend, "counting-simplex");
-        // Inference minimized once and the soundness extension once more,
+        // Inference minimized once and the soundness re-analysis once more,
         // through a session of its own opened on the same backend.
         assert!(report.soundness.is_some());
         assert_eq!(report.lp.solves, 1);
@@ -574,7 +580,7 @@ mod tests {
     }
 
     #[test]
-    fn soundness_reuses_the_constraint_store_under_both_backends() {
+    fn soundness_reanalysis_agrees_under_both_backends() {
         use cma_appl::build::*;
 
         let program = ProgramBuilder::new()
@@ -590,13 +596,17 @@ mod tests {
         let wrapped = Analysis::of(&program).backend(&counting).run().unwrap();
         for report in [&builtin, &wrapped] {
             let s = report.soundness.as_ref().unwrap();
-            assert!(s.reused_constraint_store);
             assert!(s.extension_constraints > 0);
             assert!(!s.shared_templates);
             assert_eq!(report.is_sound(), Some(true));
-            // The extension rides the main store — no extra group solve.
+            // The re-analysis is no group of the main analysis's LP stats.
             assert_eq!(report.lp.solves, 1);
         }
+        let (a, b) = (builtin.soundness.unwrap(), wrapped.soundness.unwrap());
+        assert_eq!(a.extension_variables, b.extension_variables);
+        assert_eq!(a.extension_constraints, b.extension_constraints);
+        // One minimize for the main analysis, one for the re-analysis.
+        assert_eq!(counting.0.load(std::sync::atomic::Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -830,7 +840,6 @@ mod tests {
             "\"central_moments\":",
             "\"tail_bounds\":[{\"threshold\":40",
             "\"soundness\":{",
-            "\"reused_constraint_store\":true",
             "\"extension_constraints\":",
             "\"shared_templates\":",
             "\"lp\":{",

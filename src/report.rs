@@ -16,6 +16,7 @@ use cma_inference::{
     AnalysisResult, CentralMoments, DegradationStats, EscalationStats, GroupLpStats, PlanStats,
     PruningStats, SolveMode, SoundnessReport, TailBound,
 };
+use cma_lp::SolveStats;
 use cma_semiring::poly::Var;
 use cma_semiring::Interval;
 
@@ -72,6 +73,12 @@ pub mod json {
     pub fn array(items: impl IntoIterator<Item = String>) -> String {
         format!("[{}]", items.into_iter().collect::<Vec<_>>().join(","))
     }
+
+    /// The `(name, value)` fields of every solver counter, in table order
+    /// (to chain into an [`object`]).
+    pub fn counters(stats: &cma_lp::SolveStats) -> impl Iterator<Item = (&'static str, String)> {
+        stats.counters().map(|(c, v)| (c.name, v.to_string()))
+    }
 }
 
 /// Wall-clock time spent in each phase of the pipeline.
@@ -114,83 +121,13 @@ pub struct LpStats {
     pub variables: usize,
     /// Total LP constraints generated.
     pub constraints: usize,
-    /// Number of LP solves (one per solved group; the soundness phase adds
-    /// none — it extends the main group's constraint store, see
-    /// [`SoundnessReport::reused_constraint_store`]).
+    /// Number of LP solves (one per solved group; the soundness
+    /// re-analysis is not counted here, see [`SoundnessReport`]).
     pub solves: usize,
-    /// Total simplex iterations across all group solves (the degeneracy
-    /// observable: iteration blow-up at fixed size is a pricing regression).
-    pub iterations: usize,
-    /// Total basis refactorizations across all group solves.
-    pub refactorizations: usize,
-    /// Total constraint rows removed by LP presolve.
-    pub presolve_rows: usize,
-    /// Total LP columns removed by presolve (fixed or unreferenced).
-    pub presolve_cols: usize,
-    /// Total Forrest–Tomlin updates of the LU factorization.
-    pub etas: usize,
-    /// Total dual-simplex pivots spent on warm incremental-row re-solves.
-    pub dual_pivots: usize,
-    /// Total nonbasic bound flips performed by the long-step dual ratio test.
-    pub bound_flips: usize,
-    /// Total Forrest–Tomlin eta-file compactions performed by the LU updates.
-    pub eta_compactions: usize,
-    /// Peak eta-file length observed between refactorizations (max over
-    /// groups).
-    pub eta_len: usize,
-    /// Total nanoseconds spent in forward solves (`ftran`).
-    pub ftran_ns: u64,
-    /// Total nanoseconds spent in backward solves (`btran`).
-    pub btran_ns: u64,
-    /// Total nanoseconds spent pricing entering columns / leaving rows.
-    pub pricing_ns: u64,
-    /// Total nanoseconds spent in primal/dual ratio tests.
-    pub ratio_ns: u64,
-    /// Total LU forward solves that completed on the hyper-sparse path.
-    pub hyper_sparse_ftrans: u64,
-    /// Total LU backward solves that completed on the hyper-sparse path.
-    pub hyper_sparse_btrans: u64,
-    /// Total kernel solves that ran (or fell back to) the dense scan.
-    pub dense_fallbacks: u64,
-    /// Total kernel-workspace reallocations after first sizing (0 in a
-    /// steady-state solve: the hot loop is allocation-free).
-    pub kernel_allocs: u64,
+    /// The groups' solver counters, each merged by its rule.
+    pub totals: SolveStats,
     /// Per-group sizes and solver counters, in solve order.
     pub groups: Vec<GroupLpStats>,
-}
-
-impl LpStats {
-    /// Assembles the totals from per-group stats and the engine-wide counts.
-    pub(crate) fn from_groups(
-        variables: usize,
-        constraints: usize,
-        solves: usize,
-        groups: Vec<GroupLpStats>,
-    ) -> LpStats {
-        LpStats {
-            variables,
-            constraints,
-            solves,
-            iterations: groups.iter().map(|g| g.iterations).sum(),
-            refactorizations: groups.iter().map(|g| g.refactorizations).sum(),
-            presolve_rows: groups.iter().map(|g| g.presolve_rows).sum(),
-            presolve_cols: groups.iter().map(|g| g.presolve_cols).sum(),
-            etas: groups.iter().map(|g| g.etas).sum(),
-            dual_pivots: groups.iter().map(|g| g.dual_pivots).sum(),
-            bound_flips: groups.iter().map(|g| g.bound_flips).sum(),
-            eta_compactions: groups.iter().map(|g| g.eta_compactions).sum(),
-            eta_len: groups.iter().map(|g| g.eta_len).max().unwrap_or(0),
-            ftran_ns: groups.iter().map(|g| g.ftran_ns).sum(),
-            btran_ns: groups.iter().map(|g| g.btran_ns).sum(),
-            pricing_ns: groups.iter().map(|g| g.pricing_ns).sum(),
-            ratio_ns: groups.iter().map(|g| g.ratio_ns).sum(),
-            hyper_sparse_ftrans: groups.iter().map(|g| g.hyper_sparse_ftrans).sum(),
-            hyper_sparse_btrans: groups.iter().map(|g| g.hyper_sparse_btrans).sum(),
-            dense_fallbacks: groups.iter().map(|g| g.dense_fallbacks).sum(),
-            kernel_allocs: groups.iter().map(|g| g.kernel_allocs).sum(),
-            groups,
-        }
-    }
 }
 
 /// The complete, self-describing outcome of one pipeline run.
@@ -358,13 +295,12 @@ impl AnalysisReport {
                     .collect::<Vec<_>>()
                     .join(",");
                 format!(
-                    "{{\"bounded_updates\":{},\"violations\":[{violations}],\"termination_moment\":{},\"is_sound\":{},\"reused_constraint_store\":{},\"extension_variables\":{},\"extension_constraints\":{},\"extension_dual_pivots\":{},\"shared_templates\":{}}}",
+                    "{{\"bounded_updates\":{},\"violations\":[{violations}],\"termination_moment\":{},\"is_sound\":{},\"extension_variables\":{},\"extension_constraints\":{},\"extension_dual_pivots\":{},\"shared_templates\":{}}}",
                     s.bounded_updates,
                     s.termination_moment
                         .map(|k| k.to_string())
                         .unwrap_or_else(|| "null".into()),
                     s.is_sound(),
-                    s.reused_constraint_store,
                     s.extension_variables,
                     s.extension_constraints,
                     s.extension_dual_pivots,
@@ -375,59 +311,26 @@ impl AnalysisReport {
         };
         push_field(&mut out, "soundness", &soundness);
 
-        let groups = self
-            .lp
-            .groups
-            .iter()
-            .map(|g| {
-                format!(
-                    "{{\"name\":{},\"variables\":{},\"constraints\":{},\"iterations\":{},\"refactorizations\":{},\"presolve_rows\":{},\"presolve_cols\":{},\"etas\":{},\"dual_pivots\":{},\"bound_flips\":{},\"eta_compactions\":{},\"eta_len\":{},\"ftran_ns\":{},\"btran_ns\":{},\"pricing_ns\":{},\"ratio_ns\":{},\"hyper_sparse_ftrans\":{},\"hyper_sparse_btrans\":{},\"dense_fallbacks\":{},\"kernel_allocs\":{}}}",
-                    json::string(&g.name),
-                    g.variables,
-                    g.constraints,
-                    g.iterations,
-                    g.refactorizations,
-                    g.presolve_rows,
-                    g.presolve_cols,
-                    g.etas,
-                    g.dual_pivots,
-                    g.bound_flips,
-                    g.eta_compactions,
-                    g.eta_len,
-                    g.ftran_ns,
-                    g.btran_ns,
-                    g.pricing_ns,
-                    g.ratio_ns,
-                    g.hyper_sparse_ftrans,
-                    g.hyper_sparse_btrans,
-                    g.dense_fallbacks,
-                    g.kernel_allocs,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let lp = format!(
-            "{{\"variables\":{},\"constraints\":{},\"solves\":{},\"iterations\":{},\"refactorizations\":{},\"presolve_rows\":{},\"presolve_cols\":{},\"etas\":{},\"dual_pivots\":{},\"bound_flips\":{},\"eta_compactions\":{},\"eta_len\":{},\"ftran_ns\":{},\"btran_ns\":{},\"pricing_ns\":{},\"ratio_ns\":{},\"hyper_sparse_ftrans\":{},\"hyper_sparse_btrans\":{},\"dense_fallbacks\":{},\"kernel_allocs\":{},\"groups\":[{groups}]}}",
-            self.lp.variables,
-            self.lp.constraints,
-            self.lp.solves,
-            self.lp.iterations,
-            self.lp.refactorizations,
-            self.lp.presolve_rows,
-            self.lp.presolve_cols,
-            self.lp.etas,
-            self.lp.dual_pivots,
-            self.lp.bound_flips,
-            self.lp.eta_compactions,
-            self.lp.eta_len,
-            self.lp.ftran_ns,
-            self.lp.btran_ns,
-            self.lp.pricing_ns,
-            self.lp.ratio_ns,
-            self.lp.hyper_sparse_ftrans,
-            self.lp.hyper_sparse_btrans,
-            self.lp.dense_fallbacks,
-            self.lp.kernel_allocs,
+        let groups = self.lp.groups.iter().map(|g| {
+            json::object(
+                [
+                    ("name", json::string(&g.name)),
+                    ("variables", g.variables.to_string()),
+                    ("constraints", g.constraints.to_string()),
+                ]
+                .into_iter()
+                .chain(json::counters(&g.stats)),
+            )
+        });
+        let lp = json::object(
+            [
+                ("variables", self.lp.variables.to_string()),
+                ("constraints", self.lp.constraints.to_string()),
+                ("solves", self.lp.solves.to_string()),
+            ]
+            .into_iter()
+            .chain(json::counters(&self.lp.totals))
+            .chain([("groups", json::array(groups))]),
         );
         push_field(&mut out, "lp", &lp);
 
@@ -636,10 +539,10 @@ impl fmt::Display for AnalysisReport {
             for v in &s.violations {
                 writeln!(f, "  unbounded update: {v}")?;
             }
-            if s.reused_constraint_store && s.extension_constraints > 0 {
+            if s.extension_constraints > 0 {
                 writeln!(
                     f,
-                    "  (side conditions derived into the main constraint store: +{} rows, +{} vars)",
+                    "  (step-counting re-analysis: {} rows, {} vars)",
                     s.extension_constraints, s.extension_variables
                 )?;
             }
@@ -674,40 +577,34 @@ impl fmt::Display for AnalysisReport {
         if self.lp.groups.len() > 1 {
             write!(f, " across {} groups", self.lp.groups.len())?;
         }
+        let t = &self.lp.totals;
         write!(
             f,
             " · {} iterations, {} refactorizations",
-            self.lp.iterations, self.lp.refactorizations
+            t.iterations, t.refactorizations
         )?;
-        if self.lp.etas > 0 || self.lp.dual_pivots > 0 {
-            write!(
-                f,
-                " · {} etas, {} dual pivots",
-                self.lp.etas, self.lp.dual_pivots
-            )?;
+        if t.etas > 0 || t.dual_pivots > 0 {
+            write!(f, " · {} etas, {} dual pivots", t.etas, t.dual_pivots)?;
         }
-        if self.lp.bound_flips > 0 || self.lp.eta_compactions > 0 {
+        if t.bound_flips > 0 || t.eta_compactions > 0 {
             write!(
                 f,
                 " · {} bound flips, {} eta compactions (peak eta {})",
-                self.lp.bound_flips, self.lp.eta_compactions, self.lp.eta_len
+                t.bound_flips, t.eta_compactions, t.eta_len
             )?;
         }
-        if self.lp.hyper_sparse_ftrans > 0 || self.lp.hyper_sparse_btrans > 0 {
+        if t.hyper_sparse_ftrans > 0 || t.hyper_sparse_btrans > 0 {
             write!(
                 f,
                 " · hyper-sparse {} ftran / {} btran ({} dense fallbacks, {} kernel allocs)",
-                self.lp.hyper_sparse_ftrans,
-                self.lp.hyper_sparse_btrans,
-                self.lp.dense_fallbacks,
-                self.lp.kernel_allocs
+                t.hyper_sparse_ftrans, t.hyper_sparse_btrans, t.dense_fallbacks, t.kernel_allocs
             )?;
         }
-        if self.lp.presolve_rows > 0 || self.lp.presolve_cols > 0 {
+        if t.presolve_rows > 0 || t.presolve_cols > 0 {
             write!(
                 f,
                 " · presolve −{} rows −{} cols",
-                self.lp.presolve_rows, self.lp.presolve_cols
+                t.presolve_rows, t.presolve_cols
             )?;
         }
         writeln!(
@@ -716,5 +613,123 @@ impl fmt::Display for AnalysisReport {
             self.timings.analysis.as_secs_f64() * 1e3,
             self.timings.total.as_secs_f64() * 1e3,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Analysis;
+    use cma_lp::CounterKind;
+
+    /// Splits the body of a JSON object or array at its top-level commas.
+    fn parts(json: &str) -> Vec<&str> {
+        let body = &json[1..json.len() - 1];
+        let (mut depth, mut in_string, mut escaped, mut start) = (0, false, false, 0);
+        let mut parts = Vec::new();
+        for (i, c) in body.char_indices() {
+            if in_string {
+                if escaped {
+                    escaped = false;
+                } else if c == '\\' {
+                    escaped = true;
+                } else if c == '"' {
+                    in_string = false;
+                }
+                continue;
+            }
+            match c {
+                '"' => in_string = true,
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                ',' if depth == 0 => {
+                    parts.push(&body[start..i]);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        if !body.is_empty() {
+            parts.push(&body[start..]);
+        }
+        parts
+    }
+
+    /// The `(key, raw value)` fields of a JSON object, in order.
+    fn fields(object: &str) -> Vec<(&str, &str)> {
+        parts(object)
+            .into_iter()
+            .map(|field| {
+                let (key, value) = field.split_once(':').expect("a key-value field");
+                (key.trim_matches('"'), value)
+            })
+            .collect()
+    }
+
+    fn compositional_report() -> AnalysisReport {
+        let report = Analysis::benchmark(&cma_suite::synthetic::coupon_chain(3))
+            .mode(SolveMode::Compositional)
+            .soundness(false)
+            .run()
+            .unwrap();
+        assert!(report.lp.groups.len() > 1);
+        report
+    }
+
+    #[test]
+    fn every_counter_appears_in_table_order_in_the_totals_and_every_group() {
+        let report = compositional_report();
+        let json = report.to_json();
+        let top = fields(&json);
+        let lp = top.iter().find(|(k, _)| *k == "lp").expect("lp section").1;
+        let counters = SolveStats::COUNTERS.iter().map(|c| c.name);
+        let totals: Vec<&str> = ["variables", "constraints", "solves"]
+            .into_iter()
+            .chain(counters.clone())
+            .chain(["groups"])
+            .collect();
+        let lp_fields = fields(lp);
+        assert_eq!(lp_fields.iter().map(|f| f.0).collect::<Vec<_>>(), totals);
+        let group_keys: Vec<&str> = ["name", "variables", "constraints"]
+            .into_iter()
+            .chain(counters)
+            .collect();
+        let groups = parts(lp_fields.last().unwrap().1);
+        assert_eq!(groups.len(), report.lp.groups.len());
+        for (group, stats) in groups.iter().zip(&report.lp.groups) {
+            let group_fields = fields(group);
+            assert_eq!(
+                group_fields.iter().map(|f| f.0).collect::<Vec<_>>(),
+                group_keys
+            );
+            for ((_, value), (_, count)) in group_fields[3..].iter().zip(stats.stats.counters()) {
+                assert_eq!(*value, count.to_string());
+            }
+        }
+        for ((_, value), (_, count)) in lp_fields[3..].iter().zip(report.lp.totals.counters()) {
+            assert_eq!(*value, count.to_string());
+        }
+    }
+
+    #[test]
+    fn group_equality_ignores_exactly_the_volatile_counters() {
+        let report = compositional_report();
+        let group = &report.lp.groups[0];
+        let values: Vec<u64> = group.stats.counters().map(|(_, v)| v).collect();
+        assert_eq!(SolveStats::from_values(&values), group.stats);
+        for (i, counter) in SolveStats::COUNTERS.iter().enumerate() {
+            let mut bumped = values.clone();
+            bumped[i] += 1;
+            let other = GroupLpStats {
+                stats: SolveStats::from_values(&bumped),
+                ..group.clone()
+            };
+            assert_eq!(
+                other == *group,
+                counter.kind == CounterKind::Volatile,
+                "{}",
+                counter.name
+            );
+        }
     }
 }
