@@ -299,6 +299,10 @@ pub fn run_campaign(config: &CampaignConfig) -> io::Result<CampaignReport> {
         .collect();
     let resumed = config.programs.len() - pending.len();
 
+    // Child output files are named by process, campaign and attempt, so
+    // campaigns running concurrently in one process never share one.
+    static CAMPAIGNS: AtomicUsize = AtomicUsize::new(0);
+    let campaign = CAMPAIGNS.fetch_add(1, Ordering::Relaxed);
     let cursor = AtomicUsize::new(0);
     let fresh: Mutex<Vec<JournalEntry>> = Mutex::new(Vec::new());
     let failure: Mutex<Option<io::Error>> = Mutex::new(None);
@@ -326,7 +330,7 @@ pub fn run_campaign(config: &CampaignConfig) -> io::Result<CampaignReport> {
                     // Retries tighten the soft budget so the in-child
                     // degradation ladder engages earlier each time.
                     let soft_fraction = if attempts == 1 { 0.8 } else { 0.5 };
-                    let tag = format!("w{worker}-i{idx}-a{attempts}");
+                    let tag = format!("c{campaign}-w{worker}-i{idx}-a{attempts}");
                     match run_one(config, program, soft_fraction, &tag) {
                         Ok(run) => {
                             if run.outcome.retryable() && attempts <= config.retries {

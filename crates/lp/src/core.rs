@@ -429,7 +429,9 @@ impl SimplexCore {
         }
         // The initial basis is one slack/artificial with coefficient +1 per
         // row: B = I, so a refactorization is exact and cheap.
+        let t = Instant::now();
         self.factor.refactorize(m, &self.basis, &self.cols);
+        self.stats.refactor_ns += t.elapsed().as_nanos() as u64;
         self.factor_stale = false;
         self.xb = self.b.clone();
         self.stale_pivots = 0;
@@ -562,7 +564,10 @@ impl SimplexCore {
     /// singular basis, leaving the state untouched.
     fn refactorize(&mut self) -> bool {
         let m = self.basis.len();
-        if !self.factor.refactorize(m, &self.basis, &self.cols) {
+        let t = Instant::now();
+        let nonsingular = self.factor.refactorize(m, &self.basis, &self.cols);
+        self.stats.refactor_ns += t.elapsed().as_nanos() as u64;
+        if !nonsingular {
             return false;
         }
         let beff = self.effective_b();

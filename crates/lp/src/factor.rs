@@ -20,11 +20,44 @@
 //! * **hyper-sparse solves** — Gilbert–Peierls traversals that touch only
 //!   the entries a sparse right-hand side can reach (see [`KernelWs`]).
 //!
-//! On the analysis's extremely sparse bases both solves and updates run in
-//! `O(nnz)` rather than `O(m²)`.  Appended rows (the warm `add_constraint`
-//! path) are not bordered in: the core marks the factorization stale and
-//! refactorizes lazily at the next solve, so one rebuild absorbs any number
-//! of appended rows.
+//! **The pivot search** (after Suhl & Suhl, "Computing sparse LU
+//! factorizations for large-scale linear programming bases", ORSA J.
+//! Computing 2(4), 1990) finds the Markowitz pivot without rescanning the
+//! active submatrix.  The rule it implements is a scan of the active
+//! columns in ascending order, each column's entries by row: the pivot is
+//! the entry of least score among those at least `LU_THRESHOLD` of their
+//! column's largest magnitude (and at least `SINGULAR_TOL`), ties going to
+//! the larger magnitude and then to the first entry scanned; the scan stops
+//! after the first column holding a score-0 (fill-free) candidate, and the
+//! basis is singular when it meets an empty or sub-`SINGULAR_TOL` column
+//! first.  The active submatrix lives in flat lists (columns sorted by row,
+//! rows as column sets), and every column caches its count, its largest
+//! magnitude and whether it holds a score-0 candidate.  Two ordered sets
+//! hold the columns with a score-0 candidate and the singular columns, so
+//! the scan's outcome is known from their two minima whenever a score-0
+//! candidate exists: the first such column is the one the scan stops at,
+//! no column before it can hold a candidate the scan would keep (its score
+//! would be positive), and within it the scan keeps the score-0 candidate
+//! of largest magnitude, first in row order.  A step re-derives the cached
+//! status only of the columns it changed — the pivot row's — and of the
+//! columns of rows whose count entered or left 1, the only other way a
+//! column gains or loses a score-0 candidate.  The full scan runs only on
+//! nucleus steps, where no score-0 candidate exists.  Every elimination
+//! step performs the same floating-point operations, in the same order, as
+//! a scan of the whole submatrix would, so the factors are bit-for-bit
+//! those of the plain rule.
+//!
+//! On the analysis's extremely sparse bases both solves and updates cost
+//! time proportional to the nonzeros they touch rather than `O(m²)`: an
+//! update computes the spike only for the steps `d`'s support reaches,
+//! eliminates the pending row by popping its entries in elimination order,
+//! and rewrites only the `U` rows holding the replaced column or a spike
+//! entry; beyond that it moves one step to the end of the order (an `O(m)`
+//! shift of a permutation).  Refactorization and update keep their scratch
+//! in the [`LuFactor`], so neither allocates once its buffers are sized.
+//! Appended rows (the warm `add_constraint` path) are not bordered in: the
+//! core marks the factorization stale and refactorizes lazily at the next
+//! solve, so one rebuild absorbs any number of appended rows.
 
 use crate::core::ColumnStore;
 
@@ -358,9 +391,426 @@ impl KernelWs {
 struct RowEta {
     /// Constraint row the pending step pivots on.
     target: usize,
-    /// `(source constraint row, multiplier)` pairs, all sources unchanged by
-    /// this update (so the combination may be applied as one batch).
-    terms: Vec<(usize, f64)>,
+    /// Its `(source constraint row, multiplier)` pairs, all sources
+    /// unchanged by this update (so the combination may be applied as one
+    /// batch), as a range of [`LuFactor::eta_terms`].
+    start: usize,
+    end: usize,
+}
+
+/// A set of indices below a bound fixed at [`reset`](Self::reset), with
+/// `O(log₆₄ n)` insert, remove and minimum, in storage reused across
+/// resets.
+#[derive(Debug, Clone, Default)]
+struct IndexSet {
+    /// `levels[0]` holds one bit per index; bit `i` of `levels[l + 1]` is
+    /// set when word `i` of `levels[l]` is nonzero.  The last level is one
+    /// word.
+    levels: Vec<Vec<u64>>,
+}
+
+impl IndexSet {
+    /// Empties the set and sizes it for indices below `n`.
+    fn reset(&mut self, n: usize) {
+        let mut words = n.div_ceil(64).max(1);
+        let mut depth = 0;
+        loop {
+            if self.levels.len() == depth {
+                self.levels.push(Vec::new());
+            }
+            let level = &mut self.levels[depth];
+            level.clear();
+            level.resize(words, 0);
+            depth += 1;
+            if words == 1 {
+                break;
+            }
+            words = words.div_ceil(64);
+        }
+        self.levels.truncate(depth);
+    }
+
+    fn insert(&mut self, mut i: usize) {
+        for level in &mut self.levels {
+            let word = &mut level[i / 64];
+            let was_empty = *word == 0;
+            *word |= 1 << (i % 64);
+            if !was_empty {
+                return;
+            }
+            i /= 64;
+        }
+    }
+
+    fn remove(&mut self, mut i: usize) {
+        for level in &mut self.levels {
+            let word = &mut level[i / 64];
+            *word &= !(1 << (i % 64));
+            if *word != 0 {
+                return;
+            }
+            i /= 64;
+        }
+    }
+
+    fn min(&self) -> Option<usize> {
+        let mut i = 0;
+        for level in self.levels.iter().rev() {
+            let word = level[i];
+            if word == 0 {
+                return None;
+            }
+            i = i * 64 + word.trailing_zeros() as usize;
+        }
+        Some(i)
+    }
+}
+
+/// Whether magnitude `va` fails the threshold-pivoting guard of a column
+/// whose largest magnitude is `colmax`.
+fn below_threshold(va: f64, colmax: f64) -> bool {
+    va < LU_THRESHOLD * colmax || va < SINGULAR_TOL
+}
+
+/// The value of row `r` in a column sorted by row.
+fn entry_at(col: &[(usize, f64)], r: usize) -> f64 {
+    let idx = col
+        .binary_search_by_key(&r, |&(i, _)| i)
+        .expect("the pivot row has an entry in every column it lists");
+    col[idx].1
+}
+
+/// A `(score, row, column, |value|)` pivot candidate.
+type Candidate = (usize, usize, usize, f64);
+
+/// The working state of [`LuFactor::refactorize`], kept between calls so a
+/// refactorization allocates nothing once its buffers are sized: the active
+/// submatrix with its cached pivot-candidate status, and the step lists
+/// being built (swapped with the live ones when the basis turns out
+/// nonsingular).
+#[derive(Debug, Clone, Default)]
+struct Elimination {
+    /// Active column → its entries, sorted by row.
+    cols: Vec<Vec<(usize, f64)>>,
+    /// Active row → its active columns, unordered.
+    rows: Vec<Vec<usize>>,
+    /// Active column → its largest magnitude.
+    colmax: Vec<f64>,
+    /// Active columns holding a score-0 pivot candidate.
+    fill_free: IndexSet,
+    /// Active columns that are empty or whose largest magnitude is below
+    /// `SINGULAR_TOL`.
+    singular: IndexSet,
+    /// Columns whose status the current step must re-derive (`dirty_mark`
+    /// dedupes).
+    dirty: Vec<usize>,
+    dirty_mark: Vec<bool>,
+    /// Row counts of the pivot column's rows before the current step.
+    old_counts: Vec<usize>,
+    /// Merge buffer for one column's elimination.
+    merged: Vec<(usize, f64)>,
+    /// `(row, entry order, value)` buffer for loading an unsorted column.
+    sorted: Vec<(usize, usize, f64)>,
+    pivot_row: Vec<usize>,
+    pivot_col: Vec<usize>,
+    upivot: Vec<f64>,
+    lower: Vec<Vec<(usize, f64)>>,
+    upper: Vec<Vec<(usize, f64)>>,
+}
+
+impl Elimination {
+    /// Loads the basis columns as the active submatrix (repeated rows of a
+    /// column summed in entry order) and classifies every column.
+    fn load(&mut self, m: usize, basis: &[usize], store: &ColumnStore) {
+        self.cols.resize_with(m, Vec::new);
+        self.rows.resize_with(m, Vec::new);
+        for list in &mut self.cols {
+            list.clear();
+        }
+        for list in &mut self.rows {
+            list.clear();
+        }
+        self.colmax.clear();
+        self.colmax.resize(m, 0.0);
+        self.dirty_mark.clear();
+        self.dirty_mark.resize(m, false);
+        self.fill_free.reset(m);
+        self.singular.reset(m);
+        self.pivot_row.clear();
+        self.pivot_col.clear();
+        self.upivot.clear();
+        self.lower.resize_with(m, Vec::new);
+        self.upper.resize_with(m, Vec::new);
+
+        for (k, &c) in basis.iter().enumerate() {
+            let col = &mut self.cols[k];
+            col.extend(store.col(c).iter().copied().filter(|&(_, a)| a != 0.0));
+            if !col.windows(2).all(|w| w[0].0 < w[1].0) {
+                self.sorted.clear();
+                self.sorted
+                    .extend(col.iter().enumerate().map(|(s, &(r, a))| (r, s, a)));
+                self.sorted.sort_unstable_by_key(|&(r, s, _)| (r, s));
+                col.clear();
+                for &(r, _, a) in &self.sorted {
+                    match col.last_mut() {
+                        Some(last) if last.0 == r => last.1 += a,
+                        _ => col.push((r, a)),
+                    }
+                }
+            }
+            for &(r, _) in col.iter() {
+                self.rows[r].push(k);
+            }
+        }
+        for k in 0..m {
+            self.classify(k);
+        }
+    }
+
+    /// Re-derives column `k`'s cached largest magnitude and its membership
+    /// in the fill-free and singular sets.  An entry scores 0 exactly when
+    /// its column or its row holds nothing else.
+    fn classify(&mut self, k: usize) {
+        let col = &self.cols[k];
+        let cc = col.len();
+        let colmax = col.iter().fold(0.0f64, |acc, &(_, v)| acc.max(v.abs()));
+        self.colmax[k] = colmax;
+        let singular = cc == 0 || colmax < SINGULAR_TOL;
+        let fill_free = !singular
+            && col.iter().any(|&(r, v)| {
+                !below_threshold(v.abs(), colmax) && (cc == 1 || self.rows[r].len() == 1)
+            });
+        if singular {
+            self.singular.insert(k);
+        } else {
+            self.singular.remove(k);
+        }
+        if fill_free {
+            self.fill_free.insert(k);
+        } else {
+            self.fill_free.remove(k);
+        }
+    }
+
+    /// The pivot of this step as `(row, column)`, or `None` when the basis
+    /// is singular (see the [module docs](self)).
+    fn find_pivot(&self) -> Option<(usize, usize)> {
+        let first_free = self.fill_free.min();
+        if let Some(k) = self.singular.min() {
+            if first_free.is_none_or(|f| k < f) {
+                return None;
+            }
+        }
+        let mut best = None;
+        match first_free {
+            Some(k) => self.scan(k, &mut best),
+            // Nucleus step: no column is singular, so every active column
+            // holds a candidate (retired columns are empty and offer none).
+            None => {
+                for k in 0..self.cols.len() {
+                    self.scan(k, &mut best);
+                }
+            }
+        }
+        best.map(|(_, r, k, _)| (r, k))
+    }
+
+    /// Offers column `k`'s candidates to `best`, by row: a lower score
+    /// wins, then a strictly larger magnitude.
+    fn scan(&self, k: usize, best: &mut Option<Candidate>) {
+        let col = &self.cols[k];
+        let (cc, colmax) = (col.len(), self.colmax[k]);
+        for &(r, v) in col {
+            let va = v.abs();
+            if below_threshold(va, colmax) {
+                continue;
+            }
+            let score = (self.rows[r].len() - 1) * (cc - 1);
+            let better = match *best {
+                None => true,
+                Some((bs, _, _, bv)) => score < bs || (score == bs && va > bv),
+            };
+            if better {
+                *best = Some((score, r, k, va));
+            }
+        }
+    }
+
+    /// Step `t`: records the pivot `(pr, pk)` with its U row and L
+    /// multipliers, eliminates it from the active submatrix, and
+    /// re-derives the status of the columns whose candidates it changed.
+    fn eliminate(&mut self, t: usize, pr: usize, pk: usize) {
+        let Elimination {
+            cols,
+            rows,
+            fill_free,
+            singular,
+            dirty,
+            dirty_mark,
+            old_counts,
+            merged,
+            lower,
+            upper,
+            ..
+        } = self;
+        let pivot = entry_at(&cols[pk], pr);
+        let urow = &mut upper[t];
+        urow.clear();
+        rows[pr].sort_unstable();
+        for &j in &rows[pr] {
+            if j != pk {
+                urow.push((j, entry_at(&cols[j], pr)));
+            }
+        }
+        let lcol = &mut lower[t];
+        lcol.clear();
+        for &(i, v) in &cols[pk] {
+            if i != pr {
+                lcol.push((i, v / pivot));
+            }
+        }
+        old_counts.clear();
+        old_counts.extend(lcol.iter().map(|&(i, _)| rows[i].len()));
+
+        // col_j ← col_j − urj·lcol for every column of the pivot row, as a
+        // merge of two row-sorted lists that also drops row `pr`.
+        for &(j, urj) in urow.iter() {
+            merged.clear();
+            let mut pending = lcol.iter().peekable();
+            for &(r, v) in &cols[j] {
+                while let Some(&(i, l)) = pending.next_if(|&&(i, _)| i < r) {
+                    fill(merged, &mut rows[i], i, j, 0.0 - l * urj);
+                }
+                if r == pr {
+                    continue;
+                }
+                match pending.next_if(|&&(i, _)| i == r) {
+                    Some(&(_, l)) => {
+                        let e = v - l * urj;
+                        if e.abs() < DROP_TOL {
+                            remove_col(&mut rows[r], j);
+                        } else {
+                            merged.push((r, e));
+                        }
+                    }
+                    None => merged.push((r, v)),
+                }
+            }
+            for &(i, l) in pending {
+                fill(merged, &mut rows[i], i, j, 0.0 - l * urj);
+            }
+            std::mem::swap(&mut cols[j], merged);
+        }
+
+        // Retire the pivot row and column.
+        for &(i, _) in lcol.iter() {
+            remove_col(&mut rows[i], pk);
+        }
+        rows[pr].clear();
+        cols[pk].clear();
+        fill_free.remove(pk);
+        singular.remove(pk);
+
+        let mut mark = |j: usize| {
+            if !dirty_mark[j] {
+                dirty_mark[j] = true;
+                dirty.push(j);
+            }
+        };
+        for &(j, _) in urow.iter() {
+            mark(j);
+        }
+        for (&(i, _), &old) in lcol.iter().zip(old_counts.iter()) {
+            if (old == 1) != (rows[i].len() == 1) {
+                for &j in &rows[i] {
+                    mark(j);
+                }
+            }
+        }
+        while let Some(j) = self.dirty.pop() {
+            self.dirty_mark[j] = false;
+            self.classify(j);
+        }
+        self.pivot_row.push(pr);
+        self.pivot_col.push(pk);
+        self.upivot.push(pivot);
+    }
+}
+
+/// Appends fill entry `(i, e)` to column `j`'s merge unless it cancelled
+/// below `DROP_TOL`.
+fn fill(merged: &mut Vec<(usize, f64)>, row: &mut Vec<usize>, i: usize, j: usize, e: f64) {
+    if e.abs() < DROP_TOL {
+        return;
+    }
+    merged.push((i, e));
+    row.push(j);
+}
+
+/// Removes column `j` from an active row's column set.
+fn remove_col(row: &mut Vec<usize>, j: usize) {
+    if let Some(idx) = row.iter().position(|&c| c == j) {
+        row.swap_remove(idx);
+    }
+}
+
+/// Where a basis position stands in an update's dry-run elimination.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Pending {
+    /// Outside the pending row and not queued.
+    #[default]
+    Absent,
+    /// In the pending row, queued at its step's elimination position.
+    Queued,
+    /// Queued, but its entry cancelled to at most `DROP_TOL` (a later row
+    /// operation may revive it from 0).
+    Dropped,
+}
+
+/// Scratch of [`LuFactor::update`], kept between calls so an update
+/// allocates nothing once its buffers are sized.
+#[derive(Debug, Clone, Default)]
+struct UpdateScratch {
+    /// The spike `U·d` by constraint row; all-zero between calls.
+    spike: Vec<f64>,
+    /// The steps whose spike entry may be nonzero, extended before the
+    /// commit by the steps whose U row may hold the replaced column.
+    steps: Vec<usize>,
+    /// Epoch-tagged marks over steps, deduping `steps`.
+    step_mark: Vec<u32>,
+    epoch: u32,
+    /// The pending row by basis position, with each position's state.
+    pending: Vec<f64>,
+    state: Vec<Pending>,
+    /// Queued positions keyed `usize::MAX − elimination position`, so the
+    /// max-heap pops them in elimination order.
+    heap: Vec<(usize, usize)>,
+}
+
+impl UpdateScratch {
+    /// Sizes the buffers for dimension `m` and starts a new mark epoch.
+    fn begin(&mut self, m: usize) {
+        if self.spike.len() < m {
+            self.spike.resize(m, 0.0);
+            self.step_mark.resize(m, 0);
+            self.pending.resize(m, 0.0);
+            self.state.resize(m, Pending::Absent);
+        }
+        if self.epoch == u32::MAX {
+            self.step_mark.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.steps.clear();
+    }
+
+    /// Lists step `t` in `steps` unless it is already there.
+    fn add_step(&mut self, t: usize) {
+        if self.step_mark[t] != self.epoch {
+            self.step_mark[t] = self.epoch;
+            self.steps.push(t);
+        }
+    }
 }
 
 /// Markowitz-ordered sparse LU with Forrest–Tomlin updates (see the
@@ -408,9 +858,15 @@ pub(crate) struct LuFactor {
     utrans: Vec<Vec<usize>>,
     /// Forrest–Tomlin row etas, in creation order.
     row_etas: Vec<RowEta>,
+    /// The row etas' terms, back to back.
+    eta_terms: Vec<(usize, f64)>,
     /// Lifetime count of `U` entries retired by updates (see
     /// [`compactions`](LuFactor::compactions)).
     compactions: usize,
+    /// Working state of `refactorize`.
+    work: Elimination,
+    /// Scratch of `update`.
+    scratch: UpdateScratch,
 }
 
 impl LuFactor {
@@ -488,7 +944,7 @@ impl LuFactor {
         for eta in &self.row_etas {
             let mut s = ws.rhs[eta.target];
             let mut live = s != 0.0;
-            for &(src, mult) in &eta.terms {
+            for &(src, mult) in &self.eta_terms[eta.start..eta.end] {
                 let vs = ws.rhs[src];
                 if vs != 0.0 {
                     live = true;
@@ -651,7 +1107,7 @@ impl LuFactor {
         for eta in self.row_etas.iter().rev() {
             let wt = ws.sol[eta.target];
             if wt != 0.0 {
-                for &(src, mult) in &eta.terms {
+                for &(src, mult) in &self.eta_terms[eta.start..eta.end] {
                     ws.sol[src] -= mult * wt;
                     if hyper && !ws.row_marked(src) {
                         ws.mark_row_on(src);
@@ -744,17 +1200,34 @@ impl LuFactor {
         if self.row_etas.len() >= ETA_CAP {
             return Err(FactorError::NeedsRefactorization);
         }
-        let m = self.m;
-        let t_p = self.col_step[p];
-        let r_p = self.pivot_row[t_p];
-        let pos_p = self.order_pos[t_p];
+        let spike_max = self.load_spike(&d[..self.m]);
+        let result = self.replace_column(p, spike_max);
+        for &t in &self.scratch.steps {
+            self.scratch.spike[self.pivot_row[t]] = 0.0;
+        }
+        result
+    }
 
-        // Spike v = U·d by constraint row.  Since d = B⁻¹a_q and
-        // B = L·R⁻¹·U, this equals R·L⁻¹·a_q — exactly the column that
-        // must replace column `p` of U for the invariant to keep holding.
-        let mut spike = vec![0.0; m];
+    /// The spike `v = U·d` by constraint row, into `scratch.spike`, and its
+    /// largest magnitude.  Since `d = B⁻¹a_q` and `B = L·R⁻¹·U`, this equals
+    /// `R·L⁻¹·a_q` — exactly the column that must replace column `p` of U
+    /// for the invariant to keep holding.  Only the steps `d`'s support
+    /// reaches (the support's own steps and their `utrans` readers) are
+    /// summed, into `scratch.steps`; every other step's sum is an exact
+    /// zero, which the drop below turns into `0.0` anyway.
+    fn load_spike(&mut self, d: &[f64]) -> f64 {
+        let scratch = &mut self.scratch;
+        scratch.begin(self.m);
+        for (j, &dj) in d.iter().enumerate() {
+            if dj != 0.0 {
+                scratch.add_step(self.col_step[j]);
+                for &t in &self.utrans[j] {
+                    scratch.add_step(t);
+                }
+            }
+        }
         let mut spike_max = 0.0f64;
-        for t in 0..m {
+        for &t in &scratch.steps {
             let mut s = self.upivot[t] * d[self.pivot_col[t]];
             for &(j, u) in &self.upper[t] {
                 s += u * d[j];
@@ -762,72 +1235,110 @@ impl LuFactor {
             if s.abs() <= DROP_TOL {
                 s = 0.0;
             }
-            spike[self.pivot_row[t]] = s;
+            scratch.spike[self.pivot_row[t]] = s;
             spike_max = spike_max.max(s.abs());
         }
+        spike_max
+    }
+
+    /// The Forrest–Tomlin replacement of column `p` by the loaded spike.
+    fn replace_column(&mut self, p: usize, spike_max: f64) -> Result<(), FactorError> {
+        let m = self.m;
+        let t_p = self.col_step[p];
+        let r_p = self.pivot_row[t_p];
+        let pos_p = self.order_pos[t_p];
+        let scratch = &mut self.scratch;
 
         // With column `p` replaced and step `t_p` moved to the end of the
         // elimination order, only the old row of step `t_p` breaks
         // triangularity: its surviving entries now sit below the diagonal.
         // Dry-run its elimination (nothing mutated yet, so any decline
         // leaves the factorization untouched), accumulating the row eta.
-        use std::collections::BTreeMap;
-        let mut pending: BTreeMap<usize, f64> = self.upper[t_p]
-            .iter()
-            .filter(|&&(j, _)| j != p)
-            .copied()
-            .collect();
-        let mut pend_p = spike[r_p];
-        let mut terms: Vec<(usize, f64)> = Vec::new();
-        for pos in pos_p + 1..m {
-            let s = self.order[pos];
-            let Some(u) = pending.remove(&self.pivot_col[s]) else {
-                continue;
-            };
-            if u.abs() <= DROP_TOL {
+        // Every entry of the pending row sits at a later position than the
+        // step that put it there, so popping them in elimination order
+        // visits exactly the steps a walk over every later position would
+        // act on, in the same order.
+        let queue = |scratch: &mut UpdateScratch, j: usize| {
+            scratch.state[j] = Pending::Queued;
+            let key = usize::MAX - self.order_pos[self.col_step[j]];
+            heap_push(&mut scratch.heap, (key, j));
+        };
+        scratch.heap.clear();
+        for &(j, u) in &self.upper[t_p] {
+            if j != p {
+                scratch.pending[j] = u;
+                queue(scratch, j);
+            }
+        }
+        let mut pend_p = scratch.spike[r_p];
+        let start = self.eta_terms.len();
+        while let Some((_, j)) = heap_pop(&mut scratch.heap) {
+            let state = std::mem::take(&mut scratch.state[j]);
+            let u = scratch.pending[j];
+            if state == Pending::Dropped || u.abs() <= DROP_TOL {
                 continue;
             }
+            let s = self.col_step[j];
             let mult = u / self.upivot[s];
-            terms.push((self.pivot_row[s], mult));
-            if terms.len() > FT_FILL_CAP {
+            self.eta_terms.push((self.pivot_row[s], mult));
+            if self.eta_terms.len() - start > FT_FILL_CAP {
+                while let Some((_, j)) = heap_pop(&mut scratch.heap) {
+                    scratch.state[j] = Pending::Absent;
+                }
+                self.eta_terms.truncate(start);
                 return Err(FactorError::NeedsRefactorization);
             }
             for &(j2, u2) in &self.upper[s] {
                 if j2 == p {
                     continue;
                 }
-                let e = pending.entry(j2).or_insert(0.0);
+                match scratch.state[j2] {
+                    Pending::Absent => {
+                        scratch.pending[j2] = 0.0;
+                        queue(scratch, j2);
+                    }
+                    Pending::Dropped => {
+                        scratch.pending[j2] = 0.0;
+                        scratch.state[j2] = Pending::Queued;
+                    }
+                    Pending::Queued => {}
+                }
+                let e = &mut scratch.pending[j2];
                 *e -= mult * u2;
                 if e.abs() <= DROP_TOL {
-                    pending.remove(&j2);
+                    scratch.state[j2] = Pending::Dropped;
                 }
             }
             // Row `pivot_row[s]`'s entry in the replaced column is the
-            // spike value, kept out of `pending` and tracked separately.
-            pend_p -= mult * spike[self.pivot_row[s]];
+            // spike value, kept out of the pending row and tracked
+            // separately.
+            pend_p -= mult * scratch.spike[self.pivot_row[s]];
         }
-        debug_assert!(
-            pending.is_empty(),
-            "pending row should eliminate completely"
-        );
         let new_diag = pend_p;
         if new_diag.abs() < FT_STAB_TOL * spike_max || new_diag.abs() < SINGULAR_TOL {
+            self.eta_terms.truncate(start);
             return Err(FactorError::UnstablePivot);
         }
 
         // Commit.  Replace column `p` of U with the spike (retired entries
-        // are the growth a product-form eta file would have kept).  The
-        // Uᵀ adjacency for column `p` is rebuilt exactly here; removals
-        // elsewhere leave stale `utrans` entries, which the hyper-sparse
-        // solves tolerate as a superset.
+        // are the growth a product-form eta file would have kept), visiting
+        // in ascending order the steps whose U row may hold column `p` (a
+        // superset: `utrans[p]`) or gains a spike entry.  The Uᵀ adjacency
+        // for column `p` is rebuilt exactly here; removals elsewhere leave
+        // stale `utrans` entries, which the hyper-sparse solves tolerate as
+        // a superset.
+        for &t in &self.utrans[p] {
+            scratch.add_step(t);
+        }
+        scratch.steps.sort_unstable();
         self.utrans[p].clear();
-        for t in 0..m {
+        for &t in &scratch.steps {
             if let Some(idx) = self.upper[t].iter().position(|&(j, _)| j == p) {
                 self.upper[t].swap_remove(idx);
                 self.compactions += 1;
             }
             if t != t_p {
-                let sv = spike[self.pivot_row[t]];
+                let sv = scratch.spike[self.pivot_row[t]];
                 if sv != 0.0 {
                     self.upper[t].push((p, sv));
                     self.utrans[p].push(t);
@@ -841,150 +1352,69 @@ impl LuFactor {
         self.upivot[t_p] = new_diag;
         self.order.remove(pos_p);
         self.order.push(t_p);
-        for (pos, &t) in self.order.iter().enumerate().skip(pos_p) {
-            self.order_pos[t] = pos;
+        for pos in pos_p..m {
+            self.order_pos[self.order[pos]] = pos;
         }
-        if !terms.is_empty() {
-            self.row_etas.push(RowEta { target: r_p, terms });
+        if self.eta_terms.len() > start {
+            self.row_etas.push(RowEta {
+                target: r_p,
+                start,
+                end: self.eta_terms.len(),
+            });
         }
         Ok(())
     }
 
     /// Rebuilds from the pristine basis columns; returns `false` (leaving
     /// the previous factorization in place) when the basis is numerically
-    /// singular.
+    /// singular.  The pivots follow the Markowitz rule of the
+    /// [module docs](self).
     pub(crate) fn refactorize(&mut self, m: usize, basis: &[usize], cols: &ColumnStore) -> bool {
-        use std::collections::{BTreeMap, BTreeSet};
-
-        // Active working matrix, column-major with a row→columns index so
-        // both Markowitz counts are maintainable.  BTree containers keep the
-        // iteration order — and with it the pivot sequence — deterministic.
-        let mut col: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); m];
-        let mut row_cols: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); m];
-        for (k, &c) in basis.iter().enumerate() {
-            for &(r, a) in cols.col(c) {
-                if a != 0.0 {
-                    *col[k].entry(r).or_insert(0.0) += a;
-                    row_cols[r].insert(k);
-                }
-            }
-        }
-        let mut col_active = vec![true; m];
-        let mut pivot_row = Vec::with_capacity(m);
-        let mut pivot_col = Vec::with_capacity(m);
-        let mut upivot = Vec::with_capacity(m);
-        let mut lower: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut upper: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-
-        for _step in 0..m {
-            // Markowitz pivot search: minimize (rowcount−1)·(colcount−1)
-            // among entries above the stability threshold of their column.
-            let mut best: Option<(usize, usize, usize, f64)> = None; // (score, r, k, |v|)
-            for (k, active) in col_active.iter().enumerate() {
-                if !active {
-                    continue;
-                }
-                let cc = col[k].len();
-                let colmax = col[k].values().fold(0.0f64, |acc, v| acc.max(v.abs()));
-                if cc == 0 || colmax < SINGULAR_TOL {
-                    return false; // structurally or numerically singular
-                }
-                for (&r, &v) in &col[k] {
-                    let va = v.abs();
-                    if va < LU_THRESHOLD * colmax || va < SINGULAR_TOL {
-                        continue;
-                    }
-                    let score = (row_cols[r].len() - 1) * (cc - 1);
-                    let better = match best {
-                        None => true,
-                        Some((bs, _, _, bv)) => score < bs || (score == bs && va > bv),
-                    };
-                    if better {
-                        best = Some((score, r, k, va));
-                    }
-                }
-                if matches!(best, Some((0, ..))) {
-                    break; // a fill-free pivot cannot be beaten
-                }
-            }
-            let Some((_, pr, pk, _)) = best else {
-                return false;
+        let work = &mut self.work;
+        work.load(m, basis, cols);
+        for t in 0..m {
+            let Some((pr, pk)) = work.find_pivot() else {
+                return false; // structurally or numerically singular
             };
-            let pivot = col[pk][&pr];
-            // Snapshot the pivot row (U) and pivot column (L multipliers).
-            let urow: Vec<(usize, f64)> = row_cols[pr]
-                .iter()
-                .filter(|&&j| j != pk)
-                .map(|&j| (j, col[j][&pr]))
-                .collect();
-            let lcol: Vec<(usize, f64)> = col[pk]
-                .iter()
-                .filter(|&(&i, _)| i != pr)
-                .map(|(&i, &v)| (i, v / pivot))
-                .collect();
-            // Eliminate: col_j ← col_j − (a_rj / pivot-scaled) updates.
-            for &(j, urj) in &urow {
-                for &(i, l) in &lcol {
-                    let e = col[j].entry(i).or_insert(0.0);
-                    *e -= l * urj;
-                    if e.abs() < DROP_TOL {
-                        col[j].remove(&i);
-                        row_cols[i].remove(&j);
-                    } else {
-                        row_cols[i].insert(j);
-                    }
-                }
-                col[j].remove(&pr);
-            }
-            // Deactivate the pivot row and column.
-            for (&i, _) in col[pk].iter() {
-                row_cols[i].remove(&pk);
-            }
-            col[pk].clear();
-            row_cols[pr].clear();
-            col_active[pk] = false;
-            pivot_row.push(pr);
-            pivot_col.push(pk);
-            upivot.push(pivot);
-            lower.push(lcol);
-            upper.push(urow);
+            work.eliminate(t, pr, pk);
         }
+        std::mem::swap(&mut self.pivot_row, &mut work.pivot_row);
+        std::mem::swap(&mut self.pivot_col, &mut work.pivot_col);
+        std::mem::swap(&mut self.upivot, &mut work.upivot);
+        std::mem::swap(&mut self.lower, &mut work.lower);
+        std::mem::swap(&mut self.upper, &mut work.upper);
 
-        let mut col_step = vec![0usize; m];
-        let mut row_step = vec![0usize; m];
-        for (t, &k) in pivot_col.iter().enumerate() {
-            col_step[k] = t;
+        self.m = m;
+        self.col_step.resize(m, 0);
+        self.row_step.resize(m, 0);
+        for (t, &k) in self.pivot_col.iter().enumerate() {
+            self.col_step[k] = t;
         }
-        for (t, &r) in pivot_row.iter().enumerate() {
-            row_step[r] = t;
+        for (t, &r) in self.pivot_row.iter().enumerate() {
+            self.row_step[r] = t;
         }
         // Transpose adjacencies for the hyper-sparse solves: exact at
         // refactorization time (updates keep `utrans` a sound superset).
-        let mut ltrans: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (t, lcol) in lower.iter().enumerate() {
-            for &(i, _) in lcol {
-                ltrans[i].push(t);
+        for (trans, steps) in [
+            (&mut self.ltrans, &self.lower),
+            (&mut self.utrans, &self.upper),
+        ] {
+            trans.resize_with(m, Vec::new);
+            for list in trans.iter_mut() {
+                list.clear();
+            }
+            for (t, entries) in steps.iter().enumerate() {
+                for &(i, _) in entries {
+                    trans[i].push(t);
+                }
             }
         }
-        let mut utrans: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (t, urow) in upper.iter().enumerate() {
-            for &(j, _) in urow {
-                utrans[j].push(t);
-            }
-        }
-        self.m = m;
-        self.pivot_row = pivot_row;
-        self.pivot_col = pivot_col;
-        self.upivot = upivot;
-        self.lower = lower;
-        self.upper = upper;
-        self.order = (0..m).collect();
-        self.order_pos = (0..m).collect();
-        self.col_step = col_step;
-        self.row_step = row_step;
-        self.ltrans = ltrans;
-        self.utrans = utrans;
+        self.order.clear();
+        self.order.extend(0..m);
+        self.order_pos.clear();
+        self.order_pos.extend(0..m);
         self.row_etas.clear();
+        self.eta_terms.clear();
         // `compactions` is a lifetime counter and deliberately survives.
         true
     }
@@ -1446,6 +1876,541 @@ mod tests {
                     proptest::prop_assert!((x - y).abs() < 1e-6 * scale, "{label} {x} vs {y}");
                 }
             }
+        }
+    }
+
+    /// What the random bases of the bit-identity properties exercised, as
+    /// counted by the reference search.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        column_singletons: usize,
+        row_singletons: usize,
+        nucleus_steps: usize,
+        score_ties: usize,
+        magnitude_ties: usize,
+        cancelled_fill: usize,
+        empty_columns: usize,
+        tiny_columns: usize,
+    }
+
+    /// The plain Markowitz rule the candidate-set search must reproduce:
+    /// every step rescans every active column over BTree working sets.
+    fn reference_refactorize(
+        lu: &mut LuFactor,
+        m: usize,
+        basis: &[usize],
+        cols: &ColumnStore,
+        cov: &mut Coverage,
+    ) -> bool {
+        use std::collections::{BTreeMap, BTreeSet};
+
+        let mut col: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); m];
+        let mut row_cols: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); m];
+        for (k, &c) in basis.iter().enumerate() {
+            for &(r, a) in cols.col(c) {
+                if a != 0.0 {
+                    *col[k].entry(r).or_insert(0.0) += a;
+                    row_cols[r].insert(k);
+                }
+            }
+        }
+        let mut col_active = vec![true; m];
+        let mut pivot_row = Vec::with_capacity(m);
+        let mut pivot_col = Vec::with_capacity(m);
+        let mut upivot = Vec::with_capacity(m);
+        let mut lower: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut upper: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+
+        for _step in 0..m {
+            let mut best: Option<(usize, usize, usize, f64)> = None;
+            for (k, active) in col_active.iter().enumerate() {
+                if !active {
+                    continue;
+                }
+                let cc = col[k].len();
+                let colmax = col[k].values().fold(0.0f64, |acc, v| acc.max(v.abs()));
+                if cc == 0 || colmax < SINGULAR_TOL {
+                    if cc == 0 {
+                        cov.empty_columns += 1;
+                    } else {
+                        cov.tiny_columns += 1;
+                    }
+                    return false;
+                }
+                for (&r, &v) in &col[k] {
+                    let va = v.abs();
+                    if va < LU_THRESHOLD * colmax || va < SINGULAR_TOL {
+                        continue;
+                    }
+                    let score = (row_cols[r].len() - 1) * (cc - 1);
+                    let better = match best {
+                        None => true,
+                        Some((bs, _, _, bv)) => {
+                            if score == bs {
+                                cov.score_ties += 1;
+                                if va == bv {
+                                    cov.magnitude_ties += 1;
+                                }
+                            }
+                            score < bs || (score == bs && va > bv)
+                        }
+                    };
+                    if better {
+                        best = Some((score, r, k, va));
+                    }
+                }
+                if matches!(best, Some((0, ..))) {
+                    break;
+                }
+            }
+            let Some((score, pr, pk, _)) = best else {
+                return false;
+            };
+            if score > 0 {
+                cov.nucleus_steps += 1;
+            } else if col[pk].len() == 1 {
+                cov.column_singletons += 1;
+            } else {
+                cov.row_singletons += 1;
+            }
+            let pivot = col[pk][&pr];
+            let urow: Vec<(usize, f64)> = row_cols[pr]
+                .iter()
+                .filter(|&&j| j != pk)
+                .map(|&j| (j, col[j][&pr]))
+                .collect();
+            let lcol: Vec<(usize, f64)> = col[pk]
+                .iter()
+                .filter(|&(&i, _)| i != pr)
+                .map(|(&i, &v)| (i, v / pivot))
+                .collect();
+            for &(j, urj) in &urow {
+                for &(i, l) in &lcol {
+                    let e = col[j].entry(i).or_insert(0.0);
+                    *e -= l * urj;
+                    if e.abs() < DROP_TOL {
+                        cov.cancelled_fill += 1;
+                        col[j].remove(&i);
+                        row_cols[i].remove(&j);
+                    } else {
+                        row_cols[i].insert(j);
+                    }
+                }
+                col[j].remove(&pr);
+            }
+            for (&i, _) in col[pk].iter() {
+                row_cols[i].remove(&pk);
+            }
+            col[pk].clear();
+            row_cols[pr].clear();
+            col_active[pk] = false;
+            pivot_row.push(pr);
+            pivot_col.push(pk);
+            upivot.push(pivot);
+            lower.push(lcol);
+            upper.push(urow);
+        }
+
+        let mut col_step = vec![0usize; m];
+        let mut row_step = vec![0usize; m];
+        for (t, &k) in pivot_col.iter().enumerate() {
+            col_step[k] = t;
+        }
+        for (t, &r) in pivot_row.iter().enumerate() {
+            row_step[r] = t;
+        }
+        let mut ltrans: Vec<Vec<usize>> = vec![Vec::new(); m];
+        for (t, lcol) in lower.iter().enumerate() {
+            for &(i, _) in lcol {
+                ltrans[i].push(t);
+            }
+        }
+        let mut utrans: Vec<Vec<usize>> = vec![Vec::new(); m];
+        for (t, urow) in upper.iter().enumerate() {
+            for &(j, _) in urow {
+                utrans[j].push(t);
+            }
+        }
+        lu.m = m;
+        lu.pivot_row = pivot_row;
+        lu.pivot_col = pivot_col;
+        lu.upivot = upivot;
+        lu.lower = lower;
+        lu.upper = upper;
+        lu.order = (0..m).collect();
+        lu.order_pos = (0..m).collect();
+        lu.col_step = col_step;
+        lu.row_step = row_step;
+        lu.ltrans = ltrans;
+        lu.utrans = utrans;
+        lu.row_etas.clear();
+        lu.eta_terms.clear();
+        true
+    }
+
+    /// The plain Forrest–Tomlin update the sparse one must reproduce: a
+    /// dense spike over every step, a dry run visiting every later
+    /// position, and a commit over every step.
+    fn reference_update(lu: &mut LuFactor, p: usize, d: &[f64]) -> Result<(), FactorError> {
+        let dp = d[p];
+        if dp.abs() < PIVOT_EPS || !dp.is_finite() {
+            return Err(FactorError::UnstablePivot);
+        }
+        if lu.row_etas.len() >= ETA_CAP {
+            return Err(FactorError::NeedsRefactorization);
+        }
+        let m = lu.m;
+        let t_p = lu.col_step[p];
+        let r_p = lu.pivot_row[t_p];
+        let pos_p = lu.order_pos[t_p];
+
+        let mut spike = vec![0.0; m];
+        let mut spike_max = 0.0f64;
+        for t in 0..m {
+            let mut s = lu.upivot[t] * d[lu.pivot_col[t]];
+            for &(j, u) in &lu.upper[t] {
+                s += u * d[j];
+            }
+            if s.abs() <= DROP_TOL {
+                s = 0.0;
+            }
+            spike[lu.pivot_row[t]] = s;
+            spike_max = spike_max.max(s.abs());
+        }
+
+        use std::collections::BTreeMap;
+        let mut pending: BTreeMap<usize, f64> = lu.upper[t_p]
+            .iter()
+            .filter(|&&(j, _)| j != p)
+            .copied()
+            .collect();
+        let mut pend_p = spike[r_p];
+        let mut terms: Vec<(usize, f64)> = Vec::new();
+        for pos in pos_p + 1..m {
+            let s = lu.order[pos];
+            let Some(u) = pending.remove(&lu.pivot_col[s]) else {
+                continue;
+            };
+            if u.abs() <= DROP_TOL {
+                continue;
+            }
+            let mult = u / lu.upivot[s];
+            terms.push((lu.pivot_row[s], mult));
+            if terms.len() > FT_FILL_CAP {
+                return Err(FactorError::NeedsRefactorization);
+            }
+            for &(j2, u2) in &lu.upper[s] {
+                if j2 == p {
+                    continue;
+                }
+                let e = pending.entry(j2).or_insert(0.0);
+                *e -= mult * u2;
+                if e.abs() <= DROP_TOL {
+                    pending.remove(&j2);
+                }
+            }
+            pend_p -= mult * spike[lu.pivot_row[s]];
+        }
+        assert!(
+            pending.is_empty(),
+            "pending row should eliminate completely"
+        );
+        let new_diag = pend_p;
+        if new_diag.abs() < FT_STAB_TOL * spike_max || new_diag.abs() < SINGULAR_TOL {
+            return Err(FactorError::UnstablePivot);
+        }
+
+        lu.utrans[p].clear();
+        for t in 0..m {
+            if let Some(idx) = lu.upper[t].iter().position(|&(j, _)| j == p) {
+                lu.upper[t].swap_remove(idx);
+                lu.compactions += 1;
+            }
+            if t != t_p {
+                let sv = spike[lu.pivot_row[t]];
+                if sv != 0.0 {
+                    lu.upper[t].push((p, sv));
+                    lu.utrans[p].push(t);
+                }
+            }
+        }
+        lu.compactions += lu.upper[t_p].len();
+        lu.upper[t_p].clear();
+        lu.upivot[t_p] = new_diag;
+        lu.order.remove(pos_p);
+        lu.order.push(t_p);
+        for (pos, &t) in lu.order.iter().enumerate().skip(pos_p) {
+            lu.order_pos[t] = pos;
+        }
+        if !terms.is_empty() {
+            let start = lu.eta_terms.len();
+            lu.eta_terms.extend_from_slice(&terms);
+            lu.row_etas.push(RowEta {
+                target: r_p,
+                start,
+                end: lu.eta_terms.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Every field of a factorization, floats by their bits and lists in
+    /// stored order.
+    #[derive(Debug, PartialEq)]
+    struct Bits {
+        m: usize,
+        pivot_row: Vec<usize>,
+        pivot_col: Vec<usize>,
+        upivot: Vec<u64>,
+        lower: Vec<Vec<(usize, u64)>>,
+        upper: Vec<Vec<(usize, u64)>>,
+        order: Vec<usize>,
+        order_pos: Vec<usize>,
+        col_step: Vec<usize>,
+        row_step: Vec<usize>,
+        ltrans: Vec<Vec<usize>>,
+        utrans: Vec<Vec<usize>>,
+        row_etas: Vec<(usize, Vec<(usize, u64)>)>,
+        compactions: usize,
+    }
+
+    fn bits(lu: &LuFactor) -> Bits {
+        let entries = |list: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            list.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+        };
+        Bits {
+            m: lu.m,
+            pivot_row: lu.pivot_row.clone(),
+            pivot_col: lu.pivot_col.clone(),
+            upivot: lu.upivot.iter().map(|v| v.to_bits()).collect(),
+            lower: lu.lower.iter().map(|l| entries(l)).collect(),
+            upper: lu.upper.iter().map(|u| entries(u)).collect(),
+            order: lu.order.clone(),
+            order_pos: lu.order_pos.clone(),
+            col_step: lu.col_step.clone(),
+            row_step: lu.row_step.clone(),
+            ltrans: lu.ltrans.clone(),
+            utrans: lu.utrans.clone(),
+            row_etas: lu
+                .row_etas
+                .iter()
+                .map(|eta| (eta.target, entries(&lu.eta_terms[eta.start..eta.end])))
+                .collect(),
+            compactions: lu.compactions,
+        }
+    }
+
+    use proptest::test_runner::TestRng;
+
+    /// Coefficients with many exact magnitude ties, and one that cancels
+    /// against 1 to below `DROP_TOL`.
+    const POOL: [f64; 8] = [1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1.0 + 4e-16, -0.25];
+
+    fn pick(rng: &mut TestRng, n: usize) -> usize {
+        rng.below(n as u64) as usize
+    }
+
+    fn coefficient(rng: &mut TestRng) -> f64 {
+        POOL[pick(rng, POOL.len())]
+    }
+
+    /// Pushes a random sparse column (1–3 entries from [`POOL`], some rows
+    /// possibly repeated) into `cols`.
+    fn push_random_col(cols: &mut ColumnStore, rng: &mut TestRng, m: usize) -> usize {
+        let j = cols.push_col();
+        for _ in 0..1 + pick(rng, 3) {
+            cols.push_entry(j, pick(rng, m), coefficient(rng));
+        }
+        j
+    }
+
+    /// A random sparse basis of dimension 2..=33: a permuted diagonal plus
+    /// random off-diagonal entries (column and row singletons, chains), a
+    /// dense block of rank-deficient-looking `J + D` shape (a nucleus, with
+    /// fill that cancels), and now and then an empty column, a column below
+    /// `SINGULAR_TOL`, duplicate rows, or two columns equal up to 4e-16.
+    fn random_basis(rng: &mut TestRng) -> (usize, ColumnStore, Vec<usize>) {
+        let m = 2 + pick(rng, 32);
+        let mut perm: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            perm.swap(i, pick(rng, i + 1));
+        }
+        let mut entries: Vec<Vec<(usize, f64)>> =
+            (0..m).map(|k| vec![(perm[k], coefficient(rng))]).collect();
+        for column in entries.iter_mut() {
+            for _ in 0..pick(rng, 3) {
+                column.push((pick(rng, m), coefficient(rng)));
+            }
+        }
+        if m >= 4 && pick(rng, 3) > 0 {
+            let size = 3 + pick(rng, (m - 2).min(5));
+            let base = pick(rng, m - size + 1);
+            let ones = coefficient(rng);
+            for c in 0..size {
+                for r in 0..size {
+                    let mut v = ones;
+                    if r == c && pick(rng, 4) > 0 {
+                        v += coefficient(rng);
+                    }
+                    entries[base + c].push((perm[base + r], v));
+                }
+            }
+        }
+        match pick(rng, 8) {
+            0 => entries[pick(rng, m)].clear(),
+            1 => {
+                let k = pick(rng, m);
+                for e in entries[k].iter_mut() {
+                    e.1 *= 1e-12;
+                }
+            }
+            2 => {
+                let k = pick(rng, m);
+                let (r, v) = entries[k][0];
+                entries[k].push((r, -v));
+                entries[k].push((r, v));
+            }
+            3 => {
+                let (a, b) = (pick(rng, m), pick(rng, m));
+                if a != b {
+                    entries[b] = entries[a].clone();
+                    entries[b][0].1 *= 1.0 + 4e-16;
+                }
+            }
+            _ => {}
+        }
+        let mut cols = ColumnStore::default();
+        for column in &entries {
+            let j = cols.push_col();
+            for &(r, v) in column {
+                cols.push_entry(j, r, v);
+            }
+        }
+        (m, cols, (0..m).collect())
+    }
+
+    proptest::proptest! {
+        /// On random sparse bases the candidate-set search agrees with the
+        /// plain rule bit for bit: same verdict, same pivots, `upivot` and
+        /// L/U entries equal by bits in stored order, same transposes — and
+        /// on a singular basis both leave the previous factors in place.
+        /// One factorization object is reused across bases of varying
+        /// size, so stale scratch cannot leak into a result.
+        #[test]
+        fn prop_refactorize_matches_the_plain_markowitz_rule_bit_for_bit(
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = TestRng::deterministic(&seed.to_string());
+            let mut cov = Coverage::default();
+            let mut fast = LuFactor::default();
+            let mut plain = LuFactor::default();
+            let mut verdicts = [0usize; 2];
+            for _ in 0..48 {
+                let (m, cols, basis) = random_basis(&mut rng);
+                let ok = fast.refactorize(m, &basis, &cols);
+                proptest::prop_assert_eq!(
+                    ok,
+                    reference_refactorize(&mut plain, m, &basis, &cols, &mut cov)
+                );
+                proptest::prop_assert_eq!(bits(&fast), bits(&plain));
+                verdicts[ok as usize] += 1;
+            }
+            proptest::prop_assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
+            for (what, n) in [
+                ("column singletons", cov.column_singletons),
+                ("row singletons", cov.row_singletons),
+                ("nucleus steps", cov.nucleus_steps),
+                ("score ties", cov.score_ties),
+                ("magnitude ties", cov.magnitude_ties),
+                ("cancelled fill", cov.cancelled_fill),
+                ("empty columns", cov.empty_columns),
+                ("tiny columns", cov.tiny_columns),
+            ] {
+                proptest::prop_assert!(n > 0, "no {what} in {cov:?}");
+            }
+        }
+
+        /// Random update sequences on random sparse bases and on long
+        /// chains (whose pending rows outgrow `FT_FILL_CAP`): the sparse
+        /// update returns what the plain one returns and leaves the same
+        /// `upper`, `utrans`, order, row etas and compaction count, bit for
+        /// bit — declines included, after which both refactorize as the
+        /// simplex core does.
+        #[test]
+        fn prop_update_matches_the_plain_forrest_tomlin_update_bit_for_bit(
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = TestRng::deterministic(&seed.to_string());
+            let mut cov = Coverage::default();
+            let mut outcomes = [0usize; 3];
+            for round in 0..6 {
+                let (m, mut cols, mut basis) = if round == 0 {
+                    let m = 80 + pick(&mut rng, 16);
+                    let mut cols = ColumnStore::default();
+                    for k in 0..m {
+                        let j = cols.push_col();
+                        cols.push_entry(j, k, 1.0);
+                        if k > 0 {
+                            cols.push_entry(j, k - 1, 1.0);
+                        }
+                    }
+                    (m, cols, (0..m).collect::<Vec<_>>())
+                } else {
+                    random_basis(&mut rng)
+                };
+                let mut fast = LuFactor::default();
+                if !fast.refactorize(m, &basis, &cols) {
+                    continue;
+                }
+                let mut plain = LuFactor::default();
+                reference_refactorize(&mut plain, m, &basis, &cols, &mut cov);
+                for _ in 0..24 {
+                    // Low positions head the longest pending rows of a chain.
+                    let p = pick(&mut rng, if round == 0 { 4 } else { m });
+                    let q = if pick(&mut rng, 2) == 0 {
+                        push_random_col(&mut cols, &mut rng, m)
+                    } else {
+                        // ε·(departing column) + large multiples of others:
+                        // small ε makes the new diagonal tiny next to the
+                        // spike (or `d[p]` itself too small).
+                        let j = cols.push_col();
+                        let eps = [1e-9, 1e-6, 1.0][pick(&mut rng, 3)];
+                        let leaving: Vec<(usize, f64)> = cols.col(basis[p]).to_vec();
+                        for (r, v) in leaving {
+                            cols.push_entry(j, r, eps * v);
+                        }
+                        for _ in 0..1 + pick(&mut rng, 3) {
+                            let k = basis[pick(&mut rng, m)];
+                            let scale = 1e3 * coefficient(&mut rng);
+                            let other: Vec<(usize, f64)> = cols.col(k).to_vec();
+                            for (r, v) in other {
+                                cols.push_entry(j, r, scale * v);
+                            }
+                        }
+                        j
+                    };
+                    let d = ftran(&fast, &dense_col(&cols, q, m));
+                    let result = fast.update(p, &d);
+                    proptest::prop_assert_eq!(result, reference_update(&mut plain, p, &d));
+                    proptest::prop_assert_eq!(bits(&fast), bits(&plain));
+                    match result {
+                        Ok(()) => {
+                            outcomes[0] += 1;
+                            basis[p] = q;
+                        }
+                        Err(e) => {
+                            outcomes[1 + (e == FactorError::NeedsRefactorization) as usize] += 1;
+                            let ok = fast.refactorize(m, &basis, &cols);
+                            proptest::prop_assert_eq!(
+                                ok,
+                                reference_refactorize(&mut plain, m, &basis, &cols, &mut cov)
+                            );
+                            proptest::prop_assert_eq!(bits(&fast), bits(&plain));
+                        }
+                    }
+                }
+            }
+            proptest::prop_assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
         }
     }
 }

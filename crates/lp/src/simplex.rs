@@ -143,6 +143,10 @@ solve_stats! {
     /// Nanoseconds spent in ratio tests (primal Harris/Bland passes and the
     /// dual entering scan, bound-flip breakpoint walk included).
     ratio_ns: u64, Sum, Volatile;
+    /// Nanoseconds spent refactorizing the basis (rebuilding the LU factors
+    /// from the pristine columns; the basic-value recomputation that
+    /// follows is `ftran_ns`).
+    refactor_ns: u64, Sum, Volatile;
     /// Forward solves completed on the hyper-sparse (Gilbert–Peierls)
     /// path of the LU kernels.
     hyper_sparse_ftrans: u64, Sum, Volatile;

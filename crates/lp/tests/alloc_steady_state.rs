@@ -5,8 +5,10 @@
 //! cutting-row re-solve may grow it once for the new row), a steady-state
 //! re-minimize must report `kernel_allocs == 0` — no ftran/btran/pricing
 //! buffer was grown — and stay under a pinned total-allocation budget that
-//! covers only the known non-kernel allocators (the refactorization
-//! rebuild, `LuFactor::update`'s per-pivot spike, solution extraction).
+//! covers only the known non-kernel allocators (solution extraction and
+//! per-minimize bookkeeping).  `LuFactor::refactorize` and
+//! `LuFactor::update` keep their scratch in the factorization and allocate
+//! nothing once it is sized.
 //!
 //! This file holds exactly one `#[test]`: the allocation counter is
 //! process-global and a sibling test running concurrently would pollute it.
@@ -49,10 +51,11 @@ static COUNTING: CountingAlloc = CountingAlloc;
 /// Total allocator calls a steady-state warm re-minimize may spend.  The
 /// kernel layer itself contributes zero (asserted separately through
 /// `kernel_allocs`); what remains is the bounded non-kernel work of one
-/// minimize: the confirmation refactorization's rebuild buffers, solution
-/// extraction, and stats plumbing.  Observed: 19 calls on this fixture;
-/// pinned at ~6× so a real per-iteration regression (which scales with
-/// pivots × rows) blows through it while incidental churn does not.
+/// minimize: solution extraction and stats plumbing.  Observed: 18 calls on
+/// this fixture, whose steady-state solve takes one pivot with no
+/// factorization update or refactorization; pinned at ~7× so a real
+/// per-iteration regression (which scales with pivots × rows) blows through
+/// it while incidental churn does not.
 const STEADY_STATE_ALLOC_BUDGET: u64 = 128;
 
 #[test]
