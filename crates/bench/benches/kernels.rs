@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the simplex linear-algebra kernels:
 //! ftran, btran, and eta-apply on solved chain-LP bases.
 //!
-//! Fixtures are chain-*shaped* LPs (the warmsmoke stand-in scaled to the
+//! Fixtures are chain-*shaped* LPs (`cma_bench::chain_stand_in` scaled to the
 //! walk-chain n=4 / n=8 system sizes), solved once under the Markowitz LU;
 //! the timed region is then a single kernel call against the captured
 //! basis, through `bench_support`'s allocation-free window.  Each kernel
@@ -15,22 +15,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use central_moment_analysis::lp::bench_support::KernelFixture;
-use central_moment_analysis::lp::{Cmp, LpProblem, LpVarId, SolverTuning};
-
-/// The warmsmoke chain stand-in at `vars` variables: a coupled path of
-/// `≥` rows plus one absorbed head bound, minimizing the column sum.
-fn chain_problem(vars: usize) -> (LpProblem, Vec<LpVarId>) {
-    let mut lp = LpProblem::new();
-    let ids: Vec<_> = (0..vars)
-        .map(|i| lp.add_var(format!("x{i}"), false))
-        .collect();
-    for w in ids.windows(2) {
-        lp.add_constraint(vec![(w[0], 1.0), (w[1], -0.5)], Cmp::Ge, 1.0);
-    }
-    lp.add_constraint(vec![(ids[0], 1.0)], Cmp::Le, 400.0);
-    lp.set_objective(ids.iter().map(|&v| (v, 1.0)).collect());
-    (lp, ids)
-}
+use central_moment_analysis::lp::{Cmp, SolverTuning};
+use cma_bench::chain_stand_in;
 
 /// Chain sizes matching the walk-chain moment systems: n=1 ≈ 30 columns,
 /// n=4 ≈ 120, n=8 ≈ 240.
@@ -38,7 +24,7 @@ const SIZES: &[(&str, usize)] = &[("n1", 30), ("n4", 120), ("n8", 240)];
 
 fn bench_kernels(c: &mut Criterion) {
     for &(label, vars) in SIZES {
-        let (problem, ids) = chain_problem(vars);
+        let (problem, ids) = chain_stand_in(vars);
         let mut fx = KernelFixture::solve(&problem, &SolverTuning::default())
             .unwrap_or_else(|| panic!("chain fixture {label} must solve to optimality"));
         let cols = fx.nonbasic_cols();

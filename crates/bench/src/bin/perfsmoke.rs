@@ -21,8 +21,9 @@
 //!
 //! Exits nonzero (panics) on any violated pin, failing the CI job.
 
-use central_moment_analysis::lp::{Cmp, LpBackend, LpProblem, SimplexBackend};
+use central_moment_analysis::lp::{Cmp, LpBackend, SimplexBackend};
 use central_moment_analysis::{Analysis, SolveMode};
+use cma_bench::chain_stand_in;
 use cma_suite::synthetic;
 
 /// Maximum btran share of the pivot-level profile on the n=8 global
@@ -79,22 +80,15 @@ fn main() {
     );
 
     // --- Pin 3: steady-state kernel allocations on a warm session. -------
-    let mut lp = LpProblem::new();
-    let vars: Vec<_> = (0..120)
-        .map(|i| lp.add_var(format!("x{i}"), false))
-        .collect();
-    for w in vars.windows(2) {
-        lp.add_constraint(vec![(w[0], 1.0), (w[1], -0.5)], Cmp::Ge, 1.0);
-    }
-    lp.add_constraint(vec![(vars[0], 1.0)], Cmp::Le, 400.0);
-    let objective: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-    let mut session = SimplexBackend.open(&lp);
-    let first = session.minimize(&objective);
+    let (problem, vars) = chain_stand_in(120);
+    let objective = problem.objective();
+    let mut session = SimplexBackend.open(&problem);
+    let first = session.minimize(objective);
     assert!(first.is_optimal(), "chain stand-in must solve: {first:?}");
     session.add_constraint(&[(vars[0], 1.0)], Cmp::Ge, first.value(vars[0]) + 5.0);
-    let recut = session.minimize(&objective);
+    let recut = session.minimize(objective);
     assert!(recut.is_optimal(), "cut re-solve must stay optimal");
-    let steady = session.minimize(&objective);
+    let steady = session.minimize(objective);
     assert!(
         steady.is_optimal(),
         "steady-state re-solve must stay optimal"

@@ -13,9 +13,10 @@
 //!
 //! Exits nonzero (panics) on any violated budget, failing the CI job.
 
-use central_moment_analysis::lp::{Cmp, LpBackend, LpProblem, SimplexBackend};
+use central_moment_analysis::lp::{Cmp, LpBackend, SimplexBackend};
 use central_moment_analysis::suite::{synthetic, Benchmark};
 use central_moment_analysis::{Analysis, SolveMode};
+use cma_bench::chain_stand_in;
 
 /// Dual pivots allowed for a single cutting row on the chain system.
 /// Tightened from 32 to 8: the long-step bound-flipping ratio test plus
@@ -27,21 +28,14 @@ fn main() {
     // --- Scenario 1: one cutting row on a solved chain-shaped LP. --------
     // A chain-shaped LP stand-in with the same warm-resolve mechanics: a
     // long path of coupled rows, solved, then cut.
-    let mut problem = LpProblem::new();
-    let vars: Vec<_> = (0..120)
-        .map(|i| problem.add_var(format!("x{i}"), false))
-        .collect();
-    for w in vars.windows(2) {
-        problem.add_constraint(vec![(w[0], 1.0), (w[1], -0.5)], Cmp::Ge, 1.0);
-    }
-    problem.add_constraint(vec![(vars[0], 1.0)], Cmp::Le, 400.0);
-    let objective: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+    let (problem, vars) = chain_stand_in(120);
+    let objective = problem.objective();
     let mut session = SimplexBackend.open(&problem);
-    let first = session.minimize(&objective);
+    let first = session.minimize(objective);
     assert!(first.is_optimal(), "chain stand-in must solve: {first:?}");
     // Cut: force the head variable above its current optimum.
     session.add_constraint(&[(vars[0], 1.0)], Cmp::Ge, first.value(vars[0]) + 5.0);
-    let recut = session.minimize(&objective);
+    let recut = session.minimize(objective);
     assert!(
         recut.is_optimal(),
         "cut re-solve must stay optimal: {recut:?}"

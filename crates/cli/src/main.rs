@@ -68,7 +68,7 @@ ANALYSIS OPTIONS:
     --degree N           target moment degree m (default 2)
     --poly-degree D      base polynomial degree of templates (default 1)
     --max-poly-degree D  on an infeasible LP, retry with base degrees up to D
-                         (reusing the derivation plan between retries)
+                         (each retry a fresh analysis)
     --escalate M         solve at degree M first, then escalate the live LP
                          session to --degree (warm dual re-solve, no re-derive)
     --mode MODE          global | compositional (default global)

@@ -32,10 +32,7 @@ pub struct ConstraintBuilder {
 impl ConstraintBuilder {
     /// Creates an empty builder (with an empty recording plan).
     pub fn new() -> Self {
-        ConstraintBuilder {
-            plan: DerivationPlan::new(),
-            ..ConstraintBuilder::default()
-        }
+        ConstraintBuilder::default()
     }
 
     /// Number of LP variables created so far.
@@ -67,17 +64,6 @@ impl ConstraintBuilder {
     /// Mutable access to the plan (the engine switches modes around walks).
     pub fn plan_mut(&mut self) -> &mut DerivationPlan {
         &mut self.plan
-    }
-
-    /// Moves the plan out (for transplanting into a fresh builder on a
-    /// poly-degree re-instantiation), leaving an empty recording plan.
-    pub fn take_plan(&mut self) -> DerivationPlan {
-        std::mem::take(&mut self.plan)
-    }
-
-    /// Installs a plan (typically one taken from a previous builder).
-    pub fn install_plan(&mut self, plan: DerivationPlan) {
-        self.plan = plan;
     }
 
     fn fresh_name(&mut self, prefix: &str) -> String {
@@ -157,8 +143,7 @@ impl ConstraintBuilder {
         poly_degree: u32,
         restriction: usize,
     ) -> SymMoment {
-        let mut plan = self.take_plan();
-        let (mut served, record) = plan.slot_components(key, restriction, m);
+        let (mut served, record) = self.plan.slot_components(key, restriction, m);
         let components = (0..=m)
             .map(|k| {
                 if let Some(interval) = served[k].take() {
@@ -174,12 +159,11 @@ impl ConstraintBuilder {
                     )
                 };
                 if record {
-                    plan.record_component(key, k, &interval);
+                    self.plan.record_component(key, k, &interval);
                 }
                 interval
             })
             .collect();
-        self.install_plan(plan);
         SymMoment::from_components(components)
     }
 

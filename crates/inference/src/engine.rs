@@ -14,7 +14,7 @@ use cma_semiring::Interval;
 use crate::builder::ConstraintBuilder;
 use crate::central::CentralMoments;
 use crate::derive::{transform, DeriveCtx, DeriveError};
-use crate::plan::{DerivationPlan, PlanMode, PlanStats};
+use crate::plan::{PlanMode, PlanStats};
 use crate::spec::{ResolvedSpec, SpecEntry, SpecTable};
 use crate::template::SymMoment;
 use crate::weaken::require_contains;
@@ -55,8 +55,8 @@ pub struct AnalysisOptions {
     /// Upper limit for automatic base-polynomial-degree escalation: when the
     /// generated LP is *infeasible* at `poly_degree` (templates too weak to
     /// express a bound), the analysis retries `d → d+1` up to this limit,
-    /// re-instantiating the recorded derivation plan instead of re-walking
-    /// the program cold.  `None` (the default) disables retries.
+    /// each retry a fresh analysis at the higher degree.  `None` (the
+    /// default) disables retries.
     pub max_poly_degree: Option<u32>,
     /// Facts exported by the static checker (`cma-check`): statically
     /// refuted branches are derived one-sided (no join template, no
@@ -131,7 +131,7 @@ impl AnalysisOptions {
     }
 
     /// Enables automatic poly-degree escalation on infeasibility, retrying
-    /// `d → d+1` up to `max` while reusing the recorded derivation plan.
+    /// `d → d+1` up to `max`, each retry a fresh analysis.
     pub fn with_max_poly_degree(mut self, max: u32) -> Self {
         self.max_poly_degree = Some(max);
         self
@@ -362,8 +362,10 @@ pub struct AnalysisResult {
     pub poly_degree: u32,
     /// Automatic `d → d+1` retries spent before the system became feasible.
     pub poly_retries: usize,
-    /// Derivation-plan reuse counters (slots/columns/recipes reused vs
-    /// created across instantiations, including poly-degree retries).
+    /// Derivation-plan counters of the successful attempt: what its first
+    /// walks recorded plus what in-place degree escalations reused (a
+    /// poly-degree retry or a cold restart starts from a fresh plan, so this
+    /// equals a direct run at the degrees it landed on).
     pub plan: PlanStats,
     /// Statistics of the in-session degree escalation that produced this
     /// result (`None` for from-scratch analyses).
@@ -477,7 +479,8 @@ pub struct EscalationStats {
     pub appended_variables: usize,
     /// LP constraint rows appended for the new moment components.
     pub appended_constraints: usize,
-    /// Template slots replayed from the derivation plan.
+    /// Template slots replayed from the derivation plan (0 on a cold
+    /// restart, which derives from a fresh plan).
     pub reused_slots: usize,
     /// Existing LP template columns the new components ride on.
     pub reused_columns: usize,
@@ -579,24 +582,13 @@ impl<'a> AnalysisSession<'a> {
         self.minimizes
     }
 
-    /// The options the session currently runs under (degree reflects the
-    /// latest successful escalation, poly degree the latest retry).
-    pub fn options(&self) -> &AnalysisOptions {
-        &self.options
-    }
-
-    /// The LP backend the session solves with.
-    pub fn backend(&self) -> &'a dyn LpBackend {
-        self.backend
-    }
-
     /// Escalates the session to moment degree `target` **in place**: the
-    /// recorded [`DerivationPlan`] replays in extend mode, so the existing
-    /// template columns back the components `≤ m` verbatim and only the new
-    /// components `m+1..=target` mint columns and emit rows, which are
-    /// flushed into the live solver session and re-minimized warm (dual
-    /// pivots from the still-dual-feasible basis — no cold re-derive, no
-    /// phase-1 restart on the happy path).
+    /// recorded [`DerivationPlan`](crate::plan::DerivationPlan) replays in
+    /// extend mode, so the existing template columns back the components
+    /// `≤ m` verbatim and only the new components `m+1..=target` mint
+    /// columns and emit rows, which are flushed into the live solver session
+    /// and re-minimized warm (dual pivots from the still-dual-feasible basis
+    /// — no cold re-derive, no phase-1 restart on the happy path).
     ///
     /// The escalated system is *identical* (modulo column/row order) to a
     /// from-scratch degree-`target` derivation: component-`k` rows are
@@ -607,16 +599,20 @@ impl<'a> AnalysisSession<'a> {
     ///
     /// Compositional sessions freeze resolved callee specifications per
     /// degree and cannot extend them in place: they fall back to a cold
-    /// re-analysis (reported via [`EscalationStats::cold_restarts`]).  An
-    /// infeasible escalated system retries `d → d+1` when
-    /// [`AnalysisOptions::max_poly_degree`] allows, re-instantiating the
-    /// plan into a fresh session.
+    /// re-analysis at the target degree (reported via
+    /// [`EscalationStats::cold_restarts`]).  An infeasible escalated system
+    /// falls back the same way at `d+1` when
+    /// [`AnalysisOptions::max_poly_degree`] allows.  A successful cold
+    /// re-analysis replaces this session.
     ///
     /// # Errors
     ///
     /// [`AnalysisError::InvalidEscalation`] when `target` does not exceed
     /// the current degree, [`AnalysisError::LpFailed`] when the escalated
-    /// system has no optimum (after any permitted poly-degree retries).
+    /// system has no optimum (after any permitted poly-degree retries).  A
+    /// failed cold re-analysis leaves the session as it was; a failed
+    /// in-place extension poisons it ([`AnalysisError::SessionPoisoned`] on
+    /// further escalations), since its appended rows cannot be retracted.
     pub fn escalate_degree(&mut self, target: usize) -> Result<AnalysisResult, AnalysisError> {
         let from_degree = self.options.degree;
         if target <= from_degree {
@@ -672,17 +668,17 @@ impl<'a> AnalysisSession<'a> {
         self.minimizes += 1;
 
         if !solution.is_optimal() {
+            // The escalated rows are irreversibly part of the live session
+            // and the system has no optimum: the session cannot be ridden
+            // any further (unless a cold retry replaces it).
+            self.poisoned = true;
             let max_d = options.max_poly_degree.unwrap_or(options.poly_degree);
             if solution.status == LpStatus::Infeasible && options.poly_degree < max_d {
-                // Templates too weak at this poly degree: bump `d` and
-                // re-instantiate the plan into a fresh store and session.
+                // Templates too weak at this poly degree: re-analyze at
+                // `d+1` from scratch.
                 options.poly_degree += 1;
                 return self.escalate_cold(options, from_degree, 1);
             }
-            // The escalated rows are irreversibly part of the live session
-            // and the system has no optimum: the session cannot be ridden
-            // any further.
-            self.poisoned = true;
             return Err(AnalysisError::LpFailed {
                 status: solution.status,
                 group: final_group,
@@ -743,53 +739,39 @@ impl<'a> AnalysisSession<'a> {
     }
 
     /// Cold escalation path: re-analyzes at the target degree (and poly
-    /// degree) in a fresh session — seeded with the recorded plan so the
-    /// skeleton still replays — and swaps the fresh session into `self`.
+    /// degree) from scratch and swaps the fresh session into `self`.  On
+    /// error `self` is left untouched.
     fn escalate_cold(
         &mut self,
         options: AnalysisOptions,
         from_degree: usize,
         extra_poly_retries: usize,
     ) -> Result<AnalysisResult, AnalysisError> {
-        let prior_retries = self.poly_retries;
-        let mut plans = BTreeMap::new();
-        plans.insert(FINAL_PLAN_KEY.to_string(), self.builder.take_plan());
-        let (mut result, fresh) =
-            match analyze_session_seeded(self.program, &options, self.backend, plans) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    // The plan was consumed by the failed re-analysis; a
-                    // later in-place replay against the emptied plan would
-                    // re-emit the whole system into the old store.
-                    self.poisoned = true;
-                    return Err(e);
-                }
-            };
+        let (mut result, mut fresh) = analyze_session(self.program, &options, self.backend)?;
         // Retries spent *during* this escalation vs the session's cumulative
         // total (which includes the original lower-degree analysis's).
         let during = result.poly_retries + extra_poly_retries;
-        result.poly_retries = prior_retries + during;
+        result.poly_retries = self.poly_retries + during;
         result.escalation = Some(EscalationStats {
             from_degree,
             to_degree: options.degree,
-            reused_slots: result.plan.slots_reused,
-            reused_columns: 0,
-            appended_variables: 0,
-            appended_constraints: 0,
-            dual_pivots: 0,
-            iterations: 0,
             cold_restarts: 1,
             poly_retries: during,
+            ..EscalationStats::default()
         });
+        fresh.poly_retries = result.poly_retries;
         *self = fresh;
-        self.poly_retries = result.poly_retries;
         Ok(result)
     }
 }
 
 /// [`analyze_with`], additionally returning the live [`AnalysisSession`] so
-/// later phases (the Thm 4.4 soundness check) can extend the constraint
-/// system in place instead of re-deriving it.
+/// [`escalate_degree`](AnalysisSession::escalate_degree) can extend the main
+/// constraint system in place instead of re-deriving it.
+///
+/// An attempt whose LP is infeasible at poly degree `d` is retried as a fresh
+/// analysis at `d+1` while [`AnalysisOptions::max_poly_degree`] allows; every
+/// attempt draws on the one deadline of [`AnalysisOptions::timeout`].
 ///
 /// # Errors
 ///
@@ -800,7 +782,31 @@ pub fn analyze_session<'a>(
     options: &AnalysisOptions,
     backend: &'a dyn LpBackend,
 ) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
-    analyze_session_seeded(program, options, backend, BTreeMap::new())
+    let start = Instant::now();
+    // One deadline for the whole analysis, shared by every poly-degree
+    // retry: an attempt that exhausts it fails with `BudgetExhausted`,
+    // which `infeasible_at` never matches, so the retry loop stops too.
+    let deadline = options.timeout.map(|t| start + t);
+    let base_d = options.poly_degree;
+    let max_d = options.max_poly_degree.unwrap_or(base_d).max(base_d);
+    let mut poly_retries = 0usize;
+    loop {
+        let mut attempt = options.clone();
+        attempt.poly_degree = base_d + poly_retries as u32;
+        match analyze_attempt(program, &attempt, backend, deadline) {
+            Ok((mut result, mut session)) => {
+                result.elapsed = start.elapsed();
+                result.poly_retries = poly_retries;
+                session.poly_retries = poly_retries;
+                return Ok((result, session));
+            }
+            Err(e) if e.infeasible_at().is_some() && attempt.poly_degree < max_d => {
+                // Templates too weak: retry at the next base degree.
+                poly_retries += 1;
+            }
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// [`analyze_with`] with a **graceful-degradation ladder**: when an
@@ -875,70 +881,12 @@ pub fn analyze_resilient(
     }
 }
 
-/// Plan key of the final (session-holding) group in the retry plan store.
-const FINAL_PLAN_KEY: &str = "<final>";
-
-/// [`analyze_session`] seeded with recorded derivation plans (keyed by group
-/// display name, [`FINAL_PLAN_KEY`] for the final group), the engine of both
-/// the automatic poly-degree retry loop and cold degree escalations: each
-/// attempt re-instantiates the surviving plans in refresh mode instead of
-/// recording the skeleton from scratch.
-fn analyze_session_seeded<'a>(
-    program: &'a Program,
-    options: &AnalysisOptions,
-    backend: &'a dyn LpBackend,
-    mut plans: BTreeMap<String, DerivationPlan>,
-) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
-    let start = Instant::now();
-    // One deadline for the whole analysis, shared by every poly-degree
-    // retry: an attempt that exhausts it fails with `BudgetExhausted`,
-    // which `infeasible_at` never matches, so the retry loop stops too.
-    let deadline = options.timeout.map(|t| start + t);
-    let base_d = options.poly_degree;
-    let max_d = options.max_poly_degree.unwrap_or(base_d).max(base_d);
-    let mut poly_retries = 0usize;
-    loop {
-        let mut attempt = options.clone();
-        attempt.poly_degree = base_d + poly_retries as u32;
-        match analyze_attempt(program, &attempt, backend, deadline, &mut plans) {
-            Ok((mut result, mut session)) => {
-                result.elapsed = start.elapsed();
-                result.poly_retries = poly_retries;
-                session.poly_retries = poly_retries;
-                return Ok((result, session));
-            }
-            Err(e) if e.infeasible_at().is_some() && base_d + (poly_retries as u32) < max_d => {
-                // Templates too weak: escalate the base polynomial degree
-                // and re-instantiate the recorded plans.
-                poly_retries += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Installs a saved plan (in refresh mode) into a fresh builder, if one is
-/// recorded under `key`.
-fn install_saved_plan(
-    builder: &mut ConstraintBuilder,
-    plans: &mut BTreeMap<String, DerivationPlan>,
-    key: &str,
-) {
-    if let Some(mut plan) = plans.remove(key) {
-        plan.set_mode(PlanMode::Refresh);
-        builder.install_plan(plan);
-    }
-}
-
-/// One full derivation + solve pass at fixed options.  Plans of every built
-/// group are stashed back into `plans` before any LP failure is reported, so
-/// the retry loop can re-instantiate them.
+/// One full derivation + solve pass at fixed options.
 fn analyze_attempt<'a>(
     program: &'a Program,
     options: &AnalysisOptions,
     backend: &'a dyn LpBackend,
     deadline: Option<Instant>,
-    plans: &mut BTreeMap<String, DerivationPlan>,
 ) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
     let start = Instant::now();
     let mut resolved: BTreeMap<(String, usize), ResolvedSpec> = BTreeMap::new();
@@ -961,11 +909,9 @@ fn analyze_attempt<'a>(
             let mut builds = Vec::with_capacity(level.len());
             for &g in &level {
                 let mut builder = ConstraintBuilder::new();
-                install_saved_plan(&mut builder, plans, &groups[g].join("+"));
                 let build =
                     build_group(&mut builder, program, options, &groups[g], false, &resolved)?;
                 pruning.absorb(&build.pruning);
-                builder.plan_mut().set_mode(PlanMode::Record);
                 builds.push((builder, build, groups[g].clone()));
             }
             let problems: Vec<cma_lp::LpProblem> = builds
@@ -978,7 +924,7 @@ fn analyze_attempt<'a>(
                 &options.group_tuning(deadline),
             );
             let mut failure = None;
-            for ((mut builder, build, group), solution) in builds.into_iter().zip(solutions) {
+            for ((builder, build, group), solution) in builds.into_iter().zip(solutions) {
                 lp_variables += builder.num_vars();
                 lp_constraints += builder.num_constraints();
                 lp_solves += 1;
@@ -988,9 +934,7 @@ fn analyze_attempt<'a>(
                     &builder,
                     solution.stats,
                 ));
-                // Stash the plan before the outcome can fail the attempt.
                 plan_stats = plan_stats.merge(&builder.plan().stats());
-                plans.insert(group.join("+"), builder.take_plan());
                 if failure.is_none() {
                     match extract_outcome(build, &solution, &group, false, options) {
                         Ok(outcome) => resolved.extend(outcome.specs),
@@ -1015,7 +959,6 @@ fn analyze_attempt<'a>(
         SolveMode::Compositional => (Vec::new(), "main"),
     };
     let mut builder = ConstraintBuilder::new();
-    install_saved_plan(&mut builder, plans, FINAL_PLAN_KEY);
     let build = build_group(
         &mut builder,
         program,
@@ -1025,7 +968,6 @@ fn analyze_attempt<'a>(
         &resolved,
     )?;
     pruning.absorb(&build.pruning);
-    builder.plan_mut().set_mode(PlanMode::Record);
     lp_variables += builder.num_vars();
     lp_constraints += builder.num_constraints();
     lp_solves += 1;
@@ -1040,9 +982,6 @@ fn analyze_attempt<'a>(
         &builder,
         solution.stats,
     ));
-    if !solution.is_optimal() {
-        plans.insert(FINAL_PLAN_KEY.to_string(), builder.take_plan());
-    }
     let outcome = extract_outcome(build, &solution, &final_group, true, options)?;
     resolved.extend(outcome.specs);
 
@@ -1192,8 +1131,8 @@ fn build_group(
         specs.insert(name, *level, spec.to_entry());
     }
     // Fresh templates for the functions of this group (plan slots, so a
-    // replay — degree escalation, poly-degree refresh — reuses the recorded
-    // skeleton instead of recording it anew).
+    // degree-escalation replay reuses the recorded columns instead of
+    // minting them anew).
     for name in group {
         for level in 0..=m {
             let entry = SpecEntry {
@@ -1858,6 +1797,32 @@ mod tests {
         assert!(!result.degradation.degraded());
         assert_eq!(result.degradation.to_string(), "");
         assert_eq!(result.degree(), 2);
+    }
+
+    #[test]
+    fn failed_cold_escalation_leaves_the_session_usable() {
+        let program = coin_program();
+        let backend = FlakyBudget::failing(0);
+        let options = AnalysisOptions::degree(1).with_mode(SolveMode::Compositional);
+        let (_, mut session) = analyze_session(&program, &options, &backend).unwrap();
+        // Compositional sessions escalate by a cold re-analysis; make it run
+        // out of budget.
+        backend
+            .failures
+            .store(1, std::sync::atomic::Ordering::SeqCst);
+        let err = session.escalate_degree(2).unwrap_err();
+        assert!(err.budget_exhausted(), "{err:?}");
+        // The failed re-analysis touched nothing: the session escalates on
+        // the next try.
+        let escalated = session.escalate_degree(2).unwrap();
+        assert_eq!(escalated.escalation.unwrap().cold_restarts, 1);
+        let scratch = analyze_with(
+            &program,
+            &AnalysisOptions::degree(2).with_mode(SolveMode::Compositional),
+            &SimplexBackend,
+        )
+        .unwrap();
+        assert_eq!(escalated.bounds, scratch.bounds);
     }
 
     #[test]

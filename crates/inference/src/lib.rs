@@ -21,7 +21,7 @@
 //!   bound extraction, in-session degree escalation, poly-degree retries);
 //! * [`plan`] — derivation plans: the degree-independent skeleton of a
 //!   derivation (template slots, constraint recipes, loop-head contexts),
-//!   recorded once and re-instantiated per `(m, d)`;
+//!   recorded on the first walk and replayed by in-place degree escalation;
 //! * [`central`] — central moments, variance, skewness and kurtosis derived
 //!   from raw-moment interval bounds;
 //! * [`tail`] — Markov / Cantelli / Chebyshev tail bounds (§5);

@@ -1,5 +1,5 @@
 //! Derivation plans: the degree-independent skeleton of one constraint
-//! derivation, recorded once and re-instantiated per `(m, d)`.
+//! derivation, recorded once and re-instantiated per target degree `m`.
 //!
 //! The paper derives bounds on *all* moments up to degree `m` simultaneously:
 //! the degree-`k` component of every annotation rides on the components below
@@ -24,7 +24,7 @@
 //!   never recompute them.
 //!
 //! Re-walking the program against the recorded plan then *reuses* instead of
-//! re-deriving, under one of these modes:
+//! re-deriving.  A plan has two modes:
 //!
 //! * [`PlanMode::Record`] — the first instantiation: mint every column, emit
 //!   every row, record the skeleton (the default; plan-unaware callers see
@@ -34,17 +34,14 @@
 //!   `m+1..=m'` are minted; recorded recipes emit rows only for the new
 //!   components (the old rows are already in the live solver session and are
 //!   *exactly* the component-`≤m` slice of the degree-`m'` system).
-//! * [`PlanMode::Refresh`] — re-instantiation at a new base polynomial
-//!   degree `d`: template supports change, so every column is minted fresh
-//!   and every row emitted into a fresh store, but the skeleton (slot keys,
-//!   loop-head contexts) is reused.
 //!
-//! The plan lives inside the
-//! [`ConstraintBuilder`](crate::builder::ConstraintBuilder); the engine
-//! switches modes around the walks it replays (see
-//! [`AnalysisSession::escalate_degree`](crate::engine::AnalysisSession::escalate_degree)
-//! and the automatic poly-degree retry in
-//! [`analyze_session`](crate::engine::analyze_session)).
+//! A plan lives and dies with one
+//! [`ConstraintBuilder`](crate::builder::ConstraintBuilder): the engine
+//! switches it to `Extend` around the replay of
+//! [`AnalysisSession::escalate_degree`](crate::engine::AnalysisSession::escalate_degree).
+//! A poly-degree retry or a cold escalation is a fresh analysis with a
+//! fresh builder and plan, since new template supports leave nothing to
+//! reuse.
 
 use std::collections::BTreeMap;
 
@@ -61,9 +58,6 @@ pub enum PlanMode {
     /// Degree escalation: reuse recorded component columns, mint and emit
     /// only components above what each slot/recipe already instantiated.
     Extend,
-    /// Poly-degree re-instantiation: reuse the skeleton (keys, loop-head
-    /// contexts) but mint all columns fresh and emit all rows.
-    Refresh,
 }
 
 /// One recorded template allocation point: the interval templates minted per
@@ -131,7 +125,7 @@ impl PlanStats {
 }
 
 /// The recorded skeleton of one derivation plus its instantiation state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DerivationPlan {
     mode: PlanMode,
     slots: BTreeMap<String, TemplateSlot>,
@@ -146,27 +140,10 @@ fn interval_columns(interval: &SymInterval) -> usize {
     interval.lo.terms().count() + interval.hi.terms().count()
 }
 
-impl Default for DerivationPlan {
-    fn default() -> Self {
-        DerivationPlan::new()
-    }
-}
-
 impl DerivationPlan {
     /// An empty plan in [`PlanMode::Record`].
     pub fn new() -> Self {
-        DerivationPlan {
-            mode: PlanMode::Record,
-            slots: BTreeMap::new(),
-            recipes: BTreeMap::new(),
-            loop_heads: BTreeMap::new(),
-            stats: PlanStats::default(),
-        }
-    }
-
-    /// The current instantiation mode.
-    pub fn mode(&self) -> PlanMode {
-        self.mode
+        DerivationPlan::default()
     }
 
     /// Switches the instantiation mode for the next walk.
@@ -179,46 +156,22 @@ impl DerivationPlan {
         self.stats
     }
 
-    /// Number of template slots recorded.
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Resolves the moment annotation of the slot `key` for a walk at target
     /// degree `m`: components served by the plan come back as `Some(_)` (to
     /// be cloned by the caller), components the caller must mint come back as
     /// `None`.  `record` says whether the caller should report the minted
     /// components back via [`record_component`](Self::record_component).
     ///
-    /// The exact split depends on the [mode](Self::mode): `Record` mints
-    /// everything, `Extend` serves every recorded component, `Refresh`
-    /// re-mints everything (dropping the recorded columns).
+    /// `Record` mints everything; `Extend` serves every recorded component.
     pub fn slot_components(
         &mut self,
         key: &str,
         restriction: usize,
         m: usize,
     ) -> (Vec<Option<SymInterval>>, bool) {
-        let mode = self.mode;
-        match mode {
+        match self.mode {
             PlanMode::Record => {
                 self.stats.slots_created += 1;
-                self.slots.insert(
-                    key.to_string(),
-                    TemplateSlot {
-                        restriction,
-                        components: Vec::new(),
-                    },
-                );
-                (vec![None; m + 1], true)
-            }
-            PlanMode::Refresh => {
-                let replaced = self.slots.remove(key).is_some();
-                if replaced {
-                    self.stats.slots_reused += 1;
-                } else {
-                    self.stats.slots_created += 1;
-                }
                 self.slots.insert(
                     key.to_string(),
                     TemplateSlot {
@@ -287,14 +240,6 @@ impl DerivationPlan {
                 self.recipes.insert(key.to_string(), m + 1);
                 0
             }
-            PlanMode::Refresh => {
-                if self.recipes.insert(key.to_string(), m + 1).is_some() {
-                    self.stats.recipes_replayed += 1;
-                } else {
-                    self.stats.recipes_recorded += 1;
-                }
-                0
-            }
             PlanMode::Extend => match self.recipes.insert(key.to_string(), m + 1) {
                 Some(prev) => {
                     self.stats.recipes_replayed += 1;
@@ -314,7 +259,7 @@ impl DerivationPlan {
     ///
     /// Loop-head invariants depend only on the program and the incoming
     /// context — both identical across re-instantiations of one plan — so
-    /// the fixpoint is computed once per loop, not once per `(m, d)`.
+    /// the fixpoint is computed once per loop, not once per target degree.
     pub fn loop_head(&mut self, key: &str, compute: impl FnOnce() -> Context) -> Context {
         if let Some(ctx) = self.loop_heads.get(key) {
             self.stats.loop_heads_reused += 1;
@@ -368,24 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_reuses_the_skeleton_but_mints_fresh_columns() {
-        let mut plan = DerivationPlan::new();
-        plan.slot_components("s", 1, 2);
-        for k in 0..=2 {
-            plan.record_component("s", k, &unit_interval());
-        }
-        plan.recipe_gate("r", 2);
-
-        plan.set_mode(PlanMode::Refresh);
-        let (components, record) = plan.slot_components("s", 1, 2);
-        assert!(record);
-        assert!(components.iter().all(Option::is_none), "columns re-minted");
-        assert_eq!(plan.recipe_gate("r", 2), 0, "rows re-emitted");
-        assert_eq!(plan.stats().slots_reused, 1);
-        assert_eq!(plan.stats().recipes_replayed, 1);
-    }
-
-    #[test]
     fn loop_head_cache_serves_repeat_lookups() {
         let mut plan = DerivationPlan::new();
         let mut computed = 0;
@@ -394,7 +321,7 @@ mod tests {
             Context::top()
         });
         assert_eq!(ctx, Context::top());
-        plan.set_mode(PlanMode::Refresh);
+        plan.set_mode(PlanMode::Extend);
         let again = plan.loop_head("w", || {
             computed += 1;
             Context::top()

@@ -66,12 +66,6 @@ impl ConstraintStore {
         aggregated.into_iter().collect()
     }
 
-    /// The underlying problem (its objective is whatever was last set; use
-    /// [`to_problem`](Self::to_problem) for a solve-ready snapshot).
-    pub fn problem(&self) -> &LpProblem {
-        &self.problem
-    }
-
     /// A solve-ready snapshot: the constraint system with the full
     /// aggregated objective set (what `solve_batch` consumes).
     pub fn to_problem(&self) -> LpProblem {

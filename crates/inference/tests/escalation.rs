@@ -14,8 +14,8 @@
 //!   fixtures, with a proptest sweeping fixtures, degree pairs, and
 //!   valuations.
 //! * **poly-degree retry** — an analysis that is infeasible at base degree
-//!   `d` and allowed to retry must land on the same bounds as a direct run
-//!   at the degree it settles on.
+//!   `d` and allowed to retry is a fresh analysis at the degree it settles
+//!   on: bit-equal bounds, LP sizes, path counters and plan counters.
 
 use cma_appl::build::*;
 use cma_appl::Program;
@@ -190,16 +190,17 @@ fn auto_poly_retry_matches_the_direct_higher_degree_run() {
     let retried = analyze_with(&program, &options, &SimplexBackend).unwrap();
     assert_eq!(retried.poly_retries, 1);
     assert_eq!(retried.poly_degree, 2);
-    assert!(
-        retried.plan.slots_reused > 0 && retried.plan.loop_heads_reused > 0,
-        "the retry must replay the recorded plan, got {:?}",
-        retried.plan
-    );
     let direct_options = AnalysisOptions::degree(1)
         .with_poly_degree(2)
         .with_valuation(at.clone());
     let direct = analyze_with(&program, &direct_options, &SimplexBackend).unwrap();
-    assert_bounds_match(&retried, &direct, &at, "triangle");
+    // The retry is a fresh analysis at d = 2: the same system, solved along
+    // the same path, to the same bits.
+    assert_eq!(retried.bounds, direct.bounds);
+    assert_eq!(retried.lp_variables, direct.lp_variables);
+    assert_eq!(retried.lp_constraints, direct.lp_constraints);
+    assert_eq!(retried.groups, direct.groups);
+    assert_eq!(retried.plan, direct.plan);
 }
 
 #[test]

@@ -131,8 +131,8 @@ impl<B: LpBackend> Analysis<B> {
     }
 
     /// Enables automatic poly-degree escalation: when the LP is infeasible
-    /// (templates too weak), retry `d → d+1` up to `max`, re-instantiating
-    /// the recorded derivation plan instead of re-walking the program.
+    /// (templates too weak), retry `d → d+1` up to `max`, each retry a fresh
+    /// analysis at the higher degree.
     pub fn max_poly_degree(mut self, max: u32) -> Self {
         self.options.max_poly_degree = Some(max);
         self

@@ -158,8 +158,8 @@ pub struct AnalysisReport {
     /// weaker options than requested — and this field is the label that
     /// keeps that fact from ever being silent.
     pub degradation: DegradationStats,
-    /// Derivation-plan reuse counters (slots/columns/recipes reused vs
-    /// created across instantiations and extensions).
+    /// Derivation-plan counters: slots/columns/recipes the successful
+    /// attempt's first walk created vs what in-place escalations reused.
     pub plan: PlanStats,
     /// The initial-state valuation at which intervals below are evaluated.
     pub valuation: Vec<(Var, f64)>,
@@ -210,106 +210,80 @@ impl AnalysisReport {
 
     /// Serializes the full report as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push('{');
-        match &self.label {
-            Some(label) => push_field(&mut out, "label", &json::string(label)),
-            None => push_field(&mut out, "label", "null"),
-        }
-        push_field(&mut out, "degree", &self.degree.to_string());
+        let null = || "null".to_string();
         let mode = match self.mode {
             SolveMode::Global => "global",
             SolveMode::Compositional => "compositional",
         };
-        push_field(&mut out, "mode", &json::string(mode));
-        push_field(&mut out, "backend", &json::string(&self.backend));
-        push_field(&mut out, "parallelism", &self.parallelism.to_string());
-        push_field(&mut out, "poly_degree", &self.poly_degree.to_string());
-        push_field(&mut out, "poly_retries", &self.poly_retries.to_string());
-
-        let valuation = self
-            .valuation
-            .iter()
-            .map(|(v, x)| format!("{}:{}", json::string(v.name()), json::num(*x)))
-            .collect::<Vec<_>>()
-            .join(",");
-        push_field(&mut out, "valuation", &format!("{{{valuation}}}"));
-
-        let raw = self
-            .raw_intervals
-            .iter()
-            .enumerate()
-            .map(|(k, i)| {
-                format!(
-                    "{{\"k\":{k},\"lower\":{},\"upper\":{},\"symbolic_lower\":{},\"symbolic_upper\":{}}}",
-                    json::num(i.lo()),
-                    json::num(i.hi()),
-                    json::string(&self.result.bounds[k].lower.to_string()),
-                    json::string(&self.result.bounds[k].upper.to_string()),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        push_field(&mut out, "raw_moments", &format!("[{raw}]"));
-
-        let central_list = (0..=self.central.degree())
-            .map(|k| {
-                let i = self.central.central(k);
-                format!(
-                    "{{\"k\":{k},\"lower\":{},\"upper\":{}}}",
-                    json::num(i.lo()),
-                    json::num(i.hi())
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let central = format!(
-            "{{\"moments\":[{central_list}],\"variance_lower\":{},\"variance_upper\":{},\"skewness_upper\":{},\"kurtosis_upper\":{}}}",
-            json::opt_num(self.variance_lower()),
-            json::opt_num(self.variance_upper()),
-            json::opt_num(self.central.skewness_upper()),
-            json::opt_num(self.central.kurtosis_upper()),
+        let valuation = json::object(
+            self.valuation
+                .iter()
+                .map(|(v, x)| (v.name(), json::num(*x))),
         );
-        push_field(&mut out, "central_moments", &central);
 
-        let tail = self
-            .tail
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"threshold\":{},\"probability\":{}}}",
-                    json::num(t.threshold),
-                    json::num(t.probability)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        push_field(&mut out, "tail_bounds", &format!("[{tail}]"));
+        let raw_moments = json::array(
+            self.raw_intervals
+                .iter()
+                .zip(&self.result.bounds)
+                .enumerate()
+                .map(|(k, (i, bound))| {
+                    json::object([
+                        ("k", k.to_string()),
+                        ("lower", json::num(i.lo())),
+                        ("upper", json::num(i.hi())),
+                        ("symbolic_lower", json::string(&bound.lower.to_string())),
+                        ("symbolic_upper", json::string(&bound.upper.to_string())),
+                    ])
+                }),
+        );
 
-        let soundness = match &self.soundness {
-            Some(s) => {
-                let violations = s
-                    .violations
-                    .iter()
-                    .map(|v| json::string(v))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!(
-                    "{{\"bounded_updates\":{},\"violations\":[{violations}],\"termination_moment\":{},\"is_sound\":{},\"extension_variables\":{},\"extension_constraints\":{},\"extension_dual_pivots\":{},\"shared_templates\":{}}}",
-                    s.bounded_updates,
-                    s.termination_moment
-                        .map(|k| k.to_string())
-                        .unwrap_or_else(|| "null".into()),
-                    s.is_sound(),
-                    s.extension_variables,
-                    s.extension_constraints,
-                    s.extension_dual_pivots,
-                    s.shared_templates,
-                )
-            }
-            None => "null".to_string(),
-        };
-        push_field(&mut out, "soundness", &soundness);
+        let central_moments = (0..=self.central.degree()).map(|k| {
+            let i = self.central.central(k);
+            json::object([
+                ("k", k.to_string()),
+                ("lower", json::num(i.lo())),
+                ("upper", json::num(i.hi())),
+            ])
+        });
+        let central = json::object([
+            ("moments", json::array(central_moments)),
+            ("variance_lower", json::opt_num(self.variance_lower())),
+            ("variance_upper", json::opt_num(self.variance_upper())),
+            (
+                "skewness_upper",
+                json::opt_num(self.central.skewness_upper()),
+            ),
+            (
+                "kurtosis_upper",
+                json::opt_num(self.central.kurtosis_upper()),
+            ),
+        ]);
+
+        let tail = json::array(self.tail.iter().map(|t| {
+            json::object([
+                ("threshold", json::num(t.threshold)),
+                ("probability", json::num(t.probability)),
+            ])
+        }));
+
+        let soundness = self.soundness.as_ref().map_or_else(null, |s| {
+            json::object([
+                ("bounded_updates", s.bounded_updates.to_string()),
+                (
+                    "violations",
+                    json::array(s.violations.iter().map(|v| json::string(v))),
+                ),
+                (
+                    "termination_moment",
+                    s.termination_moment.map_or_else(null, |k| k.to_string()),
+                ),
+                ("is_sound", s.is_sound().to_string()),
+                ("extension_variables", s.extension_variables.to_string()),
+                ("extension_constraints", s.extension_constraints.to_string()),
+                ("extension_dual_pivots", s.extension_dual_pivots.to_string()),
+                ("shared_templates", s.shared_templates.to_string()),
+            ])
+        });
 
         let groups = self.lp.groups.iter().map(|g| {
             json::object(
@@ -332,7 +306,6 @@ impl AnalysisReport {
             .chain(json::counters(&self.lp.totals))
             .chain([("groups", json::array(groups))]),
         );
-        push_field(&mut out, "lp", &lp);
 
         let plan = json::object([
             ("slots_created", self.plan.slots_created.to_string()),
@@ -347,10 +320,9 @@ impl AnalysisReport {
             ),
             ("loop_heads_reused", self.plan.loop_heads_reused.to_string()),
         ]);
-        push_field(&mut out, "plan", &plan);
 
-        let escalation = match &self.escalation {
-            Some(e) => json::object([
+        let escalation = self.escalation.as_ref().map_or_else(null, |e| {
+            json::object([
                 ("from_degree", e.from_degree.to_string()),
                 ("to_degree", e.to_degree.to_string()),
                 ("appended_variables", e.appended_variables.to_string()),
@@ -361,66 +333,78 @@ impl AnalysisReport {
                 ("iterations", e.iterations.to_string()),
                 ("cold_restarts", e.cold_restarts.to_string()),
                 ("poly_retries", e.poly_retries.to_string()),
-            ]),
-            None => "null".to_string(),
-        };
-        push_field(&mut out, "escalation", &escalation);
+            ])
+        });
 
-        let degradation = format!(
-            "{{\"degraded\":{},\"steps\":[{}]}}",
-            self.degradation.degraded(),
-            self.degradation
-                .steps
-                .iter()
-                .map(|s| json::string(&s.to_string()))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        push_field(&mut out, "degradation", &degradation);
+        let steps = self.degradation.steps.iter();
+        let degradation = json::object([
+            ("degraded", self.degradation.degraded().to_string()),
+            (
+                "steps",
+                json::array(steps.map(|s| json::string(&s.to_string()))),
+            ),
+        ]);
 
-        let check = match &self.check {
-            Some(c) => {
-                let diags = c
-                    .diagnostics
-                    .iter()
-                    .map(|d| json::string(d))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!(
-                    "{{\"warnings\":{},\"diagnostics\":[{diags}],\"pruning\":{{\"refuted_branches\":{},\"skipped_loops\":{},\"dropped_template_vars\":{}}}}}",
-                    c.warnings,
-                    c.pruning.refuted_branches,
-                    c.pruning.skipped_loops,
-                    c.pruning.dropped_template_vars,
-                )
-            }
-            None => "null".to_string(),
-        };
-        push_field(&mut out, "check", &check);
+        let check = self.check.as_ref().map_or_else(null, |c| {
+            json::object([
+                ("warnings", c.warnings.to_string()),
+                (
+                    "diagnostics",
+                    json::array(c.diagnostics.iter().map(|d| json::string(d))),
+                ),
+                (
+                    "pruning",
+                    json::object([
+                        ("refuted_branches", c.pruning.refuted_branches.to_string()),
+                        ("skipped_loops", c.pruning.skipped_loops.to_string()),
+                        (
+                            "dropped_template_vars",
+                            c.pruning.dropped_template_vars.to_string(),
+                        ),
+                    ]),
+                ),
+            ])
+        });
 
-        // Timings go last so consumers comparing reports can cheaply strip the
-        // single volatile section.
-        let timings = format!(
-            "{{\"parse_ms\":{},\"check_ms\":{},\"analysis_ms\":{},\"soundness_ms\":{},\"tail_ms\":{},\"total_ms\":{}}}",
-            json::opt_num(self.timings.parse.map(|d| d.as_secs_f64() * 1e3)),
-            json::opt_num(self.timings.check.map(|d| d.as_secs_f64() * 1e3)),
-            json::num(self.timings.analysis.as_secs_f64() * 1e3),
-            json::opt_num(self.timings.soundness.map(|d| d.as_secs_f64() * 1e3)),
-            json::num(self.timings.tail.as_secs_f64() * 1e3),
-            json::num(self.timings.total.as_secs_f64() * 1e3),
-        );
-        push_last_field(&mut out, "timings", &timings);
-        out.push('}');
-        out
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let timings = json::object([
+            ("parse_ms", json::opt_num(self.timings.parse.map(ms))),
+            ("check_ms", json::opt_num(self.timings.check.map(ms))),
+            ("analysis_ms", json::num(ms(self.timings.analysis))),
+            (
+                "soundness_ms",
+                json::opt_num(self.timings.soundness.map(ms)),
+            ),
+            ("tail_ms", json::num(ms(self.timings.tail))),
+            ("total_ms", json::num(ms(self.timings.total))),
+        ]);
+
+        json::object([
+            (
+                "label",
+                self.label.as_deref().map_or_else(null, json::string),
+            ),
+            ("degree", self.degree.to_string()),
+            ("mode", json::string(mode)),
+            ("backend", json::string(&self.backend)),
+            ("parallelism", self.parallelism.to_string()),
+            ("poly_degree", self.poly_degree.to_string()),
+            ("poly_retries", self.poly_retries.to_string()),
+            ("valuation", valuation),
+            ("raw_moments", raw_moments),
+            ("central_moments", central),
+            ("tail_bounds", tail),
+            ("soundness", soundness),
+            ("lp", lp),
+            ("plan", plan),
+            ("escalation", escalation),
+            ("degradation", degradation),
+            ("check", check),
+            // Timings go last so consumers comparing reports can cheaply
+            // strip the single volatile section.
+            ("timings", timings),
+        ])
     }
-}
-
-fn push_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&format!("{}:{value},", json::string(key)));
-}
-
-fn push_last_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&format!("{}:{value}", json::string(key)));
 }
 
 impl fmt::Display for AnalysisReport {
@@ -468,9 +452,8 @@ impl fmt::Display for AnalysisReport {
             } else {
                 writeln!(
                     f,
-                    "escalated: degree {} -> {} via cold re-derive \
-                     ({} plan slots replayed)",
-                    e.from_degree, e.to_degree, e.reused_slots
+                    "escalated: degree {} -> {} via cold re-derive",
+                    e.from_degree, e.to_degree
                 )?;
             }
         }
