@@ -3,8 +3,7 @@
 //!
 //! The [`experiments`] module contains one function per experiment id (see
 //! `DESIGN.md` §6); the `tables` binary dispatches on a command-line argument
-//! and prints the corresponding rows/series as plain text / CSV, and the
-//! Criterion benches under `benches/` measure analysis times.
+//! and prints the corresponding rows/series as plain text / CSV.
 
 pub mod experiments;
 
@@ -12,11 +11,10 @@ pub use experiments::{run_experiment, ExperimentReport, EXPERIMENT_IDS};
 
 use central_moment_analysis::lp::{Cmp, LpProblem, LpVarId};
 
-/// The chain-*shaped* LP that the warm-resolve and kernel guards and the
-/// kernel benches solve: a coupled path of `vars` non-negative columns
-/// (`x_i − 0.5·x_{i+1} ≥ 1`) plus the head bound `x_0 ≤ 400`, minimizing
-/// the column sum.  Returns the problem (objective set) and its columns in
-/// path order.
+/// The chain-*shaped* LP that the warm-resolve and kernel guards solve: a
+/// coupled path of `vars` non-negative columns (`x_i − 0.5·x_{i+1} ≥ 1`)
+/// plus the head bound `x_0 ≤ 400`, minimizing the column sum.  Returns the
+/// problem (objective set) and its columns in path order.
 pub fn chain_stand_in(vars: usize) -> (LpProblem, Vec<LpVarId>) {
     let mut lp = LpProblem::new();
     let ids: Vec<_> = (0..vars)

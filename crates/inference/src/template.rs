@@ -485,6 +485,7 @@ impl SymMoment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cma_semiring::{Interval, MomentVec};
 
     fn x() -> Var {
         Var::new("x")
@@ -692,5 +693,67 @@ mod tests {
         assert!(one.component(1).is_zero());
         let zero = SymMoment::zero(2);
         assert!(zero.components().iter().all(SymInterval::is_zero));
+    }
+
+    /// The first `m + 1` drawn end pairs as a constant annotation, both
+    /// symbolic and as the reference `MomentVec` of Definition 3.1.
+    fn annotation(ends: &[(f64, f64)], m: usize) -> (SymMoment, MomentVec<Interval>) {
+        let intervals: Vec<Interval> = ends[..=m]
+            .iter()
+            .map(|&(a, b)| Interval::hull(a, b))
+            .collect();
+        let sym = intervals
+            .iter()
+            .map(|i| SymInterval {
+                lo: TemplatePoly::constant(i.lo()),
+                hi: TemplatePoly::constant(i.hi()),
+            })
+            .collect();
+        (
+            SymMoment::from_components(sym),
+            MomentVec::from_raw(intervals),
+        )
+    }
+
+    fn assert_matches(sym: &SymMoment, reference: &MomentVec<Interval>, rule: &str) {
+        for (k, (lo, hi)) in sym.resolve(&|_| 0.0).iter().enumerate() {
+            let want = reference.component(k);
+            for (got, want) in [(lo, want.lo()), (hi, want.hi())] {
+                let got = got.as_constant().expect("constant annotation");
+                assert!(
+                    (got - want).abs() <= 1e-9 * (1.0 + want.abs()),
+                    "{rule}: component {k} is {got}, reference {want}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The symbolic `Q-Tick` and `Q-Prob` transformers agree with the
+        /// interval moment semiring's `⊗` and `⊕` on constant annotations.
+        /// Negative costs exercise the swap of interval ends.
+        #[test]
+        fn prop_sym_moment_rules_match_moment_semiring(
+            v_ends in proptest::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 5..6),
+            w_ends in proptest::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 5..6),
+            m in 1usize..5,
+            c in -3.0f64..3.0,
+            p in 0.0f64..1.0,
+        ) {
+            let (a, v) = annotation(&v_ends, m);
+            let (b, w) = annotation(&w_ends, m);
+            let tick = MomentVec::<Interval>::of_cost(c, m).compose(&v);
+            assert_matches(&a.prepend_cost(c), &tick, "Q-Tick");
+            let weight = |q: f64| {
+                let mut u = MomentVec::<Interval>::zero(m);
+                *u.component_mut(0) = Interval::point(q);
+                u
+            };
+            let mix = weight(p).compose(&v).combine(&weight(1.0 - p).compose(&w));
+            let sym_mix = a
+                .scale_probability(p)
+                .combine(&b.scale_probability(1.0 - p));
+            assert_matches(&sym_mix, &mix, "Q-Prob");
+        }
     }
 }

@@ -35,7 +35,10 @@ use std::time::Instant;
 
 use crate::backend::LpSession;
 use crate::factor::{KernelWs, LuFactor};
-use crate::pricing::{bland_fallback_threshold, DevexPricer, PivotView, SolveBudget, SolverTuning};
+use crate::pricing::{
+    bland_fallback_threshold, DevexPricer, PivotView, SolveBudget, SolverTuning,
+    DEADLINE_CHECK_PERIOD,
+};
 use crate::simplex::{Cmp, LpProblem, LpSolution, LpStatus, LpVarId, SolveStats};
 
 const EPS: f64 = 1e-9;
@@ -188,9 +191,6 @@ pub(crate) struct SimplexCore {
     /// Lifetime refactorizations charged against
     /// `budget.max_refactorizations`.
     budget_refactorizations: usize,
-    /// How often (in loop iterations) the wall-clock deadline is polled
-    /// (from [`SolverTuning::deadline_check_period`], clamped to ≥ 1).
-    deadline_check_period: usize,
     /// `factor.compactions()` at the start of the current minimize; the
     /// per-solve [`SolveStats::eta_compactions`] is the delta.
     compaction_base: usize,
@@ -240,7 +240,6 @@ impl SimplexCore {
             budget: tuning.budget,
             budget_iters: 0,
             budget_refactorizations: 0,
-            deadline_check_period: tuning.deadline_check_period.max(1),
             compaction_base: 0,
             ws: KernelWs::default(),
             rhs_buf: Vec::new(),
@@ -443,7 +442,7 @@ impl SimplexCore {
     /// basic-cost right-hand side is loaded *sparse* — most basics (slacks,
     /// retired artificials, off-objective structurals) cost 0 — so the
     /// hyper-sparse kernel engages on shallow objectives.
-    pub(crate) fn dual_prices_into(&mut self, col_costs: &[f64], y: &mut Vec<f64>) {
+    fn dual_prices_into(&mut self, col_costs: &[f64], y: &mut Vec<f64>) {
         let m = self.basis.len();
         let mut entries = std::mem::take(&mut self.rhs_buf);
         entries.clear();
@@ -468,7 +467,7 @@ impl SimplexCore {
 
     /// `d = B⁻¹ A_j` via the sparse-rhs ftran kernel, into the caller's
     /// reusable buffer (timed into the per-solve profile).
-    pub(crate) fn direction_into(&mut self, j: usize, out: &mut Vec<f64>) {
+    fn direction_into(&mut self, j: usize, out: &mut Vec<f64>) {
         let mut entries = std::mem::take(&mut self.rhs_buf);
         entries.clear();
         entries.extend_from_slice(self.cols.col(j));
@@ -482,7 +481,7 @@ impl SimplexCore {
 
     /// Row `p` of `B⁻¹` (a hyper-sparse unit-rhs btran, timed as btran
     /// work), into the caller's reusable buffer.
-    pub(crate) fn inverse_row_into(&mut self, p: usize, out: &mut Vec<f64>) {
+    fn inverse_row_into(&mut self, p: usize, out: &mut Vec<f64>) {
         let t = Instant::now();
         self.factor.inverse_row_ws(p, &mut self.ws);
         self.stats.btran_ns += t.elapsed().as_nanos() as u64;
@@ -594,8 +593,8 @@ impl SimplexCore {
 
     /// Whether the session's budget has run out, checked cooperatively at
     /// every pivot (iteration/refactorization caps) and every
-    /// [`SolverTuning::deadline_check_period`]-th pivot of a loop (the wall
-    /// clock — `Instant::now()` per pivot would dominate cheap pivots).
+    /// [`DEADLINE_CHECK_PERIOD`]-th pivot of a loop (the wall clock —
+    /// `Instant::now()` per pivot would dominate cheap pivots).
     fn budget_exhausted(&self, iter_in_loop: usize) -> bool {
         if self.budget.is_unlimited() {
             return false;
@@ -605,8 +604,7 @@ impl SimplexCore {
                 .budget
                 .refactorizations_remaining(self.budget_refactorizations)
                 == 0
-            || (iter_in_loop.is_multiple_of(self.deadline_check_period)
-                && self.budget.deadline_passed())
+            || (iter_in_loop.is_multiple_of(DEADLINE_CHECK_PERIOD) && self.budget.deadline_passed())
     }
 
     /// Runs primal simplex iterations for the given standard-form column
@@ -1301,7 +1299,7 @@ impl SimplexCore {
     }
 
     /// Standard-form column costs for a problem-variable objective.
-    pub(crate) fn split_costs(&self, objective: &[(LpVarId, f64)]) -> Vec<f64> {
+    fn split_costs(&self, objective: &[(LpVarId, f64)]) -> Vec<f64> {
         let mut costs = vec![0.0; self.cols.num_cols()];
         for &(v, coeff) in objective {
             let (pos, neg) = self.var_cols[v.index()];
@@ -1365,59 +1363,6 @@ impl SimplexCore {
             vec![0.0; self.var_cols.len()],
         )
         .with_stats(self.snapshot_stats())
-    }
-
-    /// Benchmark window (see [`crate::bench_support`]): basis dimension.
-    pub(crate) fn kernel_rows(&self) -> usize {
-        self.basis.len()
-    }
-
-    /// Benchmark window: number of standard-form columns.
-    pub(crate) fn kernel_num_cols(&self) -> usize {
-        self.cols.num_cols()
-    }
-
-    /// Benchmark window: whether standard-form column `j` is basic.
-    pub(crate) fn kernel_is_basic(&self, j: usize) -> bool {
-        self.is_basic[j]
-    }
-
-    /// Benchmark window: pins the session workspace to the dense scan
-    /// (the hyper-vs-dense baseline switch).
-    pub(crate) fn kernel_force_dense(&mut self, on: bool) {
-        self.ws.force_dense = on;
-    }
-
-    /// Benchmark window: the session workspace's lifetime kernel counters.
-    pub(crate) fn kernel_counters(&self) -> (u64, u64, u64, u64) {
-        self.ws.counters()
-    }
-
-    /// Benchmark window: current eta-file length of the factorization.
-    pub(crate) fn kernel_eta_count(&self) -> usize {
-        self.factor.eta_count()
-    }
-
-    /// Benchmark window: applies one factorization update (entering column
-    /// `j` at the most stable row of its ftran direction), growing the eta
-    /// file without a re-solve — a completed `minimize` always ends on a
-    /// freshly refactorized basis, so this is the only way a fixture can
-    /// hold an eta-laden factorization still.  The basis bookkeeping is
-    /// deliberately left alone: the fixture needs a longer eta file to
-    /// time, not a meaningful basis, and the core is not used for solving
-    /// afterwards.  Returns `false` when the update was declined.
-    pub(crate) fn kernel_grow_eta(&mut self, j: usize) -> bool {
-        let mut d = Vec::new();
-        self.direction_into(j, &mut d);
-        let p = match d
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
-        {
-            Some((p, &dp)) if dp.abs() > PIVOT_EPS => p,
-            _ => return false,
-        };
-        self.factor.update(p, &d).is_ok()
     }
 
     /// Whether any basic value is primal infeasible (negative, above a

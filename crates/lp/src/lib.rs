@@ -51,8 +51,6 @@
 //! ```
 
 pub mod backend;
-#[doc(hidden)]
-pub mod bench_support;
 mod core;
 mod factor;
 mod presolve;

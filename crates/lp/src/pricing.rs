@@ -117,8 +117,7 @@ pub struct SolveBudget {
     pub max_refactorizations: Option<usize>,
 }
 
-/// Default pivots between cooperative deadline checks
-/// ([`SolverTuning::deadline_check_period`]): `Instant::now()` per pivot
+/// Pivots between cooperative deadline checks: `Instant::now()` per pivot
 /// would dominate small pivots, and the refresh period (100) is too coarse
 /// for tight timeouts on expensive pivots.
 pub const DEADLINE_CHECK_PERIOD: usize = 16;
@@ -176,36 +175,20 @@ impl SolveBudget {
     }
 }
 
-/// Per-session tuning knobs threaded from the analysis down to the solver
-/// (see [`LpBackend::open_with`](crate::LpBackend::open_with)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-session solver settings threaded from the analysis down to the
+/// solver (see [`LpBackend::open_with`](crate::LpBackend::open_with)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverTuning {
     /// Resource budget for the whole session (deadline, iteration and
     /// refactorization caps; default unlimited).  The spend carries over
     /// across every minimize/re-solve of the session.
     pub budget: SolveBudget,
-    /// Pivots between cooperative wall-clock deadline checks (default
-    /// [`DEADLINE_CHECK_PERIOD`]).  Hostile-timeout tests tighten this to 1
-    /// to bound overshoot by a single pivot; `0` is treated as 1.
-    pub deadline_check_period: usize,
-}
-
-impl Default for SolverTuning {
-    fn default() -> Self {
-        SolverTuning {
-            budget: SolveBudget::default(),
-            deadline_check_period: DEADLINE_CHECK_PERIOD,
-        }
-    }
 }
 
 impl SolverTuning {
-    /// Tuning with the given budget and everything else at defaults.
+    /// Tuning with the given budget.
     pub fn with_budget(budget: SolveBudget) -> Self {
-        SolverTuning {
-            budget,
-            ..SolverTuning::default()
-        }
+        SolverTuning { budget }
     }
 }
 
