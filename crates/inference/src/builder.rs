@@ -206,9 +206,8 @@ impl ConstraintBuilder {
 
     /// Emits `poly = 0` coefficient-wise (one equality per monomial).
     pub fn constrain_zero_poly(&mut self, poly: &TemplatePoly) {
-        let monomials: Vec<Monomial> = poly.monomials().cloned().collect();
-        for m in monomials {
-            self.constrain_zero_coef(&poly.coefficient(&m));
+        for (_, coef) in poly.terms() {
+            self.constrain_zero_coef(coef);
         }
     }
 

@@ -5,7 +5,35 @@
 //! that are linear in the template coefficients (the composition operator `⊗`
 //! is only ever applied with a concrete left operand), which is exactly what
 //! makes the reduction to linear programming possible (§3.4).
+//!
+//! # Arithmetic in place
+//!
+//! Every sum the derivation forms goes through one primitive,
+//! `add_scaled_assign(&mut self, other, c)` on [`LinCoef`], [`TemplatePoly`]
+//! and [`SymInterval`] (plus [`TemplatePoly::add_scaled_term`] for a single
+//! monomial): it accumulates `c · other` into `self`, where the clone-based
+//! sums copied `self` and a scaled copy of `other` every time.  It performs
+//! exactly the floating-point operations of the clone-based
+//! `self.add(&other.scale(c))`, in the same order, so the LPs the rules emit
+//! are bit for bit what they were before the primitive existed:
+//!
+//! * `c == 0.0` adds nothing, except that a [`LinCoef`] still adds `0.0` to
+//!   its constant (which turns a `-0.0` constant into `0.0`);
+//! * an LP-variable term that reaches `0.0` is removed, and a monomial whose
+//!   coefficient becomes zero is dropped;
+//! * a monomial whose scaled coefficient would be zero is skipped without
+//!   being inserted;
+//! * a [`SymInterval`] swaps `other`'s ends when `c < 0`, as
+//!   [`SymInterval::scale`] does;
+//! * products are `k * c` and sums `x + k * c`: no fused multiply-add and no
+//!   reordering.
+//!
+//! `add`, `sub` and [`TemplatePoly::add_term`] are thin wrappers (clone once,
+//! then accumulate).  A property test pins the primitive to `#[cfg(test)]`
+//! copies of the clone-based bodies by the bits of every constant and
+//! coefficient, and `tests/fixtures/suite_lp.txt` pins the suite's LPs.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use cma_lp::LpVarId;
@@ -66,20 +94,46 @@ impl LinCoef {
     /// Sum of two coefficients.
     pub fn add(&self, other: &LinCoef) -> LinCoef {
         let mut result = self.clone();
-        result.constant += other.constant;
-        for (v, c) in &other.terms {
-            let entry = result.terms.entry(*v).or_insert(0.0);
-            *entry += c;
-            if *entry == 0.0 {
-                result.terms.remove(v);
-            }
-        }
+        result.add_scaled_assign(other, 1.0);
         result
     }
 
     /// Difference of two coefficients.
     pub fn sub(&self, other: &LinCoef) -> LinCoef {
-        self.add(&other.scale(-1.0))
+        let mut result = self.clone();
+        result.add_scaled_assign(other, -1.0);
+        result
+    }
+
+    /// Accumulates `c · other` in place, with exactly the floating-point
+    /// operations of `*self = self.add(&other.scale(c))` (see the
+    /// [module docs](self)).
+    pub fn add_scaled_assign(&mut self, other: &LinCoef, c: f64) {
+        if c == 0.0 {
+            // `other.scale(0.0)` is the zero coefficient, whose constant
+            // `add` still adds.
+            self.constant += 0.0;
+            return;
+        }
+        self.constant += other.constant * c;
+        for (v, k) in &other.terms {
+            let term = k * c;
+            match self.terms.entry(*v) {
+                Entry::Occupied(mut entry) => {
+                    *entry.get_mut() += term;
+                    if *entry.get() == 0.0 {
+                        entry.remove();
+                    }
+                }
+                // `0.0 + term` is `term` unless `term` is a zero, which
+                // `add` would insert and remove again.
+                Entry::Vacant(entry) => {
+                    if term != 0.0 {
+                        entry.insert(term);
+                    }
+                }
+            }
+        }
     }
 
     /// Scales the coefficient by a real constant.
@@ -136,13 +190,33 @@ impl TemplatePoly {
 
     /// Adds `coef · monomial` to the polynomial.
     pub fn add_term(&mut self, m: Monomial, coef: LinCoef) {
-        if coef.is_zero() {
+        self.add_scaled_term(&m, &coef, 1.0);
+    }
+
+    /// Adds `c · coef · monomial` in place, with exactly the floating-point
+    /// operations of `self.add_term(m.clone(), coef.scale(c))`: a zero scaled
+    /// coefficient is skipped, and a coefficient that cancels to zero drops
+    /// its monomial.  The monomial is cloned only when it is new.
+    pub fn add_scaled_term(&mut self, m: &Monomial, coef: &LinCoef, c: f64) {
+        if c == 0.0 || (coef.constant * c == 0.0 && coef.terms.is_empty()) {
             return;
         }
-        let entry = self.terms.entry(m.clone()).or_insert_with(LinCoef::zero);
-        *entry = entry.add(&coef);
-        if entry.is_zero() {
-            self.terms.remove(&m);
+        let cancelled = match self.terms.get_mut(m) {
+            Some(entry) => {
+                entry.add_scaled_assign(coef, c);
+                entry.is_zero()
+            }
+            None => {
+                let mut entry = LinCoef::zero();
+                entry.add_scaled_assign(coef, c);
+                if !entry.is_zero() {
+                    self.terms.insert(m.clone(), entry);
+                }
+                false
+            }
+        };
+        if cancelled {
+            self.terms.remove(m);
         }
     }
 
@@ -169,15 +243,24 @@ impl TemplatePoly {
     /// Sum of two template polynomials.
     pub fn add(&self, other: &TemplatePoly) -> TemplatePoly {
         let mut result = self.clone();
-        for (m, c) in other.terms() {
-            result.add_term(m.clone(), c.clone());
-        }
+        result.add_scaled_assign(other, 1.0);
         result
     }
 
     /// Difference of two template polynomials.
     pub fn sub(&self, other: &TemplatePoly) -> TemplatePoly {
-        self.add(&other.scale(-1.0))
+        let mut result = self.clone();
+        result.add_scaled_assign(other, -1.0);
+        result
+    }
+
+    /// Accumulates `c · other` in place, with exactly the floating-point
+    /// operations of `*self = self.add(&other.scale(c))` (see the
+    /// [module docs](self)).
+    pub fn add_scaled_assign(&mut self, other: &TemplatePoly, c: f64) {
+        for (m, coef) in &other.terms {
+            self.add_scaled_term(m, coef, c);
+        }
     }
 
     /// Scales every coefficient by a real constant.
@@ -200,7 +283,7 @@ impl TemplatePoly {
         let mut result = TemplatePoly::zero();
         for (m1, coef) in self.terms() {
             for (m2, c) in p.terms() {
-                result.add_term(m1.mul(m2), coef.scale(c));
+                result.add_scaled_term(&m1.mul(m2), coef, c);
             }
         }
         result
@@ -213,11 +296,11 @@ impl TemplatePoly {
         for (m, coef) in self.terms() {
             let (e, rest) = m.split_var(v);
             if e == 0 {
-                result.add_term(rest, coef.clone());
+                result.add_scaled_term(&rest, coef, 1.0);
             } else {
                 let expanded = replacement.pow(e);
                 for (m2, c) in expanded.terms() {
-                    result.add_term(rest.mul(m2), coef.scale(c));
+                    result.add_scaled_term(&rest.mul(m2), coef, c);
                 }
             }
         }
@@ -235,7 +318,7 @@ impl TemplatePoly {
         for (m, coef) in self.terms() {
             let (e, rest) = m.split_var(v);
             let factor = moments[e as usize];
-            result.add_term(rest, coef.scale(factor));
+            result.add_scaled_term(&rest, coef, factor);
         }
         result
     }
@@ -250,7 +333,7 @@ impl TemplatePoly {
     pub fn eval_vars(&self, valuation: &dyn Fn(&Var) -> f64) -> LinCoef {
         let mut acc = LinCoef::zero();
         for (m, coef) in self.terms() {
-            acc = acc.add(&coef.scale(m.eval(valuation)));
+            acc.add_scaled_assign(coef, m.eval(valuation));
         }
         acc
     }
@@ -315,10 +398,22 @@ impl SymInterval {
 
     /// Interval addition (ends add pointwise).
     pub fn add(&self, other: &SymInterval) -> SymInterval {
-        SymInterval {
-            lo: self.lo.add(&other.lo),
-            hi: self.hi.add(&other.hi),
-        }
+        let mut result = self.clone();
+        result.add_scaled_assign(other, 1.0);
+        result
+    }
+
+    /// Accumulates `c · other` in place, with exactly the floating-point
+    /// operations of `*self = self.add(&other.scale(c))`: `other`'s ends
+    /// swap when `c < 0`, as in [`scale`](Self::scale).
+    pub fn add_scaled_assign(&mut self, other: &SymInterval, c: f64) {
+        let (lo, hi) = if c >= 0.0 {
+            (&other.lo, &other.hi)
+        } else {
+            (&other.hi, &other.lo)
+        };
+        self.lo.add_scaled_assign(lo, c);
+        self.hi.add_scaled_assign(hi, c);
     }
 
     /// Scales by a real constant, flipping the ends when negative.
@@ -424,7 +519,7 @@ impl SymMoment {
             let mut acc = SymInterval::zero();
             for i in 0..=k {
                 let factor = binomial(k, i) * c.powi(i as i32);
-                acc = acc.add(&self.components[k - i].scale(factor));
+                acc.add_scaled_assign(&self.components[k - i], factor);
             }
             components.push(acc);
         }
@@ -482,6 +577,135 @@ impl SymMoment {
     }
 }
 
+/// The clone-based sums the in-place primitive replaced, verbatim, and random
+/// inputs that reach their corner cases: the references the primitive is
+/// pinned to bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `LinCoef::add` before the primitive.
+    pub(crate) fn lin_add(a: &LinCoef, other: &LinCoef) -> LinCoef {
+        let mut result = a.clone();
+        result.constant += other.constant;
+        for (v, c) in &other.terms {
+            let entry = result.terms.entry(*v).or_insert(0.0);
+            *entry += c;
+            if *entry == 0.0 {
+                result.terms.remove(v);
+            }
+        }
+        result
+    }
+
+    /// `TemplatePoly::add_term` before the primitive.
+    pub(crate) fn add_term(p: &mut TemplatePoly, m: Monomial, coef: LinCoef) {
+        if coef.is_zero() {
+            return;
+        }
+        let entry = p.terms.entry(m.clone()).or_insert_with(LinCoef::zero);
+        *entry = lin_add(entry, &coef);
+        if entry.is_zero() {
+            p.terms.remove(&m);
+        }
+    }
+
+    /// `TemplatePoly::add` before the primitive.
+    pub(crate) fn poly_add(a: &TemplatePoly, other: &TemplatePoly) -> TemplatePoly {
+        let mut result = a.clone();
+        for (m, c) in other.terms() {
+            add_term(&mut result, m.clone(), c.clone());
+        }
+        result
+    }
+
+    /// `SymInterval::add` before the primitive.
+    pub(crate) fn interval_add(a: &SymInterval, other: &SymInterval) -> SymInterval {
+        SymInterval {
+            lo: poly_add(&a.lo, &other.lo),
+            hi: poly_add(&a.hi, &other.hi),
+        }
+    }
+
+    /// Coefficients: values that cancel each other exactly under the
+    /// [`SCALES`], zeros of both signs, and magnitudes whose products with a
+    /// tiny scale underflow.
+    pub(crate) const VALUES: [f64; 11] = [
+        -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 0.0, -0.0, 1e-200, -1e-200,
+    ];
+
+    /// Scales: zeros of both signs, negative, positive, and tiny enough that
+    /// `1e-200 · c` underflows to a zero.
+    pub(crate) const SCALES: [f64; 8] = [0.0, -0.0, -1.0, -0.5, 0.5, 2.0, 1e-200, -1e-300];
+
+    /// A coefficient over four LP unknowns whose constant is drawn from
+    /// `constants` and whose terms may hold zeros (as `scale` can leave).
+    pub(crate) fn lin(constants: &'static [f64]) -> impl Strategy<Value = LinCoef> {
+        (
+            0..constants.len(),
+            proptest::collection::vec((0usize..4, 0..VALUES.len()), 0..4),
+        )
+            .prop_map(move |(c, terms)| LinCoef {
+                constant: constants[c],
+                terms: terms
+                    .into_iter()
+                    .map(|(v, k)| (LpVarId::from_index(v), VALUES[k]))
+                    .collect(),
+            })
+    }
+
+    /// One of five monomials over `x` and `y`.
+    pub(crate) fn monomial(i: usize) -> Monomial {
+        let (x, y) = (Var::new("x"), Var::new("y"));
+        match i {
+            0 => Monomial::unit(),
+            1 => Monomial::var(x),
+            2 => Monomial::var(y),
+            3 => Monomial::var_pow(x, 2),
+            _ => Monomial::var(x).mul(&Monomial::var(y)),
+        }
+    }
+
+    /// A template polynomial whose coefficients come from [`lin`] (and so
+    /// may be zero, as `scale` can leave them).
+    pub(crate) fn poly(constants: &'static [f64]) -> impl Strategy<Value = TemplatePoly> {
+        proptest::collection::vec((0usize..5, lin(constants)), 0..5).prop_map(|terms| {
+            TemplatePoly {
+                terms: terms.into_iter().map(|(m, c)| (monomial(m), c)).collect(),
+            }
+        })
+    }
+
+    /// Asserts equal key sets and equal bits of every constant and
+    /// coefficient.
+    pub(crate) fn assert_lin_bits(got: &LinCoef, want: &LinCoef, what: &str) {
+        assert_eq!(
+            got.constant.to_bits(),
+            want.constant.to_bits(),
+            "{what}: constant {:?} vs {:?}",
+            got.constant,
+            want.constant
+        );
+        let bits = |c: &LinCoef| -> Vec<(LpVarId, u64)> {
+            c.terms.iter().map(|(v, k)| (*v, k.to_bits())).collect()
+        };
+        assert_eq!(bits(got), bits(want), "{what}: terms {got:?} vs {want:?}");
+    }
+
+    /// [`assert_lin_bits`] for every monomial of two polynomials.
+    pub(crate) fn assert_poly_bits(got: &TemplatePoly, want: &TemplatePoly, what: &str) {
+        assert_eq!(
+            got.terms.keys().collect::<Vec<_>>(),
+            want.terms.keys().collect::<Vec<_>>(),
+            "{what}: monomials"
+        );
+        for ((m, g), w) in got.terms.iter().zip(want.terms.values()) {
+            assert_lin_bits(g, w, &format!("{what} at {m:?}"));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,6 +736,99 @@ mod tests {
         assert!(LinCoef::zero().is_zero());
         let vals = |_: LpVarId| 5.0;
         assert_eq!(a.eval(&vals), 17.0);
+    }
+
+    proptest::proptest! {
+        /// `LinCoef::add_scaled_assign` and its wrappers perform the
+        /// clone-based arithmetic bit for bit, including the `0.0` a zero
+        /// scale still adds to a `-0.0` constant.
+        #[test]
+        fn prop_lincoef_primitive_matches_clone_based_sums(
+            a in reference::lin(&reference::VALUES),
+            b in reference::lin(&reference::VALUES),
+        ) {
+            for c in reference::SCALES {
+                let mut got = a.clone();
+                got.add_scaled_assign(&b, c);
+                let want = reference::lin_add(&a, &b.scale(c));
+                reference::assert_lin_bits(&got, &want, &format!("{a:?} + {c:e}·{b:?}"));
+            }
+            reference::assert_lin_bits(&a.add(&b), &reference::lin_add(&a, &b), "add");
+            reference::assert_lin_bits(
+                &a.sub(&b),
+                &reference::lin_add(&a, &b.scale(-1.0)),
+                "sub",
+            );
+            reference::assert_lin_bits(
+                &a.sub(&a),
+                &reference::lin_add(&a, &a.scale(-1.0)),
+                "a - a",
+            );
+        }
+
+        /// `TemplatePoly::add_scaled_assign`, `add_scaled_term` and their
+        /// wrappers perform the clone-based arithmetic bit for bit.
+        #[test]
+        fn prop_template_primitive_matches_clone_based_sums(
+            a in reference::poly(&reference::VALUES),
+            b in reference::poly(&reference::VALUES),
+        ) {
+            for c in reference::SCALES {
+                let mut got = a.clone();
+                got.add_scaled_assign(&b, c);
+                let want = reference::poly_add(&a, &b.scale(c));
+                reference::assert_poly_bits(&got, &want, &format!("a + {c:e}·b"));
+                for (m, coef) in b.terms() {
+                    let mut got = a.clone();
+                    got.add_scaled_term(m, coef, c);
+                    let mut want = a.clone();
+                    reference::add_term(&mut want, m.clone(), coef.scale(c));
+                    reference::assert_poly_bits(&got, &want, &format!("add_scaled_term {c:e}"));
+                }
+            }
+            reference::assert_poly_bits(&a.add(&b), &reference::poly_add(&a, &b), "add");
+            reference::assert_poly_bits(
+                &a.sub(&b),
+                &reference::poly_add(&a, &b.scale(-1.0)),
+                "sub",
+            );
+            let cancelled = a.sub(&a);
+            reference::assert_poly_bits(
+                &cancelled,
+                &reference::poly_add(&a, &a.scale(-1.0)),
+                "a - a",
+            );
+            let mut built = TemplatePoly::zero();
+            let mut want = TemplatePoly::zero();
+            for (m, coef) in a.terms().chain(b.terms()) {
+                built.add_term(m.clone(), coef.clone());
+                reference::add_term(&mut want, m.clone(), coef.clone());
+            }
+            reference::assert_poly_bits(&built, &want, "add_term");
+        }
+
+        /// `SymInterval::add_scaled_assign` swaps `other`'s ends for a
+        /// negative scale and otherwise performs the clone-based arithmetic
+        /// bit for bit.
+        #[test]
+        fn prop_interval_primitive_matches_clone_based_sums(
+            a in (reference::poly(&reference::VALUES), reference::poly(&reference::VALUES)),
+            b in (reference::poly(&reference::VALUES), reference::poly(&reference::VALUES)),
+        ) {
+            let a = SymInterval { lo: a.0, hi: a.1 };
+            let b = SymInterval { lo: b.0, hi: b.1 };
+            for c in reference::SCALES {
+                let mut got = a.clone();
+                got.add_scaled_assign(&b, c);
+                let want = reference::interval_add(&a, &b.scale(c));
+                reference::assert_poly_bits(&got.lo, &want.lo, &format!("lo, c = {c:e}"));
+                reference::assert_poly_bits(&got.hi, &want.hi, &format!("hi, c = {c:e}"));
+            }
+            let sum = a.add(&b);
+            let want = reference::interval_add(&a, &b);
+            reference::assert_poly_bits(&sum.lo, &want.lo, "add lo");
+            reference::assert_poly_bits(&sum.hi, &want.hi, "add hi");
+        }
     }
 
     #[test]

@@ -34,15 +34,13 @@ pub fn require_poly_geq(
         }
     }
     // difference = bigger - smaller - Σ λ_i · products_i  must be 0 per monomial.
+    // Each λ_i is fresh, so its entry in every monomial is exactly `-c`.
     let mut difference = bigger.sub(smaller);
     for (i, product) in products.iter().enumerate() {
-        let lambda = builder.fresh_multiplier(&format!("λ[{tag}.{i}]"));
-        let scaled = TemplatePoly::from_terms(
-            product
-                .terms()
-                .map(|(m, c)| (m.clone(), LinCoef::var(lambda).scale(c))),
-        );
-        difference = difference.sub(&scaled);
+        let lambda = LinCoef::var(builder.fresh_multiplier(&format!("λ[{tag}.{i}]")));
+        for (m, c) in product.terms() {
+            difference.add_scaled_term(m, &lambda, -c);
+        }
     }
     builder.constrain_zero_poly(&difference);
 }
@@ -92,8 +90,11 @@ pub fn require_contains(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::template::reference;
     use cma_appl::build::*;
-    use cma_semiring::poly::Var;
+    use cma_lp::Cmp;
+    use cma_semiring::poly::{Monomial, Var};
+    use proptest::prelude::*;
 
     fn x() -> Var {
         Var::new("x")
@@ -198,5 +199,92 @@ mod tests {
         // Objective pushed them to be tight.
         assert!(hi_at_5 <= 13.0 + 1e-4);
         assert!(lo_at_5 >= 5.0 - 1e-4);
+    }
+
+    /// `require_poly_geq` as it was before the in-place primitive: the
+    /// difference built by clone-based sums, one `from_terms` polynomial per
+    /// certificate product, and rows emitted per cloned monomial.
+    fn reference_require_poly_geq(
+        builder: &mut ConstraintBuilder,
+        products: &[Polynomial],
+        bigger: &TemplatePoly,
+        smaller: &TemplatePoly,
+        tag: &str,
+    ) {
+        let mut difference = reference::poly_add(bigger, &smaller.scale(-1.0));
+        for (i, product) in products.iter().enumerate() {
+            let lambda = builder.fresh_multiplier(&format!("λ[{tag}.{i}]"));
+            let mut scaled = TemplatePoly::zero();
+            for (m, c) in product.terms() {
+                reference::add_term(&mut scaled, m.clone(), LinCoef::var(lambda).scale(c));
+            }
+            difference = reference::poly_add(&difference, &scaled.scale(-1.0));
+        }
+        let monomials: Vec<Monomial> = difference.monomials().cloned().collect();
+        for m in monomials {
+            builder.constrain_zero_coef(&difference.coefficient(&m));
+        }
+    }
+
+    /// The variable count and every row of a builder's store, coefficients
+    /// and right-hand sides as bits.
+    type Rows = (usize, Vec<(Vec<(usize, u64)>, Cmp, u64)>);
+
+    fn rows(builder: &ConstraintBuilder) -> Rows {
+        let lp = builder.store().to_problem();
+        let rows = (0..lp.num_constraints())
+            .map(|i| {
+                let terms = lp
+                    .constraint_terms(i)
+                    .map(|(v, c)| (v.index(), c.to_bits()))
+                    .collect();
+                (terms, lp.cmp(i), lp.rhs(i).to_bits())
+            })
+            .collect();
+        (lp.num_vars(), rows)
+    }
+
+    /// Template constants as derivation produces them: never `-0.0`.  A rule
+    /// starts every sum from `+0.0` and scales templates only by
+    /// probabilities, so no `-0.0` constant reaches a weakening.  (On one,
+    /// the zero addend `0.0 · (-c)` of a negative-`c` product term would
+    /// leave `+0.0` where the clone-based `-0.0` addend left `-0.0`.)
+    const CONSTANTS: [f64; 10] = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 0.0, 1e-200, -1e-200];
+
+    /// A concrete certificate product over `x` and `y`, its coefficients
+    /// drawn from the seven nonzero [`CONSTANTS`].
+    fn product() -> impl Strategy<Value = Polynomial> {
+        proptest::collection::vec((0usize..5, 0usize..7), 1..4).prop_map(|terms| {
+            let mut p = Polynomial::zero();
+            for (m, k) in terms {
+                p.add_term(reference::monomial(m), CONSTANTS[k]);
+            }
+            p
+        })
+    }
+
+    proptest::proptest! {
+        /// The in-place certificate emits the clone-based rows bit for bit.
+        #[test]
+        fn prop_certificate_rows_match_clone_based_rows(
+            bigger in reference::poly(&CONSTANTS),
+            smaller in reference::poly(&CONSTANTS),
+            products in proptest::collection::vec(product(), 0..4),
+        ) {
+            let products: Vec<Polynomial> = std::iter::once(Polynomial::constant(1.0))
+                .chain(products)
+                .collect();
+            let mut got = ConstraintBuilder::new();
+            let mut want = ConstraintBuilder::new();
+            for builder in [&mut got, &mut want] {
+                // The template unknowns the random coefficients refer to.
+                for _ in 0..4 {
+                    builder.fresh_coefficient("t");
+                }
+            }
+            require_poly_geq(&mut got, &products, &bigger, &smaller, "w");
+            reference_require_poly_geq(&mut want, &products, &bigger, &smaller, "w");
+            prop_assert_eq!(rows(&got), rows(&want));
+        }
     }
 }

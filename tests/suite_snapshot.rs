@@ -19,8 +19,10 @@
 //! in place.  Derivation changes that claim to emit the same LPs must leave
 //! every line as it is.
 //!
-//! Re-record (only when an answer change is intended) with
-//! `cargo test --release --test suite_snapshot -- --ignored`.
+//! Re-record a fixture (only when an answer or LP change is intended) with
+//! `cargo test --release --test suite_snapshot -- --ignored --exact NAME`,
+//! `NAME` one of `record_suite_snapshot`, `record_soundness_snapshot` and
+//! `record_suite_lp_fingerprints`.
 
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
@@ -357,10 +359,6 @@ impl LpSession for FingerprintSession<'_> {
 
     fn num_constraints(&self) -> usize {
         self.inner.num_constraints()
-    }
-
-    fn warm_resolves_in_place(&self) -> bool {
-        self.inner.warm_resolves_in_place()
     }
 }
 
