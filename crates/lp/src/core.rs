@@ -25,6 +25,14 @@
 //! with stability-first tie-breaking, a Bland-style fallback, and a hard
 //! cap after which the solve falls back to a cold phase-1 start rather than
 //! risk a wrong verdict.
+//!
+//! The primal loop keeps its pricing state across pivots: each candidate
+//! column's reduced cost `c_j − A_j·y` and its bound-adjusted price.  Both
+//! are recomputed in full wherever `y` is recomputed from scratch, and
+//! after a pivot only for the columns next to the support of a hyper-sparse
+//! pivot row — every other column reads the same `y` bits, so its cached
+//! value equals a fresh dot bit for bit.  The pivot sequence is therefore
+//! the one a full scan per pivot would take.
 
 // Simplex kernels index several parallel vectors (directions, basic values)
 // at once; indexed loops are the clearest form here.
@@ -203,13 +211,26 @@ pub(crate) struct SimplexCore {
     /// Devex α-scatter workspace: accumulated pivot-row entries by column
     /// (all-zero outside `alpha_touched` between pivots).
     alpha_scratch: Vec<f64>,
-    /// Columns the last α-scatter wrote (may contain duplicates).
+    /// Columns the last α-scatter wrote, each once.
     alpha_touched: Vec<usize>,
+    /// Whether a column is in `alpha_touched` (all-false outside it
+    /// between pivots).
+    alpha_seen: Vec<bool>,
+    /// `c_j − A_j·y` of every pricing candidate under the primal loop's
+    /// current dual prices (stale for every other column).
+    rc: Vec<f64>,
+    /// Bound-adjusted reduced costs, the pricer's input: `rc[j]`, or
+    /// `−rc[j]` for an at-upper column, for every pricing candidate, and
+    /// `0.0` for every other column.
+    price: Vec<f64>,
     /// Sorted, deduplicated copy of the pivot row's support (scratch).
     alpha_rows: Vec<usize>,
     /// `ws.counters()` at the start of the current minimize; the per-solve
     /// kernel counters in [`SolveStats`] are deltas against it.
     ws_base: (u64, u64, u64, u64),
+    /// What the pricing audit of the unit tests checked.
+    #[cfg(test)]
+    audit: tests::PricingAudit,
 }
 
 impl SimplexCore {
@@ -245,8 +266,13 @@ impl SimplexCore {
             rhs_buf: Vec::new(),
             alpha_scratch: Vec::new(),
             alpha_touched: Vec::new(),
+            alpha_seen: Vec::new(),
+            rc: Vec::new(),
+            price: Vec::new(),
             alpha_rows: Vec::new(),
             ws_base: (0, 0, 0, 0),
+            #[cfg(test)]
+            audit: tests::PricingAudit::default(),
         };
         for v in 0..problem.num_vars() {
             core.push_var(problem.is_free(LpVarId::from_index(v)));
@@ -465,6 +491,58 @@ impl SimplexCore {
         col_costs[j] - self.cols.dot(j, y)
     }
 
+    /// Whether column `j` may enter the basis in the primal loop: nonbasic,
+    /// not a banned artificial, and not fixed (a zero-width column never
+    /// enters).
+    fn is_candidate(&self, j: usize, ban_artificials: bool) -> bool {
+        !(self.is_basic[j]
+            || ban_artificials && self.kind[j] == ColKind::Artificial
+            || self.up[j] <= EPS)
+    }
+
+    /// Brings column `j`'s entries of `rc` and `price` up to date with
+    /// `y` and the column's current status.
+    fn reprice(&mut self, j: usize, col_costs: &[f64], ban_artificials: bool, y: &[f64]) {
+        if self.is_candidate(j, ban_artificials) {
+            let rc = self.reduced_cost(j, col_costs, y);
+            self.rc[j] = rc;
+            self.price[j] = if self.at_upper[j] { -rc } else { rc };
+        } else {
+            self.price[j] = 0.0;
+        }
+    }
+
+    /// Reprices every column (see [`reprice`](Self::reprice)).
+    fn reprice_all(&mut self, col_costs: &[f64], ban_artificials: bool, y: &[f64]) {
+        let n = self.cols.num_cols();
+        self.rc.resize(n, 0.0);
+        self.price.resize(n, 0.0);
+        for j in 0..n {
+            self.reprice(j, col_costs, ban_artificials, y);
+        }
+    }
+
+    /// Recomputes `y = c_Bᵀ B⁻¹` from scratch and every candidate's reduced
+    /// cost from it.  The primal loop calls this wherever it recomputes
+    /// `y`, so the cached prices can never lag behind a fresh `y`; the
+    /// reprice is pricing work and is timed as such.
+    fn refresh_prices(&mut self, col_costs: &[f64], ban_artificials: bool, y: &mut Vec<f64>) {
+        self.dual_prices_into(col_costs, y);
+        let t = Instant::now();
+        self.reprice_all(col_costs, ban_artificials, y);
+        self.stats.pricing_ns += t.elapsed().as_nanos() as u64;
+    }
+
+    /// The entering column: devex over the cached prices, or Bland's first
+    /// improving column in the last-resort regime.
+    fn pick(&self, pricer: &mut DevexPricer, bland: bool) -> Option<usize> {
+        if bland {
+            self.price.iter().position(|&p| p < -EPS)
+        } else {
+            pricer.select(&self.price)
+        }
+    }
+
     /// `d = B⁻¹ A_j` via the sparse-rhs ftran kernel, into the caller's
     /// reusable buffer (timed into the per-solve profile).
     fn direction_into(&mut self, j: usize, out: &mut Vec<f64>) {
@@ -624,46 +702,18 @@ impl SimplexCore {
         let mut pricer = DevexPricer::new(self.cols.num_cols());
         let mut degen_streak = 0usize;
         let mut shift_rounds = 0usize;
-        // Dual prices are maintained incrementally (one btran per pivot) and
-        // recomputed from scratch at refresh points and before any
-        // optimality/unboundedness verdict.  The direction/pivot-row/price
+        // Dual prices are maintained incrementally (Δy along the pivot row)
+        // and recomputed from scratch at refresh points and before any
+        // optimality/unboundedness verdict.  The candidates' reduced costs
+        // `rc`/`price` follow `y`: a full reprice wherever `y` is recomputed
+        // (`refresh_prices`), and after a pivot only the columns whose dot
+        // product reads a moved `y` entry.  The direction/pivot-row/price
         // buffers below are the loop's only vectors: allocated (at most)
         // once per phase, written in place by the workspace kernels.
         let mut y: Vec<f64> = Vec::new();
-        self.dual_prices_into(col_costs, &mut y);
+        self.refresh_prices(col_costs, ban_artificials, &mut y);
         let mut d: Vec<f64> = Vec::new();
         let mut rho: Vec<f64> = Vec::new();
-        // Chooses the entering column by *bound-adjusted* reduced cost: an
-        // at-lower column improves when its reduced cost is negative, an
-        // at-upper column when it is positive — the pricer sees the negated
-        // value for the latter so "most negative wins" covers both.
-        // Zero-width columns are fixed and never enter.  Falls back to
-        // Bland's first improving column in the last-resort regime.
-        let pick = |state: &SimplexCore,
-                    pricer: &mut DevexPricer,
-                    costs: &[f64],
-                    y: &[f64],
-                    bland: bool|
-         -> Option<usize> {
-            let candidate = |j: usize| {
-                !(state.is_basic[j]
-                    || ban_artificials && state.kind[j] == ColKind::Artificial
-                    || state.up[j] <= EPS)
-            };
-            let adj_rc = |j: usize| {
-                let rc = state.reduced_cost(j, costs, y);
-                if state.at_upper[j] {
-                    -rc
-                } else {
-                    rc
-                }
-            };
-            if bland {
-                (0..state.cols.num_cols()).find(|&j| candidate(j) && adj_rc(j) < -EPS)
-            } else {
-                pricer.select(state.cols.num_cols(), candidate, adj_rc)
-            }
-        };
         for iter in 0..max_iters {
             self.stats.iterations += 1;
             self.budget_iters += 1;
@@ -677,7 +727,7 @@ impl SimplexCore {
                 if self.deadline_hit() {
                     return Err(LpStatus::BudgetExhausted);
                 }
-                self.dual_prices_into(col_costs, &mut y);
+                self.refresh_prices(col_costs, ban_artificials, &mut y);
             }
             let bland = iter >= bland_after;
             if !bland && degen_streak >= crate::pricing::DEGEN_PIVOT_STREAK {
@@ -688,9 +738,15 @@ impl SimplexCore {
                 self.shift_degenerate_basics(shift_rounds);
                 degen_streak = 0;
             }
+            // The entering column by *bound-adjusted* reduced cost: an
+            // at-lower column improves when its reduced cost is negative, an
+            // at-upper column when it is positive — `price` holds the negated
+            // value for the latter, so "most negative wins" covers both.
             let t_price = Instant::now();
-            let mut entering = pick(self, &mut pricer, col_costs, &y, bland);
+            let mut entering = self.pick(&mut pricer, bland);
             self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
+            #[cfg(test)]
+            self.audit_selection(col_costs, ban_artificials, &y, &mut pricer, bland, entering);
             if entering.is_none() {
                 // Recompute the incrementally maintained duals before
                 // trusting the verdict, and — when a full period of drift
@@ -698,10 +754,12 @@ impl SimplexCore {
                 if self.stale_pivots >= refresh_period {
                     self.refactorize();
                 }
-                self.dual_prices_into(col_costs, &mut y);
+                self.refresh_prices(col_costs, ban_artificials, &mut y);
                 let t_price = Instant::now();
-                entering = pick(self, &mut pricer, col_costs, &y, bland);
+                entering = self.pick(&mut pricer, bland);
                 self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
+                #[cfg(test)]
+                self.audit_selection(col_costs, ban_artificials, &y, &mut pricer, bland, entering);
                 if entering.is_none() {
                     return Ok(());
                 }
@@ -733,9 +791,16 @@ impl SimplexCore {
                     self.xb[i] -= uq * dir * d[i];
                 }
                 self.at_upper[entering] = !self.at_upper[entering];
+                // Its price changes sign with the bound it sits at.
+                self.reprice(entering, col_costs, ban_artificials, &y);
                 self.stats.bound_flips += 1;
                 if uq > FEAS_EPS {
                     degen_streak = 0;
+                }
+                #[cfg(test)]
+                {
+                    self.audit.bound_flips += 1;
+                    self.audit_prices(col_costs, ban_artificials, &y);
                 }
                 continue;
             }
@@ -744,7 +809,7 @@ impl SimplexCore {
                 // reporting, so drift (or a live shift) cannot cause a false
                 // positive.
                 self.refactorize();
-                self.dual_prices_into(col_costs, &mut y);
+                self.refresh_prices(col_costs, ban_artificials, &mut y);
                 let rc = self.reduced_cost(entering, col_costs, &y);
                 let adj = if self.at_upper[entering] { -rc } else { rc };
                 if adj > -UNBOUNDED_EPS {
@@ -769,6 +834,21 @@ impl SimplexCore {
             // Pre-pivot pivot row ρ = (B⁻¹)ₚ: feeds the devex weight update
             // (α_j = ρ·A_j) and the incremental dual-price update.
             self.inverse_row_into(p, &mut rho);
+            let dp = d[p];
+            // Classic dual-price update: Δy = (r_q / d_p) · ρ — it zeroes
+            // the entering column's reduced cost.  It reads nothing the basis
+            // change writes, so it runs before it, where the pricing block
+            // below can reprice against the moved `y`.
+            let y_moved = rc_entering.abs() > EPS;
+            if y_moved {
+                let scale = rc_entering / dp;
+                for (yr, rr) in y.iter_mut().zip(&rho) {
+                    *yr += scale * rr;
+                }
+            }
+            let scattered = self.ws.sparse;
+            #[cfg(test)]
+            let resets_before = pricer.resets;
             {
                 // The weight propagation's α_j = ρ·A_j scan is pricing
                 // work — timed into the same bucket as `select`.  A
@@ -782,16 +862,18 @@ impl SimplexCore {
                 let t_price = Instant::now();
                 let mut scratch = std::mem::take(&mut self.alpha_scratch);
                 let mut touched = std::mem::take(&mut self.alpha_touched);
+                let mut seen = std::mem::take(&mut self.alpha_seen);
                 let mut support = std::mem::take(&mut self.alpha_rows);
                 for &j in &touched {
                     scratch[j] = 0.0;
+                    seen[j] = false;
                 }
                 touched.clear();
-                let scattered = self.ws.sparse;
                 if scattered {
                     let rows = self.cols.rows();
                     if scratch.len() < self.cols.num_cols() {
                         scratch.resize(self.cols.num_cols(), 0.0);
+                        seen.resize(self.cols.num_cols(), false);
                     }
                     support.clear();
                     support.extend_from_slice(&self.ws.pattern);
@@ -804,8 +886,12 @@ impl SimplexCore {
                         }
                         let Some(adj) = rows.get(r) else { continue };
                         for &(j, a) in adj {
-                            scratch[j as usize] += a * rr;
-                            touched.push(j as usize);
+                            let j = j as usize;
+                            scratch[j] += a * rr;
+                            if !seen[j] {
+                                seen[j] = true;
+                                touched.push(j);
+                            }
                         }
                     }
                 }
@@ -825,31 +911,49 @@ impl SimplexCore {
                 pricer.observe_pivot(&PivotView {
                     entering,
                     leaving: self.basis[p],
-                    alpha_q: d[p],
+                    alpha_q: dp,
                     n_cols: cols.num_cols(),
                     candidate: &candidate,
                     alpha: &alpha,
                     touched: scattered.then_some(&touched[..]),
                 });
+                // `y` moved only where ρ is nonzero: on a hyper-sparse ρ,
+                // only the touched columns' dot products read a moved entry
+                // (every other column reads the same bits, so its cached
+                // reduced cost equals a fresh one); a dense ρ reprices all.
+                if y_moved {
+                    if scattered {
+                        for &j in &touched {
+                            self.reprice(j, col_costs, ban_artificials, &y);
+                        }
+                    } else {
+                        self.reprice_all(col_costs, ban_artificials, &y);
+                    }
+                }
                 self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
                 self.alpha_scratch = scratch;
                 self.alpha_touched = touched;
+                self.alpha_seen = seen;
                 self.alpha_rows = support;
             }
-            let dp = d[p];
             // The leaving basic exits at whichever bound blocked: its upper
             // when it was *rising* (finite bounds only — the [0,0]
             // artificial guard and plain lower blocks both exit at 0).
-            let leave_at_upper = dir * dp < 0.0 && self.up[self.basis[p]].is_finite();
+            let leaving = self.basis[p];
+            let leave_at_upper = dir * dp < 0.0 && self.up[leaving].is_finite();
             let enter_from = if dir < 0.0 { uq } else { 0.0 };
             self.pivot_bounded(p, entering, &d, enter_from, dir * theta, leave_at_upper);
-            // Classic dual-price update: Δy = (r_q / d_p) · ρ — it zeroes
-            // the entering column's reduced cost.
-            if rc_entering.abs() > EPS {
-                let scale = rc_entering / dp;
-                for (yr, rr) in y.iter_mut().zip(&rho) {
-                    *yr += scale * rr;
-                }
+            // The entering column left the candidates; the leaving column
+            // joins them with a reduced cost under the moved `y`.
+            let t_price = Instant::now();
+            self.price[entering] = 0.0;
+            self.reprice(leaving, col_costs, ban_artificials, &y);
+            self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
+            #[cfg(test)]
+            {
+                self.audit.record_pivot(scattered, ban_artificials);
+                self.audit.devex_resets += pricer.resets - resets_before;
+                self.audit_prices(col_costs, ban_artificials, &y);
             }
         }
         // The built-in runaway backstop tripped: the solver ran out of
@@ -1472,9 +1576,192 @@ impl LpSession for SimplexCore {
 mod tests {
     use super::*;
     use crate::backend::{LpBackend, SimplexBackend};
+    use proptest::test_runner::TestRng;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
+    }
+
+    /// What the pricing audit of one core checked, by kind of event.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub(super) struct PricingAudit {
+        /// Selections compared with the reference scan.
+        pub(super) selections: usize,
+        /// Pivots whose row ρ came off the hyper-sparse kernel path.
+        pub(super) hyper_sparse_pivots: usize,
+        /// Pivots whose row ρ was dense.
+        pub(super) dense_pivots: usize,
+        pub(super) bound_flips: usize,
+        pub(super) devex_resets: usize,
+        /// Pivots of phase 1 (artificials may enter) and of phase 2.
+        pub(super) phase1_pivots: usize,
+        pub(super) phase2_pivots: usize,
+    }
+
+    impl PricingAudit {
+        pub(super) fn record_pivot(&mut self, scattered: bool, ban_artificials: bool) {
+            if scattered {
+                self.hyper_sparse_pivots += 1;
+            } else {
+                self.dense_pivots += 1;
+            }
+            if ban_artificials {
+                self.phase2_pivots += 1;
+            } else {
+                self.phase1_pivots += 1;
+            }
+        }
+
+        fn absorb(&mut self, other: &PricingAudit) {
+            self.selections += other.selections;
+            self.hyper_sparse_pivots += other.hyper_sparse_pivots;
+            self.dense_pivots += other.dense_pivots;
+            self.bound_flips += other.bound_flips;
+            self.devex_resets += other.devex_resets;
+            self.phase1_pivots += other.phase1_pivots;
+            self.phase2_pivots += other.phase2_pivots;
+        }
+    }
+
+    /// The audit a unit-test build runs after every primal pivot and bound
+    /// flip, and at every selection.
+    impl SimplexCore {
+        /// Every candidate's cached `rc` and `price` equal a fresh
+        /// `c_j − A_j·y` (negated at upper) bit for bit; every other column
+        /// is priced `0.0`.
+        pub(super) fn audit_prices(&self, col_costs: &[f64], ban_artificials: bool, y: &[f64]) {
+            for j in 0..self.cols.num_cols() {
+                if self.is_candidate(j, ban_artificials) {
+                    let rc = self.reduced_cost(j, col_costs, y);
+                    let price = if self.at_upper[j] { -rc } else { rc };
+                    assert_eq!(
+                        self.rc[j].to_bits(),
+                        rc.to_bits(),
+                        "column {j}: cached rc {} vs fresh {rc}",
+                        self.rc[j]
+                    );
+                    assert_eq!(self.price[j].to_bits(), price.to_bits(), "column {j}");
+                } else {
+                    assert_eq!(self.price[j].to_bits(), 0.0f64.to_bits(), "column {j}");
+                }
+            }
+        }
+
+        /// [`audit_prices`](Self::audit_prices), and `entering` is what the
+        /// closure-based scan (or Bland's first improving column) picks from
+        /// fresh reduced costs under the same devex weights.
+        pub(super) fn audit_selection(
+            &mut self,
+            col_costs: &[f64],
+            ban_artificials: bool,
+            y: &[f64],
+            pricer: &mut DevexPricer,
+            bland: bool,
+            entering: Option<usize>,
+        ) {
+            self.audit_prices(col_costs, ban_artificials, y);
+            let n = self.cols.num_cols();
+            let candidate = |j: usize| self.is_candidate(j, ban_artificials);
+            let adj_rc = |j: usize| {
+                let rc = self.reduced_cost(j, col_costs, y);
+                if self.at_upper[j] {
+                    -rc
+                } else {
+                    rc
+                }
+            };
+            let reference = if bland {
+                (0..n).find(|&j| candidate(j) && adj_rc(j) < -EPS)
+            } else {
+                pricer.select_by_scan(n, candidate, adj_rc)
+            };
+            assert_eq!(entering, reference, "selection differs from the scan");
+            self.audit.selections += 1;
+        }
+    }
+
+    /// Coefficients over seven decades: some pivot rows carry entries large
+    /// enough to trip the devex reset.
+    const COEFFS: [f64; 10] = [1.0, -1.0, 2.0, -0.5, 3.0, -4.0, 1e-3, 2e3, -1.5e3, 0.25];
+
+    fn pick(rng: &mut TestRng, n: usize) -> usize {
+        rng.below(n as u64) as usize
+    }
+
+    /// A random LP around a known point, so most are feasible: fewer than
+    /// 16 rows (the kernels stay dense) or 16 and more (hyper-sparse pivot
+    /// rows), a few free variables, boxed columns (singleton `≤` rows are
+    /// absorbed into column bounds at load), and `=`/`≥` rows that need
+    /// phase 1.  Zero coordinates make many pivots degenerate.
+    fn random_lp(rng: &mut TestRng) -> LpProblem {
+        let m = if pick(rng, 2) == 0 {
+            3 + pick(rng, 12)
+        } else {
+            16 + pick(rng, 48)
+        };
+        let n = m + pick(rng, m);
+        let mut lp = LpProblem::new();
+        let vars: Vec<LpVarId> = (0..n)
+            .map(|i| lp.add_var(format!("x{i}"), pick(rng, 8) == 0))
+            .collect();
+        let point: Vec<f64> = (0..n).map(|_| pick(rng, 4) as f64).collect();
+        for (i, &v) in vars.iter().enumerate() {
+            if !lp.is_free(v) && pick(rng, 3) == 0 {
+                lp.add_constraint(vec![(v, 1.0)], Cmp::Le, point[i] + pick(rng, 3) as f64);
+            }
+        }
+        for _ in 0..m {
+            let terms: Vec<(LpVarId, f64)> = (0..2 + pick(rng, 3))
+                .map(|_| (vars[pick(rng, n)], COEFFS[pick(rng, COEFFS.len())]))
+                .collect();
+            let at: f64 = terms.iter().map(|&(v, a)| a * point[v.index()]).sum();
+            let (cmp, rhs) = match pick(rng, 4) {
+                0 => (Cmp::Eq, at),
+                1 => (Cmp::Ge, at - pick(rng, 2) as f64),
+                _ => (Cmp::Le, at + pick(rng, 2) as f64),
+            };
+            lp.add_constraint(terms, cmp, rhs);
+        }
+        let mut objective = Vec::new();
+        for &v in &vars {
+            if pick(rng, 2) == 0 {
+                objective.push((v, COEFFS[pick(rng, COEFFS.len())]));
+            }
+        }
+        lp.set_objective(objective);
+        lp
+    }
+
+    /// At every primal pivot, bound flip and selection of random LPs the
+    /// cached reduced costs equal fresh dots bit for bit, and the slice scan
+    /// picks exactly what the closure-based scan picks (the audit above
+    /// panics otherwise).  The coverage counters show the runs reached both
+    /// kernel paths of ρ, bound flips, devex resets and both phases.
+    #[test]
+    fn cached_prices_pick_exactly_what_the_scan_picks() {
+        let mut rng = TestRng::deterministic("cached_prices");
+        let mut seen = PricingAudit::default();
+        for _ in 0..300 {
+            let lp = random_lp(&mut rng);
+            let mut core = SimplexCore::open_with(&lp, &SolverTuning::default());
+            core.minimize(lp.objective());
+            // A second objective re-enters phase 2 from a warm basis.
+            let flipped: Vec<(LpVarId, f64)> =
+                lp.objective().iter().map(|&(v, c)| (v, -c)).collect();
+            core.minimize(&flipped);
+            seen.absorb(&core.audit);
+        }
+        for (what, n) in [
+            ("selections", seen.selections),
+            ("hyper-sparse pivot rows", seen.hyper_sparse_pivots),
+            ("dense pivot rows", seen.dense_pivots),
+            ("bound flips", seen.bound_flips),
+            ("devex resets", seen.devex_resets),
+            ("phase-1 pivots", seen.phase1_pivots),
+            ("phase-2 pivots", seen.phase2_pivots),
+        ] {
+            assert!(n > 0, "no {what} in {seen:?}");
+        }
     }
 
     /// Sessions over `lp` with and without the presolve wrapper: the

@@ -1,4 +1,4 @@
-//! Pricing, anti-degeneracy, and the solver's tuning knobs.
+//! Pricing, anti-degeneracy, and the solver's per-session settings.
 //!
 //! Pricing — choosing the *entering column* each iteration — is where the
 //! simplex method wins or loses on degenerate instances.  Under pure
@@ -8,13 +8,21 @@
 //! **devex** (approximate steepest edge, [`DevexPricer`]): columns are
 //! scored by `rc²/w` against reference-framework weights that are updated
 //! from the pivot row and reset when they overflow — far fewer iterations
-//! on degenerate instances for one extra `O(nnz)` sweep per pivot.  Bland's
-//! rule stays the termination-guaranteeing *last resort*, entered only
-//! after [`bland_fallback_threshold`] pivots.
+//! on degenerate instances.  Bland's rule stays the termination-guaranteeing
+//! *last resort*, entered only after [`bland_fallback_threshold`] pivots.
 //!
-//! The module also holds the per-session knobs threaded from the analysis
-//! down to the core: [`SolverTuning`] (the [`SolveBudget`] and how often the
-//! core polls its deadline).
+//! A pivot's pricing work is proportional to its pivot row `ρ`, not to the
+//! constraint matrix.  The core keeps each candidate column's reduced cost
+//! across pivots.  After a pivot it recomputes only the columns next to the
+//! support of a hyper-sparse `ρ`: the same list the devex weight update
+//! walks, and the only columns whose dot product reads a dual price the
+//! pivot moved.  [`DevexPricer::select`] is then one scan over two dense
+//! slices, the prices and the weights.  A dense `ρ` still reprices every
+//! candidate.
+//!
+//! The module also holds the per-session settings threaded from the
+//! analysis down to the core: [`SolverTuning`], which carries the session's
+//! [`SolveBudget`].
 
 use std::time::{Duration, Instant};
 
@@ -208,9 +216,9 @@ pub(crate) struct PivotView<'a> {
     pub candidate: &'a dyn Fn(usize) -> bool,
     /// Pre-pivot pivot-row entry of a column.
     pub alpha: &'a dyn Fn(usize) -> f64,
-    /// When the pivot row came off the hyper-sparse kernel path: the exact
-    /// set of columns with `alpha(j) ≠ 0` (may contain duplicates — weight
-    /// updates are idempotent).  Every other column's entry is an exact
+    /// When the pivot row came off the hyper-sparse kernel path: each
+    /// column adjacent to a nonzero of the row, once — a superset of the
+    /// columns with `alpha(j) ≠ 0`.  Every other column's entry is an exact
     /// zero.  `None` means the row is dense and every column must be
     /// visited.
     pub touched: Option<&'a [usize]>,
@@ -230,6 +238,9 @@ pub(crate) struct DevexPricer {
     /// — without visiting every candidate weight.  May carry stale
     /// entries; they are pruned lazily.
     hot: Vec<usize>,
+    /// Reference-framework resets so far (test coverage bookkeeping).
+    #[cfg(test)]
+    pub(crate) resets: usize,
 }
 
 impl DevexPricer {
@@ -237,6 +248,8 @@ impl DevexPricer {
         DevexPricer {
             weights: vec![1.0; n_cols],
             hot: Vec::new(),
+            #[cfg(test)]
+            resets: 0,
         }
     }
 
@@ -248,24 +261,18 @@ impl DevexPricer {
 }
 
 impl DevexPricer {
-    /// Chooses the entering column among candidates whose reduced cost
-    /// prices below `-EPS`, or `None` when no candidate improves.
-    pub(crate) fn select(
-        &mut self,
-        n_cols: usize,
-        candidate: impl Fn(usize) -> bool,
-        reduced_cost: impl Fn(usize) -> f64,
-    ) -> Option<usize> {
-        self.ensure(n_cols);
+    /// Chooses the entering column from the core's bound-adjusted reduced
+    /// costs `price`: the best `p²/w` among columns priced below `-EPS`,
+    /// first index on ties, or `None` when no column improves.
+    /// Non-candidates are priced `0.0`, so the scan needs no candidate test
+    /// of its own.
+    pub(crate) fn select(&mut self, price: &[f64]) -> Option<usize> {
+        self.ensure(price.len());
         let mut best = None;
         let mut best_score = 0.0;
-        for j in 0..n_cols {
-            if !candidate(j) {
-                continue;
-            }
-            let rc = reduced_cost(j);
-            if rc < -EPS {
-                let score = rc * rc / self.weights[j];
+        for (j, (&p, &w)) in price.iter().zip(&self.weights).enumerate() {
+            if p < -EPS {
+                let score = p * p / w;
                 if score > best_score {
                     best_score = score;
                     best = Some(j);
@@ -343,9 +350,43 @@ impl DevexPricer {
                 *w = 1.0;
             }
             self.hot.clear();
+            #[cfg(test)]
+            {
+                self.resets += 1;
+            }
         } else if self.weights[view.leaving] > DEVEX_RESET && !self.hot.contains(&view.leaving) {
             self.hot.push(view.leaving);
         }
+    }
+}
+
+/// The closure-based scan that [`DevexPricer::select`] replaced, kept as
+/// the reference the core's pricing audit compares every selection with.
+#[cfg(test)]
+impl DevexPricer {
+    pub(crate) fn select_by_scan(
+        &mut self,
+        n_cols: usize,
+        candidate: impl Fn(usize) -> bool,
+        reduced_cost: impl Fn(usize) -> f64,
+    ) -> Option<usize> {
+        self.ensure(n_cols);
+        let mut best = None;
+        let mut best_score = 0.0;
+        for j in 0..n_cols {
+            if !candidate(j) {
+                continue;
+            }
+            let rc = reduced_cost(j);
+            if rc < -EPS {
+                let score = rc * rc / self.weights[j];
+                if score > best_score {
+                    best_score = score;
+                    best = Some(j);
+                }
+            }
+        }
+        best
     }
 }
 
@@ -399,7 +440,7 @@ mod tests {
     fn devex_prefers_low_weight_columns_and_resets() {
         let mut devex = DevexPricer::new(3);
         // Equal weights: degenerate to Dantzig (by squared cost).
-        assert_eq!(devex.select(3, all, |j| [-1.0, -2.0, -1.5][j]), Some(1));
+        assert_eq!(devex.select(&[-1.0, -2.0, -1.5]), Some(1));
         // A pivot whose row loads column 1 heavily raises its weight…
         devex.observe_pivot(&PivotView {
             entering: 1,
@@ -412,7 +453,7 @@ mod tests {
         });
         // …so column 2 (weight exploded) loses to column 1's replacement
         // score even at a slightly larger reduced cost.
-        assert_eq!(devex.select(3, all, |j| [-1.0, -0.1, -1.5][j]), Some(0));
+        assert_eq!(devex.select(&[-1.0, -0.1, -1.5]), Some(0));
         // Overflowing weights reset the reference framework.
         devex.observe_pivot(&PivotView {
             entering: 0,
