@@ -302,12 +302,15 @@ pub fn transform(
             Ok(invariant)
         }
         StmtKind::Seq(stmts) => {
-            // Contexts flow forward; annotations flow backward.
+            // Contexts flow forward; annotations flow backward.  Nothing
+            // reads the context after the last child, so the forward pass
+            // stops before it (for a trailing loop, that skips a whole
+            // loop-head fixpoint and its entailment LPs).
             let mut contexts = Vec::with_capacity(stmts.len());
-            let mut current = ctx.clone();
-            for s in stmts {
-                contexts.push(current.clone());
-                current = current.after_stmt(s, dctx.program);
+            contexts.push(ctx.clone());
+            for s in &stmts[..stmts.len().saturating_sub(1)] {
+                let after = contexts.last().expect("seeded").after_stmt(s, dctx.program);
+                contexts.push(after);
             }
             let mut annotation = post;
             for (s, c) in stmts.iter().zip(contexts.iter()).rev() {

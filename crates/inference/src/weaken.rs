@@ -65,13 +65,21 @@ pub fn require_contains(
 ) {
     assert_eq!(outer.degree(), inner.degree(), "degree mismatch in ⊒");
     let emit_from = builder.recipe_gate(tag, outer.degree());
+    // Components of equal certificate degree share one product set (k = 0
+    // and k = 1 both use degree 1 at poly degree 1).  The degree never
+    // falls as k grows, so keeping the last set computes each degree once;
+    // it is at least 1, so the empty start never matches.
+    let mut products: (u32, Vec<Polynomial>) = (0, Vec::new());
     for k in emit_from..=outer.degree() {
         let degree = (k as u32 * poly_degree).max(1);
-        let products = ctx.certificate_products(degree);
+        if products.0 != degree {
+            products = (degree, ctx.certificate_products(degree));
+        }
+        let products = &products.1;
         // Upper ends: outer.hi ≥ inner.hi.
         require_poly_geq(
             builder,
-            &products,
+            products,
             &outer.component(k).hi,
             &inner.component(k).hi,
             &format!("{tag}.hi{k}"),
@@ -79,7 +87,7 @@ pub fn require_contains(
         // Lower ends: inner.lo ≥ outer.lo, i.e. outer.lo ≤ inner.lo.
         require_poly_geq(
             builder,
-            &products,
+            products,
             &inner.component(k).lo,
             &outer.component(k).lo,
             &format!("{tag}.lo{k}"),
