@@ -18,6 +18,12 @@
 //! 3. **steady-state kernel allocations** — a warm re-minimize on a solved
 //!    chain session must report `kernel_allocs == 0`: every ftran/btran of
 //!    the hot loop ran inside the session workspace without growing it.
+//! 4. **pricing share** — on the n=8 analysis of pins 1 and 2, pricing must
+//!    stay a bounded share of the pivot-level profile
+//!    (`pricing_ns / (ftran+btran+pricing+ratio)`).  On a 2-vCPU x86-64
+//!    host a full reprice of every candidate per pivot reads 0.57–0.63
+//!    here; keeping the reduced costs across pivots and repricing only the
+//!    columns next to the pivot row reads 0.33–0.36.
 //!
 //! Exits nonzero (panics) on any violated pin, failing the CI job.
 
@@ -35,6 +41,10 @@ const BTRAN_SHARE_MAX: f64 = 0.5;
 /// Maximum refactorization share of the profile on the n=8 global
 /// analysis, between the two readings of the module docs.
 const REFACTOR_SHARE_MAX: f64 = 0.40;
+
+/// Maximum pricing share of the pivot-level profile on the n=8 global
+/// analysis, between the two readings of the module docs.
+const PRICING_SHARE_MAX: f64 = 0.48;
 
 fn main() {
     // --- Pin 1: btran share on the n=8 walk-chain global analysis. -------
@@ -101,5 +111,18 @@ fn main() {
         "perfsmoke: steady-state re-minimize kept kernel_allocs == 0 \
          ({} hyper ftran / {} hyper btran)",
         steady.stats.hyper_sparse_ftrans, steady.stats.hyper_sparse_btrans
+    );
+
+    // --- Pin 4: pricing share on the n=8 walk-chain global analysis. -----
+    let pricing_share = lp.pricing_ns as f64 / profile as f64;
+    eprintln!(
+        "perfsmoke: n=8 global — pricing {} µs over {} iterations \
+         ({pricing_share:.2} of profile)",
+        lp.pricing_ns / 1_000,
+        lp.iterations,
+    );
+    assert!(
+        pricing_share <= PRICING_SHARE_MAX,
+        "pricing is {pricing_share:.2} of the pivot profile (pinned ≤ {PRICING_SHARE_MAX})"
     );
 }
