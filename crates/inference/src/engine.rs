@@ -782,6 +782,30 @@ pub fn analyze_session<'a>(
     options: &AnalysisOptions,
     backend: &'a dyn LpBackend,
 ) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
+    analyze_session_for(program, options, backend, Goal::Tightest)
+}
+
+/// What the final `minimize` of an analysis asks of its LP.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Goal {
+    /// The tightness objective at the valuation (§3.4): the bounds are read
+    /// off its optimum.
+    Tightest,
+    /// Any feasible point: the objective is empty, so phase 2 ends at its
+    /// first pricing pass.  For a caller that reads only whether the
+    /// analysis finds a bound and how large its LP is (the Thm 4.4
+    /// re-analysis): derivation, rows and columns are the same, and the
+    /// bounds it returns are valid but not tight.
+    Feasible,
+}
+
+/// [`analyze_session`] with the final solve's [`Goal`].
+pub(crate) fn analyze_session_for<'a>(
+    program: &'a Program,
+    options: &AnalysisOptions,
+    backend: &'a dyn LpBackend,
+    goal: Goal,
+) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
     let start = Instant::now();
     // One deadline for the whole analysis, shared by every poly-degree
     // retry: an attempt that exhausts it fails with `BudgetExhausted`,
@@ -793,7 +817,7 @@ pub fn analyze_session<'a>(
     loop {
         let mut attempt = options.clone();
         attempt.poly_degree = base_d + poly_retries as u32;
-        match analyze_attempt(program, &attempt, backend, deadline) {
+        match analyze_attempt(program, &attempt, backend, deadline, goal) {
             Ok((mut result, mut session)) => {
                 result.elapsed = start.elapsed();
                 result.poly_retries = poly_retries;
@@ -881,12 +905,14 @@ pub fn analyze_resilient(
     }
 }
 
-/// One full derivation + solve pass at fixed options.
+/// One full derivation + solve pass at fixed options; `goal` decides what
+/// the final group's solve minimizes.
 fn analyze_attempt<'a>(
     program: &'a Program,
     options: &AnalysisOptions,
     backend: &'a dyn LpBackend,
     deadline: Option<Instant>,
+    goal: Goal,
 ) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
     let start = Instant::now();
     let mut resolved: BTreeMap<(String, usize), ResolvedSpec> = BTreeMap::new();
@@ -971,7 +997,10 @@ fn analyze_attempt<'a>(
     lp_variables += builder.num_vars();
     lp_constraints += builder.num_constraints();
     lp_solves += 1;
-    let objective = builder.store().aggregated_objective();
+    let objective = match goal {
+        Goal::Tightest => builder.store().aggregated_objective(),
+        Goal::Feasible => Vec::new(),
+    };
     let mut session = builder
         .store_mut()
         .open_session_with(backend, &options.group_tuning(deadline));

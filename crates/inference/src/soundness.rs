@@ -14,7 +14,7 @@ use cma_appl::ast::{Expr, Function, Program, Stmt, StmtKind};
 use cma_lp::LpBackend;
 use cma_semiring::poly::Var;
 
-use crate::engine::{analyze_with, AnalysisOptions, SolveMode};
+use crate::engine::{analyze_session_for, AnalysisOptions, Goal, SolveMode};
 
 /// The outcome of the combined soundness check.
 #[derive(Debug, Clone)]
@@ -142,15 +142,18 @@ fn assignment_is_bounded(x: &Var, e: &Expr, noise_vars: &[Var]) -> bool {
 /// Runs both side conditions of Theorem 4.4 at moment degree `degree` and
 /// assembles a report.
 ///
-/// Condition (i) re-runs the bound inference ([`analyze_with`]) on the
+/// Condition (i) re-runs the bound inference on the
 /// [step-counting instrumentation](step_counting_instrumentation) of the
 /// program: a finite bound on `E[T^degree]` establishes it.  The
 /// re-analysis takes `options` with three changes — global mode, no range
 /// facts (they were proved for the program, not for its instrumentation)
 /// and no poly-degree retry — so callers pass the poly degree the main
-/// analysis landed on and whatever remains of its deadline.  A re-analysis
-/// that finds no bound, or runs out of budget, leaves the finite
-/// `E[T^degree]` not established.
+/// analysis landed on and whatever remains of its deadline.  It asks only
+/// whether a bound *exists*, so its LP is solved for feasibility: the same
+/// rows and columns as [`analyze_with`](crate::analyze_with) would solve,
+/// with an empty objective instead of the tightness objective.  A
+/// re-analysis that finds no bound, or runs out of budget, leaves the
+/// finite `E[T^degree]` not established.
 pub fn soundness_report(
     program: &Program,
     degree: usize,
@@ -163,7 +166,10 @@ pub fn soundness_report(
     opts.mode = SolveMode::Global;
     opts.range_facts = None;
     opts.max_poly_degree = None;
-    let reanalysis = analyze_with(&step_counting_instrumentation(program), &opts, backend).ok();
+    let instrumented = step_counting_instrumentation(program);
+    let reanalysis = analyze_session_for(&instrumented, &opts, backend, Goal::Feasible)
+        .ok()
+        .map(|(result, _session)| result);
     SoundnessReport {
         bounded_updates: violations.is_empty(),
         violations,
@@ -237,6 +243,7 @@ fn instrument(stmt: &Stmt) -> Stmt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::analyze_with;
     use cma_appl::build::*;
     use cma_lp::SimplexBackend;
 

@@ -876,13 +876,16 @@ mod tests {
 
     #[test]
     fn timeout_bounds_the_soundness_phase() {
-        // Unbudgeted, the soundness LP of this chain runs for minutes; its
-        // main analysis takes a fraction of a second.  The whole-analysis
-        // deadline must stop the soundness phase too, and an exhausted
-        // soundness LP leaves the finite E[T^k] not established.
-        let timeout = Duration::from_secs(2);
+        // Unbudgeted, the degree-3 soundness LP of the Fig. 2 walk runs
+        // for minutes; its main analysis takes a fraction of a second.  The
+        // whole-analysis deadline must stop the soundness phase too, and an
+        // exhausted soundness LP leaves the finite E[T^k] not established.
+        // (A debug build spends about a third of the budget on the main
+        // analysis.)
+        let timeout = Duration::from_secs(3);
         let start = Instant::now();
-        let report = Analysis::benchmark(&cma_suite::synthetic::coupon_chain(5))
+        let report = Analysis::benchmark(&running::rdwalk())
+            .degree(3)
             .timeout(timeout)
             .run()
             .expect("the main analysis fits the budget");
