@@ -223,6 +223,9 @@ pub(crate) struct SimplexCore {
     /// `−rc[j]` for an at-upper column, for every pricing candidate, and
     /// `0.0` for every other column.
     price: Vec<f64>,
+    /// The column the unboundedness re-check last rejected: no pricing
+    /// candidate until the next pivot or bound flip moves the prices.
+    rejected: Option<usize>,
     /// Sorted, deduplicated copy of the pivot row's support (scratch).
     alpha_rows: Vec<usize>,
     /// `ws.counters()` at the start of the current minimize; the per-solve
@@ -269,6 +272,7 @@ impl SimplexCore {
             alpha_seen: Vec::new(),
             rc: Vec::new(),
             price: Vec::new(),
+            rejected: None,
             alpha_rows: Vec::new(),
             ws_base: (0, 0, 0, 0),
             #[cfg(test)]
@@ -492,12 +496,21 @@ impl SimplexCore {
     }
 
     /// Whether column `j` may enter the basis in the primal loop: nonbasic,
-    /// not a banned artificial, and not fixed (a zero-width column never
-    /// enters).
+    /// not a banned artificial, not fixed (a zero-width column never
+    /// enters), and not just rejected by the unboundedness re-check.
     fn is_candidate(&self, j: usize, ban_artificials: bool) -> bool {
         !(self.is_basic[j]
             || ban_artificials && self.kind[j] == ColKind::Artificial
-            || self.up[j] <= EPS)
+            || self.up[j] <= EPS
+            || self.rejected == Some(j))
+    }
+
+    /// Makes the column the unboundedness re-check rejected a candidate
+    /// again, priced under `y`: a pivot or bound flip has moved the prices.
+    fn readmit_rejected(&mut self, col_costs: &[f64], ban_artificials: bool, y: &[f64]) {
+        if let Some(j) = self.rejected.take() {
+            self.reprice(j, col_costs, ban_artificials, y);
+        }
     }
 
     /// Brings column `j`'s entries of `rc` and `price` up to date with
@@ -711,6 +724,7 @@ impl SimplexCore {
         // buffers below are the loop's only vectors: allocated (at most)
         // once per phase, written in place by the workspace kernels.
         let mut y: Vec<f64> = Vec::new();
+        self.rejected = None;
         self.refresh_prices(col_costs, ban_artificials, &mut y);
         let mut d: Vec<f64> = Vec::new();
         let mut rho: Vec<f64> = Vec::new();
@@ -793,6 +807,7 @@ impl SimplexCore {
                 self.at_upper[entering] = !self.at_upper[entering];
                 // Its price changes sign with the bound it sits at.
                 self.reprice(entering, col_costs, ban_artificials, &y);
+                self.readmit_rejected(col_costs, ban_artificials, &y);
                 self.stats.bound_flips += 1;
                 if uq > FEAS_EPS {
                     degen_streak = 0;
@@ -813,6 +828,11 @@ impl SimplexCore {
                 let rc = self.reduced_cost(entering, col_costs, &y);
                 let adj = if self.at_upper[entering] { -rc } else { rc };
                 if adj > -UNBOUNDED_EPS {
+                    // Too flat to prove unboundedness.  Pricing would pick
+                    // the column again, unchanged, and repeat this re-check
+                    // until the iteration backstop: leave it out instead.
+                    self.rejected = Some(entering);
+                    self.price[entering] = 0.0;
                     continue;
                 }
                 self.direction_into(entering, &mut d);
@@ -948,6 +968,7 @@ impl SimplexCore {
             let t_price = Instant::now();
             self.price[entering] = 0.0;
             self.reprice(leaving, col_costs, ban_artificials, &y);
+            self.readmit_rejected(col_costs, ban_artificials, &y);
             self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
             #[cfg(test)]
             {
@@ -1762,6 +1783,43 @@ mod tests {
         ] {
             assert!(n > 0, "no {what} in {seen:?}");
         }
+    }
+
+    /// Random LP 140 of the audit above, whose flipped objective once spent
+    /// its whole iteration budget (20,603 iterations, then
+    /// `BudgetExhausted`): the unboundedness re-check found the entering
+    /// column's refreshed price in (−1e-6, −1e-9], not improving enough to
+    /// prove unboundedness, and pricing picked the same column again every
+    /// time.
+    #[test]
+    fn a_rejected_unboundedness_recheck_does_not_livelock() {
+        let mut lp = LpProblem::new();
+        let x: Vec<LpVarId> = (0..4)
+            .map(|i| lp.add_var(format!("x{i}"), i == 3))
+            .collect();
+        lp.add_constraint(vec![(x[0], 3.0), (x[1], -0.5), (x[3], 2.0)], Cmp::Le, 13.0);
+        lp.add_constraint(vec![(x[2], 2000.0)], Cmp::Eq, 0.0);
+        lp.add_constraint(
+            vec![(x[0], -1500.0), (x[1], -3000.0), (x[3], -0.5)],
+            Cmp::Le,
+            -10500.0,
+        );
+        let objective = [(x[0], -1.0), (x[2], -1500.0), (x[3], 0.001)];
+        let mut core = SimplexCore::open_with(&lp, &SolverTuning::default());
+        assert_eq!(core.minimize(&objective).status, LpStatus::Unbounded);
+        let flipped = objective.map(|(v, c)| (v, -c));
+        let sol = core.minimize(&flipped);
+        assert!(
+            matches!(sol.status, LpStatus::Optimal | LpStatus::Unbounded),
+            "no verdict: {:?} after {} iterations",
+            sol.status,
+            sol.stats.iterations
+        );
+        assert!(
+            sol.stats.iterations <= 50,
+            "{} iterations",
+            sol.stats.iterations
+        );
     }
 
     /// Sessions over `lp` with and without the presolve wrapper: the
