@@ -1,15 +1,19 @@
 //! The backward annotation transformer implementing the syntax-directed
 //! derivation rules of Fig. 6 / Fig. 14.
 //!
-//! Given a statement, the logical context holding *before* it, and the
-//! annotation bounding the moments of the cost of the computation *after* it,
-//! [`transform`] produces an annotation bounding the moments of the whole
-//! computation, emitting LP constraints along the way (fresh templates at
-//! joins and loop heads, weakening certificates, call-site requirements).
+//! Given a statement, its [`Flow`] (the logical contexts before and after it
+//! and every statement inside it), and the annotation bounding the moments of
+//! the cost of the computation *after* it, [`transform`] produces an
+//! annotation bounding the moments of the whole computation, emitting LP
+//! constraints along the way (fresh templates at joins and loop heads,
+//! weakening certificates, call-site requirements).  Annotations flow
+//! backward; the contexts were computed forward once, by
+//! [`Context::flow`](cma_logic::Context::flow), and the transformer only
+//! reads them.
 
 use cma_appl::ast::{Stmt, StmtKind};
-use cma_appl::{BranchFact, Program, RangeFacts};
-use cma_logic::Context;
+use cma_appl::{BranchFact, RangeFacts};
+use cma_logic::Flow;
 use cma_semiring::poly::Var;
 
 use crate::builder::ConstraintBuilder;
@@ -38,8 +42,6 @@ impl std::error::Error for DeriveError {}
 
 /// Static information threaded through a derivation.
 pub struct DeriveCtx<'a> {
-    /// The program being analyzed.
-    pub program: &'a Program,
     /// Specifications available for function calls.
     pub specs: &'a SpecTable,
     /// Target moment degree `m`.
@@ -72,9 +74,7 @@ pub struct DeriveCtx<'a> {
 
 impl<'a> DeriveCtx<'a> {
     /// A derivation context for one unit (function body at a level, or main).
-    #[allow(clippy::too_many_arguments)]
     pub fn for_unit(
-        program: &'a Program,
         specs: &'a SpecTable,
         degree: usize,
         poly_degree: u32,
@@ -83,7 +83,6 @@ impl<'a> DeriveCtx<'a> {
         unit: impl Into<String>,
     ) -> Self {
         DeriveCtx {
-            program,
             specs,
             degree,
             poly_degree,
@@ -106,14 +105,6 @@ impl<'a> DeriveCtx<'a> {
 
     fn refuted_at(&self, stmt: &Stmt) -> Option<BranchFact> {
         self.facts.and_then(|f| f.refuted_at(stmt.span()))
-    }
-
-    /// Advances the site counter past the `n` keys a skipped subtree would
-    /// have consumed.  Keys of the rest of the walk thereby stay aligned
-    /// with *unpruned* walks of the same skeleton, so a site key names the
-    /// same program point whether or not a subtree before it was pruned.
-    fn skip_sites(&self, n: usize) {
-        self.site.set(self.site.get() + n);
     }
 
     /// The next stable site key of this unit's walk.
@@ -141,21 +132,8 @@ impl<'a> DeriveCtx<'a> {
     }
 }
 
-/// Number of site keys a full (unpruned) walk of `stmt` consumes: one per
-/// `if` join, loop invariant, and call containment.
-fn site_count(stmt: &Stmt) -> usize {
-    match stmt.kind() {
-        StmtKind::Call(_) => 1,
-        StmtKind::If(_, a, b) => 1 + site_count(a) + site_count(b),
-        StmtKind::IfProb(_, a, b) => site_count(a) + site_count(b),
-        StmtKind::While(_, body) => 1 + site_count(body),
-        StmtKind::Seq(ss) => ss.iter().map(site_count).sum(),
-        _ => 0,
-    }
-}
-
 /// Transforms the post-annotation of `stmt` into a pre-annotation, emitting
-/// constraints into `builder`.
+/// constraints into `builder`; `flow` is the flow of `stmt`.
 ///
 /// # Errors
 ///
@@ -165,7 +143,7 @@ pub fn transform(
     builder: &mut ConstraintBuilder,
     dctx: &DeriveCtx<'_>,
     stmt: &Stmt,
-    ctx: &Context,
+    flow: &Flow,
     post: SymMoment,
 ) -> Result<SymMoment, DeriveError> {
     match stmt.kind() {
@@ -183,10 +161,9 @@ pub fn transform(
             // annotation required by the continuation after the call.
             let site = dctx.next_site(&format!("call.{name}"));
             let (pre, spec_post) = dctx.spec_pair(name)?;
-            let ctx_after = ctx.after_stmt(stmt, dctx.program);
             require_contains(
                 builder,
-                &ctx_after,
+                flow.after().expect("a call's after is always computed"),
                 &spec_post,
                 &post,
                 dctx.poly_degree,
@@ -194,32 +171,27 @@ pub fn transform(
             );
             Ok(pre)
         }
-        StmtKind::If(cond, s1, s2) => {
+        StmtKind::If(_, s1, s2) => {
             // A branch the checker refuted is never executed: derive only
             // the live side, under the context the refutation implies, and
             // skip the join template and both containment rows entirely.
+            let (then_flow, else_flow) = (&flow.children()[0], &flow.children()[1]);
             match dctx.refuted_at(stmt) {
                 Some(BranchFact::ThenUnreachable) => {
                     dctx.pruned_branches.set(dctx.pruned_branches.get() + 1);
-                    dctx.skip_sites(1 + site_count(s1));
-                    return transform(builder, dctx, s2, &ctx.and(&cond.negate()), post);
+                    return transform(builder, dctx, s2, else_flow, post);
                 }
                 Some(BranchFact::ElseUnreachable) => {
                     dctx.pruned_branches.set(dctx.pruned_branches.get() + 1);
-                    dctx.skip_sites(1);
-                    let pre = transform(builder, dctx, s1, &ctx.and(cond), post)?;
-                    dctx.skip_sites(site_count(s2));
-                    return Ok(pre);
+                    return transform(builder, dctx, s1, then_flow, post);
                 }
                 _ => {}
             }
             // Q-Cond + Q-Weaken: analyze both branches, then take a fresh
             // annotation containing both branch pre-annotations.
             let site = dctx.next_site("if");
-            let ctx_then = ctx.and(cond);
-            let ctx_else = ctx.and(&cond.negate());
-            let pre_then = transform(builder, dctx, s1, &ctx_then, post.clone())?;
-            let pre_else = transform(builder, dctx, s2, &ctx_else, post)?;
+            let pre_then = transform(builder, dctx, s1, then_flow, post.clone())?;
+            let pre_else = transform(builder, dctx, s2, else_flow, post)?;
             let joined = builder.planned_moment(
                 &site,
                 "if",
@@ -230,7 +202,7 @@ pub fn transform(
             );
             require_contains(
                 builder,
-                &ctx_then,
+                then_flow.before(),
                 &joined,
                 &pre_then,
                 dctx.poly_degree,
@@ -238,7 +210,7 @@ pub fn transform(
             );
             require_contains(
                 builder,
-                &ctx_else,
+                else_flow.before(),
                 &joined,
                 &pre_else,
                 dctx.poly_degree,
@@ -249,18 +221,17 @@ pub fn transform(
         StmtKind::IfProb(p, s1, s2) => {
             // Q-Prob: the pre-annotation is the probability-weighted ⊕ of the
             // two branch pre-annotations.
-            let pre_then = transform(builder, dctx, s1, ctx, post.clone())?;
-            let pre_else = transform(builder, dctx, s2, ctx, post)?;
+            let pre_then = transform(builder, dctx, s1, &flow.children()[0], post.clone())?;
+            let pre_else = transform(builder, dctx, s2, &flow.children()[1], post)?;
             Ok(pre_then
                 .scale_probability(*p)
                 .combine(&pre_else.scale_probability(1.0 - *p)))
         }
-        StmtKind::While(cond, body) => {
+        StmtKind::While(_, body) => {
             // A loop whose guard the checker refuted on entry exits
             // immediately: no invariant template, no body or exit rows.
             if dctx.refuted_at(stmt) == Some(BranchFact::LoopNeverEntered) {
                 dctx.pruned_loops.set(dctx.pruned_loops.get() + 1);
-                dctx.skip_sites(1 + site_count(body));
                 return Ok(post);
             }
             // Q-Loop: a fresh invariant annotation that (i) is preserved by
@@ -275,17 +246,13 @@ pub fn transform(
                 dctx.poly_degree,
                 dctx.level,
             );
-            // The loop-head fixpoint depends only on the program and the
-            // incoming context, so plan replays serve it from cache.
-            let head_ctx = builder
-                .plan_mut()
-                .loop_head(&site, || ctx.loop_head_invariant(cond, body, dctx.program));
-            let body_ctx = head_ctx.and(cond);
-            let exit_ctx = head_ctx.and(&cond.negate());
-            let body_pre = transform(builder, dctx, body, &body_ctx, invariant.clone())?;
+            // The body is entered under the loop-head invariant and the
+            // guard; the loop exits under the invariant and the negation.
+            let body_flow = &flow.children()[0];
+            let body_pre = transform(builder, dctx, body, body_flow, invariant.clone())?;
             require_contains(
                 builder,
-                &body_ctx,
+                body_flow.before(),
                 &invariant,
                 &body_pre,
                 dctx.poly_degree,
@@ -293,7 +260,7 @@ pub fn transform(
             );
             require_contains(
                 builder,
-                &exit_ctx,
+                flow.after().expect("a loop's after is always computed"),
                 &invariant,
                 &post,
                 dctx.poly_degree,
@@ -302,19 +269,9 @@ pub fn transform(
             Ok(invariant)
         }
         StmtKind::Seq(stmts) => {
-            // Contexts flow forward; annotations flow backward.  Nothing
-            // reads the context after the last child, so the forward pass
-            // stops before it (for a trailing loop, that skips a whole
-            // loop-head fixpoint and its entailment LPs).
-            let mut contexts = Vec::with_capacity(stmts.len());
-            contexts.push(ctx.clone());
-            for s in &stmts[..stmts.len().saturating_sub(1)] {
-                let after = contexts.last().expect("seeded").after_stmt(s, dctx.program);
-                contexts.push(after);
-            }
             let mut annotation = post;
-            for (s, c) in stmts.iter().zip(contexts.iter()).rev() {
-                annotation = transform(builder, dctx, s, c, annotation)?;
+            for (s, f) in stmts.iter().zip(flow.children()).rev() {
+                annotation = transform(builder, dctx, s, f, annotation)?;
             }
             Ok(annotation)
         }
@@ -325,10 +282,12 @@ pub fn transform(
 mod tests {
     use super::*;
     use cma_appl::build::*;
+    use cma_appl::Program;
+    use cma_logic::Context;
     use cma_semiring::poly::{Monomial, Polynomial};
 
-    fn dctx<'a>(program: &'a Program, specs: &'a SpecTable, m: usize) -> DeriveCtx<'a> {
-        DeriveCtx::for_unit(program, specs, m, 1, program.vars(), 0, "test")
+    fn dctx<'a>(program: &Program, specs: &'a SpecTable, m: usize) -> DeriveCtx<'a> {
+        DeriveCtx::for_unit(specs, m, 1, program.vars(), 0, "test")
     }
 
     fn empty_program() -> Program {
@@ -350,14 +309,9 @@ mod tests {
         let specs = SpecTable::new();
         let mut b = ConstraintBuilder::new();
         let d = dctx(&program, &specs, 2);
-        let pre = transform(
-            &mut b,
-            &d,
-            &seq([tick(1.0), tick(2.0)]),
-            &Context::top(),
-            SymMoment::one(2),
-        )
-        .unwrap();
+        let stmt = seq([tick(1.0), tick(2.0)]);
+        let f = Context::top().flow(&stmt, &program);
+        let pre = transform(&mut b, &d, &stmt, &f, SymMoment::one(2)).unwrap();
         // Total cost 3 deterministically: moments 1, 3, 9.
         assert_eq!(resolve_constant(&pre, 0), (1.0, 1.0));
         assert_eq!(resolve_constant(&pre, 1), (3.0, 3.0));
@@ -372,7 +326,8 @@ mod tests {
         let mut b = ConstraintBuilder::new();
         let d = dctx(&program, &specs, 2);
         let stmt = if_prob(0.5, tick(2.0), tick(4.0));
-        let pre = transform(&mut b, &d, &stmt, &Context::top(), SymMoment::one(2)).unwrap();
+        let f = Context::top().flow(&stmt, &program);
+        let pre = transform(&mut b, &d, &stmt, &f, SymMoment::one(2)).unwrap();
         assert_eq!(resolve_constant(&pre, 0), (1.0, 1.0));
         assert_eq!(resolve_constant(&pre, 1), (3.0, 3.0));
         assert_eq!(resolve_constant(&pre, 2), (10.0, 10.0));
@@ -397,7 +352,8 @@ mod tests {
             sample("t", uniform(-1.0, 2.0)),
             assign("x", add(v("x"), v("t"))),
         ]);
-        let pre = transform(&mut b, &d, &stmt, &Context::top(), post).unwrap();
+        let f = Context::top().flow(&stmt, &program);
+        let pre = transform(&mut b, &d, &stmt, &f, post).unwrap();
         // E[(x+t)²] = x² + x + 1 with E[t]=1/2, E[t²]=1.
         let hi2 = pre.component(2).hi.resolve(&|_| 0.0);
         assert_eq!(hi2.coefficient(&Monomial::var_pow(x.clone(), 2)), 1.0);
@@ -418,14 +374,8 @@ mod tests {
         let specs = SpecTable::new();
         let mut b = ConstraintBuilder::new();
         let d = dctx(&program, &specs, 1);
-        let err = transform(
-            &mut b,
-            &d,
-            program.main(),
-            &Context::top(),
-            SymMoment::one(1),
-        )
-        .unwrap_err();
+        let f = Context::top().flow(program.main(), &program);
+        let err = transform(&mut b, &d, program.main(), &f, SymMoment::one(1)).unwrap_err();
         assert_eq!(err, DeriveError::MissingSpec("f".into(), 0));
         assert!(err.to_string().contains('f'));
     }
@@ -436,9 +386,10 @@ mod tests {
         let program = empty_program();
         let specs = SpecTable::new();
         let mut b = ConstraintBuilder::new();
-        let d = DeriveCtx::for_unit(&program, &specs, 1, 1, vec![Var::new("x")], 0, "test");
+        let d = DeriveCtx::for_unit(&specs, 1, 1, vec![Var::new("x")], 0, "test");
         let stmt = if_then_else(le(v("x"), cst(0.0)), tick(1.0), tick(5.0));
-        let pre = transform(&mut b, &d, &stmt, &Context::top(), SymMoment::one(1)).unwrap();
+        let f = Context::top().flow(&stmt, &program);
+        let pre = transform(&mut b, &d, &stmt, &f, SymMoment::one(1)).unwrap();
         // Minimize the width of the first component at x = 0 and x = 3.
         for val in [0.0, 3.0] {
             b.add_objective(&pre.component(1).hi.eval_vars(&|_| val), 1.0);
@@ -463,13 +414,14 @@ mod tests {
         let specs = SpecTable::new();
         let mut b = ConstraintBuilder::new();
         let n = Var::new("n");
-        let d = DeriveCtx::for_unit(&program, &specs, 1, 1, vec![n.clone()], 0, "test");
+        let d = DeriveCtx::for_unit(&specs, 1, 1, vec![n.clone()], 0, "test");
         let stmt = while_loop(
             le(cst(1.0), v("n")),
             seq([tick(1.0), assign("n", sub(v("n"), cst(1.0)))]),
         );
         let ctx = Context::from_conditions(&[ge(v("n"), cst(0.0))]);
-        let pre = transform(&mut b, &d, &stmt, &ctx, SymMoment::one(1)).unwrap();
+        let f = ctx.flow(&stmt, &program);
+        let pre = transform(&mut b, &d, &stmt, &f, SymMoment::one(1)).unwrap();
         b.add_objective(&pre.component(1).hi.eval_vars(&|_| 10.0), 1.0);
         b.add_objective(&pre.component(1).lo.eval_vars(&|_| 10.0), -1.0);
         let sol = b.solve();

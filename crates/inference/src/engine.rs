@@ -1210,16 +1210,16 @@ fn build_group(
         }
     }
 
-    // Justify every specification of the group by analyzing the body.
+    // Justify every specification of the group by analyzing the body.  The
+    // body's contexts do not depend on the level: one flow serves them all.
     for name in group {
         let function = program
             .function(name)
             .expect("group members are declared functions");
-        let ctx = Context::from_conditions(function.precondition());
+        let flow = Context::from_conditions(function.precondition()).flow(function.body(), program);
         for level in 0..=m {
             let entry = specs.get(name, level).expect("just inserted").clone();
             let dctx = DeriveCtx::for_unit(
-                program,
                 &specs,
                 m,
                 d,
@@ -1228,12 +1228,13 @@ fn build_group(
                 format!("{name}.h{level}"),
             )
             .with_facts(facts);
-            let derived_pre = transform(builder, &dctx, function.body(), &ctx, entry.post.clone())?;
+            let derived_pre =
+                transform(builder, &dctx, function.body(), &flow, entry.post.clone())?;
             pruning.refuted_branches += dctx.pruned_branches.get();
             pruning.skipped_loops += dctx.pruned_loops.get();
             require_contains(
                 builder,
-                &ctx,
+                flow.before(),
                 &entry.pre,
                 &derived_pre,
                 d,
@@ -1252,10 +1253,9 @@ fn build_group(
 
     // Analyze `main` with the identity post-annotation.
     let main_pre = if include_main {
-        let ctx = Context::from_conditions(program.precondition());
-        let dctx =
-            DeriveCtx::for_unit(program, &specs, m, d, vars.clone(), 0, "main").with_facts(facts);
-        let pre = transform(builder, &dctx, program.main(), &ctx, SymMoment::one(m))?;
+        let flow = Context::from_conditions(program.precondition()).flow(program.main(), program);
+        let dctx = DeriveCtx::for_unit(&specs, m, d, vars.clone(), 0, "main").with_facts(facts);
+        let pre = transform(builder, &dctx, program.main(), &flow, SymMoment::one(m))?;
         pruning.refuted_branches += dctx.pruned_branches.get();
         pruning.skipped_loops += dctx.pruned_loops.get();
         let from = builder.recipe_gate("obj.main", m);

@@ -20,8 +20,8 @@
 //! * [`engine`] — the analysis driver (call-graph SCCs, objectives, solving,
 //!   bound extraction, in-session degree escalation, poly-degree retries);
 //! * [`plan`] — derivation plans: the degree-independent skeleton of a
-//!   derivation (template slots, constraint recipes, loop-head contexts),
-//!   recorded on the first walk and replayed by in-place degree escalation;
+//!   derivation (template slots and constraint recipes), recorded on the
+//!   first walk and replayed by in-place degree escalation;
 //! * [`central`] — central moments, variance, skewness and kurtosis derived
 //!   from raw-moment interval bounds;
 //! * [`tail`] — Markov / Cantelli / Chebyshev tail bounds (§5);

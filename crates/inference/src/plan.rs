@@ -18,10 +18,10 @@
 //!   LP columns minted per component;
 //! * **constraint recipes** — every containment `Γ ⊨ Q ⊒ Q'` the walk
 //!   discharges, keyed the same way, together with how many components have
-//!   been instantiated into the store so far;
-//! * **loop-head contexts** — the fixpoint invariant contexts of `while`
-//!   loops, which depend only on the program, cached so re-instantiations
-//!   never recompute them.
+//!   been instantiated into the store so far.
+//!
+//! The logical contexts `Γ` are not part of the plan: every walk reads them
+//! from the [`Flow`](cma_logic::Flow)s its group computed.
 //!
 //! Re-walking the program against the recorded plan then *reuses* instead of
 //! re-deriving.  A plan has two modes:
@@ -44,8 +44,6 @@
 //! reuse.
 
 use std::collections::BTreeMap;
-
-use cma_logic::Context;
 
 use crate::template::SymInterval;
 
@@ -89,8 +87,6 @@ pub struct PlanStats {
     /// Component instances whose rows were *skipped* because an earlier
     /// instantiation already emitted them into the store.
     pub components_skipped: usize,
-    /// Loop-head invariant contexts served from the plan cache.
-    pub loop_heads_reused: usize,
 }
 
 impl PlanStats {
@@ -104,7 +100,6 @@ impl PlanStats {
             recipes_recorded: self.recipes_recorded + other.recipes_recorded,
             recipes_replayed: self.recipes_replayed + other.recipes_replayed,
             components_skipped: self.components_skipped + other.components_skipped,
-            loop_heads_reused: self.loop_heads_reused + other.loop_heads_reused,
         }
     }
 
@@ -119,7 +114,6 @@ impl PlanStats {
             recipes_recorded: self.recipes_recorded - earlier.recipes_recorded,
             recipes_replayed: self.recipes_replayed - earlier.recipes_replayed,
             components_skipped: self.components_skipped - earlier.components_skipped,
-            loop_heads_reused: self.loop_heads_reused - earlier.loop_heads_reused,
         }
     }
 }
@@ -131,7 +125,6 @@ pub struct DerivationPlan {
     slots: BTreeMap<String, TemplateSlot>,
     /// Recipe key → number of components already instantiated into the store.
     recipes: BTreeMap<String, usize>,
-    loop_heads: BTreeMap<String, Context>,
     stats: PlanStats,
 }
 
@@ -253,22 +246,6 @@ impl DerivationPlan {
             },
         }
     }
-
-    /// The cached loop-head invariant context for the loop at `key`, or
-    /// `compute()`.
-    ///
-    /// Loop-head invariants depend only on the program and the incoming
-    /// context — both identical across re-instantiations of one plan — so
-    /// the fixpoint is computed once per loop, not once per target degree.
-    pub fn loop_head(&mut self, key: &str, compute: impl FnOnce() -> Context) -> Context {
-        if let Some(ctx) = self.loop_heads.get(key) {
-            self.stats.loop_heads_reused += 1;
-            return ctx.clone();
-        }
-        let ctx = compute();
-        self.loop_heads.insert(key.to_string(), ctx.clone());
-        ctx
-    }
 }
 
 #[cfg(test)]
@@ -310,24 +287,5 @@ mod tests {
         assert!(plan.stats().slots_reused >= 1);
         assert!(plan.stats().columns_reused > 0);
         assert_eq!(plan.stats().components_skipped, 3);
-    }
-
-    #[test]
-    fn loop_head_cache_serves_repeat_lookups() {
-        let mut plan = DerivationPlan::new();
-        let mut computed = 0;
-        let ctx = plan.loop_head("w", || {
-            computed += 1;
-            Context::top()
-        });
-        assert_eq!(ctx, Context::top());
-        plan.set_mode(PlanMode::Extend);
-        let again = plan.loop_head("w", || {
-            computed += 1;
-            Context::top()
-        });
-        assert_eq!(again, Context::top());
-        assert_eq!(computed, 1);
-        assert_eq!(plan.stats().loop_heads_reused, 1);
     }
 }

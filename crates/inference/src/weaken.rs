@@ -25,14 +25,6 @@ pub fn require_poly_geq(
     smaller: &TemplatePoly,
     tag: &str,
 ) {
-    // Debug facility: `CMA_RELAX=<substring>` drops every constraint whose tag
-    // contains the substring, which isolates the family responsible for an
-    // infeasibility.  Never set in production code paths.
-    if let Some(pattern) = std::env::var_os("CMA_RELAX") {
-        if !pattern.is_empty() && tag.contains(pattern.to_string_lossy().as_ref()) {
-            return;
-        }
-    }
     // difference = bigger - smaller - Σ λ_i · products_i  must be 0 per monomial.
     // Each λ_i is fresh, so its entry in every monomial is exactly `-c`.
     let mut difference = bigger.sub(smaller);

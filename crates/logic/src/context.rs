@@ -5,8 +5,15 @@
 //! havoc the callee's modified variables) and consumed by the weakening rule,
 //! which expresses slack polynomials as conical combinations of products of
 //! the context's constraints (Handelman certificates).
+//!
+//! [`Context::flow`] is the one forward walk.  It returns a [`Flow`]: the
+//! context before and after every statement of a body, nested the way the
+//! statements are, each computed once (a loop's head invariant by a
+//! fixpoint whose last pass also yields the body's flow).  The derivation
+//! only reads it, at every restriction level.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use cma_appl::ast::{Cond, Expr, Stmt, StmtKind};
 use cma_appl::dist::Dist;
@@ -208,60 +215,12 @@ impl Context {
         products
     }
 
-    /// Computes the post-context of executing `stmt` from this context.
-    ///
-    /// Loops and branches are handled conservatively (modified variables are
-    /// havocked, guard information is added where sound); calls havoc every
-    /// variable the callee may transitively modify.
-    pub fn after_stmt(&self, stmt: &Stmt, program: &Program) -> Context {
-        match stmt.kind() {
-            StmtKind::Skip | StmtKind::Tick(_) => self.clone(),
-            StmtKind::Assign(x, e) => {
-                let mut ctx = self.clone();
-                ctx.assign(x, e);
-                ctx
-            }
-            StmtKind::Sample(x, d) => {
-                let mut ctx = self.clone();
-                ctx.sample(x, d);
-                ctx
-            }
-            StmtKind::Call(f) => {
-                let mut ctx = self.clone();
-                ctx.havoc(&transitively_modified(program, f));
-                // The callee's own entry precondition does not constrain the
-                // *post* state, so nothing is added back.
-                ctx
-            }
-            StmtKind::If(c, s1, s2) => {
-                let then_ctx = self.and(c).after_stmt(s1, program);
-                let else_ctx = self.and(&c.negate()).after_stmt(s2, program);
-                then_ctx.join(&else_ctx)
-            }
-            StmtKind::IfProb(_, s1, s2) => {
-                let a = self.after_stmt(s1, program);
-                let b = self.after_stmt(s2, program);
-                a.join(&b)
-            }
-            StmtKind::While(c, body) => {
-                // The post-context of a loop is the inferred loop-head
-                // invariant conjoined with the negated guard.
-                self.loop_head_invariant(c, body, program).and(&c.negate())
-            }
-            StmtKind::Seq(stmts) => {
-                let mut ctx = self.clone();
-                for s in stmts {
-                    ctx = ctx.after_stmt(s, program);
-                }
-                ctx
-            }
-        }
-    }
-
-    /// The context available at the head of a loop body: the inferred loop
-    /// invariant conjoined with the guard.
-    pub fn loop_body_entry(&self, guard: &Cond, body: &Stmt, program: &Program) -> Context {
-        self.loop_head_invariant(guard, body, program).and(guard)
+    /// The flow of `stmt` from this context: the context before and after
+    /// every statement it contains (see [`Flow`]).  `stmt` is a whole body:
+    /// nothing reads the context after it, so the `after` of its tail — a
+    /// trailing assignment, sample or branch join — is left uncomputed.
+    pub fn flow(self, stmt: &Stmt, program: &Program) -> Flow {
+        Flow::walk(Rc::new(self), stmt, program, true)
     }
 
     /// Whether the context logically entails `goal` (checked with a small LP:
@@ -302,19 +261,23 @@ impl Context {
         }
     }
 
-    /// Infers a loop-head invariant context: the subset of candidate facts
-    /// that hold on entry and are preserved by one iteration of the body under
-    /// the guard (a fixpoint of the filtering step).
-    ///
-    /// Candidates are the facts of the incoming context plus guard facts
-    /// relaxed by the body's bounded per-iteration change — the role played by
-    /// the APRON-based numeric analysis in the paper's implementation.
-    pub fn loop_head_invariant(&self, guard: &Cond, body: &Stmt, program: &Program) -> Context {
+    /// Keeps only the constraints `other` entails.
+    pub fn retain_entailed_by(&mut self, other: &Context) {
+        self.constraints.retain(|c| other.entails(c));
+    }
+
+    /// The candidate loop-head facts of `while guard do body od` entered in
+    /// this context: its own facts plus the guard's facts relaxed by the
+    /// body's bounded per-iteration change, keeping those that hold on
+    /// entry — the role played by the APRON-based numeric analysis in the
+    /// paper's implementation.  The loop-head invariant is what a fixpoint
+    /// of one iteration under the guard keeps of them (see [`Flow`]).
+    pub fn loop_head_candidates(&self, guard: &Cond, body: &Stmt, program: &Program) -> Context {
         let mut candidates: Vec<LinearConstraint> = self.constraints.clone();
         // Relaxed guard facts: if an iteration can decrease a guard expression
         // g by at most δ, then g ≥ −δ holds at every loop head reached from a
         // state inside the loop; it must also hold initially to be invariant,
-        // which the fixpoint's entry check establishes.
+        // which the entry check below establishes.
         let steps = per_iteration_change(body, program);
         for g in conjuncts_of(guard) {
             let mut worst_decrease = 0.0f64;
@@ -345,27 +308,126 @@ impl Context {
         }
         candidates.retain(|c| !c.is_trivial());
         candidates.dedup();
-
         // Keep only facts that hold on entry.
         candidates.retain(|c| self.entails(c));
-        // Filter to an inductive subset.
-        loop {
-            let head = Context {
-                constraints: candidates.clone(),
-            };
-            let after = head.and(guard).after_stmt(body, program);
-            let kept: Vec<LinearConstraint> = candidates
-                .iter()
-                .filter(|c| after.entails(c))
-                .cloned()
-                .collect();
-            if kept.len() == candidates.len() {
-                break;
-            }
-            candidates = kept;
-        }
         Context {
             constraints: candidates,
+        }
+    }
+}
+
+/// The contexts before and after every statement of one body, nested the
+/// way the statements are.  The children of an `if` are its branches,
+/// entered under the guard and under its negation; of a probabilistic
+/// branch, its branches; of a `while`, its body, entered under the
+/// loop-head invariant and the guard; of a sequence, its statements.
+///
+/// Each context is computed once and shared (`Rc`): a statement's `after`
+/// is the next statement's `before`.  Contexts follow the statements (guards
+/// add facts, assignments substitute or drop them, samples add support
+/// bounds, calls havoc what the callee may transitively modify, branches
+/// join), and a loop exits under its head invariant and the negated guard.
+#[derive(Debug)]
+pub struct Flow {
+    before: Rc<Context>,
+    after: Option<Rc<Context>>,
+    children: Vec<Flow>,
+}
+
+impl Flow {
+    /// The context before the statement.
+    pub fn before(&self) -> &Context {
+        &self.before
+    }
+
+    /// The context after the statement; `None` for a tail statement whose
+    /// `after` nothing reads (see [`Context::flow`]).  Always computed for a
+    /// call and a loop.
+    pub fn after(&self) -> Option<&Context> {
+        self.after.as_deref()
+    }
+
+    /// The flows of the statement's children, in order.
+    pub fn children(&self) -> &[Flow] {
+        &self.children
+    }
+
+    /// The flow of `stmt` entered in `before`; `tail` says nothing reads the
+    /// context after `stmt`.
+    fn walk(before: Rc<Context>, stmt: &Stmt, program: &Program, tail: bool) -> Flow {
+        let updated = |update: &dyn Fn(&mut Context)| {
+            let mut ctx = Context::clone(&before);
+            update(&mut ctx);
+            Some(Rc::new(ctx))
+        };
+        let (after, children) = match stmt.kind() {
+            StmtKind::Assign(..) | StmtKind::Sample(..) if tail => (None, Vec::new()),
+            StmtKind::Skip | StmtKind::Tick(_) => (Some(before.clone()), Vec::new()),
+            StmtKind::Assign(x, e) => (updated(&|ctx| ctx.assign(x, e)), Vec::new()),
+            StmtKind::Sample(x, d) => (updated(&|ctx| ctx.sample(x, d)), Vec::new()),
+            StmtKind::Call(f) => {
+                let callee_writes = transitively_modified(program, f);
+                (updated(&|ctx| ctx.havoc(&callee_writes)), Vec::new())
+            }
+            StmtKind::If(c, s1, s2) => {
+                let then = Flow::walk(Rc::new(before.and(c)), s1, program, tail);
+                let other = Flow::walk(Rc::new(before.and(&c.negate())), s2, program, tail);
+                (Flow::join(&then, &other, tail), vec![then, other])
+            }
+            StmtKind::IfProb(_, s1, s2) => {
+                let a = Flow::walk(before.clone(), s1, program, tail);
+                let b = Flow::walk(before.clone(), s2, program, tail);
+                (Flow::join(&a, &b, tail), vec![a, b])
+            }
+            StmtKind::While(c, body) => {
+                let (head, body) = Flow::loop_head(&before, c, body, program);
+                (Some(Rc::new(head.and(&c.negate()))), vec![body])
+            }
+            StmtKind::Seq(stmts) => {
+                let mut children: Vec<Flow> = Vec::with_capacity(stmts.len());
+                for (i, s) in stmts.iter().enumerate() {
+                    let entry = match children.last() {
+                        Some(prev) => prev.after.clone().expect("only the tail has no after"),
+                        None => before.clone(),
+                    };
+                    children.push(Flow::walk(entry, s, program, tail && i + 1 == stmts.len()));
+                }
+                let after = match children.last() {
+                    Some(last) => last.after.clone(),
+                    None => Some(before.clone()),
+                };
+                (after, children)
+            }
+        };
+        Flow {
+            before,
+            after,
+            children,
+        }
+    }
+
+    /// The join of two branches' `after`s, unless nothing reads it.
+    fn join(a: &Flow, b: &Flow, tail: bool) -> Option<Rc<Context>> {
+        fn after(f: &Flow) -> &Context {
+            f.after().expect("a branch outside the tail has an after")
+        }
+        (!tail).then(|| Rc::new(after(a).join(after(b))))
+    }
+
+    /// The loop-head invariant of `while guard do body od` entered in
+    /// `entry`, and the flow of `body` from it: the candidate facts, filtered
+    /// to those one iteration under the guard preserves, until a pass keeps
+    /// them all.  That last pass walked the body from the invariant itself,
+    /// so its walk is the body's flow.
+    fn loop_head(entry: &Context, guard: &Cond, body: &Stmt, program: &Program) -> (Context, Flow) {
+        let mut head = entry.loop_head_candidates(guard, body, program);
+        loop {
+            let body = Flow::walk(Rc::new(head.and(guard)), body, program, false);
+            let n = head.len();
+            head.retain_entailed_by(body.after().expect("a loop body is walked in full"));
+            if head.len() == n {
+                return (head, body);
+            }
         }
     }
 }
@@ -631,23 +693,28 @@ mod tests {
         let mut ctx = Context::top();
         ctx.assume(&ge(v("d"), cst(1.0)));
         ctx.assume(&ge(v("x"), cst(0.0)));
+        // The context after `stmt` is the one before the statement after it.
+        let after = |stmt: Stmt, program: &Program| {
+            let flow = ctx.clone().flow(&seq([stmt, skip()]), program);
+            flow.children()[1].before().clone()
+        };
 
         // A call havocs variables the callee modifies.
-        let after_call = ctx.after_stmt(&call("f"), &program);
+        let after_call = after(call("f"), &program);
         assert_eq!(after_call.len(), 1);
 
         // A sequence of assignments updates facts.
-        let after_seq = ctx.after_stmt(&seq([assign("x", add(v("x"), cst(1.0)))]), &program);
+        let after_seq = after(seq([assign("x", add(v("x"), cst(1.0)))]), &program);
         assert!(after_seq.holds(&|_| 1.0));
 
         // A conditional joins branch facts; here both branches keep d >= 1.
         let branchy = if_then_else(lt(v("x"), cst(3.0)), assign("x", cst(1.0)), skip());
-        let after_if = ctx.after_stmt(&branchy, &program);
+        let after_if = after(branchy, &program);
         assert!(after_if.constraints().iter().any(|c| c.mentions(&d())));
 
         // A loop havocs modified variables and adds the negated guard.
         let loop_stmt = while_loop(lt(v("x"), v("d")), assign("x", add(v("x"), cst(1.0))));
-        let after_loop = ctx.after_stmt(&loop_stmt, &empty_program());
+        let after_loop = after(loop_stmt, &empty_program());
         assert!(after_loop
             .constraints()
             .iter()
@@ -655,14 +722,18 @@ mod tests {
     }
 
     #[test]
-    fn loop_body_entry_adds_guard() {
-        let ctx = Context::from_conditions(&[ge(v("n"), cst(0.0))]);
-        let body = assign("x", add(v("x"), cst(1.0)));
-        let entry = ctx.loop_body_entry(&lt(v("x"), v("n")), &body, &empty_program());
-        assert!(entry
-            .constraints()
-            .iter()
-            .any(|c| c.expr().coefficient(&x()) == -1.0));
+    fn flow_shares_one_context_between_neighbours() {
+        let body = seq([
+            assign("x", cst(0.0)),
+            tick(1.0),
+            while_loop(lt(v("x"), v("n")), assign("x", add(v("x"), cst(1.0)))),
+            skip(),
+        ]);
+        let flow = Context::top().flow(&body, &empty_program());
+        // A statement's after is the next statement's before, not a copy.
+        for pair in flow.children().windows(2) {
+            assert!(Rc::ptr_eq(pair[0].after.as_ref().unwrap(), &pair[1].before));
+        }
     }
 
     #[test]

@@ -17,4 +17,4 @@ pub mod constraint;
 pub mod context;
 
 pub use constraint::{LinExpr, LinearConstraint};
-pub use context::Context;
+pub use context::{Context, Flow};

@@ -318,7 +318,6 @@ impl AnalysisReport {
                 "components_skipped",
                 self.plan.components_skipped.to_string(),
             ),
-            ("loop_heads_reused", self.plan.loop_heads_reused.to_string()),
         ]);
 
         let escalation = self.escalation.as_ref().map_or_else(null, |e| {
