@@ -52,8 +52,6 @@ use crate::simplex::{Cmp, LpProblem, LpSolution, LpStatus, LpVarId, SolveStats};
 const EPS: f64 = 1e-9;
 /// Minimum magnitude accepted for a pivot element.
 const PIVOT_EPS: f64 = 1e-7;
-/// Tolerance used when confirming unboundedness against fresh reduced costs.
-const UNBOUNDED_EPS: f64 = 1e-6;
 const FEAS_EPS: f64 = 1e-6;
 /// Reduced costs this far below zero disqualify the warm basis from a dual
 /// re-solve (numerics drifted; fall back to a cold start).
@@ -223,9 +221,6 @@ pub(crate) struct SimplexCore {
     /// `−rc[j]` for an at-upper column, for every pricing candidate, and
     /// `0.0` for every other column.
     price: Vec<f64>,
-    /// The column the unboundedness re-check last rejected: no pricing
-    /// candidate until the next pivot or bound flip moves the prices.
-    rejected: Option<usize>,
     /// Sorted, deduplicated copy of the pivot row's support (scratch).
     alpha_rows: Vec<usize>,
     /// `ws.counters()` at the start of the current minimize; the per-solve
@@ -272,7 +267,6 @@ impl SimplexCore {
             alpha_seen: Vec::new(),
             rc: Vec::new(),
             price: Vec::new(),
-            rejected: None,
             alpha_rows: Vec::new(),
             ws_base: (0, 0, 0, 0),
             #[cfg(test)]
@@ -496,21 +490,12 @@ impl SimplexCore {
     }
 
     /// Whether column `j` may enter the basis in the primal loop: nonbasic,
-    /// not a banned artificial, not fixed (a zero-width column never
-    /// enters), and not just rejected by the unboundedness re-check.
+    /// not a banned artificial, and not fixed (a zero-width column never
+    /// enters).
     fn is_candidate(&self, j: usize, ban_artificials: bool) -> bool {
         !(self.is_basic[j]
             || ban_artificials && self.kind[j] == ColKind::Artificial
-            || self.up[j] <= EPS
-            || self.rejected == Some(j))
-    }
-
-    /// Makes the column the unboundedness re-check rejected a candidate
-    /// again, priced under `y`: a pivot or bound flip has moved the prices.
-    fn readmit_rejected(&mut self, col_costs: &[f64], ban_artificials: bool, y: &[f64]) {
-        if let Some(j) = self.rejected.take() {
-            self.reprice(j, col_costs, ban_artificials, y);
-        }
+            || self.up[j] <= EPS)
     }
 
     /// Brings column `j`'s entries of `rc` and `price` up to date with
@@ -724,7 +709,6 @@ impl SimplexCore {
         // buffers below are the loop's only vectors: allocated (at most)
         // once per phase, written in place by the workspace kernels.
         let mut y: Vec<f64> = Vec::new();
-        self.rejected = None;
         self.refresh_prices(col_costs, ban_artificials, &mut y);
         let mut d: Vec<f64> = Vec::new();
         let mut rho: Vec<f64> = Vec::new();
@@ -807,7 +791,6 @@ impl SimplexCore {
                 self.at_upper[entering] = !self.at_upper[entering];
                 // Its price changes sign with the bound it sits at.
                 self.reprice(entering, col_costs, ban_artificials, &y);
-                self.readmit_rejected(col_costs, ban_artificials, &y);
                 self.stats.bound_flips += 1;
                 if uq > FEAS_EPS {
                     degen_streak = 0;
@@ -822,17 +805,15 @@ impl SimplexCore {
             let Some(p) = leaving else {
                 // Apparent unboundedness: refactorize and re-confirm before
                 // reporting, so drift (or a live shift) cannot cause a false
-                // positive.
+                // positive.  The re-check uses pricing's own thresholds, so
+                // either verdict moves on: a column whose fresh price no
+                // longer improves is not picked again, and a fresh direction
+                // that meets a row gives the ratio test that row.  Any
+                // improving column whose ray meets no row is a proof,
+                // however flat the ray.
                 self.refactorize();
                 self.refresh_prices(col_costs, ban_artificials, &mut y);
-                let rc = self.reduced_cost(entering, col_costs, &y);
-                let adj = if self.at_upper[entering] { -rc } else { rc };
-                if adj > -UNBOUNDED_EPS {
-                    // Too flat to prove unboundedness.  Pricing would pick
-                    // the column again, unchanged, and repeat this re-check
-                    // until the iteration backstop: leave it out instead.
-                    self.rejected = Some(entering);
-                    self.price[entering] = 0.0;
+                if self.price[entering] >= -EPS {
                     continue;
                 }
                 self.direction_into(entering, &mut d);
@@ -968,7 +949,6 @@ impl SimplexCore {
             let t_price = Instant::now();
             self.price[entering] = 0.0;
             self.reprice(leaving, col_costs, ban_artificials, &y);
-            self.readmit_rejected(col_costs, ban_artificials, &y);
             self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
             #[cfg(test)]
             {
@@ -1785,14 +1765,16 @@ mod tests {
         }
     }
 
-    /// Random LP 140 of the audit above, whose flipped objective once spent
-    /// its whole iteration budget (20,603 iterations, then
-    /// `BudgetExhausted`): the unboundedness re-check found the entering
-    /// column's refreshed price in (−1e-6, −1e-9], not improving enough to
-    /// prove unboundedness, and pricing picked the same column again every
-    /// time.
+    /// Random LP 140 of the audit above.  Its flipped objective is
+    /// unbounded along a flat ray: x0 = x2 = 0, x1 = t, x3 = (13 + t/2)/2 is
+    /// feasible for every t ≥ 3.5 and lowers the objective by 2.5e-4 per
+    /// unit of t, so the refreshed price of the column that moves along it
+    /// is only −8.3e-8 after row scaling.  A re-check that asked for −1e-6
+    /// found that ray too flat, pricing picked the same column again, and
+    /// the solve spun to the iteration backstop (`BudgetExhausted` after
+    /// 20,603 iterations).
     #[test]
-    fn a_rejected_unboundedness_recheck_does_not_livelock() {
+    fn a_flat_unbounded_ray_ends_unbounded() {
         let mut lp = LpProblem::new();
         let x: Vec<LpVarId> = (0..4)
             .map(|i| lp.add_var(format!("x{i}"), i == 3))
@@ -1809,10 +1791,10 @@ mod tests {
         assert_eq!(core.minimize(&objective).status, LpStatus::Unbounded);
         let flipped = objective.map(|(v, c)| (v, -c));
         let sol = core.minimize(&flipped);
-        assert!(
-            matches!(sol.status, LpStatus::Optimal | LpStatus::Unbounded),
-            "no verdict: {:?} after {} iterations",
+        assert_eq!(
             sol.status,
+            LpStatus::Unbounded,
+            "after {} iterations",
             sol.stats.iterations
         );
         assert!(
