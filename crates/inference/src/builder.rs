@@ -7,6 +7,12 @@
 //! one [`cma_lp::LpProblem`] per group (batch solving) or flushes
 //! incrementally into an open [`cma_lp::LpSession`] (degree escalation
 //! extends the live system this way instead of re-deriving it).
+//!
+//! Columns are anonymous: a template coefficient or a certificate
+//! multiplier is its [`LpVarId`] and nothing else, so minting one builds
+//! no string.  Annotations are minted only through
+//! [`planned_moment`](ConstraintBuilder::planned_moment), at the next slot
+//! of the builder's [`DerivationPlan`].
 
 use cma_lp::{Cmp, LpBackend, LpSolution, LpVarId, SimplexBackend};
 use cma_semiring::poly::{Monomial, Var};
@@ -18,19 +24,17 @@ use crate::template::{LinCoef, SymInterval, SymMoment, TemplatePoly};
 /// Builder that accumulates LP variables, constraints, and the objective.
 ///
 /// The builder also carries the run's [`DerivationPlan`]: the walk records
-/// template slots and constraint recipes into it (or replays against it,
-/// depending on the plan's mode) through
-/// [`planned_moment`](Self::planned_moment) and the gate consulted by
-/// [`require_contains`](crate::weaken::require_contains).
+/// template slots into it (or replays against it) through
+/// [`planned_moment`](Self::planned_moment), and consults it through the
+/// gate [`require_contains`](crate::weaken::require_contains) uses.
 #[derive(Debug, Default)]
 pub struct ConstraintBuilder {
     store: ConstraintStore,
-    fresh_counter: usize,
     plan: DerivationPlan,
 }
 
 impl ConstraintBuilder {
-    /// Creates an empty builder (with an empty recording plan).
+    /// Creates an empty builder (with an empty plan).
     pub fn new() -> Self {
         ConstraintBuilder::default()
     }
@@ -61,117 +65,58 @@ impl ConstraintBuilder {
         &self.plan
     }
 
-    /// Mutable access to the plan (the engine switches modes around walks).
+    /// Mutable access to the plan (the engine ends each walk through it).
     pub fn plan_mut(&mut self) -> &mut DerivationPlan {
         &mut self.plan
     }
 
-    fn fresh_name(&mut self, prefix: &str) -> String {
-        self.fresh_counter += 1;
-        format!("{prefix}#{}", self.fresh_counter)
-    }
-
     /// A fresh free (sign-unrestricted) LP unknown for a template coefficient.
-    pub fn fresh_coefficient(&mut self, prefix: &str) -> LpVarId {
-        let name = self.fresh_name(prefix);
-        self.store.add_var(name, true)
+    pub fn fresh_coefficient(&mut self) -> LpVarId {
+        self.store.add_var(true)
     }
 
     /// A fresh non-negative LP unknown (used for certificate multipliers).
-    pub fn fresh_multiplier(&mut self, prefix: &str) -> LpVarId {
-        let name = self.fresh_name(prefix);
-        self.store.add_var(name, false)
+    pub fn fresh_multiplier(&mut self) -> LpVarId {
+        self.store.add_var(false)
     }
 
     /// A fresh template polynomial over `vars` with total degree ≤ `degree`.
-    pub fn fresh_poly(&mut self, prefix: &str, vars: &[Var], degree: u32) -> TemplatePoly {
-        let monomials = Monomial::all_up_to_degree(vars, degree);
-        TemplatePoly::from_terms(
-            monomials
-                .into_iter()
-                .map(|m| (m, LinCoef::var(self.fresh_coefficient(prefix)))),
-        )
+    pub fn fresh_poly(&mut self, vars: &[Var], degree: u32) -> TemplatePoly {
+        fresh_poly(&mut self.store, vars, degree)
     }
 
-    /// A fresh symbolic interval whose ends are template polynomials.
-    pub fn fresh_interval(&mut self, prefix: &str, vars: &[Var], degree: u32) -> SymInterval {
-        SymInterval {
-            lo: self.fresh_poly(&format!("{prefix}.lo"), vars, degree),
-            hi: self.fresh_poly(&format!("{prefix}.hi"), vars, degree),
-        }
-    }
-
-    /// A fresh `h`-restricted moment annotation of degree `m`: components
-    /// `k < restriction` are the zero interval; component `k ≥ restriction`
-    /// is a template of polynomial degree `k · poly_degree`.
-    pub fn fresh_moment(
-        &mut self,
-        prefix: &str,
-        vars: &[Var],
-        m: usize,
-        poly_degree: u32,
-        restriction: usize,
-    ) -> SymMoment {
-        let components = (0..=m)
-            .map(|k| {
-                if k < restriction {
-                    SymInterval::zero()
-                } else {
-                    self.fresh_interval(
-                        &format!("{prefix}.m{k}"),
-                        vars,
-                        component_degree(k, poly_degree),
-                    )
-                }
-            })
-            .collect();
-        SymMoment::from_components(components)
-    }
-
-    /// A plan-aware [`fresh_moment`](Self::fresh_moment): the template slot
-    /// `key` is resolved against the builder's [`DerivationPlan`], so
-    /// components an earlier instantiation already minted are *reused* (their
-    /// LP columns come back verbatim) and only genuinely new components
-    /// allocate fresh coefficients.  In recording mode this behaves exactly
-    /// like `fresh_moment` plus bookkeeping.
+    /// The `level`-restricted moment annotation of degree `m` at the
+    /// template slot the walk visits next: components `k < level` are the
+    /// zero interval, and component `k ≥ level` is a template of polynomial
+    /// degree `k · poly_degree`.  The slot is resolved against the builder's
+    /// [`DerivationPlan`], so components an earlier walk already minted are
+    /// *reused* (their LP columns come back verbatim) and only new
+    /// components allocate fresh coefficients.
     pub fn planned_moment(
         &mut self,
-        key: &str,
-        prefix: &str,
         vars: &[Var],
         m: usize,
         poly_degree: u32,
-        restriction: usize,
+        level: usize,
     ) -> SymMoment {
-        let (mut served, record) = self.plan.slot_components(key, restriction, m);
-        let components = (0..=m)
-            .map(|k| {
-                if let Some(interval) = served[k].take() {
-                    return interval;
-                }
-                let interval = if k < restriction {
-                    SymInterval::zero()
-                } else {
-                    self.fresh_interval(
-                        &format!("{prefix}.m{k}"),
-                        vars,
-                        component_degree(k, poly_degree),
-                    )
-                };
-                if record {
-                    self.plan.record_component(key, k, &interval);
-                }
-                interval
-            })
-            .collect();
-        SymMoment::from_components(components)
+        let store = &mut self.store;
+        self.plan.moment(level, m, |k| {
+            if k < level {
+                return SymInterval::zero();
+            }
+            let degree = component_degree(k, poly_degree);
+            SymInterval {
+                lo: fresh_poly(store, vars, degree),
+                hi: fresh_poly(store, vars, degree),
+            }
+        })
     }
 
-    /// Gate for the constraint recipe `key` about to instantiate components
-    /// `0..=m`: the first component whose rows must actually be emitted (see
-    /// [`DerivationPlan::recipe_gate`]).
-    pub fn recipe_gate(&mut self, key: &str, m: usize) -> usize {
-        self.plan.recipe_gate(key, m)
+    /// Gate for a constraint recipe at restriction level `level` about to
+    /// instantiate components `0..=m`: the first component whose rows must
+    /// actually be emitted (see [`DerivationPlan::recipe_gate`]).
+    pub fn recipe_gate(&mut self, level: usize, m: usize) -> usize {
+        self.plan.recipe_gate(level, m)
     }
 
     /// Emits the constraint `coef = 0`.
@@ -181,7 +126,7 @@ impl ConstraintBuilder {
             // A non-zero constant with no unknowns can never be satisfied; emit
             // an explicitly infeasible constraint so the solver reports it.
             if coef.constant_part().abs() > 1e-9 {
-                let dummy = self.fresh_multiplier("infeasible");
+                let dummy = self.fresh_multiplier();
                 self.store.add_constraint(vec![(dummy, 0.0)], Cmp::Eq, 1.0);
             }
             return;
@@ -195,7 +140,7 @@ impl ConstraintBuilder {
         let terms: Vec<(LpVarId, f64)> = coef.terms().collect();
         if terms.is_empty() {
             if coef.constant_part() < -1e-9 {
-                let dummy = self.fresh_multiplier("infeasible");
+                let dummy = self.fresh_multiplier();
                 self.store.add_constraint(vec![(dummy, 0.0)], Cmp::Eq, 1.0);
             }
             return;
@@ -230,6 +175,16 @@ impl ConstraintBuilder {
     }
 }
 
+/// A fresh template polynomial over `vars` with total degree ≤ `degree`,
+/// one free column per monomial.
+fn fresh_poly(store: &mut ConstraintStore, vars: &[Var], degree: u32) -> TemplatePoly {
+    TemplatePoly::from_terms(
+        Monomial::all_up_to_degree(vars, degree)
+            .into_iter()
+            .map(|m| (m, LinCoef::var(store.add_var(true)))),
+    )
+}
+
 /// Template degree of the `k`-th moment component under base degree `d`.
 fn component_degree(k: usize, poly_degree: u32) -> u32 {
     (k as u32 * poly_degree).max(if k == 0 { 0 } else { 1 })
@@ -244,7 +199,7 @@ mod tests {
     fn fresh_poly_has_all_monomials() {
         let mut b = ConstraintBuilder::new();
         let vars = [Var::new("x"), Var::new("y")];
-        let p = b.fresh_poly("t", &vars, 2);
+        let p = b.fresh_poly(&vars, 2);
         assert_eq!(p.monomials().count(), 6);
         assert_eq!(b.num_vars(), 6);
     }
@@ -253,7 +208,7 @@ mod tests {
     fn fresh_moment_respects_restriction() {
         let mut b = ConstraintBuilder::new();
         let vars = [Var::new("x")];
-        let q = b.fresh_moment("spec", &vars, 2, 1, 1);
+        let q = b.planned_moment(&vars, 2, 1, 1);
         assert!(q.component(0).is_zero());
         assert!(!q.component(1).is_zero());
         assert!(!q.component(2).is_zero());
@@ -266,7 +221,7 @@ mod tests {
         // fresh p(x) constrained to equal 3x + 1, objective irrelevant.
         let mut b = ConstraintBuilder::new();
         let x = Var::new("x");
-        let p = b.fresh_poly("p", std::slice::from_ref(&x), 1);
+        let p = b.fresh_poly(std::slice::from_ref(&x), 1);
         let target = TemplatePoly::from_concrete(
             &Polynomial::var(x.clone())
                 .scale(3.0)
@@ -285,7 +240,7 @@ mod tests {
         // p(x) >= 5 at coefficient level (constant term), minimize its value at x=0.
         let mut b = ConstraintBuilder::new();
         let x = Var::new("x");
-        let p = b.fresh_poly("p", std::slice::from_ref(&x), 1);
+        let p = b.fresh_poly(std::slice::from_ref(&x), 1);
         let five = LinCoef::constant(5.0);
         let diff = p.coefficient(&Monomial::unit()).sub(&five);
         b.constrain_nonneg_coef(&diff);

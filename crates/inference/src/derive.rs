@@ -10,6 +10,11 @@
 //! backward; the contexts were computed forward once, by
 //! [`Context::flow`](cma_logic::Context::flow), and the transformer only
 //! reads them.
+//!
+//! The walk is deterministic: at a given restriction level it visits the
+//! same template slots and containments in the same order at every moment
+//! degree, which is all the builder's
+//! [`DerivationPlan`](crate::plan::DerivationPlan) needs to replay it.
 
 use cma_appl::ast::{Stmt, StmtKind};
 use cma_appl::{BranchFact, RangeFacts};
@@ -52,16 +57,6 @@ pub struct DeriveCtx<'a> {
     pub template_vars: Vec<Var>,
     /// Restriction level `h` of the current derivation.
     pub level: usize,
-    /// Stable key prefix of this derivation unit (one function body at one
-    /// restriction level, or `main`) in the builder's
-    /// [`DerivationPlan`](crate::plan::DerivationPlan).  Walks of the same
-    /// unit produce the same site keys, which is what lets a plan replay
-    /// reuse the unit's template slots and constraint recipes.
-    pub unit: String,
-    /// Per-unit counter minting stable site keys along the walk (joins,
-    /// loop invariants, call containments).  Reset per unit; the statement
-    /// walk is deterministic, so re-walks reproduce the same keys.
-    pub site: std::cell::Cell<usize>,
     /// Checker-exported range facts (refuted branches, never-entered loops)
     /// keyed by source span; `None` disables pruning.
     pub facts: Option<&'a RangeFacts>,
@@ -80,7 +75,6 @@ impl<'a> DeriveCtx<'a> {
         poly_degree: u32,
         template_vars: Vec<Var>,
         level: usize,
-        unit: impl Into<String>,
     ) -> Self {
         DeriveCtx {
             specs,
@@ -88,8 +82,6 @@ impl<'a> DeriveCtx<'a> {
             poly_degree,
             template_vars,
             level,
-            unit: unit.into(),
-            site: std::cell::Cell::new(0),
             facts: None,
             pruned_branches: std::cell::Cell::new(0),
             pruned_loops: std::cell::Cell::new(0),
@@ -105,13 +97,6 @@ impl<'a> DeriveCtx<'a> {
 
     fn refuted_at(&self, stmt: &Stmt) -> Option<BranchFact> {
         self.facts.and_then(|f| f.refuted_at(stmt.span()))
-    }
-
-    /// The next stable site key of this unit's walk.
-    fn next_site(&self, kind: &str) -> String {
-        let n = self.site.get();
-        self.site.set(n + 1);
-        format!("{}.s{n}.{kind}", self.unit)
     }
 
     fn spec_pair(&self, name: &str) -> Result<(SymMoment, SymMoment), DeriveError> {
@@ -159,7 +144,6 @@ pub fn transform(
             // Q-Call-Poly / Q-Call-Mono: the pre-annotation is the (framed)
             // specification's pre; the specification's post must cover the
             // annotation required by the continuation after the call.
-            let site = dctx.next_site(&format!("call.{name}"));
             let (pre, spec_post) = dctx.spec_pair(name)?;
             require_contains(
                 builder,
@@ -167,7 +151,7 @@ pub fn transform(
                 &spec_post,
                 &post,
                 dctx.poly_degree,
-                &site,
+                dctx.level,
             );
             Ok(pre)
         }
@@ -189,12 +173,9 @@ pub fn transform(
             }
             // Q-Cond + Q-Weaken: analyze both branches, then take a fresh
             // annotation containing both branch pre-annotations.
-            let site = dctx.next_site("if");
             let pre_then = transform(builder, dctx, s1, then_flow, post.clone())?;
             let pre_else = transform(builder, dctx, s2, else_flow, post)?;
             let joined = builder.planned_moment(
-                &site,
-                "if",
                 &dctx.template_vars,
                 dctx.degree,
                 dctx.poly_degree,
@@ -206,7 +187,7 @@ pub fn transform(
                 &joined,
                 &pre_then,
                 dctx.poly_degree,
-                &format!("{site}.then"),
+                dctx.level,
             );
             require_contains(
                 builder,
@@ -214,7 +195,7 @@ pub fn transform(
                 &joined,
                 &pre_else,
                 dctx.poly_degree,
-                &format!("{site}.else"),
+                dctx.level,
             );
             Ok(joined)
         }
@@ -237,10 +218,7 @@ pub fn transform(
             // Q-Loop: a fresh invariant annotation that (i) is preserved by
             // the body under the guard and (ii) covers the continuation when
             // the guard fails.
-            let site = dctx.next_site("loop");
             let invariant = builder.planned_moment(
-                &site,
-                "loop",
                 &dctx.template_vars,
                 dctx.degree,
                 dctx.poly_degree,
@@ -256,7 +234,7 @@ pub fn transform(
                 &invariant,
                 &body_pre,
                 dctx.poly_degree,
-                &format!("{site}.body"),
+                dctx.level,
             );
             require_contains(
                 builder,
@@ -264,7 +242,7 @@ pub fn transform(
                 &invariant,
                 &post,
                 dctx.poly_degree,
-                &format!("{site}.exit"),
+                dctx.level,
             );
             Ok(invariant)
         }
@@ -287,7 +265,7 @@ mod tests {
     use cma_semiring::poly::{Monomial, Polynomial};
 
     fn dctx<'a>(program: &Program, specs: &'a SpecTable, m: usize) -> DeriveCtx<'a> {
-        DeriveCtx::for_unit(specs, m, 1, program.vars(), 0, "test")
+        DeriveCtx::for_unit(specs, m, 1, program.vars(), 0)
     }
 
     fn empty_program() -> Program {
@@ -386,7 +364,7 @@ mod tests {
         let program = empty_program();
         let specs = SpecTable::new();
         let mut b = ConstraintBuilder::new();
-        let d = DeriveCtx::for_unit(&specs, 1, 1, vec![Var::new("x")], 0, "test");
+        let d = DeriveCtx::for_unit(&specs, 1, 1, vec![Var::new("x")], 0);
         let stmt = if_then_else(le(v("x"), cst(0.0)), tick(1.0), tick(5.0));
         let f = Context::top().flow(&stmt, &program);
         let pre = transform(&mut b, &d, &stmt, &f, SymMoment::one(1)).unwrap();
@@ -414,7 +392,7 @@ mod tests {
         let specs = SpecTable::new();
         let mut b = ConstraintBuilder::new();
         let n = Var::new("n");
-        let d = DeriveCtx::for_unit(&specs, 1, 1, vec![n.clone()], 0, "test");
+        let d = DeriveCtx::for_unit(&specs, 1, 1, vec![n.clone()], 0);
         let stmt = while_loop(
             le(cst(1.0), v("n")),
             seq([tick(1.0), assign("n", sub(v("n"), cst(1.0)))]),

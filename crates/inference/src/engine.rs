@@ -14,7 +14,7 @@ use cma_semiring::Interval;
 use crate::builder::ConstraintBuilder;
 use crate::central::CentralMoments;
 use crate::derive::{transform, DeriveCtx, DeriveError};
-use crate::plan::{PlanMode, PlanStats};
+use crate::plan::PlanStats;
 use crate::spec::{ResolvedSpec, SpecEntry, SpecTable};
 use crate::template::SymMoment;
 use crate::weaken::require_contains;
@@ -159,17 +159,15 @@ impl AnalysisOptions {
         self
     }
 
-    /// The solver tuning of one group solve: the default tuning under the
-    /// earlier of the whole-analysis deadline (if any) and a fresh per-group
-    /// deadline from [`group_timeout`](Self::group_timeout).
-    pub(crate) fn group_tuning(&self, overall_deadline: Option<Instant>) -> SolverTuning {
-        let mut tuning = SolverTuning::default();
-        let group_deadline = self.group_timeout.map(|t| Instant::now() + t);
-        tuning.budget.deadline = match (overall_deadline, group_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        tuning
+    /// The solver tuning of the group solves: the whole-analysis deadline
+    /// (if any) and [`group_timeout`](Self::group_timeout), which the backend
+    /// turns into a deadline of its own for each session it opens.
+    pub(crate) fn group_tuning(&self, deadline: Option<Instant>) -> SolverTuning {
+        SolverTuning {
+            deadline,
+            timeout: self.group_timeout,
+            max_iters: None,
+        }
     }
 
     fn valuation_fn(&self) -> impl Fn(&Var) -> f64 + '_ {
@@ -239,11 +237,10 @@ impl AnalysisError {
         }
     }
 
-    /// Whether the root cause is an exhausted
-    /// [`SolveBudget`](cma_lp::SolveBudget) — a statement about resources,
-    /// never about feasibility: retrying with more budget (or degrading via
-    /// [`analyze_resilient`]) may succeed, while escalating the poly
-    /// degree will not.
+    /// Whether the root cause is an exhausted [`SolverTuning`] budget — a
+    /// statement about resources, never about feasibility: retrying with
+    /// more budget (or degrading via [`analyze_resilient`]) may succeed,
+    /// while escalating the poly degree will not.
     pub fn budget_exhausted(&self) -> bool {
         matches!(
             self,
@@ -411,7 +408,7 @@ impl PruningStats {
 
 /// One precision-for-progress rung of the graceful-degradation ladder,
 /// taken by [`analyze_resilient`] after an attempt exhausted its
-/// [`SolveBudget`](cma_lp::SolveBudget).
+/// [`SolverTuning`] budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradationStep {
     /// Global mode was downgraded to compositional: one small LP per
@@ -583,12 +580,13 @@ impl<'a> AnalysisSession<'a> {
     }
 
     /// Escalates the session to moment degree `target` **in place**: the
-    /// recorded [`DerivationPlan`](crate::plan::DerivationPlan) replays in
-    /// extend mode, so the existing template columns back the components
-    /// `≤ m` verbatim and only the new components `m+1..=target` mint
-    /// columns and emit rows, which are flushed into the live solver session
-    /// and re-minimized warm (dual pivots from the still-dual-feasible basis
-    /// — no cold re-derive, no phase-1 restart on the happy path).
+    /// walk replays the recorded
+    /// [`DerivationPlan`](crate::plan::DerivationPlan), so the existing
+    /// template columns back the components `≤ m` verbatim and only the
+    /// new components `m+1..=target` mint columns and emit rows, which are
+    /// flushed into the live solver session and re-minimized warm (dual
+    /// pivots from the still-dual-feasible basis — no cold re-derive, no
+    /// phase-1 restart on the happy path).
     ///
     /// The escalated system is *identical* (modulo column/row order) to a
     /// from-scratch degree-`target` derivation: component-`k` rows are
@@ -642,7 +640,6 @@ impl<'a> AnalysisSession<'a> {
             .functions()
             .map(|f| f.name().to_string())
             .collect();
-        self.builder.plan_mut().set_mode(PlanMode::Extend);
         let built = build_group(
             &mut self.builder,
             self.program,
@@ -651,12 +648,12 @@ impl<'a> AnalysisSession<'a> {
             true,
             &BTreeMap::new(),
         );
-        self.builder.plan_mut().set_mode(PlanMode::Record);
         let build = match built {
             Ok(build) => build,
             Err(e) => {
-                // The plan advanced mid-walk; further replays would skip
-                // rows that were never instantiated.
+                // The walk stopped midway, so the plan no longer matches
+                // the rows in the store; further replays would skip rows
+                // that were never instantiated.
                 self.poisoned = true;
                 return Err(e);
             }
@@ -834,8 +831,8 @@ pub(crate) fn analyze_session_for<'a>(
 }
 
 /// [`analyze_with`] with a **graceful-degradation ladder**: when an
-/// attempt fails because its [`SolveBudget`](cma_lp::SolveBudget) ran out —
-/// never on infeasibility or any other verdict — the analysis retries under
+/// attempt fails because its [`SolverTuning`] budget ran out — never on
+/// infeasibility or any other verdict — the analysis retries under
 /// progressively cheaper options, each retry under whatever remains of the
 /// whole-analysis deadline.  The rungs, in order:
 ///
@@ -1165,22 +1162,8 @@ fn build_group(
     for name in group {
         for level in 0..=m {
             let entry = SpecEntry {
-                pre: builder.planned_moment(
-                    &format!("spec.{name}.{level}.pre"),
-                    &format!("{name}.pre{level}"),
-                    &vars,
-                    m,
-                    d,
-                    level,
-                ),
-                post: builder.planned_moment(
-                    &format!("spec.{name}.{level}.post"),
-                    &format!("{name}.post{level}"),
-                    &vars,
-                    m,
-                    d,
-                    level,
-                ),
+                pre: builder.planned_moment(&vars, m, d, level),
+                post: builder.planned_moment(&vars, m, d, level),
             };
             specs.insert(name, level, entry);
         }
@@ -1198,14 +1181,7 @@ fn build_group(
                 } else {
                     SymMoment::zero(m)
                 };
-                require_contains(
-                    builder,
-                    &Context::top(),
-                    &post,
-                    &target,
-                    d,
-                    &format!("export.{name}.{level}"),
-                );
+                require_contains(builder, &Context::top(), &post, &target, d, level);
             }
         }
     }
@@ -1219,31 +1195,16 @@ fn build_group(
         let flow = Context::from_conditions(function.precondition()).flow(function.body(), program);
         for level in 0..=m {
             let entry = specs.get(name, level).expect("just inserted").clone();
-            let dctx = DeriveCtx::for_unit(
-                &specs,
-                m,
-                d,
-                vars.clone(),
-                level,
-                format!("{name}.h{level}"),
-            )
-            .with_facts(facts);
+            let dctx = DeriveCtx::for_unit(&specs, m, d, vars.clone(), level).with_facts(facts);
             let derived_pre =
                 transform(builder, &dctx, function.body(), &flow, entry.post.clone())?;
             pruning.refuted_branches += dctx.pruned_branches.get();
             pruning.skipped_loops += dctx.pruned_loops.get();
-            require_contains(
-                builder,
-                flow.before(),
-                &entry.pre,
-                &derived_pre,
-                d,
-                &format!("spec.{name}.{level}"),
-            );
+            require_contains(builder, flow.before(), &entry.pre, &derived_pre, d, level);
             // Reward tight specifications (lower weight for deeper levels);
             // plan replays add terms only for components not yet rewarded.
             let weight = 0.1 / (1.0 + level as f64);
-            let from = builder.recipe_gate(&format!("obj.{name}.{level}"), m);
+            let from = builder.recipe_gate(level, m);
             for k in from..=m {
                 builder.add_objective(&entry.pre.component(k).hi.eval_vars(&valuation), weight);
                 builder.add_objective(&entry.pre.component(k).lo.eval_vars(&valuation), -weight);
@@ -1254,11 +1215,11 @@ fn build_group(
     // Analyze `main` with the identity post-annotation.
     let main_pre = if include_main {
         let flow = Context::from_conditions(program.precondition()).flow(program.main(), program);
-        let dctx = DeriveCtx::for_unit(&specs, m, d, vars.clone(), 0, "main").with_facts(facts);
+        let dctx = DeriveCtx::for_unit(&specs, m, d, vars.clone(), 0).with_facts(facts);
         let pre = transform(builder, &dctx, program.main(), &flow, SymMoment::one(m))?;
         pruning.refuted_branches += dctx.pruned_branches.get();
         pruning.skipped_loops += dctx.pruned_loops.get();
-        let from = builder.recipe_gate("obj.main", m);
+        let from = builder.recipe_gate(0, m);
         for k in from..=m {
             builder.add_objective(&pre.component(k).hi.eval_vars(&valuation), 1.0);
             builder.add_objective(&pre.component(k).lo.eval_vars(&valuation), -1.0);
@@ -1267,6 +1228,7 @@ fn build_group(
     } else {
         None
     };
+    builder.plan_mut().finish_walk(m);
 
     Ok(GroupBuild {
         specs,
@@ -1401,7 +1363,7 @@ impl TarjanState<'_> {
 mod tests {
     use super::*;
     use cma_appl::build::*;
-    use cma_lp::{SimplexBackend, SolveBudget};
+    use cma_lp::SimplexBackend;
 
     /// A program with one refuted branch (`x < 0` right after `x := 1`), one
     /// never-entered loop, and one write-only variable, plus the facts a
@@ -1704,11 +1666,11 @@ mod tests {
         let x = lp.add_var("x", false);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Ge, 1.0);
         lp.set_objective(vec![(x, 1.0)]);
-        let expired = SolveBudget {
+        let expired = SolverTuning {
             deadline: Some(Instant::now() - Duration::from_secs(1)),
-            ..SolveBudget::UNLIMITED
+            ..SolverTuning::default()
         };
-        SimplexBackend.solve_with(&lp, &SolverTuning::with_budget(expired))
+        SimplexBackend.solve_with(&lp, &expired)
     }
 
     /// A backend whose first `failures` minimizes come back budget-exhausted
@@ -1826,6 +1788,45 @@ mod tests {
         assert!(!result.degradation.degraded());
         assert_eq!(result.degradation.to_string(), "");
         assert_eq!(result.degree(), 2);
+    }
+
+    /// A backend that spends 300 ms opening every session before it hands
+    /// the problem and tuning to [`SimplexBackend`].
+    struct SlowOpen;
+
+    impl LpBackend for SlowOpen {
+        fn name(&self) -> &str {
+            "slow-open"
+        }
+        fn open<'a>(&'a self, problem: &cma_lp::LpProblem) -> Box<dyn LpSession + 'a> {
+            self.open_with(problem, &SolverTuning::default())
+        }
+        fn open_with<'a>(
+            &'a self,
+            problem: &cma_lp::LpProblem,
+            tuning: &SolverTuning,
+        ) -> Box<dyn LpSession + 'a> {
+            std::thread::sleep(Duration::from_millis(300));
+            SimplexBackend.open_with(problem, tuning)
+        }
+    }
+
+    #[test]
+    fn group_timeout_budgets_each_group_of_a_level() {
+        // `f` and `g` form one dependency level, solved one after the other
+        // on one thread: each group gets its own 500 ms, so `g` is not left
+        // with what `f` did not spend.
+        let program = ProgramBuilder::new()
+            .function("f", tick(1.0))
+            .function("g", tick(2.0))
+            .main(if_prob(0.5, call("f"), call("g")))
+            .build()
+            .unwrap();
+        let options = AnalysisOptions::degree(1)
+            .with_mode(SolveMode::Compositional)
+            .with_group_timeout(Duration::from_millis(500));
+        let result = analyze_with(&program, &options, &SlowOpen);
+        assert!(result.is_ok(), "{:?}", result.err());
     }
 
     #[test]

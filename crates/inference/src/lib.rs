@@ -70,7 +70,7 @@ pub use engine::{
     AnalysisResult, AnalysisSession, DegradationStats, DegradationStep, EscalationStats,
     GroupLpStats, MomentBound, PruningStats, SolveMode,
 };
-pub use plan::{DerivationPlan, PlanMode, PlanStats};
+pub use plan::{DerivationPlan, PlanStats};
 pub use soundness::{check_bounded_update, soundness_report, SoundnessReport};
 pub use store::ConstraintStore;
 pub use tail::{

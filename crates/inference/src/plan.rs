@@ -9,63 +9,51 @@
 //! are identical at every target degree `m ≥ k`, provided the same template
 //! columns back the components below.
 //!
-//! A [`DerivationPlan`] exploits this.  One walk of the program records the
-//! degree-independent skeleton:
+//! A [`DerivationPlan`] exploits this.  A walk of the program visits the
+//! same sites in the same order at every degree, restriction level by
+//! restriction level, so the plan records walk *positions*, not names:
 //!
 //! * **template slots** — every program point that allocates a fresh moment
 //!   annotation (function pre/post specifications, conditional joins, loop
-//!   invariants), keyed by a stable path through the walk, together with the
-//!   LP columns minted per component;
+//!   invariants), in the last walk's visit order, each with the LP columns
+//!   minted per component so far;
 //! * **constraint recipes** — every containment `Γ ⊨ Q ⊒ Q'` the walk
-//!   discharges, keyed the same way, together with how many components have
-//!   been instantiated into the store so far.
+//!   discharges (and every objective term).  They need no storage: a walk
+//!   emits components `0..=m` of every recipe it visits, so the degree the
+//!   last walk instantiated says what each recipe already emitted.
 //!
 //! The logical contexts `Γ` are not part of the plan: every walk reads them
 //! from the [`Flow`](cma_logic::Flow)s its group computed.
 //!
-//! Re-walking the program against the recorded plan then *reuses* instead of
-//! re-deriving.  A plan has two modes:
-//!
-//! * [`PlanMode::Record`] — the first instantiation: mint every column, emit
-//!   every row, record the skeleton (the default; plan-unaware callers see
-//!   exactly the old behavior).
-//! * [`PlanMode::Extend`] — in-session degree escalation `m → m'`: recorded
-//!   slots contribute their existing component columns and only components
-//!   `m+1..=m'` are minted; recorded recipes emit rows only for the new
-//!   components (the old rows are already in the live solver session and are
-//!   *exactly* the component-`≤m` slice of the degree-`m'` system).
+//! The first walk mints every column and emits every row.  A later walk —
+//! the replay of in-session degree escalation `m → m'` — *reuses* instead
+//! of re-deriving: at a restriction level `h ≤ m` it visits exactly the
+//! slots and recipes the last walk visited, in the same order, so each
+//! visit takes the next recorded slot (contributing its columns of
+//! components `≤ m` and minting only components `m+1..=m'`) and each recipe
+//! emits rows only for the new components (the old rows are already in the
+//! live solver session and are *exactly* the component-`≤ m` slice of the
+//! degree-`m'` system).  A level `h > m` is new: its slots are inserted at
+//! the walk's position and its recipes emit every component.  After the
+//! walk the slots are in its own visit order, so escalations chain.
 //!
 //! A plan lives and dies with one
-//! [`ConstraintBuilder`](crate::builder::ConstraintBuilder): the engine
-//! switches it to `Extend` around the replay of
-//! [`AnalysisSession::escalate_degree`](crate::engine::AnalysisSession::escalate_degree).
+//! [`ConstraintBuilder`](crate::builder::ConstraintBuilder), and the engine's
+//! `build_group` ends every walk with [`finish_walk`](DerivationPlan::finish_walk).
 //! A poly-degree retry or a cold escalation is a fresh analysis with a
 //! fresh builder and plan, since new template supports leave nothing to
 //! reuse.
 
-use std::collections::BTreeMap;
-
-use crate::template::SymInterval;
-
-/// How a walk instantiates against the recorded plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// First walk: mint every column, emit every row, record the skeleton.
-    #[default]
-    Record,
-    /// Degree escalation: reuse recorded component columns, mint and emit
-    /// only components above what each slot/recipe already instantiated.
-    Extend,
-}
+use crate::template::{SymInterval, SymMoment};
 
 /// One recorded template allocation point: the interval templates minted per
 /// moment component so far.
 #[derive(Debug, Clone)]
-pub struct TemplateSlot {
+struct TemplateSlot {
     /// Restriction level `h` of the slot (components `< h` are zero).
-    pub restriction: usize,
+    level: usize,
     /// Component templates instantiated so far (index = component `k`).
-    pub components: Vec<SymInterval>,
+    components: Vec<SymInterval>,
 }
 
 /// Reuse counters of one plan across its instantiations.
@@ -118,13 +106,19 @@ impl PlanStats {
     }
 }
 
-/// The recorded skeleton of one derivation plus its instantiation state.
+/// The recorded skeleton of one derivation plus the position of the walk
+/// in progress.
 #[derive(Debug, Clone, Default)]
 pub struct DerivationPlan {
-    mode: PlanMode,
-    slots: BTreeMap<String, TemplateSlot>,
-    /// Recipe key → number of components already instantiated into the store.
-    recipes: BTreeMap<String, usize>,
+    /// Template slots in the visit order of the last walk (the walk in
+    /// progress has already reordered those before `cursor`).
+    slots: Vec<TemplateSlot>,
+    /// Index of the slot the walk in progress visits next.
+    cursor: usize,
+    /// The moment degree the last finished walk instantiated, `None` before
+    /// the first walk ends.  That walk reached every restriction level up to
+    /// it and emitted components `0..=degree` of every recipe it visited.
+    degree: Option<usize>,
     stats: PlanStats,
 }
 
@@ -134,14 +128,9 @@ fn interval_columns(interval: &SymInterval) -> usize {
 }
 
 impl DerivationPlan {
-    /// An empty plan in [`PlanMode::Record`].
+    /// An empty plan: its first walk mints every column and emits every row.
     pub fn new() -> Self {
         DerivationPlan::default()
-    }
-
-    /// Switches the instantiation mode for the next walk.
-    pub fn set_mode(&mut self, mode: PlanMode) {
-        self.mode = mode;
     }
 
     /// Reuse counters accumulated so far.
@@ -149,102 +138,79 @@ impl DerivationPlan {
         self.stats
     }
 
-    /// Resolves the moment annotation of the slot `key` for a walk at target
-    /// degree `m`: components served by the plan come back as `Some(_)` (to
-    /// be cloned by the caller), components the caller must mint come back as
-    /// `None`.  `record` says whether the caller should report the minted
-    /// components back via [`record_component`](Self::record_component).
-    ///
-    /// `Record` mints everything; `Extend` serves every recorded component.
-    pub fn slot_components(
+    /// The last walk's degree, if it reached restriction level `level`.
+    fn replayed_degree(&self, level: usize) -> Option<usize> {
+        self.degree.filter(|&last| level <= last)
+    }
+
+    /// The degree-`m` moment annotation of the slot the walk visits next, at
+    /// restriction level `level`.  A level the last walk reached takes the
+    /// next recorded slot, whose components come back as recorded; any other
+    /// visit inserts a fresh slot here.  `mint(k)` makes each component `k`
+    /// the slot lacks, in order.
+    pub fn moment(
         &mut self,
-        key: &str,
-        restriction: usize,
+        level: usize,
         m: usize,
-    ) -> (Vec<Option<SymInterval>>, bool) {
-        match self.mode {
-            PlanMode::Record => {
-                self.stats.slots_created += 1;
-                self.slots.insert(
-                    key.to_string(),
-                    TemplateSlot {
-                        restriction,
-                        components: Vec::new(),
-                    },
-                );
-                (vec![None; m + 1], true)
+        mut mint: impl FnMut(usize) -> SymInterval,
+    ) -> SymMoment {
+        if self.replayed_degree(level).is_some() {
+            let slot = &self.slots[self.cursor];
+            debug_assert_eq!(slot.level, level, "slot replayed at a different level");
+            self.stats.slots_reused += 1;
+            self.stats.columns_reused += slot
+                .components
+                .iter()
+                .take(m + 1)
+                .map(interval_columns)
+                .sum::<usize>();
+        } else {
+            self.stats.slots_created += 1;
+            let slot = TemplateSlot {
+                level,
+                components: Vec::with_capacity(m + 1),
+            };
+            self.slots.insert(self.cursor, slot);
+        }
+        let slot = &mut self.slots[self.cursor];
+        self.cursor += 1;
+        while slot.components.len() <= m {
+            let interval = mint(slot.components.len());
+            self.stats.columns_created += interval_columns(&interval);
+            slot.components.push(interval);
+        }
+        SymMoment::from_components(slot.components[..=m].to_vec())
+    }
+
+    /// Gate for a constraint recipe (or objective term) visited at
+    /// restriction level `level` that instantiates components `0..=m`: the
+    /// first component whose rows must actually be emitted.  At a level the
+    /// last walk reached, that walk already emitted components up to its
+    /// own degree; anywhere else every component is new.
+    pub fn recipe_gate(&mut self, level: usize, m: usize) -> usize {
+        match self.replayed_degree(level) {
+            Some(last) => {
+                self.stats.recipes_replayed += 1;
+                self.stats.components_skipped += (last + 1).min(m + 1);
+                last + 1
             }
-            PlanMode::Extend => match self.slots.get(key) {
-                Some(slot) => {
-                    debug_assert_eq!(
-                        slot.restriction, restriction,
-                        "slot `{key}` replayed at a different restriction level"
-                    );
-                    self.stats.slots_reused += 1;
-                    let mut components = Vec::with_capacity(m + 1);
-                    for k in 0..=m {
-                        match slot.components.get(k) {
-                            Some(interval) => {
-                                self.stats.columns_reused += interval_columns(interval);
-                                components.push(Some(interval.clone()));
-                            }
-                            None => components.push(None),
-                        }
-                    }
-                    (components, true)
-                }
-                None => {
-                    self.stats.slots_created += 1;
-                    self.slots.insert(
-                        key.to_string(),
-                        TemplateSlot {
-                            restriction,
-                            components: Vec::new(),
-                        },
-                    );
-                    (vec![None; m + 1], true)
-                }
-            },
-        }
-    }
-
-    /// Records a component the caller just minted for the slot `key`
-    /// (only meaningful after [`slot_components`](Self::slot_components)
-    /// returned `record = true`; components must be reported in order).
-    pub fn record_component(&mut self, key: &str, k: usize, interval: &SymInterval) {
-        self.stats.columns_created += interval_columns(interval);
-        if let Some(slot) = self.slots.get_mut(key) {
-            debug_assert_eq!(
-                slot.components.len(),
-                k,
-                "slot `{key}` recorded out of order"
-            );
-            slot.components.push(interval.clone());
-        }
-    }
-
-    /// Gate for the constraint recipe `key` about to instantiate components
-    /// `0..=m`: returns the first component whose rows must actually be
-    /// emitted (components below it are already in the store).
-    pub fn recipe_gate(&mut self, key: &str, m: usize) -> usize {
-        match self.mode {
-            PlanMode::Record => {
+            None => {
                 self.stats.recipes_recorded += 1;
-                self.recipes.insert(key.to_string(), m + 1);
                 0
             }
-            PlanMode::Extend => match self.recipes.insert(key.to_string(), m + 1) {
-                Some(prev) => {
-                    self.stats.recipes_replayed += 1;
-                    self.stats.components_skipped += prev.min(m + 1);
-                    prev
-                }
-                None => {
-                    self.stats.recipes_recorded += 1;
-                    0
-                }
-            },
         }
+    }
+
+    /// Ends a walk that instantiated moment degree `m`: the next walk
+    /// replays this one.
+    pub fn finish_walk(&mut self, m: usize) {
+        debug_assert_eq!(
+            self.cursor,
+            self.slots.len(),
+            "a walk left recorded slots unvisited"
+        );
+        self.cursor = 0;
+        self.degree = Some(m);
     }
 }
 
@@ -253,7 +219,7 @@ mod tests {
     use super::*;
     use crate::template::TemplatePoly;
 
-    fn unit_interval() -> SymInterval {
+    fn unit_interval(_k: usize) -> SymInterval {
         SymInterval {
             lo: TemplatePoly::constant(1.0),
             hi: TemplatePoly::constant(1.0),
@@ -263,29 +229,52 @@ mod tests {
     #[test]
     fn record_then_extend_serves_old_components() {
         let mut plan = DerivationPlan::new();
-        let (components, record) = plan.slot_components("s", 0, 2);
-        assert!(record);
-        assert!(components.iter().all(Option::is_none));
-        for k in 0..=2 {
-            plan.record_component("s", k, &unit_interval());
-        }
-        assert_eq!(plan.recipe_gate("r", 2), 0);
+        let mut minted = Vec::new();
+        plan.moment(0, 2, |k| {
+            minted.push(k);
+            unit_interval(k)
+        });
+        assert_eq!(minted, [0, 1, 2]);
+        assert_eq!(plan.recipe_gate(0, 2), 0);
+        plan.finish_walk(2);
 
-        plan.set_mode(PlanMode::Extend);
-        let (components, record) = plan.slot_components("s", 0, 4);
-        assert!(record);
-        assert!(components[0].is_some() && components[2].is_some());
-        assert!(components[3].is_none() && components[4].is_none());
-        plan.record_component("s", 3, &unit_interval());
-        plan.record_component("s", 4, &unit_interval());
+        // The degree-4 replay: level 0 was reached, so its slot comes back
+        // and only components 3 and 4 are minted.
+        minted.clear();
+        let q = plan.moment(0, 4, |k| {
+            minted.push(k);
+            unit_interval(k)
+        });
+        assert_eq!(minted, [3, 4]);
+        assert_eq!(q.degree(), 4);
         // The recipe resumes at the first new component.
-        assert_eq!(plan.recipe_gate("r", 4), 3);
-        // Unknown keys (new restriction levels) instantiate in full.
-        assert_eq!(plan.recipe_gate("r-new", 4), 0);
-        let (fresh, _) = plan.slot_components("s-new", 3, 4);
-        assert!(fresh.iter().all(Option::is_none));
-        assert!(plan.stats().slots_reused >= 1);
-        assert!(plan.stats().columns_reused > 0);
-        assert_eq!(plan.stats().components_skipped, 3);
+        assert_eq!(plan.recipe_gate(0, 4), 3);
+        // Level 3 is new: a fresh slot and a recipe emitting everything.
+        assert_eq!(plan.recipe_gate(3, 4), 0);
+        minted.clear();
+        plan.moment(3, 4, |k| {
+            minted.push(k);
+            unit_interval(k)
+        });
+        assert_eq!(minted, [0, 1, 2, 3, 4]);
+        plan.finish_walk(4);
+
+        let stats = plan.stats();
+        assert_eq!(stats.slots_created, 2);
+        assert_eq!(stats.slots_reused, 1);
+        // Two terms per component: 3 components reused, 3 + 2 + 5 minted.
+        assert_eq!(stats.columns_reused, 6);
+        assert_eq!(stats.columns_created, 20);
+        assert_eq!(stats.recipes_recorded, 2);
+        assert_eq!(stats.recipes_replayed, 1);
+        assert_eq!(stats.components_skipped, 3);
+
+        // A chained replay visits the slots in the last walk's order.
+        let levels: Vec<usize> = plan.slots.iter().map(|s| s.level).collect();
+        assert_eq!(levels, [0, 3]);
+        plan.moment(0, 5, unit_interval);
+        plan.moment(3, 5, unit_interval);
+        plan.finish_walk(5);
+        assert_eq!(plan.stats().slots_reused, 3);
     }
 }

@@ -31,9 +31,9 @@ impl ConstraintStore {
         ConstraintStore::default()
     }
 
-    /// Adds a variable (non-negative unless `free`).
-    pub fn add_var(&mut self, name: impl Into<String>, free: bool) -> LpVarId {
-        self.problem.add_var(name, free)
+    /// Adds an anonymous variable (non-negative unless `free`).
+    pub fn add_var(&mut self, free: bool) -> LpVarId {
+        self.problem.add_var("", free)
     }
 
     /// Appends the constraint `Σ coeff·var cmp rhs`.
@@ -94,12 +94,12 @@ impl ConstraintStore {
     }
 
     /// Replays everything added since the last open/flush — new variables
-    /// first, then new rows — into the session, preserving the shared id
-    /// space.
+    /// (their kinds) first, then new rows — into the session, preserving the
+    /// shared id space.
     pub fn flush(&mut self, session: &mut dyn LpSession) {
         for index in self.flushed_vars..self.problem.num_vars() {
             let var = LpVarId::from_index(index);
-            let mirrored = session.add_var(self.problem.var_name(var), self.problem.is_free(var));
+            let mirrored = session.add_var("", self.problem.is_free(var));
             debug_assert_eq!(
                 mirrored, var,
                 "session id space diverged from the constraint store"
@@ -121,8 +121,8 @@ mod tests {
 
     fn backend_roundtrip(backend: &dyn LpBackend) {
         let mut store = ConstraintStore::new();
-        let x = store.add_var("x", false);
-        let y = store.add_var("y", false);
+        let x = store.add_var(false);
+        let y = store.add_var(false);
         store.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
         store.add_objective_term(x, -1.0);
         store.add_objective_term(y, -2.0);
@@ -134,7 +134,7 @@ mod tests {
         assert!((first.objective - (-8.0)).abs() < 1e-6); // y = 4
 
         // Extend: a new variable, a cutting row, and an objective term.
-        let z = store.add_var("z", false);
+        let z = store.add_var(false);
         store.add_constraint(vec![(y, 1.0)], Cmp::Le, 1.0);
         store.add_constraint(vec![(z, 1.0), (x, 1.0)], Cmp::Ge, 2.0);
         store.add_objective_term(z, 1.0);
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn to_problem_carries_the_aggregated_objective() {
         let mut store = ConstraintStore::new();
-        let x = store.add_var("x", false);
+        let x = store.add_var(false);
         store.add_constraint(vec![(x, 1.0)], Cmp::Le, 5.0);
         store.add_objective_term(x, -0.5);
         store.add_objective_term(x, -0.5);

@@ -277,18 +277,6 @@ impl TemplatePoly {
         }
     }
 
-    /// Multiplies the template by a *concrete* polynomial (coefficients stay
-    /// linear in the LP unknowns).
-    pub fn mul_concrete(&self, p: &Polynomial) -> TemplatePoly {
-        let mut result = TemplatePoly::zero();
-        for (m1, coef) in self.terms() {
-            for (m2, c) in p.terms() {
-                result.add_scaled_term(&m1.mul(m2), coef, c);
-            }
-        }
-        result
-    }
-
     /// Substitutes a program variable by a concrete polynomial
     /// (the `Q-Assign` rule).
     pub fn substitute(&self, v: &Var, replacement: &Polynomial) -> TemplatePoly {
@@ -350,15 +338,6 @@ impl TemplatePoly {
             p.add_term(m.clone(), c);
         }
         p
-    }
-
-    /// The union of monomials of `self` and `other`.
-    pub fn monomial_union(&self, other: &TemplatePoly) -> Vec<Monomial> {
-        let mut ms: Vec<Monomial> = self.monomials().cloned().collect();
-        ms.extend(other.monomials().cloned());
-        ms.sort();
-        ms.dedup();
-        ms
     }
 }
 

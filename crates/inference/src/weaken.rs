@@ -6,6 +6,11 @@
 //! combination of products of the `eᵢ` (a Handelman certificate): fresh
 //! non-negative multipliers `λ` are introduced and coefficients are equated
 //! per monomial, which yields linear constraints over the LP unknowns.
+//!
+//! A containment is a *recipe* of the builder's
+//! [`DerivationPlan`](crate::plan::DerivationPlan): a degree-escalation
+//! replay skips the components whose rows are already in the store, which
+//! the plan knows from the restriction level the containment is visited at.
 
 use cma_logic::Context;
 use cma_semiring::poly::Polynomial;
@@ -23,13 +28,12 @@ pub fn require_poly_geq(
     products: &[Polynomial],
     bigger: &TemplatePoly,
     smaller: &TemplatePoly,
-    tag: &str,
 ) {
     // difference = bigger - smaller - Σ λ_i · products_i  must be 0 per monomial.
     // Each λ_i is fresh, so its entry in every monomial is exactly `-c`.
     let mut difference = bigger.sub(smaller);
-    for (i, product) in products.iter().enumerate() {
-        let lambda = LinCoef::var(builder.fresh_multiplier(&format!("λ[{tag}.{i}]")));
+    for product in products {
+        let lambda = LinCoef::var(builder.fresh_multiplier());
         for (m, c) in product.terms() {
             difference.add_scaled_term(m, &lambda, -c);
         }
@@ -42,21 +46,19 @@ pub fn require_poly_geq(
 /// for every component `k`, `outer.lo_k ≤ inner.lo_k` and
 /// `inner.hi_k ≤ outer.hi_k` wherever `ctx` holds.
 ///
-/// `tag` doubles as this containment's *recipe key* in the builder's
-/// [`DerivationPlan`](crate::plan::DerivationPlan), so it must be unique and
-/// stable across walks of the same program: when the plan replays (degree
-/// escalation), components whose rows are already in the store are skipped
-/// instead of re-emitted.
+/// `level` is the restriction level of the walk that visits the
+/// containment: when the plan replays it (degree escalation), components
+/// whose rows are already in the store are skipped instead of re-emitted.
 pub fn require_contains(
     builder: &mut ConstraintBuilder,
     ctx: &Context,
     outer: &SymMoment,
     inner: &SymMoment,
     poly_degree: u32,
-    tag: &str,
+    level: usize,
 ) {
     assert_eq!(outer.degree(), inner.degree(), "degree mismatch in ⊒");
-    let emit_from = builder.recipe_gate(tag, outer.degree());
+    let emit_from = builder.recipe_gate(level, outer.degree());
     // Components of equal certificate degree share one product set (k = 0
     // and k = 1 both use degree 1 at poly degree 1).  The degree never
     // falls as k grows, so keeping the last set computes each degree once;
@@ -74,7 +76,6 @@ pub fn require_contains(
             products,
             &outer.component(k).hi,
             &inner.component(k).hi,
-            &format!("{tag}.hi{k}"),
         );
         // Lower ends: inner.lo ≥ outer.lo, i.e. outer.lo ≤ inner.lo.
         require_poly_geq(
@@ -82,7 +83,6 @@ pub fn require_contains(
             products,
             &inner.component(k).lo,
             &outer.component(k).lo,
-            &format!("{tag}.lo{k}"),
         );
     }
 }
@@ -104,15 +104,9 @@ mod tests {
     fn constant_slack_certificate() {
         // Find the least constant c with c ≥ 3 using products = {1}.
         let mut b = ConstraintBuilder::new();
-        let template = b.fresh_poly("c", &[], 0);
+        let template = b.fresh_poly(&[], 0);
         let products = vec![Polynomial::constant(1.0)];
-        require_poly_geq(
-            &mut b,
-            &products,
-            &template,
-            &TemplatePoly::constant(3.0),
-            "t",
-        );
+        require_poly_geq(&mut b, &products, &template, &TemplatePoly::constant(3.0));
         b.add_objective(&template.eval_vars(&|_| 0.0), 1.0);
         let sol = b.solve();
         assert!(sol.is_optimal());
@@ -126,9 +120,9 @@ mod tests {
         let mut b = ConstraintBuilder::new();
         let ctx = Context::from_conditions(&[ge(v("x"), cst(0.0)), le(v("x"), cst(10.0))]);
         let products = ctx.certificate_products(1);
-        let template = b.fresh_poly("c", &[], 0);
+        let template = b.fresh_poly(&[], 0);
         let two_x = TemplatePoly::from_concrete(&Polynomial::var(x()).scale(2.0));
-        require_poly_geq(&mut b, &products, &template, &two_x, "t");
+        require_poly_geq(&mut b, &products, &template, &two_x);
         b.add_objective(&template.eval_vars(&|_| 0.0), 1.0);
         let sol = b.solve();
         assert!(sol.is_optimal());
@@ -143,9 +137,9 @@ mod tests {
         let mut b = ConstraintBuilder::new();
         let ctx = Context::from_conditions(&[ge(v("x"), cst(0.0)), le(v("x"), cst(4.0))]);
         let products = ctx.certificate_products(2);
-        let template = b.fresh_poly("c", &[], 0);
+        let template = b.fresh_poly(&[], 0);
         let square = TemplatePoly::from_concrete(&Polynomial::var(x()).pow(2));
-        require_poly_geq(&mut b, &products, &template, &square, "t");
+        require_poly_geq(&mut b, &products, &template, &square);
         b.add_objective(&template.eval_vars(&|_| 0.0), 1.0);
         let sol = b.solve();
         assert!(sol.is_optimal());
@@ -161,7 +155,7 @@ mod tests {
         let products = ctx.certificate_products(1);
         let template = TemplatePoly::constant(100.0);
         let xx = TemplatePoly::from_concrete(&Polynomial::var(x()));
-        require_poly_geq(&mut b, &products, &template, &xx, "t");
+        require_poly_geq(&mut b, &products, &template, &xx);
         assert!(!b.solve().is_optimal());
     }
 
@@ -182,8 +176,8 @@ mod tests {
                 ),
             },
         ]);
-        let outer = b.fresh_moment("outer", &[x()], 1, 1, 0);
-        require_contains(&mut b, &ctx, &outer, &inner, 1, "contain");
+        let outer = b.planned_moment(&[x()], 1, 1, 0);
+        require_contains(&mut b, &ctx, &outer, &inner, 1, 0);
         for k in 0..=1 {
             b.add_objective(&outer.component(k).hi.eval_vars(&|_| 5.0), 1.0);
             b.add_objective(&outer.component(k).lo.eval_vars(&|_| 5.0), -1.0);
@@ -209,11 +203,10 @@ mod tests {
         products: &[Polynomial],
         bigger: &TemplatePoly,
         smaller: &TemplatePoly,
-        tag: &str,
     ) {
         let mut difference = reference::poly_add(bigger, &smaller.scale(-1.0));
-        for (i, product) in products.iter().enumerate() {
-            let lambda = builder.fresh_multiplier(&format!("λ[{tag}.{i}]"));
+        for product in products {
+            let lambda = builder.fresh_multiplier();
             let mut scaled = TemplatePoly::zero();
             for (m, c) in product.terms() {
                 reference::add_term(&mut scaled, m.clone(), LinCoef::var(lambda).scale(c));
@@ -279,11 +272,11 @@ mod tests {
             for builder in [&mut got, &mut want] {
                 // The template unknowns the random coefficients refer to.
                 for _ in 0..4 {
-                    builder.fresh_coefficient("t");
+                    builder.fresh_coefficient();
                 }
             }
-            require_poly_geq(&mut got, &products, &bigger, &smaller, "w");
-            reference_require_poly_geq(&mut want, &products, &bigger, &smaller, "w");
+            require_poly_geq(&mut got, &products, &bigger, &smaller);
+            reference_require_poly_geq(&mut want, &products, &bigger, &smaller);
             prop_assert_eq!(rows(&got), rows(&want));
         }
     }

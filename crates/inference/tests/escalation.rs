@@ -152,6 +152,49 @@ fn chained_escalation_reaches_the_same_fixpoint() {
     assert_eq!(session.minimizes(), 3);
 }
 
+/// The Fig. 2 walk with its call in `main` behind a conditional: a
+/// recursive function that holds an `if`, and a `main` that holds one.
+fn rdwalk_if_main() -> Program {
+    let source = include_str!("../../../examples/fig2.appl").replace(
+        "  x := 0;\n  call rdwalk\n",
+        "  x := 0;\n  if x < d then call rdwalk else tick(1) fi\n",
+    );
+    cma_appl::parse_program(&source).unwrap()
+}
+
+#[test]
+fn chained_escalation_reuses_exactly_the_last_walk() {
+    // Each replay takes over every slot, column and recipe of the walk
+    // before it, which a from-scratch run at that walk's degree counts.
+    let program = rdwalk_if_main();
+    let at = vec![(Var::new("d"), 10.0), (Var::new("x"), 0.0)];
+    let options = |m: usize| AnalysisOptions::degree(m).with_valuation(at.clone());
+    let (mut last, mut session) = analyze_session(&program, &options(1), &SimplexBackend).unwrap();
+    for target in [2, 3] {
+        let from = last.degree();
+        let scratch = analyze_with(&program, &options(from), &SimplexBackend).unwrap();
+        let escalated = session.escalate_degree(target).unwrap();
+        let stats = escalated.escalation.expect("escalation stats present");
+        let context = format!("{from}->{target}");
+        assert_eq!(stats.cold_restarts, 0, "{context}: warm path");
+        assert_eq!(stats.reused_slots, scratch.plan.slots_created, "{context}");
+        assert_eq!(
+            stats.reused_columns, scratch.plan.columns_created,
+            "{context}"
+        );
+        assert_eq!(
+            escalated.plan.recipes_replayed - last.plan.recipes_replayed,
+            scratch.plan.recipes_recorded,
+            "{context}"
+        );
+        println!(
+            "{context}: {} slots, {} columns, {} recipes reused",
+            stats.reused_slots, stats.reused_columns, scratch.plan.recipes_recorded
+        );
+        last = escalated;
+    }
+}
+
 #[test]
 fn escalation_to_a_non_larger_degree_is_rejected() {
     let program = geo();

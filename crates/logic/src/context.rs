@@ -240,7 +240,7 @@ impl Context {
         let mut lp = cma_lp::LpProblem::new();
         let lp_vars: std::collections::BTreeMap<Var, cma_lp::LpVarId> = vars
             .iter()
-            .map(|v| (v.clone(), lp.add_var(v.name(), true)))
+            .map(|v| (v.clone(), lp.add_var("", true)))
             .collect();
         let to_terms = |e: &LinExpr| -> Vec<(cma_lp::LpVarId, f64)> {
             e.vars().map(|v| (lp_vars[v], e.coefficient(v))).collect()
@@ -542,15 +542,6 @@ fn accumulate_changes(
         }
         StmtKind::Skip | StmtKind::Tick(_) => {}
     }
-}
-
-/// Variables modified by `stmt`, including those modified by called functions.
-pub fn modified_with_calls(program: &Program, stmt: &Stmt) -> BTreeSet<Var> {
-    let mut vars = stmt.modified_vars();
-    for f in stmt.called_functions() {
-        vars.extend(transitively_modified(program, &f));
-    }
-    vars
 }
 
 /// Variables transitively modified by the body of function `f`.

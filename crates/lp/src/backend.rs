@@ -28,7 +28,8 @@
 //!   top of `open`.
 //!
 //! Every entry point has a `_with` twin taking [`SolverTuning`] (the
-//! session's resource budget) — the built-in backend honors it.
+//! session's resource budget) — the built-in backend honors it, and turns
+//! its per-session timeout into a deadline when the session opens.
 //!
 //! Variable ids are shared between a session and the [`LpProblem`] it was
 //! opened on: ids created through [`LpSession::add_var`] continue the same id
@@ -52,16 +53,16 @@
 //!    re-minimizing the same objective in one session — yields the same
 //!    status and (for `Optimal`) the same objective value;
 //! 6. never panic on solvable input — resource exhaustion (a
-//!    [`SolveBudget`](crate::SolveBudget) limb running out, or the solver's
-//!    built-in runaway backstop) is reported as
+//!    [`SolverTuning`] limb running out, or the solver's built-in runaway
+//!    backstop) is reported as
 //!    [`LpStatus::BudgetExhausted`](crate::LpStatus::BudgetExhausted), which
 //!    is a statement about resources only: callers must never interpret it
 //!    as infeasibility, and a budgeted session must never report
 //!    `Infeasible`/`Unbounded`/`Optimal` where the unbudgeted solve would
 //!    not — running out of budget truncates the search, it never flips a
 //!    verdict;
-//! 7. honor [`SolverTuning::budget`](crate::SolverTuning::budget) across the
-//!    *whole session lifetime*: the spend carries over from one `minimize`
+//! 7. honor the [`SolverTuning`] budget across the *whole session
+//!    lifetime*: the spend carries over from one `minimize`
 //!    to the next (warm re-solves and in-session extensions included), so a
 //!    session's total cost is bounded by one budget no matter how many times
 //!    it is re-entered.
@@ -175,7 +176,10 @@ pub trait LpBackend: Sync {
         self.solve_batch_with(problems, threads, &SolverTuning::default())
     }
 
-    /// [`solve_batch`](Self::solve_batch) under explicit tuning.
+    /// [`solve_batch`](Self::solve_batch) under explicit tuning: every
+    /// problem opens a session of its own, so a
+    /// [`timeout`](SolverTuning::timeout) budgets each problem, not the
+    /// batch.
     fn solve_batch_with(
         &self,
         problems: &[LpProblem],
@@ -242,8 +246,10 @@ impl LpBackend for SimplexBackend {
         problem: &LpProblem,
         tuning: &SolverTuning,
     ) -> Box<dyn LpSession + 'a> {
+        // The session's timeout runs from here, presolve included.
+        let tuning = tuning.started();
         let pre = presolve(problem);
-        let inner = Box::new(SimplexCore::open_with(pre.reduced(), tuning));
+        let inner = Box::new(SimplexCore::open_with(pre.reduced(), &tuning));
         Box::new(pre.into_session(inner))
     }
 }

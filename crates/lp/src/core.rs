@@ -44,8 +44,7 @@ use std::time::Instant;
 use crate::backend::LpSession;
 use crate::factor::{KernelWs, LuFactor};
 use crate::pricing::{
-    bland_fallback_threshold, DevexPricer, PivotView, SolveBudget, SolverTuning,
-    DEADLINE_CHECK_PERIOD,
+    bland_fallback_threshold, DevexPricer, PivotView, SolverTuning, DEADLINE_CHECK_PERIOD,
 };
 use crate::simplex::{Cmp, LpProblem, LpSolution, LpStatus, LpVarId, SolveStats};
 
@@ -124,9 +123,9 @@ enum DualOutcome {
     Infeasible,
     /// Internal iteration cap or numerics — restart cold instead.
     GaveUp,
-    /// The session's [`SolveBudget`] ran out mid-restoration.  Unlike
-    /// `GaveUp`, this must *not* restart cold (that would burn more time the
-    /// caller no longer has) — the minimize reports
+    /// The session's budget ([`SolverTuning`]) ran out mid-restoration.
+    /// Unlike `GaveUp`, this must *not* restart cold (that would burn more
+    /// time the caller no longer has) — the minimize reports
     /// [`LpStatus::BudgetExhausted`] instead.
     Exhausted,
 }
@@ -186,17 +185,15 @@ pub(crate) struct SimplexCore {
     /// by the next refactorization; must be washed before values are
     /// extracted).
     xb_shifted: bool,
-    /// The session's resource budget ([`SolverTuning::budget`]).  The
-    /// deadline is absolute and the spend counters below are *never* reset,
-    /// so the budget covers the session's whole lifetime — every minimize,
-    /// warm re-solve, and in-session extension draws from the same pool.
-    budget: SolveBudget,
+    /// The session's resource budget, its timeout already turned into a
+    /// deadline by the backend.  The deadline is absolute and the spend
+    /// counter below is *never* reset, so the budget covers the session's
+    /// whole lifetime — every minimize, warm re-solve, and in-session
+    /// extension draws from the same pool.
+    budget: SolverTuning,
     /// Lifetime iterations charged against `budget.max_iters` (unlike
     /// `stats.iterations`, which resets per minimize).
     budget_iters: usize,
-    /// Lifetime refactorizations charged against
-    /// `budget.max_refactorizations`.
-    budget_refactorizations: usize,
     /// `factor.compactions()` at the start of the current minimize; the
     /// per-solve [`SolveStats::eta_compactions`] is the delta.
     compaction_base: usize,
@@ -256,9 +253,8 @@ impl SimplexCore {
             stale_pivots: 0,
             stats: SolveStats::default(),
             xb_shifted: false,
-            budget: tuning.budget,
+            budget: *tuning,
             budget_iters: 0,
-            budget_refactorizations: 0,
             compaction_base: 0,
             ws: KernelWs::default(),
             rhs_buf: Vec::new(),
@@ -653,33 +649,17 @@ impl SimplexCore {
         self.ws.copy_sol_into(&mut self.xb);
         self.stale_pivots = 0;
         self.stats.refactorizations += 1;
-        self.budget_refactorizations += 1;
         self.xb_shifted = false;
         self.factor_stale = false;
         true
     }
 
-    /// Direct wall-clock deadline poll, used right after the expensive
-    /// refactorization/compaction points where a whole refresh just ran —
-    /// the per-pivot period check could otherwise let a hostile deadline
-    /// slip by a full period of heavy work.
-    fn deadline_hit(&self) -> bool {
-        !self.budget.is_unlimited() && self.budget.deadline_passed()
-    }
-
     /// Whether the session's budget has run out, checked cooperatively at
-    /// every pivot (iteration/refactorization caps) and every
-    /// [`DEADLINE_CHECK_PERIOD`]-th pivot of a loop (the wall clock —
-    /// `Instant::now()` per pivot would dominate cheap pivots).
+    /// every pivot (the iteration cap) and every [`DEADLINE_CHECK_PERIOD`]-th
+    /// pivot of a loop (the wall clock — `Instant::now()` per pivot would
+    /// dominate cheap pivots).
     fn budget_exhausted(&self, iter_in_loop: usize) -> bool {
-        if self.budget.is_unlimited() {
-            return false;
-        }
         self.budget.iters_remaining(self.budget_iters) == 0
-            || self
-                .budget
-                .refactorizations_remaining(self.budget_refactorizations)
-                == 0
             || (iter_in_loop.is_multiple_of(DEADLINE_CHECK_PERIOD) && self.budget.deadline_passed())
     }
 
@@ -722,7 +702,10 @@ impl SimplexCore {
                 // Also washes out any live anti-degeneracy shift: the basic
                 // values are recomputed from the pristine right-hand sides.
                 self.refactorize();
-                if self.deadline_hit() {
+                // Poll the clock directly after a whole refresh: the
+                // periodic check could let a deadline slip by a period of
+                // heavy work.
+                if self.budget.deadline_passed() {
                     return Err(LpStatus::BudgetExhausted);
                 }
                 self.refresh_prices(col_costs, ban_artificials, &mut y);
@@ -1386,7 +1369,8 @@ impl SimplexCore {
                 if !self.refactorize() {
                     return DualOutcome::GaveUp;
                 }
-                if self.deadline_hit() {
+                // A direct clock poll after the refresh, as in the primal loop.
+                if self.budget.deadline_passed() {
                     return DualOutcome::Exhausted;
                 }
                 self.dual_prices_into(&costs, &mut y);

@@ -20,16 +20,17 @@
 //! with a handful of dual pivots instead of a phase-1 restart.  Every solve
 //! reports its effort in [`SolveStats`].
 //!
-//! Solves can be **budgeted** ([`SolveBudget`] on [`SolverTuning::budget`]):
-//! a wall-clock deadline, an iteration cap, and a refactorization cap,
-//! checked cooperatively per pivot batch and carried over across every
-//! minimize/warm re-solve of a session.  Running out yields
+//! Solves can be **budgeted** ([`SolverTuning`]): an absolute wall-clock
+//! deadline, a per-session timeout (a deadline from the moment the session
+//! opens), and an iteration cap, checked cooperatively per pivot batch and
+//! carried over across every minimize/warm re-solve of a session.  Running out yields
 //! [`LpStatus::BudgetExhausted`] — a statement about resources that is never
 //! an infeasibility verdict (see the contract in [`backend`]).
 //!
-//! The problem format is deliberately small: named variables that are either
-//! non-negative or free (free variables are split internally), linear
-//! constraints `a·x {≤,≥,=} b`, and a linear objective to *minimize*.
+//! The problem format is deliberately small: anonymous variables, indexed in
+//! creation order, that are either non-negative or free (free variables are
+//! split internally), linear constraints `a·x {≤,≥,=} b`, and a linear
+//! objective to *minimize*.
 //!
 //! # Example
 //!
@@ -62,7 +63,7 @@ pub mod sparse;
 /// sparse backend keeps compiling: both names are the one solver.
 pub use backend::SimplexBackend as SparseBackend;
 pub use backend::{LpBackend, LpSession, SimplexBackend};
-pub use pricing::{bland_fallback_threshold, SolveBudget, SolverTuning, DEADLINE_CHECK_PERIOD};
+pub use pricing::{bland_fallback_threshold, SolverTuning, DEADLINE_CHECK_PERIOD};
 pub use simplex::{
     Cmp, Counter, CounterKind, LpProblem, LpSolution, LpStatus, LpVarId, Merge, SolveStats,
 };

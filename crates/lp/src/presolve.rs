@@ -59,8 +59,6 @@ pub(crate) struct Presolved {
     col_fate: Vec<ColFate>,
     /// Original free flags (needed to judge dropped columns at minimize).
     free: Vec<bool>,
-    /// Original variable names (for re-materialized columns).
-    names: Vec<String>,
     /// Original row count (sessions keep counting caller-visible rows).
     num_rows: usize,
     /// The presolve proved the row system infeasible outright.
@@ -196,7 +194,7 @@ pub(crate) fn presolve(problem: &LpProblem) -> Presolved {
             col_fate.push(ColFate::Fixed(v));
             cols_dropped += 1;
         } else if occupied[c] {
-            let id = reduced.add_var(problem.var_name(var), problem.is_free(var));
+            let id = reduced.add_var("", problem.is_free(var));
             col_fate.push(ColFate::Kept(id.index()));
         } else {
             col_fate.push(ColFate::Dropped);
@@ -224,9 +222,6 @@ pub(crate) fn presolve(problem: &LpProblem) -> Presolved {
         col_fate,
         free: (0..n)
             .map(|c| problem.is_free(LpVarId::from_index(c)))
-            .collect(),
-        names: (0..n)
-            .map(|c| problem.var_name(LpVarId::from_index(c)).to_string())
             .collect(),
         num_rows: m,
         infeasible,
@@ -319,7 +314,6 @@ impl Presolved {
             inner,
             col_fate: self.col_fate,
             free: self.free,
-            names: self.names,
             num_rows: self.num_rows,
             infeasible: self.infeasible,
             rows_dropped: self.rows_dropped,
@@ -334,7 +328,6 @@ pub(crate) struct PresolvedSession<'a> {
     inner: Box<dyn LpSession + 'a>,
     col_fate: Vec<ColFate>,
     free: Vec<bool>,
-    names: Vec<String>,
     num_rows: usize,
     /// Sticky: rows only ever get added, so a system once proved infeasible
     /// stays infeasible.
@@ -358,7 +351,7 @@ impl PresolvedSession<'_> {
         match self.col_fate[index] {
             ColFate::Kept(r) => r,
             ColFate::Dropped => {
-                let id = self.inner.add_var(&self.names[index], self.free[index]);
+                let id = self.inner.add_var("", self.free[index]);
                 self.col_fate[index] = ColFate::Kept(id.index());
                 self.cols_dropped -= 1;
                 id.index()
@@ -369,11 +362,10 @@ impl PresolvedSession<'_> {
 }
 
 impl LpSession for PresolvedSession<'_> {
-    fn add_var(&mut self, name: &str, free: bool) -> LpVarId {
-        let inner_id = self.inner.add_var(name, free);
+    fn add_var(&mut self, _name: &str, free: bool) -> LpVarId {
+        let inner_id = self.inner.add_var("", free);
         self.col_fate.push(ColFate::Kept(inner_id.index()));
         self.free.push(free);
-        self.names.push(name.to_string());
         LpVarId::from_index(self.col_fate.len() - 1)
     }
 

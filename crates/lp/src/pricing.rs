@@ -21,8 +21,7 @@
 //! candidate.
 //!
 //! The module also holds the per-session settings threaded from the
-//! analysis down to the core: [`SolverTuning`], which carries the session's
-//! [`SolveBudget`].
+//! analysis down to the core: [`SolverTuning`], the session's budget.
 
 use std::time::{Duration, Instant};
 
@@ -99,10 +98,12 @@ pub(crate) const PERTURB_EPS: f64 = 1e-9;
 /// under the feasibility tolerance on solves that re-engage many times).
 pub(crate) const PERTURB_MAX_ROUND: usize = 64;
 
-/// A resource budget for one solver session, covering *every* `minimize`
-/// (and warm re-solve, and in-session extension) the session performs: the
-/// spend carries over, so a session's total cost is bounded no matter how
-/// many times it is re-entered.
+/// Per-session solver settings threaded from the analysis down to the
+/// solver (see [`LpBackend::open_with`](crate::LpBackend::open_with)): the
+/// session's resource budget, covering *every* `minimize` (and warm
+/// re-solve, and in-session extension) the session performs.  The spend
+/// carries over, so a session's total cost is bounded no matter how many
+/// times it is re-entered.
 ///
 /// Exhausting any limb yields [`LpStatus::BudgetExhausted`](crate::LpStatus::BudgetExhausted)
 /// — a statement about *resources*, never about feasibility.  A budgeted
@@ -110,19 +111,22 @@ pub(crate) const PERTURB_MAX_ROUND: usize = 64;
 /// not make; in particular it must never be treated as an infeasibility
 /// proof (see the backend contract in [`backend`](crate::backend)).
 ///
-/// All limbs default to `None` (unlimited); `SolveBudget::default()` is the
-/// unbudgeted solve.
+/// All limbs default to `None` (unlimited); `SolverTuning::default()` is
+/// the unbudgeted solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SolveBudget {
-    /// Wall-clock deadline.  Checked cooperatively once per pivot batch
-    /// (every `DEADLINE_CHECK_PERIOD` pivots and at every
+pub struct SolverTuning {
+    /// Absolute wall-clock deadline.  Checked cooperatively once per pivot
+    /// batch (every `DEADLINE_CHECK_PERIOD` pivots and at every
     /// refactorization), so overshoot is bounded by a batch of pivots.
     pub deadline: Option<Instant>,
+    /// Wall-clock budget of each session, measured from the moment the
+    /// backend opens it (presolve included) and capped by
+    /// [`deadline`](Self::deadline).  One tuning shared by several sessions
+    /// (a batch) gives each its own budget.
+    pub timeout: Option<Duration>,
     /// Cap on total simplex iterations (primal and dual pivots both count)
     /// across the session's lifetime.
     pub max_iters: Option<usize>,
-    /// Cap on total basis refactorizations across the session's lifetime.
-    pub max_refactorizations: Option<usize>,
 }
 
 /// Pivots between cooperative deadline checks: `Instant::now()` per pivot
@@ -130,73 +134,33 @@ pub struct SolveBudget {
 /// for tight timeouts on expensive pivots.
 pub const DEADLINE_CHECK_PERIOD: usize = 16;
 
-impl SolveBudget {
-    /// The unlimited budget (every limb `None`).
-    pub const UNLIMITED: SolveBudget = SolveBudget {
-        deadline: None,
-        max_iters: None,
-        max_refactorizations: None,
-    };
-
-    /// A budget with only a wall-clock deadline `timeout` from now.
-    pub fn with_timeout(timeout: Duration) -> SolveBudget {
-        SolveBudget {
-            deadline: Some(Instant::now() + timeout),
-            ..SolveBudget::UNLIMITED
+impl SolverTuning {
+    /// The tuning of a session that opens now: [`timeout`](Self::timeout)
+    /// becomes a deadline from now, capped by [`deadline`](Self::deadline).
+    pub(crate) fn started(&self) -> SolverTuning {
+        let session_deadline = self.timeout.map(|t| Instant::now() + t);
+        SolverTuning {
+            deadline: match (self.deadline, session_deadline) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            },
+            timeout: None,
+            max_iters: self.max_iters,
         }
-    }
-
-    /// A budget with only an iteration cap.
-    pub fn with_max_iters(max_iters: usize) -> SolveBudget {
-        SolveBudget {
-            max_iters: Some(max_iters),
-            ..SolveBudget::UNLIMITED
-        }
-    }
-
-    /// Whether no limb is set (the default, unbudgeted solve).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_iters.is_none() && self.max_refactorizations.is_none()
     }
 
     /// Whether the wall-clock deadline (if any) has passed.
-    pub fn deadline_passed(&self) -> bool {
+    pub(crate) fn deadline_passed(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Iterations remaining before the cap, given `spent` so far
     /// (`usize::MAX` when uncapped).
-    pub fn iters_remaining(&self, spent: usize) -> usize {
+    pub(crate) fn iters_remaining(&self, spent: usize) -> usize {
         match self.max_iters {
             Some(cap) => cap.saturating_sub(spent),
             None => usize::MAX,
         }
-    }
-
-    /// Refactorizations remaining before the cap, given `spent` so far
-    /// (`usize::MAX` when uncapped).
-    pub fn refactorizations_remaining(&self, spent: usize) -> usize {
-        match self.max_refactorizations {
-            Some(cap) => cap.saturating_sub(spent),
-            None => usize::MAX,
-        }
-    }
-}
-
-/// Per-session solver settings threaded from the analysis down to the
-/// solver (see [`LpBackend::open_with`](crate::LpBackend::open_with)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SolverTuning {
-    /// Resource budget for the whole session (deadline, iteration and
-    /// refactorization caps; default unlimited).  The spend carries over
-    /// across every minimize/re-solve of the session.
-    pub budget: SolveBudget,
-}
-
-impl SolverTuning {
-    /// Tuning with the given budget.
-    pub fn with_budget(budget: SolveBudget) -> Self {
-        SolverTuning { budget }
     }
 }
 

@@ -212,10 +212,9 @@ pub enum LpStatus {
     Infeasible,
     /// The objective is unbounded below on the feasible region.
     Unbounded,
-    /// The solve ran out of resources — its wall-clock deadline, its
-    /// iteration cap (explicit via [`SolveBudget`](crate::SolveBudget), or
-    /// the solver's built-in runaway backstop), or its refactorization cap —
-    /// before reaching a verdict.
+    /// The solve ran out of resources — its wall-clock deadline or its
+    /// iteration cap (explicit via [`SolverTuning`], or the solver's
+    /// built-in runaway backstop) — before reaching a verdict.
     ///
     /// This is a statement about *resources*, never about the problem:
     /// callers must not treat it as infeasibility (it must not trigger
@@ -292,7 +291,6 @@ impl LpSolution {
 /// consumes them directly.
 #[derive(Debug, Clone, Default)]
 pub struct LpProblem {
-    names: Vec<String>,
     free: Vec<bool>,
     rows: SparseMatrix,
     cmps: Vec<Cmp>,
@@ -307,26 +305,21 @@ impl LpProblem {
     }
 
     /// Adds a variable.  `free = false` constrains it to be non-negative;
-    /// `free = true` lets it take any real value.
-    pub fn add_var(&mut self, name: impl Into<String>, free: bool) -> LpVarId {
-        self.names.push(name.into());
+    /// `free = true` lets it take any real value.  Columns are anonymous:
+    /// the name is not stored, and callers may pass `""`.
+    pub fn add_var(&mut self, _name: impl Into<String>, free: bool) -> LpVarId {
         self.free.push(free);
-        LpVarId(self.names.len() - 1)
+        LpVarId(self.free.len() - 1)
     }
 
     /// Number of variables added so far.
     pub fn num_vars(&self) -> usize {
-        self.names.len()
+        self.free.len()
     }
 
     /// Number of constraints added so far.
     pub fn num_constraints(&self) -> usize {
         self.cmps.len()
-    }
-
-    /// The name of a variable.
-    pub fn var_name(&self, var: LpVarId) -> &str {
-        &self.names[var.0]
     }
 
     /// Whether a variable is sign-unrestricted.
@@ -339,7 +332,7 @@ impl LpProblem {
     /// Duplicate variables in `terms` are accepted (their coefficients add up).
     pub fn add_constraint(&mut self, terms: Vec<(LpVarId, f64)>, cmp: Cmp, rhs: f64) {
         self.rows.push_row(terms.into_iter().map(|(v, c)| (v.0, c)));
-        self.rows.grow_cols(self.names.len());
+        self.rows.grow_cols(self.free.len());
         self.cmps.push(cmp);
         self.rhs.push(rhs);
     }
@@ -619,7 +612,6 @@ mod tests {
     fn solution_accessors() {
         let mut lp = LpProblem::new();
         let x = lp.add_var("x", false);
-        assert_eq!(lp.var_name(x), "x");
         assert_eq!(lp.num_vars(), 1);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 5.0);
         assert_eq!(lp.num_constraints(), 1);

@@ -1,4 +1,4 @@
-//! Property and unit tests for the [`SolveBudget`] contract.
+//! Property and unit tests for the budget contract of [`SolverTuning`].
 //!
 //! * **verdict invariance** — a budgeted solve may return `BudgetExhausted`,
 //!   but whenever it *does* reach a verdict that verdict matches the
@@ -14,7 +14,7 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use cma_lp::{Cmp, LpBackend, LpProblem, LpStatus, SimplexBackend, SolveBudget, SolverTuning};
+use cma_lp::{Cmp, LpBackend, LpProblem, LpStatus, SimplexBackend, SolverTuning};
 use common::decode;
 use proptest::prelude::*;
 
@@ -34,7 +34,10 @@ proptest! {
     ) {
         let (lp, _) = decode(&seed, vars);
         let unbudgeted = SimplexBackend.solve(&lp);
-        let tuning = SolverTuning::with_budget(SolveBudget::with_max_iters(cap));
+        let tuning = SolverTuning {
+            max_iters: Some(cap),
+            ..SolverTuning::default()
+        };
         let budgeted = SimplexBackend.solve_with(&lp, &tuning);
         prop_assert!(
             budgeted.status == LpStatus::BudgetExhausted
@@ -65,9 +68,13 @@ proptest! {
         timeout_ms in 0u64..20,
     ) {
         let (lp, _) = decode(&seed, vars);
-        let budget = SolveBudget::with_timeout(Duration::from_millis(timeout_ms));
-        let deadline = budget.deadline.expect("with_timeout sets a deadline");
-        let solution = SimplexBackend.solve_with(&lp, &SolverTuning::with_budget(budget));
+        let timeout = Duration::from_millis(timeout_ms);
+        let deadline = Instant::now() + timeout;
+        let tuning = SolverTuning {
+            timeout: Some(timeout),
+            ..SolverTuning::default()
+        };
+        let solution = SimplexBackend.solve_with(&lp, &tuning);
         let finished = Instant::now();
         prop_assert!(
             finished <= deadline + DEADLINE_SLACK,
@@ -91,11 +98,11 @@ fn expired_deadline_reports_exhaustion_not_infeasibility() {
     let x = lp.add_var("x", false);
     lp.add_constraint(vec![(x, 1.0)], Cmp::Ge, 1.0);
     lp.set_objective(vec![(x, 1.0)]);
-    let expired = SolveBudget {
+    let expired = SolverTuning {
         deadline: Some(Instant::now() - Duration::from_secs(1)),
-        ..SolveBudget::UNLIMITED
+        ..SolverTuning::default()
     };
-    let sol = SimplexBackend.solve_with(&lp, &SolverTuning::with_budget(expired));
+    let sol = SimplexBackend.solve_with(&lp, &expired);
     assert_eq!(sol.status, LpStatus::BudgetExhausted);
 }
 
@@ -122,7 +129,10 @@ fn session_budget_carries_over_across_minimizes() {
     assert!(first_cost > 0);
     // Enough for the first solve and a bit of warm re-minimizing, but not
     // for an unbounded number of them.
-    let tuning = SolverTuning::with_budget(SolveBudget::with_max_iters(first_cost + 4));
+    let tuning = SolverTuning {
+        max_iters: Some(first_cost + 4),
+        ..SolverTuning::default()
+    };
     let mut session = SimplexBackend.open_with(&lp, &tuning);
     let mut statuses = Vec::new();
     for round in 0..50 {
@@ -147,32 +157,4 @@ fn session_budget_carries_over_across_minimizes() {
     assert!(from_first_exhaustion
         .clone()
         .all(|&s| s == LpStatus::BudgetExhausted));
-}
-
-#[test]
-fn refactorization_cap_is_enforced() {
-    let mut lp = LpProblem::new();
-    let vars: Vec<_> = (0..8).map(|i| lp.add_var(format!("v{i}"), false)).collect();
-    for (i, pair) in vars.windows(2).enumerate() {
-        lp.add_constraint(
-            vec![(pair[0], 1.0), (pair[1], 2.0)],
-            if i % 2 == 0 { Cmp::Ge } else { Cmp::Le },
-            1.0 + i as f64,
-        );
-    }
-    lp.set_objective(vars.iter().map(|&v| (v, 1.0)).collect());
-    let unbudgeted = SimplexBackend.solve(&lp);
-    assert!(unbudgeted.is_optimal());
-    // Zero refactorizations allowed: the solver cannot even complete its
-    // verdict-confirming rebuilds, so it must bail out as exhausted the
-    // moment it tries — and still must not claim infeasibility.
-    let strangled = SimplexBackend.solve_with(
-        &lp,
-        &SolverTuning::with_budget(SolveBudget {
-            max_refactorizations: Some(0),
-            ..SolveBudget::UNLIMITED
-        }),
-    );
-    assert_ne!(strangled.status, LpStatus::Infeasible);
-    assert_ne!(strangled.status, LpStatus::Unbounded);
 }

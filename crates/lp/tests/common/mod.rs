@@ -46,7 +46,7 @@ pub fn prefix(full: &LpProblem, rows: usize) -> LpProblem {
     let mut lp = LpProblem::new();
     for v in 0..full.num_vars() {
         let v = LpVarId::from_index(v);
-        lp.add_var(full.var_name(v), full.is_free(v));
+        lp.add_var("", full.is_free(v));
     }
     for i in 0..rows.min(full.num_constraints()) {
         lp.add_constraint(full.constraint_terms(i).collect(), full.cmp(i), full.rhs(i));

@@ -368,11 +368,6 @@ impl Polynomial {
         }
         acc
     }
-
-    /// Maximum absolute value of any coefficient (0 for the zero polynomial).
-    pub fn max_abs_coefficient(&self) -> f64 {
-        self.terms.values().map(|c| c.abs()).fold(0.0, f64::max)
-    }
 }
 
 impl fmt::Display for Polynomial {
