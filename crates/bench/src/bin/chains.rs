@@ -89,67 +89,6 @@ fn measure(
     })
 }
 
-/// The boxed-LP family: an LP-level warm-resolve microbench whose columns
-/// carry *finite upper bounds* (singleton `x ≤ u` rows, absorbed into column
-/// bounds by the solver).  The inference LPs are all `=`/`≥` systems, so this
-/// family is what exercises — and keeps nonzero in the committed artifact —
-/// the bound-flip counter of the long-step dual ratio test and the
-/// Forrest–Tomlin compaction counters.
-///
-/// Shape at size `n`: `3n` boxed variables, overlapping 3-windows capping
-/// their sums, an objective pushing every column to its upper bound, then a
-/// sequence of progressively tighter global cutting rows re-minimized warm.
-fn measure_boxed(n: usize) -> Row {
-    use central_moment_analysis::lp::{Cmp, LpBackend, LpProblem, SimplexBackend};
-
-    let m = 3 * n;
-    let mut lp = LpProblem::new();
-    let vars: Vec<_> = (0..m).map(|j| lp.add_var(format!("x{j}"), false)).collect();
-    for (j, &v) in vars.iter().enumerate() {
-        // Singleton Le rows: absorbed as column bounds, not tableau rows.
-        lp.add_constraint(vec![(v, 1.0)], Cmp::Le, 1.0 + (j % 4) as f64 * 0.25);
-    }
-    for w in vars.windows(3) {
-        lp.add_constraint(vec![(w[0], 1.0), (w[1], 1.0), (w[2], 1.0)], Cmp::Le, 2.75);
-    }
-    let objective: Vec<_> = vars
-        .iter()
-        .enumerate()
-        .map(|(j, &v)| (v, -(1.0 + (j % 3) as f64)))
-        .collect();
-
-    let started = std::time::Instant::now();
-    let mut session = SimplexBackend.open(&lp);
-    let mut solution = session.minimize(&objective);
-    assert!(solution.is_optimal(), "boxed LP must solve: {solution:?}");
-    let mut stats = solution.stats;
-    let mut solves = 1;
-    // Progressively tighter global cuts, each re-minimized warm.
-    for _ in 0..3 {
-        let total: f64 = vars.iter().map(|&v| solution.value(v)).sum();
-        let row: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-        session.add_constraint(&row, Cmp::Le, total * 0.85);
-        solution = session.minimize(&objective);
-        assert!(solution.is_optimal(), "cut re-solve must stay optimal");
-        stats = stats.merge(&solution.stats);
-        solves += 1;
-    }
-    Row {
-        family: "boxed-lp",
-        n,
-        mode: "warm",
-        escalated: false,
-        analysis_ms: started.elapsed().as_secs_f64() * 1e3,
-        lp_variables: m,
-        lp_constraints: lp.num_constraints(),
-        lp_solves: solves,
-        stats,
-        plan_reused_columns: 0,
-        escalation_dual_pivots: 0,
-        mean_upper: 0.0,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = "BENCH_chains.json".to_string();
@@ -230,19 +169,6 @@ fn main() {
                 }
             }
         }
-        // The boxed-LP warm family (LP-level, no analysis pipeline): one row
-        // at this size.
-        let row = measure_boxed(n);
-        eprintln!(
-            "boxed-lp/{n} warm: {:.1} ms ({} iters, {} dual pivots, {} bound flips, {} compactions, peak eta {})",
-            row.analysis_ms,
-            row.stats.iterations,
-            row.stats.dual_pivots,
-            row.stats.bound_flips,
-            row.stats.eta_compactions,
-            row.stats.eta_len,
-        );
-        rows.push(row);
     }
 
     // Rows go through the shared report JSON writer so this encoder cannot

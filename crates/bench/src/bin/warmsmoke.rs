@@ -19,9 +19,9 @@ use central_moment_analysis::{Analysis, SolveMode};
 use cma_bench::chain_stand_in;
 
 /// Dual pivots allowed for a single cutting row on the chain system.
-/// Tightened from 32 to 8: the long-step bound-flipping ratio test plus
-/// weighted (devex) leaving-row pricing repair a single cut in a handful of
-/// pivots where the old most-negative/Harris combination wandered.
+/// Tightened from 32 to 8: weighted (devex) leaving-row pricing repairs a
+/// single cut in a handful of pivots where the old most-negative/Harris
+/// combination wandered.
 const CUTTING_ROW_DUAL_BUDGET: usize = 8;
 
 fn main() {

@@ -1,12 +1,15 @@
 //! The LP constraint builder.
 //!
-//! Collects the linear constraints emitted by the derivation rules (§3.4),
-//! the objective that rewards tight bounds, and mild regularization bounds on
-//! template coefficients that keep the LP bounded.  Rows are emitted sparsely
-//! into a shared [`ConstraintStore`], which the engine either snapshots into
-//! one [`cma_lp::LpProblem`] per group (batch solving) or flushes
-//! incrementally into an open [`cma_lp::LpSession`] (degree escalation
-//! extends the live system this way instead of re-deriving it).
+//! Collects the linear constraints emitted by the derivation rules (§3.4)
+//! and the objective that rewards tight bounds.  Inference LPs are `=`
+//! systems: template coefficients are free columns, certificate
+//! multipliers non-negative ones, and every rule matches coefficients
+//! ([`constrain_zero_coef`](ConstraintBuilder::constrain_zero_coef)), so
+//! no column has an upper bound.  Rows are emitted sparsely into a shared
+//! [`ConstraintStore`], which the engine either snapshots into one
+//! [`cma_lp::LpProblem`] per group (batch solving) or flushes incrementally
+//! into an open [`cma_lp::LpSession`] (degree escalation extends the live
+//! system this way instead of re-deriving it).
 //!
 //! Columns are anonymous: a template coefficient or a certificate
 //! multiplier is its [`LpVarId`] and nothing else, so minting one builds
@@ -135,20 +138,6 @@ impl ConstraintBuilder {
             .add_constraint(terms, Cmp::Eq, -coef.constant_part());
     }
 
-    /// Emits the constraint `coef ≥ 0`.
-    pub fn constrain_nonneg_coef(&mut self, coef: &LinCoef) {
-        let terms: Vec<(LpVarId, f64)> = coef.terms().collect();
-        if terms.is_empty() {
-            if coef.constant_part() < -1e-9 {
-                let dummy = self.fresh_multiplier();
-                self.store.add_constraint(vec![(dummy, 0.0)], Cmp::Eq, 1.0);
-            }
-            return;
-        }
-        self.store
-            .add_constraint(terms, Cmp::Ge, -coef.constant_part());
-    }
-
     /// Emits `poly = 0` coefficient-wise (one equality per monomial).
     pub fn constrain_zero_poly(&mut self, poly: &TemplatePoly) {
         for (_, coef) in poly.terms() {
@@ -243,7 +232,8 @@ mod tests {
         let p = b.fresh_poly(std::slice::from_ref(&x), 1);
         let five = LinCoef::constant(5.0);
         let diff = p.coefficient(&Monomial::unit()).sub(&five);
-        b.constrain_nonneg_coef(&diff);
+        b.store_mut()
+            .add_constraint(diff.terms().collect(), Cmp::Ge, -diff.constant_part());
         // Also force the x coefficient to be exactly 2.
         b.constrain_zero_coef(
             &p.coefficient(&Monomial::var(x.clone()))
@@ -264,16 +254,5 @@ mod tests {
         b.constrain_zero_coef(&LinCoef::constant(1.0));
         let sol = b.solve();
         assert!(!sol.is_optimal());
-    }
-
-    #[test]
-    fn impossible_nonneg_constant_is_infeasible() {
-        let mut b = ConstraintBuilder::new();
-        b.constrain_nonneg_coef(&LinCoef::constant(-2.0));
-        assert!(!b.solve().is_optimal());
-        // A nonnegative constant is fine and adds nothing.
-        let mut ok = ConstraintBuilder::new();
-        ok.constrain_nonneg_coef(&LinCoef::constant(2.0));
-        assert_eq!(ok.num_constraints(), 0);
     }
 }

@@ -219,10 +219,10 @@ pub trait LpBackend: Sync {
     }
 }
 
-/// The built-in LP solver: a bounded revised simplex over sparse columns
-/// with a Markowitz LU basis factorization (Forrest–Tomlin updates,
+/// The built-in LP solver: a revised simplex over sparse non-negative
+/// columns with a Markowitz LU basis factorization (Forrest–Tomlin updates,
 /// hyper-sparse solves), devex pricing, and dual-simplex warm re-solves
-/// with the bound-flipping ratio test (see `crates/lp/src/core.rs`).
+/// with devex row weights (see `crates/lp/src/core.rs`).
 ///
 /// Sessions keep their state live: re-minimizing with a new objective
 /// restarts phase 2 from the previous optimal basis, incrementally added

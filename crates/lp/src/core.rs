@@ -1,6 +1,6 @@
 //! The simplex core behind [`SimplexBackend`](crate::SimplexBackend).
 //!
-//! [`SimplexCore`] is a bounded revised simplex over sparse columns
+//! [`SimplexCore`] is a revised simplex over sparse non-negative columns
 //! ([`ColumnStore`]) with a Markowitz LU basis factorization
 //! ([`LuFactor`](crate::factor)).  It is stateful and implements the full
 //! [`LpSession`] contract:
@@ -21,18 +21,23 @@
 //! Bland's rule as the size-scaled last resort, periodic refactorization
 //! from the pristine columns, and fresh-refactorized confirmation before
 //! optimality or unboundedness is declared.  The dual-simplex driver gets
-//! the same treatment: devex row weights, the bound-flipping ratio test
+//! the same treatment: devex row weights, a least-ratio entering scan
 //! with stability-first tie-breaking, a Bland-style fallback, and a hard
 //! cap after which the solve falls back to a cold phase-1 start rather than
 //! risk a wrong verdict.
 //!
+//! No column has an upper bound: the analyzer's inference LPs are `=`
+//! systems over free template coefficients and non-negative multipliers,
+//! and its entailment LPs are `≥` systems over free variables, which the
+//! core splits into two non-negative columns each.
+//!
 //! The primal loop keeps its pricing state across pivots: each candidate
-//! column's reduced cost `c_j − A_j·y` and its bound-adjusted price.  Both
-//! are recomputed in full wherever `y` is recomputed from scratch, and
-//! after a pivot only for the columns next to the support of a hyper-sparse
-//! pivot row — every other column reads the same `y` bits, so its cached
-//! value equals a fresh dot bit for bit.  The pivot sequence is therefore
-//! the one a full scan per pivot would take.
+//! column's reduced cost `c_j − A_j·y`.  It is recomputed in full wherever
+//! `y` is recomputed from scratch, and after a pivot only for the columns
+//! next to the support of a hyper-sparse pivot row — every other column
+//! reads the same `y` bits, so its cached value equals a fresh dot bit for
+//! bit.  The pivot sequence is therefore the one a full scan per pivot
+//! would take.
 
 // Simplex kernels index several parallel vectors (directions, basic values)
 // at once; indexed loops are the clearest form here.
@@ -137,20 +142,6 @@ pub(crate) struct SimplexCore {
     /// Standard-form constraint columns.
     cols: ColumnStore,
     kind: Vec<ColKind>,
-    /// Per-column upper bound (`f64::INFINITY` unless a singleton `≤` row
-    /// was absorbed at initial load; every column's lower bound is 0).
-    up: Vec<f64>,
-    /// Nonbasic-at-upper flags; a set flag always implies the column is
-    /// nonbasic, and contributes `up[j]·A_j` to the effective right-hand
-    /// side.
-    at_upper: Vec<bool>,
-    /// Singleton `≤` rows folded into `up` at initial load — they occupy no
-    /// constraint row but still count toward `num_constraints`.
-    absorbed_rows: usize,
-    /// Absorb eligible singleton rows into column bounds (true only while
-    /// `open_with` loads the initial rows; incremental rows stay rows so the
-    /// warm-extension bookkeeping never changes shape).
-    absorb_bounds: bool,
     /// Right-hand sides, sign-normalized at row entry so the initial basic
     /// value of every row is non-negative.
     b: Vec<f64>,
@@ -174,8 +165,6 @@ pub(crate) struct SimplexCore {
     /// the warm basis is dual feasible for, which is what the dual-simplex
     /// restoration prices with.
     last_costs: Option<Vec<f64>>,
-    /// Lifetime pivot counter (diagnostics only).
-    pivots: usize,
     /// Pivots applied since the factorization was last rebuilt from pristine
     /// columns.  Gates the periodic refreshes.
     stale_pivots: usize,
@@ -201,7 +190,7 @@ pub(crate) struct SimplexCore {
     /// loop writes into these buffers, so pivots allocate nothing.
     ws: KernelWs,
     /// Reusable staging buffer for sparse right-hand sides (column entries,
-    /// basic costs, bound-flip batches).
+    /// basic costs).
     rhs_buf: Vec<(usize, f64)>,
     /// Devex α-scatter workspace: accumulated pivot-row entries by column
     /// (all-zero outside `alpha_touched` between pivots).
@@ -211,12 +200,9 @@ pub(crate) struct SimplexCore {
     /// Whether a column is in `alpha_touched` (all-false outside it
     /// between pivots).
     alpha_seen: Vec<bool>,
-    /// `c_j − A_j·y` of every pricing candidate under the primal loop's
-    /// current dual prices (stale for every other column).
-    rc: Vec<f64>,
-    /// Bound-adjusted reduced costs, the pricer's input: `rc[j]`, or
-    /// `−rc[j]` for an at-upper column, for every pricing candidate, and
-    /// `0.0` for every other column.
+    /// The pricer's input: `c_j − A_j·y` of every pricing candidate under
+    /// the primal loop's current dual prices, and `0.0` for every other
+    /// column.
     price: Vec<f64>,
     /// Sorted, deduplicated copy of the pivot row's support (scratch).
     alpha_rows: Vec<usize>,
@@ -236,10 +222,6 @@ impl SimplexCore {
             var_cols: Vec::new(),
             cols: ColumnStore::default(),
             kind: Vec::new(),
-            up: Vec::new(),
-            at_upper: Vec::new(),
-            absorbed_rows: 0,
-            absorb_bounds: true,
             b: Vec::new(),
             init_basis: Vec::new(),
             basis: Vec::new(),
@@ -249,7 +231,6 @@ impl SimplexCore {
             xb: Vec::new(),
             warm: false,
             last_costs: None,
-            pivots: 0,
             stale_pivots: 0,
             stats: SolveStats::default(),
             xb_shifted: false,
@@ -261,7 +242,6 @@ impl SimplexCore {
             alpha_scratch: Vec::new(),
             alpha_touched: Vec::new(),
             alpha_seen: Vec::new(),
-            rc: Vec::new(),
             price: Vec::new(),
             alpha_rows: Vec::new(),
             ws_base: (0, 0, 0, 0),
@@ -275,7 +255,6 @@ impl SimplexCore {
             let terms: Vec<(LpVarId, f64)> = problem.constraint_terms(i).collect();
             core.append_row(&terms, problem.cmp(i), problem.rhs(i));
         }
-        core.absorb_bounds = false;
         core
     }
 
@@ -297,8 +276,6 @@ impl SimplexCore {
         let j = self.cols.push_col();
         self.kind.push(kind);
         self.is_basic.push(false);
-        self.up.push(f64::INFINITY);
-        self.at_upper.push(false);
         j
     }
 
@@ -333,22 +310,6 @@ impl SimplexCore {
                 Cmp::Ge => Cmp::Le,
                 Cmp::Eq => Cmp::Eq,
             };
-        }
-        // A singleton `a·x ≤ rhs` row with `a > 0` at initial load is a plain
-        // upper bound: fold it into `up` instead of spending a constraint
-        // row, a slack column, and ratio-test work on it.  (Free variables
-        // split into two columns and never qualify; incremental rows stay
-        // rows so warm extension keeps its shape.)
-        if self.absorb_bounds && cmp == Cmp::Le && entries.len() == 1 {
-            let (&col, &a) = entries.iter().next().expect("len checked");
-            if a > EPS && self.kind[col] == ColKind::Structural {
-                let bound = rhs / a;
-                if bound < self.up[col] {
-                    self.up[col] = bound;
-                }
-                self.absorbed_rows += 1;
-                return;
-            }
         }
         let row = self.b.len();
         for (&col, &val) in &entries {
@@ -395,16 +356,13 @@ impl SimplexCore {
         init_col: usize,
         rhs: f64,
     ) {
-        // Current point, per column: basic values, nonbasic-at-upper columns
-        // at their bound, everything else zero.
+        // Current point, per column: basic values, every nonbasic zero.
         let lhs: f64 = entries
             .iter()
             .map(|(&col, &a)| {
                 if self.is_basic[col] {
                     let k = self.basis.iter().position(|&c| c == col).expect("basic");
                     a * self.xb[k]
-                } else if self.at_upper[col] {
-                    a * self.up[col]
                 } else {
                     0.0
                 }
@@ -438,9 +396,6 @@ impl SimplexCore {
         let m = self.b.len();
         self.basis = self.init_basis.clone();
         for flag in self.is_basic.iter_mut() {
-            *flag = false;
-        }
-        for flag in self.at_upper.iter_mut() {
             *flag = false;
         }
         for &col in &self.basis {
@@ -485,31 +440,25 @@ impl SimplexCore {
         col_costs[j] - self.cols.dot(j, y)
     }
 
-    /// Whether column `j` may enter the basis in the primal loop: nonbasic,
-    /// not a banned artificial, and not fixed (a zero-width column never
-    /// enters).
+    /// Whether column `j` may enter the basis in the primal loop: nonbasic
+    /// and not a banned artificial.
     fn is_candidate(&self, j: usize, ban_artificials: bool) -> bool {
-        !(self.is_basic[j]
-            || ban_artificials && self.kind[j] == ColKind::Artificial
-            || self.up[j] <= EPS)
+        !(self.is_basic[j] || ban_artificials && self.kind[j] == ColKind::Artificial)
     }
 
-    /// Brings column `j`'s entries of `rc` and `price` up to date with
-    /// `y` and the column's current status.
+    /// Brings column `j`'s entry of `price` up to date with `y` and the
+    /// column's current status.
     fn reprice(&mut self, j: usize, col_costs: &[f64], ban_artificials: bool, y: &[f64]) {
-        if self.is_candidate(j, ban_artificials) {
-            let rc = self.reduced_cost(j, col_costs, y);
-            self.rc[j] = rc;
-            self.price[j] = if self.at_upper[j] { -rc } else { rc };
+        self.price[j] = if self.is_candidate(j, ban_artificials) {
+            self.reduced_cost(j, col_costs, y)
         } else {
-            self.price[j] = 0.0;
-        }
+            0.0
+        };
     }
 
     /// Reprices every column (see [`reprice`](Self::reprice)).
     fn reprice_all(&mut self, col_costs: &[f64], ban_artificials: bool, y: &[f64]) {
         let n = self.cols.num_cols();
-        self.rc.resize(n, 0.0);
         self.price.resize(n, 0.0);
         for j in 0..n {
             self.reprice(j, col_costs, ban_artificials, y);
@@ -560,33 +509,21 @@ impl SimplexCore {
         self.ws.copy_sol_into(out);
     }
 
-    /// Performs the basis change bookkeeping and the factorization update.
-    ///
-    /// `enter_from` is the entering column's current (nonbasic) value — 0 or
-    /// its upper bound — and `delta` the signed change of that value, so the
-    /// entering basic value is `enter_from + delta`.  `leave_at_upper`
-    /// records which bound the leaving column exits at.
-    fn pivot_bounded(
-        &mut self,
-        p: usize,
-        entering: usize,
-        d: &[f64],
-        enter_from: f64,
-        delta: f64,
-        leave_at_upper: bool,
-    ) {
+    /// Performs the basis change bookkeeping and the factorization update:
+    /// the entering column moves from its nonbasic value 0 by `delta`, and
+    /// the leaving column exits at 0.
+    fn pivot(&mut self, p: usize, entering: usize, d: &[f64], delta: f64) {
         let m = self.basis.len();
         for i in 0..m {
             if i != p {
                 self.xb[i] -= delta * d[i];
             }
         }
-        self.xb[p] = enter_from + delta;
+        // `0.0 + delta`, not `delta`: a −0.0 step enters at +0.0.
+        self.xb[p] = 0.0 + delta;
         let leaving = self.basis[p];
         self.is_basic[leaving] = false;
-        self.at_upper[leaving] = leave_at_upper;
         self.is_basic[entering] = true;
-        self.at_upper[entering] = false;
         self.basis[p] = entering;
         if self.factor.update(p, d).is_ok() {
             self.stats.etas += 1;
@@ -596,7 +533,6 @@ impl SimplexCore {
             // before the next pivots.
             self.factor_stale = true;
         }
-        self.pivots += 1;
         self.stale_pivots = self.stale_pivots.saturating_add(1);
     }
 
@@ -614,25 +550,9 @@ impl SimplexCore {
         self.xb_shifted = true;
     }
 
-    /// The right-hand side with every nonbasic-at-upper column's
-    /// contribution subtracted: `b_eff = b − Σ up_j·A_j` over set
-    /// `at_upper` flags.
-    fn effective_b(&self) -> Vec<f64> {
-        let mut beff = self.b.clone();
-        for (j, &at_up) in self.at_upper.iter().enumerate() {
-            if at_up {
-                let u = self.up[j];
-                for &(r, a) in self.cols.col(j) {
-                    beff[r] -= u * a;
-                }
-            }
-        }
-        beff
-    }
-
     /// Rebuilds the factorization from the pristine basis columns and
-    /// recomputes `x_B = B⁻¹ b_eff`; returns `false` on a numerically
-    /// singular basis, leaving the state untouched.
+    /// recomputes `x_B = B⁻¹ b`; returns `false` on a numerically singular
+    /// basis, leaving the state untouched.
     fn refactorize(&mut self) -> bool {
         let m = self.basis.len();
         let t = Instant::now();
@@ -641,8 +561,7 @@ impl SimplexCore {
         if !nonsingular {
             return false;
         }
-        let beff = self.effective_b();
-        self.ws.load_dense(&beff);
+        self.ws.load_dense(&self.b);
         let t = Instant::now();
         self.factor.ftran_ws(&mut self.ws);
         self.stats.ftran_ns += t.elapsed().as_nanos() as u64;
@@ -719,10 +638,6 @@ impl SimplexCore {
                 self.shift_degenerate_basics(shift_rounds);
                 degen_streak = 0;
             }
-            // The entering column by *bound-adjusted* reduced cost: an
-            // at-lower column improves when its reduced cost is negative, an
-            // at-upper column when it is positive — `price` holds the negated
-            // value for the latter, so "most negative wins" covers both.
             let t_price = Instant::now();
             let mut entering = self.pick(&mut pricer, bland);
             self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
@@ -746,45 +661,15 @@ impl SimplexCore {
                 }
             }
             let entering = entering.expect("checked above");
-            // Direction of motion: an at-upper entering column *decreases*
-            // toward its lower bound, so every basic response flips sign.
-            let dir = if self.at_upper[entering] { -1.0 } else { 1.0 };
 
             self.direction_into(entering, &mut d);
             let t_ratio = Instant::now();
             let leaving = if bland {
-                self.ratio_test(&d, dir, ban_artificials)
+                self.ratio_test(&d, ban_artificials)
             } else {
-                self.harris_ratio_test(&d, dir, ban_artificials)
+                self.harris_ratio_test(&d, ban_artificials)
             };
             self.stats.ratio_ns += t_ratio.elapsed().as_nanos() as u64;
-            // Exact step to the blocking row, if any.
-            let theta_row = leaving.map(|p| {
-                self.blocking_value(p, dir * d[p])
-                    / self.blocking_rate(p, dir * d[p], ban_artificials)
-            });
-            let uq = self.up[entering];
-            if uq.is_finite() && theta_row.is_none_or(|t| uq <= t + EPS) {
-                // The entering column's own bound blocks first: a bound
-                // flip — the point moves, the basis doesn't.
-                let m = self.basis.len();
-                for i in 0..m {
-                    self.xb[i] -= uq * dir * d[i];
-                }
-                self.at_upper[entering] = !self.at_upper[entering];
-                // Its price changes sign with the bound it sits at.
-                self.reprice(entering, col_costs, ban_artificials, &y);
-                self.stats.bound_flips += 1;
-                if uq > FEAS_EPS {
-                    degen_streak = 0;
-                }
-                #[cfg(test)]
-                {
-                    self.audit.bound_flips += 1;
-                    self.audit_prices(col_costs, ban_artificials, &y);
-                }
-                continue;
-            }
             let Some(p) = leaving else {
                 // Apparent unboundedness: refactorize and re-confirm before
                 // reporting, so drift (or a live shift) cannot cause a false
@@ -802,13 +687,14 @@ impl SimplexCore {
                 self.direction_into(entering, &mut d);
                 if d.iter()
                     .enumerate()
-                    .any(|(i, &di)| self.blocking_rate(i, dir * di, ban_artificials) > PIVOT_EPS)
+                    .any(|(i, &di)| self.blocking_rate(i, di, ban_artificials) > PIVOT_EPS)
                 {
                     continue;
                 }
                 return Err(LpStatus::Unbounded);
             };
-            let theta = theta_row.expect("leaving row implies a ratio");
+            // Exact step to the blocking row.
+            let theta = self.blocking_value(p, d[p]) / self.blocking_rate(p, d[p], ban_artificials);
             if theta.abs() <= FEAS_EPS {
                 degen_streak += 1;
             } else {
@@ -880,10 +766,7 @@ impl SimplexCore {
                     }
                 }
                 let cols = &self.cols;
-                let is_basic = &self.is_basic;
-                let kind = &self.kind;
-                let candidate =
-                    |j: usize| !(is_basic[j] || ban_artificials && kind[j] == ColKind::Artificial);
+                let candidate = |j: usize| self.is_candidate(j, ban_artificials);
                 let scratch_ref = &scratch;
                 let alpha = |j: usize| {
                     if scattered {
@@ -920,13 +803,8 @@ impl SimplexCore {
                 self.alpha_seen = seen;
                 self.alpha_rows = support;
             }
-            // The leaving basic exits at whichever bound blocked: its upper
-            // when it was *rising* (finite bounds only — the [0,0]
-            // artificial guard and plain lower blocks both exit at 0).
             let leaving = self.basis[p];
-            let leave_at_upper = dir * dp < 0.0 && self.up[leaving].is_finite();
-            let enter_from = if dir < 0.0 { uq } else { 0.0 };
-            self.pivot_bounded(p, entering, &d, enter_from, dir * theta, leave_at_upper);
+            self.pivot(p, entering, &d, theta);
             // The entering column left the candidates; the leaving column
             // joins them with a reduced cost under the moved `y`.
             let t_price = Instant::now();
@@ -946,33 +824,27 @@ impl SimplexCore {
     }
 
     /// The rate at which row `i`'s basic value approaches its blocking bound
-    /// as the entering variable moves (`ei` is the *signed* basic response
-    /// `dir·d_i`), or 0 when the row does not block.
+    /// as the entering variable rises (`di` is the basic response), or 0
+    /// when the row does not block.
     ///
-    /// Ordinary rows block when `ei > 0` (the basic value falls toward 0),
-    /// and when `ei < 0` with a finite upper bound (the value rises toward
-    /// it).  A row whose basic variable is a *zero-valued artificial* also
-    /// blocks when `ei < 0`: the artificial would re-grow above zero,
-    /// silently abandoning the (equality) row it stands for — it must leave
-    /// the basis in a degenerate pivot instead.
+    /// Ordinary rows block when `di > 0` (the basic value falls toward 0).
+    /// A row whose basic variable is a *zero-valued artificial* also blocks
+    /// when `di < 0`: the artificial would re-grow above zero, silently
+    /// abandoning the (equality) row it stands for — it must leave the basis
+    /// in a degenerate pivot instead.
     /// `guard_artificials` is set in phase 2 only: there a leaving artificial
     /// can never re-enter (artificials are banned from pricing), so each
     /// guard pivot permanently retires one.  In phase 1 artificials are
     /// ordinary objective variables and the guard would two-cycle them.
-    fn blocking_rate(&self, i: usize, ei: f64, guard_artificials: bool) -> f64 {
-        if ei > PIVOT_EPS {
-            ei
-        } else if ei < -PIVOT_EPS {
-            let col = self.basis[i];
-            if self.up[col].is_finite()
-                || guard_artificials
-                    && self.kind[col] == ColKind::Artificial
-                    && self.xb[i] <= FEAS_EPS
-            {
-                -ei
-            } else {
-                0.0
-            }
+    fn blocking_rate(&self, i: usize, di: f64, guard_artificials: bool) -> f64 {
+        if di > PIVOT_EPS {
+            di
+        } else if di < -PIVOT_EPS
+            && guard_artificials
+            && self.kind[self.basis[i]] == ColKind::Artificial
+            && self.xb[i] <= FEAS_EPS
+        {
+            -di
         } else {
             0.0
         }
@@ -980,32 +852,25 @@ impl SimplexCore {
 
     /// Distance of row `i`'s basic value to the bound it blocks at
     /// (companion of [`blocking_rate`](Self::blocking_rate)).
-    fn blocking_value(&self, i: usize, ei: f64) -> f64 {
-        if ei > PIVOT_EPS {
+    fn blocking_value(&self, i: usize, di: f64) -> f64 {
+        if di > PIVOT_EPS {
             self.xb[i]
         } else {
-            let col = self.basis[i];
-            if self.up[col].is_finite() {
-                self.up[col] - self.xb[i]
-            } else {
-                // The [0, 0] artificial guard: distance to its upper bound 0.
-                -self.xb[i]
-            }
+            // The [0, 0] artificial guard: distance to its upper bound 0.
+            -self.xb[i]
         }
     }
 
     /// The classic exact ratio test with smallest-basis-index tie-breaking —
     /// the form Bland's anti-cycling guarantee requires, used only in the
-    /// last-resort Bland regime.  `dir` is the entering column's direction
-    /// of motion (−1 when it decreases from its upper bound).
-    fn ratio_test(&self, d: &[f64], dir: f64, guard_artificials: bool) -> Option<usize> {
+    /// last-resort Bland regime.
+    fn ratio_test(&self, d: &[f64], guard_artificials: bool) -> Option<usize> {
         let mut leaving: Option<usize> = None;
         let mut best_ratio = f64::INFINITY;
         for (i, &di) in d.iter().enumerate() {
-            let ei = dir * di;
-            let rate = self.blocking_rate(i, ei, guard_artificials);
+            let rate = self.blocking_rate(i, di, guard_artificials);
             if rate > PIVOT_EPS {
-                let ratio = self.blocking_value(i, ei) / rate;
+                let ratio = self.blocking_value(i, di) / rate;
                 if ratio < best_ratio - EPS
                     || (ratio < best_ratio + EPS
                         && leaving.is_some_and(|l| self.basis[i] < self.basis[l]))
@@ -1022,13 +887,12 @@ impl SimplexCore {
     /// to find the loosest admissible step, pass 2 picks the numerically
     /// largest pivot among rows whose exact ratio stays within it —
     /// degenerate corners get stable pivots instead of tiny cycling ones.
-    fn harris_ratio_test(&self, d: &[f64], dir: f64, guard_artificials: bool) -> Option<usize> {
+    fn harris_ratio_test(&self, d: &[f64], guard_artificials: bool) -> Option<usize> {
         let mut theta_relaxed = f64::INFINITY;
         for (i, &di) in d.iter().enumerate() {
-            let ei = dir * di;
-            let rate = self.blocking_rate(i, ei, guard_artificials);
+            let rate = self.blocking_rate(i, di, guard_artificials);
             if rate > PIVOT_EPS {
-                let relaxed = (self.blocking_value(i, ei) + crate::pricing::HARRIS_RELAX) / rate;
+                let relaxed = (self.blocking_value(i, di) + crate::pricing::HARRIS_RELAX) / rate;
                 if relaxed < theta_relaxed {
                     theta_relaxed = relaxed;
                 }
@@ -1040,9 +904,8 @@ impl SimplexCore {
         let mut leaving: Option<usize> = None;
         let mut best_pivot = 0.0;
         for (i, &di) in d.iter().enumerate() {
-            let ei = dir * di;
-            let rate = self.blocking_rate(i, ei, guard_artificials);
-            if rate > PIVOT_EPS && self.blocking_value(i, ei) / rate <= theta_relaxed {
+            let rate = self.blocking_rate(i, di, guard_artificials);
+            if rate > PIVOT_EPS && self.blocking_value(i, di) / rate <= theta_relaxed {
                 let better = rate > best_pivot
                     || (rate == best_pivot
                         && leaving.is_some_and(|l| self.basis[i] < self.basis[l]));
@@ -1108,11 +971,9 @@ impl SimplexCore {
             if let Some(j) = candidate {
                 self.direction_into(j, &mut d);
                 // The artificial leaves exactly at 0, so the point barely
-                // moves; an at-upper entering column simply becomes basic at
-                // (about) its bound.
-                let enter_from = if self.at_upper[j] { self.up[j] } else { 0.0 };
+                // moves.
                 let delta = self.xb[p] / d[p];
-                self.pivot_bounded(p, j, &d, enter_from, delta, false);
+                self.pivot(p, j, &d, delta);
                 if self.factor_stale {
                     self.refactorize();
                 }
@@ -1131,11 +992,10 @@ impl SimplexCore {
     ///
     /// The leaving row is priced by `viol²/γ` with devex reference weights
     /// `γ` — on the totally degenerate systems the analysis produces, naive
-    /// row choice repairs the same rows hundreds of times over.  The ratio
-    /// test is the **bound-flipping** (long-step) variant: finite-width
-    /// nonbasic columns whose reduced cost would change sign before the
-    /// chosen breakpoint are flipped to their other bound in one batch
-    /// instead of each costing a full pivot.
+    /// row choice repairs the same rows hundreds of times over.  The
+    /// entering column has the least ratio `rc_j/|α_j|` among the eligible
+    /// columns; exact ties go to the larger `|α|` (the Harris stability
+    /// rule), then to the first column.
     fn dual_restore(&mut self, max_iters: usize) -> DualOutcome {
         let Some(costs) = self.last_costs.clone() else {
             return DualOutcome::GaveUp;
@@ -1148,19 +1008,13 @@ impl SimplexCore {
         self.dual_prices_into(&costs, &mut y);
 
         // The warm basis must actually be dual feasible for the old costs —
-        // at-lower columns need rc ≥ 0, at-upper columns rc ≤ 0; drift
-        // beyond tolerance sends the solve down the cold path.
+        // every nonbasic column needs rc ≥ 0; drift beyond tolerance sends
+        // the solve down the cold path.
         for j in 0..n_cols {
             if self.is_basic[j] || self.kind[j] == ColKind::Artificial {
                 continue;
             }
-            let rc = self.reduced_cost(j, &costs, &y);
-            let drifted = if self.at_upper[j] {
-                rc > DUAL_FEAS_EPS
-            } else {
-                rc < -DUAL_FEAS_EPS
-            };
-            if drifted {
+            if self.reduced_cost(j, &costs, &y) < -DUAL_FEAS_EPS {
                 return DualOutcome::GaveUp;
             }
         }
@@ -1174,157 +1028,76 @@ impl SimplexCore {
         // written in place by the workspace kernels each pivot.
         let mut rho: Vec<f64> = Vec::new();
         let mut d: Vec<f64> = Vec::new();
-        let mut bps: Vec<(f64, usize, f64)> = Vec::new(); // (ratio, j, |α|)
-        let mut flips: Vec<usize> = Vec::new();
 
         for iter in 0..max_iters {
             if self.budget_exhausted(iter) {
                 return DualOutcome::Exhausted;
             }
             // Leaving row: maximize viol²/γ over the violated basics.
-            // Ordinary basics violate below 0 or above a finite upper
-            // bound; basic artificials violate at any nonzero value.
+            // Ordinary basics violate below 0; basic artificials at any
+            // nonzero value.
             let t_price = Instant::now();
-            let mut leave: Option<(usize, f64)> = None; // (row, viol)
+            let mut leave: Option<usize> = None;
             let mut best_score = 0.0f64;
             for i in 0..m {
-                let col = self.basis[i];
                 let x = self.xb[i];
-                let up_eff = if self.kind[col] == ColKind::Artificial {
-                    0.0
+                let viol = if self.kind[self.basis[i]] == ColKind::Artificial {
+                    x.abs()
                 } else {
-                    self.up[col]
+                    -x
                 };
-                let mut viol = -x;
-                if up_eff.is_finite() && x - up_eff > viol {
-                    viol = x - up_eff;
-                }
                 if viol > FEAS_EPS {
                     let score = viol * viol / gamma[i];
                     if score > best_score {
                         best_score = score;
-                        leave = Some((i, viol));
+                        leave = Some(i);
                     }
                 }
             }
             self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
-            let Some((p, viol_p)) = leave else {
+            let Some(p) = leave else {
                 return DualOutcome::Restored;
             };
-            // Direction the leaving basic must move: up from below its
-            // lower bound, down from above its upper (artificials: 0).
-            let from_below = self.xb[p] < 0.0;
             self.inverse_row_into(p, &mut rho);
             let bland = iter >= bland_after;
-            // Eligibility: entering at-lower needs `sig·α > 0`, at-upper
-            // the opposite sign (its motion is downward).
-            let sig = if from_below { -1.0 } else { 1.0 };
+            // Eligibility: the entering column rises from 0, so it must move
+            // the leaving basic toward 0 — up from below, down from above
+            // (artificials only).
+            let sig = if self.xb[p] < 0.0 { -1.0 } else { 1.0 };
 
             let t_ratio = Instant::now();
-            bps.clear();
-            flips.clear();
-            let mut bland_pick: Option<usize> = None;
+            let mut entering: Option<usize> = None;
+            let (mut best_ratio, mut best_alpha) = (f64::INFINITY, 0.0);
             for j in 0..n_cols {
-                if self.is_basic[j] || self.kind[j] == ColKind::Artificial || self.up[j] <= EPS {
+                if self.is_basic[j] || self.kind[j] == ColKind::Artificial {
                     continue;
                 }
                 let alpha = self.cols.dot(j, &rho);
-                let eligible = if self.at_upper[j] {
-                    sig * alpha < -PIVOT_EPS
-                } else {
-                    sig * alpha > PIVOT_EPS
-                };
+                let eligible = sig * alpha > PIVOT_EPS;
                 if !eligible {
                     continue;
                 }
                 if bland {
                     // Bland regime: first eligible column, cycling-proof.
-                    bland_pick = Some(j);
+                    entering = Some(j);
                     break;
                 }
-                let rc = self.reduced_cost(j, &costs, &y);
-                let rc_eff = if self.at_upper[j] { -rc } else { rc }.max(0.0);
-                bps.push((rc_eff / alpha.abs(), j, alpha.abs()));
+                let ratio = self.reduced_cost(j, &costs, &y).max(0.0) / alpha.abs();
+                if entering.is_none()
+                    || ratio < best_ratio
+                    || (ratio == best_ratio && alpha.abs() > best_alpha)
+                {
+                    entering = Some(j);
+                    best_ratio = ratio;
+                    best_alpha = alpha.abs();
+                }
             }
-            let selected: Option<usize> = if bland {
-                bland_pick
-            } else if bps.is_empty() {
-                None
-            } else {
-                // Long step: pass breakpoints while the dual objective's
-                // slope (the remaining primal violation) stays positive;
-                // every passed finite-width column flips instead of
-                // entering.  The slope bookkeeping guarantees the final
-                // entering step never overshoots the flipped columns.
-                // Ratio ascending; among (near-)equal ratios prefer the
-                // larger |α| (the Harris stability rule), then column order
-                // for determinism.
-                bps.sort_by(|a, b| {
-                    a.0.partial_cmp(&b.0)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
-                        .then(a.1.cmp(&b.1))
-                });
-                let mut slope = viol_p;
-                let mut chosen: Option<usize> = None;
-                for &(_, j, aabs) in &bps {
-                    let width = self.up[j];
-                    if !width.is_finite() || slope - width * aabs <= EPS {
-                        chosen = Some(j);
-                        break;
-                    }
-                    slope -= width * aabs;
-                    flips.push(j);
-                }
-                // Every breakpoint passed with slope still positive: the
-                // dual is unbounded, the primal infeasible (nothing was
-                // committed — discard the staged flips).
-                if chosen.is_none() {
-                    flips.clear();
-                }
-                chosen
-            };
             self.stats.ratio_ns += t_ratio.elapsed().as_nanos() as u64;
-            let Some(q) = selected else {
+            let Some(q) = entering else {
                 // No column can repair this row: primal infeasible.  The
                 // caller re-confirms with a cold solve before reporting.
                 return DualOutcome::Infeasible;
             };
-
-            if !flips.is_empty() {
-                // Batch the flips' effect on the basic values through one
-                // sparse ftran: x_B += B⁻¹·Σ s_j·up_j·A_j with s = +1 for
-                // upper→lower flips and −1 for lower→upper.  The update
-                // walks the kernel's result pattern when it stayed sparse.
-                let mut entries = std::mem::take(&mut self.rhs_buf);
-                entries.clear();
-                for &j in &flips {
-                    let s = if self.at_upper[j] {
-                        self.up[j]
-                    } else {
-                        -self.up[j]
-                    };
-                    entries.extend(self.cols.col(j).iter().map(|&(r, a)| (r, s * a)));
-                }
-                self.ws.load_sparse(&entries, m);
-                self.rhs_buf = entries;
-                let t = Instant::now();
-                self.factor.ftran_ws(&mut self.ws);
-                self.stats.ftran_ns += t.elapsed().as_nanos() as u64;
-                if self.ws.sparse {
-                    for &r in &self.ws.pattern {
-                        self.xb[r] += self.ws.sol[r];
-                    }
-                } else {
-                    for (x, dx) in self.xb.iter_mut().zip(&self.ws.sol) {
-                        *x += dx;
-                    }
-                }
-                for &j in &flips {
-                    self.at_upper[j] = !self.at_upper[j];
-                }
-                self.stats.bound_flips += flips.len();
-            }
 
             let rc_q = self.reduced_cost(q, &costs, &y);
             self.direction_into(q, &mut d);
@@ -1333,19 +1106,8 @@ impl SimplexCore {
             }
             let dp = d[p];
             // Step the entering value by exactly what lands the leaving
-            // basic on its violated bound.
-            let leaving_col = self.basis[p];
-            let target = if from_below || self.kind[leaving_col] == ColKind::Artificial {
-                0.0
-            } else {
-                self.up[leaving_col]
-            };
-            let delta = (self.xb[p] - target) / dp;
-            let enter_from = if self.at_upper[q] { self.up[q] } else { 0.0 };
-            let leave_at_upper = !from_below
-                && self.kind[leaving_col] != ColKind::Artificial
-                && self.up[leaving_col].is_finite();
-            self.pivot_bounded(p, q, &d, enter_from, delta, leave_at_upper);
+            // basic on 0.
+            self.pivot(p, q, &d, self.xb[p] / dp);
             self.stats.iterations += 1;
             self.stats.dual_pivots += 1;
             self.budget_iters += 1;
@@ -1421,11 +1183,6 @@ impl SimplexCore {
 
     fn extract(&self, objective: &[(LpVarId, f64)], status: LpStatus) -> LpSolution {
         let mut col_values = vec![0.0; self.cols.num_cols()];
-        for (j, &at_up) in self.at_upper.iter().enumerate() {
-            if at_up {
-                col_values[j] = self.up[j];
-            }
-        }
         for (k, &col) in self.basis.iter().enumerate() {
             col_values[col] = self.xb[k];
         }
@@ -1454,16 +1211,15 @@ impl SimplexCore {
         .with_stats(self.snapshot_stats())
     }
 
-    /// Whether any basic value is primal infeasible (negative, above a
-    /// finite upper bound, or nonzero for a basic artificial) — the
-    /// condition the dual-simplex restoration repairs after warm row
-    /// extension.
+    /// Whether any basic value is primal infeasible (negative, or nonzero
+    /// for a basic artificial) — the condition the dual-simplex restoration
+    /// repairs after warm row extension.
     fn has_infeasible_basics(&self) -> bool {
         self.basis.iter().zip(&self.xb).any(|(&col, &x)| {
             if self.kind[col] == ColKind::Artificial {
                 x.abs() > FEAS_EPS
             } else {
-                x < -FEAS_EPS || x - self.up[col] > FEAS_EPS
+                x < -FEAS_EPS
             }
         })
     }
@@ -1547,9 +1303,7 @@ impl LpSession for SimplexCore {
     }
 
     fn num_constraints(&self) -> usize {
-        // Singleton `x <= u` rows absorbed into column bounds still count:
-        // callers see the logical problem, not the tableau layout.
-        self.b.len() + self.absorbed_rows
+        self.b.len()
     }
 
     fn warm_resolves_in_place(&self) -> bool {
@@ -1576,7 +1330,6 @@ mod tests {
         pub(super) hyper_sparse_pivots: usize,
         /// Pivots whose row ρ was dense.
         pub(super) dense_pivots: usize,
-        pub(super) bound_flips: usize,
         pub(super) devex_resets: usize,
         /// Pivots of phase 1 (artificials may enter) and of phase 2.
         pub(super) phase1_pivots: usize,
@@ -1601,31 +1354,27 @@ mod tests {
             self.selections += other.selections;
             self.hyper_sparse_pivots += other.hyper_sparse_pivots;
             self.dense_pivots += other.dense_pivots;
-            self.bound_flips += other.bound_flips;
             self.devex_resets += other.devex_resets;
             self.phase1_pivots += other.phase1_pivots;
             self.phase2_pivots += other.phase2_pivots;
         }
     }
 
-    /// The audit a unit-test build runs after every primal pivot and bound
-    /// flip, and at every selection.
+    /// The audit a unit-test build runs after every primal pivot and at
+    /// every selection.
     impl SimplexCore {
-        /// Every candidate's cached `rc` and `price` equal a fresh
-        /// `c_j − A_j·y` (negated at upper) bit for bit; every other column
-        /// is priced `0.0`.
+        /// Every candidate's cached `price` equals a fresh `c_j − A_j·y` bit
+        /// for bit; every other column is priced `0.0`.
         pub(super) fn audit_prices(&self, col_costs: &[f64], ban_artificials: bool, y: &[f64]) {
             for j in 0..self.cols.num_cols() {
                 if self.is_candidate(j, ban_artificials) {
                     let rc = self.reduced_cost(j, col_costs, y);
-                    let price = if self.at_upper[j] { -rc } else { rc };
                     assert_eq!(
-                        self.rc[j].to_bits(),
+                        self.price[j].to_bits(),
                         rc.to_bits(),
-                        "column {j}: cached rc {} vs fresh {rc}",
-                        self.rc[j]
+                        "column {j}: cached price {} vs fresh {rc}",
+                        self.price[j]
                     );
-                    assert_eq!(self.price[j].to_bits(), price.to_bits(), "column {j}");
                 } else {
                     assert_eq!(self.price[j].to_bits(), 0.0f64.to_bits(), "column {j}");
                 }
@@ -1647,18 +1396,11 @@ mod tests {
             self.audit_prices(col_costs, ban_artificials, y);
             let n = self.cols.num_cols();
             let candidate = |j: usize| self.is_candidate(j, ban_artificials);
-            let adj_rc = |j: usize| {
-                let rc = self.reduced_cost(j, col_costs, y);
-                if self.at_upper[j] {
-                    -rc
-                } else {
-                    rc
-                }
-            };
+            let rc = |j: usize| self.reduced_cost(j, col_costs, y);
             let reference = if bland {
-                (0..n).find(|&j| candidate(j) && adj_rc(j) < -EPS)
+                (0..n).find(|&j| candidate(j) && rc(j) < -EPS)
             } else {
-                pricer.select_by_scan(n, candidate, adj_rc)
+                pricer.select_by_scan(n, candidate, rc)
             };
             assert_eq!(entering, reference, "selection differs from the scan");
             self.audit.selections += 1;
@@ -1675,9 +1417,9 @@ mod tests {
 
     /// A random LP around a known point, so most are feasible: fewer than
     /// 16 rows (the kernels stay dense) or 16 and more (hyper-sparse pivot
-    /// rows), a few free variables, boxed columns (singleton `≤` rows are
-    /// absorbed into column bounds at load), and `=`/`≥` rows that need
-    /// phase 1.  Zero coordinates make many pivots degenerate.
+    /// rows), a few free variables, singleton `≤` rows (plain rows like any
+    /// other), and `=`/`≥` rows that need phase 1.  Zero coordinates make
+    /// many pivots degenerate.
     fn random_lp(rng: &mut TestRng) -> LpProblem {
         let m = if pick(rng, 2) == 0 {
             3 + pick(rng, 12)
@@ -1717,11 +1459,11 @@ mod tests {
         lp
     }
 
-    /// At every primal pivot, bound flip and selection of random LPs the
-    /// cached reduced costs equal fresh dots bit for bit, and the slice scan
-    /// picks exactly what the closure-based scan picks (the audit above
-    /// panics otherwise).  The coverage counters show the runs reached both
-    /// kernel paths of ρ, bound flips, devex resets and both phases.
+    /// At every primal pivot and selection of random LPs the cached reduced
+    /// costs equal fresh dots bit for bit, and the slice scan picks exactly
+    /// what the closure-based scan picks (the audit above panics otherwise).
+    /// The coverage counters show the runs reached both kernel paths of ρ,
+    /// devex resets and both phases.
     #[test]
     fn cached_prices_pick_exactly_what_the_scan_picks() {
         let mut rng = TestRng::deterministic("cached_prices");
@@ -1740,7 +1482,6 @@ mod tests {
             ("selections", seen.selections),
             ("hyper-sparse pivot rows", seen.hyper_sparse_pivots),
             ("dense pivot rows", seen.dense_pivots),
-            ("bound flips", seen.bound_flips),
             ("devex resets", seen.devex_resets),
             ("phase-1 pivots", seen.phase1_pivots),
             ("phase-2 pivots", seen.phase2_pivots),

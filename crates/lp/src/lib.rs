@@ -15,8 +15,8 @@
 //! updates and hyper-sparse solves, devex pricing with the Harris ratio test
 //! and a bounded anti-degeneracy perturbation, Bland's rule as a size-scaled
 //! last resort ([`bland_fallback_threshold`]), a presolve pass at session
-//! open, and a **dual-simplex warm re-solve** (devex row weights, the
-//! bound-flipping ratio test) that repairs a session after incremental rows
+//! open, and a **dual-simplex warm re-solve** (devex row weights, a
+//! least-ratio entering scan) that repairs a session after incremental rows
 //! with a handful of dual pivots instead of a phase-1 restart.  Every solve
 //! reports its effort in [`SolveStats`].
 //!

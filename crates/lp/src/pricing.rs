@@ -225,11 +225,10 @@ impl DevexPricer {
 }
 
 impl DevexPricer {
-    /// Chooses the entering column from the core's bound-adjusted reduced
-    /// costs `price`: the best `p²/w` among columns priced below `-EPS`,
-    /// first index on ties, or `None` when no column improves.
-    /// Non-candidates are priced `0.0`, so the scan needs no candidate test
-    /// of its own.
+    /// Chooses the entering column from the core's reduced costs `price`:
+    /// the best `p²/w` among columns priced below `-EPS`, first index on
+    /// ties, or `None` when no column improves.  Non-candidates are priced
+    /// `0.0`, so the scan needs no candidate test of its own.
     pub(crate) fn select(&mut self, price: &[f64]) -> Option<usize> {
         self.ensure(price.len());
         let mut best = None;

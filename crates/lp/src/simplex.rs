@@ -122,17 +122,13 @@ solve_stats! {
     /// Dual-simplex pivots spent restoring primal feasibility after warm
     /// incremental rows (0 for cold solves).
     dual_pivots: usize, Sum, Path;
-    /// Nonbasic variables moved bound-to-bound without a basis change — by
-    /// the bound-flipping dual ratio test or by a primal entering step that
-    /// hit the entering variable's own upper bound first.
-    bound_flips: usize, Sum, Path;
     /// U entries retired in place by Forrest–Tomlin column replacements —
     /// the growth a product-form eta file would have accumulated instead.
     eta_compactions: usize, Sum, Path;
     /// Peak length of the LU eta file observed during the solve.
     eta_len: usize, Peak, Path;
     /// Nanoseconds spent in forward solves (`B⁻¹·`: directions, basic-value
-    /// recomputation, bound-flip batches).
+    /// recomputation).
     ftran_ns: u64, Sum, Volatile;
     /// Nanoseconds spent in backward solves (`·B⁻¹`: dual prices, pivot
     /// rows).
@@ -141,7 +137,7 @@ solve_stats! {
     /// rows (dual).
     pricing_ns: u64, Sum, Volatile;
     /// Nanoseconds spent in ratio tests (primal Harris/Bland passes and the
-    /// dual entering scan, bound-flip breakpoint walk included).
+    /// dual entering scan).
     ratio_ns: u64, Sum, Volatile;
     /// Nanoseconds spent refactorizing the basis (rebuilding the LU factors
     /// from the pristine columns; the basic-value recomputation that

@@ -568,11 +568,11 @@ impl fmt::Display for AnalysisReport {
         if t.etas > 0 || t.dual_pivots > 0 {
             write!(f, " · {} etas, {} dual pivots", t.etas, t.dual_pivots)?;
         }
-        if t.bound_flips > 0 || t.eta_compactions > 0 {
+        if t.eta_compactions > 0 {
             write!(
                 f,
-                " · {} bound flips, {} eta compactions (peak eta {})",
-                t.bound_flips, t.eta_compactions, t.eta_len
+                " · {} eta compactions (peak eta {})",
+                t.eta_compactions, t.eta_len
             )?;
         }
         if t.hyper_sparse_ftrans > 0 || t.hyper_sparse_btrans > 0 {
