@@ -221,41 +221,62 @@ impl Stmt {
     pub fn span(&self) -> Span {
         self.span
     }
+
+    /// Visits the statement, then every statement nested inside it in
+    /// order — both branches of an `if` or `if prob`, a loop's body, a
+    /// sequence's statements — each before its own children.
+    pub fn walk(&self, visit: &mut impl FnMut(&Stmt)) {
+        visit(self);
+        match &self.kind {
+            StmtKind::If(_, a, b) | StmtKind::IfProb(_, a, b) => {
+                a.walk(visit);
+                b.walk(visit);
+            }
+            StmtKind::While(_, s) => s.walk(visit),
+            StmtKind::Seq(ss) => {
+                for s in ss {
+                    s.walk(visit);
+                }
+            }
+            StmtKind::Skip
+            | StmtKind::Tick(_)
+            | StmtKind::Assign(..)
+            | StmtKind::Sample(..)
+            | StmtKind::Call(_) => {}
+        }
+    }
+
+    /// Checks the statement itself, not its children: a branch probability
+    /// lies in `[0, 1]` and a sampled distribution has valid parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ProgramError`] the statement violates.
+    pub fn validate_local(&self) -> Result<(), ProgramError> {
+        match &self.kind {
+            StmtKind::IfProb(p, _, _) if !(0.0..=1.0).contains(p) => {
+                Err(ProgramError::InvalidProbability(*p))
+            }
+            StmtKind::Sample(_, d) => d.validate().map_err(ProgramError::InvalidDistribution),
+            _ => Ok(()),
+        }
+    }
+
     /// Variables assigned or sampled anywhere inside the statement.
     pub fn modified_vars(&self) -> BTreeSet<Var> {
         let mut set = BTreeSet::new();
-        self.collect_modified(&mut set);
-        set
-    }
-
-    fn collect_modified(&self, set: &mut BTreeSet<Var>) {
-        match &self.kind {
-            StmtKind::Assign(v, _) | StmtKind::Sample(v, _) => {
+        self.walk(&mut |s| {
+            if let StmtKind::Assign(v, _) | StmtKind::Sample(v, _) = &s.kind {
                 set.insert(v.clone());
             }
-            StmtKind::If(_, a, b) | StmtKind::IfProb(_, a, b) => {
-                a.collect_modified(set);
-                b.collect_modified(set);
-            }
-            StmtKind::While(_, s) => s.collect_modified(set),
-            StmtKind::Seq(ss) => {
-                for s in ss {
-                    s.collect_modified(set);
-                }
-            }
-            StmtKind::Skip | StmtKind::Tick(_) | StmtKind::Call(_) => {}
-        }
+        });
+        set
     }
 
     /// All variables mentioned anywhere inside the statement.
     pub fn vars(&self) -> BTreeSet<Var> {
         let mut set = BTreeSet::new();
-        self.collect_vars(&mut set);
-        set
-    }
-
-    fn collect_vars(&self, set: &mut BTreeSet<Var>) {
-        match &self.kind {
+        self.walk(&mut |s| match &s.kind {
             StmtKind::Assign(v, e) => {
                 set.insert(v.clone());
                 set.extend(e.vars());
@@ -263,52 +284,21 @@ impl Stmt {
             StmtKind::Sample(v, _) => {
                 set.insert(v.clone());
             }
-            StmtKind::If(c, a, b) => {
-                set.extend(c.vars());
-                a.collect_vars(set);
-                b.collect_vars(set);
-            }
-            StmtKind::IfProb(_, a, b) => {
-                a.collect_vars(set);
-                b.collect_vars(set);
-            }
-            StmtKind::While(c, s) => {
-                set.extend(c.vars());
-                s.collect_vars(set);
-            }
-            StmtKind::Seq(ss) => {
-                for s in ss {
-                    s.collect_vars(set);
-                }
-            }
-            StmtKind::Skip | StmtKind::Tick(_) | StmtKind::Call(_) => {}
-        }
+            StmtKind::If(c, _, _) | StmtKind::While(c, _) => set.extend(c.vars()),
+            _ => {}
+        });
+        set
     }
 
     /// Names of functions called anywhere inside the statement.
     pub fn called_functions(&self) -> BTreeSet<String> {
         let mut set = BTreeSet::new();
-        self.collect_calls(&mut set);
-        set
-    }
-
-    fn collect_calls(&self, set: &mut BTreeSet<String>) {
-        match &self.kind {
-            StmtKind::Call(f) => {
+        self.walk(&mut |s| {
+            if let StmtKind::Call(f) = &s.kind {
                 set.insert(f.clone());
             }
-            StmtKind::If(_, a, b) | StmtKind::IfProb(_, a, b) => {
-                a.collect_calls(set);
-                b.collect_calls(set);
-            }
-            StmtKind::While(_, s) => s.collect_calls(set),
-            StmtKind::Seq(ss) => {
-                for s in ss {
-                    s.collect_calls(set);
-                }
-            }
-            _ => {}
-        }
+        });
+        set
     }
 
     /// Number of AST nodes — a proxy for "lines of code" used by the
@@ -457,42 +447,24 @@ impl Program {
     }
 
     fn validate(&self) -> Result<(), ProgramError> {
-        let mut bodies: Vec<&Stmt> = self.functions.values().map(Function::body).collect();
-        bodies.push(&self.main);
-        for body in bodies {
-            for f in body.called_functions() {
-                if !self.functions.contains_key(&f) {
-                    return Err(ProgramError::UnknownFunction(f));
-                }
+        let bodies = self.functions.values().map(Function::body);
+        for body in bodies.chain([&self.main]) {
+            if let Some(f) = body
+                .called_functions()
+                .into_iter()
+                .find(|f| !self.functions.contains_key(f))
+            {
+                return Err(ProgramError::UnknownFunction(f));
             }
-            Self::validate_stmt(body)?;
+            let mut first = Ok(());
+            body.walk(&mut |s| {
+                if first.is_ok() {
+                    first = s.validate_local();
+                }
+            });
+            first?;
         }
         Ok(())
-    }
-
-    fn validate_stmt(stmt: &Stmt) -> Result<(), ProgramError> {
-        match stmt.kind() {
-            StmtKind::IfProb(p, a, b) => {
-                if !(0.0..=1.0).contains(p) {
-                    return Err(ProgramError::InvalidProbability(*p));
-                }
-                Self::validate_stmt(a)?;
-                Self::validate_stmt(b)
-            }
-            StmtKind::Sample(_, d) => d.validate().map_err(ProgramError::InvalidDistribution),
-            StmtKind::If(_, a, b) => {
-                Self::validate_stmt(a)?;
-                Self::validate_stmt(b)
-            }
-            StmtKind::While(_, s) => Self::validate_stmt(s),
-            StmtKind::Seq(ss) => {
-                for s in ss {
-                    Self::validate_stmt(s)?;
-                }
-                Ok(())
-            }
-            _ => Ok(()),
-        }
     }
 
     /// The body of the `main` function.
@@ -547,6 +519,100 @@ impl Program {
             graph.insert(name.clone(), f.body().called_functions());
         }
         graph
+    }
+
+    /// Strongly connected components of the call graph in reverse topological
+    /// order (callees before callers).
+    pub fn call_graph_sccs(&self) -> Vec<Vec<String>> {
+        let graph: BTreeMap<String, BTreeSet<String>> = self.call_graph();
+        let nodes: Vec<String> = graph.keys().cloned().collect();
+        let mut state = TarjanState {
+            graph: &graph,
+            index: 0,
+            indices: BTreeMap::new(),
+            lowlink: BTreeMap::new(),
+            on_stack: BTreeSet::new(),
+            stack: Vec::new(),
+            sccs: Vec::new(),
+        };
+        for node in &nodes {
+            if !state.indices.contains_key(node) {
+                state.strong_connect(node);
+            }
+        }
+        // Tarjan emits SCCs in reverse topological order of the condensation
+        // (an SCC is emitted only after all SCCs it can reach), i.e. callees first.
+        state.sccs
+    }
+
+    /// Variables transitively modified by the body of function `f`.
+    pub fn transitively_modified(&self, f: &str) -> BTreeSet<Var> {
+        let mut visited = BTreeSet::new();
+        let mut result = BTreeSet::new();
+        let mut stack = vec![f.to_string()];
+        while let Some(name) = stack.pop() {
+            if !visited.insert(name.clone()) {
+                continue;
+            }
+            if let Some(func) = self.function(&name) {
+                result.extend(func.body().modified_vars());
+                stack.extend(func.body().called_functions());
+            }
+        }
+        result
+    }
+}
+
+struct TarjanState<'a> {
+    graph: &'a BTreeMap<String, BTreeSet<String>>,
+    index: usize,
+    indices: BTreeMap<String, usize>,
+    lowlink: BTreeMap<String, usize>,
+    on_stack: BTreeSet<String>,
+    stack: Vec<String>,
+    sccs: Vec<Vec<String>>,
+}
+
+impl TarjanState<'_> {
+    fn strong_connect(&mut self, v: &str) {
+        self.indices.insert(v.to_string(), self.index);
+        self.lowlink.insert(v.to_string(), self.index);
+        self.index += 1;
+        self.stack.push(v.to_string());
+        self.on_stack.insert(v.to_string());
+
+        let successors: Vec<String> = self
+            .graph
+            .get(v)
+            .map(|s| s.iter().cloned().collect())
+            .unwrap_or_default();
+        for w in successors {
+            if !self.graph.contains_key(&w) {
+                continue;
+            }
+            if !self.indices.contains_key(&w) {
+                self.strong_connect(&w);
+                let low = self.lowlink[&w].min(self.lowlink[v]);
+                self.lowlink.insert(v.to_string(), low);
+            } else if self.on_stack.contains(&w) {
+                let low = self.indices[&w].min(self.lowlink[v]);
+                self.lowlink.insert(v.to_string(), low);
+            }
+        }
+
+        if self.lowlink[v] == self.indices[v] {
+            let mut scc = Vec::new();
+            while let Some(w) = self.stack.pop() {
+                self.on_stack.remove(&w);
+                let done = w == v;
+                scc.push(w);
+                if done {
+                    break;
+                }
+            }
+            scc.reverse();
+            self.sccs.push(scc);
+        }
     }
 }
 
@@ -607,6 +673,30 @@ mod tests {
     }
 
     #[test]
+    fn walk_visits_parents_before_children_in_order() {
+        let s = seq([
+            if_then_else(lt(v("x"), cst(0.0)), tick(1.0), tick(2.0)),
+            while_loop(lt(v("x"), cst(3.0)), if_prob(0.5, tick(3.0), tick(4.0))),
+            tick(5.0),
+        ]);
+        let mut order = Vec::new();
+        s.walk(&mut |stmt| {
+            order.push(match stmt.kind() {
+                StmtKind::Tick(c) => format!("tick {c}"),
+                StmtKind::If(..) => "if".to_string(),
+                StmtKind::IfProb(..) => "if prob".to_string(),
+                StmtKind::While(..) => "while".to_string(),
+                StmtKind::Seq(_) => "seq".to_string(),
+                other => panic!("unexpected statement {other:?}"),
+            })
+        });
+        let expected = [
+            "seq", "if", "tick 1", "tick 2", "while", "if prob", "tick 3", "tick 4", "tick 5",
+        ];
+        assert_eq!(order, expected);
+    }
+
+    #[test]
     fn program_validation_rejects_unknown_call() {
         let err = Program::new(vec![], call("nope"), vec![]).unwrap_err();
         assert_eq!(err, ProgramError::UnknownFunction("nope".into()));
@@ -649,6 +739,54 @@ mod tests {
         let graph = program.call_graph();
         assert!(graph["f"].contains("g"));
         assert!(graph["g"].is_empty());
+    }
+
+    #[test]
+    fn sccs_are_in_callee_first_order() {
+        let program = ProgramBuilder::new()
+            .function("a", seq([call("b"), call("c")]))
+            .function("b", call("c"))
+            .function("c", if_prob(0.5, call("c"), skip()))
+            .main(call("a"))
+            .build()
+            .unwrap();
+        let sccs = program.call_graph_sccs();
+        assert_eq!(sccs.len(), 3);
+        let pos = |name: &str| {
+            sccs.iter()
+                .position(|s| s.contains(&name.to_string()))
+                .unwrap()
+        };
+        assert!(pos("c") < pos("b"));
+        assert!(pos("b") < pos("a"));
+    }
+
+    #[test]
+    fn mutually_recursive_functions_form_one_scc() {
+        let program = ProgramBuilder::new()
+            .function("even", if_prob(0.5, call("odd"), skip()))
+            .function("odd", call("even"))
+            .main(call("even"))
+            .build()
+            .unwrap();
+        let sccs = program.call_graph_sccs();
+        assert_eq!(sccs.len(), 1);
+        assert_eq!(sccs[0].len(), 2);
+    }
+
+    #[test]
+    fn transitive_modification_follows_call_chains() {
+        let program = ProgramBuilder::new()
+            .function("a", seq([assign("x", cst(1.0)), call("b")]))
+            .function("b", sample("y", uniform(0.0, 1.0)))
+            .main(call("a"))
+            .build()
+            .unwrap();
+        let vars = program.transitively_modified("a");
+        assert!(vars.contains(&Var::new("x")));
+        assert!(vars.contains(&Var::new("y")));
+        let vars_b = program.transitively_modified("b");
+        assert!(!vars_b.contains(&Var::new("x")));
     }
 
     #[test]

@@ -13,7 +13,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cma_semiring::poly::Var;
-use cma_semiring::Interval;
 
 use crate::span::Span;
 
@@ -28,13 +27,11 @@ pub enum BranchFact {
     LoopNeverEntered,
 }
 
-/// The checker's exported facts: refuted branches, dead variables, and the
-/// variable ranges inferred at function entries.
+/// The checker's exported facts: refuted branches and dead variables.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RangeFacts {
     refuted: BTreeMap<Span, BranchFact>,
     dead_template_vars: BTreeSet<Var>,
-    entry_ranges: BTreeMap<String, BTreeMap<Var, Interval>>,
 }
 
 impl RangeFacts {
@@ -82,17 +79,6 @@ impl RangeFacts {
         &self.dead_template_vars
     }
 
-    /// Records the inferred variable ranges at the entry of `unit` (a
-    /// function name, or `"main"`).
-    pub fn set_entry_ranges(&mut self, unit: impl Into<String>, ranges: BTreeMap<Var, Interval>) {
-        self.entry_ranges.insert(unit.into(), ranges);
-    }
-
-    /// The inferred variable ranges at the entry of `unit`, if analyzed.
-    pub fn entry_ranges(&self, unit: &str) -> Option<&BTreeMap<Var, Interval>> {
-        self.entry_ranges.get(unit)
-    }
-
     /// Whether the fact set proves nothing a pruner could use.
     pub fn is_empty(&self) -> bool {
         self.refuted.is_empty() && self.dead_template_vars.is_empty()
@@ -125,12 +111,5 @@ mod tests {
         let mut facts = RangeFacts::new();
         facts.insert_dead_template_var(Var::new("waste"));
         assert!(facts.dead_template_vars().contains(&Var::new("waste")));
-
-        let mut ranges = BTreeMap::new();
-        ranges.insert(Var::new("x"), Interval::new(0.0, 5.0));
-        facts.set_entry_ranges("main", ranges);
-        let got = facts.entry_ranges("main").unwrap();
-        assert_eq!(got[&Var::new("x")], Interval::new(0.0, 5.0));
-        assert!(facts.entry_ranges("other").is_none());
     }
 }

@@ -690,59 +690,27 @@ struct ProgramParts {
 impl ProgramParts {
     /// Spanned validation of statement-local properties: distribution
     /// parameters, probability annotations, and call targets.  Mirrors
-    /// [`Program::new`]'s checks but points at the offending statement.
+    /// [`Program::new`]'s checks but points at the first offending statement
+    /// in declaration order.
     fn validate_spanned(&self) -> Result<(), ParseError> {
         let names: std::collections::BTreeSet<&str> =
             self.functions.iter().map(|f| f.name()).collect();
-        let mut bodies: Vec<&Stmt> = self.functions.iter().map(|f| f.body()).collect();
-        bodies.push(&self.main);
-        for body in bodies {
-            validate_stmt_spanned(body, &names)?;
+        let mut first = Ok(());
+        let bodies = self.functions.iter().map(Function::body);
+        for body in bodies.chain([&self.main]) {
+            body.walk(&mut |stmt| {
+                if first.is_ok() {
+                    first = match stmt.kind() {
+                        StmtKind::Call(f) if !names.contains(f.as_str()) => {
+                            Err(ProgramError::UnknownFunction(f.clone()))
+                        }
+                        _ => stmt.validate_local(),
+                    }
+                    .map_err(|e| ParseError::spanned(e.to_string(), stmt.span()));
+                }
+            });
         }
-        Ok(())
-    }
-}
-
-fn validate_stmt_spanned(
-    stmt: &Stmt,
-    functions: &std::collections::BTreeSet<&str>,
-) -> Result<(), ParseError> {
-    match stmt.kind() {
-        StmtKind::Sample(_, d) => d.validate().map_err(|msg| {
-            ParseError::spanned(format!("invalid distribution: {msg}"), stmt.span())
-        }),
-        StmtKind::Call(f) => {
-            if functions.contains(f.as_str()) {
-                Ok(())
-            } else {
-                Err(ParseError::spanned(
-                    format!("call to undeclared function `{f}`"),
-                    stmt.span(),
-                ))
-            }
-        }
-        StmtKind::IfProb(p, a, b) => {
-            if !(0.0..=1.0).contains(p) {
-                return Err(ParseError::spanned(
-                    format!("probability {p} is not in [0, 1]"),
-                    stmt.span(),
-                ));
-            }
-            validate_stmt_spanned(a, functions)?;
-            validate_stmt_spanned(b, functions)
-        }
-        StmtKind::If(_, a, b) => {
-            validate_stmt_spanned(a, functions)?;
-            validate_stmt_spanned(b, functions)
-        }
-        StmtKind::While(_, s) => validate_stmt_spanned(s, functions),
-        StmtKind::Seq(ss) => {
-            for s in ss {
-                validate_stmt_spanned(s, functions)?;
-            }
-            Ok(())
-        }
-        StmtKind::Skip | StmtKind::Tick(_) | StmtKind::Assign(..) => Ok(()),
+        first
     }
 }
 
@@ -972,6 +940,18 @@ mod tests {
             parse_program("func main() begin\n  if prob(1.5) then tick(1) fi\nend").unwrap_err();
         assert_eq!(err.line(), 2);
         assert!(err.message().contains("1.5"));
+    }
+
+    #[test]
+    fn validation_reports_the_first_error_in_declaration_order() {
+        // `b` is declared before `a`: its bad draw is reported, not the
+        // bad probability of `a`, which comes first by name.
+        let src = "func b() begin\n  t ~ uniform(2, 1)\nend\n\
+                   func a() begin\n  if prob(1.5) then tick(1) fi\nend\n\
+                   func main() begin call a; call b end";
+        let err = parse_program(src).unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert!(err.message().contains("invalid distribution"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Kernel-profile smoke guard (run by the CI `bench-smoke` job).
 //!
 //! Pins the headline outcomes of the kernel work so they cannot silently
-//! regress:
+//! regress.  The three shares are read on `RUNS` analyses and the median
+//! of each is pinned, so one preempted run cannot decide the guard:
 //!
 //! 1. **btran share** — on the n=8 walk-chain global analysis, backward
 //!    solves must stay a bounded share of the pivot-level profile
@@ -46,46 +47,65 @@ const REFACTOR_SHARE_MAX: f64 = 0.40;
 /// analysis, between the two readings of the module docs.
 const PRICING_SHARE_MAX: f64 = 0.48;
 
+/// Analyses of walk-chain n=8 the share pins take the median of.  Each
+/// times about 45 ms of pivot work on a 2-vCPU x86-64 host, so one
+/// preemption can swing a single reading.
+const RUNS: usize = 5;
+
 fn main() {
-    // --- Pin 1: btran share on the n=8 walk-chain global analysis. -------
+    // --- Pins 1, 2 and 4: kernel shares on the n=8 walk-chain global
+    // analysis, one reading per run. --------------------------------------
     let benchmark = synthetic::random_walk_chain(8).in_suite("synthetic");
-    let report = Analysis::benchmark(&benchmark)
-        .degree(2)
-        .mode(SolveMode::Global)
-        .soundness(false)
-        .run()
-        .expect("n=8 walk-chain must analyze");
-    let lp = &report.lp.totals;
-    let profile = lp.ftran_ns + lp.btran_ns + lp.pricing_ns + lp.ratio_ns;
-    assert!(profile > 0, "pivot-level profile is empty");
-    let share = lp.btran_ns as f64 / profile as f64;
-    eprintln!(
-        "perfsmoke: n=8 global — ftran {} µs, btran {} µs ({share:.2} of profile), \
-         pricing {} µs, ratio {} µs; hyper {} ftran / {} btran, {} dense fallbacks",
-        lp.ftran_ns / 1_000,
-        lp.btran_ns / 1_000,
-        lp.pricing_ns / 1_000,
-        lp.ratio_ns / 1_000,
-        lp.hyper_sparse_ftrans,
-        lp.hyper_sparse_btrans,
-        lp.dense_fallbacks,
-    );
+    let (mut btran, mut refactor, mut pricing) = (Vec::new(), Vec::new(), Vec::new());
+    for run in 1..=RUNS {
+        let report = Analysis::benchmark(&benchmark)
+            .degree(2)
+            .mode(SolveMode::Global)
+            .soundness(false)
+            .run()
+            .expect("n=8 walk-chain must analyze");
+        let lp = &report.lp.totals;
+        let profile = lp.ftran_ns + lp.btran_ns + lp.pricing_ns + lp.ratio_ns;
+        assert!(profile > 0, "pivot-level profile is empty");
+        let share = lp.btran_ns as f64 / profile as f64;
+        let refactor_share = lp.refactor_ns as f64 / (profile + lp.refactor_ns) as f64;
+        let pricing_share = lp.pricing_ns as f64 / profile as f64;
+        eprintln!(
+            "perfsmoke: n=8 global run {run}/{RUNS} — ftran {} µs, btran {} µs \
+             ({share:.2} of profile), pricing {} µs over {} iterations \
+             ({pricing_share:.2} of profile), ratio {} µs; refactor {} µs over {} \
+             refactorizations ({refactor_share:.2} of the profile with refactor); \
+             hyper {} ftran / {} btran, {} dense fallbacks",
+            lp.ftran_ns / 1_000,
+            lp.btran_ns / 1_000,
+            lp.pricing_ns / 1_000,
+            lp.iterations,
+            lp.ratio_ns / 1_000,
+            lp.refactor_ns / 1_000,
+            lp.refactorizations,
+            lp.hyper_sparse_ftrans,
+            lp.hyper_sparse_btrans,
+            lp.dense_fallbacks,
+        );
+        btran.push(share);
+        refactor.push(refactor_share);
+        pricing.push(pricing_share);
+    }
+
+    // --- Pin 1: btran share. ---------------------------------------------
+    let share = median(&mut btran);
+    eprintln!("perfsmoke: n=8 global — median btran share {share:.2}");
     assert!(
         share <= BTRAN_SHARE_MAX,
-        "btran is {share:.2} of the pivot profile (pinned ≤ {BTRAN_SHARE_MAX})"
+        "the median btran share is {share:.2} of the pivot profile (pinned ≤ {BTRAN_SHARE_MAX})"
     );
 
-    // --- Pin 2: refactorization share on the same analysis. --------------
-    let refactor_share = lp.refactor_ns as f64 / (profile + lp.refactor_ns) as f64;
-    eprintln!(
-        "perfsmoke: n=8 global — refactor {} µs over {} refactorizations \
-         ({refactor_share:.2} of the profile with refactor)",
-        lp.refactor_ns / 1_000,
-        lp.refactorizations,
-    );
+    // --- Pin 2: refactorization share. -----------------------------------
+    let refactor_share = median(&mut refactor);
+    eprintln!("perfsmoke: n=8 global — median refactor share {refactor_share:.2}");
     assert!(
         refactor_share <= REFACTOR_SHARE_MAX,
-        "refactorization is {refactor_share:.2} of the profile \
+        "the median refactorization share is {refactor_share:.2} of the profile \
          (pinned ≤ {REFACTOR_SHARE_MAX})"
     );
 
@@ -113,16 +133,18 @@ fn main() {
         steady.stats.hyper_sparse_ftrans, steady.stats.hyper_sparse_btrans
     );
 
-    // --- Pin 4: pricing share on the n=8 walk-chain global analysis. -----
-    let pricing_share = lp.pricing_ns as f64 / profile as f64;
-    eprintln!(
-        "perfsmoke: n=8 global — pricing {} µs over {} iterations \
-         ({pricing_share:.2} of profile)",
-        lp.pricing_ns / 1_000,
-        lp.iterations,
-    );
+    // --- Pin 4: pricing share. -------------------------------------------
+    let pricing_share = median(&mut pricing);
+    eprintln!("perfsmoke: n=8 global — median pricing share {pricing_share:.2}");
     assert!(
         pricing_share <= PRICING_SHARE_MAX,
-        "pricing is {pricing_share:.2} of the pivot profile (pinned ≤ {PRICING_SHARE_MAX})"
+        "the median pricing share is {pricing_share:.2} of the pivot profile \
+         (pinned ≤ {PRICING_SHARE_MAX})"
     );
+}
+
+/// The median of an odd number of shares.
+fn median(shares: &mut [f64]) -> f64 {
+    shares.sort_by(f64::total_cmp);
+    shares[shares.len() / 2]
 }

@@ -17,7 +17,6 @@ use cma_appl::{BranchFact, Cond, Expr, Program, RangeFacts, Stmt, StmtKind, Var}
 use cma_semiring::Interval;
 
 use crate::diagnostics::{Code, Diagnostic, Severity};
-use crate::structural::transitive_closure;
 
 /// Abstract store: absent variables are unbounded (top).
 type Env = BTreeMap<Var, Interval>;
@@ -27,7 +26,13 @@ type Env = BTreeMap<Var, Interval>;
 const MAX_ROUNDS: usize = 24;
 
 pub(crate) fn check(program: &Program, diags: &mut Vec<Diagnostic>, facts: &mut RangeFacts) {
-    let trans_mod = transitively_modified(program);
+    // The havoc set of `call f`: what `f` modifies directly or through
+    // (possibly recursive) calls.
+    let trans_mod: BTreeMap<String, BTreeSet<Var>> = program
+        .functions()
+        .map(|f| f.name())
+        .map(|f| (f.to_string(), program.transitively_modified(f)))
+        .collect();
     for (unit, body) in crate::units(program) {
         let preconds: &[Cond] = if unit == "main" {
             program.precondition()
@@ -43,9 +48,6 @@ pub(crate) fn check(program: &Program, diags: &mut Vec<Diagnostic>, facts: &mut 
                 env = refined;
             }
         }
-        if !env.is_empty() {
-            facts.set_entry_ranges(unit, env.clone());
-        }
         let mut pass = Pass {
             trans_mod: &trans_mod,
             diags: &mut *diags,
@@ -54,26 +56,6 @@ pub(crate) fn check(program: &Program, diags: &mut Vec<Diagnostic>, facts: &mut 
         };
         pass.exec(Some(env), body);
     }
-}
-
-/// Variables each function modifies directly or through (possibly
-/// recursive) calls — the havoc set for `call f`.
-fn transitively_modified(program: &Program) -> BTreeMap<String, BTreeSet<Var>> {
-    let closure = transitive_closure(&program.call_graph());
-    program
-        .functions()
-        .map(|f| {
-            let mut vars = f.body().modified_vars();
-            if let Some(reach) = closure.get(f.name()) {
-                for g in reach {
-                    if let Some(callee) = program.function(g) {
-                        vars.extend(callee.body().modified_vars());
-                    }
-                }
-            }
-            (f.name().to_string(), vars)
-        })
-        .collect()
 }
 
 struct Pass<'a> {
@@ -574,17 +556,6 @@ mod tests {
             facts.refuted().next().map(|(_, f)| *f),
             Some(BranchFact::ThenUnreachable)
         );
-    }
-
-    #[test]
-    fn entry_ranges_are_exported_per_unit() {
-        let source =
-            "pre d > 0\nfunc f()\n  pre x >= 2\nbegin tick(1) end\nfunc main() begin call f end\n";
-        let (_, facts) = run(source);
-        let main_ranges = facts.entry_ranges("main").unwrap();
-        assert_eq!(main_ranges[&Var::new("d")].lo(), 0.0);
-        let f_ranges = facts.entry_ranges("f").unwrap();
-        assert_eq!(f_ranges[&Var::new("x")].lo(), 2.0);
     }
 
     #[test]

@@ -104,9 +104,14 @@ impl CheckReport {
         &self.facts
     }
 
-    /// Consumes the report, keeping only the facts.
-    pub fn into_facts(self) -> RangeFacts {
-        self.facts
+    /// Resolves every diagnostic's span against `source`, the text the
+    /// checked program was parsed from, to `line:col` plus a caret snippet.
+    pub fn with_source(mut self, source: &str) -> Self {
+        let map = SourceMap::new(source);
+        for d in &mut self.diagnostics {
+            d.resolve(&map);
+        }
+        self
     }
 
     /// A one-line summary like `2 warnings, 1 error`.
@@ -180,12 +185,23 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Checks a program that is already in memory (e.g. builder-constructed).
-/// Statements from the builder DSL carry dummy spans, so diagnostics have
-/// no line:column and branch facts cannot be keyed — parsing from source
-/// via [`check_source`] gives strictly better output.
+/// Checks a program that is already in memory.  Diagnostics carry spans
+/// but no line:column until [`CheckReport::with_source`] resolves them
+/// against the program's source text; builder-constructed programs carry
+/// dummy spans, so their diagnostics have no position and their branch
+/// facts cannot be keyed.
 pub fn check_program(program: &Program, config: &CheckConfig) -> CheckReport {
-    run(program, config, None)
+    let mut diags = Vec::new();
+    let mut facts = RangeFacts::new();
+    structural::check(program, config, &mut diags);
+    init::check(program, config, &mut diags);
+    unused::check(program, &mut diags, &mut facts);
+    intervals::check(program, &mut diags, &mut facts);
+    diags.sort_by_key(|d| (d.span().start, d.span().end, d.code()));
+    CheckReport {
+        diagnostics: diags,
+        facts,
+    }
 }
 
 /// Parses `source` (without upfront validation — the checker reports
@@ -196,27 +212,7 @@ pub fn check_program(program: &Program, config: &CheckConfig) -> CheckReport {
 /// Returns the parse error if `source` is not syntactically valid Appl.
 pub fn check_source(source: &str, config: &CheckConfig) -> Result<CheckReport, ParseError> {
     let program = parse_program_unchecked(source)?;
-    let map = SourceMap::new(source);
-    Ok(run(&program, config, Some(&map)))
-}
-
-fn run(program: &Program, config: &CheckConfig, map: Option<&SourceMap>) -> CheckReport {
-    let mut diags = Vec::new();
-    let mut facts = RangeFacts::new();
-    structural::check(program, config, &mut diags);
-    init::check(program, config, &mut diags);
-    unused::check(program, &mut diags, &mut facts);
-    intervals::check(program, &mut diags, &mut facts);
-    if let Some(map) = map {
-        for d in &mut diags {
-            d.resolve(map);
-        }
-    }
-    diags.sort_by_key(|d| (d.span().start, d.span().end, d.code()));
-    CheckReport {
-        diagnostics: diags,
-        facts,
-    }
+    Ok(check_program(&program, config).with_source(source))
 }
 
 /// The analysis units of a program: `main` first, then every function.

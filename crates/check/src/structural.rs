@@ -6,7 +6,7 @@
 //! interval analysis proves unreachable — a malformed distribution is a
 //! defect of the program text regardless of reachability.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use cma_appl::{Program, Stmt, StmtKind};
 
@@ -15,27 +15,9 @@ use crate::CheckConfig;
 
 pub(crate) fn check(program: &Program, config: &CheckConfig, diags: &mut Vec<Diagnostic>) {
     for (_, body) in crate::units(program) {
-        walk(body, &mut |stmt| lint_stmt(program, config, stmt, diags));
+        body.walk(&mut |stmt| lint_stmt(program, config, stmt, diags));
     }
     lint_unconditional_recursion(program, diags);
-}
-
-/// Applies `visit` to `stmt` and every statement nested inside it.
-pub(crate) fn walk(stmt: &Stmt, visit: &mut dyn FnMut(&Stmt)) {
-    visit(stmt);
-    match stmt.kind() {
-        StmtKind::If(_, a, b) | StmtKind::IfProb(_, a, b) => {
-            walk(a, visit);
-            walk(b, visit);
-        }
-        StmtKind::While(_, s) => walk(s, visit),
-        StmtKind::Seq(ss) => {
-            for s in ss {
-                walk(s, visit);
-            }
-        }
-        _ => {}
-    }
 }
 
 fn lint_stmt(program: &Program, config: &CheckConfig, stmt: &Stmt, diags: &mut Vec<Diagnostic>) {
@@ -85,26 +67,17 @@ fn lint_stmt(program: &Program, config: &CheckConfig, stmt: &Stmt, diags: &mut V
 /// in the call graph recurses on *every* execution path: once entered, such
 /// a function can never return.
 fn lint_unconditional_recursion(program: &Program, diags: &mut Vec<Diagnostic>) {
-    let graph = program.call_graph();
-    let closure = transitive_closure(&graph);
-    let names: BTreeSet<&String> = graph.keys().collect();
-
-    let mut flagged: BTreeSet<String> = BTreeSet::new();
-    for name in &names {
-        if flagged.contains(name.as_str()) {
-            continue;
-        }
-        // `name` lies on a cycle iff it can reach itself through >= 1 edge.
-        let reach = &closure[name.as_str()];
-        if !reach.contains(name.as_str()) {
-            continue;
-        }
-        // The SCC of `name`: everything it reaches that reaches it back.
-        let scc: BTreeSet<String> = reach
-            .iter()
-            .filter(|g| closure.get(*g).is_some_and(|r| r.contains(name.as_str())))
-            .cloned()
-            .collect();
+    // Components in the order of their first function name: builder
+    // programs tie on (dummy) spans, so this is the order diagnostics keep.
+    let mut sccs: Vec<BTreeSet<String>> = program
+        .call_graph_sccs()
+        .into_iter()
+        .map(|scc| scc.into_iter().collect())
+        .collect();
+    sccs.sort();
+    for scc in sccs {
+        // A one-function component recurses only through a self-call, which
+        // `must_call_into` demands of it on every path.
         let diverges = scc.iter().all(|g| {
             program
                 .function(g)
@@ -114,7 +87,6 @@ fn lint_unconditional_recursion(program: &Program, diags: &mut Vec<Diagnostic>) 
             continue;
         }
         for g in &scc {
-            flagged.insert(g.clone());
             let span = program
                 .function(g)
                 .map(|f| f.body().span())
@@ -140,30 +112,6 @@ fn must_call_into(stmt: &Stmt, targets: &BTreeSet<String>) -> bool {
         // A loop body may execute zero times.
         _ => false,
     }
-}
-
-/// Reachability closure of the call graph (callees of callees, transitively).
-pub(crate) fn transitive_closure(
-    graph: &BTreeMap<String, BTreeSet<String>>,
-) -> BTreeMap<String, BTreeSet<String>> {
-    let mut closure: BTreeMap<String, BTreeSet<String>> = graph.clone();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let snapshot = closure.clone();
-        for reach in closure.values_mut() {
-            let mut add = BTreeSet::new();
-            for g in reach.iter() {
-                if let Some(next) = snapshot.get(g) {
-                    add.extend(next.iter().cloned());
-                }
-            }
-            let before = reach.len();
-            reach.extend(add);
-            changed |= reach.len() != before;
-        }
-    }
-    closure
 }
 
 #[cfg(test)]
@@ -223,6 +171,28 @@ mod tests {
         assert!(got
             .iter()
             .all(|(c, s)| *c == "CMA006" && *s == Severity::Warning));
+    }
+
+    #[test]
+    fn builder_recursion_warnings_follow_component_names() {
+        use cma_appl::build::*;
+        // Callees-first SCC order is [n, m], [z], [a]; the warnings follow
+        // each component's first name instead.
+        let program = ProgramBuilder::new()
+            .function("a", seq([call("n"), call("z"), call("a")]))
+            .function("m", call("n"))
+            .function("n", call("m"))
+            .function("z", call("z"))
+            .build()
+            .unwrap();
+        let report = crate::check_program(&program, &CheckConfig::default());
+        let flagged: Vec<&str> = report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code() == Code::BadCall)
+            .map(|d| d.message().split('`').nth(1).unwrap())
+            .collect();
+        assert_eq!(flagged, ["a", "m", "n", "z"]);
     }
 
     #[test]

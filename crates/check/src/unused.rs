@@ -11,7 +11,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use cma_appl::{Program, RangeFacts, Span, StmtKind, Var};
 
 use crate::diagnostics::{Code, Diagnostic, Severity};
-use crate::structural::walk;
 
 pub(crate) fn check(program: &Program, diags: &mut Vec<Diagnostic>, facts: &mut RangeFacts) {
     let mut reads: BTreeSet<Var> = BTreeSet::new();
@@ -26,7 +25,7 @@ pub(crate) fn check(program: &Program, diags: &mut Vec<Diagnostic>, facts: &mut 
 
     let mut first_write: BTreeMap<Var, Span> = BTreeMap::new();
     for (_, body) in crate::units(program) {
-        walk(body, &mut |stmt| match stmt.kind() {
+        body.walk(&mut |stmt| match stmt.kind() {
             StmtKind::Assign(x, e) => {
                 reads.extend(e.vars());
                 first_write.entry(x.clone()).or_insert_with(|| stmt.span());

@@ -1,7 +1,7 @@
 //! The analysis driver: call-graph decomposition, specification templates,
 //! objectives, LP solving, and bound extraction.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -927,7 +927,7 @@ fn analyze_attempt<'a>(
     // Solve every non-final group (compositional mode only); groups at the
     // same dependency level are independent and go through `solve_batch`.
     if options.mode == SolveMode::Compositional {
-        let groups = call_graph_sccs(program);
+        let groups = program.call_graph_sccs();
         for level in scc_levels(program, &groups) {
             let mut builds = Vec::with_capacity(level.len());
             for &g in &level {
@@ -1080,8 +1080,8 @@ fn scc_levels(program: &Program, sccs: &[Vec<String>]) -> Vec<Vec<usize>> {
         }
     }
     let mut level = vec![0usize; sccs.len()];
-    // `call_graph_sccs` emits callees first, so every callee SCC's level is
-    // final by the time its callers are processed.
+    // `Program::call_graph_sccs` emits callees first, so every callee SCC's
+    // level is final by the time its callers are processed.
     for (i, scc) in sccs.iter().enumerate() {
         for f in scc {
             for callee in graph.get(f.as_str()).into_iter().flatten() {
@@ -1282,83 +1282,6 @@ fn extract_outcome(
     })
 }
 
-/// Strongly connected components of the call graph in reverse topological
-/// order (callees before callers).
-pub fn call_graph_sccs(program: &Program) -> Vec<Vec<String>> {
-    let graph: BTreeMap<String, BTreeSet<String>> = program.call_graph();
-    let nodes: Vec<String> = graph.keys().cloned().collect();
-    let mut state = TarjanState {
-        graph: &graph,
-        index: 0,
-        indices: BTreeMap::new(),
-        lowlink: BTreeMap::new(),
-        on_stack: BTreeSet::new(),
-        stack: Vec::new(),
-        sccs: Vec::new(),
-    };
-    for node in &nodes {
-        if !state.indices.contains_key(node) {
-            state.strong_connect(node);
-        }
-    }
-    // Tarjan emits SCCs in reverse topological order of the condensation
-    // (an SCC is emitted only after all SCCs it can reach), i.e. callees first.
-    state.sccs
-}
-
-struct TarjanState<'a> {
-    graph: &'a BTreeMap<String, BTreeSet<String>>,
-    index: usize,
-    indices: BTreeMap<String, usize>,
-    lowlink: BTreeMap<String, usize>,
-    on_stack: BTreeSet<String>,
-    stack: Vec<String>,
-    sccs: Vec<Vec<String>>,
-}
-
-impl TarjanState<'_> {
-    fn strong_connect(&mut self, v: &str) {
-        self.indices.insert(v.to_string(), self.index);
-        self.lowlink.insert(v.to_string(), self.index);
-        self.index += 1;
-        self.stack.push(v.to_string());
-        self.on_stack.insert(v.to_string());
-
-        let successors: Vec<String> = self
-            .graph
-            .get(v)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
-        for w in successors {
-            if !self.graph.contains_key(&w) {
-                continue;
-            }
-            if !self.indices.contains_key(&w) {
-                self.strong_connect(&w);
-                let low = self.lowlink[&w].min(self.lowlink[v]);
-                self.lowlink.insert(v.to_string(), low);
-            } else if self.on_stack.contains(&w) {
-                let low = self.indices[&w].min(self.lowlink[v]);
-                self.lowlink.insert(v.to_string(), low);
-            }
-        }
-
-        if self.lowlink[v] == self.indices[v] {
-            let mut scc = Vec::new();
-            while let Some(w) = self.stack.pop() {
-                self.on_stack.remove(&w);
-                let done = w == v;
-                scc.push(w);
-                if done {
-                    break;
-                }
-            }
-            scc.reverse();
-            self.sccs.push(scc);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1458,26 +1381,6 @@ mod tests {
     }
 
     #[test]
-    fn sccs_are_in_callee_first_order() {
-        let program = ProgramBuilder::new()
-            .function("a", seq([call("b"), call("c")]))
-            .function("b", call("c"))
-            .function("c", if_prob(0.5, call("c"), skip()))
-            .main(call("a"))
-            .build()
-            .unwrap();
-        let sccs = call_graph_sccs(&program);
-        assert_eq!(sccs.len(), 3);
-        let pos = |name: &str| {
-            sccs.iter()
-                .position(|s| s.contains(&name.to_string()))
-                .unwrap()
-        };
-        assert!(pos("c") < pos("b"));
-        assert!(pos("b") < pos("a"));
-    }
-
-    #[test]
     fn scc_levels_bucket_independent_groups_together() {
         // main → a; a → {b, c}; b → d; c → d: levels d | b,c | a.
         let program = ProgramBuilder::new()
@@ -1488,7 +1391,7 @@ mod tests {
             .main(call("a"))
             .build()
             .unwrap();
-        let sccs = call_graph_sccs(&program);
+        let sccs = program.call_graph_sccs();
         let levels = scc_levels(&program, &sccs);
         assert_eq!(levels.len(), 3);
         let names_at = |l: usize| {
@@ -1546,19 +1449,6 @@ mod tests {
         assert_eq!(compositional.groups.last().unwrap().name, "main");
         let total: usize = compositional.groups.iter().map(|g| g.constraints).sum();
         assert_eq!(total, compositional.lp_constraints);
-    }
-
-    #[test]
-    fn mutually_recursive_functions_form_one_scc() {
-        let program = ProgramBuilder::new()
-            .function("even", if_prob(0.5, call("odd"), skip()))
-            .function("odd", call("even"))
-            .main(call("even"))
-            .build()
-            .unwrap();
-        let sccs = call_graph_sccs(&program);
-        assert_eq!(sccs.len(), 1);
-        assert_eq!(sccs[0].len(), 2);
     }
 
     #[test]

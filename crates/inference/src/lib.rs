@@ -17,8 +17,10 @@
 //! * [`derive`](mod@derive) — the backward transformer implementing the syntax-directed
 //!   rules (Q-Tick, Q-Sample, Q-Assign, Q-Seq, Q-Cond, Q-Prob, Q-Loop,
 //!   Q-Call-Poly, Q-Call-Mono);
-//! * [`engine`] — the analysis driver (call-graph SCCs, objectives, solving,
-//!   bound extraction, in-session degree escalation, poly-degree retries);
+//! * [`engine`] — the analysis driver (compositional groups in the
+//!   callee-first order of [`Program::call_graph_sccs`](cma_appl::Program::call_graph_sccs),
+//!   objectives, solving, bound extraction, in-session degree escalation,
+//!   poly-degree retries);
 //! * [`plan`] — derivation plans: the degree-independent skeleton of a
 //!   derivation (template slots and constraint recipes), recorded on the
 //!   first walk and replayed by in-place degree escalation;

@@ -70,7 +70,7 @@ fn noise_variables(program: &Program) -> Vec<Var> {
     let mut sampled: Vec<Var> = Vec::new();
     let mut assigned_otherwise: Vec<Var> = Vec::new();
     let mut scan = |stmt: &Stmt| {
-        visit(stmt, &mut |s| match s.kind() {
+        stmt.walk(&mut |s| match s.kind() {
             StmtKind::Sample(x, d) => {
                 let (lo, hi) = d.support();
                 if lo.is_finite() && hi.is_finite() {
@@ -93,25 +93,8 @@ fn noise_variables(program: &Program) -> Vec<Var> {
         .collect()
 }
 
-fn visit(stmt: &Stmt, f: &mut impl FnMut(&Stmt)) {
-    f(stmt);
-    match stmt.kind() {
-        StmtKind::If(_, a, b) | StmtKind::IfProb(_, a, b) => {
-            visit(a, f);
-            visit(b, f);
-        }
-        StmtKind::While(_, s) => visit(s, f),
-        StmtKind::Seq(ss) => {
-            for s in ss {
-                visit(s, f);
-            }
-        }
-        _ => {}
-    }
-}
-
 fn collect_violations(stmt: &Stmt, noise_vars: &[Var], out: &mut Vec<String>) {
-    visit(stmt, &mut |s| match s.kind() {
+    stmt.walk(&mut |s| match s.kind() {
         StmtKind::Assign(x, e) if !assignment_is_bounded(x, e, noise_vars) => {
             out.push(format!("{x} := {e}"));
         }

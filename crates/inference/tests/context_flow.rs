@@ -9,7 +9,6 @@ use std::path::Path;
 
 use cma_appl::{parse_program, Cond, Program, Stmt, StmtKind};
 use cma_inference::soundness::step_counting_instrumentation;
-use cma_logic::context::transitively_modified;
 use cma_logic::{Context, Flow};
 
 /// The context after `stmt` entered in `ctx`, the old way.
@@ -28,7 +27,7 @@ fn old_after(ctx: &Context, stmt: &Stmt, program: &Program) -> Context {
         }
         StmtKind::Call(f) => {
             let mut ctx = ctx.clone();
-            ctx.havoc(&transitively_modified(program, f));
+            ctx.havoc(&program.transitively_modified(f));
             ctx
         }
         StmtKind::If(c, s1, s2) => {

@@ -366,7 +366,7 @@ impl Flow {
             StmtKind::Assign(x, e) => (updated(&|ctx| ctx.assign(x, e)), Vec::new()),
             StmtKind::Sample(x, d) => (updated(&|ctx| ctx.sample(x, d)), Vec::new()),
             StmtKind::Call(f) => {
-                let callee_writes = transitively_modified(program, f);
+                let callee_writes = program.transitively_modified(f);
                 (updated(&|ctx| ctx.havoc(&callee_writes)), Vec::new())
             }
             StmtKind::If(c, s1, s2) => {
@@ -442,33 +442,18 @@ fn per_iteration_change(
     use cma_semiring::Interval;
     // Support intervals of variables sampled within the body.
     let mut sampled: std::collections::BTreeMap<Var, Interval> = Default::default();
-    collect_sampled(body, &mut sampled);
+    body.walk(&mut |s| {
+        if let StmtKind::Sample(x, d) = s.kind() {
+            let (lo, hi) = d.support();
+            if lo.is_finite() && hi.is_finite() {
+                sampled.insert(x.clone(), Interval::new(lo, hi));
+            }
+        }
+    });
 
     let mut changes: std::collections::BTreeMap<Var, Option<Interval>> = Default::default();
     accumulate_changes(body, program, &sampled, &mut changes);
     changes
-}
-
-fn collect_sampled(stmt: &Stmt, out: &mut std::collections::BTreeMap<Var, cma_semiring::Interval>) {
-    match stmt.kind() {
-        StmtKind::Sample(x, d) => {
-            let (lo, hi) = d.support();
-            if lo.is_finite() && hi.is_finite() {
-                out.insert(x.clone(), cma_semiring::Interval::new(lo, hi));
-            }
-        }
-        StmtKind::If(_, a, b) | StmtKind::IfProb(_, a, b) => {
-            collect_sampled(a, out);
-            collect_sampled(b, out);
-        }
-        StmtKind::While(_, s) => collect_sampled(s, out),
-        StmtKind::Seq(ss) => {
-            for s in ss {
-                collect_sampled(s, out);
-            }
-        }
-        _ => {}
-    }
 }
 
 fn accumulate_changes(
@@ -521,7 +506,7 @@ fn accumulate_changes(
             record(x, None);
         }
         StmtKind::Call(f) => {
-            for v in transitively_modified(program, f) {
+            for v in program.transitively_modified(f) {
                 record(&v, None);
             }
         }
@@ -542,23 +527,6 @@ fn accumulate_changes(
         }
         StmtKind::Skip | StmtKind::Tick(_) => {}
     }
-}
-
-/// Variables transitively modified by the body of function `f`.
-pub fn transitively_modified(program: &Program, f: &str) -> BTreeSet<Var> {
-    let mut visited = BTreeSet::new();
-    let mut result = BTreeSet::new();
-    let mut stack = vec![f.to_string()];
-    while let Some(name) = stack.pop() {
-        if !visited.insert(name.clone()) {
-            continue;
-        }
-        if let Some(func) = program.function(&name) {
-            result.extend(func.body().modified_vars());
-            stack.extend(func.body().called_functions());
-        }
-    }
-    result
 }
 
 impl std::fmt::Display for Context {
@@ -725,21 +693,6 @@ mod tests {
         for pair in flow.children().windows(2) {
             assert!(Rc::ptr_eq(pair[0].after.as_ref().unwrap(), &pair[1].before));
         }
-    }
-
-    #[test]
-    fn transitive_modification_follows_call_chains() {
-        let program = ProgramBuilder::new()
-            .function("a", seq([assign("x", cst(1.0)), call("b")]))
-            .function("b", sample("y", uniform(0.0, 1.0)))
-            .main(call("a"))
-            .build()
-            .unwrap();
-        let vars = transitively_modified(&program, "a");
-        assert!(vars.contains(&Var::new("x")));
-        assert!(vars.contains(&Var::new("y")));
-        let vars_b = transitively_modified(&program, "b");
-        assert!(!vars_b.contains(&Var::new("x")));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub struct Analysis<B: LpBackend = SimplexBackend> {
     check_pruning: bool,
     check_nonneg_cost: bool,
     /// The original source text (kept by [`Analysis::parse`]) so the checker
-    /// can resolve diagnostic spans to line:column and key branch facts.
+    /// can resolve diagnostic spans to line:column.
     source: Option<String>,
 }
 
@@ -314,12 +314,11 @@ impl<B: LpBackend> Analysis<B> {
                     .map(|(v, _)| v.clone())
                     .collect(),
             };
-            let report = match &self.source {
-                // `Analysis::parse` already parsed this very text.
-                Some(source) => cma_check::check_source(source, &config)
-                    .expect("source parsed by Analysis::parse"),
-                None => cma_check::check_program(&self.program, &config),
-            };
+            let mut report = cma_check::check_program(&self.program, &config);
+            if let Some(source) = &self.source {
+                // `Analysis::parse` parsed the program from this very text.
+                report = report.with_source(source);
+            }
             if report.has_errors() {
                 return Err(CmaError::Check(Box::new(report)));
             }
