@@ -1,7 +1,7 @@
 //! Kernel-profile smoke guard (run by the CI `bench-smoke` job).
 //!
 //! Pins the headline outcomes of the kernel work so they cannot silently
-//! regress.  The three shares are read on `RUNS` analyses and the median
+//! regress.  The four shares are read on `RUNS` analyses and the median
 //! of each is pinned, so one preempted run cannot decide the guard:
 //!
 //! 1. **btran share** — on the n=8 walk-chain global analysis, backward
@@ -25,10 +25,21 @@
 //!    host a full reprice of every candidate per pivot reads 0.57–0.63
 //!    here; keeping the reduced costs across pivots and repricing only the
 //!    columns next to the pivot row reads 0.33–0.36.
+//! 5. **ftran share** — on the step-counting re-analysis of walk-chain
+//!    n=5 (the LP the soundness check solves, here under its tightness
+//!    objective: global, degree 2), forward solves must stay a bounded
+//!    share of the pivot-level profile
+//!    (`ftran_ns / (ftran+btran+pricing+ratio)`).  Its entering columns
+//!    fill about 15% of their rows.  On a 2-vCPU x86-64 host, trying the
+//!    hyper-sparse path on every such column reads 0.38–0.39 here;
+//!    forecasting each solve's result density and sending the dense ones
+//!    to the scan reads 0.27–0.28.
 //!
 //! Exits nonzero (panics) on any violated pin, failing the CI job.
 
-use central_moment_analysis::lp::{Cmp, LpBackend, SimplexBackend};
+use central_moment_analysis::inference::soundness::step_counting_instrumentation;
+use central_moment_analysis::inference::{analyze_with, AnalysisOptions};
+use central_moment_analysis::lp::{Cmp, LpBackend, SimplexBackend, SolveStats};
 use central_moment_analysis::{Analysis, SolveMode};
 use cma_bench::chain_stand_in;
 use cma_suite::synthetic;
@@ -47,9 +58,14 @@ const REFACTOR_SHARE_MAX: f64 = 0.40;
 /// analysis, between the two readings of the module docs.
 const PRICING_SHARE_MAX: f64 = 0.48;
 
-/// Analyses of walk-chain n=8 the share pins take the median of.  Each
-/// times about 45 ms of pivot work on a 2-vCPU x86-64 host, so one
-/// preemption can swing a single reading.
+/// Maximum ftran share of the pivot-level profile on the step-counting
+/// re-analysis of walk-chain n=5, between the two readings of the module
+/// docs.
+const FTRAN_SHARE_MAX: f64 = 0.33;
+
+/// Analyses of walk-chain n=8 (and of the n=5 step-counting program) the
+/// share pins take the median of.  Each times about 45 ms of pivot work on
+/// a 2-vCPU x86-64 host, so one preemption can swing a single reading.
 const RUNS: usize = 5;
 
 fn main() {
@@ -140,6 +156,45 @@ fn main() {
         pricing_share <= PRICING_SHARE_MAX,
         "the median pricing share is {pricing_share:.2} of the pivot profile \
          (pinned ≤ {PRICING_SHARE_MAX})"
+    );
+
+    // --- Pin 5: ftran share on the n=5 step-counting re-analysis. --------
+    let benchmark = synthetic::random_walk_chain(5);
+    let steps = step_counting_instrumentation(&benchmark.program);
+    let options = AnalysisOptions::degree(2)
+        .with_mode(SolveMode::Global)
+        .with_valuation(benchmark.valuation.clone());
+    let mut ftran = Vec::new();
+    for run in 1..=RUNS {
+        let result = analyze_with(&steps, &options, &SimplexBackend)
+            .expect("the n=5 step-counting program must analyze");
+        let lp = result
+            .groups
+            .iter()
+            .fold(SolveStats::default(), |lp, group| lp.merge(&group.stats));
+        let profile = lp.ftran_ns + lp.btran_ns + lp.pricing_ns + lp.ratio_ns;
+        assert!(profile > 0, "pivot-level profile is empty");
+        let share = lp.ftran_ns as f64 / profile as f64;
+        eprintln!(
+            "perfsmoke: n=5 step counting run {run}/{RUNS} — ftran {} µs \
+             ({share:.2} of profile), btran {} µs, pricing {} µs, ratio {} µs \
+             over {} iterations; hyper {} ftran / {} btran, {} dense fallbacks",
+            lp.ftran_ns / 1_000,
+            lp.btran_ns / 1_000,
+            lp.pricing_ns / 1_000,
+            lp.ratio_ns / 1_000,
+            lp.iterations,
+            lp.hyper_sparse_ftrans,
+            lp.hyper_sparse_btrans,
+            lp.dense_fallbacks,
+        );
+        ftran.push(share);
+    }
+    let share = median(&mut ftran);
+    eprintln!("perfsmoke: n=5 step counting — median ftran share {share:.2}");
+    assert!(
+        share <= FTRAN_SHARE_MAX,
+        "the median ftran share is {share:.2} of the pivot profile (pinned ≤ {FTRAN_SHARE_MAX})"
     );
 }
 

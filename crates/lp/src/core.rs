@@ -34,10 +34,18 @@
 //! The primal loop keeps its pricing state across pivots: each candidate
 //! column's reduced cost `c_j − A_j·y`.  It is recomputed in full wherever
 //! `y` is recomputed from scratch, and after a pivot only for the columns
-//! next to the support of a hyper-sparse pivot row — every other column
-//! reads the same `y` bits, so its cached value equals a fresh dot bit for
-//! bit.  The pivot sequence is therefore the one a full scan per pivot
-//! would take.
+//! next to the support of the pivot row — every other column reads the
+//! same `y` bits, so its cached value equals a fresh dot bit for bit.  The
+//! pivot sequence is therefore the one a full scan per pivot would take.
+//!
+//! Each of the loops' three kinds of triangular solve — the entering
+//! column's ftran, the pivot row's btran and the dual prices' btran —
+//! forecasts its result density from its own recent results
+//! ([`DensityForecast`]) and asks the kernel for the hyper-sparse path only
+//! while the forecast is sparse (after Hall & McKinnon, "Hyper-sparsity in
+//! the revised simplex method and how to exploit it", Comput. Optim. Appl.
+//! 32, 2005).  Both kernel paths compute the same values, so the forecast
+//! moves time, never a pivot.
 
 // Simplex kernels index several parallel vectors (directions, basic values)
 // at once; indexed loops are the clearest form here.
@@ -60,6 +68,57 @@ const FEAS_EPS: f64 = 1e-6;
 /// Reduced costs this far below zero disqualify the warm basis from a dual
 /// re-solve (numerics drifted; fall back to a cold start).
 const DUAL_FEAS_EPS: f64 = 1e-6;
+
+/// Weight of the newest result in a [`DensityForecast`].
+const DENSITY_WEIGHT: f64 = 0.05;
+/// Forecast densities up to which the entering column's ftran, the pivot
+/// row's btran and the dual prices' btran try the hyper-sparse path.  Dual
+/// prices keep it longer: they are solved only at refresh points, and
+/// those of the compositional chain LPs fill 13% of their rows, where the
+/// hyper-sparse path still pays.
+const DIRECTION_HYPER_MAX: f64 = 0.10;
+const PIVOT_ROW_HYPER_MAX: f64 = 0.10;
+const PRICES_HYPER_MAX: f64 = 0.20;
+
+/// The running result density of one kind of triangular solve, and the
+/// density up to which that kind tries the hyper-sparse kernel path.
+///
+/// A hyper-sparse solve pays a heap-ordered worklist per entry it reaches,
+/// so a result that fills a tenth of its rows or more is faster on the
+/// dense scan; the kernel's own mid-solve fallback only notices past
+/// `0.6·m`.  Each kind of solve has its own forecast because the densities
+/// differ more by kind than from solve to solve: on the compositional
+/// chain LPs, entering columns fill about 7% of their rows, pivot rows 3%
+/// and dual prices 13%.
+#[derive(Debug, Clone, Copy)]
+struct DensityForecast {
+    /// Running average of nonzeros ÷ m, weight [`DENSITY_WEIGHT`] per
+    /// result.
+    density: f64,
+    hyper_max: f64,
+}
+
+impl DensityForecast {
+    const fn new(hyper_max: f64) -> Self {
+        DensityForecast {
+            density: 0.0,
+            hyper_max,
+        }
+    }
+
+    /// Whether the next solve should try the hyper-sparse path.
+    fn hyper(&self) -> bool {
+        self.density <= self.hyper_max
+    }
+
+    /// Learns from a result whose support has `nnz` of `m` rows (a session
+    /// that presolved to no rows teaches nothing).
+    fn observe(&mut self, nnz: usize, m: usize) {
+        if m > 0 {
+            self.density += DENSITY_WEIGHT * (nnz as f64 / m as f64 - self.density);
+        }
+    }
+}
 
 /// What a standard-form column stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,8 +251,8 @@ pub(crate) struct SimplexCore {
     /// Reusable staging buffer for sparse right-hand sides (column entries,
     /// basic costs).
     rhs_buf: Vec<(usize, f64)>,
-    /// Devex α-scatter workspace: accumulated pivot-row entries by column
-    /// (all-zero outside `alpha_touched` between pivots).
+    /// Devex α-scatter workspace: the pivot row's entries `α_j = ρ·A_j` by
+    /// column (all-zero outside `alpha_touched` between pivots).
     alpha_scratch: Vec<f64>,
     /// Columns the last α-scatter wrote, each once.
     alpha_touched: Vec<usize>,
@@ -209,6 +268,11 @@ pub(crate) struct SimplexCore {
     /// `ws.counters()` at the start of the current minimize; the per-solve
     /// kernel counters in [`SolveStats`] are deltas against it.
     ws_base: (u64, u64, u64, u64),
+    /// Result-density forecasts of the entering column's ftran, the pivot
+    /// row's btran and the dual prices' btran, kept for the session.
+    direction_density: DensityForecast,
+    pivot_row_density: DensityForecast,
+    price_density: DensityForecast,
     /// What the pricing audit of the unit tests checked.
     #[cfg(test)]
     audit: tests::PricingAudit,
@@ -245,6 +309,9 @@ impl SimplexCore {
             price: Vec::new(),
             alpha_rows: Vec::new(),
             ws_base: (0, 0, 0, 0),
+            direction_density: DensityForecast::new(DIRECTION_HYPER_MAX),
+            pivot_row_density: DensityForecast::new(PIVOT_ROW_HYPER_MAX),
+            price_density: DensityForecast::new(PRICES_HYPER_MAX),
             #[cfg(test)]
             audit: tests::PricingAudit::default(),
         };
@@ -430,8 +497,10 @@ impl SimplexCore {
         self.ws.load_sparse(&entries, m);
         self.rhs_buf = entries;
         let t = Instant::now();
-        self.factor.btran_ws(&mut self.ws);
+        self.factor
+            .btran_ws(&mut self.ws, self.price_density.hyper());
         self.stats.btran_ns += t.elapsed().as_nanos() as u64;
+        self.price_density.observe(self.ws.nnz, m);
         self.ws.copy_sol_into(y);
     }
 
@@ -456,7 +525,8 @@ impl SimplexCore {
         };
     }
 
-    /// Reprices every column (see [`reprice`](Self::reprice)).
+    /// Reprices every column (see [`reprice`](Self::reprice)), after `y`
+    /// was recomputed from scratch.
     fn reprice_all(&mut self, col_costs: &[f64], ban_artificials: bool, y: &[f64]) {
         let n = self.cols.num_cols();
         self.price.resize(n, 0.0);
@@ -489,23 +559,30 @@ impl SimplexCore {
     /// `d = B⁻¹ A_j` via the sparse-rhs ftran kernel, into the caller's
     /// reusable buffer (timed into the per-solve profile).
     fn direction_into(&mut self, j: usize, out: &mut Vec<f64>) {
+        let m = self.basis.len();
         let mut entries = std::mem::take(&mut self.rhs_buf);
         entries.clear();
         entries.extend_from_slice(self.cols.col(j));
-        self.ws.load_sparse(&entries, self.basis.len());
+        self.ws.load_sparse(&entries, m);
         self.rhs_buf = entries;
         let t = Instant::now();
-        self.factor.ftran_ws(&mut self.ws);
+        self.factor
+            .ftran_ws(&mut self.ws, self.direction_density.hyper());
         self.stats.ftran_ns += t.elapsed().as_nanos() as u64;
+        self.direction_density.observe(self.ws.nnz, m);
         self.ws.copy_sol_into(out);
     }
 
-    /// Row `p` of `B⁻¹` (a hyper-sparse unit-rhs btran, timed as btran
-    /// work), into the caller's reusable buffer.
+    /// Row `p` of `B⁻¹` (a unit-rhs btran, timed as btran work), into the
+    /// caller's reusable buffer.  Its support stays listed in `ws.pattern`
+    /// whichever kernel path produced it.
     fn inverse_row_into(&mut self, p: usize, out: &mut Vec<f64>) {
         let t = Instant::now();
-        self.factor.inverse_row_ws(p, &mut self.ws);
+        self.factor
+            .inverse_row_ws(p, &mut self.ws, self.pivot_row_density.hyper());
         self.stats.btran_ns += t.elapsed().as_nanos() as u64;
+        self.pivot_row_density
+            .observe(self.ws.nnz, self.basis.len());
         self.ws.copy_sol_into(out);
     }
 
@@ -563,7 +640,7 @@ impl SimplexCore {
         }
         self.ws.load_dense(&self.b);
         let t = Instant::now();
-        self.factor.ftran_ws(&mut self.ws);
+        self.factor.ftran_ws(&mut self.ws, true);
         self.stats.ftran_ns += t.elapsed().as_nanos() as u64;
         self.ws.copy_sol_into(&mut self.xb);
         self.stale_pivots = 0;
@@ -584,14 +661,21 @@ impl SimplexCore {
 
     /// Runs primal simplex iterations for the given standard-form column
     /// costs.  `ban_artificials` excludes artificial columns from entering
-    /// (phase 2).
+    /// (phase 2).  `bland` prices by Bland's rule, with the exact ratio
+    /// test, from the first pivot; otherwise Bland's rule is the
+    /// size-scaled last resort.
     fn iterate(
         &mut self,
         col_costs: &[f64],
         ban_artificials: bool,
         max_iters: usize,
+        bland: bool,
     ) -> Result<(), LpStatus> {
-        let bland_after = bland_fallback_threshold(self.basis.len(), self.cols.num_cols());
+        let bland_after = if bland {
+            0
+        } else {
+            bland_fallback_threshold(self.basis.len(), self.cols.num_cols())
+        };
         // How many pivots of drift the factorization may accumulate before
         // it is recomputed from the pristine columns — both periodically and
         // before declaring optimality.
@@ -703,7 +787,11 @@ impl SimplexCore {
             let rc_entering = self.reduced_cost(entering, col_costs, &y);
             // Pre-pivot pivot row ρ = (B⁻¹)ₚ: feeds the devex weight update
             // (α_j = ρ·A_j) and the incremental dual-price update.
+            #[cfg(test)]
+            let hyper_btrans = self.ws.hyper_btrans;
             self.inverse_row_into(p, &mut rho);
+            #[cfg(test)]
+            let rho_hyper = self.ws.hyper_btrans > hyper_btrans;
             let dp = d[p];
             // Classic dual-price update: Δy = (r_q / d_p) · ρ — it zeroes
             // the entering column's reduced cost.  It reads nothing the basis
@@ -716,20 +804,19 @@ impl SimplexCore {
                     *yr += scale * rr;
                 }
             }
-            let scattered = self.ws.sparse;
             #[cfg(test)]
             let resets_before = pricer.resets;
             {
-                // The weight propagation's α_j = ρ·A_j scan is pricing
-                // work — timed into the same bucket as `select`.  A
-                // hyper-sparse ρ turns the scan inside out: α_j can only be
-                // nonzero on columns adjacent to ρ's support rows, so
-                // scatter along the row-major mirror instead of dotting
-                // every column against the dense ρ.  Ascending-row
-                // accumulation keeps each α bit-identical to the full dot
-                // (the skipped terms are exact zeros), so the pivot
-                // sequence cannot depend on which kernel path produced ρ.
+                // The weight propagation's α_j = ρ·A_j is pricing work —
+                // timed into the same bucket as `select`.  α_j can only be
+                // nonzero on columns adjacent to ρ's support rows, so it
+                // is scattered along the row-major mirror instead of dotted
+                // column by column.  Ascending-row accumulation keeps each
+                // α bit-identical to the full dot (the skipped terms are
+                // exact zeros).
                 let t_price = Instant::now();
+                debug_assert!(self.ws.sparse, "the pivot row's support is listed");
+                let n_cols = self.cols.num_cols();
                 let mut scratch = std::mem::take(&mut self.alpha_scratch);
                 let mut touched = std::mem::take(&mut self.alpha_touched);
                 let mut seen = std::mem::take(&mut self.alpha_seen);
@@ -739,62 +826,46 @@ impl SimplexCore {
                     seen[j] = false;
                 }
                 touched.clear();
-                if scattered {
-                    let rows = self.cols.rows();
-                    if scratch.len() < self.cols.num_cols() {
-                        scratch.resize(self.cols.num_cols(), 0.0);
-                        seen.resize(self.cols.num_cols(), false);
+                if scratch.len() < n_cols {
+                    scratch.resize(n_cols, 0.0);
+                    seen.resize(n_cols, false);
+                }
+                support.clear();
+                support.extend_from_slice(&self.ws.pattern);
+                support.sort_unstable();
+                support.dedup();
+                let rows = self.cols.rows();
+                for &r in &support {
+                    let rr = rho[r];
+                    if rr == 0.0 {
+                        continue;
                     }
-                    support.clear();
-                    support.extend_from_slice(&self.ws.pattern);
-                    support.sort_unstable();
-                    support.dedup();
-                    for &r in &support {
-                        let rr = rho[r];
-                        if rr == 0.0 {
-                            continue;
-                        }
-                        let Some(adj) = rows.get(r) else { continue };
-                        for &(j, a) in adj {
-                            let j = j as usize;
-                            scratch[j] += a * rr;
-                            if !seen[j] {
-                                seen[j] = true;
-                                touched.push(j);
-                            }
+                    let Some(adj) = rows.get(r) else { continue };
+                    for &(j, a) in adj {
+                        let j = j as usize;
+                        scratch[j] += a * rr;
+                        if !seen[j] {
+                            seen[j] = true;
+                            touched.push(j);
                         }
                     }
                 }
-                let cols = &self.cols;
-                let candidate = |j: usize| self.is_candidate(j, ban_artificials);
-                let scratch_ref = &scratch;
-                let alpha = |j: usize| {
-                    if scattered {
-                        scratch_ref[j]
-                    } else {
-                        cols.dot(j, &rho)
-                    }
-                };
                 pricer.observe_pivot(&PivotView {
                     entering,
                     leaving: self.basis[p],
                     alpha_q: dp,
-                    n_cols: cols.num_cols(),
-                    candidate: &candidate,
-                    alpha: &alpha,
-                    touched: scattered.then_some(&touched[..]),
+                    n_cols,
+                    candidate: &|j| self.is_candidate(j, ban_artificials),
+                    alpha: &scratch,
+                    touched: &touched,
                 });
-                // `y` moved only where ρ is nonzero: on a hyper-sparse ρ,
-                // only the touched columns' dot products read a moved entry
-                // (every other column reads the same bits, so its cached
-                // reduced cost equals a fresh one); a dense ρ reprices all.
+                // `y` moved only where ρ is nonzero, so only the touched
+                // columns' dot products read a moved entry; every other
+                // column reads the same bits, and its cached reduced cost
+                // equals a fresh one.
                 if y_moved {
-                    if scattered {
-                        for &j in &touched {
-                            self.reprice(j, col_costs, ban_artificials, &y);
-                        }
-                    } else {
-                        self.reprice_all(col_costs, ban_artificials, &y);
+                    for &j in &touched {
+                        self.reprice(j, col_costs, ban_artificials, &y);
                     }
                 }
                 self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
@@ -813,7 +884,7 @@ impl SimplexCore {
             self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
             #[cfg(test)]
             {
-                self.audit.record_pivot(scattered, ban_artificials);
+                self.audit.record_pivot(rho_hyper, ban_artificials);
                 self.audit.devex_resets += pricer.resets - resets_before;
                 self.audit_prices(col_costs, ban_artificials, &y);
             }
@@ -918,9 +989,10 @@ impl SimplexCore {
         leaving
     }
 
-    /// Phase 1 over the artificial columns; returns `false` when the system
-    /// is infeasible.
-    fn run_phase1(&mut self, max_iters: usize) -> Result<bool, LpStatus> {
+    /// Phase 1 over the artificial columns (`bland` as in
+    /// [`iterate`](Self::iterate)); returns `false` when the system is
+    /// infeasible.
+    fn run_phase1(&mut self, max_iters: usize, bland: bool) -> Result<bool, LpStatus> {
         let mut costs = vec![0.0; self.cols.num_cols()];
         let mut any = false;
         for (j, &k) in self.kind.iter().enumerate() {
@@ -932,7 +1004,7 @@ impl SimplexCore {
         if !any {
             return Ok(true);
         }
-        self.iterate(&costs, false, max_iters)?;
+        self.iterate(&costs, false, max_iters, bland)?;
         if self.xb_shifted {
             // Wash the anti-degeneracy shift out before judging feasibility.
             self.refactorize();
@@ -979,6 +1051,37 @@ impl SimplexCore {
                 }
             }
         }
+    }
+
+    /// Rebuilds the from-scratch basis and runs phase 1 (`bland` as in
+    /// [`iterate`](Self::iterate)); returns the solve's verdict when phase
+    /// 1 ends it.
+    fn cold_start(&mut self, max_iters: usize, bland: bool) -> Option<LpSolution> {
+        self.warm = false;
+        self.rebuild();
+        match self.run_phase1(max_iters, bland) {
+            Ok(true) => None,
+            Ok(false) => Some(self.infeasible()),
+            // Resource exhaustion is not an infeasibility proof, and phase
+            // 1 (objective ≥ 0) cannot be genuinely unbounded — either way
+            // the solver gave up without a verdict.
+            Err(_) => Some(self.exhausted()),
+        }
+    }
+
+    /// Phase 2 for the standard-form `costs` (`bland` as in
+    /// [`iterate`](Self::iterate)), with any anti-degeneracy shift washed
+    /// out of the basic values afterwards.
+    fn run_phase2(&mut self, costs: &[f64], max_iters: usize, bland: bool) -> LpStatus {
+        let status = match self.iterate(costs, true, max_iters, bland) {
+            Ok(()) => LpStatus::Optimal,
+            Err(s) => s,
+        };
+        if self.xb_shifted {
+            // Wash the anti-degeneracy shift out before extracting values.
+            self.refactorize();
+        }
+        status
     }
 
     /// Dual-simplex feasibility restoration (see the [module docs](self)):
@@ -1213,7 +1316,8 @@ impl SimplexCore {
 
     /// Whether any basic value is primal infeasible (negative, or nonzero
     /// for a basic artificial) — the condition the dual-simplex restoration
-    /// repairs after warm row extension.
+    /// repairs after warm row extension, and that no `Optimal` point may
+    /// meet.
     fn has_infeasible_basics(&self) -> bool {
         self.basis.iter().zip(&self.xb).any(|(&col, &x)| {
             if self.kind[col] == ColKind::Artificial {
@@ -1274,24 +1378,26 @@ impl LpSession for SimplexCore {
             }
         }
         if !self.warm {
-            self.rebuild();
-            match self.run_phase1(max_iters) {
-                Ok(true) => {}
-                Ok(false) => return self.infeasible(),
-                // Resource exhaustion is not an infeasibility proof, and
-                // phase 1 (objective ≥ 0) cannot be genuinely unbounded —
-                // either way the solver gave up without a verdict.
-                Err(_) => return self.exhausted(),
+            if let Some(verdict) = self.cold_start(max_iters, false) {
+                return verdict;
             }
         }
         let costs = self.split_costs(objective);
-        let status = match self.iterate(&costs, true, max_iters) {
-            Ok(()) => LpStatus::Optimal,
-            Err(s) => s,
-        };
-        if self.xb_shifted {
-            // Wash the anti-degeneracy shift out before extracting values.
-            self.refactorize();
+        let mut status = self.run_phase2(&costs, max_iters, false);
+        if status == LpStatus::Optimal && self.has_infeasible_basics() {
+            // An optimum at an infeasible point: a Harris step left a basic
+            // slightly negative, and a later pivot on a tiny element took a
+            // long step from it.  Solve once more from the cold basis under
+            // Bland's rule, whose exact ratio test takes no such step; the
+            // restart spends the same stats and budget.  A restart that
+            // ends there too reports no verdict.
+            if let Some(verdict) = self.cold_start(max_iters, true) {
+                return verdict;
+            }
+            status = match self.run_phase2(&costs, max_iters, true) {
+                LpStatus::Optimal if self.has_infeasible_basics() => LpStatus::BudgetExhausted,
+                status => status,
+            };
         }
         self.warm = status == LpStatus::Optimal;
         self.last_costs = self.warm.then_some(costs);
@@ -1328,7 +1434,8 @@ mod tests {
         pub(super) selections: usize,
         /// Pivots whose row ρ came off the hyper-sparse kernel path.
         pub(super) hyper_sparse_pivots: usize,
-        /// Pivots whose row ρ was dense.
+        /// Pivots whose row ρ came from the dense scan (and was priced
+        /// along the support the scan listed).
         pub(super) dense_pivots: usize,
         pub(super) devex_resets: usize,
         /// Pivots of phase 1 (artificials may enter) and of phase 2.
@@ -1337,8 +1444,8 @@ mod tests {
     }
 
     impl PricingAudit {
-        pub(super) fn record_pivot(&mut self, scattered: bool, ban_artificials: bool) {
-            if scattered {
+        pub(super) fn record_pivot(&mut self, rho_hyper: bool, ban_artificials: bool) {
+            if rho_hyper {
                 self.hyper_sparse_pivots += 1;
             } else {
                 self.dense_pivots += 1;
@@ -1404,6 +1511,18 @@ mod tests {
             };
             assert_eq!(entering, reference, "selection differs from the scan");
             self.audit.selections += 1;
+        }
+    }
+
+    impl SimplexCore {
+        /// Makes `basis` the current basis and refactorizes it.
+        fn install_basis(&mut self, basis: &[usize]) {
+            self.is_basic.fill(false);
+            for &col in basis {
+                self.is_basic[col] = true;
+            }
+            self.basis = basis.to_vec();
+            assert!(self.refactorize(), "singular basis");
         }
     }
 
@@ -1527,6 +1646,273 @@ mod tests {
             "{} iterations",
             sol.stats.iterations
         );
+    }
+
+    /// A literal constraint row: `(variable, coefficient)` terms, `cmp`,
+    /// right-hand side.
+    type Row = (&'static [(usize, f64)], Cmp, f64);
+
+    /// The rows of random LP 213 from `TestRng::deterministic("warm_cuts")`
+    /// (51 variables, 7, 8, 25 and 28 free), before the cut.
+    const LP_213_ROWS: [Row; 44] = [
+        (&[(6, 1.0)], Cmp::Le, 0.0),
+        (&[(10, 1.0)], Cmp::Le, 4.0),
+        (&[(13, 1.0)], Cmp::Le, 1.0),
+        (&[(14, 1.0)], Cmp::Le, 1.0),
+        (&[(16, 1.0)], Cmp::Le, 0.0),
+        (&[(19, 1.0)], Cmp::Le, 3.0),
+        (&[(23, 1.0)], Cmp::Le, 2.0),
+        (&[(24, 1.0)], Cmp::Le, 2.0),
+        (&[(26, 1.0)], Cmp::Le, 1.0),
+        (&[(31, 1.0)], Cmp::Le, 3.0),
+        (&[(38, 1.0)], Cmp::Le, 3.0),
+        (&[(41, 1.0)], Cmp::Le, 3.0),
+        (&[(50, 1.0)], Cmp::Le, 4.0),
+        (
+            &[(1, -1.0), (13, -0.5), (33, -1.0), (39, 2000.0)],
+            Cmp::Le,
+            -2.5,
+        ),
+        (&[(8, 2000.0), (28, -1.0), (35, 0.001)], Cmp::Eq, 3997.0),
+        (&[(0, 2.0), (41, 3.0), (46, 2.0)], Cmp::Le, 18.0),
+        (&[(19, -4.0), (27, -1500.0), (46, -4.0)], Cmp::Le, -4523.0),
+        (&[(5, -0.5), (23, 2.0), (48, 3.0)], Cmp::Ge, 3.5),
+        (&[(28, -4.0), (33, 2.0), (37, 3.0)], Cmp::Eq, -7.0),
+        (
+            &[(3, 0.001), (27, 2.0), (44, -4.0), (45, -0.5)],
+            Cmp::Le,
+            -6.999,
+        ),
+        (&[(9, -0.5), (18, 2000.0), (45, 3.0)], Cmp::Ge, 2005.0),
+        (&[(8, 3.0), (48, 1.0)], Cmp::Le, 7.0),
+        (&[(13, -1.0), (17, 0.001), (47, -4.0)], Cmp::Ge, -1.999),
+        (&[(25, -1500.0), (38, 0.25)], Cmp::Eq, -1499.75),
+        (&[(0, 0.25), (26, -1500.0)], Cmp::Ge, -1500.75),
+        (
+            &[(12, -4.0), (18, 0.001), (39, 3.0), (48, -4.0)],
+            Cmp::Ge,
+            -8.999,
+        ),
+        (
+            &[(8, -1.0), (26, 0.25), (44, 2000.0), (47, -0.5)],
+            Cmp::Le,
+            5999.25,
+        ),
+        (
+            &[(17, 0.25), (18, 0.25), (36, 2000.0), (41, 3.0)],
+            Cmp::Eq,
+            4009.5,
+        ),
+        (
+            &[(16, 3.0), (27, -0.5), (28, 2.0), (43, 2.0)],
+            Cmp::Eq,
+            10.5,
+        ),
+        (&[(4, 0.25), (6, -4.0)], Cmp::Ge, -1.0),
+        (
+            &[(1, 3.0), (5, 3.0), (22, -4.0), (43, -1500.0)],
+            Cmp::Le,
+            -4502.0,
+        ),
+        (&[(31, 1.0), (33, 0.25), (34, 2000.0)], Cmp::Ge, 2002.25),
+        (&[(24, -4.0), (33, 0.001)], Cmp::Eq, 0.001),
+        (&[(2, 2.0), (5, 0.25), (37, 0.25)], Cmp::Eq, 4.5),
+        (
+            &[(5, 0.25), (12, -1500.0), (48, 1.0), (50, 2.0)],
+            Cmp::Eq,
+            -1494.75,
+        ),
+        (
+            &[(10, 0.001), (17, -0.5), (33, 2.0), (45, 1.0)],
+            Cmp::Eq,
+            3.502,
+        ),
+        (&[(3, 0.001), (18, 0.25), (26, 1.0)], Cmp::Le, 2.251),
+        (&[(6, -1.0), (20, -1.0), (45, -1500.0)], Cmp::Ge, -3002.0),
+        (&[(19, -0.5), (35, 1.0)], Cmp::Le, -1.5),
+        (
+            &[(4, 0.25), (18, -1.0), (30, 1.0), (50, 0.001)],
+            Cmp::Le,
+            2.002,
+        ),
+        (
+            &[(15, 0.25), (19, 0.25), (20, -1500.0), (21, -1500.0)],
+            Cmp::Le,
+            -5998.25,
+        ),
+        (&[(2, 1.0), (17, 0.25)], Cmp::Eq, 2.25),
+        (&[(16, -4.0), (40, 1.0), (44, -1500.0)], Cmp::Eq, -4500.0),
+        (
+            &[(5, -4.0), (8, -4.0), (37, 0.001), (50, 0.001)],
+            Cmp::Ge,
+            -11.997,
+        ),
+    ];
+
+    /// Random LP 213 of the generator above, with the cut Σ(non-free
+    /// variables) ≤ ½ of that sum at its first optimum appended.  Its cold
+    /// solve once ended `Optimal` at −1503.97 with a non-free variable at
+    /// −249.43: Harris steps left a basic at −3.1e-5, and a later pivot on
+    /// that row, whose element was 1.25e-7, stepped θ = −249.43.  The warm
+    /// re-solve of a session over the same rows reads −1501.86.
+    #[test]
+    fn an_optimum_is_never_reported_at_an_infeasible_point() {
+        let mut lp = LpProblem::new();
+        let x: Vec<LpVarId> = (0..51)
+            .map(|i| lp.add_var("", [7, 8, 25, 28].contains(&i)))
+            .collect();
+        for (terms, cmp, rhs) in LP_213_ROWS {
+            lp.add_constraint(terms.iter().map(|&(v, a)| (x[v], a)).collect(), cmp, rhs);
+        }
+        let cut: Vec<(LpVarId, f64)> = x
+            .iter()
+            .filter(|&&v| !lp.is_free(v))
+            .map(|&v| (v, 1.0))
+            .collect();
+        lp.add_constraint(cut, Cmp::Le, 40.00674662607394);
+        lp.set_objective(
+            [
+                (2, 0.25),
+                (5, -0.5),
+                (6, 0.25),
+                (8, -1.0),
+                (11, 1.0),
+                (13, -1500.0),
+                (15, 3.0),
+                (16, -4.0),
+                (18, 0.25),
+                (20, 0.001),
+                (22, 0.001),
+                (25, 3.0),
+                (28, 3.0),
+                (29, 2000.0),
+                (33, 0.001),
+                (35, -1500.0),
+                (41, -1.0),
+                (45, -4.0),
+                (47, -4.0),
+                (50, 1.0),
+            ]
+            .iter()
+            .map(|&(v, c)| (x[v], c))
+            .collect(),
+        );
+        let sol = SimplexCore::solve_problem(&lp, &SolverTuning::default());
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert!(
+            (sol.objective - -1501.858202463235).abs() < 1e-6,
+            "objective {}",
+            sol.objective
+        );
+        for &v in &x {
+            assert!(
+                lp.is_free(v) || sol.value(v) >= -FEAS_EPS,
+                "x{} = {}",
+                v.index(),
+                sol.value(v)
+            );
+        }
+        for i in 0..lp.num_constraints() {
+            let lhs: f64 = lp.constraint_terms(i).map(|(v, a)| a * sol.value(v)).sum();
+            let slack = lhs - lp.rhs(i);
+            let ok = match lp.cmp(i) {
+                Cmp::Le => slack <= FEAS_EPS,
+                Cmp::Ge => slack >= -FEAS_EPS,
+                Cmp::Eq => slack.abs() <= FEAS_EPS,
+            };
+            assert!(ok, "row {i} violated by {slack}");
+        }
+    }
+
+    /// The kernel path each kind of solve takes follows its own density
+    /// forecast.  On a basis with a dense inverse every result is dense,
+    /// none completes hyper-sparse, and the forecast turns to the scan; on
+    /// the slack basis the results are sparse again, the forecast keeps
+    /// them on the scan until it has learned that, and then returns them to
+    /// the hyper-sparse path.
+    #[test]
+    fn density_forecasts_choose_each_solves_kernel_path() {
+        let m = 40;
+        let mut lp = LpProblem::new();
+        let x: Vec<LpVarId> = (0..m).map(|_| lp.add_var("", false)).collect();
+        for i in 0..m {
+            let mut terms = vec![(x[i], 1.0)];
+            if i > 0 {
+                terms.push((x[i - 1], -1.0));
+            }
+            lp.add_constraint(terms, Cmp::Le, 1.0);
+        }
+        let mut core = SimplexCore::open_with(&lp, &SolverTuning::default());
+        // x_k sits in rows k and k+1, so the structural basis is
+        // bidiagonal and its inverse is the all-ones lower triangle.
+        let bidiagonal: Vec<usize> = core.var_cols.iter().map(|&(pos, _)| pos).collect();
+        let slacks = core.init_basis.clone();
+        let mut costs = vec![0.0; core.cols.num_cols()];
+        costs[bidiagonal[m - 1]] = 1.0;
+        costs[slacks[m - 1]] = 1.0;
+        let direction = |core: &mut SimplexCore, out: &mut Vec<f64>| {
+            core.direction_into(slacks[0], out);
+        };
+        let pivot_row = |core: &mut SimplexCore, out: &mut Vec<f64>| {
+            core.inverse_row_into(m - 1, out);
+        };
+        let prices = |core: &mut SimplexCore, out: &mut Vec<f64>| {
+            core.dual_prices_into(&costs, out);
+        };
+        type Solve<'a> = &'a dyn Fn(&mut SimplexCore, &mut Vec<f64>);
+        type Forecast = fn(&SimplexCore) -> DensityForecast;
+        let roles: [(&str, Solve, Forecast); 3] = [
+            ("direction", &direction, |core| core.direction_density),
+            ("pivot row", &pivot_row, |core| core.pivot_row_density),
+            ("dual prices", &prices, |core| core.price_density),
+        ];
+        // (hyper-sparse completions, dense scans) so far.
+        let paths = |core: &SimplexCore| {
+            let (hf, hb, dense, _) = core.ws.counters();
+            (hf + hb, dense)
+        };
+        let mut out = Vec::new();
+        for (role, solve, forecast) in roles {
+            core.install_basis(&bidiagonal);
+            let (hyper, dense) = paths(&core);
+            for _ in 0..40 {
+                solve(&mut core, &mut out);
+                assert_eq!(out.iter().filter(|&&v| v != 0.0).count(), m, "{role}");
+            }
+            assert_eq!(paths(&core), (hyper, dense + 40), "{role}");
+            assert!(!forecast(&core).hyper(), "{role}: {:?}", forecast(&core));
+
+            core.install_basis(&slacks);
+            let (hyper, dense) = paths(&core);
+            let mut scans = 0;
+            while !forecast(&core).hyper() {
+                solve(&mut core, &mut out);
+                assert_eq!(out.iter().filter(|&&v| v != 0.0).count(), 1, "{role}");
+                scans += 1;
+                assert!(scans < 200, "{role}: {:?}", forecast(&core));
+            }
+            assert!(scans > 0);
+            assert_eq!(paths(&core), (hyper, dense + scans), "{role}");
+            for _ in 0..10 {
+                solve(&mut core, &mut out);
+            }
+            assert_eq!(paths(&core), (hyper + 10, dense + scans), "{role}");
+        }
+    }
+
+    /// A session without rows (every row presolved away) still prices,
+    /// and its density forecasts learn nothing from empty results.
+    #[test]
+    fn a_session_without_rows_solves() {
+        let mut lp = LpProblem::new();
+        let x = lp.add_var("x", false);
+        let y = lp.add_var("y", true);
+        let mut core = SimplexCore::open_with(&lp, &SolverTuning::default());
+        let sol = core.minimize(&[(x, 1.0)]);
+        assert_eq!((sol.status, sol.objective), (LpStatus::Optimal, 0.0));
+        assert_eq!(core.minimize(&[(y, 1.0)]).status, LpStatus::Unbounded);
+        assert_eq!(core.direction_density.density, 0.0);
+        assert_eq!(core.price_density.density, 0.0);
     }
 
     /// Sessions over `lp` with and without the presolve wrapper: the

@@ -18,7 +18,9 @@
 //!   (forcing refactorization) only when the new pivot is unstable relative
 //!   to the spike or the eliminated row fills beyond a threshold;
 //! * **hyper-sparse solves** — Gilbert–Peierls traversals that touch only
-//!   the entries a sparse right-hand side can reach (see [`KernelWs`]).
+//!   the entries a sparse right-hand side can reach (see [`KernelWs`]),
+//!   taken when the caller asks for them: the simplex core asks while its
+//!   forecast of the result's density is sparse.
 //!
 //! **The pivot search** (after Suhl & Suhl, "Computing sparse LU
 //! factorizations for large-scale linear programming bases", ORSA J.
@@ -103,9 +105,9 @@ pub(crate) enum FactorError {
 const HYPER_MIN_DIM: usize = 16;
 
 /// Result-density threshold for the hyper-sparse triangular solves: a
-/// solve is attempted hyper-sparse when the right-hand side's support is
-/// at most `ρ·m` rows, and falls back to the dense scan once the live
-/// support grows past `4ρ·m`.
+/// solve the caller asks to run hyper-sparse is attempted so when the
+/// right-hand side's support is at most `ρ·m` rows, and falls back to the
+/// dense scan once the live support grows past `4ρ·m`.
 const HYPER_DENSITY: f64 = 0.15;
 
 /// Seed cap for a hyper-sparse attempt at dimension `m`.
@@ -177,9 +179,10 @@ fn heap_pop(heap: &mut Vec<(usize, usize)>) -> Option<(usize, usize)> {
 ///   [`load_sparse`](Self::load_sparse)/[`load_unit`](Self::load_unit)
 ///   populate it plus `rhs_pattern`, and the kernel consumes it back to
 ///   all-zero.
-/// * After a kernel returns, `sol` holds the solution; when `sparse` is
-///   set, `pattern` lists a superset of its nonzero indices and `sol`
-///   is exactly zero everywhere else.  The next kernel call clears it.
+/// * After a kernel returns, `sol` holds the solution and `nnz` the size
+///   of its support; when `sparse` is set, `pattern` lists a superset of
+///   its nonzero indices and `sol` is exactly `+0.0` everywhere else.  The
+///   next kernel call clears it.
 #[derive(Debug, Default)]
 pub(crate) struct KernelWs {
     /// Right-hand side / mid-solve vector (row-indexed in ftran,
@@ -194,8 +197,14 @@ pub(crate) struct KernelWs {
     pub(crate) sol: Vec<f64>,
     /// Superset of `sol`'s nonzero indices when `sparse`.
     pub(crate) pattern: Vec<usize>,
-    /// Whether `pattern` describes `sol`; dense results leave it false.
+    /// Whether `pattern` describes `sol`: set by the hyper-sparse path,
+    /// and by a dense inverse row, which lists its support.
     pub(crate) sparse: bool,
+    /// Size of `sol`'s support, which the caller's density forecast learns
+    /// from: its nonzero count, except on the hyper-sparse btran path,
+    /// where counting would cost a pass of its own and `pattern`'s length
+    /// (a superset) serves.
+    pub(crate) nnz: usize,
     /// Indices of `rhs` dirtied by the current solve (for O(support)
     /// re-zeroing instead of an O(m) clear).
     touched: Vec<usize>,
@@ -207,9 +216,6 @@ pub(crate) struct KernelWs {
     epoch_pos: u32,
     /// Reusable binary-heap buffer for the symbolic worklists.
     heap: Vec<(usize, usize)>,
-    /// Disables the hyper-sparse paths for this workspace (kernel-bench
-    /// baselines and agreement tests pin hyper against the dense scan).
-    pub(crate) force_dense: bool,
     /// Dimension the buffers are sized for (high-water mark).
     sized_for: usize,
     /// Dimension of the solve that produced `sol` (for dense clears).
@@ -217,7 +223,9 @@ pub(crate) struct KernelWs {
     /// Solves that completed on the hyper-sparse path.
     pub(crate) hyper_ftrans: u64,
     pub(crate) hyper_btrans: u64,
-    /// Solves that ran (or fell back to) the dense scan in an LU kernel.
+    /// Solves that ran (or fell back to) the dense scan in an LU kernel:
+    /// the caller did not ask for the hyper-sparse path, the right-hand
+    /// side was too wide, or the live support outgrew the cap mid-solve.
     pub(crate) dense_fallbacks: u64,
     /// Workspace growth events after the first sizing — the hot loop's
     /// allocation count, asserted zero in steady state by CI.
@@ -876,11 +884,16 @@ impl LuFactor {
     /// `ws.pattern` listing a superset of its nonzeros when `ws.sparse`.
     /// The RHS is consumed (`ws.rhs` returns to all-zero).  This is the
     /// hot-path kernel: it allocates nothing once `ws` is sized.
-    pub(crate) fn ftran_ws(&self, ws: &mut KernelWs) {
+    ///
+    /// `hyper` asks for the hyper-sparse path; the kernel still takes the
+    /// dense scan when the right-hand side is too wide or the dimension
+    /// too small.  Both paths compute every entry with the same operations
+    /// in the same order, so the result does not depend on the path.
+    pub(crate) fn ftran_ws(&self, ws: &mut KernelWs, hyper: bool) {
         let m = self.m;
         ws.begin(m);
-        let attempt = ws.rhs_sparse
-            && !ws.force_dense
+        let attempt = hyper
+            && ws.rhs_sparse
             && m >= HYPER_MIN_DIM
             && ws.rhs_pattern.len() <= hyper_seed_cap(m);
         let live_cap = hyper_live_cap(m);
@@ -965,6 +978,7 @@ impl LuFactor {
         // dependency of a step sits later in the order, so it pops first);
         // propagation follows `utrans`, whose stale entries are harmless.
         let mut u_hyper = !v_dense && ws.touched.len() <= live_cap;
+        let mut nnz = 0;
         if u_hyper {
             ws.bump_pos_epoch();
             ws.heap.clear();
@@ -987,7 +1001,9 @@ impl LuFactor {
                         for &(j, u) in &self.upper[tt] {
                             s -= u * ws.sol[j];
                         }
-                        ws.sol[self.pivot_col[tt]] = s / self.upivot[tt];
+                        let x = s / self.upivot[tt];
+                        ws.sol[self.pivot_col[tt]] = x;
+                        nnz += usize::from(x != 0.0);
                     }
                     u_hyper = false;
                     break;
@@ -1001,6 +1017,7 @@ impl LuFactor {
                 ws.sol[j0] = x;
                 ws.pattern.push(j0);
                 if x != 0.0 {
+                    nnz += 1;
                     for &t2 in &self.utrans[j0] {
                         if self.order_pos[t2] < pos && !ws.pos_marked(t2) {
                             ws.mark_pos_on(t2);
@@ -1015,9 +1032,12 @@ impl LuFactor {
                 for &(j, u) in &self.upper[t] {
                     s -= u * ws.sol[j];
                 }
-                ws.sol[self.pivot_col[t]] = s / self.upivot[t];
+                let x = s / self.upivot[t];
+                ws.sol[self.pivot_col[t]] = x;
+                nnz += usize::from(x != 0.0);
             }
         }
+        ws.nnz = nnz;
         ws.sparse = u_hyper;
         if u_hyper {
             ws.hyper_ftrans += 1;
@@ -1030,11 +1050,27 @@ impl LuFactor {
     /// Solves `Bᵀ·y = c` **in place**: `c` by basis position loaded into
     /// `ws`, `y` by row in `ws.sol` on return (same contract as
     /// [`ftran_ws`](Self::ftran_ws)).
-    pub(crate) fn btran_ws(&self, ws: &mut KernelWs) {
+    pub(crate) fn btran_ws(&self, ws: &mut KernelWs, hyper: bool) {
+        self.btran(ws, hyper, false);
+    }
+
+    /// Row `p` of `B⁻¹` (row-indexed) into `ws.sol` — needed once per pivot
+    /// for the devex weight and dual-price updates: a unit-rhs btran.
+    /// Its support is listed on both paths: a dense result leaves
+    /// `ws.sparse` set, with `ws.pattern` listing every entry that is not
+    /// `+0.0` in ascending row order.
+    pub(crate) fn inverse_row_ws(&self, p: usize, ws: &mut KernelWs, hyper: bool) {
+        ws.load_unit(p, self.m);
+        self.btran(ws, hyper, true);
+    }
+
+    /// [`btran_ws`](Self::btran_ws), listing a dense result's support when
+    /// `list_support` is set.
+    fn btran(&self, ws: &mut KernelWs, hyper: bool, list_support: bool) {
         let m = self.m;
         ws.begin(m);
-        let attempt = ws.rhs_sparse
-            && !ws.force_dense
+        let attempt = hyper
+            && ws.rhs_sparse
             && m >= HYPER_MIN_DIM
             && ws.rhs_pattern.len() <= hyper_seed_cap(m);
         let live_cap = hyper_live_cap(m);
@@ -1177,16 +1213,24 @@ impl LuFactor {
         ws.sparse = hyper;
         if hyper {
             ws.hyper_btrans += 1;
+            ws.nnz = ws.pattern.len();
+        } else if list_support {
+            ws.dense_fallbacks += 1;
+            ws.pattern.clear();
+            let mut nnz = 0;
+            for r in 0..m {
+                let x = ws.sol[r];
+                if x.to_bits() != 0 {
+                    ws.pattern.push(r);
+                    nnz += usize::from(x != 0.0);
+                }
+            }
+            ws.nnz = nnz;
+            ws.sparse = true;
         } else {
             ws.dense_fallbacks += 1;
+            ws.nnz = ws.sol[..m].iter().filter(|&&x| x != 0.0).count();
         }
-    }
-
-    /// Row `p` of `B⁻¹` (row-indexed) into `ws.sol` — needed once per pivot
-    /// for the devex weight and dual-price updates: a unit-rhs btran.
-    pub(crate) fn inverse_row_ws(&self, p: usize, ws: &mut KernelWs) {
-        ws.load_unit(p, self.m);
-        self.btran_ws(ws);
     }
 
     /// Replaces the basic column at position `p`; `d = B⁻¹A_q` is the
@@ -1462,21 +1506,21 @@ mod tests {
     fn ftran(lu: &LuFactor, b: &[f64]) -> Vec<f64> {
         let mut ws = KernelWs::default();
         ws.load_dense(b);
-        lu.ftran_ws(&mut ws);
+        lu.ftran_ws(&mut ws, true);
         ws.sol_vec()
     }
 
     fn ftran_sparse(lu: &LuFactor, entries: &[(usize, f64)]) -> Vec<f64> {
         let mut ws = KernelWs::default();
         ws.load_sparse(entries, lu.m);
-        lu.ftran_ws(&mut ws);
+        lu.ftran_ws(&mut ws, true);
         ws.sol_vec()
     }
 
     fn btran(lu: &LuFactor, c: &[f64]) -> Vec<f64> {
         let mut ws = KernelWs::default();
         ws.load_dense(c);
-        lu.btran_ws(&mut ws);
+        lu.btran_ws(&mut ws, true);
         ws.sol_vec()
     }
 
@@ -1719,10 +1763,12 @@ mod tests {
     }
 
     /// The hyper-sparse LU ftran/btran must agree with the dense-scan
-    /// reference kernels of the same factors to 1e-9 on unit and sparse
-    /// right-hand sides, before and after Forrest–Tomlin updates, solve the
-    /// basis to 1e-9, and report hyper-sparse completions with zero
-    /// workspace growth after sizing.
+    /// kernels of the same factors entry for entry (`==`) on unit and
+    /// sparse right-hand sides, before and after Forrest–Tomlin updates,
+    /// solve the basis to 1e-9, and report hyper-sparse completions with
+    /// zero workspace growth after sizing.  Every result's `nnz` is its
+    /// nonzero count, and a dense inverse row lists exactly its entries
+    /// that are not `+0.0`.
     #[test]
     fn hyper_sparse_solves_match_dense_reference() {
         let m = 48;
@@ -1734,19 +1780,16 @@ mod tests {
         let mut ws = KernelWs::default();
         ws.ensure(m);
         let sized_allocs = ws.kernel_allocs;
-        let mut scan = KernelWs {
-            force_dense: true,
-            ..KernelWs::default()
-        };
+        let mut scan = KernelWs::default();
 
         let check_all = |lu: &LuFactor, basis: &[usize], ws: &mut KernelWs, scan: &mut KernelWs| {
             for p in [0usize, 5, m / 2, m - 1] {
                 // ftran on the unit row RHS e_p.
                 ws.load_unit(p, m);
-                lu.ftran_ws(ws);
+                lu.ftran_ws(ws, true);
                 scan.load_unit(p, m);
-                lu.ftran_ws(scan);
-                assert_vec_close(&ws.sol_vec(), &scan.sol_vec());
+                lu.ftran_ws(scan, false);
+                assert_same_solution(ws, scan);
                 if ws.sparse {
                     // Pattern superset contract: zeros outside it.
                     let mut inpat = vec![false; m];
@@ -1757,19 +1800,20 @@ mod tests {
                         assert!(inpat[j] || x == 0.0, "sol[{j}]={x} outside pattern");
                     }
                 }
-                // btran on e_p (inverse row).
-                lu.inverse_row_ws(p, ws);
-                lu.inverse_row_ws(p, scan);
-                assert_vec_close(&ws.sol_vec(), &scan.sol_vec());
+                // btran on e_p (inverse row); the dense one lists its support.
+                lu.inverse_row_ws(p, ws, true);
+                lu.inverse_row_ws(p, scan, false);
+                assert_same_solution(ws, scan);
+                assert_lists_its_support(scan);
             }
             // A 3-entry sparse RHS through both directions.
             let entries = [(1usize, 0.7), (m / 2, -1.3), (m - 2, 0.25)];
             for solve in [LuFactor::ftran_ws, LuFactor::btran_ws] {
                 ws.load_sparse(&entries, m);
-                solve(lu, ws);
+                solve(lu, ws, true);
                 scan.load_sparse(&entries, m);
-                solve(lu, scan);
-                assert_vec_close(&ws.sol_vec(), &scan.sol_vec());
+                solve(lu, scan, false);
+                assert_same_solution(ws, scan);
             }
             let mut probe = vec![0.0; m];
             for &(i, a) in &entries {
@@ -1781,6 +1825,7 @@ mod tests {
         check_all(&lu, &basis, &mut ws, &mut scan);
         assert!(ws.hyper_ftrans > 0, "hyper ftran path never engaged");
         assert!(ws.hyper_btrans > 0, "hyper btran path never engaged");
+        assert_eq!(scan.hyper_ftrans + scan.hyper_btrans, 0);
 
         // Drive a pivot sequence (spares are wider, so updates exercise
         // utrans maintenance + row etas), refactorizing on a decline and
@@ -1808,11 +1853,34 @@ mod tests {
         check_all(&fresh, &basis, &mut ws, &mut scan);
     }
 
+    /// A solve that may take the hyper-sparse path (`a`) and a dense scan
+    /// (`b`) of one right-hand side hold the same solution entry for entry;
+    /// the scan counts its nonzeros, and `a` at least as many.
+    fn assert_same_solution(a: &KernelWs, b: &KernelWs) {
+        let (x, y) = (a.sol_vec(), b.sol_vec());
+        assert_eq!(x, y, "the two kernel paths disagree");
+        let nonzeros = y.iter().filter(|&&v| v != 0.0).count();
+        assert_eq!(b.nnz, nonzeros);
+        assert!(
+            a.nnz >= nonzeros && a.nnz <= x.len(),
+            "{} of {nonzeros}",
+            a.nnz
+        );
+    }
+
+    /// A dense inverse row lists its support: every entry that is not
+    /// `+0.0`, in ascending row order.
+    fn assert_lists_its_support(ws: &KernelWs) {
+        assert!(ws.sparse, "a dense inverse row must list its support");
+        let support: Vec<usize> = (0..ws.dim).filter(|&r| ws.sol[r].to_bits() != 0).collect();
+        assert_eq!(ws.pattern, support);
+    }
+
     proptest::proptest! {
         /// Random sparse RHS + random pivot sequences at hyper-engaging
         /// dimensions: the hyper-sparse solves must match the dense scan of
-        /// the same factors within 1e-9, and a fresh refactorization of the
-        /// final basis within 1e-6 of the solve's magnitude.
+        /// the same factors entry for entry, and a fresh refactorization of
+        /// the final basis within 1e-6 of the solve's magnitude.
         #[test]
         fn prop_hyper_sparse_agrees_with_dense_reference(
             m in 20usize..40,
@@ -1834,31 +1902,27 @@ mod tests {
             let entries: Vec<(usize, f64)> =
                 rhs.iter().map(|&(r, v)| (r % m, v)).collect();
             let mut ws = KernelWs::default();
-            let mut ws_dense = KernelWs {
-                force_dense: true,
-                ..KernelWs::default()
-            };
+            let mut ws_dense = KernelWs::default();
             let mut c = vec![0.0; m];
             for &(i, a) in &entries {
                 c[i] += a;
             }
 
-            // The hyper-sparse path is pinned to the LU dense scan within
-            // 1e-9 outright: same factors, same operation order, the
-            // symbolic pass only skips exact zeros.
-            ws.load_sparse(&entries, m);
-            lu.ftran_ws(&mut ws);
-            ws_dense.load_sparse(&entries, m);
-            lu.ftran_ws(&mut ws_dense);
-            for (&x, &y) in ws.sol_vec().iter().zip(&ws_dense.sol_vec()) {
-                proptest::prop_assert!((x - y).abs() < 1e-9, "hyper ftran {x} vs scan {y}");
+            // The hyper-sparse path is pinned to the LU dense scan entry
+            // for entry: same factors, same operation order, the symbolic
+            // pass only skips exact zeros.
+            for solve in [LuFactor::ftran_ws, LuFactor::btran_ws] {
+                ws.load_sparse(&entries, m);
+                solve(&lu, &mut ws, true);
+                ws_dense.load_sparse(&entries, m);
+                solve(&lu, &mut ws_dense, false);
+                proptest::prop_assert_eq!(ws.sol_vec(), ws_dense.sol_vec());
             }
-            ws.load_sparse(&entries, m);
-            lu.btran_ws(&mut ws);
-            ws_dense.load_sparse(&entries, m);
-            lu.btran_ws(&mut ws_dense);
-            for (&x, &y) in ws.sol_vec().iter().zip(&ws_dense.sol_vec()) {
-                proptest::prop_assert!((x - y).abs() < 1e-9, "hyper btran {x} vs scan {y}");
+            for p in [0, m / 2, m - 1] {
+                lu.inverse_row_ws(p, &mut ws, true);
+                lu.inverse_row_ws(p, &mut ws_dense, false);
+                proptest::prop_assert_eq!(ws.sol_vec(), ws_dense.sol_vec());
+                assert_lists_its_support(&ws_dense);
             }
 
             // Against scratch solves of the final basis — the conformance

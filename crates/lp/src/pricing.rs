@@ -14,11 +14,10 @@
 //! A pivot's pricing work is proportional to its pivot row `ρ`, not to the
 //! constraint matrix.  The core keeps each candidate column's reduced cost
 //! across pivots.  After a pivot it recomputes only the columns next to the
-//! support of a hyper-sparse `ρ`: the same list the devex weight update
-//! walks, and the only columns whose dot product reads a dual price the
-//! pivot moved.  [`DevexPricer::select`] is then one scan over two dense
-//! slices, the prices and the weights.  A dense `ρ` still reprices every
-//! candidate.
+//! support of `ρ`, which the kernel lists on both of its paths: the same
+//! list the devex weight update walks, and the only columns whose dot
+//! product reads a dual price the pivot moved.  [`DevexPricer::select`] is
+//! then one scan over two dense slices, the prices and the weights.
 //!
 //! The module also holds the per-session settings threaded from the
 //! analysis down to the core: [`SolverTuning`], the session's budget.
@@ -165,27 +164,25 @@ impl SolverTuning {
 }
 
 /// Everything the pricer inspects when observing a pivot: the pre-pivot
-/// pivot-row entries `alpha(j) = (B⁻¹A)_pj` (devex weight updates need them)
+/// pivot-row entries `alpha[j] = (B⁻¹A)_pj` (devex weight updates need them)
 /// plus which columns entered and left.
 pub(crate) struct PivotView<'a> {
     /// The column entering the basis.
     pub entering: usize,
     /// The column leaving the basis.
     pub leaving: usize,
-    /// The pivot element `alpha(entering)`.
+    /// The pivot element `alpha[entering]`.
     pub alpha_q: f64,
     /// Number of standard-form columns.
     pub n_cols: usize,
     /// Whether a column is a pricing candidate (nonbasic and not banned).
     pub candidate: &'a dyn Fn(usize) -> bool,
-    /// Pre-pivot pivot-row entry of a column.
-    pub alpha: &'a dyn Fn(usize) -> f64,
-    /// When the pivot row came off the hyper-sparse kernel path: each
-    /// column adjacent to a nonzero of the row, once — a superset of the
-    /// columns with `alpha(j) ≠ 0`.  Every other column's entry is an exact
-    /// zero.  `None` means the row is dense and every column must be
-    /// visited.
-    pub touched: Option<&'a [usize]>,
+    /// Pre-pivot pivot-row entry of each column (at least `n_cols` long).
+    pub alpha: &'a [f64],
+    /// Each column adjacent to a nonzero of the row, once — a superset of
+    /// the columns with `alpha[j] ≠ 0`.  Every other column's entry is an
+    /// exact zero.
+    pub touched: &'a [usize],
 }
 
 /// Approximate steepest edge (devex) with reference-framework resets,
@@ -245,68 +242,54 @@ impl DevexPricer {
         best
     }
 
-    /// Observes the pivot performed on the previously selected column.
+    /// Observes the pivot performed on the previously selected column,
+    /// visiting only the touched columns: the others have an exactly zero
+    /// pivot-row entry, so their weights are unchanged, and only `hot`
+    /// carry-overs can push the weights' maximum past the reset threshold
+    /// without being updated here.
     pub(crate) fn observe_pivot(&mut self, view: &PivotView<'_>) {
         self.ensure(view.n_cols);
         let aq2 = view.alpha_q * view.alpha_q;
         if aq2 < 1e-20 {
             return;
         }
-        // Reference weight carried by the entering column, propagated to the
-        // rest of the framework through the pivot row.
-        let ratio = (self.weights[view.entering] / aq2).max(1.0 / aq2);
+        let ratio = Self::reference_ratio(self.weights[view.entering], aq2);
         // Whether any candidate's post-update weight exceeds the reset
-        // threshold — exactly the `max_weight > DEVEX_RESET` verdict of a
-        // full scan.
+        // threshold — exactly the verdict of a sweep over every candidate.
         let mut trip = false;
-        match view.touched {
-            // Touched-only path: candidates off the list have an exactly
-            // zero pivot-row entry, so their weights are unchanged — only
-            // `hot` carry-overs can push the scan's maximum past the
-            // threshold without being updated here.
-            Some(touched) => {
-                for &j in touched {
-                    if j == view.entering || !(view.candidate)(j) {
-                        continue;
-                    }
-                    let a = (view.alpha)(j);
-                    if a != 0.0 {
-                        let w = a * a * ratio;
-                        if w > self.weights[j] {
-                            self.weights[j] = w;
-                        }
-                        trip = trip || self.weights[j] > DEVEX_RESET;
-                    }
-                }
-                let weights = &self.weights;
-                self.hot.retain(|&j| weights[j] > DEVEX_RESET);
-                trip = trip
-                    || self
-                        .hot
-                        .iter()
-                        .any(|&j| j != view.entering && (view.candidate)(j));
+        for &j in view.touched {
+            if j == view.entering || !(view.candidate)(j) {
+                continue;
             }
-            None => {
-                for j in 0..view.n_cols {
-                    if j == view.entering || !(view.candidate)(j) {
-                        continue;
-                    }
-                    let a = (view.alpha)(j);
-                    if a != 0.0 {
-                        let w = a * a * ratio;
-                        if w > self.weights[j] {
-                            self.weights[j] = w;
-                        }
-                    }
-                    trip = trip || self.weights[j] > DEVEX_RESET;
+            let a = view.alpha[j];
+            if a != 0.0 {
+                let w = a * a * ratio;
+                if w > self.weights[j] {
+                    self.weights[j] = w;
                 }
-                let weights = &self.weights;
-                self.hot.retain(|&j| weights[j] > DEVEX_RESET);
+                trip = trip || self.weights[j] > DEVEX_RESET;
             }
         }
-        // The leaving column re-enters the nonbasic pool with the reference
-        // weight of the pivot.
-        self.weights[view.leaving] = ratio.max(1.0);
+        let weights = &self.weights;
+        self.hot.retain(|&j| weights[j] > DEVEX_RESET);
+        trip = trip
+            || self
+                .hot
+                .iter()
+                .any(|&j| j != view.entering && (view.candidate)(j));
+        self.finish_pivot(view.leaving, ratio, trip);
+    }
+
+    /// Reference weight carried by the entering column, propagated to the
+    /// rest of the framework through the pivot row.
+    fn reference_ratio(entering_weight: f64, aq2: f64) -> f64 {
+        (entering_weight / aq2).max(1.0 / aq2)
+    }
+
+    /// The leaving column re-enters the nonbasic pool with the reference
+    /// weight of the pivot; then the reset, if a weight tripped it.
+    fn finish_pivot(&mut self, leaving: usize, ratio: f64, trip: bool) {
+        self.weights[leaving] = ratio.max(1.0);
         if trip {
             // Reference-framework reset: the approximation drifted too far.
             for w in &mut self.weights {
@@ -317,9 +300,40 @@ impl DevexPricer {
             {
                 self.resets += 1;
             }
-        } else if self.weights[view.leaving] > DEVEX_RESET && !self.hot.contains(&view.leaving) {
-            self.hot.push(view.leaving);
+        } else if self.weights[leaving] > DEVEX_RESET && !self.hot.contains(&leaving) {
+            self.hot.push(leaving);
         }
+    }
+}
+
+/// The full sweep over every candidate that the touched-only
+/// [`DevexPricer::observe_pivot`] must reproduce.
+#[cfg(test)]
+impl DevexPricer {
+    pub(crate) fn observe_pivot_by_sweep(&mut self, view: &PivotView<'_>) {
+        self.ensure(view.n_cols);
+        let aq2 = view.alpha_q * view.alpha_q;
+        if aq2 < 1e-20 {
+            return;
+        }
+        let ratio = Self::reference_ratio(self.weights[view.entering], aq2);
+        let mut trip = false;
+        for j in 0..view.n_cols {
+            if j == view.entering || !(view.candidate)(j) {
+                continue;
+            }
+            let a = view.alpha[j];
+            if a != 0.0 {
+                let w = a * a * ratio;
+                if w > self.weights[j] {
+                    self.weights[j] = w;
+                }
+            }
+            trip = trip || self.weights[j] > DEVEX_RESET;
+        }
+        let weights = &self.weights;
+        self.hot.retain(|&j| weights[j] > DEVEX_RESET);
+        self.finish_pivot(view.leaving, ratio, trip);
     }
 }
 
@@ -411,8 +425,8 @@ mod tests {
             alpha_q: 0.5,
             n_cols: 3,
             candidate: &all,
-            alpha: &|j| [0.0, 0.5, 40.0][j],
-            touched: None,
+            alpha: &[0.0, 0.5, 40.0],
+            touched: &[1, 2],
         });
         // …so column 2 (weight exploded) loses to column 1's replacement
         // score even at a slightly larger reduced cost.
@@ -424,8 +438,8 @@ mod tests {
             alpha_q: 1e-5,
             n_cols: 3,
             candidate: &all,
-            alpha: &|_| 1e3,
-            touched: None,
+            alpha: &[1e3; 3],
+            touched: &[0, 1, 2],
         });
         assert!(
             devex.weights.iter().all(|&w| w == 1.0),
@@ -437,7 +451,7 @@ mod tests {
     #[test]
     fn devex_touched_path_matches_full_scan() {
         // Two pricers fed the same pivot sequence — one through the full
-        // scan, one through the touched-only path — must evolve identical
+        // sweep, one through the touched-only path — must evolve identical
         // weights, including the reference-framework reset triggered by a
         // column whose weight was parked above the threshold by an earlier
         // leaving assignment and that no later pivot row touches.
@@ -446,35 +460,33 @@ mod tests {
         // Pivot 1: a tiny pivot element explodes the reference ratio, so
         // the leaving column 1 re-enters the pool with weight 1e8 — above
         // DEVEX_RESET, but parked *after* the scan, so no reset fires.
-        let alphas1 = [0.0, 0.0, 1e-3, 1e-3, 0.0, 0.0];
-        for (pricer, touched) in [(&mut dense, None), (&mut sparse, Some(&[2usize, 3][..]))] {
-            pricer.observe_pivot(&PivotView {
-                entering: 0,
-                leaving: 1,
-                alpha_q: 1e-4,
-                n_cols: 6,
-                candidate: &|j| j != 0,
-                alpha: &|j| alphas1[j],
-                touched,
-            });
-        }
+        let view = PivotView {
+            entering: 0,
+            leaving: 1,
+            alpha_q: 1e-4,
+            n_cols: 6,
+            candidate: &|j| j != 0,
+            alpha: &[0.0, 0.0, 1e-3, 1e-3, 0.0, 0.0],
+            touched: &[2, 3],
+        };
+        dense.observe_pivot_by_sweep(&view);
+        sparse.observe_pivot(&view);
         assert_eq!(dense.weights, sparse.weights);
         assert!(dense.weights[1] > DEVEX_RESET, "{:?}", dense.weights);
         // Pivot 2 does not touch column 1, but its oversized weight must
-        // still trip the reset on both paths (the full scan sees it
+        // still trip the reset on both paths (the full sweep sees it
         // directly, the touched-only path through its hot set).
-        let alphas2 = [0.0, 0.0, 0.0, 0.0, 0.5, 0.0];
-        for (pricer, touched) in [(&mut dense, None), (&mut sparse, Some(&[4usize][..]))] {
-            pricer.observe_pivot(&PivotView {
-                entering: 2,
-                leaving: 3,
-                alpha_q: 1.0,
-                n_cols: 6,
-                candidate: &|j| j != 2,
-                alpha: &|j| alphas2[j],
-                touched,
-            });
-        }
+        let view = PivotView {
+            entering: 2,
+            leaving: 3,
+            alpha_q: 1.0,
+            n_cols: 6,
+            candidate: &|j| j != 2,
+            alpha: &[0.0, 0.0, 0.0, 0.0, 0.5, 0.0],
+            touched: &[4],
+        };
+        dense.observe_pivot_by_sweep(&view);
+        sparse.observe_pivot(&view);
         assert_eq!(dense.weights, sparse.weights);
         assert!(
             sparse.weights.iter().all(|&w| w == 1.0),

@@ -149,7 +149,9 @@ solve_stats! {
     /// Backward solves completed on the hyper-sparse path.
     hyper_sparse_btrans: u64, Sum, Volatile;
     /// LU kernel calls that ran — or mid-solve fell back to — the dense
-    /// scan because the result density crossed the threshold.
+    /// scan: the solve's result-density forecast sent it there, its
+    /// right-hand side was too wide, or its live support crossed the
+    /// threshold mid-solve.
     dense_fallbacks: u64, Sum, Volatile;
     /// Kernel-workspace growth events after initial sizing — heap
     /// allocations on the per-pivot hot path, 0 in steady state (CI
@@ -217,6 +219,11 @@ pub enum LpStatus {
     /// poly-degree escalation retries) and must not trust the accompanying
     /// objective/values.  The [`SolveStats`] on the solution record how much
     /// was spent before the budget ran out.
+    ///
+    /// It also covers the one numerical dead end the solver does not
+    /// report as a verdict: an optimum at a basic point that violates a
+    /// row or a sign, which a cold restart under Bland's rule also ended
+    /// at.
     BudgetExhausted,
 }
 
