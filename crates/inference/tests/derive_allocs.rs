@@ -1,44 +1,75 @@
-//! Pins the allocator traffic of constraint derivation.
+//! Pins the allocator traffic of constraint derivation and of opening a
+//! solver session on the LP it emits.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator, and the
-//! analysis runs against a stub backend whose `minimize` answers
-//! "infeasible" at once, so what is counted is derivation alone: the
-//! template arithmetic of every rule, the certificates of every weakening,
-//! the entailment LPs of the loop-head invariants, and the snapshot of the
-//! constraint store handed to the backend.  Template sums accumulate in
-//! place and LP columns are anonymous; a return to clone-per-sum arithmetic
-//! (which roughly doubles the count on both fixtures) or to a `format!`ed
-//! name per column (1.35–1.40× on these two) blows through the budgets.
+//! A counting `#[global_allocator]` wraps the system allocator and counts
+//! calls and bytes requested (the size of each `alloc`, the new size of each
+//! `realloc`).  The analysis runs against a stub backend whose `minimize`
+//! answers "infeasible" at once, so what is counted is derivation alone:
+//! the template arithmetic of every rule, the certificates of every
+//! weakening, the entailment LPs of the loop-head invariants, and the
+//! snapshot of the constraint store handed to the backend.  The stub keeps
+//! a copy of that LP (uncounted), and `SimplexBackend::open` on it is
+//! counted apart: presolve and the session's set-up.
+//!
+//! Each fixture has three budgets:
+//! - derivation calls: template sums accumulate in place and LP columns are
+//!   anonymous; a return to clone-per-sum arithmetic (which roughly doubles
+//!   the count on both fixtures) or to a `format!`ed name per column
+//!   (1.35–1.40× on these two) blows through them;
+//! - derivation bytes: a monomial is a sorted vector of (variable,
+//!   exponent) pairs; as a `BTreeMap` (a ~250-byte leaf per clone) it
+//!   requested 1.25× (walk chain) and 1.5× (rdwalk) the bytes;
+//! - open calls: presolve's duplicate-row pass fingerprints rows in place;
+//!   with one SipHashed `Vec` key per live row it made 1.35× the calls.
 //!
 //! This file holds exactly one `#[test]`: the allocation counter is
 //! process-global and a sibling test running concurrently would pollute it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use cma_inference::{analyze_with, AnalysisError, AnalysisOptions, SolveMode};
-use cma_lp::{Cmp, LpBackend, LpProblem, LpSession, LpSolution, LpStatus, LpVarId};
+use cma_lp::{Cmp, LpBackend, LpProblem, LpSession, LpSolution, LpStatus, LpVarId, SimplexBackend};
 use cma_suite::{running, synthetic, Benchmark};
 
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Set while the stub copies the LP it is opened on.
+static PAUSED: AtomicBool = AtomicBool::new(false);
 
-// SAFETY: delegates every operation to `System`; the counter is a relaxed
-// atomic with no allocation of its own.
+fn count(bytes: usize) {
+    if !PAUSED.load(Ordering::Relaxed) {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+/// Allocator calls and bytes requested so far.
+fn counters() -> (u64, u64) {
+    (
+        ALLOC_CALLS.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
+    )
+}
+
+// SAFETY: delegates every operation to `System`; the counters are relaxed
+// atomics with no allocation of their own.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -50,17 +81,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-/// Allocator calls the derivation of walk-chain n=8 (global mode, degree 2,
-/// 1,482 rows) may spend: about 1.25× the observed count of 29,574.
-const WALK_CHAIN_BUDGET: u64 = 37_000;
+/// What one fixture may spend, about 1.2–1.25× its observed counts.
+struct Budget {
+    derive_calls: u64,
+    derive_bytes: u64,
+    open_calls: u64,
+}
 
-/// Allocator calls the derivation of `running/rdwalk` (global mode,
-/// degree 2, 406 rows) may spend: about 1.25× the observed count of 7,357.
-const RDWALK_BUDGET: u64 = 9_200;
+/// Walk-chain n=8 (global mode, degree 2, 1,482 rows): derivation 28,110
+/// calls and 5.3 MB, `open` 10,457 calls.
+const WALK_CHAIN_BUDGET: Budget = Budget {
+    derive_calls: 35_000,
+    derive_bytes: 6_400_000,
+    open_calls: 12_500,
+};
+
+/// `running/rdwalk` (global mode, degree 2, 406 rows): derivation 6,891
+/// calls and 1.0 MB, `open` 2,741 calls.
+const RDWALK_BUDGET: Budget = Budget {
+    derive_calls: 8_600,
+    derive_bytes: 1_250_000,
+    open_calls: 3_300,
+};
 
 /// A backend that answers every `minimize` with a stored infeasible
-/// solution, so an analysis stops right after its first derivation.
-struct InfeasibleBackend(LpSolution);
+/// solution, so an analysis stops right after its first derivation, and
+/// keeps a copy of the last LP it was opened on.
+struct InfeasibleBackend {
+    answer: LpSolution,
+    opened: Mutex<Option<LpProblem>>,
+}
 
 struct InfeasibleSession<'a> {
     answer: &'a LpSolution,
@@ -97,23 +147,28 @@ impl LpBackend for InfeasibleBackend {
     }
 
     fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a> {
+        PAUSED.store(true, Ordering::Relaxed);
+        let copy = problem.clone();
+        PAUSED.store(false, Ordering::Relaxed);
+        *self.opened.lock().expect("no test thread panics") = Some(copy);
         Box::new(InfeasibleSession {
-            answer: &self.0,
+            answer: &self.answer,
             vars: problem.num_vars(),
             rows: problem.num_constraints(),
         })
     }
 }
 
-/// Allocator calls spent deriving `benchmark` in global mode at its own
-/// degree, checked to stop at the stub's infeasible answer.
-fn derivation_allocs(benchmark: &Benchmark, backend: &InfeasibleBackend) -> u64 {
+/// Allocator calls and bytes spent deriving `benchmark` in global mode at
+/// its own degree, checked to stop at the stub's infeasible answer, and the
+/// allocator calls of opening a `SimplexBackend` session on its LP.
+fn allocs(benchmark: &Benchmark, backend: &InfeasibleBackend) -> (u64, u64, u64) {
     let options = AnalysisOptions::degree(benchmark.degree)
         .with_valuation(benchmark.valuation.clone())
         .with_mode(SolveMode::Global);
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = counters();
     let outcome = analyze_with(&benchmark.program, &options, backend);
-    let spent = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let after = counters();
     assert!(
         matches!(
             outcome,
@@ -125,7 +180,17 @@ fn derivation_allocs(benchmark: &Benchmark, backend: &InfeasibleBackend) -> u64 
         "{}: expected the stub's infeasible verdict, got {outcome:?}",
         benchmark.name
     );
-    spent
+    let problem = backend
+        .opened
+        .lock()
+        .expect("no test thread panics")
+        .take()
+        .expect("the analysis opened a session");
+    let before_open = counters();
+    let session = SimplexBackend.open(&problem);
+    let open_calls = counters().0 - before_open.0;
+    assert_eq!(session.num_constraints(), problem.num_constraints());
+    (after.0 - before.0, after.1 - before.1, open_calls)
 }
 
 #[test]
@@ -137,7 +202,10 @@ fn derivation_stays_within_its_allocation_budget() {
     lp.add_constraint(vec![(x, 1.0)], Cmp::Le, -1.0);
     let answer = lp.solve();
     assert_eq!(answer.status, LpStatus::Infeasible);
-    let backend = InfeasibleBackend(answer);
+    let backend = InfeasibleBackend {
+        answer,
+        opened: Mutex::new(None),
+    };
 
     let spent: Vec<_> = [
         (synthetic::random_walk_chain(8), WALK_CHAIN_BUDGET),
@@ -145,18 +213,30 @@ fn derivation_stays_within_its_allocation_budget() {
     ]
     .into_iter()
     .map(|(benchmark, budget)| {
-        let spent = derivation_allocs(&benchmark, &backend);
+        let (calls, bytes, open_calls) = allocs(&benchmark, &backend);
         println!(
-            "{}: {spent} allocator calls (budget {budget})",
-            benchmark.name
+            "{}: derivation {calls} allocator calls (budget {}), {bytes} bytes \
+             (budget {}); open {open_calls} allocator calls (budget {})",
+            benchmark.name, budget.derive_calls, budget.derive_bytes, budget.open_calls
         );
-        (benchmark.name, spent, budget)
+        (benchmark.name, [calls, bytes, open_calls], budget)
     })
     .collect();
-    for (name, spent, budget) in spent {
+    for (name, [calls, bytes, open_calls], budget) in spent {
         assert!(
-            spent <= budget,
-            "deriving {name} made {spent} allocator calls (budget {budget})"
+            calls <= budget.derive_calls,
+            "deriving {name} made {calls} allocator calls (budget {})",
+            budget.derive_calls
+        );
+        assert!(
+            bytes <= budget.derive_bytes,
+            "deriving {name} requested {bytes} bytes (budget {})",
+            budget.derive_bytes
+        );
+        assert!(
+            open_calls <= budget.open_calls,
+            "opening {name}'s LP made {open_calls} allocator calls (budget {})",
+            budget.open_calls
         );
     }
 }

@@ -191,23 +191,20 @@ impl Context {
             .map(|c| c.expr().to_polynomial())
             .collect();
         let mut products = vec![Polynomial::constant(1.0)];
-        // Breadth-first expansion by repeatedly multiplying with base factors.
-        let mut frontier = vec![Polynomial::constant(1.0)];
+        // Breadth-first expansion by repeatedly multiplying with base factors;
+        // the frontier is the products the previous round added.
+        let mut frontier = 0..products.len();
         for _ in 0..degree {
-            let mut next = Vec::new();
-            for p in &frontier {
+            let round_start = products.len();
+            for i in frontier {
                 for b in &base {
-                    let candidate = p.mul(b);
-                    if candidate.degree() <= degree
-                        && !products.contains(&candidate)
-                        && !next.contains(&candidate)
-                    {
-                        next.push(candidate);
+                    let candidate = products[i].mul(b);
+                    if candidate.degree() <= degree && !products.contains(&candidate) {
+                        products.push(candidate);
                     }
                 }
             }
-            products.extend(next.clone());
-            frontier = next;
+            frontier = round_start..products.len();
             if frontier.is_empty() {
                 break;
             }
@@ -223,15 +220,26 @@ impl Context {
         Flow::walk(Rc::new(self), stmt, program, true)
     }
 
-    /// Whether the context logically entails `goal` (checked with a small LP:
-    /// the minimum of `goal`'s expression over the context is non-negative).
+    /// Whether the context logically entails `goal`.
+    ///
+    /// A context entails each of its own facts, vacuously when it is
+    /// infeasible, so a stated fact is answered `true` without an LP: the
+    /// LP below minimizes the fact's expression subject to the fact itself
+    /// and returns `true` for it too.  Any other goal is checked with a
+    /// small LP: the minimum of `goal`'s expression over the context is
+    /// non-negative.
     ///
     /// Returns `true` when the context is infeasible (vacuous entailment) and
     /// `false` when the minimum is negative or unbounded below.
     pub fn entails(&self, goal: &LinearConstraint) -> bool {
-        if goal.is_trivial() {
+        if goal.is_trivial() || self.constraints.contains(goal) {
             return true;
         }
+        self.entails_by_lp(goal)
+    }
+
+    /// The LP check of [`entails`](Self::entails).
+    fn entails_by_lp(&self, goal: &LinearConstraint) -> bool {
         // Collect the variables involved.
         let mut vars: BTreeSet<Var> = goal.expr().vars().cloned().collect();
         for c in &self.constraints {
@@ -548,6 +556,7 @@ impl std::fmt::Display for Context {
 mod tests {
     use super::*;
     use cma_appl::build::*;
+    use proptest::test_runner::TestRng;
 
     fn x() -> Var {
         Var::new("x")
@@ -693,6 +702,68 @@ mod tests {
         for pair in flow.children().windows(2) {
             assert!(Rc::ptr_eq(pair[0].after.as_ref().unwrap(), &pair[1].before));
         }
+    }
+
+    /// A random fact `Σ aᵢ·vᵢ + b ≥ 0` over the first `nvars` of x, y, z, w,
+    /// with small integer coefficients.
+    fn random_fact(rng: &mut TestRng, nvars: usize) -> LinearConstraint {
+        let mut e = LinExpr::constant(rng.below(7) as f64 - 3.0);
+        for name in ["x", "y", "z", "w"].into_iter().take(nvars) {
+            let a = rng.below(5) as f64 - 2.0;
+            e = e.add(&LinExpr::var(Var::new(name)).scale(a));
+        }
+        LinearConstraint::nonneg(e)
+    }
+
+    #[test]
+    fn stated_facts_skip_the_lp_with_its_verdicts() {
+        let mut rng = TestRng::deterministic("stated_facts_skip_the_lp_with_its_verdicts");
+        let (mut infeasible, mut unstated_true, mut unstated_false) = (0, 0, 0);
+        for _ in 0..200 {
+            let nvars = 2 + rng.below(3) as usize;
+            let mut ctx = Context::top();
+            let len = 1 + rng.below(6) as usize;
+            while ctx.len() < len {
+                ctx.add_constraint(random_fact(&mut rng, nvars));
+            }
+            if rng.below(4) == 0 {
+                // Plant a contradiction: x ≥ 1 and x ≤ 0.
+                ctx.add_constraint(LinearConstraint::nonneg(
+                    LinExpr::var(x()).sub(&LinExpr::constant(1.0)),
+                ));
+                ctx.add_constraint(LinearConstraint::nonneg(LinExpr::var(x()).scale(-1.0)));
+            }
+            let unsat = !ctx.entails_by_lp(&LinearConstraint::nonneg(LinExpr::constant(-1.0)));
+            infeasible += usize::from(unsat);
+            for fact in ctx.constraints() {
+                assert!(ctx.entails(fact), "{ctx} does not entail its own {fact}");
+                assert!(ctx.entails_by_lp(fact), "the LP rejects {fact} of {ctx}");
+            }
+            // Unstated goals: random facts, and sums and scalings of stated
+            // ones (entailed, but never equal to a stated fact).
+            let facts = ctx.constraints();
+            let mut goals: Vec<LinearConstraint> =
+                (0..4).map(|_| random_fact(&mut rng, nvars)).collect();
+            goals.push(LinearConstraint::nonneg(facts[0].expr().scale(2.0)));
+            goals.push(LinearConstraint::nonneg(
+                facts[0].expr().add(facts[facts.len() - 1].expr()),
+            ));
+            for goal in goals {
+                if goal.is_trivial() || facts.contains(&goal) {
+                    continue;
+                }
+                let by_lp = ctx.entails_by_lp(&goal);
+                assert_eq!(ctx.entails(&goal), by_lp, "{ctx} ⊢ {goal}");
+                unstated_true += usize::from(by_lp);
+                unstated_false += usize::from(!by_lp);
+            }
+        }
+        // The draw covers infeasible contexts and both verdicts.
+        assert!(infeasible > 20, "{infeasible} infeasible contexts");
+        assert!(
+            unstated_true > 50 && unstated_false > 50,
+            "{unstated_true}/{unstated_false}"
+        );
     }
 
     #[test]

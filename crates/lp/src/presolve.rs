@@ -233,13 +233,33 @@ pub(crate) fn presolve(problem: &LpProblem) -> Presolved {
 /// Collapses rows that are identical after canonicalization (scale so the
 /// leading coefficient is `+1`, flipping `≤`/`≥` under a negative scale) to
 /// the tightest right-hand side.  Returns whether anything changed.
+///
+/// Two rows are duplicates when their canonical comparisons agree and so do
+/// their scaled terms, column by column and bit for bit.  Each live row is
+/// fingerprinted in place (see [`row_fingerprint`]); a table maps each
+/// fingerprint to the first row that has it, and later rows with the same
+/// fingerprint but different terms are chained behind it in row order.  A
+/// row is a duplicate only when a chain member matches it exactly, so the
+/// representative is the first live row of its class, and right-hand sides
+/// tighten in row order.
 fn drop_duplicate_rows(rows: &mut [WorkRow], infeasible: &mut bool) -> bool {
+    drop_duplicate_rows_by(rows, infeasible, row_fingerprint)
+}
+
+/// [`drop_duplicate_rows`] with the fingerprint as a parameter, so a test
+/// can put every row in one bucket.
+fn drop_duplicate_rows_by(
+    rows: &mut [WorkRow],
+    infeasible: &mut bool,
+    fingerprint: impl Fn(Cmp, &[(usize, f64)], f64) -> u64,
+) -> bool {
     use std::collections::HashMap;
 
-    // Key: canonicalized cmp + exact bit patterns of the scaled terms.
-    type Key = (u8, Vec<(usize, u64)>);
-    // Value: index of the representative row and its canonical scale.
-    let mut seen: HashMap<Key, (usize, f64)> = HashMap::new();
+    const END: usize = usize::MAX;
+    // The first row of each fingerprint, and each row's successor in its
+    // fingerprint's chain.
+    let mut heads: HashMap<u64, usize> = HashMap::with_capacity(rows.len());
+    let mut next = vec![END; rows.len()];
     let mut changed = false;
     for i in 0..rows.len() {
         if !rows[i].alive {
@@ -249,56 +269,84 @@ fn drop_duplicate_rows(rows: &mut [WorkRow], infeasible: &mut bool) -> bool {
         if lead.abs() <= EPS {
             continue;
         }
-        let cmp = match (rows[i].cmp, lead > 0.0) {
-            (Cmp::Eq, _) => Cmp::Eq,
-            (c, true) => c,
-            (Cmp::Le, false) => Cmp::Ge,
-            (Cmp::Ge, false) => Cmp::Le,
-        };
-        let key: Key = (
-            match cmp {
-                Cmp::Le => 0,
-                Cmp::Ge => 1,
-                Cmp::Eq => 2,
-            },
-            rows[i]
-                .terms
-                .iter()
-                .map(|&(c, a)| (c, (a / lead).to_bits()))
-                .collect(),
-        );
+        let cmp = canonical_cmp(rows[i].cmp, lead);
         let rhs = rows[i].rhs / lead;
-        match seen.get(&key) {
-            None => {
-                seen.insert(key, (i, lead));
+        let head = *heads
+            .entry(fingerprint(cmp, &rows[i].terms, lead))
+            .or_insert(i);
+        // Walk the chain for an exact match, remembering its tail.
+        let (mut j, mut tail, mut rep) = (head, head, None);
+        while j != END && j != i {
+            let rep_lead = rows[j].terms[0].1;
+            if canonical_cmp(rows[j].cmp, rep_lead) == cmp
+                && same_scaled_terms(&rows[j].terms, rep_lead, &rows[i].terms, lead)
+            {
+                rep = Some((j, rep_lead));
+                break;
             }
-            Some(&(rep, rep_lead)) => {
-                let rep_rhs = rows[rep].rhs / rep_lead;
-                match cmp {
-                    Cmp::Eq => {
-                        if (rhs - rep_rhs).abs() > FEAS_EPS * (1.0 + rep_rhs.abs()) {
-                            *infeasible = true;
-                            return true;
-                        }
-                    }
-                    // Keep the tighter bound on the representative.
-                    Cmp::Le => {
-                        if rhs < rep_rhs {
-                            rows[rep].rhs = rhs * rep_lead;
-                        }
-                    }
-                    Cmp::Ge => {
-                        if rhs > rep_rhs {
-                            rows[rep].rhs = rhs * rep_lead;
-                        }
-                    }
+            tail = j;
+            j = next[j];
+        }
+        let Some((rep, rep_lead)) = rep else {
+            if head != i {
+                next[tail] = i;
+            }
+            continue;
+        };
+        let rep_rhs = rows[rep].rhs / rep_lead;
+        match cmp {
+            Cmp::Eq => {
+                if (rhs - rep_rhs).abs() > FEAS_EPS * (1.0 + rep_rhs.abs()) {
+                    *infeasible = true;
+                    return true;
                 }
-                rows[i].alive = false;
-                changed = true;
+            }
+            // Keep the tighter bound on the representative.
+            Cmp::Le => {
+                if rhs < rep_rhs {
+                    rows[rep].rhs = rhs * rep_lead;
+                }
+            }
+            Cmp::Ge => {
+                if rhs > rep_rhs {
+                    rows[rep].rhs = rhs * rep_lead;
+                }
             }
         }
+        rows[i].alive = false;
+        changed = true;
     }
     changed
+}
+
+/// A row's comparison after scaling by its leading coefficient `lead`.
+fn canonical_cmp(cmp: Cmp, lead: f64) -> Cmp {
+    match (cmp, lead > 0.0) {
+        (Cmp::Eq, _) => Cmp::Eq,
+        (c, true) => c,
+        (Cmp::Le, false) => Cmp::Ge,
+        (Cmp::Ge, false) => Cmp::Le,
+    }
+}
+
+/// Whether two rows' terms, each scaled by its own leading coefficient,
+/// agree column by column and bit for bit.
+fn same_scaled_terms(a: &[(usize, f64)], a_lead: f64, b: &[(usize, f64)], b_lead: f64) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(&(ca, x), &(cb, y))| {
+            ca == cb && (x / a_lead).to_bits() == (y / b_lead).to_bits()
+        })
+}
+
+/// A row's fingerprint: its canonical comparison and every (column,
+/// scaled-value bits) pair, mixed by a multiplicative hash.  Rows that
+/// [`same_scaled_terms`] calls equal get equal fingerprints.
+fn row_fingerprint(cmp: Cmp, terms: &[(usize, f64)], lead: f64) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    terms.iter().fold(cmp as u64, |h, &(c, a)| {
+        mix(mix(h, c as u64), (a / lead).to_bits())
+    })
 }
 
 impl Presolved {
@@ -545,6 +593,163 @@ mod tests {
         assert_eq!(pre.rows_dropped, 2);
         let sol = SimplexBackend.open(&lp).minimize(&[(x, -1.0)]);
         assert_close(sol.objective, -4.0);
+    }
+
+    /// The duplicate-row pass as it was before the chained table: one
+    /// SipHashed `Vec` key per live row.  The reference the table must
+    /// reproduce exactly.
+    fn drop_duplicate_rows_by_key(rows: &mut [WorkRow], infeasible: &mut bool) -> bool {
+        use std::collections::HashMap;
+
+        type Key = (u8, Vec<(usize, u64)>);
+        let mut seen: HashMap<Key, (usize, f64)> = HashMap::new();
+        let mut changed = false;
+        for i in 0..rows.len() {
+            if !rows[i].alive {
+                continue;
+            }
+            let lead = rows[i].terms[0].1;
+            if lead.abs() <= EPS {
+                continue;
+            }
+            let cmp = canonical_cmp(rows[i].cmp, lead);
+            let key: Key = (
+                cmp as u8,
+                rows[i]
+                    .terms
+                    .iter()
+                    .map(|&(c, a)| (c, (a / lead).to_bits()))
+                    .collect(),
+            );
+            let rhs = rows[i].rhs / lead;
+            match seen.get(&key) {
+                None => {
+                    seen.insert(key, (i, lead));
+                }
+                Some(&(rep, rep_lead)) => {
+                    let rep_rhs = rows[rep].rhs / rep_lead;
+                    match cmp {
+                        Cmp::Eq => {
+                            if (rhs - rep_rhs).abs() > FEAS_EPS * (1.0 + rep_rhs.abs()) {
+                                *infeasible = true;
+                                return true;
+                            }
+                        }
+                        Cmp::Le => {
+                            if rhs < rep_rhs {
+                                rows[rep].rhs = rhs * rep_lead;
+                            }
+                        }
+                        Cmp::Ge => {
+                            if rhs > rep_rhs {
+                                rows[rep].rhs = rhs * rep_lead;
+                            }
+                        }
+                    }
+                    rows[i].alive = false;
+                    changed = true;
+                }
+            }
+        }
+        changed
+    }
+
+    /// A random row set with planted duplicates: copies of earlier rows
+    /// scaled by ±2, ±0.5 or −3 (`≤`/`≥` flipped under a negative scale),
+    /// with a new right-hand side, and now and then an `=` row repeated with
+    /// an incompatible one.  Some rows are dead, some lead with a
+    /// coefficient below `EPS`.
+    fn random_rows(rng: &mut proptest::test_runner::TestRng) -> Vec<WorkRow> {
+        let cmps = [Cmp::Le, Cmp::Ge, Cmp::Eq];
+        let mut rows: Vec<WorkRow> = Vec::new();
+        for _ in 0..4 + rng.below(40) {
+            let planted = !rows.is_empty() && rng.below(2) == 0;
+            let row = if planted {
+                let mut row = rows[rng.below(rows.len() as u64) as usize].clone();
+                let scale = [2.0, -2.0, 0.5, -0.5, -3.0][rng.below(5) as usize];
+                for t in &mut row.terms {
+                    t.1 *= scale;
+                }
+                if scale < 0.0 {
+                    row.cmp = match row.cmp {
+                        Cmp::Le => Cmp::Ge,
+                        Cmp::Ge => Cmp::Le,
+                        Cmp::Eq => Cmp::Eq,
+                    };
+                }
+                let incompatible = row.cmp == Cmp::Eq && rng.below(8) == 0;
+                row.rhs = if incompatible {
+                    row.rhs * scale + 1.0
+                } else {
+                    (rng.below(9) as f64 - 4.0) * scale
+                };
+                row.alive = rng.below(10) != 0;
+                row
+            } else {
+                let mut terms: Vec<(usize, f64)> = Vec::new();
+                for c in 0..6 {
+                    if rng.below(2) == 0 {
+                        terms.push((c, rng.below(7) as f64 - 3.0 + 0.25 * rng.below(4) as f64));
+                    }
+                }
+                if terms.is_empty() {
+                    terms.push((rng.below(6) as usize, 1.0));
+                }
+                if rng.below(20) == 0 {
+                    terms[0].1 = 1e-12;
+                }
+                WorkRow {
+                    terms,
+                    cmp: cmps[rng.below(3) as usize],
+                    rhs: rng.below(9) as f64 - 4.0,
+                    alive: rng.below(10) != 0,
+                }
+            };
+            rows.push(row);
+        }
+        rows
+    }
+
+    #[test]
+    fn chained_duplicate_table_matches_the_key_reference() {
+        let mut rng = proptest::test_runner::TestRng::deterministic("chained_duplicate_table");
+        let (mut dropped, mut infeasible_sets) = (0, 0);
+        for _ in 0..300 {
+            let rows = random_rows(&mut rng);
+            let mut want = rows.clone();
+            let mut want_infeasible = false;
+            let want_changed = drop_duplicate_rows_by_key(&mut want, &mut want_infeasible);
+            dropped += want
+                .iter()
+                .zip(&rows)
+                .filter(|(w, r)| r.alive && !w.alive)
+                .count();
+            infeasible_sets += usize::from(want_infeasible);
+            // The production fingerprint, and one that chains every row in
+            // a single bucket.
+            let one_bucket = |_: Cmp, _: &[(usize, f64)], _: f64| 0;
+            for bucketed in [false, true] {
+                let mut got = rows.clone();
+                let mut got_infeasible = false;
+                let got_changed = if bucketed {
+                    drop_duplicate_rows_by(&mut got, &mut got_infeasible, one_bucket)
+                } else {
+                    drop_duplicate_rows(&mut got, &mut got_infeasible)
+                };
+                assert_eq!(got_changed, want_changed);
+                assert_eq!(got_infeasible, want_infeasible);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.alive, w.alive);
+                    assert_eq!(g.rhs.to_bits(), w.rhs.to_bits());
+                }
+            }
+        }
+        // The draw plants duplicates and incompatible `=` pairs.
+        assert!(dropped > 500, "{dropped} duplicates dropped");
+        assert!(
+            infeasible_sets > 10,
+            "{infeasible_sets} infeasible row sets"
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! constraint generation lives in `cma-inference::template` and re-uses the
 //! [`Monomial`] type defined here.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -51,10 +52,17 @@ impl From<String> for Var {
 
 /// A monomial: a finite map from variables to positive exponents.
 ///
+/// The exponents are `(variable, exponent)` pairs sorted by variable, with
+/// no zero exponent, so each monomial has exactly one representation.  The
+/// derived order compares those pairs lexicographically, a prefix first:
+/// the order of a `BTreeMap<Var, u32>` holding the same pairs.  Maps keyed by
+/// monomials (polynomials and templates) iterate in that order, which fixes
+/// the order in which the derivation emits LP rows and columns.
+///
 /// The empty monomial is the constant `1`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Monomial {
-    exps: BTreeMap<Var, u32>,
+    exps: Vec<(Var, u32)>,
 }
 
 impl Monomial {
@@ -65,33 +73,35 @@ impl Monomial {
 
     /// The monomial `v¹`.
     pub fn var(v: Var) -> Self {
-        let mut exps = BTreeMap::new();
-        exps.insert(v, 1);
-        Monomial { exps }
+        Monomial { exps: vec![(v, 1)] }
     }
 
     /// The monomial `v^k`; `k = 0` yields the unit monomial.
     pub fn var_pow(v: Var, k: u32) -> Self {
-        let mut exps = BTreeMap::new();
-        if k > 0 {
-            exps.insert(v, k);
+        if k == 0 {
+            return Monomial::unit();
         }
-        Monomial { exps }
+        Monomial { exps: vec![(v, k)] }
     }
 
     /// Total degree (sum of exponents).
     pub fn degree(&self) -> u32 {
-        self.exps.values().sum()
+        self.exps.iter().map(|&(_, e)| e).sum()
+    }
+
+    /// Where `v` is, or would be inserted, in the sorted pairs.
+    fn position(&self, v: &Var) -> Result<usize, usize> {
+        self.exps.binary_search_by(|(w, _)| w.cmp(v))
     }
 
     /// Exponent of `v` in this monomial (0 if absent).
     pub fn exponent(&self, v: &Var) -> u32 {
-        self.exps.get(v).copied().unwrap_or(0)
+        self.position(v).map_or(0, |i| self.exps[i].1)
     }
 
     /// Whether the monomial mentions `v`.
     pub fn mentions(&self, v: &Var) -> bool {
-        self.exps.contains_key(v)
+        self.position(v).is_ok()
     }
 
     /// Whether this is the unit monomial.
@@ -101,29 +111,51 @@ impl Monomial {
 
     /// Iterates over `(variable, exponent)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Var, u32)> {
-        self.exps.iter().map(|(v, &e)| (v, e))
+        self.exps.iter().map(|(v, e)| (v, *e))
     }
 
     /// The variables mentioned by the monomial.
     pub fn vars(&self) -> impl Iterator<Item = &Var> {
-        self.exps.keys()
+        self.exps.iter().map(|(v, _)| v)
     }
 
-    /// Product of two monomials (exponents add).
+    /// Product of two monomials (exponents add): a merge of the two sorted
+    /// lists.
     pub fn mul(&self, other: &Monomial) -> Monomial {
-        let mut exps = self.exps.clone();
-        for (v, e) in &other.exps {
-            *exps.entry(v.clone()).or_insert(0) += e;
+        let (a, b) = (&self.exps, &other.exps);
+        let mut exps = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => {
+                    exps.push(a[i].clone());
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    exps.push(b[j].clone());
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    exps.push((a[i].0.clone(), a[i].1 + b[j].1));
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
+        exps.extend_from_slice(&a[i..]);
+        exps.extend_from_slice(&b[j..]);
         Monomial { exps }
     }
 
     /// Removes `v` from the monomial, returning the removed exponent and the
     /// remaining monomial.
     pub fn split_var(&self, v: &Var) -> (u32, Monomial) {
-        let mut exps = self.exps.clone();
-        let e = exps.remove(v).unwrap_or(0);
-        (e, Monomial { exps })
+        let mut rest = self.clone();
+        let e = match self.position(v) {
+            Ok(i) => rest.exps.remove(i).1,
+            Err(_) => 0,
+        };
+        (e, rest)
     }
 
     /// Evaluates the monomial under a valuation; missing variables default
@@ -131,7 +163,7 @@ impl Monomial {
     pub fn eval(&self, valuation: &dyn Fn(&Var) -> f64) -> f64 {
         self.exps
             .iter()
-            .map(|(v, &e)| valuation(v).powi(e as i32))
+            .map(|(v, e)| valuation(v).powi(*e as i32))
             .product()
     }
 
@@ -164,12 +196,12 @@ impl fmt::Display for Monomial {
             return write!(f, "1");
         }
         let mut first = true;
-        for (v, e) in &self.exps {
+        for (v, e) in self.iter() {
             if !first {
                 write!(f, "*")?;
             }
             first = false;
-            if *e == 1 {
+            if e == 1 {
                 write!(f, "{v}")?;
             } else {
                 write!(f, "{v}^{e}")?;
@@ -230,17 +262,16 @@ impl Polynomial {
         if c == 0.0 {
             return;
         }
-        let entry = self.terms.entry(m).or_insert(0.0);
-        *entry += c;
-        if *entry == 0.0 {
-            // Keep the representation canonical.
-            let key = self
-                .terms
-                .iter()
-                .find(|(_, v)| **v == 0.0)
-                .map(|(k, _)| k.clone());
-            if let Some(k) = key {
-                self.terms.remove(&k);
+        match self.terms.entry(m) {
+            Entry::Vacant(slot) => {
+                slot.insert(c);
+            }
+            Entry::Occupied(mut slot) => {
+                *slot.get_mut() += c;
+                // Keep the representation canonical: a cancelled term goes.
+                if *slot.get() == 0.0 {
+                    slot.remove();
+                }
             }
         }
     }
@@ -594,6 +625,155 @@ mod tests {
                 )
             }))
         })
+    }
+
+    /// The monomial as it was kept before the sorted-vector layout: a
+    /// `BTreeMap` from variables to positive exponents, the reference the
+    /// layout must agree with.
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
+    struct RefMonomial(BTreeMap<Var, u32>);
+
+    impl RefMonomial {
+        fn var_pow(v: Var, k: u32) -> Self {
+            let mut exps = BTreeMap::new();
+            if k > 0 {
+                exps.insert(v, k);
+            }
+            RefMonomial(exps)
+        }
+
+        fn degree(&self) -> u32 {
+            self.0.values().sum()
+        }
+
+        fn exponent(&self, v: &Var) -> u32 {
+            self.0.get(v).copied().unwrap_or(0)
+        }
+
+        fn mul(&self, other: &RefMonomial) -> RefMonomial {
+            let mut exps = self.0.clone();
+            for (v, e) in &other.0 {
+                *exps.entry(v.clone()).or_insert(0) += e;
+            }
+            RefMonomial(exps)
+        }
+
+        fn split_var(&self, v: &Var) -> (u32, RefMonomial) {
+            let mut exps = self.0.clone();
+            let e = exps.remove(v).unwrap_or(0);
+            (e, RefMonomial(exps))
+        }
+
+        fn all_up_to_degree(vars: &[Var], max_degree: u32) -> Vec<RefMonomial> {
+            let mut result = vec![RefMonomial::default()];
+            if max_degree == 0 || vars.is_empty() {
+                return result;
+            }
+            for v in vars {
+                let mut extended = Vec::new();
+                for m in &result {
+                    let base_deg = m.degree();
+                    for e in 1..=(max_degree.saturating_sub(base_deg)) {
+                        extended.push(m.mul(&RefMonomial::var_pow(v.clone(), e)));
+                    }
+                }
+                result.extend(extended);
+            }
+            result.sort();
+            result.dedup();
+            result
+        }
+
+        /// The same pairs in the layout under test.
+        fn to_monomial(&self) -> Monomial {
+            self.0.iter().fold(Monomial::unit(), |m, (v, &e)| {
+                m.mul(&Monomial::var_pow(v.clone(), e))
+            })
+        }
+    }
+
+    fn pool() -> Vec<Var> {
+        ["a", "b", "n", "x"].into_iter().map(Var::new).collect()
+    }
+
+    /// A random monomial over a 4-variable pool, exponents 0–3, built by
+    /// multiplying random powers (so a variable may be hit twice): the
+    /// layout under test and the reference side by side.
+    fn arb_monomial() -> impl Strategy<Value = (Monomial, RefMonomial)> {
+        proptest::collection::vec((0usize..4, 0u32..4), 0..5).prop_map(|factors| {
+            let vars = pool();
+            factors.into_iter().fold(
+                (Monomial::unit(), RefMonomial::default()),
+                |(m, r), (i, e)| {
+                    (
+                        m.mul(&Monomial::var_pow(vars[i].clone(), e)),
+                        r.mul(&RefMonomial::var_pow(vars[i].clone(), e)),
+                    )
+                },
+            )
+        })
+    }
+
+    fn pairs(m: &Monomial) -> Vec<(Var, u32)> {
+        m.iter().map(|(v, e)| (v.clone(), e)).collect()
+    }
+
+    fn ref_pairs(r: &RefMonomial) -> Vec<(Var, u32)> {
+        r.0.iter().map(|(v, &e)| (v.clone(), e)).collect()
+    }
+
+    #[test]
+    fn all_up_to_degree_matches_the_btree_reference() {
+        let vars = pool();
+        for n in 0..=vars.len() {
+            for d in 0..=3 {
+                let got: Vec<_> = Monomial::all_up_to_degree(&vars[..n], d)
+                    .iter()
+                    .map(pairs)
+                    .collect();
+                let want: Vec<_> = RefMonomial::all_up_to_degree(&vars[..n], d)
+                    .iter()
+                    .map(ref_pairs)
+                    .collect();
+                assert_eq!(got, want, "{n} variables, degree {d}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_monomial_agrees_with_btree_reference(
+            left in arb_monomial(),
+            right in arb_monomial(),
+            k in 0usize..4,
+        ) {
+            let ((m, rm), (o, ro)) = (left, right);
+            let v = &pool()[k];
+            prop_assert_eq!(pairs(&m), ref_pairs(&rm));
+            prop_assert!(m.iter().all(|(_, e)| e > 0));
+            prop_assert_eq!(m.cmp(&o), rm.cmp(&ro));
+            prop_assert_eq!(m == o, rm == ro);
+            prop_assert_eq!(pairs(&m.mul(&o)), ref_pairs(&rm.mul(&ro)));
+            let ((e, rest), (re, rrest)) = (m.split_var(v), rm.split_var(v));
+            prop_assert_eq!(e, re);
+            prop_assert_eq!(pairs(&rest), ref_pairs(&rrest));
+            prop_assert_eq!(m.exponent(v), rm.exponent(v));
+            prop_assert_eq!(m.mentions(v), rm.exponent(v) > 0);
+            prop_assert_eq!(m.degree(), rm.degree());
+            prop_assert_eq!(&rm.to_monomial(), &m);
+        }
+
+        #[test]
+        fn prop_sorted_monomials_follow_the_btree_order(
+            drawn in proptest::collection::vec(arb_monomial(), 0..12),
+        ) {
+            let (mut ms, mut rs): (Vec<_>, Vec<_>) = drawn.into_iter().unzip();
+            ms.sort();
+            rs.sort();
+            let got: Vec<_> = ms.iter().map(pairs).collect();
+            let want: Vec<_> = rs.iter().map(ref_pairs).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     proptest! {
