@@ -274,25 +274,27 @@ fn drop_duplicate_rows_by(
         let head = *heads
             .entry(fingerprint(cmp, &rows[i].terms, lead))
             .or_insert(i);
-        // Walk the chain for an exact match, remembering its tail.
-        let (mut j, mut tail, mut rep) = (head, head, None);
-        while j != END && j != i {
-            let rep_lead = rows[j].terms[0].1;
-            if canonical_cmp(rows[j].cmp, rep_lead) == cmp
-                && same_scaled_terms(&rows[j].terms, rep_lead, &rows[i].terms, lead)
-            {
-                rep = Some((j, rep_lead));
-                break;
-            }
-            tail = j;
-            j = next[j];
-        }
-        let Some((rep, rep_lead)) = rep else {
-            if head != i {
-                next[tail] = i;
-            }
+        if head == i {
+            // The first row with this fingerprint.
             continue;
+        }
+        // Walk the chain for an exact match; append the row if none matches.
+        let mut j = head;
+        let rep = loop {
+            let j_lead = rows[j].terms[0].1;
+            if canonical_cmp(rows[j].cmp, j_lead) == cmp
+                && same_scaled_terms(&rows[j].terms, j_lead, &rows[i].terms, lead)
+            {
+                break Some(j);
+            }
+            if next[j] == END {
+                next[j] = i;
+                break None;
+            }
+            j = next[j];
         };
+        let Some(rep) = rep else { continue };
+        let rep_lead = rows[rep].terms[0].1;
         let rep_rhs = rows[rep].rhs / rep_lead;
         match cmp {
             Cmp::Eq => {

@@ -6,6 +6,7 @@
 //! constraint generation lives in `cma-inference::template` and re-uses the
 //! [`Monomial`] type defined here.
 
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -127,15 +128,15 @@ impl Monomial {
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => {
+                Ordering::Less => {
                     exps.push(a[i].clone());
                     i += 1;
                 }
-                std::cmp::Ordering::Greater => {
+                Ordering::Greater => {
                     exps.push(b[j].clone());
                     j += 1;
                 }
-                std::cmp::Ordering::Equal => {
+                Ordering::Equal => {
                     exps.push((a[i].0.clone(), a[i].1 + b[j].1));
                     i += 1;
                     j += 1;
