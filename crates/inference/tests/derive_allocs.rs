@@ -17,8 +17,8 @@
 //!   the count on both fixtures) or to a `format!`ed name per column
 //!   (1.35–1.40× on these two) blows through them;
 //! - derivation bytes: a monomial is a sorted vector of (variable,
-//!   exponent) pairs; as a `BTreeMap` (a ~250-byte leaf per clone) it
-//!   requested 1.25× (walk chain) and 1.5× (rdwalk) the bytes;
+//!   exponent) pairs; a `BTreeMap` monomial (a ~250-byte leaf per clone)
+//!   requests 1.25× (walk chain) and 1.5× (rdwalk) the bytes;
 //! - open calls: presolve's duplicate-row pass fingerprints rows in place;
 //!   with one SipHashed `Vec` key per live row it made 1.35× the calls.
 //!
@@ -89,15 +89,15 @@ struct Budget {
 }
 
 /// Walk-chain n=8 (global mode, degree 2, 1,482 rows): derivation 28,110
-/// calls and 5.3 MB, `open` 10,457 calls.
+/// calls and 5.24 MB, `open` 10,457 calls.
 const WALK_CHAIN_BUDGET: Budget = Budget {
     derive_calls: 35_000,
-    derive_bytes: 6_400_000,
+    derive_bytes: 6_300_000,
     open_calls: 12_500,
 };
 
 /// `running/rdwalk` (global mode, degree 2, 406 rows): derivation 6,891
-/// calls and 1.0 MB, `open` 2,741 calls.
+/// calls and 1.02 MB, `open` 2,741 calls.
 const RDWALK_BUDGET: Budget = Budget {
     derive_calls: 8_600,
     derive_bytes: 1_250_000,

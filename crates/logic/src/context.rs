@@ -223,11 +223,10 @@ impl Context {
     /// Whether the context logically entails `goal`.
     ///
     /// A context entails each of its own facts, vacuously when it is
-    /// infeasible, so a stated fact is answered `true` without an LP: the
-    /// LP below minimizes the fact's expression subject to the fact itself
-    /// and returns `true` for it too.  Any other goal is checked with a
-    /// small LP: the minimum of `goal`'s expression over the context is
-    /// non-negative.
+    /// infeasible, so a fact the context states is answered `true` without
+    /// an LP; the LP answers `true` as well, since the fact bounds its own
+    /// minimum.  Any other goal is checked with a small LP: the minimum of
+    /// `goal`'s expression over the context is non-negative.
     ///
     /// Returns `true` when the context is infeasible (vacuous entailment) and
     /// `false` when the minimum is negative or unbounded below.

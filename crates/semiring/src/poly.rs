@@ -684,13 +684,6 @@ mod tests {
             result.dedup();
             result
         }
-
-        /// The same pairs in the layout under test.
-        fn to_monomial(&self) -> Monomial {
-            self.0.iter().fold(Monomial::unit(), |m, (v, &e)| {
-                m.mul(&Monomial::var_pow(v.clone(), e))
-            })
-        }
     }
 
     fn pool() -> Vec<Var> {
@@ -761,7 +754,6 @@ mod tests {
             prop_assert_eq!(m.exponent(v), rm.exponent(v));
             prop_assert_eq!(m.mentions(v), rm.exponent(v) > 0);
             prop_assert_eq!(m.degree(), rm.degree());
-            prop_assert_eq!(&rm.to_monomial(), &m);
         }
 
         #[test]
