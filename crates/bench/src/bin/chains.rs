@@ -5,7 +5,9 @@
 //! writes the measurements as a JSON array — the `BENCH_chains.json`
 //! artifact the CI `bench-smoke` job uploads to track the perf trajectory.
 //! Rows carry every solver counter, under the report's names, so degeneracy
-//! regressions show up as iteration blow-up at fixed problem size.
+//! regressions show up as iteration blow-up at fixed problem size.  Each row
+//! is analyzed [`RUNS`] times: `analysis_ms` is the median, and every run
+//! must take the same solver path (equal path counters).
 //!
 //! ```text
 //! cargo run -p cma-bench --release --bin chains -- \
@@ -28,6 +30,9 @@ use std::io::Write as _;
 
 use central_moment_analysis::{json, Analysis, SolveMode, SolveStats};
 use cma_suite::{synthetic, Benchmark};
+
+/// Analyses per row; `analysis_ms` is their median.
+const RUNS: usize = 5;
 
 struct Row {
     family: &'static str,
@@ -65,7 +70,22 @@ fn measure(
     if escalate {
         analysis = analysis.escalate_from(1);
     }
-    let report = analysis.run().ok()?;
+    let mut reports = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        reports.push(analysis.clone().run().ok()?);
+    }
+    let report = &reports[0];
+    for other in &reports[1..] {
+        assert!(
+            other.lp.totals == report.lp.totals,
+            "{family}/{n} {mode:?}: the solver path differs between runs"
+        );
+    }
+    let mut ms: Vec<f64> = reports
+        .iter()
+        .map(|r| r.timings.analysis.as_secs_f64() * 1e3)
+        .collect();
+    ms.sort_by(f64::total_cmp);
     let escalation = report.escalation;
     Some(Row {
         family,
@@ -78,7 +98,7 @@ fn measure(
         // The full derive+solve time: for escalated runs `result.elapsed`
         // covers only the escalation step, while the analysis phase timing
         // includes the mandatory lower-degree base solve as well.
-        analysis_ms: report.timings.analysis.as_secs_f64() * 1e3,
+        analysis_ms: ms[RUNS / 2],
         lp_variables: report.lp.variables,
         lp_constraints: report.lp.constraints,
         lp_solves: report.lp.solves,

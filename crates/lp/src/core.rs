@@ -31,6 +31,18 @@
 //! and its entailment LPs are `≥` systems over free variables, which the
 //! core splits into two non-negative columns each.
 //!
+//! Every cold start — a session's first solve, a warm solve that falls
+//! back, [`LpProblem::solve`] and the Bland restart — begins from a
+//! **crash basis**: the slack/artificial basis with the artificials of as
+//! many rows as a triangular crash finds replaced by non-negative
+//! structural columns, the certificate multipliers (after Bixby,
+//! "Implementing the simplex method: the initial basis", ORSA J. Computing
+//! 4(3), 1992).  Free columns stay out.  A multiplier or artificial that
+//! comes out negative is exchanged until every basic is non-negative, and
+//! a crash that cannot get there falls back to the slack/artificial basis.
+//! Phase 1 then pivots out only the artificials the crash left, where it
+//! used to spend about one degenerate pivot per `=` row.
+//!
 //! The primal loop keeps its pricing state across pivots: each candidate
 //! column's reduced cost `c_j − A_j·y`.  It is recomputed in full wherever
 //! `y` is recomputed from scratch, and after a pivot only for the columns
@@ -68,6 +80,12 @@ const FEAS_EPS: f64 = 1e-6;
 /// Reduced costs this far below zero disqualify the warm basis from a dual
 /// re-solve (numerics drifted; fall back to a cold start).
 const DUAL_FEAS_EPS: f64 = 1e-6;
+/// The smallest crash pivot, relative to the largest magnitude of its
+/// column.
+const CRASH_REL_PIVOT: f64 = 0.01;
+/// Sign fix-up rounds after which a crash basis with a negative basic is
+/// given up for the slack/artificial basis.
+const CRASH_FIX_ROUNDS: usize = 4;
 
 /// Weight of the newest result in a [`DensityForecast`].
 const DENSITY_WEIGHT: f64 = 0.05;
@@ -178,6 +196,17 @@ impl ColumnStore {
     }
 }
 
+/// The crash basis's buffers (see [`SimplexCore::crash`]), kept for the
+/// session so that a cold restart allocates nothing.
+#[derive(Debug, Default)]
+struct CrashWs {
+    /// Whether a row's basic is still its initial artificial.
+    open: Vec<bool>,
+    /// Per multiplier column, its nonzeros in open rows (0 for every other
+    /// column).
+    open_nnz: Vec<u32>,
+}
+
 /// Outcome of the dual-simplex feasibility restoration.
 enum DualOutcome {
     /// Primal feasibility restored; the basis is optimal for the old costs.
@@ -273,9 +302,14 @@ pub(crate) struct SimplexCore {
     direction_density: DensityForecast,
     pivot_row_density: DensityForecast,
     price_density: DensityForecast,
+    crash_ws: CrashWs,
     /// What the pricing audit of the unit tests checked.
     #[cfg(test)]
     audit: tests::PricingAudit,
+    /// Starts every cold solve from the slack/artificial basis, as before
+    /// the crash (the reference of the unit tests).
+    #[cfg(test)]
+    no_crash: bool,
 }
 
 impl SimplexCore {
@@ -312,8 +346,11 @@ impl SimplexCore {
             direction_density: DensityForecast::new(DIRECTION_HYPER_MAX),
             pivot_row_density: DensityForecast::new(PIVOT_ROW_HYPER_MAX),
             price_density: DensityForecast::new(PRICES_HYPER_MAX),
+            crash_ws: CrashWs::default(),
             #[cfg(test)]
             audit: tests::PricingAudit::default(),
+            #[cfg(test)]
+            no_crash: false,
         };
         for v in 0..problem.num_vars() {
             core.push_var(problem.is_free(LpVarId::from_index(v)));
@@ -444,13 +481,9 @@ impl SimplexCore {
             // Equality rows: an artificial whose sign keeps the basic value
             // ≤ 0, so the dual pivots drive it to its bound (0) and retire
             // it.  `init_col` (coefficient +1) serves when the residual is
-            // non-positive; a violated direction gets a fresh −1 artificial.
+            // non-positive; a violated direction gets a −1 artificial.
             None if resid <= EPS => (init_col, resid),
-            None => {
-                let art = self.new_col(ColKind::Artificial);
-                self.cols.push_entry(art, row, -1.0);
-                (art, -resid)
-            }
+            None => (self.negative_artificial(row), -resid),
         };
         self.factor_stale = true;
         self.basis.push(basic_col);
@@ -458,26 +491,165 @@ impl SimplexCore {
         self.xb.push(value);
     }
 
-    /// Resets the solver state to the from-scratch initial basis.
+    /// Resets the solver state to the from-scratch initial basis: the
+    /// slack/artificial basis with as many artificials replaced by
+    /// multiplier columns as [`crash`](Self::crash) finds.
     fn rebuild(&mut self) {
+        self.install_slack_basis();
+        self.stale_pivots = 0;
+        self.xb_shifted = false;
+        self.last_costs = None;
+        let taken = self.crash();
+        self.stats.crash_basics += taken;
+    }
+
+    /// Makes the one slack/artificial with coefficient +1 per row the
+    /// basis: B = I, so a refactorization is exact and cheap, and the basic
+    /// values are the (sign-normalized, non-negative) right-hand sides.
+    fn install_slack_basis(&mut self) {
         let m = self.b.len();
-        self.basis = self.init_basis.clone();
-        for flag in self.is_basic.iter_mut() {
-            *flag = false;
-        }
+        self.basis.clone_from(&self.init_basis);
+        self.is_basic.fill(false);
         for &col in &self.basis {
             self.is_basic[col] = true;
         }
-        // The initial basis is one slack/artificial with coefficient +1 per
-        // row: B = I, so a refactorization is exact and cheap.
         let t = Instant::now();
         self.factor.refactorize(m, &self.basis, &self.cols);
         self.stats.refactor_ns += t.elapsed().as_nanos() as u64;
         self.factor_stale = false;
-        self.xb = self.b.clone();
-        self.stale_pivots = 0;
-        self.xb_shifted = false;
-        self.last_costs = None;
+        self.xb.clone_from(&self.b);
+    }
+
+    /// Replaces artificials of the slack/artificial basis by multiplier
+    /// columns (non-negative structurals) in a triangular crash (Bixby,
+    /// "Implementing the simplex method: the initial basis", ORSA J.
+    /// Computing 4(3), 1992), so phase 1 need not pivot them in one
+    /// degenerate step at a time.  Returns how many rows it kept; a crash
+    /// that takes no row leaves the slack basis installed.
+    ///
+    /// A row is *open* while its basic is its artificial.  One pass over
+    /// the multipliers, in column order, lets each take an open row when
+    /// that row is its only nonzero among the open rows, the entry is at
+    /// least [`CRASH_REL_PIVOT`] of the column's largest magnitude, and it
+    /// is positive unless the right-hand side is 0.  Taking a row closes it
+    /// and decrements the open counts of the columns in that row, so a
+    /// later column may come down to one open row: the basis is lower
+    /// triangular and found in O(nnz).  A work queue that also revisited
+    /// earlier columns took more rows, and left the degree-3 Fig. 2 LP's
+    /// phase 1 degenerate at one artificial until a tiny pivot broke the
+    /// factorization.  Free columns stay out: a crash of free template
+    /// columns made an in-session escalation's dual pivots far slower.
+    ///
+    /// The basic values then come from one refactorization, and each
+    /// negative basic is fixed: a multiplier hands its row back to the
+    /// artificial, and an artificial gives way to the row's artificial of
+    /// the other sign.  A singular crash basis, or a negative value that
+    /// survives [`CRASH_FIX_ROUNDS`] rounds, gives the crash up.
+    fn crash(&mut self) -> usize {
+        #[cfg(test)]
+        if self.no_crash {
+            return 0;
+        }
+        // Nothing to crash: no row is open (only `≤` rows), or no column is
+        // a multiplier (the entailment LPs' columns are all free).
+        if self
+            .init_basis
+            .iter()
+            .all(|&c| self.kind[c] != ColKind::Artificial)
+            || self.var_cols.iter().all(|&(_, neg)| neg.is_some())
+        {
+            return 0;
+        }
+        let m = self.b.len();
+        let mut ws = std::mem::take(&mut self.crash_ws);
+        ws.open.clear();
+        ws.open.extend(
+            self.init_basis
+                .iter()
+                .map(|&c| self.kind[c] == ColKind::Artificial),
+        );
+        ws.open_nnz.clear();
+        ws.open_nnz.resize(self.cols.num_cols(), 0);
+        for &(j, neg) in &self.var_cols {
+            if neg.is_none() {
+                let open = self.cols.col(j).iter().filter(|&&(r, _)| ws.open[r]);
+                ws.open_nnz[j] = open.count() as u32;
+            }
+        }
+        let mut taken = 0;
+        for &(j, neg) in &self.var_cols {
+            if neg.is_some() || ws.open_nnz[j] != 1 {
+                continue;
+            }
+            let entries = self.cols.col(j);
+            let largest = entries.iter().fold(0.0f64, |acc, &(_, a)| acc.max(a.abs()));
+            let &(r, a) = entries
+                .iter()
+                .find(|&&(r, _)| ws.open[r])
+                .expect("one open row");
+            if a.abs() < CRASH_REL_PIVOT * largest || (self.b[r] != 0.0 && a < 0.0) {
+                continue;
+            }
+            ws.open[r] = false;
+            self.is_basic[self.basis[r]] = false;
+            self.is_basic[j] = true;
+            self.basis[r] = j;
+            taken += 1;
+            for &(k, _) in &self.cols.rows()[r] {
+                let k = k as usize;
+                ws.open_nnz[k] = ws.open_nnz[k].saturating_sub(1);
+            }
+        }
+        self.crash_ws = ws;
+        if taken == 0 {
+            return 0;
+        }
+        for _ in 0..CRASH_FIX_ROUNDS {
+            if !self.refactorize() {
+                break;
+            }
+            let mut negative = false;
+            for r in 0..m {
+                if self.xb[r] >= -EPS {
+                    continue;
+                }
+                negative = true;
+                let col = self.basis[r];
+                let replacement = match self.kind[col] {
+                    ColKind::Structural => {
+                        taken -= 1;
+                        self.init_basis[r]
+                    }
+                    ColKind::Artificial if col == self.init_basis[r] => self.negative_artificial(r),
+                    ColKind::Artificial => self.init_basis[r],
+                    // A slack's row was never open: only a later round
+                    // that hands back a multiplier can lift it.
+                    ColKind::Slack => continue,
+                };
+                self.is_basic[col] = false;
+                self.is_basic[replacement] = true;
+                self.basis[r] = replacement;
+            }
+            if !negative {
+                return taken;
+            }
+        }
+        self.install_slack_basis();
+        0
+    }
+
+    /// Row `r`'s artificial with coefficient −1, made on first use.  It
+    /// carries a value the row's +1 artificial would carry negative.
+    fn negative_artificial(&mut self, r: usize) -> usize {
+        let existing = self.cols.rows()[r]
+            .iter()
+            .find(|&&(j, a)| a < 0.0 && self.kind[j as usize] == ColKind::Artificial);
+        if let Some(&(j, _)) = existing {
+            return j as usize;
+        }
+        let art = self.new_col(ColKind::Artificial);
+        self.cols.push_entry(art, r, -1.0);
+        art
     }
 
     /// `y = c_Bᵀ B⁻¹` via btran, into the caller's reusable buffer.  The
@@ -991,19 +1163,21 @@ impl SimplexCore {
 
     /// Phase 1 over the artificial columns (`bland` as in
     /// [`iterate`](Self::iterate)); returns `false` when the system is
-    /// infeasible.
+    /// infeasible.  A start without a basic artificial is feasible already
+    /// and takes no iteration.
     fn run_phase1(&mut self, max_iters: usize, bland: bool) -> Result<bool, LpStatus> {
-        let mut costs = vec![0.0; self.cols.num_cols()];
-        let mut any = false;
-        for (j, &k) in self.kind.iter().enumerate() {
-            if k == ColKind::Artificial {
-                costs[j] = 1.0;
-                any = true;
-            }
-        }
-        if !any {
+        if !self
+            .basis
+            .iter()
+            .any(|&c| self.kind[c] == ColKind::Artificial)
+        {
             return Ok(true);
         }
+        let costs: Vec<f64> = self
+            .kind
+            .iter()
+            .map(|&k| if k == ColKind::Artificial { 1.0 } else { 0.0 })
+            .collect();
         self.iterate(&costs, false, max_iters, bland)?;
         if self.xb_shifted {
             // Wash the anti-degeneracy shift out before judging feasibility.
@@ -1822,6 +1996,140 @@ mod tests {
             };
             assert!(ok, "row {i} violated by {slack}");
         }
+    }
+
+    /// The 300 random LPs of `TestRng::deterministic("warm_cuts")`.
+    fn warm_cuts_lps() -> Vec<LpProblem> {
+        let mut rng = TestRng::deterministic("warm_cuts");
+        (0..300).map(|_| random_lp(&mut rng)).collect()
+    }
+
+    /// Solves `lp` from scratch, with or without the crash.
+    fn cold_solve(lp: &LpProblem, crash: bool) -> LpSolution {
+        let mut core = SimplexCore::open_with(lp, &SolverTuning::default());
+        core.no_crash = !crash;
+        core.minimize(lp.objective())
+    }
+
+    /// Whether two solves reach the same verdict, and the same objective
+    /// within 1e-6 when it is `Optimal`.
+    fn same_answer(a: &LpSolution, b: &LpSolution) -> bool {
+        a.status == b.status
+            && (a.status != LpStatus::Optimal || (a.objective - b.objective).abs() <= 1e-6)
+    }
+
+    /// An LP in which every row has a multiplier of its own, or gets one
+    /// once a crashed row closes, starts phase 1 with no basic artificial:
+    /// the crash takes every row and phase 1 takes no iteration, where the
+    /// slack/artificial start pivots once per row.  One row has a 0
+    /// right-hand side, where a negative multiplier entry may take it too.
+    #[test]
+    fn a_crash_of_multiplier_singletons_skips_phase_one() {
+        let mut lp = LpProblem::new();
+        let t = lp.add_var("", true);
+        let l: Vec<LpVarId> = (0..5).map(|_| lp.add_var("", false)).collect();
+        lp.add_constraint(vec![(l[0], 1.0), (t, 1.0)], Cmp::Eq, 3.0);
+        lp.add_constraint(vec![(l[1], 1.0), (t, -1.0)], Cmp::Eq, 2.0);
+        lp.add_constraint(vec![(l[2], -1.0), (t, 2.0)], Cmp::Eq, 0.0);
+        // l4 sits in two open rows until l3 takes the first of them.
+        lp.add_constraint(vec![(l[3], 1.0), (l[4], 1.0), (t, 0.5)], Cmp::Eq, 5.0);
+        lp.add_constraint(vec![(l[4], 2.0), (t, -1.0)], Cmp::Eq, 2.0);
+        for crash in [true, false] {
+            let mut core = SimplexCore::open_with(&lp, &SolverTuning::default());
+            core.no_crash = !crash;
+            assert!(core.cold_start(1000, false).is_none(), "crash {crash}");
+            if crash {
+                assert_eq!(core.stats.crash_basics, 5);
+                assert_eq!(core.stats.iterations, 0);
+            } else {
+                assert_eq!(core.stats.crash_basics, 0);
+                assert!(core.stats.iterations >= 5, "{:?}", core.stats);
+            }
+            // t ranges over [0, 3].
+            let sol = core.minimize(&[(t, -1.0)]);
+            assert_eq!(sol.status, LpStatus::Optimal);
+            assert_close(sol.value(t), 3.0);
+        }
+    }
+
+    /// A crashed multiplier that comes out negative hands its row back to
+    /// the artificial, and an artificial that comes out negative gives way
+    /// to the row's −1 artificial: no basic starts phase 1 negative.
+    #[test]
+    fn the_crash_fixes_negative_basics() {
+        let mut lp = LpProblem::new();
+        let t = lp.add_var("", true);
+        let l: Vec<LpVarId> = (0..2).map(|_| lp.add_var("", false)).collect();
+        // l0 takes row 0, which leaves l1 one open row, row 1.  Then l1 = 1
+        // and l0 = 1 − 3 = −2: l0 hands its row back, and the row's
+        // artificial reads −2 in its place.
+        lp.add_constraint(vec![(l[0], 1.0), (l[1], 3.0), (t, 1.0)], Cmp::Eq, 1.0);
+        lp.add_constraint(vec![(l[1], 1.0)], Cmp::Eq, 1.0);
+        let mut core = SimplexCore::open_with(&lp, &SolverTuning::default());
+        core.rebuild();
+        assert_eq!(core.stats.crash_basics, 1);
+        assert!(core.xb.iter().all(|&x| x >= 0.0), "{:?}", core.xb);
+        let art = core.basis[0];
+        assert_eq!(core.kind[art], ColKind::Artificial);
+        assert_eq!(core.cols.col(art), [(0, -1.0)]);
+        // t = −2 − l0 ≤ −2.
+        let sol = core.minimize(&[(t, -1.0)]);
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_close(sol.value(t), -2.0);
+    }
+
+    /// The crash moves pivots, not answers: over the `warm_cuts` LPs a
+    /// cold solve from the slack/artificial basis reaches the verdict and
+    /// objective of the crashed one.
+    #[test]
+    fn the_crash_keeps_every_status_and_objective() {
+        let mut crashed = 0;
+        for (i, lp) in warm_cuts_lps().iter().enumerate() {
+            let (with, without) = (cold_solve(lp, true), cold_solve(lp, false));
+            assert!(
+                same_answer(&with, &without),
+                "LP {i}: {:?} {} with the crash, {:?} {} without",
+                with.status,
+                with.objective,
+                without.status,
+                without.objective
+            );
+            assert_eq!(without.stats.crash_basics, 0);
+            crashed += usize::from(with.stats.crash_basics > 0);
+        }
+        assert!(crashed > 50, "{crashed} LPs crashed");
+    }
+
+    /// When a session's first minimize is optimal, the cut Σ(non-free
+    /// variables) ≤ ½ of that sum at the optimum is appended, and the warm
+    /// re-solve must agree with a cold solve of the assembled LP.  LP 209
+    /// is the known exception (ROADMAP item 2): its cold solve reports
+    /// `Infeasible`, with the crash as from the slack/artificial basis,
+    /// where the warm point satisfies every row.
+    #[test]
+    fn warm_resolves_agree_with_cold_solves_but_lp_209() {
+        let mut disagree = Vec::new();
+        for (i, lp) in warm_cuts_lps().into_iter().enumerate() {
+            let mut session = SimplexCore::open_with(&lp, &SolverTuning::default());
+            let first = session.minimize(lp.objective());
+            if !first.is_optimal() {
+                continue;
+            }
+            let nonfree = (0..lp.num_vars())
+                .map(LpVarId::from_index)
+                .filter(|&v| !lp.is_free(v));
+            let cut: Vec<(LpVarId, f64)> = nonfree.map(|v| (v, 1.0)).collect();
+            let half = cut.iter().map(|&(v, _)| first.value(v)).sum::<f64>() / 2.0;
+            session.add_constraint(&cut, Cmp::Le, half);
+            let warm = session.minimize(lp.objective());
+            let mut assembled = lp;
+            assembled.add_constraint(cut, Cmp::Le, half);
+            let cold = SimplexCore::solve_problem(&assembled, &SolverTuning::default());
+            if !same_answer(&warm, &cold) {
+                disagree.push(i);
+            }
+        }
+        assert_eq!(disagree, [209]);
     }
 
     /// The kernel path each kind of solve takes follows its own density

@@ -122,6 +122,9 @@ solve_stats! {
     /// Dual-simplex pivots spent restoring primal feasibility after warm
     /// incremental rows (0 for cold solves).
     dual_pivots: usize, Sum, Path;
+    /// Rows whose cold start put a structural column in the basis: the
+    /// size of the crash basis, summed over the solve's cold starts.
+    crash_basics: usize, Sum, Path;
     /// U entries retired in place by Forrest–Tomlin column replacements —
     /// the growth a product-form eta file would have accumulated instead.
     eta_compactions: usize, Sum, Path;
