@@ -40,8 +40,8 @@
 //! 4(3), 1992).  Free columns stay out.  A multiplier or artificial that
 //! comes out negative is exchanged until every basic is non-negative, and
 //! a crash that cannot get there falls back to the slack/artificial basis.
-//! Phase 1 then pivots out only the artificials the crash left, where it
-//! used to spend about one degenerate pivot per `=` row.
+//! Phase 1 then pivots out only the artificials the crash left, instead of
+//! one degenerate pivot per `=` row from the slack/artificial basis.
 //!
 //! The primal loop keeps its pricing state across pivots: each candidate
 //! column's reduced cost `c_j − A_j·y`.  It is recomputed in full wherever
@@ -306,8 +306,8 @@ pub(crate) struct SimplexCore {
     /// What the pricing audit of the unit tests checked.
     #[cfg(test)]
     audit: tests::PricingAudit,
-    /// Starts every cold solve from the slack/artificial basis, as before
-    /// the crash (the reference of the unit tests).
+    /// Starts every cold solve from the slack/artificial basis: the
+    /// reference the unit tests compare the crash with.
     #[cfg(test)]
     no_crash: bool,
 }
