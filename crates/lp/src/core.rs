@@ -50,14 +50,16 @@
 //! same `y` bits, so its cached value equals a fresh dot bit for bit.  The
 //! pivot sequence is therefore the one a full scan per pivot would take.
 //!
-//! Each of the loops' three kinds of triangular solve — the entering
-//! column's ftran, the pivot row's btran and the dual prices' btran —
-//! forecasts its result density from its own recent results
-//! ([`DensityForecast`]) and asks the kernel for the hyper-sparse path only
-//! while the forecast is sparse (after Hall & McKinnon, "Hyper-sparsity in
-//! the revised simplex method and how to exploit it", Comput. Optim. Appl.
-//! 32, 2005).  Both kernel paths compute the same values, so the forecast
-//! moves time, never a pivot.
+//! One rule here ([`hyper_path`]) picks the kernel path of every LU solve,
+//! and the kernel runs that path start to finish.  Each of the loops' three
+//! kinds of triangular solve — the entering column's ftran, the pivot row's
+//! btran and the dual prices' btran — forecasts its result density from its
+//! own recent results ([`DensityForecast`]) and runs hyper-sparse only while
+//! the forecast is sparse (after Hall & McKinnon, "Hyper-sparsity in the
+//! revised simplex method and how to exploit it", Comput. Optim. Appl. 32,
+//! 2005), the basis is not small and the right-hand side is narrow.  Both
+//! kernel paths compute the same values, so the rule moves time, never a
+//! pivot.
 
 // Simplex kernels index several parallel vectors (directions, basic values)
 // at once; indexed loops are the clearest form here.
@@ -90,7 +92,7 @@ const CRASH_FIX_ROUNDS: usize = 4;
 /// Weight of the newest result in a [`DensityForecast`].
 const DENSITY_WEIGHT: f64 = 0.05;
 /// Forecast densities up to which the entering column's ftran, the pivot
-/// row's btran and the dual prices' btran try the hyper-sparse path.  Dual
+/// row's btran and the dual prices' btran run the hyper-sparse path.  Dual
 /// prices keep it longer: they are solved only at refresh points, and
 /// those of the compositional chain LPs fill 13% of their rows, where the
 /// hyper-sparse path still pays.
@@ -98,16 +100,32 @@ const DIRECTION_HYPER_MAX: f64 = 0.10;
 const PIVOT_ROW_HYPER_MAX: f64 = 0.10;
 const PRICES_HYPER_MAX: f64 = 0.20;
 
+/// Bases of fewer rows take the dense scan for every solve: the scan is a
+/// handful of cache lines, and the hyper-sparse path's symbolic
+/// bookkeeping costs more than it saves.
+const HYPER_MIN_DIM: usize = 16;
+/// Right-hand sides with more nonzeros than this share of the rows take the
+/// dense scan: the hyper-sparse path's worklist holds at least their rows.
+const HYPER_DENSITY: f64 = 0.15;
+
+/// The kernel path of every LU solve over an `m`-row basis, of a right-hand
+/// side with `rhs_nnz` nonzeros: hyper-sparse when the basis has at least
+/// [`HYPER_MIN_DIM`] rows, the right-hand side at most `HYPER_DENSITY·m`
+/// nonzeros, and the forecast of that kind of solve is sparse; the dense
+/// scan otherwise.
+fn hyper_path(m: usize, rhs_nnz: usize, forecast_sparse: bool) -> bool {
+    forecast_sparse && m >= HYPER_MIN_DIM && rhs_nnz <= (HYPER_DENSITY * m as f64) as usize
+}
+
 /// The running result density of one kind of triangular solve, and the
-/// density up to which that kind tries the hyper-sparse kernel path.
+/// density up to which that kind runs the hyper-sparse kernel path.
 ///
 /// A hyper-sparse solve pays a heap-ordered worklist per entry it reaches,
 /// so a result that fills a tenth of its rows or more is faster on the
-/// dense scan; the kernel's own mid-solve fallback only notices past
-/// `0.6·m`.  Each kind of solve has its own forecast because the densities
-/// differ more by kind than from solve to solve: on the compositional
-/// chain LPs, entering columns fill about 7% of their rows, pivot rows 3%
-/// and dual prices 13%.
+/// dense scan.  Each kind of solve has its own forecast because the
+/// densities differ more by kind than from solve to solve: on the
+/// compositional chain LPs, entering columns fill about 7% of their rows,
+/// pivot rows 3% and dual prices 13%.
 #[derive(Debug, Clone, Copy)]
 struct DensityForecast {
     /// Running average of nonzeros ÷ m, weight [`DENSITY_WEIGHT`] per
@@ -124,7 +142,7 @@ impl DensityForecast {
         }
     }
 
-    /// Whether the next solve should try the hyper-sparse path.
+    /// Whether the forecast is sparse enough for the hyper-sparse path.
     fn hyper(&self) -> bool {
         self.density <= self.hyper_max
     }
@@ -668,9 +686,9 @@ impl SimplexCore {
         }
         self.ws.load_sparse(&entries, m);
         self.rhs_buf = entries;
+        let hyper = hyper_path(m, self.ws.rhs_pattern.len(), self.price_density.hyper());
         let t = Instant::now();
-        self.factor
-            .btran_ws(&mut self.ws, self.price_density.hyper());
+        self.factor.btran_ws(&mut self.ws, hyper);
         self.stats.btran_ns += t.elapsed().as_nanos() as u64;
         self.price_density.observe(self.ws.nnz, m);
         self.ws.copy_sol_into(y);
@@ -737,9 +755,9 @@ impl SimplexCore {
         entries.extend_from_slice(self.cols.col(j));
         self.ws.load_sparse(&entries, m);
         self.rhs_buf = entries;
+        let hyper = hyper_path(m, self.ws.rhs_pattern.len(), self.direction_density.hyper());
         let t = Instant::now();
-        self.factor
-            .ftran_ws(&mut self.ws, self.direction_density.hyper());
+        self.factor.ftran_ws(&mut self.ws, hyper);
         self.stats.ftran_ns += t.elapsed().as_nanos() as u64;
         self.direction_density.observe(self.ws.nnz, m);
         self.ws.copy_sol_into(out);
@@ -749,12 +767,13 @@ impl SimplexCore {
     /// caller's reusable buffer.  Its support stays listed in `ws.pattern`
     /// whichever kernel path produced it.
     fn inverse_row_into(&mut self, p: usize, out: &mut Vec<f64>) {
+        let m = self.basis.len();
+        // The right-hand side is the unit vector e_p.
+        let hyper = hyper_path(m, 1, self.pivot_row_density.hyper());
         let t = Instant::now();
-        self.factor
-            .inverse_row_ws(p, &mut self.ws, self.pivot_row_density.hyper());
+        self.factor.inverse_row_ws(p, &mut self.ws, hyper);
         self.stats.btran_ns += t.elapsed().as_nanos() as u64;
-        self.pivot_row_density
-            .observe(self.ws.nnz, self.basis.len());
+        self.pivot_row_density.observe(self.ws.nnz, m);
         self.ws.copy_sol_into(out);
     }
 
@@ -811,8 +830,10 @@ impl SimplexCore {
             return false;
         }
         self.ws.load_dense(&self.b);
+        // `x_B` has no forecast of its own: only its width gates it.
+        let hyper = hyper_path(m, self.ws.rhs_pattern.len(), true);
         let t = Instant::now();
-        self.factor.ftran_ws(&mut self.ws, true);
+        self.factor.ftran_ws(&mut self.ws, hyper);
         self.stats.ftran_ns += t.elapsed().as_nanos() as u64;
         self.ws.copy_sol_into(&mut self.xb);
         self.stale_pivots = 0;
@@ -2133,8 +2154,9 @@ mod tests {
     }
 
     /// The kernel path each kind of solve takes follows its own density
-    /// forecast.  On a basis with a dense inverse every result is dense,
-    /// none completes hyper-sparse, and the forecast turns to the scan; on
+    /// forecast.  On a basis with a dense inverse every result is dense:
+    /// the solves asked to run hyper-sparse before the forecast learns that
+    /// complete on that path, and then the forecast turns to the scan; on
     /// the slack basis the results are sparse again, the forecast keeps
     /// them on the scan until it has learned that, and then returns them to
     /// the hyper-sparse path.
@@ -2169,10 +2191,13 @@ mod tests {
         };
         type Solve<'a> = &'a dyn Fn(&mut SimplexCore, &mut Vec<f64>);
         type Forecast = fn(&SimplexCore) -> DensityForecast;
-        let roles: [(&str, Solve, Forecast); 3] = [
-            ("direction", &direction, |core| core.direction_density),
-            ("pivot row", &pivot_row, |core| core.pivot_row_density),
-            ("dual prices", &prices, |core| core.price_density),
+        // Each role, with the dense results its forecast takes to learn
+        // that they are dense: 1 − 0.95^k passes 0.10 at k = 3 and 0.20 at
+        // k = 5.
+        let roles: [(&str, Solve, Forecast, u64); 3] = [
+            ("direction", &direction, |core| core.direction_density, 3),
+            ("pivot row", &pivot_row, |core| core.pivot_row_density, 3),
+            ("dual prices", &prices, |core| core.price_density, 5),
         ];
         // (hyper-sparse completions, dense scans) so far.
         let paths = |core: &SimplexCore| {
@@ -2180,14 +2205,18 @@ mod tests {
             (hf + hb, dense)
         };
         let mut out = Vec::new();
-        for (role, solve, forecast) in roles {
+        for (role, solve, forecast, learned) in roles {
             core.install_basis(&bidiagonal);
             let (hyper, dense) = paths(&core);
             for _ in 0..40 {
                 solve(&mut core, &mut out);
                 assert_eq!(out.iter().filter(|&&v| v != 0.0).count(), m, "{role}");
             }
-            assert_eq!(paths(&core), (hyper, dense + 40), "{role}");
+            assert_eq!(
+                paths(&core),
+                (hyper + learned, dense + 40 - learned),
+                "{role}"
+            );
             assert!(!forecast(&core).hyper(), "{role}: {:?}", forecast(&core));
 
             core.install_basis(&slacks);
@@ -2205,6 +2234,56 @@ mod tests {
                 solve(&mut core, &mut out);
             }
             assert_eq!(paths(&core), (hyper + 10, dense + scans), "{role}");
+        }
+    }
+
+    /// The rule's two gates send a solve to the scan even while its
+    /// forecast is sparse (a fresh core's are): a basis of fewer than 16
+    /// rows, and a right-hand side of more than 0.15·m nonzeros.  All four
+    /// solve sites follow the rule; the pivot row's right-hand side is a
+    /// unit vector, so only the dimension gates it.
+    #[test]
+    fn small_bases_and_wide_right_hand_sides_take_the_scan() {
+        /// Whether `solve`, one LU solve, ran on the hyper-sparse path.
+        fn ran_hyper(core: &mut SimplexCore, solve: impl FnOnce(&mut SimplexCore)) -> bool {
+            let (hf, hb, dense, _) = core.ws.counters();
+            solve(core);
+            let (hf2, hb2, dense2, _) = core.ws.counters();
+            assert_eq!(hf2 + hb2 + dense2, hf + hb + dense + 1);
+            hf2 + hb2 > hf + hb
+        }
+        // (rows, right-hand-side nonzeros): 0.15·40 = 6.
+        for (m, width) in [(15, 1), (16, 1), (40, 6), (40, 7)] {
+            // Rows x_i + w ≤ 1 for i < width and x_i ≤ 0 after: the slack
+            // basis is the identity, and b, w's column and the costs of
+            // the first `width` slacks have `width` nonzeros each.
+            let mut lp = LpProblem::new();
+            let w = lp.add_var("", false);
+            for i in 0..m {
+                let x = lp.add_var("", false);
+                if i < width {
+                    lp.add_constraint(vec![(x, 1.0), (w, 1.0)], Cmp::Le, 1.0);
+                } else {
+                    lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 0.0);
+                }
+            }
+            let mut core = SimplexCore::open_with(&lp, &SolverTuning::default());
+            let slacks = core.init_basis.clone();
+            let w_col = core.var_cols[w.index()].0;
+            let mut costs = vec![0.0; core.cols.num_cols()];
+            for &s in &slacks[..width] {
+                costs[s] = 1.0;
+            }
+            let mut out = Vec::new();
+            let sites = [
+                ran_hyper(&mut core, |core| core.install_basis(&slacks)),
+                ran_hyper(&mut core, |core| core.direction_into(w_col, &mut out)),
+                ran_hyper(&mut core, |core| core.dual_prices_into(&costs, &mut out)),
+                ran_hyper(&mut core, |core| core.inverse_row_into(0, &mut out)),
+            ];
+            let (large, narrow) = (m >= 16, width <= 6);
+            let expected = [large && narrow, large && narrow, large && narrow, large];
+            assert_eq!(sites, expected, "{m} rows, {width} nonzeros");
         }
     }
 

@@ -18,9 +18,9 @@
 //!   (forcing refactorization) only when the new pivot is unstable relative
 //!   to the spike or the eliminated row fills beyond a threshold;
 //! * **hyper-sparse solves** — Gilbert–Peierls traversals that touch only
-//!   the entries a sparse right-hand side can reach (see [`KernelWs`]),
-//!   taken when the caller asks for them: the simplex core asks while its
-//!   forecast of the result's density is sparse.
+//!   the entries a sparse right-hand side can reach (see [`KernelWs`]).
+//!   Every solve runs the path its caller names, start to finish; the
+//!   simplex core's one rule picks it.
 //!
 //! **The pivot search** (after Suhl & Suhl, "Computing sparse LU
 //! factorizations for large-scale linear programming bases", ORSA J.
@@ -99,27 +99,6 @@ pub(crate) enum FactorError {
     NeedsRefactorization,
 }
 
-/// Hyper-sparse solves are attempted only at or above this dimension —
-/// below it a dense scan is a handful of cache lines and the symbolic
-/// bookkeeping costs more than it saves.
-const HYPER_MIN_DIM: usize = 16;
-
-/// Result-density threshold for the hyper-sparse triangular solves: a
-/// solve the caller asks to run hyper-sparse is attempted so when the
-/// right-hand side's support is at most `ρ·m` rows, and falls back to the
-/// dense scan once the live support grows past `4ρ·m`.
-const HYPER_DENSITY: f64 = 0.15;
-
-/// Seed cap for a hyper-sparse attempt at dimension `m`.
-fn hyper_seed_cap(m: usize) -> usize {
-    (HYPER_DENSITY * m as f64) as usize
-}
-
-/// Live-support cap before a hyper-sparse solve falls back to dense.
-fn hyper_live_cap(m: usize) -> usize {
-    ((4.0 * HYPER_DENSITY) * m as f64) as usize + 4
-}
-
 /// Sift-up push into a max-heap of `(key, step)` pairs kept in a plain
 /// `Vec` so the buffer is reusable across solves.  Min-order stages push
 /// `usize::MAX - key`.
@@ -190,9 +169,6 @@ pub(crate) struct KernelWs {
     pub(crate) rhs: Vec<f64>,
     /// Support of `rhs` (may contain duplicates or exact-zero entries).
     pub(crate) rhs_pattern: Vec<usize>,
-    /// Whether `rhs_pattern` is valid; dense loads with wide support
-    /// clear it so kernels skip straight to the dense path.
-    pub(crate) rhs_sparse: bool,
     /// Solution vector (position-indexed in ftran, row-indexed in btran).
     pub(crate) sol: Vec<f64>,
     /// Superset of `sol`'s nonzero indices when `sparse`.
@@ -220,12 +196,10 @@ pub(crate) struct KernelWs {
     sized_for: usize,
     /// Dimension of the solve that produced `sol` (for dense clears).
     dim: usize,
-    /// Solves that completed on the hyper-sparse path.
+    /// Solves the caller sent down the hyper-sparse path.
     pub(crate) hyper_ftrans: u64,
     pub(crate) hyper_btrans: u64,
-    /// Solves that ran (or fell back to) the dense scan in an LU kernel:
-    /// the caller did not ask for the hyper-sparse path, the right-hand
-    /// side was too wide, or the live support outgrew the cap mid-solve.
+    /// Solves the caller sent to the dense scan.
     pub(crate) dense_fallbacks: u64,
     /// Workspace growth events after the first sizing — the hot loop's
     /// allocation count, asserted zero in steady state by CI.
@@ -263,7 +237,6 @@ impl KernelWs {
                 self.rhs_pattern.push(i);
             }
         }
-        self.rhs_sparse = true;
     }
 
     /// Loads a sparse right-hand side given as `(index, value)` entries.
@@ -281,7 +254,6 @@ impl KernelWs {
             }
             self.rhs[i] += a;
         }
-        self.rhs_sparse = true;
     }
 
     /// Loads the unit right-hand side `e_p`.
@@ -290,7 +262,6 @@ impl KernelWs {
         self.rhs[p] = 1.0;
         self.rhs_pattern.clear();
         self.rhs_pattern.push(p);
-        self.rhs_sparse = true;
     }
 
     /// Kernel prologue: clears the previous solution's support and
@@ -362,7 +333,6 @@ impl KernelWs {
             }
         }
         self.rhs_pattern.clear();
-        self.rhs_sparse = false;
     }
 
     /// Copies the solution out as a dense `Vec`.
@@ -885,26 +855,19 @@ impl LuFactor {
     /// The RHS is consumed (`ws.rhs` returns to all-zero).  This is the
     /// hot-path kernel: it allocates nothing once `ws` is sized.
     ///
-    /// `hyper` asks for the hyper-sparse path; the kernel still takes the
-    /// dense scan when the right-hand side is too wide or the dimension
-    /// too small.  Both paths compute every entry with the same operations
+    /// `hyper` names the path, which the solve runs start to finish: the
+    /// hyper-sparse traversal or the dense scan (the simplex core's rule
+    /// picks it).  Both paths compute every entry with the same operations
     /// in the same order, so the result does not depend on the path.
     pub(crate) fn ftran_ws(&self, ws: &mut KernelWs, hyper: bool) {
         let m = self.m;
         ws.begin(m);
-        let attempt = hyper
-            && ws.rhs_sparse
-            && m >= HYPER_MIN_DIM
-            && ws.rhs_pattern.len() <= hyper_seed_cap(m);
-        let live_cap = hyper_live_cap(m);
 
         // --- L stage + row etas on v = ws.rhs (row-indexed) ---
         // Gilbert–Peierls: steps reachable from the RHS support, popped in
         // increasing step order (pushes are monotone: applying step t only
-        // fills rows pivoting later), with a dense-scan fallback once the
-        // live support crosses the density threshold.
-        let mut v_dense = !attempt;
-        if attempt {
+        // fills rows pivoting later).
+        if hyper {
             for idx in 0..ws.rhs_pattern.len() {
                 let r = ws.rhs_pattern[idx];
                 if !ws.row_marked(r) {
@@ -915,19 +878,6 @@ impl LuFactor {
                 }
             }
             while let Some((_, t)) = heap_pop(&mut ws.heap) {
-                if ws.touched.len() > live_cap {
-                    // Steps < t are all applied; finish with the scan.
-                    for tt in t..m {
-                        let vr = ws.rhs[self.pivot_row[tt]];
-                        if vr != 0.0 {
-                            for &(i, l) in &self.lower[tt] {
-                                ws.rhs[i] -= l * vr;
-                            }
-                        }
-                    }
-                    v_dense = true;
-                    break;
-                }
                 let vr = ws.rhs[self.pivot_row[t]];
                 if vr != 0.0 {
                     for &(i, l) in &self.lower[t] {
@@ -966,7 +916,7 @@ impl LuFactor {
             }
             if live {
                 ws.rhs[eta.target] = s;
-                if !v_dense && !ws.row_marked(eta.target) {
+                if hyper && !ws.row_marked(eta.target) {
                     ws.mark_row_on(eta.target);
                     ws.touched.push(eta.target);
                 }
@@ -977,11 +927,9 @@ impl LuFactor {
         // Hyper path: steps popped in decreasing `order` position (every
         // dependency of a step sits later in the order, so it pops first);
         // propagation follows `utrans`, whose stale entries are harmless.
-        let mut u_hyper = !v_dense && ws.touched.len() <= live_cap;
         let mut nnz = 0;
-        if u_hyper {
+        if hyper {
             ws.bump_pos_epoch();
-            ws.heap.clear();
             for idx in 0..ws.touched.len() {
                 let r = ws.touched[idx];
                 if ws.rhs[r] != 0.0 {
@@ -993,21 +941,6 @@ impl LuFactor {
                 }
             }
             while let Some((pos, t)) = heap_pop(&mut ws.heap) {
-                if ws.pattern.len() > live_cap {
-                    // Steps at positions > pos are done; scan the rest.
-                    for posi in (0..=pos).rev() {
-                        let tt = self.order[posi];
-                        let mut s = ws.rhs[self.pivot_row[tt]];
-                        for &(j, u) in &self.upper[tt] {
-                            s -= u * ws.sol[j];
-                        }
-                        let x = s / self.upivot[tt];
-                        ws.sol[self.pivot_col[tt]] = x;
-                        nnz += usize::from(x != 0.0);
-                    }
-                    u_hyper = false;
-                    break;
-                }
                 let mut s = ws.rhs[self.pivot_row[t]];
                 for &(j, u) in &self.upper[t] {
                     s -= u * ws.sol[j];
@@ -1026,6 +959,7 @@ impl LuFactor {
                     }
                 }
             }
+            ws.hyper_ftrans += 1;
         } else {
             for &t in self.order.iter().rev() {
                 let mut s = ws.rhs[self.pivot_row[t]];
@@ -1036,15 +970,11 @@ impl LuFactor {
                 ws.sol[self.pivot_col[t]] = x;
                 nnz += usize::from(x != 0.0);
             }
-        }
-        ws.nnz = nnz;
-        ws.sparse = u_hyper;
-        if u_hyper {
-            ws.hyper_ftrans += 1;
-        } else {
             ws.dense_fallbacks += 1;
         }
-        ws.consume_rhs(v_dense);
+        ws.nnz = nnz;
+        ws.sparse = hyper;
+        ws.consume_rhs(!hyper);
     }
 
     /// Solves `Bᵀ·y = c` **in place**: `c` by basis position loaded into
@@ -1069,12 +999,6 @@ impl LuFactor {
     fn btran(&self, ws: &mut KernelWs, hyper: bool, list_support: bool) {
         let m = self.m;
         ws.begin(m);
-        let attempt = hyper
-            && ws.rhs_sparse
-            && m >= HYPER_MIN_DIM
-            && ws.rhs_pattern.len() <= hyper_seed_cap(m);
-        let live_cap = hyper_live_cap(m);
-        let mut hyper = attempt;
 
         // --- Uᵀ stage: v = ws.rhs (position-indexed), w = ws.sol (rows).
         // Forward over `order`; hyper path pops steps in increasing order
@@ -1091,23 +1015,7 @@ impl LuFactor {
                     heap_push(&mut ws.heap, (usize::MAX - self.order_pos[t], t));
                 }
             }
-            while let Some((key, t)) = heap_pop(&mut ws.heap) {
-                if ws.pattern.len() > live_cap {
-                    // Positions before this one are done; scan the rest.
-                    let pos = usize::MAX - key;
-                    for posi in pos..m {
-                        let tt = self.order[posi];
-                        let wt = ws.rhs[self.pivot_col[tt]] / self.upivot[tt];
-                        ws.sol[self.pivot_row[tt]] = wt;
-                        if wt != 0.0 {
-                            for &(j, u) in &self.upper[tt] {
-                                ws.rhs[j] -= u * wt;
-                            }
-                        }
-                    }
-                    hyper = false;
-                    break;
-                }
+            while let Some((_, t)) = heap_pop(&mut ws.heap) {
                 let wt = ws.rhs[self.pivot_col[t]] / self.upivot[t];
                 if wt != 0.0 {
                     let r = self.pivot_row[t];
@@ -1136,7 +1044,7 @@ impl LuFactor {
                 }
             }
         }
-        ws.consume_rhs(!attempt || !hyper);
+        ws.consume_rhs(!hyper);
 
         // --- Transposed row etas, newest first: O(1) skip on a zero
         // target; fill joins the tracked support on the hyper path.
@@ -1159,7 +1067,6 @@ impl LuFactor {
         // outside the worklist keep their (already final) values.
         if hyper {
             ws.bump_pos_epoch();
-            ws.heap.clear();
             for idx in 0..ws.pattern.len() {
                 let r = ws.pattern[idx];
                 for &t in &self.ltrans[r] {
@@ -1169,21 +1076,7 @@ impl LuFactor {
                     }
                 }
             }
-            let mut processed = 0usize;
             while let Some((_, t)) = heap_pop(&mut ws.heap) {
-                processed += 1;
-                if processed + ws.pattern.len() > 2 * live_cap {
-                    // Steps > t are done; finish with the dense scan.
-                    for tt in (0..=t).rev() {
-                        let mut s = ws.sol[self.pivot_row[tt]];
-                        for &(i, l) in &self.lower[tt] {
-                            s -= l * ws.sol[i];
-                        }
-                        ws.sol[self.pivot_row[tt]] = s;
-                    }
-                    hyper = false;
-                    break;
-                }
                 let r = self.pivot_row[t];
                 let mut s = ws.sol[r];
                 for &(i, l) in &self.lower[t] {
@@ -1743,8 +1636,8 @@ mod tests {
         }
     }
 
-    /// Builds the banded circulant basis `B_k = a·e_k + b·e_{k+1 mod m}`
-    /// at a dimension large enough to engage the hyper-sparse paths.
+    /// Builds the banded circulant basis `B_k = a·e_k + b·e_{k+1 mod m}`,
+    /// whose inverse is dense.
     fn circulant(m: usize) -> (ColumnStore, Vec<usize>) {
         let mut cols = ColumnStore::default();
         for k in 0..m {
@@ -1765,14 +1658,14 @@ mod tests {
     /// The hyper-sparse LU ftran/btran must agree with the dense-scan
     /// kernels of the same factors entry for entry (`==`) on unit and
     /// sparse right-hand sides, before and after Forrest–Tomlin updates,
-    /// solve the basis to 1e-9, and report hyper-sparse completions with
-    /// zero workspace growth after sizing.  Every result's `nnz` is its
-    /// nonzero count, and a dense inverse row lists exactly its entries
+    /// solve the basis to 1e-9, and complete every solve asked to run
+    /// hyper-sparse on that path — the circulant's dense results included —
+    /// with zero workspace growth after sizing.  Every result's `nnz` is
+    /// its nonzero count, and a dense inverse row lists exactly its entries
     /// that are not `+0.0`.
     #[test]
     fn hyper_sparse_solves_match_dense_reference() {
         let m = 48;
-        assert!(m >= HYPER_MIN_DIM);
         let (cols, mut basis) = circulant(m);
         let mut lu = LuFactor::default();
         assert!(lu.refactorize(m, &basis, &cols));
@@ -1821,11 +1714,16 @@ mod tests {
             }
             assert_small_residuals(lu, &cols, basis, &probe);
         };
+        // Each round asks for five ftrans and five btrans on each path.
+        let assert_paths = |ws: &KernelWs, scan: &KernelWs, rounds: u64| {
+            let paths = |ws: &KernelWs| (ws.hyper_ftrans, ws.hyper_btrans, ws.dense_fallbacks);
+            assert_eq!(paths(ws), (5 * rounds, 5 * rounds, 0));
+            assert_eq!(paths(scan), (0, 0, 10 * rounds));
+        };
 
         check_all(&lu, &basis, &mut ws, &mut scan);
-        assert!(ws.hyper_ftrans > 0, "hyper ftran path never engaged");
-        assert!(ws.hyper_btrans > 0, "hyper btran path never engaged");
-        assert_eq!(scan.hyper_ftrans + scan.hyper_btrans, 0);
+        assert_eq!(ws.nnz, m, "the circulant's inverse is dense");
+        assert_paths(&ws, &scan, 1);
 
         // Drive a pivot sequence (spares are wider, so updates exercise
         // utrans maintenance + row etas), refactorizing on a decline and
@@ -1842,6 +1740,7 @@ mod tests {
             basis[pos] = col;
         }
         check_all(&lu, &basis, &mut ws, &mut scan);
+        assert_paths(&ws, &scan, 2);
 
         // Zero-allocation contract: the workspace never grew past its
         // initial sizing across every solve above.
@@ -1851,6 +1750,7 @@ mod tests {
         let mut fresh = LuFactor::default();
         assert!(fresh.refactorize(m, &basis, &cols));
         check_all(&fresh, &basis, &mut ws, &mut scan);
+        assert_paths(&ws, &scan, 3);
     }
 
     /// A solve that may take the hyper-sparse path (`a`) and a dense scan
@@ -1877,8 +1777,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Random sparse RHS + random pivot sequences at hyper-engaging
-        /// dimensions: the hyper-sparse solves must match the dense scan of
+        /// Random sparse RHS + random pivot sequences at dimensions the
+        /// simplex core sends down the hyper-sparse path (16 rows and
+        /// more): the hyper-sparse solves must match the dense scan of
         /// the same factors entry for entry, and a fresh refactorization of
         /// the final basis within 1e-6 of the solve's magnitude.
         #[test]

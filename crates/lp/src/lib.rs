@@ -3,14 +3,15 @@
 //! The template-based inference of the central-moment analysis reduces bound
 //! derivation to linear programming (§3.4 of the paper).  The paper's artifact
 //! handed every LP to one off-the-shelf solver (Gurobi); this crate provides
-//! the substitute, likewise one solver: [`SimplexBackend`], a bounded revised
-//! simplex over `f64`.
+//! the substitute, likewise one solver: [`SimplexBackend`], a revised simplex
+//! over `f64`.
 //!
 //! The solver is session-based: the [`LpBackend`] trait (see [`backend`] and
 //! `DESIGN.md` for the contract) decouples problem construction from
 //! solving, and [`LpBackend::open`] yields an [`LpSession`] that supports
-//! repeated `minimize` calls, incremental row/column addition, and batch
-//! solving of independent problems.  Behind it sits one simplex core:
+//! repeated `minimize` calls and incremental row/column addition;
+//! [`LpBackend::solve_batch`] solves independent problems concurrently.
+//! Behind both sits one simplex core:
 //! sparse columns, a Markowitz LU basis factorization with Forrest–Tomlin
 //! updates and hyper-sparse solves, devex pricing with the Harris ratio test
 //! and a bounded anti-degeneracy perturbation, Bland's rule as a size-scaled

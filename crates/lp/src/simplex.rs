@@ -146,15 +146,14 @@ solve_stats! {
     /// from the pristine columns; the basic-value recomputation that
     /// follows is `ftran_ns`).
     refactor_ns: u64, Sum, Volatile;
-    /// Forward solves completed on the hyper-sparse (Gilbert–Peierls)
-    /// path of the LU kernels.
+    /// Forward solves the simplex core sent down the hyper-sparse
+    /// (Gilbert–Peierls) path of the LU kernels.
     hyper_sparse_ftrans: u64, Sum, Volatile;
-    /// Backward solves completed on the hyper-sparse path.
+    /// Backward solves the simplex core sent down the hyper-sparse path.
     hyper_sparse_btrans: u64, Sum, Volatile;
-    /// LU kernel calls that ran — or mid-solve fell back to — the dense
-    /// scan: the solve's result-density forecast sent it there, its
-    /// right-hand side was too wide, or its live support crossed the
-    /// threshold mid-solve.
+    /// LU solves the simplex core sent to the dense scan: a basis of fewer
+    /// than 16 rows, a right-hand side wider than 0.15·m, or a dense
+    /// result-density forecast.
     dense_fallbacks: u64, Sum, Volatile;
     /// Kernel-workspace growth events after initial sizing — heap
     /// allocations on the per-pivot hot path, 0 in steady state (CI

@@ -113,12 +113,6 @@ fn record_suite_snapshot() {
 
 const SOUNDNESS_FIXTURE: &str = "tests/fixtures/suite_soundness.txt";
 
-/// Left out of the soundness-on fixtures, which were recorded when its
-/// termination LP ran for minutes under the tightness objective.  Solved
-/// for feasibility it takes a fraction of a second, so it can rejoin them
-/// when they are next re-recorded on purpose.
-const SOUNDNESS_SKIPPED: &str = "synthetic/coupon-chain-5";
-
 /// One program's Theorem 4.4 outcome (soundness on), as a fixture line: the
 /// qualified name, then `k=K` when a finite `E[T^K]` was established or
 /// `not-established`, then the LP variables, rows and dual pivots of the
@@ -157,20 +151,13 @@ fn soundness_outcome(benchmark: &suite::Benchmark) -> (String, String) {
     (line, lp_line)
 }
 
-fn soundness_benchmarks() -> Vec<suite::Benchmark> {
-    suite::all_benchmarks()
-        .into_iter()
-        .filter(|b| b.qualified_name() != SOUNDNESS_SKIPPED)
-        .collect()
-}
-
-/// The soundness-on run of every benchmark but [`SOUNDNESS_SKIPPED`], as
-/// `(verdict line, LP fingerprint line)`: computed once and shared by the
-/// two fixtures, so the suite is analyzed with soundness on only once.
+/// The soundness-on run of every benchmark, as `(verdict line, LP
+/// fingerprint line)`: computed once and shared by the two fixtures, so the
+/// suite is analyzed with soundness on only once.
 fn soundness_runs() -> &'static [(String, String)] {
     static RUNS: OnceLock<Vec<(String, String)>> = OnceLock::new();
     RUNS.get_or_init(|| {
-        soundness_benchmarks()
+        suite::all_benchmarks()
             .iter()
             .map(soundness_outcome)
             .collect()
@@ -186,7 +173,7 @@ fn recorded_lines(path: &str) -> Vec<String> {
         .collect();
     assert_eq!(
         recorded.len(),
-        soundness_benchmarks().len(),
+        suite::all_benchmarks().len(),
         "the suite changed size since {path} was recorded"
     );
     recorded
@@ -203,9 +190,9 @@ fn every_soundness_verdict_matches_the_recorded_snapshot() {
 #[test]
 #[ignore = "re-records the fixture"]
 fn record_soundness_snapshot() {
-    let mut out = format!(
-        "# Theorem 4.4 verdicts of every suite benchmark but {SOUNDNESS_SKIPPED}\n\
-         # (soundness on); see tests/suite_snapshot.rs for the line format.\n",
+    let mut out = String::from(
+        "# Theorem 4.4 verdicts of every suite benchmark (soundness on); see\n\
+         # tests/suite_snapshot.rs for the line format.\n",
     );
     for (line, _) in soundness_runs() {
         out.push_str(line);
@@ -228,10 +215,10 @@ fn every_suite_lp_matches_the_recorded_fingerprint() {
 #[test]
 #[ignore = "re-records the fixture"]
 fn record_suite_lp_fingerprints() {
-    let mut out = format!(
+    let mut out = String::from(
         "# LPs opened, rows, nonzeros and FNV-1a hash of every LP of every suite\n\
-         # benchmark but {SOUNDNESS_SKIPPED} (soundness on); see\n\
-         # tests/suite_snapshot.rs for what is hashed.\n",
+         # benchmark (soundness on); see tests/suite_snapshot.rs for what is\n\
+         # hashed.\n",
     );
     for (_, line) in soundness_runs() {
         out.push_str(line);
