@@ -74,10 +74,11 @@ ANALYSIS OPTIONS:
     --mode MODE          global | compositional (default global)
     --threads N          solve independent compositional groups on N threads
     --timeout SECS       wall-clock budget for the whole analysis, soundness
-                         checks included; when it runs out, the degradation
-                         ladder retries with cheaper settings and labels the
-                         (still sound) weaker bounds
-    --group-timeout SECS wall-clock budget per LP group solve
+                         checks included; when it runs out, the analysis
+                         fails with `budget exhausted`
+    --group-timeout SECS wall-clock budget per LP group solve; when one runs
+                         out, the degradation ladder retries with cheaper
+                         settings and labels the (still sound) weaker bounds
     --valuation K=V,…    initial-state valuation, e.g. d=10,x=0
     --tail D1,D2,…       tail-bound thresholds (default 2x/4x/8x mean bound)
     --no-soundness       skip the Thm 4.4 side-condition checks

@@ -7,12 +7,13 @@
 //! a chatty child can never deadlock against a parent that is not reading.
 //!
 //! Deadlines are layered.  The child gets a *soft* budget via `--timeout`
-//! (a fraction of the per-program deadline) so the analyzer's own
-//! degradation ladder has room to return labeled partial results; the
+//! (0.8 of the per-program deadline, on every attempt), so an
+//! analysis that runs out of time reports its own "budget exhausted"; the
 //! parent holds the *hard* deadline and kills the child outright when it
-//! passes.  Retries are bounded and restricted to transient outcomes
-//! (timeout, crash), with a harsher in-child budget on each retry so the
-//! ladder engages earlier.
+//! passes.  The soft budget bounds the whole analysis and never sends the
+//! analyzer down its degradation ladder: a forwarded `--group-timeout`
+//! does.  Retries are bounded and restricted to transient outcomes
+//! (timeout, crash).
 //!
 //! Workers steal programs from a shared atomic cursor — no work queue, no
 //! channel, and naturally balanced when program costs vary by orders of
@@ -27,6 +28,11 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::journal::{Journal, JournalEntry, Outcome};
+
+/// The child's soft `--timeout` as a share of the hard per-program
+/// deadline: what is left is the child's time to report before the parent
+/// kills it.
+const SOFT_FRACTION: f64 = 0.8;
 
 /// Everything a campaign needs: the binary, the programs, and the budgets.
 #[derive(Debug, Clone)]
@@ -157,13 +163,8 @@ struct RunResult {
 }
 
 /// Runs `cma analyze` on one program in a child process, killing it past
-/// the hard deadline.  `soft_fraction` scales the in-child `--timeout`.
-fn run_one(
-    config: &CampaignConfig,
-    program: &Path,
-    soft_fraction: f64,
-    scratch_tag: &str,
-) -> io::Result<RunResult> {
+/// the hard deadline.
+fn run_one(config: &CampaignConfig, program: &Path, scratch_tag: &str) -> io::Result<RunResult> {
     let scratch = std::env::temp_dir();
     let out_path = scratch.join(format!(
         "cma-corpus-{}-{scratch_tag}.out",
@@ -176,7 +177,7 @@ fn run_one(
     let out_file = File::create(&out_path)?;
     let err_file = File::create(&err_path)?;
 
-    let soft_secs = (config.timeout.as_secs_f64() * soft_fraction).max(0.001);
+    let soft_secs = (config.timeout.as_secs_f64() * SOFT_FRACTION).max(0.001);
     let mut child = Command::new(&config.cma)
         .arg("analyze")
         .arg(program)
@@ -241,8 +242,8 @@ fn run_one(
             detail: describe_signal_death(&status, &first_err_line),
         }
     } else if stderr.contains("budget exhausted") || stdout.contains("budget exhausted") {
-        // The in-child soft budget ran out and even the degradation ladder
-        // could not produce a result.
+        // The in-child soft budget ran out before the analysis produced a
+        // result.
         RunResult {
             outcome: Outcome::Timeout,
             degraded: false,
@@ -327,11 +328,8 @@ pub fn run_campaign(config: &CampaignConfig) -> io::Result<CampaignReport> {
                 let mut attempts = 0u32;
                 let run = loop {
                     attempts += 1;
-                    // Retries tighten the soft budget so the in-child
-                    // degradation ladder engages earlier each time.
-                    let soft_fraction = if attempts == 1 { 0.8 } else { 0.5 };
                     let tag = format!("c{campaign}-w{worker}-i{idx}-a{attempts}");
-                    match run_one(config, program, soft_fraction, &tag) {
+                    match run_one(config, program, &tag) {
                         Ok(run) => {
                             if run.outcome.retryable() && attempts <= config.retries {
                                 continue;

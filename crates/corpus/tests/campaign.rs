@@ -22,14 +22,17 @@ fn scratch(test: &str) -> PathBuf {
     dir
 }
 
-/// Writes the fake analyzer: logs `$2` (the program path) to `log`, then
-/// acts out the behavior its name asks for.
+/// Writes the fake analyzer: logs `$2` (the program path) and the value of
+/// its `--timeout` to `log`, one line per invocation, then acts out the
+/// behavior the program's name asks for.
 fn fake_cma(dir: &Path, log: &Path) -> PathBuf {
     let path = dir.join("fake-cma.sh");
     let script = format!(
         "#!/bin/sh\n\
          prog=\"$2\"\n\
-         echo \"$prog\" >> {log}\n\
+         soft=; prev=\n\
+         for arg in \"$@\"; do [ \"$prev\" = --timeout ] && soft=\"$arg\"; prev=\"$arg\"; done\n\
+         echo \"$prog $soft\" >> {log}\n\
          case \"$prog\" in\n\
            *crashy*) kill -ABRT $$ ;;\n\
            *sleepy*) sleep 30 ;;\n\
@@ -200,10 +203,19 @@ fn transient_failures_are_retried_and_deterministic_ones_are_not() {
 
     let report = run_campaign(&config).unwrap();
     // `flaky` reported budget exhaustion once (a transient timeout), then
-    // succeeded on the retry.
+    // succeeded on the retry, which got the same soft budget.
     let flaky = outcome_of(&report, "flaky");
     assert_eq!(flaky.outcome, Outcome::Ok);
     assert_eq!(flaky.attempts, 2);
+    let invocations = fs::read_to_string(&log).unwrap();
+    let soft_budgets: Vec<&str> = invocations
+        .lines()
+        .filter(|line| line.contains("flaky.appl"))
+        .map(|line| line.rsplit(' ').next().unwrap())
+        .collect();
+    assert_eq!(soft_budgets.len(), 2, "{invocations}");
+    assert!(!soft_budgets[0].is_empty(), "{invocations}");
+    assert_eq!(soft_budgets[0], soft_budgets[1], "{invocations}");
     // A deterministic rejection burns no retries.
     let rejected = outcome_of(&report, "rejected");
     assert_eq!(rejected.outcome, Outcome::AnalysisFailed);

@@ -46,8 +46,6 @@ pub struct AnalysisOptions {
     /// Concrete valuation at which imprecision is minimized (§3.4);
     /// unmentioned variables default to 1.
     pub valuation: Vec<(Var, f64)>,
-    /// Restrict templates to these variables (default: all program variables).
-    pub template_vars: Option<Vec<Var>>,
     /// Worker threads for solving independent compositional SCC groups
     /// concurrently (1 = sequential; only [`SolveMode::Compositional`] has
     /// independent groups to parallelize).
@@ -71,9 +69,12 @@ pub struct AnalysisOptions {
     /// draws down the one deadline derived from this duration at analysis
     /// start.  Exhaustion surfaces as
     /// [`LpStatus::BudgetExhausted`] inside [`AnalysisError::LpFailed`],
-    /// never as infeasibility, so it cannot trigger a poly-degree retry;
-    /// [`analyze_resilient`] instead trades precision for an answer.
-    /// `None` (the default) leaves solves unbudgeted.
+    /// never as infeasibility, so it cannot trigger a poly-degree retry.
+    /// Nor does it send [`analyze_resilient`] down its ladder: once this
+    /// deadline has passed, no rung has time left, and the error is
+    /// returned as is.  The ladder descends when a group's own budget
+    /// ([`group_timeout`](Self::group_timeout)) or the solver's iteration
+    /// backstop runs out.  `None` (the default) leaves solves unbudgeted.
     pub timeout: Option<Duration>,
     /// Wall-clock budget for **each LP group solve**, measured from the
     /// moment the group's solver session opens and capped by whatever
@@ -91,7 +92,6 @@ impl AnalysisOptions {
             poly_degree: 1,
             mode: SolveMode::Global,
             valuation: Vec::new(),
-            template_vars: None,
             threads: 1,
             max_poly_degree: None,
             range_facts: None,
@@ -115,12 +115,6 @@ impl AnalysisOptions {
     /// Sets the base polynomial degree.
     pub fn with_poly_degree(mut self, d: u32) -> Self {
         self.poly_degree = d;
-        self
-    }
-
-    /// Restricts the template variables.
-    pub fn with_template_vars(mut self, vars: Vec<Var>) -> Self {
-        self.template_vars = Some(vars);
         self
     }
 
@@ -919,7 +913,7 @@ fn analyze_attempt<'a>(
     let mut group_stats: Vec<GroupLpStats> = Vec::new();
     let mut plan_stats = PlanStats::default();
     let mut pruning = PruningStats::default();
-    if options.template_vars.is_none() && options.range_facts.is_some() {
+    if options.range_facts.is_some() {
         pruning.dropped_template_vars =
             program.vars().len() - template_vars(program, options).len();
     }
@@ -1116,10 +1110,9 @@ struct GroupBuild {
     pruning: PruningStats,
 }
 
+/// The variables templates range over: the program's, minus those the
+/// checker proved dead.
 fn template_vars(program: &Program, options: &AnalysisOptions) -> Vec<Var> {
-    if let Some(vars) = &options.template_vars {
-        return vars.clone();
-    }
     let mut vars = program.vars();
     if let Some(facts) = &options.range_facts {
         // Write-only variables cannot influence cost or control flow;
@@ -1535,7 +1528,6 @@ mod tests {
             .with_poly_degree(2)
             .with_mode(SolveMode::Compositional)
             .with_valuation(vec![(Var::new("d"), 10.0)])
-            .with_template_vars(vec![Var::new("d")])
             .with_timeout(Duration::from_secs(30))
             .with_group_timeout(Duration::from_secs(5));
         assert_eq!(o.degree, 4);

@@ -50,9 +50,9 @@
 //! same `y` bits, so its cached value equals a fresh dot bit for bit.  The
 //! pivot sequence is therefore the one a full scan per pivot would take.
 //!
-//! One rule here ([`hyper_path`]) picks the kernel path of every LU solve,
-//! and the kernel runs that path start to finish.  Each of the loops' three
-//! kinds of triangular solve — the entering column's ftran, the pivot row's
+//! One rule here ([`SimplexCore::hyper_path`]) picks the kernel path of
+//! every LU solve and counts it, and the kernel runs that path start to
+//! finish.  Each of the loops' three kinds of triangular solve — the entering column's ftran, the pivot row's
 //! btran and the dual prices' btran — forecasts its result density from its
 //! own recent results ([`DensityForecast`]) and runs hyper-sparse only while
 //! the forecast is sparse (after Hall & McKinnon, "Hyper-sparsity in the
@@ -107,15 +107,6 @@ const HYPER_MIN_DIM: usize = 16;
 /// Right-hand sides with more nonzeros than this share of the rows take the
 /// dense scan: the hyper-sparse path's worklist holds at least their rows.
 const HYPER_DENSITY: f64 = 0.15;
-
-/// The kernel path of every LU solve over an `m`-row basis, of a right-hand
-/// side with `rhs_nnz` nonzeros: hyper-sparse when the basis has at least
-/// [`HYPER_MIN_DIM`] rows, the right-hand side at most `HYPER_DENSITY·m`
-/// nonzeros, and the forecast of that kind of solve is sparse; the dense
-/// scan otherwise.
-fn hyper_path(m: usize, rhs_nnz: usize, forecast_sparse: bool) -> bool {
-    forecast_sparse && m >= HYPER_MIN_DIM && rhs_nnz <= (HYPER_DENSITY * m as f64) as usize
-}
 
 /// The running result density of one kind of triangular solve, and the
 /// density up to which that kind runs the hyper-sparse kernel path.
@@ -289,9 +280,6 @@ pub(crate) struct SimplexCore {
     /// Lifetime iterations charged against `budget.max_iters` (unlike
     /// `stats.iterations`, which resets per minimize).
     budget_iters: usize,
-    /// `factor.compactions()` at the start of the current minimize; the
-    /// per-solve [`SolveStats::eta_compactions`] is the delta.
-    compaction_base: usize,
     /// The session-lifetime kernel workspace: every ftran/btran of the hot
     /// loop writes into these buffers, so pivots allocate nothing.
     ws: KernelWs,
@@ -312,9 +300,6 @@ pub(crate) struct SimplexCore {
     price: Vec<f64>,
     /// Sorted, deduplicated copy of the pivot row's support (scratch).
     alpha_rows: Vec<usize>,
-    /// `ws.counters()` at the start of the current minimize; the per-solve
-    /// kernel counters in [`SolveStats`] are deltas against it.
-    ws_base: (u64, u64, u64, u64),
     /// Result-density forecasts of the entering column's ftran, the pivot
     /// row's btran and the dual prices' btran, kept for the session.
     direction_density: DensityForecast,
@@ -352,7 +337,6 @@ impl SimplexCore {
             xb_shifted: false,
             budget: *tuning,
             budget_iters: 0,
-            compaction_base: 0,
             ws: KernelWs::default(),
             rhs_buf: Vec::new(),
             alpha_scratch: Vec::new(),
@@ -360,7 +344,6 @@ impl SimplexCore {
             alpha_seen: Vec::new(),
             price: Vec::new(),
             alpha_rows: Vec::new(),
-            ws_base: (0, 0, 0, 0),
             direction_density: DensityForecast::new(DIRECTION_HYPER_MAX),
             pivot_row_density: DensityForecast::new(PIVOT_ROW_HYPER_MAX),
             price_density: DensityForecast::new(PRICES_HYPER_MAX),
@@ -670,6 +653,25 @@ impl SimplexCore {
         art
     }
 
+    /// The kernel path of one LU solve over the `m`-row basis, of a
+    /// right-hand side with `rhs_nnz` nonzeros: hyper-sparse when the basis
+    /// has at least [`HYPER_MIN_DIM`] rows, the right-hand side at most
+    /// `HYPER_DENSITY·m` nonzeros, and the forecast of that kind of solve is
+    /// sparse; the dense scan otherwise.  The solve is counted here, in this
+    /// minimize's stats: as a hyper-sparse ftran (`ftran` set) or btran, or
+    /// as a dense scan.
+    fn hyper_path(&mut self, rhs_nnz: usize, forecast_sparse: bool, ftran: bool) -> bool {
+        let m = self.basis.len();
+        let hyper =
+            forecast_sparse && m >= HYPER_MIN_DIM && rhs_nnz <= (HYPER_DENSITY * m as f64) as usize;
+        match (hyper, ftran) {
+            (true, true) => self.stats.hyper_sparse_ftrans += 1,
+            (true, false) => self.stats.hyper_sparse_btrans += 1,
+            (false, _) => self.stats.dense_fallbacks += 1,
+        }
+        hyper
+    }
+
     /// `y = c_Bᵀ B⁻¹` via btran, into the caller's reusable buffer.  The
     /// basic-cost right-hand side is loaded *sparse* — most basics (slacks,
     /// retired artificials, off-objective structurals) cost 0 — so the
@@ -686,7 +688,8 @@ impl SimplexCore {
         }
         self.ws.load_sparse(&entries, m);
         self.rhs_buf = entries;
-        let hyper = hyper_path(m, self.ws.rhs_pattern.len(), self.price_density.hyper());
+        let forecast = self.price_density.hyper();
+        let hyper = self.hyper_path(self.ws.rhs_pattern.len(), forecast, false);
         let t = Instant::now();
         self.factor.btran_ws(&mut self.ws, hyper);
         self.stats.btran_ns += t.elapsed().as_nanos() as u64;
@@ -755,7 +758,8 @@ impl SimplexCore {
         entries.extend_from_slice(self.cols.col(j));
         self.ws.load_sparse(&entries, m);
         self.rhs_buf = entries;
-        let hyper = hyper_path(m, self.ws.rhs_pattern.len(), self.direction_density.hyper());
+        let forecast = self.direction_density.hyper();
+        let hyper = self.hyper_path(self.ws.rhs_pattern.len(), forecast, true);
         let t = Instant::now();
         self.factor.ftran_ws(&mut self.ws, hyper);
         self.stats.ftran_ns += t.elapsed().as_nanos() as u64;
@@ -769,7 +773,7 @@ impl SimplexCore {
     fn inverse_row_into(&mut self, p: usize, out: &mut Vec<f64>) {
         let m = self.basis.len();
         // The right-hand side is the unit vector e_p.
-        let hyper = hyper_path(m, 1, self.pivot_row_density.hyper());
+        let hyper = self.hyper_path(1, self.pivot_row_density.hyper(), false);
         let t = Instant::now();
         self.factor.inverse_row_ws(p, &mut self.ws, hyper);
         self.stats.btran_ns += t.elapsed().as_nanos() as u64;
@@ -793,8 +797,9 @@ impl SimplexCore {
         self.is_basic[leaving] = false;
         self.is_basic[entering] = true;
         self.basis[p] = entering;
-        if self.factor.update(p, d).is_ok() {
+        if let Ok(retired) = self.factor.update(p, d) {
             self.stats.etas += 1;
+            self.stats.eta_compactions += retired;
             self.stats.eta_len = self.stats.eta_len.max(self.factor.eta_count());
         } else {
             // Unstable or saturated update: rebuild from pristine columns
@@ -831,7 +836,7 @@ impl SimplexCore {
         }
         self.ws.load_dense(&self.b);
         // `x_B` has no forecast of its own: only its width gates it.
-        let hyper = hyper_path(m, self.ws.rhs_pattern.len(), true);
+        let hyper = self.hyper_path(self.ws.rhs_pattern.len(), true, true);
         let t = Instant::now();
         self.factor.ftran_ws(&mut self.ws, hyper);
         self.stats.ftran_ns += t.elapsed().as_nanos() as u64;
@@ -981,10 +986,10 @@ impl SimplexCore {
             // Pre-pivot pivot row ρ = (B⁻¹)ₚ: feeds the devex weight update
             // (α_j = ρ·A_j) and the incremental dual-price update.
             #[cfg(test)]
-            let hyper_btrans = self.ws.hyper_btrans;
+            let hyper_btrans = self.stats.hyper_sparse_btrans;
             self.inverse_row_into(p, &mut rho);
             #[cfg(test)]
-            let rho_hyper = self.ws.hyper_btrans > hyper_btrans;
+            let rho_hyper = self.stats.hyper_sparse_btrans > hyper_btrans;
             let dp = d[p];
             // Classic dual-price update: Δy = (r_q / d_p) · ρ — it zeroes
             // the entering column's reduced cost.  It reads nothing the basis
@@ -1460,23 +1465,13 @@ impl SimplexCore {
         costs
     }
 
-    /// The per-solve stats with the derived fields filled in (the
-    /// eta-compaction delta against this minimize's baseline).
+    /// This minimize's counters; the workspace counts its own growth,
+    /// from 0 at each minimize.
     fn snapshot_stats(&self) -> SolveStats {
-        let mut s = self.stats;
-        s.eta_compactions = self
-            .factor
-            .compactions()
-            .saturating_sub(self.compaction_base);
-        // Kernel counters accumulate on the session workspace for its whole
-        // lifetime; the per-solve numbers are deltas against the baseline
-        // captured when this minimize started.
-        let (hf, hb, df, ka) = self.ws.counters();
-        s.hyper_sparse_ftrans += hf.saturating_sub(self.ws_base.0);
-        s.hyper_sparse_btrans += hb.saturating_sub(self.ws_base.1);
-        s.dense_fallbacks += df.saturating_sub(self.ws_base.2);
-        s.kernel_allocs += ka.saturating_sub(self.ws_base.3);
-        s
+        SolveStats {
+            kernel_allocs: self.ws.kernel_allocs,
+            ..self.stats
+        }
     }
 
     fn extract(&self, objective: &[(LpVarId, f64)], status: LpStatus) -> LpSolution {
@@ -1542,8 +1537,7 @@ impl LpSession for SimplexCore {
         let max_iters = (20_000 + 50 * (self.cols.num_cols() + m))
             .min(self.budget.iters_remaining(self.budget_iters));
         self.stats = SolveStats::default();
-        self.compaction_base = self.factor.compactions();
-        self.ws_base = self.ws.counters();
+        self.ws.kernel_allocs = 0;
         if self.budget_exhausted(0) {
             // The session's budget was already spent by earlier minimizes:
             // refuse to burn more, and report it as what it is.
@@ -2153,6 +2147,14 @@ mod tests {
         assert_eq!(disagree, [209]);
     }
 
+    /// The (hyper-sparse, dense-scan) LU solves the core has counted in its
+    /// stats so far.
+    fn paths(core: &SimplexCore) -> (u64, u64) {
+        let s = &core.stats;
+        let hyper = s.hyper_sparse_ftrans + s.hyper_sparse_btrans;
+        (hyper, s.dense_fallbacks)
+    }
+
     /// The kernel path each kind of solve takes follows its own density
     /// forecast.  On a basis with a dense inverse every result is dense:
     /// the solves asked to run hyper-sparse before the forecast learns that
@@ -2199,11 +2201,6 @@ mod tests {
             ("pivot row", &pivot_row, |core| core.pivot_row_density, 3),
             ("dual prices", &prices, |core| core.price_density, 5),
         ];
-        // (hyper-sparse completions, dense scans) so far.
-        let paths = |core: &SimplexCore| {
-            let (hf, hb, dense, _) = core.ws.counters();
-            (hf + hb, dense)
-        };
         let mut out = Vec::new();
         for (role, solve, forecast, learned) in roles {
             core.install_basis(&bidiagonal);
@@ -2244,13 +2241,14 @@ mod tests {
     /// unit vector, so only the dimension gates it.
     #[test]
     fn small_bases_and_wide_right_hand_sides_take_the_scan() {
-        /// Whether `solve`, one LU solve, ran on the hyper-sparse path.
+        /// Whether `solve`, one LU solve, was sent down the hyper-sparse
+        /// path.
         fn ran_hyper(core: &mut SimplexCore, solve: impl FnOnce(&mut SimplexCore)) -> bool {
-            let (hf, hb, dense, _) = core.ws.counters();
+            let (hyper, dense) = paths(core);
             solve(core);
-            let (hf2, hb2, dense2, _) = core.ws.counters();
-            assert_eq!(hf2 + hb2 + dense2, hf + hb + dense + 1);
-            hf2 + hb2 > hf + hb
+            let (hyper2, dense2) = paths(core);
+            assert_eq!(hyper2 + dense2, hyper + dense + 1);
+            hyper2 > hyper
         }
         // (rows, right-hand-side nonzeros): 0.15·40 = 6.
         for (m, width) in [(15, 1), (16, 1), (40, 6), (40, 7)] {

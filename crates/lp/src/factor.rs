@@ -150,8 +150,10 @@ fn heap_pop(heap: &mut Vec<(usize, usize)>) -> Option<(usize, usize)> {
 /// the right-hand side, the solution, the symbolic-DFS worklist, and
 /// epoch-tagged marks — so a solve performs **zero heap allocation**
 /// once the workspace has been sized for the basis dimension.  The
-/// `SimplexCore` owns one workspace per concurrent solve role and
-/// reuses them across every pivot of a solve.
+/// `SimplexCore` owns one workspace for its session and reuses it for
+/// every solve; it keeps no counter but the allocation count
+/// (`kernel_allocs`), since the core counts each solve's kernel path
+/// where it decides it.
 ///
 /// Contract between loads and kernels:
 /// * `rhs` is all-zero between calls; [`load_dense`](Self::load_dense)/
@@ -196,14 +198,14 @@ pub(crate) struct KernelWs {
     sized_for: usize,
     /// Dimension of the solve that produced `sol` (for dense clears).
     dim: usize,
-    /// Solves the caller sent down the hyper-sparse path.
-    pub(crate) hyper_ftrans: u64,
-    pub(crate) hyper_btrans: u64,
-    /// Solves the caller sent to the dense scan.
-    pub(crate) dense_fallbacks: u64,
     /// Workspace growth events after the first sizing — the hot loop's
-    /// allocation count, asserted zero in steady state by CI.
+    /// allocation count, asserted zero in steady state by CI.  The simplex
+    /// core clears it when a `minimize` starts.
     pub(crate) kernel_allocs: u64,
+    /// The solves each kernel path ran, which the unit tests check against
+    /// the path each solve was asked for.
+    #[cfg(test)]
+    runs: tests::PathRuns,
 }
 
 impl KernelWs {
@@ -346,18 +348,6 @@ impl KernelWs {
     pub(crate) fn copy_sol_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend_from_slice(&self.sol[..self.dim]);
-    }
-
-    /// The lifetime solve counters `(hyper_ftrans, hyper_btrans,
-    /// dense_fallbacks, kernel_allocs)` — monotone; per-solve deltas are the
-    /// caller's business (see `SimplexCore::snapshot_stats`).
-    pub(crate) fn counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.hyper_ftrans,
-            self.hyper_btrans,
-            self.dense_fallbacks,
-            self.kernel_allocs,
-        )
     }
 }
 
@@ -838,9 +828,6 @@ pub(crate) struct LuFactor {
     row_etas: Vec<RowEta>,
     /// The row etas' terms, back to back.
     eta_terms: Vec<(usize, f64)>,
-    /// Lifetime count of `U` entries retired by updates (see
-    /// [`compactions`](LuFactor::compactions)).
-    compactions: usize,
     /// Working state of `refactorize`.
     work: Elimination,
     /// Scratch of `update`.
@@ -959,7 +946,8 @@ impl LuFactor {
                     }
                 }
             }
-            ws.hyper_ftrans += 1;
+            #[cfg(test)]
+            ws.runs.hyper_ftran();
         } else {
             for &t in self.order.iter().rev() {
                 let mut s = ws.rhs[self.pivot_row[t]];
@@ -970,7 +958,8 @@ impl LuFactor {
                 ws.sol[self.pivot_col[t]] = x;
                 nnz += usize::from(x != 0.0);
             }
-            ws.dense_fallbacks += 1;
+            #[cfg(test)]
+            ws.runs.dense_scan();
         }
         ws.nnz = nnz;
         ws.sparse = hyper;
@@ -1105,10 +1094,12 @@ impl LuFactor {
         }
         ws.sparse = hyper;
         if hyper {
-            ws.hyper_btrans += 1;
+            #[cfg(test)]
+            ws.runs.hyper_btran();
             ws.nnz = ws.pattern.len();
         } else if list_support {
-            ws.dense_fallbacks += 1;
+            #[cfg(test)]
+            ws.runs.dense_scan();
             ws.pattern.clear();
             let mut nnz = 0;
             for r in 0..m {
@@ -1121,15 +1112,18 @@ impl LuFactor {
             ws.nnz = nnz;
             ws.sparse = true;
         } else {
-            ws.dense_fallbacks += 1;
+            #[cfg(test)]
+            ws.runs.dense_scan();
             ws.nnz = ws.sol[..m].iter().filter(|&&x| x != 0.0).count();
         }
     }
 
     /// Replaces the basic column at position `p`; `d = B⁻¹A_q` is the
-    /// ftran'd entering column.  On `Err` the factorization is unchanged
-    /// and the caller must refactorize before the next solve.
-    pub(crate) fn update(&mut self, p: usize, d: &[f64]) -> Result<(), FactorError> {
+    /// ftran'd entering column.  Returns how many `U` entries the
+    /// replacement retired — the growth a product-form eta file would have
+    /// kept instead.  On `Err` the factorization is unchanged and the caller
+    /// must refactorize before the next solve.
+    pub(crate) fn update(&mut self, p: usize, d: &[f64]) -> Result<usize, FactorError> {
         let dp = d[p];
         if dp.abs() < PIVOT_EPS || !dp.is_finite() {
             return Err(FactorError::UnstablePivot);
@@ -1178,8 +1172,9 @@ impl LuFactor {
         spike_max
     }
 
-    /// The Forrest–Tomlin replacement of column `p` by the loaded spike.
-    fn replace_column(&mut self, p: usize, spike_max: f64) -> Result<(), FactorError> {
+    /// The Forrest–Tomlin replacement of column `p` by the loaded spike;
+    /// returns the `U` entries it retired.
+    fn replace_column(&mut self, p: usize, spike_max: f64) -> Result<usize, FactorError> {
         let m = self.m;
         let t_p = self.col_step[p];
         let r_p = self.pivot_row[t_p];
@@ -1269,10 +1264,11 @@ impl LuFactor {
         }
         scratch.steps.sort_unstable();
         self.utrans[p].clear();
+        let mut retired = 0;
         for &t in &scratch.steps {
             if let Some(idx) = self.upper[t].iter().position(|&(j, _)| j == p) {
                 self.upper[t].swap_remove(idx);
-                self.compactions += 1;
+                retired += 1;
             }
             if t != t_p {
                 let sv = scratch.spike[self.pivot_row[t]];
@@ -1284,7 +1280,7 @@ impl LuFactor {
         }
         // ...retire the eliminated row, move its step to the end of the
         // elimination order, and record the row eta for solves.
-        self.compactions += self.upper[t_p].len();
+        retired += self.upper[t_p].len();
         self.upper[t_p].clear();
         self.upivot[t_p] = new_diag;
         self.order.remove(pos_p);
@@ -1299,7 +1295,7 @@ impl LuFactor {
                 end: self.eta_terms.len(),
             });
         }
-        Ok(())
+        Ok(retired)
     }
 
     /// Rebuilds from the pristine basis columns; returns `false` (leaving
@@ -1352,21 +1348,12 @@ impl LuFactor {
         self.order_pos.extend(0..m);
         self.row_etas.clear();
         self.eta_terms.clear();
-        // `compactions` is a lifetime counter and deliberately survives.
         true
     }
 
     /// Live row etas accumulated since the last refactorization.
     pub(crate) fn eta_count(&self) -> usize {
         self.row_etas.len()
-    }
-
-    /// Cumulative count of `U` entries retired in place by Forrest–Tomlin
-    /// column replacements over the factorization's lifetime — the growth a
-    /// product-form eta file would have accumulated instead.  Monotone; the
-    /// core reads deltas into [`SolveStats::eta_compactions`](crate::SolveStats).
-    pub(crate) fn compactions(&self) -> usize {
-        self.compactions
     }
 }
 
@@ -1512,18 +1499,19 @@ mod tests {
         assert!(lu.refactorize(5, &basis, &cols));
 
         let probes: [[f64; 5]; 2] = [[1.0, -2.0, 0.5, 3.0, -1.0], [0.0, 1.0, 0.0, -1.0, 2.0]];
+        let mut retired = 0;
         for (pos, col) in [(0usize, 5usize), (2, 6), (4, 7), (1, 8)] {
             let d = ftran(&lu, &dense_col(&cols, col, 5));
-            lu.update(pos, &d).unwrap();
+            retired += lu.update(pos, &d).unwrap();
             basis[pos] = col;
             for probe in &probes {
                 assert_small_residuals(&lu, &cols, &basis, probe);
             }
         }
         // The eta file stays far below one eta per pivot's worth of fill,
-        // and the retired-entry counter has seen real compaction.
+        // and the updates retired `U` entries in place.
         assert!(lu.eta_count() <= 4);
-        assert!(lu.compactions() > 0);
+        assert!(retired > 0);
 
         // Refactorize a fresh factorization on the final basis: the updated
         // one must solve identically (within roundoff).
@@ -1534,12 +1522,9 @@ mod tests {
             assert_vec_close(&ftran(&fresh, probe), &ftran(&lu, probe));
             assert_vec_close(&btran(&fresh, probe), &btran(&lu, probe));
         }
-        // Refactorizing the live factorization clears its eta file but not
-        // the lifetime compaction counter.
-        let before = lu.compactions();
+        // Refactorizing the live factorization clears its eta file.
         assert!(lu.refactorize(5, &basis, &cols));
         assert_eq!(lu.eta_count(), 0);
-        assert_eq!(lu.compactions(), before);
     }
 
     proptest::proptest! {
@@ -1716,9 +1701,13 @@ mod tests {
         };
         // Each round asks for five ftrans and five btrans on each path.
         let assert_paths = |ws: &KernelWs, scan: &KernelWs, rounds: u64| {
-            let paths = |ws: &KernelWs| (ws.hyper_ftrans, ws.hyper_btrans, ws.dense_fallbacks);
-            assert_eq!(paths(ws), (5 * rounds, 5 * rounds, 0));
-            assert_eq!(paths(scan), (0, 0, 10 * rounds));
+            let runs = |hyper_ftrans, hyper_btrans, dense| PathRuns {
+                hyper_ftrans,
+                hyper_btrans,
+                dense,
+            };
+            assert_eq!(ws.runs, runs(5 * rounds, 5 * rounds, 0));
+            assert_eq!(scan.runs, runs(0, 0, 10 * rounds));
         };
 
         check_all(&lu, &basis, &mut ws, &mut scan);
@@ -1751,6 +1740,29 @@ mod tests {
         assert!(fresh.refactorize(m, &basis, &cols));
         check_all(&fresh, &basis, &mut ws, &mut scan);
         assert_paths(&ws, &scan, 3);
+    }
+
+    /// The solves a workspace's kernels ran, by path.
+    #[derive(Debug, Default, PartialEq)]
+    pub(super) struct PathRuns {
+        hyper_ftrans: u64,
+        hyper_btrans: u64,
+        dense: u64,
+    }
+
+    /// Called where each kernel path completes.
+    impl PathRuns {
+        pub(super) fn hyper_ftran(&mut self) {
+            self.hyper_ftrans += 1;
+        }
+
+        pub(super) fn hyper_btran(&mut self) {
+            self.hyper_btrans += 1;
+        }
+
+        pub(super) fn dense_scan(&mut self) {
+            self.dense += 1;
+        }
     }
 
     /// A solve that may take the hyper-sparse path (`a`) and a dense scan
@@ -2016,7 +2028,7 @@ mod tests {
     /// The plain Forrest–Tomlin update the sparse one must reproduce: a
     /// dense spike over every step, a dry run visiting every later
     /// position, and a commit over every step.
-    fn reference_update(lu: &mut LuFactor, p: usize, d: &[f64]) -> Result<(), FactorError> {
+    fn reference_update(lu: &mut LuFactor, p: usize, d: &[f64]) -> Result<usize, FactorError> {
         let dp = d[p];
         if dp.abs() < PIVOT_EPS || !dp.is_finite() {
             return Err(FactorError::UnstablePivot);
@@ -2086,10 +2098,11 @@ mod tests {
         }
 
         lu.utrans[p].clear();
+        let mut retired = 0;
         for t in 0..m {
             if let Some(idx) = lu.upper[t].iter().position(|&(j, _)| j == p) {
                 lu.upper[t].swap_remove(idx);
-                lu.compactions += 1;
+                retired += 1;
             }
             if t != t_p {
                 let sv = spike[lu.pivot_row[t]];
@@ -2099,7 +2112,7 @@ mod tests {
                 }
             }
         }
-        lu.compactions += lu.upper[t_p].len();
+        retired += lu.upper[t_p].len();
         lu.upper[t_p].clear();
         lu.upivot[t_p] = new_diag;
         lu.order.remove(pos_p);
@@ -2116,7 +2129,7 @@ mod tests {
                 end: lu.eta_terms.len(),
             });
         }
-        Ok(())
+        Ok(retired)
     }
 
     /// Every field of a factorization, floats by their bits and lists in
@@ -2136,7 +2149,6 @@ mod tests {
         ltrans: Vec<Vec<usize>>,
         utrans: Vec<Vec<usize>>,
         row_etas: Vec<(usize, Vec<(usize, u64)>)>,
-        compactions: usize,
     }
 
     fn bits(lu: &LuFactor) -> Bits {
@@ -2161,7 +2173,6 @@ mod tests {
                 .iter()
                 .map(|eta| (eta.target, entries(&lu.eta_terms[eta.start..eta.end])))
                 .collect(),
-            compactions: lu.compactions,
         }
     }
 
@@ -2297,10 +2308,10 @@ mod tests {
 
         /// Random update sequences on random sparse bases and on long
         /// chains (whose pending rows outgrow `FT_FILL_CAP`): the sparse
-        /// update returns what the plain one returns and leaves the same
-        /// `upper`, `utrans`, order, row etas and compaction count, bit for
-        /// bit — declines included, after which both refactorize as the
-        /// simplex core does.
+        /// update returns what the plain one returns — the count of retired
+        /// `U` entries included — and leaves the same `upper`, `utrans`,
+        /// order and row etas, bit for bit — declines included, after which
+        /// both refactorize as the simplex core does.
         #[test]
         fn prop_update_matches_the_plain_forrest_tomlin_update_bit_for_bit(
             seed in 0u64..u64::MAX,
@@ -2359,7 +2370,7 @@ mod tests {
                     proptest::prop_assert_eq!(result, reference_update(&mut plain, p, &d));
                     proptest::prop_assert_eq!(bits(&fast), bits(&plain));
                     match result {
-                        Ok(()) => {
+                        Ok(_) => {
                             outcomes[0] += 1;
                             basis[p] = q;
                         }

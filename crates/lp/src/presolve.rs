@@ -30,7 +30,10 @@
 //! re-materialize dropped columns they mention, and keep
 //! `num_vars`/`num_constraints` counting caller-visible entities.  Each
 //! solution is *postsolved* — the full primal point is reconstructed and the
-//! objective re-evaluated over it — before it reaches the caller.
+//! objective re-evaluated over it — before it reaches the caller.  Each
+//! reduction is reported once, in the [`SolveStats`] of the `minimize` that
+//! follows it: the open's on the first, and after that the rows a later
+//! increment's substitution emptied.
 
 use crate::backend::LpSession;
 use crate::simplex::{Cmp, LpProblem, LpSolution, LpStatus, LpVarId, SolveStats};
@@ -366,8 +369,11 @@ impl Presolved {
             free: self.free,
             num_rows: self.num_rows,
             infeasible: self.infeasible,
-            rows_dropped: self.rows_dropped,
-            cols_dropped: self.cols_dropped,
+            unreported: SolveStats {
+                presolve_rows: self.rows_dropped,
+                presolve_cols: self.cols_dropped,
+                ..SolveStats::default()
+            },
         }
     }
 }
@@ -382,19 +388,12 @@ pub(crate) struct PresolvedSession<'a> {
     /// Sticky: rows only ever get added, so a system once proved infeasible
     /// stays infeasible.
     infeasible: bool,
-    rows_dropped: usize,
-    cols_dropped: usize,
+    /// The reductions the next `minimize` reports (see the
+    /// [module docs](self)).
+    unreported: SolveStats,
 }
 
 impl PresolvedSession<'_> {
-    fn presolve_stats(&self) -> SolveStats {
-        SolveStats {
-            presolve_rows: self.rows_dropped,
-            presolve_cols: self.cols_dropped,
-            ..SolveStats::default()
-        }
-    }
-
     /// Ensures an originally dropped column exists in the inner session
     /// (an incremental row or a test of its objective needs it live).
     fn materialize(&mut self, index: usize) -> usize {
@@ -403,7 +402,6 @@ impl PresolvedSession<'_> {
             ColFate::Dropped => {
                 let id = self.inner.add_var("", self.free[index]);
                 self.col_fate[index] = ColFate::Kept(id.index());
-                self.cols_dropped -= 1;
                 id.index()
             }
             ColFate::Fixed(_) => unreachable!("fixed columns are substituted, not materialized"),
@@ -442,7 +440,7 @@ impl LpSession for PresolvedSession<'_> {
             if !ok {
                 self.infeasible = true;
             }
-            self.rows_dropped += 1;
+            self.unreported.presolve_rows += 1;
             return;
         }
         self.inner.add_constraint(&mapped, cmp, rhs);
@@ -450,9 +448,9 @@ impl LpSession for PresolvedSession<'_> {
 
     fn minimize(&mut self, objective: &[(LpVarId, f64)]) -> LpSolution {
         let n = self.col_fate.len();
+        let reduction = std::mem::take(&mut self.unreported);
         if self.infeasible {
-            return LpSolution::new(LpStatus::Infeasible, 0.0, vec![0.0; n])
-                .with_stats(self.presolve_stats());
+            return LpSolution::new(LpStatus::Infeasible, 0.0, vec![0.0; n]).with_stats(reduction);
         }
         // Aggregate the objective per variable, then split it across the
         // column fates: kept terms go to the inner solve, fixed terms are
@@ -476,7 +474,7 @@ impl LpSession for PresolvedSession<'_> {
             }
         }
         let inner_solution = self.inner.minimize(&reduced_objective);
-        let stats = inner_solution.stats.merge(&self.presolve_stats());
+        let stats = inner_solution.stats.merge(&reduction);
         if inner_solution.status == LpStatus::Infeasible {
             return LpSolution::new(LpStatus::Infeasible, 0.0, vec![0.0; n]).with_stats(stats);
         }
@@ -772,6 +770,11 @@ mod tests {
         assert_eq!(session.minimize(&[(z, 1.0)]).status, LpStatus::Unbounded);
     }
 
+    /// The `(presolve_rows, presolve_cols)` a solution reports.
+    fn reduction(sol: &LpSolution) -> (usize, usize) {
+        (sol.stats.presolve_rows, sol.stats.presolve_cols)
+    }
+
     #[test]
     fn incremental_rows_substitute_and_rematerialize() {
         // x fixed by presolve; y dropped (no rows).  A later row mentioning
@@ -781,7 +784,10 @@ mod tests {
         let y = lp.add_var("y", false);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Eq, 2.0);
         let mut session = SimplexBackend.open(&lp);
-        assert!(session.minimize(&[(y, 1.0)]).is_optimal());
+        let first = session.minimize(&[(y, 1.0)]);
+        assert!(first.is_optimal());
+        // The open's reduction: the row, x and y.
+        assert_eq!(reduction(&first), (1, 2));
         session.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 6.0); // y >= 4
         let sol = session.minimize(&[(y, 1.0)]);
         assert_eq!(sol.status, LpStatus::Optimal);
@@ -789,12 +795,19 @@ mod tests {
         assert_close(sol.value(y), 4.0);
         assert_eq!(session.num_vars(), 2);
         assert_eq!(session.num_constraints(), 2);
+        // The row survived substitution, and bringing y back does not
+        // un-count the open's reduction.
+        assert_eq!(reduction(&sol), (0, 0));
 
         // A constant row that contradicts the fixed value flips the session
-        // to (sticky) infeasible.
+        // to (sticky) infeasible; the next minimize reports that row.
         session.add_constraint(&[(x, 1.0)], Cmp::Ge, 3.0);
-        assert_eq!(session.minimize(&[(y, 1.0)]).status, LpStatus::Infeasible);
-        assert_eq!(session.minimize(&[(y, 1.0)]).status, LpStatus::Infeasible);
+        let contradicted = session.minimize(&[(y, 1.0)]);
+        assert_eq!(contradicted.status, LpStatus::Infeasible);
+        assert_eq!(reduction(&contradicted), (1, 0));
+        let again = session.minimize(&[(y, 1.0)]);
+        assert_eq!(again.status, LpStatus::Infeasible);
+        assert_eq!(reduction(&again), (0, 0));
         assert_eq!(session.num_constraints(), 3);
     }
 }

@@ -112,9 +112,14 @@ solve_stats! {
     /// Basis refactorizations (rebuilds of the factorization from the
     /// pristine columns).
     refactorizations: usize, Sum, Path;
-    /// Constraint rows removed by presolve before the solve.
+    /// Constraint rows presolve removed since the session's previous
+    /// solve: the rows the session's open removed, on its first solve, and
+    /// after that the rows a later increment's substitution emptied.  Each
+    /// removal is reported once.
     presolve_rows: usize, Sum, Path;
-    /// Columns removed by presolve (fixed by singleton rows or empty).
+    /// Columns presolve removed (fixed by singleton rows or empty), on the
+    /// session's first solve; a column a later row brings back stays
+    /// counted.
     presolve_cols: usize, Sum, Path;
     /// Successful Forrest–Tomlin updates of the LU factorization (each
     /// appends at most one row eta).
@@ -126,7 +131,8 @@ solve_stats! {
     /// size of the crash basis, summed over the solve's cold starts.
     crash_basics: usize, Sum, Path;
     /// U entries retired in place by Forrest–Tomlin column replacements —
-    /// the growth a product-form eta file would have accumulated instead.
+    /// the growth a product-form eta file would have accumulated instead —
+    /// as each update of the solve reports them.
     eta_compactions: usize, Sum, Path;
     /// Peak length of the LU eta file observed during the solve.
     eta_len: usize, Peak, Path;
@@ -147,7 +153,8 @@ solve_stats! {
     /// follows is `ftran_ns`).
     refactor_ns: u64, Sum, Volatile;
     /// Forward solves the simplex core sent down the hyper-sparse
-    /// (Gilbert–Peierls) path of the LU kernels.
+    /// (Gilbert–Peierls) path of the LU kernels, counted where its path
+    /// rule decides.
     hyper_sparse_ftrans: u64, Sum, Volatile;
     /// Backward solves the simplex core sent down the hyper-sparse path.
     hyper_sparse_btrans: u64, Sum, Volatile;
@@ -157,7 +164,7 @@ solve_stats! {
     dense_fallbacks: u64, Sum, Volatile;
     /// Kernel-workspace growth events after initial sizing — heap
     /// allocations on the per-pivot hot path, 0 in steady state (CI
-    /// asserts this).
+    /// asserts this).  The workspace counts them from 0 at each solve.
     kernel_allocs: u64, Sum, Volatile;
 }
 

@@ -1,38 +1,17 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! The build environment has no access to a crate registry, so this workspace
-//! vendors the narrow slice of rayon's API that the LP batch solver uses:
-//! [`join`] for two-way fork-join and [`scope`] with [`Scope::spawn`] for
-//! n-way fork-join.
+//! vendors the one piece of rayon's API that the LP batch solver uses:
+//! [`scope`] with [`Scope::spawn`] for n-way fork-join.
 //!
-//! Both run over [`std::thread::scope`]: every spawned task is an OS thread
+//! It runs over [`std::thread::scope`]: every spawned task is an OS thread
 //! joined before the scope returns, so tasks may borrow from the enclosing
 //! stack frame, nested scopes cannot deadlock, and a panicking task makes
 //! the scope panic once every task has finished.  A thread spawn costs a few
 //! microseconds, which the one caller — a batch of independent LP solves,
 //! one worker thread per batch slot — amortizes over whole solves.
-//!
-//! [`current_num_threads`] reports the host's available parallelism.
 
 use std::thread;
-
-/// Runs `a` and `b`, potentially in parallel, and returns both results.
-///
-/// `a` runs on a scoped thread while `b` runs on the caller's thread; a
-/// panic in either closure propagates to the caller after both have
-/// finished.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB,
-    RA: Send,
-{
-    thread::scope(|s| {
-        let ra = s.spawn(a);
-        let rb = b();
-        (ra.join().expect("rayon::join task panicked"), rb)
-    })
-}
 
 /// A fork-join scope handed to the closure of [`scope`]; spawned tasks may
 /// borrow from the enclosing stack frame and are joined when the scope ends.
@@ -60,23 +39,11 @@ where
     thread::scope(|s| f(&Scope { inner: s }))
 }
 
-/// The parallelism the host provides.
-pub fn current_num_threads() -> usize {
-    thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::panic::{self, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
 
     #[test]
     fn scope_joins_all_spawns_and_allows_borrows() {
@@ -89,11 +56,6 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn current_num_threads_is_positive() {
-        assert!(current_num_threads() >= 1);
     }
 
     #[test]
@@ -113,9 +75,10 @@ mod tests {
     fn nested_scopes_make_progress() {
         // Every outer task opens an inner scope of its own; all of them
         // drain, however many outer tasks are blocked in an inner drain.
+        const OUTER: usize = 6;
         let counter = AtomicUsize::new(0);
         scope(|outer| {
-            for _ in 0..(current_num_threads() * 2 + 2) {
+            for _ in 0..OUTER {
                 outer.spawn(|| {
                     scope(|inner| {
                         for _ in 0..4 {
@@ -127,10 +90,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(
-            counter.load(Ordering::SeqCst),
-            (current_num_threads() * 2 + 2) * 4
-        );
+        assert_eq!(counter.load(Ordering::SeqCst), OUTER * 4);
     }
 
     #[test]
@@ -142,7 +102,12 @@ mod tests {
         }));
         assert!(caught.is_err(), "task panic must reach the scope owner");
         // Scopes stay usable afterwards.
-        let (a, b) = join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
+        let counter = AtomicUsize::new(0);
+        scope(|s| {
+            s.spawn(|| {
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(counter.load(Ordering::SeqCst), 1);
     }
 }

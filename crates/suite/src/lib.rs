@@ -46,8 +46,6 @@ pub struct Benchmark {
     pub valuation: Vec<(Var, f64)>,
     /// Target moment degree for the experiment (2 or 4 in the paper).
     pub degree: usize,
-    /// Template variables to use (None = all program variables).
-    pub template_vars: Option<Vec<Var>>,
 }
 
 impl Benchmark {
@@ -66,14 +64,7 @@ impl Benchmark {
             program,
             valuation,
             degree,
-            template_vars: None,
         }
-    }
-
-    /// Restricts template variables.
-    pub fn with_template_vars(mut self, vars: Vec<Var>) -> Self {
-        self.template_vars = Some(vars);
-        self
     }
 
     /// Tags the benchmark as belonging to a suite (namespacing its id).
@@ -196,8 +187,7 @@ mod tests {
 
     #[test]
     fn benchmark_metadata_helpers() {
-        let b = running::rdwalk().with_template_vars(vec![var("x"), var("d")]);
-        assert_eq!(b.template_vars.as_ref().unwrap().len(), 2);
+        let b = running::rdwalk();
         assert_eq!(b.initial_state(), b.valuation);
         assert_eq!(b.qualified_name(), "rdwalk"); // suite-less: bare name
         let tagged = b.in_suite("running");

@@ -104,16 +104,12 @@ impl Analysis<SimplexBackend> {
 
     /// A pipeline over a suite [`Benchmark`], adopting its program, name
     /// (namespaced when the benchmark belongs to a suite, e.g.
-    /// `running/rdwalk`), target degree, valuation, and template variables.
+    /// `running/rdwalk`), target degree and valuation.
     pub fn benchmark(benchmark: &Benchmark) -> Self {
-        let mut analysis = Analysis::of(&benchmark.program)
+        Analysis::of(&benchmark.program)
             .degree(benchmark.degree)
             .valuation(benchmark.valuation.clone())
-            .label(benchmark.qualified_name());
-        if let Some(vars) = &benchmark.template_vars {
-            analysis = analysis.template_vars(vars.clone());
-        }
-        analysis
+            .label(benchmark.qualified_name())
     }
 }
 
@@ -167,12 +163,6 @@ impl<B: LpBackend> Analysis<B> {
         self
     }
 
-    /// Restricts templates to the given variables.
-    pub fn template_vars(mut self, vars: Vec<Var>) -> Self {
-        self.options.template_vars = Some(vars);
-        self
-    }
-
     /// Sets the number of worker threads used to solve independent
     /// compositional SCC groups concurrently (default 1; only
     /// [`SolveMode::Compositional`] has independent groups).
@@ -181,13 +171,14 @@ impl<B: LpBackend> Analysis<B> {
         self
     }
 
-    /// Bounds the whole analysis by a wall-clock deadline.  When the budget
-    /// runs out the pipeline does not fail outright: it descends the
-    /// graceful-degradation ladder (compositional mode, lower degree) and
-    /// labels the result in the report's `degradation` section.  Only a
-    /// ladder that runs completely dry surfaces the budget-exhaustion error.
-    /// The soundness re-analysis runs under whatever the analysis left of
-    /// the budget.
+    /// Bounds the whole analysis by a wall-clock deadline; the soundness
+    /// re-analysis runs under whatever the analysis left of it.  A spent
+    /// deadline ends the run with the budget-exhaustion error: no rung of
+    /// the graceful-degradation ladder has time left to retry.  The ladder
+    /// (compositional mode, lower degree, labeled in the report's
+    /// `degradation` section) descends only when a group's own budget
+    /// ([`group_timeout`](Self::group_timeout)) or the solver's iteration
+    /// backstop runs out.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.options.timeout = Some(timeout);
         self
@@ -678,6 +669,28 @@ mod tests {
         // Still one LP solve: the escalation re-minimized the live session.
         assert_eq!(escalated.lp.solves, 1);
         assert!(escalated.plan.slots_reused > 0);
+    }
+
+    /// An escalation reports the open's presolve once, on the solve at the
+    /// starting degree: Fig. 2's 1 → 2 report totals what a cold degree-1
+    /// run presolves.
+    #[test]
+    fn escalation_counts_the_opens_presolve_once() {
+        let fig2 = || {
+            Analysis::parse(include_str!("../examples/fig2.appl"))
+                .unwrap()
+                .at("d", 10.0)
+                .at("x", 0.0)
+                .soundness(false)
+        };
+        let presolved = |report: &AnalysisReport| {
+            let totals = &report.lp.totals;
+            (totals.presolve_rows, totals.presolve_cols)
+        };
+        let cold = fig2().degree(1).run().unwrap();
+        let escalated = fig2().degree(2).escalate_from(1).run().unwrap();
+        assert_eq!(presolved(&cold), (44, 40));
+        assert_eq!(presolved(&escalated), presolved(&cold));
     }
 
     #[test]

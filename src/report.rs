@@ -20,10 +20,15 @@ use cma_lp::SolveStats;
 use cma_semiring::poly::Var;
 use cma_semiring::Interval;
 
-/// Minimal JSON building blocks shared by every `--json` emitter (this
-/// report, the CLI's `suite list`/`suite run` rows, the simulator output).
-/// The grammar is tiny and the build environment is dependency-free by
-/// design, so the encoder is hand-rolled — but hand-rolled *once*, here.
+/// Minimal JSON building blocks, shared by this report (`cma analyze` and
+/// `cma tail`) and the CLI's other `--json` emitters: `simulate`, `suite
+/// list`/`suite run` and `corpus gen`, and the label `check` splices into
+/// each report.  `cma check --json` and `cma corpus run --json` encode
+/// their bodies themselves (`CheckReport::to_json`,
+/// `CampaignReport::to_json`): the crate graph pinned by
+/// `perfbench/Cargo.lock` keeps `cma-check` and `cma-corpus` off this
+/// crate.  The grammar is tiny and the build environment is
+/// dependency-free by design, so the encoder is hand-rolled.
 pub mod json {
     /// JSON string literal with escaping for everything Appl text can carry.
     pub fn string(s: &str) -> String {
