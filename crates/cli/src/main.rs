@@ -83,7 +83,8 @@ ANALYSIS OPTIONS:
     --tail D1,D2,…       tail-bound thresholds (default 2x/4x/8x mean bound)
     --no-soundness       skip the Thm 4.4 side-condition checks
     --no-check           skip the pre-analysis static checks
-    --no-check-pruning   run the checks but do not prune the LP with their facts
+    --no-check-pruning   run the checks but prune neither LP (the analysis's nor
+                         the soundness re-analysis's) with their facts
     --nonneg-cost        enable CMA007 in the pre-analysis checks (see below)
     --label NAME         label the report (defaults to the file name)
 

@@ -61,8 +61,12 @@ pub struct AnalysisOptions {
     /// containment rows), never-entered loops collapse to their
     /// continuation, and templates do not range over variables the checker
     /// proved dead.  The facts must come from a checker run over *this*
-    /// program under the same preconditions; `None` (the default) disables
-    /// pruning.
+    /// program under the same preconditions, or over the program it
+    /// instruments: an instrumentation that keeps its statements' spans and
+    /// adds no read and no branch decision, as the step-counting
+    /// instrumentation of [`soundness_report`](crate::soundness_report)
+    /// does, can be given the program's facts.  `None` (the default)
+    /// disables pruning.
     pub range_facts: Option<Arc<RangeFacts>>,
     /// Wall-clock budget for the **whole analysis**: every LP solve — across
     /// compositional groups, poly-degree retries, and degradation rungs —
@@ -1365,12 +1369,21 @@ mod tests {
             );
         }
 
-        // The soundness re-analysis drops the facts (they were proved for
-        // the analyzed program, not for its step-counting instrumentation)
-        // and still finds its own optimum.
+        // The soundness re-analysis keeps the facts (the step-counting
+        // instrumentation keeps the program's spans and adds only ticks), so
+        // it prunes what the main analysis prunes, and establishes k = 2 on
+        // fewer rows than an unpruned re-analysis.
         let soundness = crate::soundness::soundness_report(&program, 2, &options, &backend);
         assert_eq!(soundness.termination_moment, Some(2));
-        assert!(soundness.extension_constraints > 0);
+        let unpruned =
+            crate::soundness::soundness_report(&program, 2, &AnalysisOptions::degree(2), &backend);
+        assert_eq!(unpruned.termination_moment, Some(2));
+        assert!(
+            soundness.extension_constraints < unpruned.extension_constraints,
+            "pruned {} vs unpruned {}",
+            soundness.extension_constraints,
+            unpruned.extension_constraints
+        );
     }
 
     #[test]

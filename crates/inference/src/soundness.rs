@@ -9,6 +9,12 @@
 //! 2. the program has **bounded updates** — every assignment changes the
 //!    assigned variable by an almost-surely bounded amount, so that
 //!    `∥Y_n∥∞ ∈ O((n+1)^{m·d})` (Lemma F.3).
+//!
+//! The instrumentation only inserts `tick`s, which change no variable and
+//! decide no branch, and each statement it rebuilds keeps its source span.
+//! So the static checker's range facts, proved for the program and keyed by
+//! span, hold for the instrumentation and find the same statements there:
+//! the re-analysis prunes exactly what the main analysis prunes.
 
 use cma_appl::ast::{Expr, Function, Program, Stmt, StmtKind};
 use cma_lp::LpBackend;
@@ -25,10 +31,12 @@ pub struct SoundnessReport {
     pub violations: Vec<String>,
     /// Whether a finite bound on `E[T^k]` was derived (and for which `k`).
     pub termination_moment: Option<usize>,
-    /// LP variables of the step-counting re-analysis (0 when it failed).
+    /// LP variables of the step-counting re-analysis (0 when it failed, and
+    /// when its pruned instrumentation is straight-line code that needs no
+    /// LP).
     pub extension_variables: usize,
     /// LP constraint rows of the step-counting re-analysis (0 when it
-    /// failed).
+    /// failed, and when its pruned instrumentation needs no LP).
     pub extension_constraints: usize,
     /// Dual-simplex pivots the re-analysis's solve took.  It is solved cold
     /// as its own LP, so this is 0 unless a backend repairs it warm.
@@ -128,10 +136,14 @@ fn assignment_is_bounded(x: &Var, e: &Expr, noise_vars: &[Var]) -> bool {
 /// Condition (i) re-runs the bound inference on the
 /// [step-counting instrumentation](step_counting_instrumentation) of the
 /// program: a finite bound on `E[T^degree]` establishes it.  The
-/// re-analysis takes `options` with three changes — global mode, no range
-/// facts (they were proved for the program, not for its instrumentation)
-/// and no poly-degree retry — so callers pass the poly degree the main
-/// analysis landed on and whatever remains of its deadline.  It asks only
+/// re-analysis takes `options` with two changes — global mode and no
+/// poly-degree retry — so callers pass the poly degree the main analysis
+/// landed on and whatever remains of its deadline.  It keeps
+/// `options.range_facts`: the instrumentation keeps the program's spans and
+/// adds no read and no branch decision, so every fact the checker proved
+/// for the program holds for it, and the re-analysis prunes the refuted
+/// branches, never-entered loops and dead template variables the main
+/// analysis prunes (unreachable code contributes no steps).  It asks only
 /// whether a bound *exists*, so its LP is solved for feasibility: the same
 /// rows and columns as [`analyze_with`](crate::analyze_with) would solve,
 /// with an empty objective instead of the tightness objective.  A
@@ -147,7 +159,6 @@ pub fn soundness_report(
     let mut opts = options.clone();
     opts.degree = degree;
     opts.mode = SolveMode::Global;
-    opts.range_facts = None;
     opts.max_poly_degree = None;
     let instrumented = step_counting_instrumentation(program);
     let reanalysis = analyze_session_for(&instrumented, &opts, backend, Goal::Feasible)
@@ -169,6 +180,12 @@ pub fn soundness_report(
 /// and charges one unit before every other primitive statement, loop
 /// iteration, and branch — an over-approximation of the number of evaluation
 /// steps of the Markov-chain semantics.
+///
+/// Every statement it rebuilds (each `if`, `if prob`, `while` and sequence,
+/// and the `tick(1)` of a `skip` or `tick`) keeps the span of the statement
+/// it replaces, so [`RangeFacts`](cma_appl::RangeFacts) keyed by the
+/// program's spans apply to the instrumentation; the inserted ticks and
+/// their `seq [tick, s]` wrappers carry dummy spans.
 pub fn step_counting_instrumentation(program: &Program) -> Program {
     let functions = program
         .functions()
@@ -189,38 +206,27 @@ pub fn step_counting_instrumentation(program: &Program) -> Program {
 }
 
 fn instrument(stmt: &Stmt) -> Stmt {
-    let tick = || Stmt::new(StmtKind::Tick(1.0));
-    let kind = match stmt.kind() {
-        StmtKind::Skip | StmtKind::Tick(_) => StmtKind::Tick(1.0),
-        StmtKind::Assign(..) | StmtKind::Sample(..) | StmtKind::Call(_) => {
-            StmtKind::Seq(vec![tick(), stmt.clone()])
-        }
-        StmtKind::If(c, a, b) => StmtKind::Seq(vec![
-            tick(),
-            Stmt::new(StmtKind::If(
-                c.clone(),
-                Box::new(instrument(a)),
-                Box::new(instrument(b)),
-            )),
-        ]),
-        StmtKind::IfProb(p, a, b) => StmtKind::Seq(vec![
-            tick(),
-            Stmt::new(StmtKind::IfProb(
-                *p,
-                Box::new(instrument(a)),
-                Box::new(instrument(b)),
-            )),
-        ]),
-        StmtKind::While(c, body) => StmtKind::Seq(vec![
-            tick(),
-            Stmt::new(StmtKind::While(
-                c.clone(),
-                Box::new(Stmt::new(StmtKind::Seq(vec![tick(), instrument(body)]))),
-            )),
-        ]),
-        StmtKind::Seq(ss) => StmtKind::Seq(ss.iter().map(instrument).collect()),
-    };
-    Stmt::new(kind)
+    let rebuilt = |kind| Stmt::new(kind).with_span(stmt.span());
+    let ticked = |s| Stmt::new(StmtKind::Seq(vec![Stmt::new(StmtKind::Tick(1.0)), s]));
+    match stmt.kind() {
+        StmtKind::Skip | StmtKind::Tick(_) => rebuilt(StmtKind::Tick(1.0)),
+        StmtKind::Assign(..) | StmtKind::Sample(..) | StmtKind::Call(_) => ticked(stmt.clone()),
+        StmtKind::If(c, a, b) => ticked(rebuilt(StmtKind::If(
+            c.clone(),
+            Box::new(instrument(a)),
+            Box::new(instrument(b)),
+        ))),
+        StmtKind::IfProb(p, a, b) => ticked(rebuilt(StmtKind::IfProb(
+            *p,
+            Box::new(instrument(a)),
+            Box::new(instrument(b)),
+        ))),
+        StmtKind::While(c, body) => ticked(rebuilt(StmtKind::While(
+            c.clone(),
+            Box::new(ticked(instrument(body))),
+        ))),
+        StmtKind::Seq(ss) => rebuilt(StmtKind::Seq(ss.iter().map(instrument).collect())),
+    }
 }
 
 #[cfg(test)]
@@ -325,6 +331,56 @@ mod tests {
         assert!(stats.mean() >= 8.0);
         // The original cost (15) is replaced by unit costs.
         assert!(stats.mean() < 15.0 + 8.0);
+    }
+
+    /// The spans of every `if`, `if prob` and `while` of `stmt`, in
+    /// [`Stmt::walk`] order.
+    fn branch_spans(stmt: &Stmt) -> Vec<cma_appl::Span> {
+        let mut spans = Vec::new();
+        stmt.walk(&mut |s| {
+            if matches!(
+                s.kind(),
+                StmtKind::If(..) | StmtKind::IfProb(..) | StmtKind::While(..)
+            ) {
+                spans.push(s.span());
+            }
+        });
+        spans
+    }
+
+    #[test]
+    fn instrumentation_keeps_the_spans_of_branches_and_loops() {
+        let source = "func step() begin\n  \
+                      if x < 3 then\n    \
+                        while x < 3 do\n      \
+                          if prob(0.5) then x := x + 1 else skip fi\n    \
+                        od\n  \
+                      else\n    \
+                        if prob(0.25) then tick(2) fi\n  \
+                      fi\n\
+                      end\n\
+                      func main() begin\n  \
+                      x := 0;\n  \
+                      while x < 5 do\n    \
+                        if x < 2 then\n      \
+                          if prob(0.5) then call step else x := x + 1 fi\n    \
+                        fi;\n    \
+                        x := x + 1\n  \
+                      od\n\
+                      end\n";
+        let program = cma_appl::parse_program(source).unwrap();
+        let instrumented = step_counting_instrumentation(&program);
+        let bodies = |p: &Program| {
+            let mut bodies = vec![p.main().clone()];
+            bodies.extend(p.functions().map(|f| f.body().clone()));
+            bodies
+        };
+        for (body, ticked) in bodies(&program).iter().zip(&bodies(&instrumented)) {
+            let spans = branch_spans(body);
+            assert!(spans.len() >= 3, "{body:?}");
+            assert!(spans.iter().all(|s| !s.is_dummy()), "{spans:?}");
+            assert_eq!(branch_spans(ticked), spans);
+        }
     }
 
     fn geometric() -> Program {

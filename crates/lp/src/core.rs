@@ -797,7 +797,10 @@ impl SimplexCore {
         self.is_basic[leaving] = false;
         self.is_basic[entering] = true;
         self.basis[p] = entering;
-        if let Ok(retired) = self.factor.update(p, d) {
+        let t = Instant::now();
+        let updated = self.factor.update(p, d);
+        self.stats.update_ns += t.elapsed().as_nanos() as u64;
+        if let Ok(retired) = updated {
             self.stats.etas += 1;
             self.stats.eta_compactions += retired;
             self.stats.eta_len = self.stats.eta_len.max(self.factor.eta_count());

@@ -34,8 +34,8 @@ impl Merge {
 pub enum CounterKind {
     /// The solver's path: the same on every run over the same system.
     Path,
-    /// A wall-clock timer or a kernel-path counter, which vary from run to
-    /// run.  [`SolveStats`] equality ignores these.
+    /// A wall-clock timer, or the workspace's allocation count, which vary
+    /// from run to run.  [`SolveStats`] equality ignores these.
     Volatile,
 }
 
@@ -152,16 +152,19 @@ solve_stats! {
     /// from the pristine columns; the basic-value recomputation that
     /// follows is `ftran_ns`).
     refactor_ns: u64, Sum, Volatile;
+    /// Nanoseconds spent in Forrest–Tomlin updates of the LU factors at
+    /// each basis change (a failed update's attempt included).
+    update_ns: u64, Sum, Volatile;
     /// Forward solves the simplex core sent down the hyper-sparse
     /// (Gilbert–Peierls) path of the LU kernels, counted where its path
     /// rule decides.
-    hyper_sparse_ftrans: u64, Sum, Volatile;
+    hyper_sparse_ftrans: u64, Sum, Path;
     /// Backward solves the simplex core sent down the hyper-sparse path.
-    hyper_sparse_btrans: u64, Sum, Volatile;
+    hyper_sparse_btrans: u64, Sum, Path;
     /// LU solves the simplex core sent to the dense scan: a basis of fewer
     /// than 16 rows, a right-hand side wider than 0.15·m, or a dense
     /// result-density forecast.
-    dense_fallbacks: u64, Sum, Volatile;
+    dense_fallbacks: u64, Sum, Path;
     /// Kernel-workspace growth events after initial sizing — heap
     /// allocations on the per-pivot hot path, 0 in steady state (CI
     /// asserts this).  The workspace counts them from 0 at each solve.

@@ -222,7 +222,9 @@ impl<B: LpBackend> Analysis<B> {
 
     /// Enables or disables LP pruning from the checker's exported range
     /// facts (enabled by default; a no-op when the checks themselves are
-    /// disabled).  Disabling isolates the checker's effect on LP size.
+    /// disabled).  The facts prune both LPs, the main analysis's and the
+    /// soundness re-analysis's; disabling isolates the checker's effect on
+    /// their sizes.
     pub fn check_pruning(mut self, prune: bool) -> Self {
         self.check_pruning = prune;
         self
@@ -831,6 +833,30 @@ mod tests {
             assert!((report.mean().lo() - 1.0).abs() < 1e-6, "{}", report.mean());
             assert!((report.mean().hi() - 1.0).abs() < 1e-6, "{}", report.mean());
         }
+    }
+
+    #[test]
+    fn check_pruning_shrinks_the_soundness_reanalysis_too() {
+        let run = |prune: bool| {
+            Analysis::parse(PRUNABLE)
+                .unwrap()
+                .check_pruning(prune)
+                .run()
+                .unwrap()
+                .soundness
+                .expect("soundness ran")
+        };
+        let (base, pruned) = (run(false), run(true));
+        for report in [&base, &pruned] {
+            assert_eq!(report.termination_moment, Some(2));
+        }
+        assert!(
+            pruned.extension_constraints < base.extension_constraints,
+            "pruned {} vs {}",
+            pruned.extension_constraints,
+            base.extension_constraints
+        );
+        assert!(pruned.extension_variables < base.extension_variables);
     }
 
     #[test]
