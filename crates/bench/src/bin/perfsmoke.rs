@@ -25,20 +25,19 @@
 //!    host a full reprice of every candidate per pivot reads 0.57–0.63
 //!    here; keeping the reduced costs across pivots and repricing only the
 //!    columns next to the pivot row reads 0.33–0.36.
-//! 5. **ftran share** — on the step-counting re-analysis of walk-chain
-//!    n=5 (the LP the soundness check solves, here under its tightness
-//!    objective: global, degree 2), forward solves must stay a bounded
-//!    share of the pivot-level profile
+//! 5. **ftran share** — on the step count of walk-chain n=5
+//!    (`step_count_analysis`: the LP the soundness check solves, here
+//!    under its tightness objective: global, degree 2), forward solves
+//!    must stay a bounded share of the pivot-level profile
 //!    (`ftran_ns / (ftran+btran+pricing+ratio)`).  Its entering columns
 //!    fill about 15% of their rows.  On a 2-vCPU x86-64 host, trying the
 //!    hyper-sparse path on every such column reads 0.38–0.39 here;
 //!    forecasting each solve's result density and sending the dense ones
-//!    to the scan reads 0.27–0.28.
+//!    to the scan reads 0.27–0.31.
 //!
 //! Exits nonzero (panics) on any violated pin, failing the CI job.
 
-use central_moment_analysis::inference::soundness::step_counting_instrumentation;
-use central_moment_analysis::inference::{analyze_with, AnalysisOptions};
+use central_moment_analysis::inference::{step_count_analysis, AnalysisOptions};
 use central_moment_analysis::lp::{Cmp, LpBackend, SimplexBackend, SolveStats};
 use central_moment_analysis::{Analysis, SolveMode};
 use cma_bench::chain_stand_in;
@@ -160,14 +159,13 @@ fn main() {
 
     // --- Pin 5: ftran share on the n=5 step-counting re-analysis. --------
     let benchmark = synthetic::random_walk_chain(5);
-    let steps = step_counting_instrumentation(&benchmark.program);
     let options = AnalysisOptions::degree(2)
         .with_mode(SolveMode::Global)
         .with_valuation(benchmark.valuation.clone());
     let mut ftran = Vec::new();
     for run in 1..=RUNS {
-        let result = analyze_with(&steps, &options, &SimplexBackend)
-            .expect("the n=5 step-counting program must analyze");
+        let result = step_count_analysis(&benchmark.program, &options, &SimplexBackend)
+            .expect("the n=5 step count must analyze");
         let lp = result
             .groups
             .iter()

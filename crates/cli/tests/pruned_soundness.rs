@@ -2,9 +2,9 @@
 //! over generated programs: pruning never costs a verdict and never grows
 //! the step-counting LP.
 //!
-//! The re-analysis runs on the step-counting instrumentation, which keeps
-//! the program's spans, so the facts the checker proved for the program
-//! prune it exactly as they prune the main analysis.  Over every generated
+//! The re-analysis derives the program as written, charging one unit per
+//! evaluation step, so the facts the checker proved for the program prune
+//! it exactly as they prune the main analysis.  Over every generated
 //! program whose checker run exports facts, a re-analysis that establishes
 //! `E[T^k] < ∞` without them must establish it with them, on no more rows
 //! and columns.
@@ -13,9 +13,31 @@ use std::sync::Arc;
 
 use central_moment_analysis::appl::parse_program;
 use central_moment_analysis::check::{check_program, CheckConfig};
-use central_moment_analysis::inference::{soundness_report, AnalysisOptions};
+use central_moment_analysis::inference::{soundness_report, step_count_analysis, AnalysisOptions};
 use central_moment_analysis::lp::SimplexBackend;
 use cma_corpus::gen::gen_program;
+
+/// A pruned `if` and a never-entered loop still cost their entry step: the
+/// step count is the assignment, the `if`, its live `skip` and the loop's
+/// entry, exactly, with no LP left to solve.
+#[test]
+fn the_step_model_charges_pruned_statements() {
+    let program = parse_program(
+        "func main() begin x := 0; if x > 5 then tick(1) else skip fi; \
+         while x > 3 do x := x - 1 od end",
+    )
+    .unwrap();
+    let check = check_program(&program, &CheckConfig::default());
+    let options = AnalysisOptions::degree(2).with_range_facts(Arc::new(check.facts().clone()));
+    let result = step_count_analysis(&program, &options, &SimplexBackend).unwrap();
+    assert_eq!(result.pruning.refuted_branches, 1);
+    assert_eq!(result.pruning.skipped_loops, 1);
+    assert_eq!(result.lp_constraints, 0);
+    for (k, exact) in [(1, 4.0), (2, 16.0)] {
+        let moment = result.raw_moment_at(k, &[]);
+        assert_eq!((moment.lo(), moment.hi()), (exact, exact), "E[T^{k}]");
+    }
+}
 
 #[test]
 fn pruned_reanalysis_keeps_every_verdict_on_no_larger_lp() {

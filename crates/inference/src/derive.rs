@@ -11,6 +11,11 @@
 //! [`Context::flow`](cma_logic::Context::flow), and the transformer only
 //! reads them.
 //!
+//! What the walk charges is its [`CostModel`]: the program's `tick`s, or
+//! one unit per evaluation step, which bounds the moments of the stopping
+//! time for Theorem 4.4.  Neither changes a context, so both walk the same
+//! flow and mint the same templates and containments.
+//!
 //! The walk is deterministic: at a given restriction level it visits the
 //! same template slots and containments in the same order at every moment
 //! degree, which is all the builder's
@@ -45,6 +50,20 @@ impl std::fmt::Display for DeriveError {
 
 impl std::error::Error for DeriveError {}
 
+/// The cost a derivation bounds the moments of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CostModel {
+    /// The program's own `tick`s: the accumulated cost `C`.
+    Ticks,
+    /// One unit per evaluation step: the stopping time `T` of Theorem 4.4's
+    /// side condition (i), over-approximating the steps of the Markov-chain
+    /// semantics.  Every statement but a sequence costs one step on entry
+    /// (a `tick(c)` one step in place of `c`; a pruned `if` or a
+    /// never-entered loop its one step too), and every loop iteration one
+    /// more.
+    Steps,
+}
+
 /// Static information threaded through a derivation.
 pub struct DeriveCtx<'a> {
     /// Specifications available for function calls.
@@ -57,6 +76,8 @@ pub struct DeriveCtx<'a> {
     pub template_vars: Vec<Var>,
     /// Restriction level `h` of the current derivation.
     pub level: usize,
+    /// What the walk charges.
+    pub cost: CostModel,
     /// Checker-exported range facts (refuted branches, never-entered loops)
     /// keyed by source span; `None` disables pruning.
     pub facts: Option<&'a RangeFacts>,
@@ -75,6 +96,7 @@ impl<'a> DeriveCtx<'a> {
         poly_degree: u32,
         template_vars: Vec<Var>,
         level: usize,
+        cost: CostModel,
     ) -> Self {
         DeriveCtx {
             specs,
@@ -82,6 +104,7 @@ impl<'a> DeriveCtx<'a> {
             poly_degree,
             template_vars,
             level,
+            cost,
             facts: None,
             pruned_branches: std::cell::Cell::new(0),
             pruned_loops: std::cell::Cell::new(0),
@@ -93,6 +116,15 @@ impl<'a> DeriveCtx<'a> {
     pub fn with_facts(mut self, facts: Option<&'a RangeFacts>) -> Self {
         self.facts = facts;
         self
+    }
+
+    /// `annotation` behind one evaluation step: unchanged under
+    /// [`CostModel::Ticks`], which charges no steps.
+    fn step(&self, annotation: SymMoment) -> SymMoment {
+        match self.cost {
+            CostModel::Ticks => annotation,
+            CostModel::Steps => annotation.prepend_cost(1.0),
+        }
     }
 
     fn refuted_at(&self, stmt: &Stmt) -> Option<BranchFact> {
@@ -131,14 +163,14 @@ pub fn transform(
     flow: &Flow,
     post: SymMoment,
 ) -> Result<SymMoment, DeriveError> {
-    match stmt.kind() {
-        StmtKind::Skip => Ok(post),
-        StmtKind::Tick(c) => Ok(post.prepend_cost(*c)),
-        StmtKind::Assign(x, e) => Ok(post.substitute(x, &e.to_polynomial())),
+    let pre = match stmt.kind() {
+        StmtKind::Tick(c) if dctx.cost == CostModel::Ticks => post.prepend_cost(*c),
+        StmtKind::Skip | StmtKind::Tick(_) => post,
+        StmtKind::Assign(x, e) => post.substitute(x, &e.to_polynomial()),
         StmtKind::Sample(x, dist) => {
             let max_power = post.max_power(x);
             let moments: Vec<f64> = (0..=max_power).map(|j| dist.raw_moment(j)).collect();
-            Ok(post.expect_over(x, &moments))
+            post.expect_over(x, &moments)
         }
         StmtKind::Call(name) => {
             // Q-Call-Poly / Q-Call-Mono: the pre-annotation is the (framed)
@@ -153,21 +185,22 @@ pub fn transform(
                 dctx.poly_degree,
                 dctx.level,
             );
-            Ok(pre)
+            pre
         }
         StmtKind::If(_, s1, s2) => {
             // A branch the checker refuted is never executed: derive only
             // the live side, under the context the refutation implies, and
             // skip the join template and both containment rows entirely.
+            // Entering the `if` is still a step.
             let (then_flow, else_flow) = (&flow.children()[0], &flow.children()[1]);
             match dctx.refuted_at(stmt) {
                 Some(BranchFact::ThenUnreachable) => {
                     dctx.pruned_branches.set(dctx.pruned_branches.get() + 1);
-                    return transform(builder, dctx, s2, else_flow, post);
+                    return Ok(dctx.step(transform(builder, dctx, s2, else_flow, post)?));
                 }
                 Some(BranchFact::ElseUnreachable) => {
                     dctx.pruned_branches.set(dctx.pruned_branches.get() + 1);
-                    return transform(builder, dctx, s1, then_flow, post);
+                    return Ok(dctx.step(transform(builder, dctx, s1, then_flow, post)?));
                 }
                 _ => {}
             }
@@ -197,23 +230,24 @@ pub fn transform(
                 dctx.poly_degree,
                 dctx.level,
             );
-            Ok(joined)
+            joined
         }
         StmtKind::IfProb(p, s1, s2) => {
             // Q-Prob: the pre-annotation is the probability-weighted ⊕ of the
             // two branch pre-annotations.
             let pre_then = transform(builder, dctx, s1, &flow.children()[0], post.clone())?;
             let pre_else = transform(builder, dctx, s2, &flow.children()[1], post)?;
-            Ok(pre_then
+            pre_then
                 .scale_probability(*p)
-                .combine(&pre_else.scale_probability(1.0 - *p)))
+                .combine(&pre_else.scale_probability(1.0 - *p))
         }
         StmtKind::While(_, body) => {
             // A loop whose guard the checker refuted on entry exits
-            // immediately: no invariant template, no body or exit rows.
+            // immediately, after its entry step: no invariant template, no
+            // body or exit rows.
             if dctx.refuted_at(stmt) == Some(BranchFact::LoopNeverEntered) {
                 dctx.pruned_loops.set(dctx.pruned_loops.get() + 1);
-                return Ok(post);
+                return Ok(dctx.step(post));
             }
             // Q-Loop: a fresh invariant annotation that (i) is preserved by
             // the body under the guard and (ii) covers the continuation when
@@ -225,14 +259,15 @@ pub fn transform(
                 dctx.level,
             );
             // The body is entered under the loop-head invariant and the
-            // guard; the loop exits under the invariant and the negation.
+            // guard, one more step per iteration; the loop exits under the
+            // invariant and the negation.
             let body_flow = &flow.children()[0];
             let body_pre = transform(builder, dctx, body, body_flow, invariant.clone())?;
             require_contains(
                 builder,
                 body_flow.before(),
                 &invariant,
-                &body_pre,
+                &dctx.step(body_pre),
                 dctx.poly_degree,
                 dctx.level,
             );
@@ -244,16 +279,19 @@ pub fn transform(
                 dctx.poly_degree,
                 dctx.level,
             );
-            Ok(invariant)
+            invariant
         }
         StmtKind::Seq(stmts) => {
+            // A sequence is no step of its own.
             let mut annotation = post;
             for (s, f) in stmts.iter().zip(flow.children()).rev() {
                 annotation = transform(builder, dctx, s, f, annotation)?;
             }
-            Ok(annotation)
+            return Ok(annotation);
         }
-    }
+    };
+    // Entering any other statement is one evaluation step.
+    Ok(dctx.step(pre))
 }
 
 #[cfg(test)]
@@ -265,7 +303,7 @@ mod tests {
     use cma_semiring::poly::{Monomial, Polynomial};
 
     fn dctx<'a>(program: &Program, specs: &'a SpecTable, m: usize) -> DeriveCtx<'a> {
-        DeriveCtx::for_unit(specs, m, 1, program.vars(), 0)
+        DeriveCtx::for_unit(specs, m, 1, program.vars(), 0, CostModel::Ticks)
     }
 
     fn empty_program() -> Program {
@@ -364,7 +402,7 @@ mod tests {
         let program = empty_program();
         let specs = SpecTable::new();
         let mut b = ConstraintBuilder::new();
-        let d = DeriveCtx::for_unit(&specs, 1, 1, vec![Var::new("x")], 0);
+        let d = DeriveCtx::for_unit(&specs, 1, 1, vec![Var::new("x")], 0, CostModel::Ticks);
         let stmt = if_then_else(le(v("x"), cst(0.0)), tick(1.0), tick(5.0));
         let f = Context::top().flow(&stmt, &program);
         let pre = transform(&mut b, &d, &stmt, &f, SymMoment::one(1)).unwrap();
@@ -392,7 +430,7 @@ mod tests {
         let specs = SpecTable::new();
         let mut b = ConstraintBuilder::new();
         let n = Var::new("n");
-        let d = DeriveCtx::for_unit(&specs, 1, 1, vec![n.clone()], 0);
+        let d = DeriveCtx::for_unit(&specs, 1, 1, vec![n.clone()], 0, CostModel::Ticks);
         let stmt = while_loop(
             le(cst(1.0), v("n")),
             seq([tick(1.0), assign("n", sub(v("n"), cst(1.0)))]),

@@ -13,7 +13,7 @@ use cma_semiring::Interval;
 
 use crate::builder::ConstraintBuilder;
 use crate::central::CentralMoments;
-use crate::derive::{transform, DeriveCtx, DeriveError};
+use crate::derive::{transform, CostModel, DeriveCtx, DeriveError};
 use crate::plan::PlanStats;
 use crate::spec::{ResolvedSpec, SpecEntry, SpecTable};
 use crate::template::SymMoment;
@@ -61,11 +61,9 @@ pub struct AnalysisOptions {
     /// containment rows), never-entered loops collapse to their
     /// continuation, and templates do not range over variables the checker
     /// proved dead.  The facts must come from a checker run over *this*
-    /// program under the same preconditions, or over the program it
-    /// instruments: an instrumentation that keeps its statements' spans and
-    /// adds no read and no branch decision, as the step-counting
-    /// instrumentation of [`soundness_report`](crate::soundness_report)
-    /// does, can be given the program's facts.  `None` (the default)
+    /// program under the same preconditions.  They prune the step count of
+    /// [`soundness_report`](crate::soundness_report) as well, which derives
+    /// the same program under another cost model.  `None` (the default)
     /// disables pruning.
     pub range_facts: Option<Arc<RangeFacts>>,
     /// Wall-clock budget for the **whole analysis**: every LP solve — across
@@ -561,6 +559,7 @@ pub struct AnalysisSession<'a> {
     session: Box<dyn LpSession + 'a>,
     backend: &'a dyn LpBackend,
     options: AnalysisOptions,
+    cost: CostModel,
     program: &'a Program,
     groups: Vec<GroupLpStats>,
     lp_solves: usize,
@@ -633,15 +632,12 @@ impl<'a> AnalysisSession<'a> {
         let vars_before = self.builder.num_vars();
         let rows_before = self.builder.num_constraints();
         let plan_before = self.builder.plan().stats();
-        let final_group: Vec<String> = self
-            .program
-            .functions()
-            .map(|f| f.name().to_string())
-            .collect();
+        let final_group = function_names(self.program);
         let built = build_group(
             &mut self.builder,
             self.program,
             &options,
+            self.cost,
             &final_group,
             true,
             &BTreeMap::new(),
@@ -674,13 +670,8 @@ impl<'a> AnalysisSession<'a> {
                 options.poly_degree += 1;
                 return self.escalate_cold(options, from_degree, 1);
             }
-            return Err(AnalysisError::LpFailed {
-                status: solution.status,
-                group: final_group,
-                degree: target,
-                poly_degree: options.poly_degree,
-            });
         }
+        let outcome = extract_outcome(build, &solution, &final_group, true, &options)?;
 
         let plan_delta = self.builder.plan().stats().since(&plan_before);
         let appended_variables = self.builder.num_vars() - vars_before;
@@ -699,13 +690,12 @@ impl<'a> AnalysisSession<'a> {
         };
         self.groups.push(GroupLpStats {
             name: format!("escalate({from_degree}->{target})"),
-            functions: final_group.clone(),
+            functions: final_group,
             variables: appended_variables,
             constraints: appended_constraints,
             stats: solution.stats,
         });
 
-        let outcome = extract_outcome(build, &solution, &final_group, true, &options)?;
         let main_bounds = outcome
             .main_bounds
             .expect("main bounds computed by the escalated group");
@@ -742,7 +732,13 @@ impl<'a> AnalysisSession<'a> {
         from_degree: usize,
         extra_poly_retries: usize,
     ) -> Result<AnalysisResult, AnalysisError> {
-        let (mut result, mut fresh) = analyze_session(self.program, &options, self.backend)?;
+        let (mut result, mut fresh) = analyze_session_for(
+            self.program,
+            &options,
+            self.backend,
+            self.cost,
+            Goal::Tightest,
+        )?;
         // Retries spent *during* this escalation vs the session's cumulative
         // total (which includes the original lower-degree analysis's).
         let during = result.poly_retries + extra_poly_retries;
@@ -777,7 +773,7 @@ pub fn analyze_session<'a>(
     options: &AnalysisOptions,
     backend: &'a dyn LpBackend,
 ) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
-    analyze_session_for(program, options, backend, Goal::Tightest)
+    analyze_session_for(program, options, backend, CostModel::Ticks, Goal::Tightest)
 }
 
 /// What the final `minimize` of an analysis asks of its LP.
@@ -794,11 +790,13 @@ pub(crate) enum Goal {
     Feasible,
 }
 
-/// [`analyze_session`] with the final solve's [`Goal`].
+/// [`analyze_session`] bounding the moments of `cost`, with the final
+/// solve's [`Goal`].
 pub(crate) fn analyze_session_for<'a>(
     program: &'a Program,
     options: &AnalysisOptions,
     backend: &'a dyn LpBackend,
+    cost: CostModel,
     goal: Goal,
 ) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
     let start = Instant::now();
@@ -812,7 +810,7 @@ pub(crate) fn analyze_session_for<'a>(
     loop {
         let mut attempt = options.clone();
         attempt.poly_degree = base_d + poly_retries as u32;
-        match analyze_attempt(program, &attempt, backend, deadline, goal) {
+        match analyze_attempt(program, &attempt, backend, deadline, cost, goal) {
             Ok((mut result, mut session)) => {
                 result.elapsed = start.elapsed();
                 result.poly_retries = poly_retries;
@@ -900,13 +898,14 @@ pub fn analyze_resilient(
     }
 }
 
-/// One full derivation + solve pass at fixed options; `goal` decides what
-/// the final group's solve minimizes.
+/// One full derivation + solve pass at fixed options; `cost` decides what
+/// the derivation charges, `goal` what the final group's solve minimizes.
 fn analyze_attempt<'a>(
     program: &'a Program,
     options: &AnalysisOptions,
     backend: &'a dyn LpBackend,
     deadline: Option<Instant>,
+    cost: CostModel,
     goal: Goal,
 ) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
     let start = Instant::now();
@@ -930,8 +929,15 @@ fn analyze_attempt<'a>(
             let mut builds = Vec::with_capacity(level.len());
             for &g in &level {
                 let mut builder = ConstraintBuilder::new();
-                let build =
-                    build_group(&mut builder, program, options, &groups[g], false, &resolved)?;
+                let build = build_group(
+                    &mut builder,
+                    program,
+                    options,
+                    cost,
+                    &groups[g],
+                    false,
+                    &resolved,
+                )?;
                 pruning.absorb(&build.pruning);
                 builds.push((builder, build, groups[g].clone()));
             }
@@ -972,11 +978,8 @@ fn analyze_attempt<'a>(
     // The final group — everything (global mode) or just `main` over the
     // frozen specifications (compositional mode) — is solved through an open
     // session that stays alive for degree escalation.
-    let (final_group, name): (Vec<String>, &str) = match options.mode {
-        SolveMode::Global => (
-            program.functions().map(|f| f.name().to_string()).collect(),
-            "global",
-        ),
+    let (final_group, name) = match options.mode {
+        SolveMode::Global => (function_names(program), "global"),
         SolveMode::Compositional => (Vec::new(), "main"),
     };
     let mut builder = ConstraintBuilder::new();
@@ -984,6 +987,7 @@ fn analyze_attempt<'a>(
         &mut builder,
         program,
         options,
+        cost,
         &final_group,
         true,
         &resolved,
@@ -1038,6 +1042,7 @@ fn analyze_attempt<'a>(
             session,
             backend,
             options: options.clone(),
+            cost,
             program,
             groups: group_stats,
             lp_solves,
@@ -1064,6 +1069,11 @@ fn group_lp_stats(
         constraints: builder.num_constraints(),
         stats,
     }
+}
+
+/// Every function of `program` by name: the group a global solve covers.
+fn function_names(program: &Program) -> Vec<String> {
+    program.functions().map(|f| f.name().to_string()).collect()
 }
 
 /// Dependency levels of the call-graph SCCs: level 0 groups call nothing
@@ -1127,13 +1137,14 @@ fn template_vars(program: &Program, options: &AnalysisOptions) -> Vec<Var> {
 }
 
 /// Emits the constraint system of one group into `builder`: fresh templates
-/// for the group's functions, derivation of every body, export constraints
-/// (compositional mode), the tightness objective, and — when `include_main`
-/// — the derivation of `main` itself.
+/// for the group's functions, derivation of every body under `cost`, export
+/// constraints (compositional mode), the tightness objective, and — when
+/// `include_main` — the derivation of `main` itself.
 fn build_group(
     builder: &mut ConstraintBuilder,
     program: &Program,
     options: &AnalysisOptions,
+    cost: CostModel,
     group: &[String],
     include_main: bool,
     resolved: &BTreeMap<(String, usize), ResolvedSpec>,
@@ -1192,7 +1203,8 @@ fn build_group(
         let flow = Context::from_conditions(function.precondition()).flow(function.body(), program);
         for level in 0..=m {
             let entry = specs.get(name, level).expect("just inserted").clone();
-            let dctx = DeriveCtx::for_unit(&specs, m, d, vars.clone(), level).with_facts(facts);
+            let dctx =
+                DeriveCtx::for_unit(&specs, m, d, vars.clone(), level, cost).with_facts(facts);
             let derived_pre =
                 transform(builder, &dctx, function.body(), &flow, entry.post.clone())?;
             pruning.refuted_branches += dctx.pruned_branches.get();
@@ -1212,7 +1224,7 @@ fn build_group(
     // Analyze `main` with the identity post-annotation.
     let main_pre = if include_main {
         let flow = Context::from_conditions(program.precondition()).flow(program.main(), program);
-        let dctx = DeriveCtx::for_unit(&specs, m, d, vars.clone(), 0).with_facts(facts);
+        let dctx = DeriveCtx::for_unit(&specs, m, d, vars.clone(), 0, cost).with_facts(facts);
         let pre = transform(builder, &dctx, program.main(), &flow, SymMoment::one(m))?;
         pruning.refuted_branches += dctx.pruned_branches.get();
         pruning.skipped_loops += dctx.pruned_loops.get();
@@ -1369,10 +1381,10 @@ mod tests {
             );
         }
 
-        // The soundness re-analysis keeps the facts (the step-counting
-        // instrumentation keeps the program's spans and adds only ticks), so
-        // it prunes what the main analysis prunes, and establishes k = 2 on
-        // fewer rows than an unpruned re-analysis.
+        // The soundness re-analysis keeps the facts (it derives the same
+        // program, charging steps), so it prunes what the main analysis
+        // prunes, and establishes k = 2 on fewer rows than an unpruned
+        // re-analysis.
         let soundness = crate::soundness::soundness_report(&program, 2, &options, &backend);
         assert_eq!(soundness.termination_moment, Some(2));
         let unpruned =

@@ -73,7 +73,7 @@ pub use engine::{
     GroupLpStats, MomentBound, PruningStats, SolveMode,
 };
 pub use plan::{DerivationPlan, PlanStats};
-pub use soundness::{check_bounded_update, soundness_report, SoundnessReport};
+pub use soundness::{check_bounded_update, soundness_report, step_count_analysis, SoundnessReport};
 pub use store::ConstraintStore;
 pub use tail::{
     best_tail_bound, cantelli_upper_tail, chebyshev_tail, markov_tail, tail_curve, TailBound,

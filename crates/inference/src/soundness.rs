@@ -4,23 +4,25 @@
 //! whenever
 //!
 //! 1. `E[T^{m·d}] < ∞` — the `(m·d)`-th moment of the stopping time is finite,
-//!    checked by re-running the bound inference on a *step-counting*
-//!    instrumentation of the program (every statement ticks 1), and
+//!    checked by re-running the bound inference with every evaluation step
+//!    costing one unit ([`CostModel::Steps`]), and
 //! 2. the program has **bounded updates** — every assignment changes the
 //!    assigned variable by an almost-surely bounded amount, so that
 //!    `∥Y_n∥∞ ∈ O((n+1)^{m·d})` (Lemma F.3).
 //!
-//! The instrumentation only inserts `tick`s, which change no variable and
-//! decide no branch, and each statement it rebuilds keeps its source span.
-//! So the static checker's range facts, proved for the program and keyed by
-//! span, hold for the instrumentation and find the same statements there:
-//! the re-analysis prunes exactly what the main analysis prunes.
+//! The step count is a cost model of the derivation, not a rewritten
+//! program: the re-analysis derives the program as written, so the static
+//! checker's range facts, proved for the program and keyed by span, prune
+//! exactly what they prune in the main analysis.
 
-use cma_appl::ast::{Expr, Function, Program, Stmt, StmtKind};
+use cma_appl::ast::{Expr, Program, Stmt, StmtKind};
 use cma_lp::LpBackend;
 use cma_semiring::poly::Var;
 
-use crate::engine::{analyze_session_for, AnalysisOptions, Goal, SolveMode};
+use crate::derive::CostModel;
+use crate::engine::{
+    analyze_session_for, AnalysisError, AnalysisOptions, AnalysisResult, Goal, SolveMode,
+};
 
 /// The outcome of the combined soundness check.
 #[derive(Debug, Clone)]
@@ -32,11 +34,11 @@ pub struct SoundnessReport {
     /// Whether a finite bound on `E[T^k]` was derived (and for which `k`).
     pub termination_moment: Option<usize>,
     /// LP variables of the step-counting re-analysis (0 when it failed, and
-    /// when its pruned instrumentation is straight-line code that needs no
+    /// when the program left by pruning is straight-line code that needs no
     /// LP).
     pub extension_variables: usize,
     /// LP constraint rows of the step-counting re-analysis (0 when it
-    /// failed, and when its pruned instrumentation needs no LP).
+    /// failed, and when the program left by pruning needs no LP).
     pub extension_constraints: usize,
     /// Dual-simplex pivots the re-analysis's solve took.  It is solved cold
     /// as its own LP, so this is 0 unless a backend repairs it warm.
@@ -133,22 +135,19 @@ fn assignment_is_bounded(x: &Var, e: &Expr, noise_vars: &[Var]) -> bool {
 /// Runs both side conditions of Theorem 4.4 at moment degree `degree` and
 /// assembles a report.
 ///
-/// Condition (i) re-runs the bound inference on the
-/// [step-counting instrumentation](step_counting_instrumentation) of the
-/// program: a finite bound on `E[T^degree]` establishes it.  The
-/// re-analysis takes `options` with two changes — global mode and no
-/// poly-degree retry — so callers pass the poly degree the main analysis
-/// landed on and whatever remains of its deadline.  It keeps
-/// `options.range_facts`: the instrumentation keeps the program's spans and
-/// adds no read and no branch decision, so every fact the checker proved
-/// for the program holds for it, and the re-analysis prunes the refuted
-/// branches, never-entered loops and dead template variables the main
-/// analysis prunes (unreachable code contributes no steps).  It asks only
-/// whether a bound *exists*, so its LP is solved for feasibility: the same
-/// rows and columns as [`analyze_with`](crate::analyze_with) would solve,
-/// with an empty objective instead of the tightness objective.  A
-/// re-analysis that finds no bound, or runs out of budget, leaves the
-/// finite `E[T^degree]` not established.
+/// Condition (i) re-runs the bound inference with every evaluation step
+/// costing one unit, as [`step_count_analysis`] does: a finite bound on
+/// `E[T^degree]` establishes it.  The re-analysis takes `options` with two
+/// changes — global mode and no poly-degree retry — so callers pass the
+/// poly degree the main analysis landed on and whatever remains of its
+/// deadline.  It keeps `options.range_facts`: it derives the program as
+/// written, so it prunes the refuted branches, never-entered loops and dead
+/// template variables the main analysis prunes (unreachable code
+/// contributes no steps).  It asks only whether a bound *exists*, so its LP
+/// is solved for feasibility: the same rows and columns as
+/// [`step_count_analysis`] would solve, with an empty objective instead of
+/// the tightness objective.  A re-analysis that finds no bound, or runs out
+/// of budget, leaves the finite `E[T^degree]` not established.
 pub fn soundness_report(
     program: &Program,
     degree: usize,
@@ -160,8 +159,7 @@ pub fn soundness_report(
     opts.degree = degree;
     opts.mode = SolveMode::Global;
     opts.max_poly_degree = None;
-    let instrumented = step_counting_instrumentation(program);
-    let reanalysis = analyze_session_for(&instrumented, &opts, backend, Goal::Feasible)
+    let reanalysis = analyze_session_for(program, &opts, backend, CostModel::Steps, Goal::Feasible)
         .ok()
         .map(|(result, _session)| result);
     SoundnessReport {
@@ -176,63 +174,27 @@ pub fn soundness_report(
     }
 }
 
-/// The step-counting instrumentation: replaces every `tick(c)` by `tick(1)`
-/// and charges one unit before every other primitive statement, loop
-/// iteration, and branch — an over-approximation of the number of evaluation
-/// steps of the Markov-chain semantics.
+/// Bounds the moments `E[T^k]` of the stopping time of `program`: the
+/// analysis of [`analyze_with`](crate::analyze_with) under `options`, with
+/// one unit per evaluation step charged in place of the program's ticks
+/// ([`CostModel::Steps`]), under the tightness objective.  The LP is the
+/// one [`soundness_report`] solves for feasibility.
 ///
-/// Every statement it rebuilds (each `if`, `if prob`, `while` and sequence,
-/// and the `tick(1)` of a `skip` or `tick`) keeps the span of the statement
-/// it replaces, so [`RangeFacts`](cma_appl::RangeFacts) keyed by the
-/// program's spans apply to the instrumentation; the inserted ticks and
-/// their `seq [tick, s]` wrappers carry dummy spans.
-pub fn step_counting_instrumentation(program: &Program) -> Program {
-    let functions = program
-        .functions()
-        .map(|f| {
-            let mut new_f = Function::new(f.name(), instrument(f.body()));
-            for c in f.precondition() {
-                new_f.add_precondition(c.clone());
-            }
-            new_f
-        })
-        .collect();
-    Program::new(
-        functions,
-        instrument(program.main()),
-        program.precondition().to_vec(),
-    )
-    .expect("instrumentation preserves validity")
-}
-
-fn instrument(stmt: &Stmt) -> Stmt {
-    let rebuilt = |kind| Stmt::new(kind).with_span(stmt.span());
-    let ticked = |s| Stmt::new(StmtKind::Seq(vec![Stmt::new(StmtKind::Tick(1.0)), s]));
-    match stmt.kind() {
-        StmtKind::Skip | StmtKind::Tick(_) => rebuilt(StmtKind::Tick(1.0)),
-        StmtKind::Assign(..) | StmtKind::Sample(..) | StmtKind::Call(_) => ticked(stmt.clone()),
-        StmtKind::If(c, a, b) => ticked(rebuilt(StmtKind::If(
-            c.clone(),
-            Box::new(instrument(a)),
-            Box::new(instrument(b)),
-        ))),
-        StmtKind::IfProb(p, a, b) => ticked(rebuilt(StmtKind::IfProb(
-            *p,
-            Box::new(instrument(a)),
-            Box::new(instrument(b)),
-        ))),
-        StmtKind::While(c, body) => ticked(rebuilt(StmtKind::While(
-            c.clone(),
-            Box::new(ticked(instrument(body))),
-        ))),
-        StmtKind::Seq(ss) => rebuilt(StmtKind::Seq(ss.iter().map(instrument).collect())),
-    }
+/// # Errors
+///
+/// As [`analyze_with`](crate::analyze_with).
+pub fn step_count_analysis(
+    program: &Program,
+    options: &AnalysisOptions,
+    backend: &dyn LpBackend,
+) -> Result<AnalysisResult, AnalysisError> {
+    analyze_session_for(program, options, backend, CostModel::Steps, Goal::Tightest)
+        .map(|(result, _session)| result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::analyze_with;
     use cma_appl::build::*;
     use cma_lp::SimplexBackend;
 
@@ -306,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn step_counting_instrumentation_charges_every_step() {
+    fn step_count_analysis_charges_every_step() {
         let program = ProgramBuilder::new()
             .main(seq([
                 assign("n", cst(3.0)),
@@ -317,70 +279,13 @@ mod tests {
             ]))
             .build()
             .unwrap();
-        let instrumented = step_counting_instrumentation(&program);
-        // The instrumented program charges 1 per step; simulating it counts
-        // statements rather than the original cost.
-        let stats = cma_sim::simulate(
-            &instrumented,
-            &cma_sim::SimConfig {
-                trials: 1,
-                seed: 0,
-                ..Default::default()
-            },
-        );
-        assert!(stats.mean() >= 8.0);
-        // The original cost (15) is replaced by unit costs.
-        assert!(stats.mean() < 15.0 + 8.0);
-    }
-
-    /// The spans of every `if`, `if prob` and `while` of `stmt`, in
-    /// [`Stmt::walk`] order.
-    fn branch_spans(stmt: &Stmt) -> Vec<cma_appl::Span> {
-        let mut spans = Vec::new();
-        stmt.walk(&mut |s| {
-            if matches!(
-                s.kind(),
-                StmtKind::If(..) | StmtKind::IfProb(..) | StmtKind::While(..)
-            ) {
-                spans.push(s.span());
-            }
-        });
-        spans
-    }
-
-    #[test]
-    fn instrumentation_keeps_the_spans_of_branches_and_loops() {
-        let source = "func step() begin\n  \
-                      if x < 3 then\n    \
-                        while x < 3 do\n      \
-                          if prob(0.5) then x := x + 1 else skip fi\n    \
-                        od\n  \
-                      else\n    \
-                        if prob(0.25) then tick(2) fi\n  \
-                      fi\n\
-                      end\n\
-                      func main() begin\n  \
-                      x := 0;\n  \
-                      while x < 5 do\n    \
-                        if x < 2 then\n      \
-                          if prob(0.5) then call step else x := x + 1 fi\n    \
-                        fi;\n    \
-                        x := x + 1\n  \
-                      od\n\
-                      end\n";
-        let program = cma_appl::parse_program(source).unwrap();
-        let instrumented = step_counting_instrumentation(&program);
-        let bodies = |p: &Program| {
-            let mut bodies = vec![p.main().clone()];
-            bodies.extend(p.functions().map(|f| f.body().clone()));
-            bodies
-        };
-        for (body, ticked) in bodies(&program).iter().zip(&bodies(&instrumented)) {
-            let spans = branch_spans(body);
-            assert!(spans.len() >= 3, "{body:?}");
-            assert!(spans.iter().all(|s| !s.is_dummy()), "{spans:?}");
-            assert_eq!(branch_spans(ticked), spans);
-        }
+        // 11 steps: the assignment, the loop's entry, and three iterations of
+        // an iteration step, an assignment and a tick charged 1 instead of 5.
+        let result =
+            step_count_analysis(&program, &AnalysisOptions::degree(1), &SimplexBackend).unwrap();
+        let steps = result.raw_moment_at(1, &[]);
+        assert!((steps.lo() - 11.0).abs() < 1e-6, "{steps:?}");
+        assert!((steps.hi() - 14.0).abs() < 1e-6, "{steps:?}");
     }
 
     fn geometric() -> Program {
@@ -417,12 +322,8 @@ mod tests {
         let report = soundness_report(&program, 2, &options, &SimplexBackend);
         assert_eq!(report.termination_moment, Some(2));
         assert!(!report.shared_templates);
-        let reanalysis = analyze_with(
-            &step_counting_instrumentation(&program),
-            &AnalysisOptions::degree(2),
-            &SimplexBackend,
-        )
-        .unwrap();
+        let reanalysis =
+            step_count_analysis(&program, &AnalysisOptions::degree(2), &SimplexBackend).unwrap();
         assert_eq!(reanalysis.lp_solves, 1);
         assert_eq!(report.extension_variables, reanalysis.lp_variables);
         assert_eq!(report.extension_constraints, reanalysis.lp_constraints);

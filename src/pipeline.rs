@@ -25,7 +25,7 @@
 //!
 //! Solver choice is a type parameter, not a hard dependency: swap the LP
 //! engine with [`Analysis::backend`] and everything downstream — engine,
-//! soundness instrumentation, report statistics — uses it.
+//! the soundness step-count re-analysis, report statistics — uses it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -371,9 +371,9 @@ impl<B: LpBackend> Analysis<B> {
         let tail = tail_curve(&central, thresholds);
         let tail_elapsed = tail_start.elapsed();
 
-        // The soundness side conditions re-run the analysis on the
-        // step-counting instrumentation, at the degree and poly degree this
-        // run landed on, under what remains of the analysis deadline.
+        // The soundness side conditions re-run the analysis charging one
+        // unit per evaluation step, at the degree and poly degree this run
+        // landed on, under what remains of the analysis deadline.
         let (soundness, soundness_elapsed) = if self.check_soundness {
             let start = Instant::now();
             let mut soundness_options = options.clone();
@@ -453,6 +453,7 @@ fn default_thresholds(central: &CentralMoments) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cma_inference::AnalysisError;
     use cma_lp::{LpProblem, LpSolution};
     use cma_suite::running;
 
@@ -511,11 +512,29 @@ mod tests {
     /// count their `minimize` calls — the pluggable seam exercised end to
     /// end, including the required-`open` contract.  Backends must be
     /// `Sync`, hence the atomic.
-    struct CountingBackend(std::sync::atomic::AtomicUsize);
+    struct CountingBackend {
+        minimizes: std::sync::atomic::AtomicUsize,
+        /// The `minimize` call, counted from 0, whose verdict is replaced by
+        /// `Infeasible`.
+        infeasible_call: Option<usize>,
+    }
+
+    impl CountingBackend {
+        fn new() -> Self {
+            CountingBackend {
+                minimizes: std::sync::atomic::AtomicUsize::new(0),
+                infeasible_call: None,
+            }
+        }
+
+        fn minimizes(&self) -> usize {
+            self.minimizes.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
 
     struct CountingSession<'a> {
         inner: Box<dyn cma_lp::LpSession + 'a>,
-        minimizes: &'a std::sync::atomic::AtomicUsize,
+        backend: &'a CountingBackend,
     }
 
     impl cma_lp::LpSession for CountingSession<'_> {
@@ -528,9 +547,15 @@ mod tests {
         }
 
         fn minimize(&mut self, objective: &[(cma_lp::LpVarId, f64)]) -> LpSolution {
-            self.minimizes
+            let call = self
+                .backend
+                .minimizes
                 .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            self.inner.minimize(objective)
+            let mut solution = self.inner.minimize(objective);
+            if self.backend.infeasible_call == Some(call) {
+                solution.status = cma_lp::LpStatus::Infeasible;
+            }
+            solution
         }
 
         fn num_vars(&self) -> usize {
@@ -550,14 +575,14 @@ mod tests {
         fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn cma_lp::LpSession + 'a> {
             Box::new(CountingSession {
                 inner: SimplexBackend.open(problem),
-                minimizes: &self.0,
+                backend: self,
             })
         }
     }
 
     #[test]
     fn custom_backends_are_threaded_through_every_phase() {
-        let backend = CountingBackend(std::sync::atomic::AtomicUsize::new(0));
+        let backend = CountingBackend::new();
         let report = Analysis::benchmark(&running::rdwalk())
             .backend(&backend)
             .run()
@@ -567,8 +592,38 @@ mod tests {
         // through a session of its own opened on the same backend.
         assert!(report.soundness.is_some());
         assert_eq!(report.lp.solves, 1);
-        let uses = backend.0.load(std::sync::atomic::Ordering::SeqCst);
+        let uses = backend.minimizes();
         assert!(uses >= 2, "backend used {uses} times");
+    }
+
+    /// A failed in-place escalation of a program with only `main` names the
+    /// group `main`, as a failed solve at the starting degree does.
+    #[test]
+    fn a_failed_escalation_of_main_names_main() {
+        let backend = CountingBackend {
+            infeasible_call: Some(1),
+            ..CountingBackend::new()
+        };
+        let err =
+            Analysis::parse("func main() begin x := 3; while x > 0 do x := x - 1; tick(1) od end")
+                .unwrap()
+                .backend(&backend)
+                .escalate_from(1)
+                .soundness(false)
+                .run()
+                .unwrap_err();
+        assert_eq!(backend.minimizes(), 2);
+        let CmaError::Analysis(AnalysisError::LpFailed {
+            status,
+            group,
+            degree,
+            ..
+        }) = err
+        else {
+            panic!("not an LP failure: {err:?}");
+        };
+        assert_eq!(status, cma_lp::LpStatus::Infeasible);
+        assert_eq!((group, degree), (vec!["main".to_string()], 2));
     }
 
     #[test]
@@ -584,7 +639,7 @@ mod tests {
             .build()
             .unwrap();
         let builtin = Analysis::of(&program).run().unwrap();
-        let counting = CountingBackend(std::sync::atomic::AtomicUsize::new(0));
+        let counting = CountingBackend::new();
         let wrapped = Analysis::of(&program).backend(&counting).run().unwrap();
         for report in [&builtin, &wrapped] {
             let s = report.soundness.as_ref().unwrap();
@@ -598,7 +653,7 @@ mod tests {
         assert_eq!(a.extension_variables, b.extension_variables);
         assert_eq!(a.extension_constraints, b.extension_constraints);
         // One minimize for the main analysis, one for the re-analysis.
-        assert_eq!(counting.0.load(std::sync::atomic::Ordering::SeqCst), 2);
+        assert_eq!(counting.minimizes(), 2);
     }
 
     #[test]
