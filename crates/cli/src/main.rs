@@ -110,7 +110,9 @@ CORPUS OPTIONS:
     --jobs N             (run) concurrent child processes (default 4)
     --timeout SECS       (run) hard per-program deadline; the child process is
                          killed when it passes (default 10)
-    --retries N          (run) extra attempts for timeouts/crashes (default 1)
+    --retries N          (run) extra attempts for crashes and hard-deadline
+                         kills (default 1); an in-child budget exhaustion
+                         is final
     --journal FILE       (run) NDJSON journal; re-running against an existing
                          journal resumes, skipping recorded programs
                          (default corpus.journal.ndjson)
@@ -606,8 +608,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), CmaError> {
     // (a strict simulation of a use-before-init program would only confirm
     // what the checker already proved), warnings print once.
     if !opts.no_check {
-        let report = check::check_source(&source, &check_config(&opts))
-            .map_err(|e| CmaError::from(e).with_context(format!("while parsing `{path}`")))?;
+        let report = check::check_program(&program, &check_config(&opts)).with_source(&source);
         for d in report.diagnostics() {
             eprintln!("{d}");
         }

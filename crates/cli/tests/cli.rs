@@ -515,9 +515,10 @@ fn simulate_counts_uninit_reads_and_strict_init_makes_them_fatal() {
     let fixture = lint_fixture("cma001_use_before_init.appl");
     let lenient = run(&["simulate", &fixture, "--trials", "50"]);
     assert_eq!(lenient.status.code(), Some(0));
-    // The auto-check flags the read on stderr…
+    // The auto-check flags the read on stderr, at its source position…
     let stderr = String::from_utf8_lossy(&lenient.stderr);
     assert!(stderr.contains("warning[CMA001]"), "{stderr}");
+    assert!(stderr.contains(" --> 4:3"), "{stderr}");
     // …and the simulator reports how often it actually happened.
     let text = String::from_utf8_lossy(&lenient.stdout);
     assert!(

@@ -51,11 +51,6 @@ impl Outcome {
             _ => None,
         }
     }
-
-    /// Whether the runner should retry this outcome (transient kinds only).
-    pub fn retryable(self) -> bool {
-        matches!(self, Outcome::Timeout | Outcome::Crash)
-    }
 }
 
 impl fmt::Display for Outcome {

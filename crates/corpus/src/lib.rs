@@ -24,9 +24,10 @@
 //! The process boundary is the crash-isolation mechanism: an `abort()`, a
 //! stack overflow, or an OOM kill in the analyzer takes down only the child.
 //! The runner classifies every exit into an [`Outcome`] — `Ok`, `Timeout`,
-//! `Crash`, or `AnalysisFailed` — retries only the transient kinds
-//! (`Timeout`/`Crash`) a bounded number of times with a harsher in-child
-//! budget, and aggregates everything into a diffable [`CampaignReport`].
+//! `Crash`, or `AnalysisFailed` — retries only the transient runs (a
+//! hard-deadline kill, a crash) a bounded number of times with the same
+//! in-child budget, and aggregates everything into a diffable
+//! [`CampaignReport`].
 //!
 //! The crate is deliberately std-only so any other crate in the workspace
 //! (including dev-dependencies of low-level crates) can use the generator

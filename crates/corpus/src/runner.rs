@@ -12,8 +12,10 @@
 //! parent holds the *hard* deadline and kills the child outright when it
 //! passes.  The soft budget bounds the whole analysis and never sends the
 //! analyzer down its degradation ladder: a forwarded `--group-timeout`
-//! does.  Retries are bounded and restricted to transient outcomes
-//! (timeout, crash).
+//! does.  Retries are bounded and restricted to transient runs (a
+//! hard-deadline kill, a crash).  An in-child exhaustion is final: a retry
+//! would get the same soft budget, repeat the same work and end the same
+//! way.
 //!
 //! Workers steal programs from a shared atomic cursor — no work queue, no
 //! channel, and naturally balanced when program costs vary by orders of
@@ -45,7 +47,8 @@ pub struct CampaignConfig {
     pub jobs: usize,
     /// The hard per-program deadline; the child is killed when it passes.
     pub timeout: Duration,
-    /// Extra attempts granted to transient failures (timeout, crash).
+    /// Extra attempts granted to transient failures (a hard-deadline kill,
+    /// a crash).
     pub retries: u32,
     /// Journal path; an existing journal resumes the campaign.
     pub journal: PathBuf,
@@ -158,6 +161,9 @@ impl std::fmt::Display for CampaignReport {
 /// What one child-process run of one program produced.
 struct RunResult {
     outcome: Outcome,
+    /// Whether another attempt could end differently (a hard-deadline kill
+    /// or a crash).
+    retryable: bool,
     degraded: bool,
     detail: String,
 }
@@ -222,6 +228,7 @@ fn run_one(config: &CampaignConfig, program: &Path, scratch_tag: &str) -> io::Re
     let result = if killed {
         RunResult {
             outcome: Outcome::Timeout,
+            retryable: true,
             degraded: false,
             detail: format!(
                 "killed after {:.2}s hard deadline",
@@ -231,6 +238,7 @@ fn run_one(config: &CampaignConfig, program: &Path, scratch_tag: &str) -> io::Re
     } else if status.success() {
         RunResult {
             outcome: Outcome::Ok,
+            retryable: false,
             degraded: stdout.contains("\"degraded\":true"),
             detail: String::new(),
         }
@@ -238,14 +246,16 @@ fn run_one(config: &CampaignConfig, program: &Path, scratch_tag: &str) -> io::Re
         // No exit code: the child died to a signal (abort, segfault, …).
         RunResult {
             outcome: Outcome::Crash,
+            retryable: true,
             degraded: false,
             detail: describe_signal_death(&status, &first_err_line),
         }
     } else if stderr.contains("budget exhausted") || stdout.contains("budget exhausted") {
         // The in-child soft budget ran out before the analysis produced a
-        // result.
+        // result; every attempt gets the same budget, so this is final.
         RunResult {
             outcome: Outcome::Timeout,
+            retryable: false,
             degraded: false,
             detail: format!("in-child budget ({soft_secs:.2}s) exhausted"),
         }
@@ -254,12 +264,14 @@ fn run_one(config: &CampaignConfig, program: &Path, scratch_tag: &str) -> io::Re
         // analyzer state is gone — classify with the crashes.
         RunResult {
             outcome: Outcome::Crash,
+            retryable: true,
             degraded: false,
             detail: first_err_line,
         }
     } else {
         RunResult {
             outcome: Outcome::AnalysisFailed,
+            retryable: false,
             degraded: false,
             detail: first_err_line,
         }
@@ -283,7 +295,8 @@ fn describe_signal_death(_status: &std::process::ExitStatus, fallback: &str) -> 
 
 /// Runs (or resumes) a campaign: every program not yet in the journal is
 /// analyzed in an isolated child process, with bounded retries for
-/// transient failures, and the journal grows one line per finished program.
+/// transient failures (a hard-deadline kill, a crash), and the journal
+/// grows one line per finished program.
 ///
 /// # Errors
 ///
@@ -331,7 +344,7 @@ pub fn run_campaign(config: &CampaignConfig) -> io::Result<CampaignReport> {
                     let tag = format!("c{campaign}-w{worker}-i{idx}-a{attempts}");
                     match run_one(config, program, &tag) {
                         Ok(run) => {
-                            if run.outcome.retryable() && attempts <= config.retries {
+                            if run.retryable && attempts <= config.retries {
                                 continue;
                             }
                             break run;

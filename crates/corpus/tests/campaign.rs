@@ -41,9 +41,9 @@ fn fake_cma(dir: &Path, log: &Path) -> PathBuf {
                echo '{{\"degradation\":{{\"degraded\":false,\"steps\":[]}}}}'\n\
              else\n\
                touch \"$prog.tried\"\n\
-               echo 'cma: analysis failed: linear program budget exhausted' >&2\n\
-               exit 1\n\
+               kill -ABRT $$\n\
              fi ;;\n\
+           *starved*) echo 'cma: analysis failed: linear program budget exhausted' >&2; exit 1 ;;\n\
            *degraded*) echo '{{\"degradation\":{{\"degraded\":true,\"steps\":[\"degree:2->1\"]}}}}' ;;\n\
            *rejected*) echo 'cma: parse error: unexpected token' >&2; exit 1 ;;\n\
            *) echo '{{\"degradation\":{{\"degraded\":false,\"steps\":[]}}}}' ;;\n\
@@ -197,13 +197,13 @@ fn transient_failures_are_retried_and_deterministic_ones_are_not() {
     let dir = scratch("retries");
     let log = dir.join("invocations.log");
     let cma = fake_cma(&dir, &log);
-    let programs = programs(&dir, &["flaky", "rejected"]);
+    let programs = programs(&dir, &["flaky", "starved", "rejected"]);
     let mut config = config(&dir, cma, programs);
     config.retries = 2;
 
     let report = run_campaign(&config).unwrap();
-    // `flaky` reported budget exhaustion once (a transient timeout), then
-    // succeeded on the retry, which got the same soft budget.
+    // `flaky` crashed once (a transient failure), then succeeded on the
+    // retry, which got the same soft budget.
     let flaky = outcome_of(&report, "flaky");
     assert_eq!(flaky.outcome, Outcome::Ok);
     assert_eq!(flaky.attempts, 2);
@@ -216,6 +216,11 @@ fn transient_failures_are_retried_and_deterministic_ones_are_not() {
     assert_eq!(soft_budgets.len(), 2, "{invocations}");
     assert!(!soft_budgets[0].is_empty(), "{invocations}");
     assert_eq!(soft_budgets[0], soft_budgets[1], "{invocations}");
+    // An in-child budget exhaustion is final: a retry would get the same
+    // budget and repeat the same work.
+    let starved = outcome_of(&report, "starved");
+    assert_eq!(starved.outcome, Outcome::Timeout);
+    assert_eq!(starved.attempts, 1);
     // A deterministic rejection burns no retries.
     let rejected = outcome_of(&report, "rejected");
     assert_eq!(rejected.outcome, Outcome::AnalysisFailed);

@@ -5,11 +5,21 @@
 //! systems: template coefficients are free columns, certificate
 //! multipliers non-negative ones, and every rule matches coefficients
 //! ([`constrain_zero_coef`](ConstraintBuilder::constrain_zero_coef)), so
-//! no column has an upper bound.  Rows are emitted sparsely into a shared
-//! [`ConstraintStore`], which the engine either snapshots into one
-//! [`cma_lp::LpProblem`] per group (batch solving) or flushes incrementally
-//! into an open [`cma_lp::LpSession`] (degree escalation extends the live
-//! system this way instead of re-deriving it).
+//! no column has an upper bound.
+//!
+//! One builder owns one group's LP: the sparse [`LpProblem`] under
+//! construction, the raw objective terms, how much of it an open
+//! [`LpSession`] already holds, and the [`DerivationPlan`] its walks
+//! record.  The engine either snapshots it into one problem per group
+//! ([`to_problem`](ConstraintBuilder::to_problem), batch solving) or opens
+//! a session over it ([`open_session`](ConstraintBuilder::open_session))
+//! and later [`flush`](ConstraintBuilder::flush)es just the increment into
+//! that session: degree escalation extends the live system this way
+//! instead of re-deriving it.  Flushing relies on the session contract of
+//! `cma-lp`: a session shares the id space of the problem it was opened
+//! on, and ids created through `LpSession::add_var` continue that space,
+//! so the builder keeps allocating columns locally and replays them into
+//! the session in order.
 //!
 //! Columns are anonymous: a template coefficient or a certificate
 //! multiplier is its [`LpVarId`] and nothing else, so minting one builds
@@ -17,11 +27,14 @@
 //! [`planned_moment`](ConstraintBuilder::planned_moment), at the next slot
 //! of the builder's [`DerivationPlan`].
 
-use cma_lp::{Cmp, LpBackend, LpSolution, LpVarId, SimplexBackend};
+use std::collections::BTreeMap;
+
+use cma_lp::{
+    Cmp, LpBackend, LpProblem, LpSession, LpSolution, LpVarId, SimplexBackend, SolverTuning,
+};
 use cma_semiring::poly::{Monomial, Var};
 
 use crate::plan::DerivationPlan;
-use crate::store::ConstraintStore;
 use crate::template::{LinCoef, SymInterval, SymMoment, TemplatePoly};
 
 /// Builder that accumulates LP variables, constraints, and the objective.
@@ -32,8 +45,11 @@ use crate::template::{LinCoef, SymInterval, SymMoment, TemplatePoly};
 /// gate [`require_contains`](crate::weaken::require_contains) uses.
 #[derive(Debug, Default)]
 pub struct ConstraintBuilder {
-    store: ConstraintStore,
-    plan: DerivationPlan,
+    problem: LpProblem,
+    objective: Vec<(LpVarId, f64)>,
+    flushed_vars: usize,
+    flushed_rows: usize,
+    pub(crate) plan: DerivationPlan,
 }
 
 impl ConstraintBuilder {
@@ -44,48 +60,22 @@ impl ConstraintBuilder {
 
     /// Number of LP variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.store.num_vars()
+        self.problem.num_vars()
     }
 
     /// Number of LP constraints emitted so far.
     pub fn num_constraints(&self) -> usize {
-        self.store.num_constraints()
-    }
-
-    /// The underlying constraint store.
-    pub fn store(&self) -> &ConstraintStore {
-        &self.store
-    }
-
-    /// Mutable access to the underlying constraint store (the engine opens
-    /// sessions and flushes increments through it).
-    pub fn store_mut(&mut self) -> &mut ConstraintStore {
-        &mut self.store
-    }
-
-    /// The derivation plan this builder records into / replays against.
-    pub fn plan(&self) -> &DerivationPlan {
-        &self.plan
-    }
-
-    /// Mutable access to the plan (the engine ends each walk through it).
-    pub fn plan_mut(&mut self) -> &mut DerivationPlan {
-        &mut self.plan
-    }
-
-    /// A fresh free (sign-unrestricted) LP unknown for a template coefficient.
-    pub fn fresh_coefficient(&mut self) -> LpVarId {
-        self.store.add_var(true)
+        self.problem.num_constraints()
     }
 
     /// A fresh non-negative LP unknown (used for certificate multipliers).
     pub fn fresh_multiplier(&mut self) -> LpVarId {
-        self.store.add_var(false)
+        self.problem.add_var("", false)
     }
 
     /// A fresh template polynomial over `vars` with total degree ≤ `degree`.
     pub fn fresh_poly(&mut self, vars: &[Var], degree: u32) -> TemplatePoly {
-        fresh_poly(&mut self.store, vars, degree)
+        fresh_poly(&mut self.problem, vars, degree)
     }
 
     /// The `level`-restricted moment annotation of degree `m` at the
@@ -102,15 +92,15 @@ impl ConstraintBuilder {
         poly_degree: u32,
         level: usize,
     ) -> SymMoment {
-        let store = &mut self.store;
+        let problem = &mut self.problem;
         self.plan.moment(level, m, |k| {
             if k < level {
                 return SymInterval::zero();
             }
             let degree = component_degree(k, poly_degree);
             SymInterval {
-                lo: fresh_poly(store, vars, degree),
-                hi: fresh_poly(store, vars, degree),
+                lo: fresh_poly(problem, vars, degree),
+                hi: fresh_poly(problem, vars, degree),
             }
         })
     }
@@ -130,11 +120,12 @@ impl ConstraintBuilder {
             // an explicitly infeasible constraint so the solver reports it.
             if coef.constant_part().abs() > 1e-9 {
                 let dummy = self.fresh_multiplier();
-                self.store.add_constraint(vec![(dummy, 0.0)], Cmp::Eq, 1.0);
+                self.problem
+                    .add_constraint(vec![(dummy, 0.0)], Cmp::Eq, 1.0);
             }
             return;
         }
-        self.store
+        self.problem
             .add_constraint(terms, Cmp::Eq, -coef.constant_part());
     }
 
@@ -148,29 +139,71 @@ impl ConstraintBuilder {
     /// Adds `weight · value(coef)` to the minimization objective.
     pub fn add_objective(&mut self, coef: &LinCoef, weight: f64) {
         for (v, c) in coef.terms() {
-            self.store.add_objective_term(v, c * weight);
+            self.objective.push((v, c * weight));
         }
     }
 
-    /// Solves the accumulated problem with the default simplex backend.
-    pub fn solve(&mut self) -> LpSolution {
-        self.solve_with(&SimplexBackend)
+    /// The objective terms aggregated by variable (the form
+    /// [`LpSession::minimize`] expects).
+    pub fn objective(&self) -> Vec<(LpVarId, f64)> {
+        let mut aggregated: BTreeMap<LpVarId, f64> = BTreeMap::new();
+        for &(v, c) in &self.objective {
+            *aggregated.entry(v).or_insert(0.0) += c;
+        }
+        aggregated.into_iter().collect()
     }
 
-    /// Solves the accumulated problem with the given [`LpBackend`]
-    /// (duplicate objective entries aggregate).
-    pub fn solve_with(&mut self, backend: &dyn LpBackend) -> LpSolution {
-        backend.solve(&self.store.to_problem())
+    /// A solve-ready snapshot: the constraint system with the full
+    /// aggregated objective set (what `solve_batch` consumes).
+    pub fn to_problem(&self) -> LpProblem {
+        let mut problem = self.problem.clone();
+        problem.set_objective(self.objective());
+        problem
+    }
+
+    /// Opens a backend session over the system built so far, under
+    /// `tuning` (the session budget), and marks all of it as flushed.
+    pub fn open_session<'a>(
+        &mut self,
+        backend: &'a dyn LpBackend,
+        tuning: &SolverTuning,
+    ) -> Box<dyn LpSession + 'a> {
+        let session = backend.open_with(&self.problem, tuning);
+        self.flushed_vars = self.problem.num_vars();
+        self.flushed_rows = self.problem.num_constraints();
+        session
+    }
+
+    /// Replays everything added since the last open/flush — new variables
+    /// (their kinds) first, then new rows — into the session, preserving the
+    /// shared id space.
+    pub fn flush(&mut self, session: &mut dyn LpSession) {
+        for index in self.flushed_vars..self.problem.num_vars() {
+            let var = LpVarId::from_index(index);
+            let mirrored = session.add_var("", self.problem.is_free(var));
+            debug_assert_eq!(mirrored, var, "session id space diverged from the builder");
+        }
+        self.flushed_vars = self.problem.num_vars();
+        for row in self.flushed_rows..self.problem.num_constraints() {
+            let terms: Vec<(LpVarId, f64)> = self.problem.constraint_terms(row).collect();
+            session.add_constraint(&terms, self.problem.cmp(row), self.problem.rhs(row));
+        }
+        self.flushed_rows = self.problem.num_constraints();
+    }
+
+    /// Solves the accumulated problem with the default simplex backend.
+    pub fn solve(&self) -> LpSolution {
+        SimplexBackend.solve(&self.to_problem())
     }
 }
 
 /// A fresh template polynomial over `vars` with total degree ≤ `degree`,
 /// one free column per monomial.
-fn fresh_poly(store: &mut ConstraintStore, vars: &[Var], degree: u32) -> TemplatePoly {
+fn fresh_poly(problem: &mut LpProblem, vars: &[Var], degree: u32) -> TemplatePoly {
     TemplatePoly::from_terms(
         Monomial::all_up_to_degree(vars, degree)
             .into_iter()
-            .map(|m| (m, LinCoef::var(store.add_var(true)))),
+            .map(|m| (m, LinCoef::var(problem.add_var("", true)))),
     )
 }
 
@@ -182,6 +215,7 @@ fn component_degree(k: usize, poly_degree: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cma_lp::{LpStatus, SparseBackend};
     use cma_semiring::poly::Polynomial;
 
     #[test]
@@ -230,10 +264,13 @@ mod tests {
         let mut b = ConstraintBuilder::new();
         let x = Var::new("x");
         let p = b.fresh_poly(std::slice::from_ref(&x), 1);
-        let five = LinCoef::constant(5.0);
-        let diff = p.coefficient(&Monomial::unit()).sub(&five);
-        b.store_mut()
-            .add_constraint(diff.terms().collect(), Cmp::Ge, -diff.constant_part());
+        // The constant term minus 5 equals a non-negative multiplier.
+        let slack = LinCoef::var(b.fresh_multiplier());
+        b.constrain_zero_coef(
+            &p.coefficient(&Monomial::unit())
+                .sub(&LinCoef::constant(5.0))
+                .sub(&slack),
+        );
         // Also force the x coefficient to be exactly 2.
         b.constrain_zero_coef(
             &p.coefficient(&Monomial::var(x.clone()))
@@ -254,5 +291,76 @@ mod tests {
         b.constrain_zero_coef(&LinCoef::constant(1.0));
         let sol = b.solve();
         assert!(!sol.is_optimal());
+    }
+
+    /// Emits `Σ vars = rhs`.
+    fn constrain_sum(b: &mut ConstraintBuilder, vars: &[LpVarId], rhs: f64) {
+        let sum = vars
+            .iter()
+            .fold(LinCoef::constant(-rhs), |acc, &v| acc.add(&LinCoef::var(v)));
+        b.constrain_zero_coef(&sum);
+    }
+
+    fn backend_roundtrip(backend: &dyn LpBackend) {
+        // Multipliers serve as the slacks of the `≤`/`≥` rows.
+        let mut b = ConstraintBuilder::new();
+        let x = b.fresh_multiplier();
+        let y = b.fresh_multiplier();
+        let s = b.fresh_multiplier();
+        constrain_sum(&mut b, &[x, y, s], 4.0); // x + y ≤ 4
+        b.add_objective(&LinCoef::var(x), -1.0);
+        b.add_objective(&LinCoef::var(y), -2.0);
+        b.add_objective(&LinCoef::var(y), 0.0); // duplicate entries aggregate
+
+        let mut session = b.open_session(backend, &SolverTuning::default());
+        let first = session.minimize(&b.objective());
+        assert_eq!(first.status, LpStatus::Optimal);
+        assert!((first.objective - (-8.0)).abs() < 1e-6); // y = 4
+
+        // Extend: a new variable, a cutting row, and an objective term.
+        let z = b.fresh_multiplier();
+        let s_y = b.fresh_multiplier();
+        constrain_sum(&mut b, &[y, s_y], 1.0); // y ≤ 1
+        let s_zx = b.fresh_multiplier();
+        b.constrain_zero_coef(
+            &LinCoef::var(z)
+                .add(&LinCoef::var(x))
+                .sub(&LinCoef::var(s_zx))
+                .sub(&LinCoef::constant(2.0)),
+        ); // z + x ≥ 2
+        b.add_objective(&LinCoef::var(z), 1.0);
+        b.flush(session.as_mut());
+        assert_eq!(session.num_vars(), 6);
+        assert_eq!(session.num_constraints(), 3);
+
+        let ext = session.minimize(&[(z, 1.0)]);
+        assert_eq!(ext.status, LpStatus::Optimal);
+        // minimize z s.t. x + z >= 2, x + y <= 4, y <= 1: z can reach 0.
+        assert!(ext.objective.abs() < 1e-6);
+
+        // The full objective still solves over the extended system.
+        let full = session.minimize(&b.objective());
+        assert_eq!(full.status, LpStatus::Optimal);
+        assert!((full.objective - (-5.0)).abs() < 1e-6); // x = 3, y = 1, z = 0
+    }
+
+    #[test]
+    fn flush_roundtrips_through_both_backends() {
+        backend_roundtrip(&SimplexBackend);
+        backend_roundtrip(&SparseBackend);
+    }
+
+    #[test]
+    fn to_problem_carries_the_aggregated_objective() {
+        let mut b = ConstraintBuilder::new();
+        let x = b.fresh_multiplier();
+        let s = b.fresh_multiplier();
+        constrain_sum(&mut b, &[x, s], 5.0); // x ≤ 5
+        b.add_objective(&LinCoef::var(x), -0.5);
+        b.add_objective(&LinCoef::var(x), -0.5);
+        let problem = b.to_problem();
+        assert_eq!(problem.objective(), &[(x, -1.0)]);
+        let sol = problem.solve();
+        assert!((sol.value(x) - 5.0).abs() < 1e-6);
     }
 }

@@ -546,14 +546,15 @@ pub fn analyze_with(
     options: &AnalysisOptions,
     backend: &dyn LpBackend,
 ) -> Result<AnalysisResult, AnalysisError> {
-    analyze_session(program, options, backend).map(|(result, _session)| result)
+    analyze_session_for(program, options, backend, CostModel::Ticks, Goal::Tightest)
+        .map(|session| session.result)
 }
 
 /// The engine state kept alive after [`analyze_session`]: the main group's
-/// [`ConstraintStore`](crate::store::ConstraintStore) (inside its builder)
-/// and the open solver session over it, which
-/// [`escalate_degree`](Self::escalate_degree) extends in place instead of
-/// re-deriving the main system from scratch.
+/// [`ConstraintBuilder`], the open solver session over its LP, and the
+/// [`AnalysisResult`] the two produced.
+/// [`escalate_degree`](Self::escalate_degree) extends all three in place
+/// instead of re-deriving the main system from scratch.
 pub struct AnalysisSession<'a> {
     builder: ConstraintBuilder,
     session: Box<dyn LpSession + 'a>,
@@ -561,10 +562,7 @@ pub struct AnalysisSession<'a> {
     options: AnalysisOptions,
     cost: CostModel,
     program: &'a Program,
-    groups: Vec<GroupLpStats>,
-    lp_solves: usize,
-    poly_retries: usize,
-    pruning: PruningStats,
+    pub(crate) result: AnalysisResult,
     poisoned: bool,
     minimizes: usize,
 }
@@ -591,6 +589,12 @@ impl<'a> AnalysisSession<'a> {
     /// components `≤ m`), so the old rows are exactly the component-`≤m`
     /// slice of the new system.  Bounds therefore match a cold degree-
     /// `target` analysis within solver tolerance.
+    ///
+    /// The escalation extends the session's own result and returns a copy
+    /// of it: the increment joins [`AnalysisResult::groups`] as a group of
+    /// its own (no new LP, so `lp_solves` stays), the sizes grow by it, and
+    /// the bounds, specifications, plan counters, escalation statistics
+    /// and elapsed time are the escalation's.
     ///
     /// Compositional sessions freeze resolved callee specifications per
     /// degree and cannot extend them in place: they fall back to a cold
@@ -629,9 +633,7 @@ impl<'a> AnalysisSession<'a> {
         }
 
         let start = Instant::now();
-        let vars_before = self.builder.num_vars();
-        let rows_before = self.builder.num_constraints();
-        let plan_before = self.builder.plan().stats();
+        let plan_before = self.builder.plan.stats();
         let final_group = function_names(self.program);
         let built = build_group(
             &mut self.builder,
@@ -646,16 +648,15 @@ impl<'a> AnalysisSession<'a> {
             Ok(build) => build,
             Err(e) => {
                 // The walk stopped midway, so the plan no longer matches
-                // the rows in the store; further replays would skip rows
+                // the rows in the builder; further replays would skip rows
                 // that were never instantiated.
                 self.poisoned = true;
                 return Err(e);
             }
         };
 
-        self.builder.store_mut().flush(self.session.as_mut());
-        let objective = self.builder.store().aggregated_objective();
-        let solution = self.session.minimize(&objective);
+        self.builder.flush(self.session.as_mut());
+        let solution = self.session.minimize(&self.builder.objective());
         self.minimizes += 1;
 
         if !solution.is_optimal() {
@@ -673,10 +674,15 @@ impl<'a> AnalysisSession<'a> {
         }
         let outcome = extract_outcome(build, &solution, &final_group, true, &options)?;
 
-        let plan_delta = self.builder.plan().stats().since(&plan_before);
-        let appended_variables = self.builder.num_vars() - vars_before;
-        let appended_constraints = self.builder.num_constraints() - rows_before;
-        let escalation = EscalationStats {
+        // The escalated group joins the result, whose sizes are still the
+        // builder's before this walk; its poly degree, pruning and
+        // (cumulative) poly retries are the session's and stay.
+        let result = &mut self.result;
+        result.plan = self.builder.plan.stats();
+        let plan_delta = result.plan.since(&plan_before);
+        let appended_variables = self.builder.num_vars() - result.lp_variables;
+        let appended_constraints = self.builder.num_constraints() - result.lp_constraints;
+        result.escalation = Some(EscalationStats {
             from_degree,
             to_degree: target,
             appended_variables,
@@ -687,40 +693,23 @@ impl<'a> AnalysisSession<'a> {
             iterations: solution.stats.iterations,
             cold_restarts: 0,
             poly_retries: 0,
-        };
-        self.groups.push(GroupLpStats {
+        });
+        result.groups.push(GroupLpStats {
             name: format!("escalate({from_degree}->{target})"),
             functions: final_group,
             variables: appended_variables,
             constraints: appended_constraints,
             stats: solution.stats,
         });
-
-        let main_bounds = outcome
+        result.bounds = outcome
             .main_bounds
             .expect("main bounds computed by the escalated group");
-        let bounds = main_bounds
-            .into_iter()
-            .map(|(lower, upper)| MomentBound { lower, upper })
-            .collect();
+        result.specs = outcome.specs;
+        result.lp_variables = self.builder.num_vars();
+        result.lp_constraints = self.builder.num_constraints();
+        result.elapsed = start.elapsed();
         self.options.degree = target;
-        Ok(AnalysisResult {
-            bounds,
-            specs: outcome.specs,
-            lp_variables: self.builder.num_vars(),
-            lp_constraints: self.builder.num_constraints(),
-            lp_solves: self.lp_solves,
-            groups: self.groups.clone(),
-            poly_degree: options.poly_degree,
-            // Cumulative across the session: the lower-degree analysis may
-            // already have spent automatic retries landing on this `d`.
-            poly_retries: self.poly_retries,
-            plan: self.builder.plan().stats(),
-            escalation: Some(escalation),
-            pruning: self.pruning,
-            degradation: DegradationStats::default(),
-            elapsed: start.elapsed(),
-        })
+        Ok(self.result.clone())
     }
 
     /// Cold escalation path: re-analyzes at the target degree (and poly
@@ -732,7 +721,7 @@ impl<'a> AnalysisSession<'a> {
         from_degree: usize,
         extra_poly_retries: usize,
     ) -> Result<AnalysisResult, AnalysisError> {
-        let (mut result, mut fresh) = analyze_session_for(
+        let mut fresh = analyze_session_for(
             self.program,
             &options,
             self.backend,
@@ -741,18 +730,17 @@ impl<'a> AnalysisSession<'a> {
         )?;
         // Retries spent *during* this escalation vs the session's cumulative
         // total (which includes the original lower-degree analysis's).
-        let during = result.poly_retries + extra_poly_retries;
-        result.poly_retries = self.poly_retries + during;
-        result.escalation = Some(EscalationStats {
+        let during = fresh.result.poly_retries + extra_poly_retries;
+        fresh.result.poly_retries = self.result.poly_retries + during;
+        fresh.result.escalation = Some(EscalationStats {
             from_degree,
             to_degree: options.degree,
             cold_restarts: 1,
             poly_retries: during,
             ..EscalationStats::default()
         });
-        fresh.poly_retries = result.poly_retries;
         *self = fresh;
-        Ok(result)
+        Ok(self.result.clone())
     }
 }
 
@@ -773,7 +761,8 @@ pub fn analyze_session<'a>(
     options: &AnalysisOptions,
     backend: &'a dyn LpBackend,
 ) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
-    analyze_session_for(program, options, backend, CostModel::Ticks, Goal::Tightest)
+    let session = analyze_session_for(program, options, backend, CostModel::Ticks, Goal::Tightest)?;
+    Ok((session.result.clone(), session))
 }
 
 /// What the final `minimize` of an analysis asks of its LP.
@@ -798,7 +787,7 @@ pub(crate) fn analyze_session_for<'a>(
     backend: &'a dyn LpBackend,
     cost: CostModel,
     goal: Goal,
-) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
+) -> Result<AnalysisSession<'a>, AnalysisError> {
     let start = Instant::now();
     // One deadline for the whole analysis, shared by every poly-degree
     // retry: an attempt that exhausts it fails with `BudgetExhausted`,
@@ -811,11 +800,10 @@ pub(crate) fn analyze_session_for<'a>(
         let mut attempt = options.clone();
         attempt.poly_degree = base_d + poly_retries as u32;
         match analyze_attempt(program, &attempt, backend, deadline, cost, goal) {
-            Ok((mut result, mut session)) => {
-                result.elapsed = start.elapsed();
-                result.poly_retries = poly_retries;
-                session.poly_retries = poly_retries;
-                return Ok((result, session));
+            Ok(mut session) => {
+                session.result.elapsed = start.elapsed();
+                session.result.poly_retries = poly_retries;
+                return Ok(session);
             }
             Err(e) if e.infeasible_at().is_some() && attempt.poly_degree < max_d => {
                 // Templates too weak: retry at the next base degree.
@@ -907,12 +895,9 @@ fn analyze_attempt<'a>(
     deadline: Option<Instant>,
     cost: CostModel,
     goal: Goal,
-) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
+) -> Result<AnalysisSession<'a>, AnalysisError> {
     let start = Instant::now();
     let mut resolved: BTreeMap<(String, usize), ResolvedSpec> = BTreeMap::new();
-    let mut lp_variables = 0usize;
-    let mut lp_constraints = 0usize;
-    let mut lp_solves = 0usize;
     let mut group_stats: Vec<GroupLpStats> = Vec::new();
     let mut plan_stats = PlanStats::default();
     let mut pruning = PruningStats::default();
@@ -943,7 +928,7 @@ fn analyze_attempt<'a>(
             }
             let problems: Vec<cma_lp::LpProblem> = builds
                 .iter()
-                .map(|(builder, _, _)| builder.store().to_problem())
+                .map(|(builder, _, _)| builder.to_problem())
                 .collect();
             let solutions = backend.solve_batch_with(
                 &problems,
@@ -952,16 +937,13 @@ fn analyze_attempt<'a>(
             );
             let mut failure = None;
             for ((builder, build, group), solution) in builds.into_iter().zip(solutions) {
-                lp_variables += builder.num_vars();
-                lp_constraints += builder.num_constraints();
-                lp_solves += 1;
                 group_stats.push(group_lp_stats(
                     group.join("+"),
                     group.clone(),
                     &builder,
                     solution.stats,
                 ));
-                plan_stats = plan_stats.merge(&builder.plan().stats());
+                plan_stats = plan_stats.merge(&builder.plan.stats());
                 if failure.is_none() {
                     match extract_outcome(build, &solution, &group, false, options) {
                         Ok(outcome) => resolved.extend(outcome.specs),
@@ -993,16 +975,11 @@ fn analyze_attempt<'a>(
         &resolved,
     )?;
     pruning.absorb(&build.pruning);
-    lp_variables += builder.num_vars();
-    lp_constraints += builder.num_constraints();
-    lp_solves += 1;
     let objective = match goal {
-        Goal::Tightest => builder.store().aggregated_objective(),
+        Goal::Tightest => builder.objective(),
         Goal::Feasible => Vec::new(),
     };
-    let mut session = builder
-        .store_mut()
-        .open_session_with(backend, &options.group_tuning(deadline));
+    let mut session = builder.open_session(backend, &options.group_tuning(deadline));
     let solution = session.minimize(&objective);
     group_stats.push(group_lp_stats(
         name.to_string(),
@@ -1013,45 +990,34 @@ fn analyze_attempt<'a>(
     let outcome = extract_outcome(build, &solution, &final_group, true, options)?;
     resolved.extend(outcome.specs);
 
-    let main_bounds = outcome
-        .main_bounds
-        .expect("main bounds computed by the final group");
-    let bounds = main_bounds
-        .into_iter()
-        .map(|(lower, upper)| MomentBound { lower, upper })
-        .collect();
     let result = AnalysisResult {
-        bounds,
+        bounds: outcome
+            .main_bounds
+            .expect("main bounds computed by the final group"),
         specs: resolved,
-        lp_variables,
-        lp_constraints,
-        lp_solves,
-        groups: group_stats.clone(),
+        lp_variables: group_stats.iter().map(|g| g.variables).sum(),
+        lp_constraints: group_stats.iter().map(|g| g.constraints).sum(),
+        lp_solves: group_stats.len(),
+        groups: group_stats,
         poly_degree: options.poly_degree,
         poly_retries: 0,
-        plan: plan_stats.merge(&builder.plan().stats()),
+        plan: plan_stats.merge(&builder.plan.stats()),
         escalation: None,
         pruning,
         degradation: DegradationStats::default(),
         elapsed: start.elapsed(),
     };
-    Ok((
+    Ok(AnalysisSession {
+        builder,
+        session,
+        backend,
+        options: options.clone(),
+        cost,
+        program,
         result,
-        AnalysisSession {
-            builder,
-            session,
-            backend,
-            options: options.clone(),
-            cost,
-            program,
-            groups: group_stats,
-            lp_solves,
-            poly_retries: 0,
-            pruning,
-            poisoned: false,
-            minimizes: 1,
-        },
-    ))
+        poisoned: false,
+        minimizes: 1,
+    })
 }
 
 /// Assembles one group's LP stats from its builder sizes and the solver
@@ -1112,7 +1078,7 @@ fn scc_levels(program: &Program, sccs: &[Vec<String>]) -> Vec<Vec<usize>> {
 
 struct GroupOutcome {
     specs: BTreeMap<(String, usize), ResolvedSpec>,
-    main_bounds: Option<Vec<(Polynomial, Polynomial)>>,
+    main_bounds: Option<Vec<MomentBound>>,
 }
 
 /// Everything `build_group` produces besides the constraints themselves:
@@ -1237,7 +1203,7 @@ fn build_group(
     } else {
         None
     };
-    builder.plan_mut().finish_walk(m);
+    builder.plan.finish_walk(m);
 
     Ok(GroupBuild {
         specs,
@@ -1283,7 +1249,12 @@ fn extract_outcome(
             level += 1;
         }
     }
-    let main_bounds = build.main_pre.map(|pre| pre.resolve(&values));
+    let main_bounds = build.main_pre.map(|pre| {
+        pre.resolve(&values)
+            .into_iter()
+            .map(|(lower, upper)| MomentBound { lower, upper })
+            .collect()
+    });
 
     Ok(GroupOutcome {
         specs: resolved_specs,

@@ -9,7 +9,8 @@
 //!
 //! * [`template`] — symbolic interval moment vectors whose polynomial
 //!   coefficients are LP unknowns;
-//! * [`builder`] — the LP constraint builder (substitute for Gurobi models);
+//! * [`builder`] — the LP constraint builder, one per group LP (substitute
+//!   for Gurobi models);
 //! * [`weaken`] — the rewrite-function certificates that discharge the
 //!   weakening rule `Γ ⊨ Q ⊒ Q'`;
 //! * [`spec`] — moment-polymorphic function specifications (restriction
@@ -61,7 +62,6 @@ pub mod engine;
 pub mod plan;
 pub mod soundness;
 pub mod spec;
-pub mod store;
 pub mod tail;
 pub mod template;
 pub mod weaken;
@@ -74,7 +74,6 @@ pub use engine::{
 };
 pub use plan::{DerivationPlan, PlanStats};
 pub use soundness::{check_bounded_update, soundness_report, step_count_analysis, SoundnessReport};
-pub use store::ConstraintStore;
 pub use tail::{
     best_tail_bound, cantelli_upper_tail, chebyshev_tail, markov_tail, tail_curve, TailBound,
 };

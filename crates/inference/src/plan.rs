@@ -73,7 +73,7 @@ pub struct PlanStats {
     /// Constraint recipes replayed against the plan.
     pub recipes_replayed: usize,
     /// Component instances whose rows were *skipped* because an earlier
-    /// instantiation already emitted them into the store.
+    /// instantiation already emitted them into the builder.
     pub components_skipped: usize,
 }
 

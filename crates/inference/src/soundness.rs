@@ -161,7 +161,7 @@ pub fn soundness_report(
     opts.max_poly_degree = None;
     let reanalysis = analyze_session_for(program, &opts, backend, CostModel::Steps, Goal::Feasible)
         .ok()
-        .map(|(result, _session)| result);
+        .map(|session| session.result);
     SoundnessReport {
         bounded_updates: violations.is_empty(),
         violations,
@@ -189,7 +189,7 @@ pub fn step_count_analysis(
     backend: &dyn LpBackend,
 ) -> Result<AnalysisResult, AnalysisError> {
     analyze_session_for(program, options, backend, CostModel::Steps, Goal::Tightest)
-        .map(|(result, _session)| result)
+        .map(|session| session.result)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //!
 //! A containment is a *recipe* of the builder's
 //! [`DerivationPlan`](crate::plan::DerivationPlan): a degree-escalation
-//! replay skips the components whose rows are already in the store, which
+//! replay skips the components whose rows are already in the builder, which
 //! the plan knows from the restriction level the containment is visited at.
 
 use cma_logic::Context;
@@ -48,7 +48,7 @@ pub fn require_poly_geq(
 ///
 /// `level` is the restriction level of the walk that visits the
 /// containment: when the plan replays it (degree escalation), components
-/// whose rows are already in the store are skipped instead of re-emitted.
+/// whose rows are already in the builder are skipped instead of re-emitted.
 pub fn require_contains(
     builder: &mut ConstraintBuilder,
     ctx: &Context,
@@ -219,12 +219,12 @@ mod tests {
         }
     }
 
-    /// The variable count and every row of a builder's store, coefficients
-    /// and right-hand sides as bits.
+    /// The variable count and every row of a builder, coefficients and
+    /// right-hand sides as bits.
     type Rows = (usize, Vec<(Vec<(usize, u64)>, Cmp, u64)>);
 
     fn rows(builder: &ConstraintBuilder) -> Rows {
-        let lp = builder.store().to_problem();
+        let lp = builder.to_problem();
         let rows = (0..lp.num_constraints())
             .map(|i| {
                 let terms = lp
@@ -272,7 +272,7 @@ mod tests {
             for builder in [&mut got, &mut want] {
                 // The template unknowns the random coefficients refer to.
                 for _ in 0..4 {
-                    builder.fresh_coefficient();
+                    builder.fresh_poly(&[], 0);
                 }
             }
             require_poly_geq(&mut got, &products, &bigger, &smaller);

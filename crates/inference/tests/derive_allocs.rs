@@ -7,7 +7,7 @@
 //! answers "infeasible" at once, so what is counted is derivation alone:
 //! the template arithmetic of every rule, the certificates of every
 //! weakening, the entailment LPs of the loop-head invariants, and the
-//! snapshot of the constraint store handed to the backend.  The stub keeps
+//! snapshot of the builder's LP handed to the backend.  The stub keeps
 //! a copy of that LP (uncounted), and `SimplexBackend::open` on it is
 //! counted apart: presolve and the session's set-up.
 //!

@@ -685,6 +685,26 @@ mod tests {
         assert_eq!(vars, report.lp.variables);
         assert_eq!(cons, report.lp.constraints);
         assert_eq!(report.lp.groups.last().unwrap().name, "main");
+
+        // An in-place escalation appends its increment as a group of its
+        // own but solves no new LP.
+        let escalated = Analysis::parse(include_str!("../examples/fig2.appl"))
+            .unwrap()
+            .degree(2)
+            .escalate_from(1)
+            .soundness(false)
+            .run()
+            .unwrap();
+        let sizes: Vec<(usize, usize)> = escalated
+            .lp
+            .groups
+            .iter()
+            .map(|g| (g.variables, g.constraints))
+            .collect();
+        assert_eq!(sizes, [(166, 116), (412, 290)]);
+        assert_eq!(escalated.lp.variables, 166 + 412);
+        assert_eq!(escalated.lp.constraints, 116 + 290);
+        assert_eq!(escalated.lp.solves, 1);
     }
 
     #[test]

@@ -59,6 +59,44 @@ fn close(recorded: f64, now: f64) -> bool {
     (recorded - now).abs() <= REL_TOL * recorded.abs().max(now.abs()).max(1.0)
 }
 
+/// In-place escalation from degree 1 builds the system a cold degree-2
+/// solve builds (DESIGN §2.1), so the two reach the same verdict on LPs of
+/// the same size, with the same bounds within the snapshot's tolerance.
+#[test]
+fn escalation_from_degree_1_matches_the_cold_degree_2_solve() {
+    for benchmark in suite::all_benchmarks() {
+        let name = benchmark.qualified_name();
+        let analysis = || Analysis::benchmark(&benchmark).degree(2).soundness(false);
+        match (analysis().run(), analysis().escalate_from(1).run()) {
+            (Ok(cold), Ok(escalated)) => {
+                assert_eq!(cold.lp.variables, escalated.lp.variables, "{name}");
+                assert_eq!(cold.lp.constraints, escalated.lp.constraints, "{name}");
+                assert_eq!(cold.raw_intervals.len(), escalated.raw_intervals.len());
+                for (k, (c, e)) in cold
+                    .raw_intervals
+                    .iter()
+                    .zip(&escalated.raw_intervals)
+                    .enumerate()
+                {
+                    assert!(
+                        close(c.lo(), e.lo()) && close(c.hi(), e.hi()),
+                        "{name} E[C^{k}]: cold {c:?}, escalated {e:?}"
+                    );
+                }
+            }
+            (Err(cold), Err(escalated)) => assert!(
+                cold.infeasible_at().is_some() && escalated.infeasible_at().is_some(),
+                "{name}: cold `{cold}`, escalated `{escalated}`"
+            ),
+            (cold, escalated) => panic!(
+                "{name}: the verdicts differ: cold {:?}, escalated {:?}",
+                cold.err(),
+                escalated.err()
+            ),
+        }
+    }
+}
+
 #[test]
 fn every_suite_bound_matches_the_recorded_snapshot() {
     let fixture = std::fs::read_to_string(FIXTURE).expect("snapshot fixture exists");
